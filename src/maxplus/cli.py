@@ -266,12 +266,16 @@ def _run_ldp(obj, out_dir, summary):
 
 
 def _run_merton(obj, out_dir, summary, seed_override=None):
+    if "a" in obj:
+        raise ValidationError(
+            "merton scenario: the tail-rate experiment has no truncation floor `a`"
+        )
     _expect_keys(
         obj,
         {"kind", "r", "alpha", "sigma", "w0", "c", "T", "paths", "seed",
-         "xi_min", "xi_max", "xi_step", "a", "out"},
+         "xi_min", "xi_max", "xi_step", "out"},
         "merton scenario",
-        optional={"w0", "a", "out", "seed"},
+        optional={"w0", "out", "seed"},
     )
     p = MertonParams(
         r=obj["r"], alpha=obj["alpha"], sigma=obj["sigma"], w0=obj.get("w0", 1.0)
@@ -330,7 +334,8 @@ def main(argv=None):
     sp.add_argument("--xi-min", type=float, default=0.05)
     sp.add_argument("--xi-max", type=float, default=6.0)
     sp.add_argument("--xi-step", type=float, default=0.05)
-    sp.add_argument("--a", type=float, default=None)
+    sp.add_argument("--a", type=float, default=None,
+                    help="rejected: the tail-rate experiment has no truncation floor")
     sp.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)

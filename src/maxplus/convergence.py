@@ -29,6 +29,7 @@ FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 LOG2 = float(np.log(2.0))
+EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,6 @@ class FormSequence:
     generator: object  # index -> QuasiLinearForm
     n_list: tuple
     y_grid: Grid
-    epsilon: object = None  # optional index -> scale
 
     def __post_init__(self):
         n = tuple(int(k) for k in self.n_list)
@@ -58,6 +58,8 @@ class GaussianMeanForm(QuasiLinearForm):
     probabilities of N(0, 1/n), and generic grid functions through their
     piecewise-linear interpolant with end pieces extended to infinity.
     """
+
+    array_affine = True
 
     def __init__(self, index, grid):
         if grid.dim != 1:
@@ -101,7 +103,6 @@ def gaussian_mean_sequence(grid, n_list):
         generator=lambda n: GaussianMeanForm(n, grid),
         n_list=tuple(n_list),
         y_grid=grid,
-        epsilon=lambda n: 1.0 / n,
     )
 
 
@@ -115,13 +116,18 @@ def constant_sequence(form, n_list):
 # trend extrapolation
 # ---------------------------------------------------------------------------
 
-def _fit_limit(ns, v):
-    """Least-squares limit against {1, 1/n, log(n)/n}; (limit, max residual)."""
+def _trend_basis(ns):
+    """Design matrix {1, 1/n, log(n)/n}; the last column needs three indices."""
     ns = np.asarray(ns, dtype=np.float64)
     cols = [np.ones_like(ns), 1.0 / ns]
-    if v.size >= 3:
+    if ns.size >= 3:
         cols.append(np.log(ns) / ns)
-    A = np.stack(cols, axis=1)
+    return np.stack(cols, axis=1)
+
+
+def _fit_limit(ns, v):
+    """Least-squares limit against {1, 1/n, log(n)/n}; (limit, max residual)."""
+    A = _trend_basis(ns)
     coef, *_ = np.linalg.lstsq(A, v, rcond=None)
     resid = float(np.abs(A @ coef - v).max())
     return float(coef[0]), resid
@@ -166,6 +172,52 @@ def trend_pair(ns, values, *, fit_resid_tol=1e-2):
             return limit, limit
     tail = v[v.size // 2:]
     return float(tail.min()), float(tail.max())
+
+
+def trend_pairs(ns, values, *, fit_resid_tol=1e-2):
+    """(liminf trends, limsup trends) of every column of ``values``.
+
+    Row i holds the values at index ns[i]; column j gets exactly
+    ``trend_pair(ns, values[:, j])``.  The fitted columns share one
+    multi-right-hand-side least-squares solve, whose coefficients equal
+    the one-column solves bit for bit.  Two kinds of column are refitted
+    alone: one whose largest entry lies so far from 1 that the solver
+    rescales it (and, in a block, every column with it), and one whose
+    residual lies within the rounding of the batched product A @ coef
+    of the tolerance, since the one-column product may round otherwise.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape[0] == 0:
+        return np.full(v.shape[1], np.nan), np.full(v.shape[1], np.nan)
+    tail = v[v.shape[0] // 2:]
+    lo = tail.min(axis=0)
+    hi = tail.max(axis=0)
+    const = (v == v[0]).all(axis=0)
+    lo[const] = hi[const] = v[0, const]
+    fit = np.flatnonzero(np.isfinite(v).all(axis=0) & ~const)
+    if fit.size:
+        A = _trend_basis(ns)
+        w = v[:, fit]
+        limit = np.empty(fit.size)
+        resid = np.empty(fit.size)
+        # LAPACK's gelsd rescales a right-hand side whose largest entry is
+        # below 2^-970 or above 2^970
+        size = np.abs(w).max(axis=0)
+        alone = (size < 2.0**-900) | (size > 2.0**900)
+        batch = np.flatnonzero(~alone)
+        if batch.size:
+            wb = w[:, batch]
+            coef, *_ = np.linalg.lstsq(A, wb, rcond=None)
+            limit[batch] = coef[0]
+            resid[batch] = np.abs(A @ coef - wb).max(axis=0)
+            # two roundings of |A @ coef - w| differ by at most 4 eps (|A||coef| + |w|)
+            slack = 8.0 * EPS * (np.abs(A) @ np.abs(coef) + np.abs(wb)).max(axis=0)
+            alone[batch[np.abs(resid[batch] - fit_resid_tol) <= slack]] = True
+        for j in np.flatnonzero(alone):
+            limit[j], resid[j] = _fit_limit(ns, w[:, j])
+        ok = resid <= fit_resid_tol
+        lo[fit[ok]] = hi[fit[ok]] = limit[ok]
+    return lo, hi
 
 
 def limsup_trend(ns, values, **kw):

@@ -54,6 +54,9 @@ class QuasiLinearForm:
 
     grid = None
     join_defect_bound = 0.0
+    # True when evaluate_affine takes an array of 1-D slopes and returns
+    # one value per slope, each equal to the scalar call bit for bit
+    array_affine = False
 
     def evaluate(self, phi):
         raise NotImplementedError

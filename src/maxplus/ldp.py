@@ -27,7 +27,7 @@ from .conjugacy import (
     superlevel_compactness_report,
 )
 from .covering import build_covering, lifted_candidate, quasicontinuity_check
-from .convergence import ldp_bounds_check, limsup_trend, liminf_trend
+from .convergence import ldp_bounds_check, trend_pairs
 from .errors import ValidationError
 from .forms import MaxPlusForm, _to_mask
 from .grids import NEG_INF, POS_INF, GridFn, domain_masks
@@ -60,19 +60,30 @@ class GartnerInput:
         object.__setattr__(self, "sequences", seqs)
 
 
-def _slice_values(seq, kernel, x_index):
-    """F_n(b(x,·)) for every n, via the closed form when available."""
-    out = []
+def _value_matrix(seq, kernel):
+    """V[i, x] = F_{n_i}(b(x,·)) for every index n_i and x-node.
+
+    On a 1-D bilinear kernel the slices are affine; a form whose class
+    declares ``array_affine`` fills its row in one call over all slopes,
+    any other form is called once per slope.
+    """
+    forms = [form for _, form in seq.forms()]
+    nx = kernel.x_grid.size
+    V = np.empty((len(forms), nx))
     if kernel.kind == "bilinear":
         coords = kernel.x_grid.coords
-        slope = coords[x_index] if kernel.x_grid.dim == 1 else tuple(coords[x_index])
-        for _, form in seq.forms():
-            out.append(form.evaluate_affine(slope, 0.0))
+        flat = kernel.x_grid.dim == 1
+        slopes = list(coords) if flat else [tuple(c) for c in coords]
+        for i, form in enumerate(forms):
+            if flat and getattr(form, "array_affine", False):
+                V[i] = form.evaluate_affine(coords, 0.0)
+            else:
+                V[i] = [form.evaluate_affine(s, 0.0) for s in slopes]
     else:
-        row = kernel.row(x_index)
-        for _, form in seq.forms():
-            out.append(form.evaluate(row))
-    return out
+        for x in range(nx):
+            row = kernel.row(x)
+            V[:, x] = [form.evaluate(row) for form in forms]
+    return V
 
 
 @dataclass(frozen=True)
@@ -101,14 +112,13 @@ def limit_log_moment(gartner_input, *, limit_tol=1e-6, sup_edge_to_inf=False):
     per_member = np.empty((len(gartner_input.sequences), nx))
     gaps = np.zeros(nx)
     for si, seq in enumerate(gartner_input.sequences):
-        for xi in range(nx):
-            vals = _slice_values(seq, k, xi)
-            up = limsup_trend(seq.n_list, vals)
-            per_member[si, xi] = up
-            if gartner_input.mode == "limit-asserted":
-                lo = liminf_trend(seq.n_list, vals)
-                gap = 0.0 if up == lo else abs(up - lo)
-                gaps[xi] = max(gaps[xi], gap)
+        lo, up = trend_pairs(seq.n_list, _value_matrix(seq, k))
+        per_member[si] = up
+        if gartner_input.mode == "limit-asserted":
+            ne = up != lo
+            gap = np.zeros(nx)
+            gap[ne] = np.abs(up[ne] - lo[ne])
+            gaps = np.fmax(gaps, gap)  # a NaN gap is skipped, as max() does
 
     downgraded = False
     if gartner_input.mode == "limit-asserted" and np.nanmax(gaps, initial=0.0) > limit_tol:

@@ -238,6 +238,12 @@ def empirical_form(samples, lookup_grid=None):
 # exact per-horizon forms
 # ---------------------------------------------------------------------------
 
+# log(e^u + e^v) through libm, element by element
+_log_sum_exp_pair = np.frompyfunc(
+    lambda u, v: math.log(math.exp(u) + math.exp(v)), 2, 1
+)
+
+
 @dataclass(frozen=True)
 class MertonValueForm(QuasiLinearForm):
     """Exact quasi-linear form of log(W_T)/T under a constant fraction.
@@ -252,6 +258,8 @@ class MertonValueForm(QuasiLinearForm):
     xi: float
     lookup_grid: Grid = None
     clip_floor: float = None
+
+    array_affine = True
 
     @property
     def grid(self):
@@ -284,8 +292,16 @@ class MertonValueForm(QuasiLinearForm):
             + T * slope * slope * sd * sd * T / 2.0
             + log_ndtr(-(a - mu - slope * sd * sd * T) / sd)
         )
-        m = max(t1, t2)
-        return float((m + math.log(math.exp(t1 - m) + math.exp(t2 - m))) / T)
+        m = np.maximum(t1, t2)
+        u, v = np.asarray(t1 - m), np.asarray(t2 - m)
+        # one of u, v is 0; below -37 the other's e^d < 2^-53 leaves
+        # log(1 + e^d) at exactly 0.  The rest go through libm one at a
+        # time: numpy's vectorised exp and log differ in the last bit.
+        s = np.zeros(u.shape)
+        near = ~(np.minimum(u, v) < -37.0)
+        s[near] = _log_sum_exp_pair(u[near], v[near])
+        out = (m + s) / T
+        return float(out) if np.ndim(out) == 0 else out
 
     def eval_on_set(self, mask):
         if self.lookup_grid is None:
@@ -461,10 +477,10 @@ def tail_rate_experiment(
     c,
     p,
     horizons,
-    n_paths,
-    seed,
-    xi_grid,
+    n_paths=100_000,
+    seed=None,
     *,
+    xi_grid,
     mc_horizons=None,
 ):
     """Exact and Monte Carlo tail rates across horizons and fractions.
@@ -474,7 +490,9 @@ def tail_rate_experiment(
     estimate with its standard error; cells whose tail count is zero are
     inconclusive.  Reports per-horizon suprema, the extrapolated trend,
     the rate-function target, and an independent one-dimensional
-    minimization oracle over the fraction grid.
+    minimization oracle over the fraction grid.  ``n_paths`` and ``seed``
+    matter only for the Monte Carlo horizons; a ``None`` seed draws fresh
+    entropy once for the whole experiment.
     """
     xi_grid = np.asarray(xi_grid, dtype=np.float64)
     if xi_grid.size == 0:
@@ -484,7 +502,7 @@ def tail_rate_experiment(
     rates = np.array([constant_control_rate(c, xi, p) for xi in xi_grid])
     best = int(rates.argmin())
     ss = np.random.SeedSequence(seed)
-    children = ss.spawn(len(horizons) * xi_grid.size)
+    nxi = xi_grid.size
     mc_set = set(horizons if mc_horizons is None else mc_horizons)
 
     cells = []
@@ -501,10 +519,14 @@ def tail_rate_experiment(
             se = 0.0
             inconclusive = True
             if T in mc_set:
-                samples = simulate(
-                    p, ConstantControl(float(xi)), T, n_paths,
-                    children[ti * xi_grid.size + xj],
+                # the child ss.spawn(...)[ti * nxi + xj] would be, made
+                # only for the cells that sample
+                child = np.random.SeedSequence(
+                    ss.entropy,
+                    spawn_key=ss.spawn_key + (ti * nxi + xj,),
+                    pool_size=ss.pool_size,
                 )
+                samples = simulate(p, ConstantControl(float(xi)), T, n_paths, child)
                 hits = int((samples.values >= c).sum())
                 if hits > 0:
                     phat = hits / n_paths

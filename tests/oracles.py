@@ -8,9 +8,11 @@ no NaN).
 """
 
 import itertools
+import math
 
 import mpmath
 import numpy as np
+from scipy.special import log_ndtr
 
 NEG = float("-inf")
 POS = float("inf")
@@ -132,3 +134,72 @@ def quantized_instance(rng, max_nodes=5, lo=-3, hi=3, p_neg=0.2, p_posinf=0.2):
         g[rng.random(nx) < p_posinf] = POS
         xprime = [i for i in range(nx) if rng.random() < 0.7]
         return b, g, xprime
+
+
+def _slice_values(seq, kernel, x_index):
+    """F_n(b(x,·)) for every n, one form and one scalar slope at a time."""
+    out = []
+    if kernel.kind == "bilinear":
+        coords = kernel.x_grid.coords
+        slope = coords[x_index] if kernel.x_grid.dim == 1 else tuple(coords[x_index])
+        for _, form in seq.forms():
+            out.append(form.evaluate_affine(slope, 0.0))
+    else:
+        row = kernel.row(x_index)
+        for _, form in seq.forms():
+            out.append(form.evaluate(row))
+    return out
+
+
+def slow_limit_log_moment(gartner_input, *, limit_tol=1e-6, sup_edge_to_inf=False):
+    """Limit log-moment values node by node, one scalar trend fit each.
+
+    The per-node loop of ``ldp.limit_log_moment`` before it was batched.
+    Returns (g as a flat array, limit gaps, downgraded flag, indices of
+    the nodes reported unbounded at the family's edge).
+    """
+    from maxplus.convergence import trend_pair
+
+    k = gartner_input.kernel
+    nx = k.x_grid.size
+    limit_asserted = gartner_input.mode == "limit-asserted"
+    per_member = np.empty((len(gartner_input.sequences), nx))
+    gaps = np.zeros(nx)
+    for si, seq in enumerate(gartner_input.sequences):
+        for xi in range(nx):
+            lo, up = trend_pair(seq.n_list, _slice_values(seq, k, xi))
+            per_member[si, xi] = up
+            if limit_asserted:
+                gap = 0.0 if up == lo else abs(up - lo)
+                gaps[xi] = max(gaps[xi], gap)
+    downgraded = limit_asserted and np.nanmax(gaps, initial=0.0) > limit_tol
+    g = per_member.max(axis=0)
+    edge = np.zeros(nx, dtype=bool)
+    if sup_edge_to_inf and per_member.shape[0] >= 3:
+        arg = per_member.argmax(axis=0)
+        last = per_member.shape[0] - 1
+        edge = ((arg == 0) & (per_member[0] > per_member[1])) | (
+            (arg == last) & (per_member[last] > per_member[last - 1])
+        )
+        g = np.where(edge, POS, g)
+    return g, gaps, bool(downgraded), np.flatnonzero(edge)
+
+
+def clipped_merton_affine(p, horizon, xi, floor, slope):
+    """(1/T) log E[e^{T slope max(X, floor)}], X ~ N(mu, sd^2), X the
+    log-wealth rate under a constant fraction: the closed form, one
+    scalar slope, through libm's exp and log."""
+    T = horizon
+    mu = p.r + (p.alpha - p.r) * xi - p.sigma**2 * xi**2 / 2.0 + math.log(p.w0) / T
+    sd = p.sigma * abs(xi) / math.sqrt(T)
+    if sd == 0.0:
+        return slope * max(mu, floor)
+    t1 = T * (0.0 + slope * floor) + log_ndtr((floor - mu) / sd)
+    t2 = (
+        T * 0.0
+        + T * slope * mu
+        + T * slope * slope * sd * sd * T / 2.0
+        + log_ndtr(-(floor - mu - slope * sd * sd * T) / sd)
+    )
+    m = max(t1, t2)
+    return float((m + math.log(math.exp(t1 - m) + math.exp(t2 - m))) / T)

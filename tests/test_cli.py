@@ -124,6 +124,25 @@ def test_missing_flags_rejected(tmp_path):
     assert run(["merton", "--out-dir", tmp_path]) == 3
 
 
+def test_merton_truncation_field_rejected(tmp_path, capsys):
+    obj = json.loads((SCENARIOS / "merton_tailrate.json").read_text())
+    obj["a"] = 5.0
+    cfg = tmp_path / "a.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["merton", "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert "truncation floor" in capsys.readouterr().err
+    assert not (tmp_path / "merton_tailrate.csv").exists()
+
+
+def test_merton_truncation_flag_rejected(tmp_path, capsys):
+    rc = run(["merton", "--out-dir", tmp_path, "--r", 0.05, "--alpha", 0.10,
+              "--sigma", 0.20, "--c", 0.12, "--T", 25, "--paths", 100,
+              "--xi-min", 0.5, "--xi-max", 1.0, "--xi-step", 0.5, "--a", 5.0])
+    assert rc == 3
+    assert "truncation floor" in capsys.readouterr().err
+    assert not (tmp_path / "merton_tailrate.csv").exists()
+
+
 def test_uncovered_scenario_exits_2(tmp_path):
     obj = json.loads((SCENARIOS / "covering_identity.json").read_text())
     obj["g"]["values"] = ["+inf", 5.0, -1.0]

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxplus import (
     FormSequence,
@@ -20,7 +22,14 @@ from maxplus import (
     ldp_bounds_check,
     weak_convergence_check,
 )
-from maxplus.convergence import liminf_trend, limsup_trend, trend_limit
+from maxplus.convergence import (
+    _trend_basis,
+    liminf_trend,
+    limsup_trend,
+    trend_limit,
+    trend_pair,
+    trend_pairs,
+)
 from maxplus.grids import stencil_min
 from oracles import gauss_log_mass
 
@@ -44,13 +53,66 @@ def gaussian_bin_sequence(grid, n_list):
         generator=lambda n: gaussian_bin_form(grid, n),
         n_list=tuple(n_list),
         y_grid=grid,
-        epsilon=lambda n: 1.0 / n,
     )
 
 
 # ---------------------------------------------------------------------------
 # trend extrapolation
 # ---------------------------------------------------------------------------
+
+finite_vals = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+ext_vals = st.one_of(finite_vals, st.sampled_from([NEG, float("inf")]))
+
+
+@st.composite
+def trend_columns(draw):
+    """Index lists with value columns of every kind trend_pair branches on."""
+    ns = sorted(draw(st.sets(st.integers(1, 5000), min_size=1, max_size=6)))
+    m = len(ns)
+    A = _trend_basis(ns)
+    cols = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(
+            ["const", "finite", "sprinkled", "tail", "boundary", "extreme"]
+        ))
+        if kind == "const":
+            col = [draw(ext_vals)] * m
+        elif kind == "finite":
+            col = draw(st.lists(finite_vals, min_size=m, max_size=m))
+        elif kind == "extreme":
+            # magnitudes the least-squares solver rescales
+            scale = draw(st.sampled_from([1e-300, 1e-290, 1e280, 1e289]))
+            col = [scale * x for x in draw(st.lists(finite_vals, min_size=m, max_size=m))]
+        elif kind == "sprinkled":
+            col = draw(st.lists(ext_vals, min_size=m, max_size=m))
+        elif kind == "tail":
+            k = draw(st.integers(0, m))
+            col = draw(st.lists(finite_vals, min_size=m, max_size=m))
+            col[k:] = [draw(st.sampled_from([NEG, float("inf")]))] * (m - k)
+        else:
+            # a smooth trend plus a wiggle scaled so the fit residual sits
+            # on the tolerance, give or take a few ulps
+            coef = draw(st.lists(finite_vals, min_size=A.shape[1], max_size=A.shape[1]))
+            wiggle = np.array(draw(st.lists(
+                st.floats(-1.0, 1.0, allow_nan=False), min_size=m, max_size=m
+            )))
+            c, *_ = np.linalg.lstsq(A, wiggle, rcond=None)
+            r = np.abs(A @ c - wiggle).max()
+            scale = 1e-2 / r * (1.0 + draw(st.integers(-4, 4)) * 2.2e-16) if r > 1e-9 else 0.0
+            col = list(A @ np.array(coef) + scale * wiggle)
+        cols.append(col)
+    return ns, np.array(cols, dtype=np.float64).T
+
+
+@settings(max_examples=400, deadline=None)
+@given(trend_columns())
+def test_trend_pairs_equal_trend_pair_column_by_column(case):
+    ns, V = case
+    lo, hi = trend_pairs(ns, V)
+    for j in range(V.shape[1]):
+        ref = np.array(trend_pair(ns, V[:, j]))
+        assert np.array([lo[j], hi[j]]).tobytes() == ref.tobytes()
+
 
 def test_trend_constant_is_exact():
     assert trend_limit([2, 4, 8], [0.3, 0.3, 0.3]) == 0.3

@@ -1,18 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from maxplus import (
     FormSequence,
     GartnerInput,
+    GaussianMeanForm,
     Grid,
     GridFn,
     Kernel,
+    LogIntegralForm,
     MaxPlusForm,
     MertonParams,
     NEG_INF,
     POS_INF,
     WindowSides,
     conjugate,
+    constant_sequence,
     gaussian_mean_sequence,
     growth_conjugate,
     growth_input,
@@ -22,6 +27,8 @@ from maxplus import (
     rate_threshold,
     tightness_criterion,
 )
+from maxplus.forms import QuasiLinearForm
+from oracles import slow_limit_log_moment
 
 NEG = NEG_INF
 POS = POS_INF
@@ -281,3 +288,128 @@ def test_pipeline_constant_shift_invariance():
     r1 = conjugate(GridFn(k.x_grid, g1.values - c), k.transpose())
     # (v + c) - c re-rounds, so the rates agree to rounding, not bits
     assert np.abs(r0.values - r1.values).max() <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# batched limit values against the per-node loop
+# ---------------------------------------------------------------------------
+
+def _merton_case(clip_floor):
+    def build(nlen):
+        ns = {1: (400,), 2: (400, 800), 4: (200, 400, 800, 1600)}[nlen]
+        xi = np.arange(0.0, 6.0 + 1e-9, 0.5)  # xi = 0 is the point-mass member
+        return growth_input(
+            P, Grid.line(-0.2, 1.2, 29), Grid.line(0.0, 2.0, 11), xi, ns,
+            clip_floor=clip_floor,
+        ), True
+    return build
+
+
+def _gaussian_case(nlen):
+    g = Grid.line(-2.0, 2.0, 41)
+    ns = (64, 128, 256, 512)[:nlen]
+    return GartnerInput((gaussian_mean_sequence(g, ns),), Kernel.bilinear(g, g)), False
+
+
+def _constant_maxplus_case(nlen):
+    yg = Grid.line(-1.0, 1.0, 21)
+    f = np.abs(yg.coords)
+    f[:3] = POS  # +inf density: those nodes never carry mass
+    seq = constant_sequence(MaxPlusForm(GridFn(yg, f)), (1, 2, 3, 4)[:nlen])
+    return GartnerInput((seq,), Kernel.bilinear(Grid.line(-2.0, 2.0, 11), yg)), False
+
+
+def _table_case(nlen):
+    rng = np.random.default_rng(5)
+    xg, yg = Grid.line(0.0, 1.0, 9), Grid.line(0.0, 1.0, 7)
+    b = rng.integers(-3, 4, size=(9, 7)).astype(float)
+    b[rng.random((9, 7)) < 0.3] = NEG
+    b[:, 0] = 0.0  # every row and column keeps a finite entry
+    b[0, :] = 0.0
+    f0 = rng.uniform(0.0, 2.0, 7)
+    f0[0] = POS  # rows finite only at node 0 evaluate to -inf
+    ns = (1, 2, 3, 4)[:nlen]
+    fitted = FormSequence(
+        lambda n: MaxPlusForm(GridFn(yg, f0 + 1.0 / n)), ns, yg
+    )
+    parity = FormSequence(  # no smooth trend: the tail branch, and a downgrade
+        lambda n: MaxPlusForm(GridFn(yg, f0 + (n % 2))), ns, yg
+    )
+    w = rng.uniform(0.5, 1.5, 7)
+    logint = FormSequence(lambda n: LogIntegralForm(yg, 1.0 / n, w), ns, yg)
+    return GartnerInput((fitted, parity, logint), Kernel.from_table(xg, yg, b)), True
+
+
+def _bilinear_2d_case(nlen):
+    xg = Grid.box((-1.0, -1.0), (1.0, 1.0), (4, 3))
+    yg = Grid.box((-2.0, -2.0), (2.0, 2.0), (5, 5))
+    q = (yg.coords**2).sum(axis=1).reshape(yg.shape)
+    ns = (1, 2, 4, 8)[:nlen]
+    seq = FormSequence(lambda n: MaxPlusForm(GridFn(yg, q + 1.0 / n)), ns, yg)
+    return GartnerInput((seq,), Kernel.bilinear(xg, yg)), False
+
+
+BATCH_CASES = {
+    "merton": _merton_case(None),
+    "merton-clipped": _merton_case(0.0),
+    "gaussian": _gaussian_case,
+    "constant-maxplus": _constant_maxplus_case,
+    "table": _table_case,
+    "bilinear-2d": _bilinear_2d_case,
+}
+
+
+@pytest.mark.parametrize("mode", ["limsup", "limit-asserted"])
+@pytest.mark.parametrize("nlen", [1, 2, 4])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_limit_log_moment_bit_identical_to_per_node_loop(case, nlen, mode):
+    gin, edge = BATCH_CASES[case](nlen)
+    gin = GartnerInput(gin.sequences, gin.kernel, mode=mode)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g, diag = limit_log_moment(gin, sup_edge_to_inf=edge)
+    ref_g, ref_gaps, ref_down, ref_edge = slow_limit_log_moment(gin, sup_edge_to_inf=edge)
+    assert g.values.reshape(-1).tobytes() == ref_g.tobytes()
+    assert diag.limit_gaps.tobytes() == ref_gaps.tobytes()
+    assert diag.downgraded == ref_down
+    assert np.array_equal(diag.edge_unbounded, ref_edge)
+    assert any("downgrading" in str(w.message) for w in caught) == ref_down
+    if case == "table" and nlen == 4 and mode == "limit-asserted":
+        assert ref_down  # the parity sequence reaches the downgrade
+    if case.startswith("merton") and nlen == 4:
+        assert ref_edge.size and np.isfinite(ref_g).any()
+
+
+class _CountingGaussian(GaussianMeanForm):
+    calls = []
+
+    def evaluate_affine(self, slope, intercept=0.0):
+        self.calls.append(np.ndim(slope))
+        return super().evaluate_affine(slope, intercept)
+
+
+class _ScalarOnly(QuasiLinearForm):
+    """A form that declares no array support; records what it is given."""
+
+    calls = []
+
+    def __init__(self, n, grid):
+        self.inner = GaussianMeanForm(n, grid)
+        self.grid = grid
+
+    def evaluate_affine(self, slope, intercept=0.0):
+        self.calls.append(np.ndim(slope))
+        return self.inner.evaluate_affine(slope, intercept)
+
+
+def test_array_call_only_for_forms_that_declare_it():
+    grid = Grid.line(-2.0, 2.0, 41)
+    ns = (64, 128, 256)
+    k = Kernel.bilinear(grid, grid)
+    for cls in (_CountingGaussian, _ScalarOnly):
+        cls.calls.clear()
+        seq = FormSequence(lambda n, cls=cls: cls(n, grid), ns, grid)
+        g, _ = limit_log_moment(GartnerInput((seq,), k))
+        assert np.array_equal(g.values, 0.5 * grid.coords**2)
+    assert _CountingGaussian.calls == [1] * len(ns)  # one call per form
+    assert _ScalarOnly.calls == [0] * (len(ns) * grid.size)

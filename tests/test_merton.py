@@ -26,6 +26,8 @@ from maxplus import (
     tail_rate_experiment,
     truncate_form,
 )
+from maxplus.merton import exact_tail_value
+from oracles import clipped_merton_affine
 
 P = MertonParams(r=0.05, alpha=0.10, sigma=0.20)
 
@@ -351,6 +353,48 @@ def test_tail_rate_report_deterministic():
     a = tail_rate_experiment(seed=77, **kw)
     b = tail_rate_experiment(seed=77, **kw)
     assert a.csv_rows() == b.csv_rows()
+
+
+def test_clipped_affine_on_slope_arrays_matches_libm_closed_form():
+    # numpy's vectorised exp and log round differently from libm on some
+    # arguments; the array evaluation must still give the scalar bits
+    slopes = np.linspace(-0.5, 1.5, 81)
+    for T in (25.0, 400.0, 3200.0):
+        for xi in (0.0, 0.05, 0.5, 2.0, 8.0):
+            for floor in (0.0, 0.1):
+                F = MertonValueForm(P, T, xi, clip_floor=floor)
+                ref = [clipped_merton_affine(P, T, xi, floor, s) for s in slopes]
+                assert F.evaluate_affine(slopes).tobytes() == np.array(ref).tobytes()
+                assert [F.evaluate_affine(s) for s in slopes] == ref
+
+
+def test_tail_rate_cell_seeds_match_spawned_children():
+    # each Monte Carlo cell draws from the child SeedSequence(seed).spawn
+    # gives at position ti * |xi| + xj, so artifacts keep their bytes
+    horizons, xi = [25, 50], np.array([0.5, 1.0, 1.5])
+    rep = tail_rate_experiment(
+        c=0.12, p=P, horizons=horizons, n_paths=500, seed=42, xi_grid=xi,
+        mc_horizons=[50],
+    )
+    kids = np.random.SeedSequence(42).spawn(len(horizons) * xi.size)
+    for xj, x in enumerate(xi):
+        ref = simulate(P, ConstantControl(float(x)), 50, 500, kids[xi.size + xj])
+        hits = int((ref.values >= 0.12).sum())
+        cell = rep.cells[xi.size + xj]
+        assert cell.inconclusive == (hits == 0)
+        if hits:
+            assert cell.mc == math.log(hits / 500) / 50
+
+
+def test_tail_rate_exact_only_needs_no_paths_or_seed():
+    rep = tail_rate_experiment(
+        c=0.12, p=P, horizons=[25, 50], xi_grid=np.array([0.5, 1.0]),
+        mc_horizons=[],
+    )
+    assert all(c.inconclusive for c in rep.cells)
+    assert rep.sup_by_horizon[25.0][0] == max(
+        exact_tail_value(0.12, x, P, 25) for x in (0.5, 1.0)
+    )
 
 
 def test_growth_value_legendre_consistency():
