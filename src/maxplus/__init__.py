@@ -1,6 +1,5 @@
 """Max-plus conjugacies, subdifferential coverings, and rate functions on grids."""
 
-from ._kernels import backend_name
 from .errors import GridMismatchError, MaxplusError, ValidationError
 from .grids import (
     NEG_INF,

@@ -1,57 +1,23 @@
-"""Hot numeric kernels, JIT-compiled with a pure-numpy twin.
+"""Hot numeric kernels: the max-plus matrix actions and the envelope merge.
 
-The inner loops that dominate runtime (dense max-plus matrix action and
-the linear-time conjugate transform) exist in two bit-identical
-implementations:
-
-* a numba ``@njit`` version (parallel over output rows), and
-* a pure-numpy fallback.
-
-Selection is controlled by the environment variable ``MAXPLUS_BACKEND``:
-
-* ``auto`` (default): numba if it imports, numpy otherwise;
-* ``numba``: require numba, raise if unavailable;
-* ``numpy``: force the fallback (useful for debugging and benchmarks).
-
-Both paths evaluate every term with the same floating-point expression,
-so results agree bit for bit; ``benchmarks/bench_kernels.py`` compares
-their speed.
+The inner loops that dominate runtime (dense max-plus matrix action,
+the on-the-fly bilinear actions and the linear-time conjugate transform)
+are numpy code.  The matrix actions materialise at most ``_CHUNK_ROWS``
+rows of the kernel at a time and evaluate every term with the same
+floating-point expression as a one-shot dense evaluation, so the
+chunked results are bit-identical to it.
 
 Conventions: values are float64 where -inf is the max-plus zero and is
 absorbing for addition; kernels never contain +inf; no NaN ever enters
 (callers validate).
 """
 
-import os
-
 import numpy as np
 
-_CHUNK_ROWS = 256  # numpy fallback materialises at most this many table rows
-
-_flag = os.environ.get("MAXPLUS_BACKEND", "auto").strip().lower()
-if _flag not in ("auto", "numba", "numpy"):
-    raise ValueError(f"MAXPLUS_BACKEND must be auto|numba|numpy, got {_flag!r}")
-
-if _flag in ("auto", "numba"):
-    try:
-        import numba as _nb
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _flag == "numba":
-            raise
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and _flag != "numpy"
+_CHUNK_ROWS = 256  # materialise at most this many kernel rows at a time
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _np_matvec_table(table, neg_f):
+def matvec_table(table, neg_f):
     """Row-wise max of table[i, j] + neg_f[j] with -inf absorbing."""
     nx = table.shape[0]
     out = np.empty(nx)
@@ -65,7 +31,7 @@ def _np_matvec_table(table, neg_f):
     return out
 
 
-def _np_matvec_bilinear(x, y, neg_f):
+def matvec_bilinear(x, y, neg_f):
     """Row-wise max of x[i]*y[j] + neg_f[j]; products are always finite."""
     nx = x.shape[0]
     out = np.empty(nx)
@@ -76,7 +42,7 @@ def _np_matvec_bilinear(x, y, neg_f):
     return out
 
 
-def _np_matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
+def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
     """Like bilinear but b = x0*y0 + x1*y1 (fixed evaluation order)."""
     nx = x0.shape[0]
     out = np.empty(nx)
@@ -88,7 +54,7 @@ def _np_matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
     return out
 
 
-def _np_envelope_merge(slopes, icepts, xs):
+def envelope_merge(slopes, icepts, xs):
     """Upper envelope of finite lines x -> x*s + c, evaluated on sorted xs.
 
     ``slopes`` must be strictly increasing.  Near crossing points the
@@ -136,117 +102,3 @@ def _np_envelope_merge(slopes, icepts, xs):
                 best = v
         out[i] = best
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    _njit = _nb.njit(cache=True)
-    _pnjit = _nb.njit(cache=True, parallel=True)
-
-    @_pnjit
-    def _nb_matvec_table(table, neg_f):
-        nx, ny = table.shape
-        out = np.empty(nx)
-        for i in _nb.prange(nx):
-            m = -np.inf
-            for j in range(ny):
-                b = table[i, j]
-                t = -np.inf if b == -np.inf else b + neg_f[j]
-                if t > m:
-                    m = t
-            out[i] = m
-        return out
-
-    @_pnjit
-    def _nb_matvec_bilinear(x, y, neg_f):
-        nx = x.shape[0]
-        ny = y.shape[0]
-        out = np.empty(nx)
-        for i in _nb.prange(nx):
-            xi = x[i]
-            m = -np.inf
-            for j in range(ny):
-                t = xi * y[j] + neg_f[j]
-                if t > m:
-                    m = t
-            out[i] = m
-        return out
-
-    @_pnjit
-    def _nb_matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
-        nx = x0.shape[0]
-        ny = y0.shape[0]
-        out = np.empty(nx)
-        for i in _nb.prange(nx):
-            a0 = x0[i]
-            a1 = x1[i]
-            m = -np.inf
-            for j in range(ny):
-                t = a0 * y0[j] + a1 * y1[j] + neg_f[j]
-                if t > m:
-                    m = t
-            out[i] = m
-        return out
-
-    @_njit
-    def _nb_envelope_merge(slopes, icepts, xs):
-        m = slopes.shape[0]
-        keep = np.empty(m, dtype=np.int64)
-        k = 0
-        for j in range(m):
-            sj = slopes[j]
-            cj = icepts[j]
-            if k > 0 and slopes[keep[k - 1]] == sj:
-                if icepts[keep[k - 1]] >= cj:
-                    continue
-                k -= 1
-            while k >= 2:
-                a = keep[k - 2]
-                b = keep[k - 1]
-                if (icepts[a] - icepts[b]) * (sj - slopes[b]) >= (icepts[b] - cj) * (slopes[b] - slopes[a]):
-                    k -= 1
-                else:
-                    break
-            keep[k] = j
-            k += 1
-
-        out = np.empty(xs.shape[0])
-        p = 0
-        for i in range(xs.shape[0]):
-            x = xs[i]
-            while p + 1 < k and x * slopes[keep[p + 1]] + icepts[keep[p + 1]] >= x * slopes[keep[p]] + icepts[keep[p]]:
-                p += 1
-            best = x * slopes[keep[p]] + icepts[keep[p]]
-            if p > 0:
-                v = x * slopes[keep[p - 1]] + icepts[keep[p - 1]]
-                if v > best:
-                    best = v
-            if p + 1 < k:
-                v = x * slopes[keep[p + 1]] + icepts[keep[p + 1]]
-                if v > best:
-                    best = v
-            out[i] = best
-        return out
-
-    matvec_table = _nb_matvec_table
-    matvec_bilinear = _nb_matvec_bilinear
-    matvec_bilinear_2d = _nb_matvec_bilinear_2d
-    envelope_merge = _nb_envelope_merge
-else:
-    matvec_table = _np_matvec_table
-    matvec_bilinear = _np_matvec_bilinear
-    matvec_bilinear_2d = _np_matvec_bilinear_2d
-    envelope_merge = _np_envelope_merge
-
-
-def backend_name():
-    return "numba" if USE_NUMBA else "numpy"
-
-
-def set_threads(n):
-    """Limit JIT parallelism; no-op on the numpy backend."""
-    if USE_NUMBA:
-        _nb.set_num_threads(max(1, int(n)))

@@ -8,10 +8,12 @@ Four subcommands sharing one scenario-file convention::
     maxplus merton    [--config scenario.json | flags] ...
 
 A scenario file is a JSON object with a ``kind`` field matching the
-subcommand plus the kind-specific payload; unknown fields are rejected.
-Exit status: 0 on success/PASS, 2 on a FAIL verdict, 3 on validation
-errors.  Re-running a scenario with the same seed writes byte-identical
-artifacts.
+subcommand plus the kind-specific payload; any other top level, and
+unknown fields, are rejected.  ``merton`` alone takes ``--seed``, which
+overrides the scenario's seed; the other subcommands draw no random
+numbers.  Exit status: 0 on success/PASS, 2 on a FAIL verdict, 3 on
+validation errors.  Re-running a scenario with the same seed writes
+byte-identical artifacts.
 """
 
 import argparse
@@ -21,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels
 from .covering import CoveringConfig, verdict as covering_verdict
 from .conjugacy import WindowSides, conjugate, legendre_fast
 from .convergence import gaussian_mean_sequence
@@ -45,6 +46,10 @@ def _load_scenario(path, kind):
             obj = json.load(fh)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: line {e.lineno}, col {e.colno}: {e.msg}")
+    if not isinstance(obj, dict):
+        raise ValidationError(
+            f"{path}: a scenario is a JSON object, got {type(obj).__name__}"
+        )
     if obj.get("kind") != kind:
         raise ValidationError(
             f"{path}: scenario kind {obj.get('kind')!r} does not match subcommand {kind!r}"
@@ -311,13 +316,11 @@ def main(argv=None):
         prog="maxplus",
         description="Max-plus conjugacies, coverings, and rate-function identification",
     )
-    parser.add_argument("--threads", type=int, default=None, help="JIT thread cap")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("conjugate", "covering", "ldp"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out-dir", default=".")
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--summary", action="store_true")
     sp = sub.add_parser("merton")
     sp.add_argument("--config", default=None)
@@ -339,8 +342,6 @@ def main(argv=None):
     sp.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    if args.threads:
-        _kernels.set_threads(args.threads)
 
     try:
         if args.command == "merton" and args.config is None:

@@ -126,10 +126,15 @@ def _trend_basis(ns):
 
 
 def _fit_limit(ns, v):
-    """Least-squares limit against {1, 1/n, log(n)/n}; (limit, max residual)."""
+    """Least-squares limit against {1, 1/n, log(n)/n}; (limit, max residual).
+
+    A fit that overflows has a residual of inf or NaN, which callers
+    treat as a failed fit.
+    """
     A = _trend_basis(ns)
     coef, *_ = np.linalg.lstsq(A, v, rcond=None)
-    resid = float(np.abs(A @ coef - v).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = float(np.abs(A @ coef - v).max())
     return float(coef[0]), resid
 
 
@@ -168,7 +173,7 @@ def trend_pair(ns, values, *, fit_resid_tol=1e-2):
         return float(v[0]), float(v[0])
     if np.isfinite(v).all():
         limit, resid = _fit_limit(ns, v)
-        if resid <= fit_resid_tol:
+        if np.isfinite(resid) and resid <= fit_resid_tol:
             return limit, limit
     tail = v[v.size // 2:]
     return float(tail.min()), float(tail.max())
@@ -209,13 +214,14 @@ def trend_pairs(ns, values, *, fit_resid_tol=1e-2):
             wb = w[:, batch]
             coef, *_ = np.linalg.lstsq(A, wb, rcond=None)
             limit[batch] = coef[0]
-            resid[batch] = np.abs(A @ coef - wb).max(axis=0)
-            # two roundings of |A @ coef - w| differ by at most 4 eps (|A||coef| + |w|)
-            slack = 8.0 * EPS * (np.abs(A) @ np.abs(coef) + np.abs(wb)).max(axis=0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                resid[batch] = np.abs(A @ coef - wb).max(axis=0)
+                # two roundings of |A @ coef - w| differ by at most 4 eps (|A||coef| + |w|)
+                slack = 8.0 * EPS * (np.abs(A) @ np.abs(coef) + np.abs(wb)).max(axis=0)
             alone[batch[np.abs(resid[batch] - fit_resid_tol) <= slack]] = True
         for j in np.flatnonzero(alone):
             limit[j], resid[j] = _fit_limit(ns, w[:, j])
-        ok = resid <= fit_resid_tol
+        ok = np.isfinite(resid) & (resid <= fit_resid_tol)
         lo[fit[ok]] = hi[fit[ok]] = limit[ok]
     return lo, hi
 

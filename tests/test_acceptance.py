@@ -84,7 +84,7 @@ def test_criterion_1_fast_transform_bit_exact_and_timed():
     yg = Grid.line(-3, 3, 4096)
     xg = Grid.line(-2, 2, 4096)
     f = GridFn(yg, np.abs(yg.coords) ** 1.5 - yg.coords)
-    legendre_fast(f, xg)  # warm any JIT cache
+    legendre_fast(f, xg)  # one untimed call first, so caches are warm
     times = []
     for _ in range(20):
         t0 = time.perf_counter()

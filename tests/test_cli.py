@@ -3,6 +3,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from maxplus.cli import main
 
@@ -118,6 +119,41 @@ def test_unknown_field_rejected(tmp_path):
 def test_kind_mismatch_rejected(tmp_path):
     assert run(["ldp", "--config", SCENARIOS / "merton_tailrate.json",
                 "--out-dir", tmp_path]) == 3
+
+
+@pytest.mark.parametrize("top", [[1, 2], "merton"], ids=["array", "string"])
+@pytest.mark.parametrize("command", ["conjugate", "covering", "ldp", "merton"])
+def test_non_object_scenario_exits_3(tmp_path, capsys, command, top):
+    cfg = tmp_path / "top.json"
+    cfg.write_text(json.dumps(top))
+    assert run([command, "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_removed_flags_rejected(tmp_path):
+    cfg = SCENARIOS / "conjugate_quadratic.json"
+    with pytest.raises(SystemExit):
+        run(["--threads", 2, "conjugate", "--config", cfg, "--out-dir", tmp_path])
+    for command, scenario in (("conjugate", cfg),
+                              ("covering", SCENARIOS / "covering_identity.json"),
+                              ("ldp", SCENARIOS / "gaussian_ldp.json")):
+        with pytest.raises(SystemExit):
+            run([command, "--seed", 1, "--config", scenario, "--out-dir", tmp_path])
+    assert not any(tmp_path.iterdir())
+
+
+def test_merton_seed_flag_sets_the_sample(tmp_path):
+    def csv(seed, out):
+        rc = run(["merton", "--out-dir", tmp_path, "--r", 0.05, "--alpha", 0.10,
+                  "--sigma", 0.20, "--c", 0.12, "--T", 25, "--paths", 300,
+                  "--xi-min", 0.5, "--xi-max", 1.5, "--xi-step", 0.5,
+                  "--seed", seed, "--out", out])
+        assert rc == 0
+        return (tmp_path / out).read_bytes()
+
+    one = csv(1, "one.csv")
+    assert csv(1, "again.csv") == one
+    assert csv(2, "two.csv") != one
 
 
 def test_missing_flags_rejected(tmp_path):

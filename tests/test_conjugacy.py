@@ -17,6 +17,7 @@ from maxplus import (
     subdifferential_map,
     superlevel_compactness_report,
 )
+from maxplus import _kernels
 from oracles import slow_conjugate
 
 NEG = NEG_INF
@@ -188,6 +189,70 @@ def test_legendre_bit_exact_stress(rng):
         fast = legendre_fast(f, xg)
         brute = conjugate(f, Kernel.bilinear(xg, yg))
         assert np.array_equal(fast.values, brute.values), f"trial {trial}"
+
+
+# ---------------------------------------------------------------------------
+# kernels: chunked evaluation against one-shot dense expressions
+# ---------------------------------------------------------------------------
+
+# row counts on both sides of the kernels' chunk size
+KERNEL_ROWS = [1, _kernels._CHUNK_ROWS - 1, _kernels._CHUNK_ROWS, _kernels._CHUNK_ROWS + 1, 600]
+
+
+def kernel_neg_f(rng, ny):
+    """-f for an f that is +inf on about 5% of the nodes."""
+    neg_f = rng.uniform(-5, 5, ny)
+    neg_f[rng.random(ny) < 0.05] = NEG
+    return neg_f
+
+
+@pytest.mark.parametrize("nx", KERNEL_ROWS)
+def test_matvec_table_bit_exact_against_dense(rng, nx):
+    ny = 97
+    table = rng.uniform(-5, 5, (nx, ny))
+    table[rng.random((nx, ny)) < 0.1] = NEG
+    neg_f = kernel_neg_f(rng, ny)
+    # f = -inf on three nodes, which only a few rows reach with a finite entry
+    pos = rng.choice(ny, 3, replace=False)
+    neg_f[pos] = POS
+    table[:, pos] = NEG
+    table[rng.random(nx) < 0.05, pos[0]] = 1.0
+    with np.errstate(invalid="ignore"):
+        dense = np.where(table == NEG, NEG, table + neg_f[None, :]).max(axis=1)
+    assert np.isfinite(dense).any()
+    assert np.array_equal(_kernels.matvec_table(table, neg_f), dense)
+
+
+@pytest.mark.parametrize("nx", KERNEL_ROWS)
+def test_matvec_bilinear_bit_exact_against_dense(rng, nx):
+    ny = 97
+    x = np.sort(rng.uniform(-3, 3, nx))
+    y = np.linspace(-2, 2, ny)
+    neg_f = kernel_neg_f(rng, ny)
+    dense = (x[:, None] * y[None, :] + neg_f[None, :]).max(axis=1)
+    assert np.array_equal(_kernels.matvec_bilinear(x, y, neg_f), dense)
+
+
+@pytest.mark.parametrize("nx", KERNEL_ROWS)
+def test_matvec_bilinear_2d_bit_exact_against_dense(rng, nx):
+    ny = 97
+    x0, x1 = rng.uniform(-3, 3, (2, nx))
+    y0, y1 = rng.uniform(-2, 2, (2, ny))
+    neg_f = kernel_neg_f(rng, ny)
+    dense = (
+        x0[:, None] * y0[None, :] + x1[:, None] * y1[None, :] + neg_f[None, :]
+    ).max(axis=1)
+    assert np.array_equal(_kernels.matvec_bilinear_2d(x0, x1, y0, y1, neg_f), dense)
+
+
+@pytest.mark.parametrize("nx", KERNEL_ROWS)
+def test_envelope_merge_bit_exact_against_dense(rng, nx):
+    ny = 97
+    slopes = np.linspace(-2, 2, ny)
+    icepts = rng.uniform(-4, 4, ny)
+    xs = np.sort(rng.uniform(-3, 3, nx))
+    dense = (xs[:, None] * slopes[None, :] + icepts[None, :]).max(axis=1)
+    assert np.array_equal(_kernels.envelope_merge(slopes, icepts, xs), dense)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,19 @@ def test_trend_pairs_equal_trend_pair_column_by_column(case):
         assert np.array([lo[j], hi[j]]).tobytes() == ref.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_fit_takes_the_trailing_half_without_warning():
+    # the fits overflow: residual NaN for the first column, inf for the second
+    ns = (3, 320, 321)
+    V = np.array([[6.5e303, -6.5e303, 6.5e303], [0.0, 0.0, 6.5e303]]).T
+    lo, hi = trend_pairs(ns, V)
+    for j in range(V.shape[1]):
+        tail = V[1:, j]
+        ref = np.array([tail.min(), tail.max()])
+        assert np.array(trend_pair(ns, V[:, j])).tobytes() == ref.tobytes()
+        assert np.array([lo[j], hi[j]]).tobytes() == ref.tobytes()
+
+
 def test_trend_constant_is_exact():
     assert trend_limit([2, 4, 8], [0.3, 0.3, 0.3]) == 0.3
 
