@@ -40,16 +40,19 @@ from .serialize import (
 )
 
 
+def _json_object(value, what):
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} is a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _load_scenario(path, kind):
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: line {e.lineno}, col {e.colno}: {e.msg}")
-    if not isinstance(obj, dict):
-        raise ValidationError(
-            f"{path}: a scenario is a JSON object, got {type(obj).__name__}"
-        )
+    _json_object(obj, f"{path}: a scenario")
     if obj.get("kind") != kind:
         raise ValidationError(
             f"{path}: scenario kind {obj.get('kind')!r} does not match subcommand {kind!r}"
@@ -170,7 +173,7 @@ def _run_covering(obj, out_dir, summary):
 
 
 def _build_ldp_input(obj, yg):
-    seq_obj = obj["sequence"]
+    seq_obj = obj["sequence"]  # a JSON object: _run_ldp checked it
     kind = seq_obj.get("type")
     if kind == "gaussian_mean":
         _expect_keys(seq_obj, {"type", "n_list"}, "sequence")
@@ -184,7 +187,7 @@ def _build_ldp_input(obj, yg):
             "sequence",
             optional={"truncate_at"},
         )
-        prm = seq_obj["params"]
+        prm = _json_object(seq_obj["params"], "sequence: params")
         _expect_keys(prm, {"r", "alpha", "sigma", "w0"}, "params", optional={"w0"})
         p = MertonParams(
             r=prm["r"], alpha=prm["alpha"], sigma=prm["sigma"],
@@ -218,7 +221,7 @@ def _run_ldp(obj, out_dir, summary):
     )
     margin = float(obj.get("window_margin", 0.1))
 
-    seq_obj = obj["sequence"]
+    seq_obj = _json_object(obj["sequence"], "ldp scenario: sequence")
     if seq_obj.get("type") == "gaussian_mean":
         seqs, _ = _build_ldp_input(obj, yg)
         ginput = GartnerInput(sequences=tuple(seqs), kernel=kernel, mode=mode)

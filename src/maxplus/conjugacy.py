@@ -18,6 +18,7 @@ half-line domain) through ``WindowSides``.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from . import _kernels
 from .errors import ValidationError
@@ -254,34 +255,104 @@ def inner_window_mask(grid, margin, sides=None):
     return mask.reshape(-1)
 
 
-def _neighborhood_gain(b, grid, x_index, radius):
-    """max_{z in ball(x)} b(z, ·) - b(x, ·) with max-plus conventions."""
-    bounds = grid.ball_slices(x_index, radius)
-    idx = np.unravel_index(x_index, grid.n)
-    if grid.dim == 1:
-        rows = range(bounds[0][0], bounds[0][1] + 1)
-        flat_rows = list(rows)
-    else:
-        flat_rows = [
-            int(np.ravel_multi_index((i0, i1), grid.n))
-            for i0 in range(bounds[0][0], bounds[0][1] + 1)
-            for i1 in range(bounds[1][0], bounds[1][1] + 1)
-        ]
-    sup = b[flat_rows].max(axis=0)
-    return otimes(sup, -b[x_index])
+def _row_blocks(grid, radius):
+    """Blocks of X-rows with the halo their stencil balls reach.
 
-
-def _default_betas(values, quantiles, inner):
-    """Quantiles of the finite values inside the inner window.
-
-    Level sets cut at these heights have room to stay inside the window,
-    so containment failures signal escaping mass rather than an
-    over-ambitious beta.
+    Yields ``(lo, hi, h0, h1)``: flat rows lo:hi form one block of whole
+    slices along the first axis (about ``_CHUNK_ROWS`` rows), and rows
+    h0:h1 hold every Chebyshev ball of the given radius around them.
     """
-    fin = values[inner & np.isfinite(values)]
-    if fin.size == 0:
-        return []
-    return [float(np.quantile(fin, q)) for q in quantiles]
+    n0 = grid.n[0]
+    step = grid.size // n0  # nodes per first-axis slice
+    per = max(1, _kernels._CHUNK_ROWS // step)
+    for a in range(0, n0, per):
+        e = min(a + per, n0)
+        yield a * step, e * step, max(0, a - radius) * step, min(n0, e + radius) * step
+
+
+def _block_gain(b, grid, radius, lo, hi, h0, h1):
+    """max_{z in ball(x)} b(z, ·) - b(x, ·) for the x-rows lo:hi.
+
+    A maximum filter along the X axes in mode ``nearest`` takes the max
+    over the Chebyshev ball clipped to the grid; the halo rows h0:h1
+    supply the neighbours outside the block.
+    """
+    halo = b[h0:h1].reshape((-1,) + grid.n[1:] + (b.shape[1],))
+    sup = ndimage.maximum_filter(
+        halo, size=(2 * radius + 1,) * grid.dim + (1,), mode="nearest"
+    )
+    return otimes(sup.reshape(h1 - h0, -1)[lo - h0 : hi - h0], -b[lo:hi])
+
+
+def _clipped_nodes(grid, radius, sides):
+    """Nodes whose Chebyshev ball is clipped by an open window side.
+
+    Single-node axes are whole spaces, never clipped.
+    """
+    cb, ca = (sides or WindowSides.all_open(grid.dim)).normalized(grid.dim)
+    clipped = np.zeros(grid.shape, dtype=bool)
+    for ax, n in enumerate(grid.n):
+        if n == 1:
+            continue
+        i = np.arange(n)
+        hit = ((i - radius < 0) & (not cb[ax])) | ((i + radius > n - 1) & (not ca[ax]))
+        shape = [1] * grid.dim
+        shape[ax] = n
+        clipped |= hit.reshape(shape)
+    return clipped.reshape(-1)
+
+
+def _row_quantiles(values, keep, quantiles):
+    """Quantiles of each row's kept values; (levels, use).
+
+    ``levels[i, j]`` equals ``np.quantile(values[i][keep[i]],
+    quantiles[j])`` (method ``linear``) bit for bit: the same order
+    statistics and the same interpolation expression, after one row-wise
+    sort.  ``use`` marks the rows that keep any value; the levels of the
+    other rows are placeholders.
+    """
+    counts = keep.sum(axis=1)
+    s = np.sort(np.where(keep, values, POS_INF), axis=1)
+    rows = np.arange(s.shape[0])
+    some = counts > 0
+    last = np.maximum(counts - 1, 0)
+    levels = np.empty((s.shape[0], len(quantiles)))
+    for j, q in enumerate(quantiles):
+        virt = (counts - 1) * q
+        prev = np.floor(virt)
+        top = virt >= counts - 1  # numpy takes the largest value there
+        t = np.where(top, virt + 1, virt - prev)
+        a = np.where(some, s[rows, np.where(top, last, prev).astype(np.intp)], 0.0)
+        b = np.where(some, s[rows, np.where(top, last, prev + 1).astype(np.intp)], 0.0)
+        diff = b - a
+        lerp = a + diff * t
+        upper = t >= 0.5
+        lerp[upper] = (b - diff * (1 - t))[upper]
+        levels[:, j] = lerp
+    return levels, np.repeat(some[:, None], len(quantiles), axis=1)
+
+
+def _given_levels(betas, rows):
+    """The same explicit levels for every row, all of them in use."""
+    levels = np.broadcast_to(np.asarray(betas, dtype=np.float64), (rows, len(betas)))
+    return levels, np.ones(levels.shape, dtype=bool)
+
+
+def _level_checks(levels, use, sizes, contained, bounded=None):
+    """Per-row lists of LevelSetCheck for the levels in use."""
+    if bounded is None:
+        bounded = np.ones(levels.shape, dtype=bool)
+    return [
+        [
+            LevelSetCheck(beta=beta, set_size=n, contained=c, bounded_above=u)
+            for beta, in_use, n, c, u in zip(*row)
+            if in_use
+        ]
+        for row in zip(
+            levels.tolist(), use.tolist(), sizes.tolist(), contained.tolist(),
+            bounded.tolist(),
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -326,23 +397,6 @@ class CoercivityReport:
         return bool(tested) and all(v == EVIDENCE for v in tested)
 
 
-def _window_clipped(grid, flat_index, radius, sides):
-    """Is the Chebyshev ball clipped by an open window side?
-
-    Single-node axes are whole spaces, never clipped.
-    """
-    cb, ca = (sides or WindowSides.all_open(grid.dim)).normalized(grid.dim)
-    idx = np.unravel_index(flat_index, grid.n)
-    for ax, i in enumerate(np.atleast_1d(idx)):
-        if grid.n[ax] == 1:
-            continue
-        if i - radius < 0 and not cb[ax]:
-            return True
-        if i + radius > grid.n[ax] - 1 and not ca[ax]:
-            return True
-    return False
-
-
 def coercivity_report(
     k,
     window_margin,
@@ -363,59 +417,63 @@ def coercivity_report(
     inside the inner window.  ``sides`` declare which Y-window edges are
     genuine boundaries; ``x_sides`` the same for the X-window, whose open
     edges produce untestable (EDGE) nodes.
+
+    The x-nodes are processed as array code over blocks of rows; the
+    report is the one a per-node loop over these definitions returns.
     """
     b = k.matrix()
     inner = inner_window_mask(k.y_grid, window_margin, sides)
+    clipped = _clipped_nodes(k.x_grid, stencil_radius, x_sides)
     coercive = []
     upper = []
     checks = []
-    for i in range(k.x_grid.size):
-        if _window_clipped(k.x_grid, i, stencil_radius, x_sides):
-            coercive.append(EDGE)
-            upper.append(EDGE)
-            checks.append([])
-            continue
-        gain = _neighborhood_gain(b, k.x_grid, i, stencil_radius)
-        bs = betas if betas is not None else _default_betas(gain, beta_quantiles, inner)
-        if betas is None and bs:
+    for lo, hi, h0, h1 in _row_blocks(k.x_grid, stencil_radius):
+        gain = _block_gain(b, k.x_grid, stencil_radius, lo, hi, h0, h1)
+        if betas is not None:
+            levels, use = _given_levels(betas, hi - lo)
+        else:
+            levels, use = _row_quantiles(gain, inner & np.isfinite(gain), beta_quantiles)
             # cap default levels just under the ring minimum: sublevel-set
             # geometry need not match the window shape, but any level below
             # every ring value fits whenever no valley escapes; levels at or
             # above escaping valleys still flag violations
-            ring = gain[~inner]
-            ring = ring[np.isfinite(ring)]
-            if ring.size:
-                lo = ring.min()
-                cap = lo - max(1e-12, 0.05 * abs(lo))
-                floor = min(bs)
-                bs = sorted({max(min(beta, cap), floor) for beta in bs})
-        row_checks = []
-        ok_c = True
-        ok_u = True
-        for beta in bs:
-            sub = gain <= beta
-            contained = not (sub & ~inner).any()
-            if sub.any():
-                vals = np.where(sub, b[i], NEG_INF)
-                top = vals.max()
-                bounded = top == NEG_INF or bool((inner & (vals == top)).any())
-            else:
-                bounded = True
-            ok_c &= contained
-            ok_u &= bounded
-            row_checks.append(
-                LevelSetCheck(
-                    beta=float(beta),
-                    set_size=int(sub.sum()),
-                    contained=contained,
-                    bounded_above=bounded,
+            ring = ~inner & np.isfinite(gain)
+            capped = ring.any(axis=1) & use.any(axis=1)
+            if capped.any():
+                lo_ring = np.where(ring[capped], gain[capped], POS_INF).min(axis=1)
+                cap = lo_ring - np.maximum(1e-12, 0.05 * np.abs(lo_ring))
+                raw = levels[capped]
+                fit = np.sort(
+                    np.maximum(np.minimum(raw, cap[:, None]), raw.min(axis=1)[:, None]),
+                    axis=1,
                 )
-            )
-        if not bs:
-            ok_c = False  # nothing finite to test against
-        coercive.append(EVIDENCE if ok_c else VIOLATION)
-        upper.append(EVIDENCE if ok_u else VIOLATION)
-        checks.append(row_checks)
+                levels[capped] = fit
+                use[capped, 1:] = fit[:, 1:] != fit[:, :-1]  # one check per level
+        shape = levels.shape
+        sizes = np.empty(shape, dtype=np.int64)
+        contained = np.empty(shape, dtype=bool)
+        bounded = np.empty(shape, dtype=bool)
+        rows = b[lo:hi]
+        for j in range(shape[1]):
+            sub = gain <= levels[:, j, None]
+            sizes[:, j] = sub.sum(axis=1)
+            contained[:, j] = ~(sub & ~inner).any(axis=1)
+            vals = np.where(sub, rows, NEG_INF)
+            top = vals.max(axis=1)
+            bounded[:, j] = (top == NEG_INF) | (inner & (vals == top[:, None])).any(axis=1)
+        # no level at all leaves nothing finite to test against
+        ok_c = ((contained | ~use).all(axis=1) & use.any(axis=1)).tolist()
+        ok_u = (bounded | ~use).all(axis=1).tolist()
+        row_checks = _level_checks(levels, use, sizes, contained, bounded)
+        for i, edge in enumerate(clipped[lo:hi].tolist()):
+            if edge:
+                coercive.append(EDGE)
+                upper.append(EDGE)
+                checks.append([])
+                continue
+            coercive.append(EVIDENCE if ok_c[i] else VIOLATION)
+            upper.append(EVIDENCE if ok_u[i] else VIOLATION)
+            checks.append(row_checks[i])
     return CoercivityReport(
         margin=float(window_margin),
         coercive=coercive,
@@ -449,7 +507,10 @@ def superlevel_compactness_report(
     """Evidence that superlevel sets {b(x,·) - f >= beta} stay confined.
 
     Empty superlevel sets count as evidence (there is nothing to escape);
-    sets touching an open window edge are violations.
+    sets touching an open window edge are violations.  Betas default to
+    quantiles of the finite values inside the inner window; a row with
+    none (b(x,·) - f is -inf there) has only empty superlevel sets.  Array
+    code over blocks of x-rows.
     """
     require_same_grid(f, k.y_grid, "superlevel_compactness_report: f")
     b = k.matrix()
@@ -457,23 +518,19 @@ def superlevel_compactness_report(
     neg_f = -f.flat
     verdicts = []
     checks = []
-    for i in range(k.x_grid.size):
-        vals = otimes(b[i], neg_f)
-        bs = betas if betas is not None else _default_betas(vals, beta_quantiles, inner)
-        if not bs:
-            # b(x,·) - f is -inf everywhere: all superlevel sets are empty
-            verdicts.append(EVIDENCE)
-            checks.append([])
-            continue
-        row_checks = []
-        ok = True
-        for beta in bs:
-            sup = vals >= beta
-            contained = not (sup & ~inner).any()
-            ok &= contained
-            row_checks.append(
-                LevelSetCheck(beta=float(beta), set_size=int(sup.sum()), contained=contained)
-            )
-        verdicts.append(EVIDENCE if ok else VIOLATION)
-        checks.append(row_checks)
+    for lo, hi, _, _ in _row_blocks(k.x_grid, 0):
+        vals = otimes(b[lo:hi], neg_f)
+        if betas is not None:
+            levels, use = _given_levels(betas, hi - lo)
+        else:
+            levels, use = _row_quantiles(vals, inner & np.isfinite(vals), beta_quantiles)
+        sizes = np.empty(levels.shape, dtype=np.int64)
+        contained = np.empty(levels.shape, dtype=bool)
+        for j in range(levels.shape[1]):
+            sup = vals >= levels[:, j, None]
+            sizes[:, j] = sup.sum(axis=1)
+            contained[:, j] = ~(sup & ~inner).any(axis=1)
+        ok = (contained | ~use).all(axis=1).tolist()
+        verdicts.extend(EVIDENCE if v else VIOLATION for v in ok)
+        checks.extend(_level_checks(levels, use, sizes, contained))
     return SuperlevelReport(margin=float(window_margin), verdicts=verdicts, checks=checks)

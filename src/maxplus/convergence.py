@@ -142,8 +142,8 @@ def trend_limit(ns, values):
     """Extrapolated limit of values over indices ns.
 
     Constant sequences return their value exactly.  An eventually -inf
-    (or +inf) sequence returns that value; other non-finite data returns
-    NaN (no usable trend).
+    (or +inf) sequence returns that value; other non-finite data, and
+    finite data whose fit overflows, return NaN (no usable trend).
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
@@ -155,7 +155,8 @@ def trend_limit(ns, values):
         if (tail == tail[-1]).all():
             return float(v[-1])
         return float("nan") if np.isfinite(v[-1]) else float(v[-1])
-    return _fit_limit(ns, v)[0]
+    limit, resid = _fit_limit(ns, v)
+    return limit if np.isfinite(resid) else float("nan")
 
 
 def trend_pair(ns, values, *, fit_resid_tol=1e-2):

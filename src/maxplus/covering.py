@@ -47,15 +47,6 @@ def _as_node_mask(grid, nodes):
     return mask
 
 
-def _chebyshev_ball_mask(grid, flat_index, radius):
-    mask = np.zeros(grid.n, dtype=bool)
-    sl = tuple(
-        slice(lo, hi + 1) for lo, hi in grid.ball_slices(flat_index, radius)
-    )
-    mask[sl] = True
-    return mask.reshape(-1)
-
-
 @dataclass(frozen=True)
 class CoveringReport:
     """Covering of the target by inverse-subdifferential pieces.
@@ -136,12 +127,10 @@ def build_covering(g, k, xprime=None, stencil_radius=1):
     top &= piece_mask
     alg &= piece_mask
 
-    dual_dom = np.isfinite(dual)
-    interior = np.zeros(ny, dtype=bool)
-    for y in np.flatnonzero(top):
-        ball = _chebyshev_ball_mask(k.y_grid, y, r)
-        if not (ball & dual_dom & ~top).any():
-            interior[y] = True
+    # interior of top: no node of the dual's domain outside top lies in
+    # the Chebyshev ball around y
+    escape = (np.isfinite(dual) & ~top).reshape(k.y_grid.shape)
+    interior = top & ~stencil_max(escape, r).reshape(-1).astype(bool)
     pinned = alg | interior
 
     return CoveringReport(
@@ -355,7 +344,7 @@ def verdict(g, k, xprime=None, config=CoveringConfig()):
             x_sides=config.x_sides,
         )
         fc = superlevel_compactness_report(
-            lifted_candidate(rep.subdiff.dual),
+            cand,
             k,
             config.window_margin,
             sides=config.sides,

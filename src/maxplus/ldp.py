@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import _CHUNK_ROWS
 from .conjugacy import (
     EVIDENCE,
+    CoercivityReport,
     Kernel,
     VIOLATION,
     coercivity_report,
@@ -158,6 +160,7 @@ class TightnessCriterion:
     holds: bool
     witness: object  # x node index or None
     strongly_coercive: bool
+    coercivity: CoercivityReport = field(repr=False)  # the report behind strongly_coercive
 
 
 def tightness_criterion(kernel, g, *, window_margin=0.1, sides=None, x_sides=None, stencil_radius=1):
@@ -166,7 +169,8 @@ def tightness_criterion(kernel, g, *, window_margin=0.1, sides=None, x_sides=Non
     Asymptotic tightness of the family follows when the kernel is
     strongly coercive and some x0 with locally bounded g has b(x0,·)
     bounded below.  On a window, bounded below means the row's minimum is
-    not pinned to an edge that emulates infinity.
+    not pinned to an edge that emulates infinity.  The witness is the
+    first such x0 in node order; the rows are searched in blocks.
     """
     co = coercivity_report(
         kernel, window_margin, stencil_radius=stencil_radius, sides=sides,
@@ -174,22 +178,23 @@ def tightness_criterion(kernel, g, *, window_margin=0.1, sides=None, x_sides=Non
     )
     strong = co.all_coercive
     masks = domain_masks(g, stencil_radius)
-    idom = masks.idom.reshape(-1)
+    nodes = np.flatnonzero(masks.idom.reshape(-1))
     b = kernel.matrix()
     inner = inner_window_mask(kernel.y_grid, window_margin, sides)
     witness = None
-    for x in np.flatnonzero(idom):
-        row = b[x]
-        lo = row.min()
-        if lo == NEG_INF:
-            continue
-        if (inner & (row == lo)).any():
-            witness = int(x)
+    for lo in range(0, nodes.size, _CHUNK_ROWS):
+        xs = nodes[lo : lo + _CHUNK_ROWS]
+        rows = b[xs]
+        low = rows.min(axis=1)
+        hit = (low > NEG_INF) & (inner & (rows == low[:, None])).any(axis=1)
+        if hit.any():
+            witness = int(xs[hit.argmax()])
             break
     return TightnessCriterion(
         holds=strong and witness is not None,
         witness=witness,
         strongly_coercive=strong,
+        coercivity=co,
     )
 
 
@@ -262,19 +267,17 @@ def pipeline(
     density = lifted_candidate(rate)
     fbar = MaxPlusForm(density)
 
-    co = coercivity_report(
-        k, window_margin, stencil_radius=stencil_radius, sides=sides, x_sides=x_sides
+    tight = tightness_criterion(
+        k, g, window_margin=window_margin, sides=sides, x_sides=x_sides,
+        stencil_radius=stencil_radius,
     )
+    co = tight.coercivity
     fc = superlevel_compactness_report(density, k, window_margin, sides=sides)
     # sampled-smooth rate candidates close with O(h^2 curvature) gaps; a
     # one-step tolerance keeps them quasi-continuous while spikes still fail
     if qc_tol is None:
         qc_tol = k.y_grid.step(0)
     qc_ok, _ = quasicontinuity_check(density, stencil_radius, tol=qc_tol)
-    tight = tightness_criterion(
-        k, g, window_margin=window_margin, sides=sides, x_sides=x_sides,
-        stencil_radius=stencil_radius,
-    )
     assumptions = AssumptionEvidence(
         discrete_space=True,
         coercive=EVIDENCE if co.all_coercive else VIOLATION,

@@ -203,3 +203,212 @@ def clipped_merton_affine(p, horizon, xi, floor, slope):
     )
     m = max(t1, t2)
     return float((m + math.log(math.exp(t1 - m) + math.exp(t2 - m))) / T)
+
+
+# -- window diagnostics, one X-row at a time -------------------------------
+#
+# The per-row loops of ``conjugacy.coercivity_report``,
+# ``conjugacy.superlevel_compactness_report``, the witness search of
+# ``ldp.tightness_criterion`` and the interior pass of
+# ``covering.build_covering`` before they became array code over blocks
+# of rows.  The reports they return must equal the library's, field by
+# field.
+
+
+def _neighborhood_gain(b, grid, x_index, radius):
+    """max_{z in ball(x)} b(z, ·) - b(x, ·) with max-plus conventions."""
+    from maxplus.grids import otimes
+
+    bounds = grid.ball_slices(x_index, radius)
+    if grid.dim == 1:
+        rows = range(bounds[0][0], bounds[0][1] + 1)
+        flat_rows = list(rows)
+    else:
+        flat_rows = [
+            int(np.ravel_multi_index((i0, i1), grid.n))
+            for i0 in range(bounds[0][0], bounds[0][1] + 1)
+            for i1 in range(bounds[1][0], bounds[1][1] + 1)
+        ]
+    sup = b[flat_rows].max(axis=0)
+    return otimes(sup, -b[x_index])
+
+
+def _default_betas(values, quantiles, inner):
+    """Quantiles of the finite values inside the inner window."""
+    fin = values[inner & np.isfinite(values)]
+    if fin.size == 0:
+        return []
+    return [float(np.quantile(fin, q)) for q in quantiles]
+
+
+def _window_clipped(grid, flat_index, radius, sides):
+    """Is the Chebyshev ball clipped by an open window side?"""
+    from maxplus.conjugacy import WindowSides
+
+    cb, ca = (sides or WindowSides.all_open(grid.dim)).normalized(grid.dim)
+    idx = np.unravel_index(flat_index, grid.n)
+    for ax, i in enumerate(np.atleast_1d(idx)):
+        if grid.n[ax] == 1:
+            continue
+        if i - radius < 0 and not cb[ax]:
+            return True
+        if i + radius > grid.n[ax] - 1 and not ca[ax]:
+            return True
+    return False
+
+
+def slow_coercivity_report(
+    k,
+    window_margin,
+    *,
+    stencil_radius=1,
+    betas=None,
+    beta_quantiles=(0.5, 0.75, 0.9),
+    sides=None,
+    x_sides=None,
+):
+    """``coercivity_report`` with one Python iteration per x-node."""
+    from maxplus.conjugacy import (
+        EDGE, EVIDENCE, VIOLATION, CoercivityReport, LevelSetCheck,
+        inner_window_mask,
+    )
+
+    b = k.matrix()
+    inner = inner_window_mask(k.y_grid, window_margin, sides)
+    coercive = []
+    upper = []
+    checks = []
+    for i in range(k.x_grid.size):
+        if _window_clipped(k.x_grid, i, stencil_radius, x_sides):
+            coercive.append(EDGE)
+            upper.append(EDGE)
+            checks.append([])
+            continue
+        gain = _neighborhood_gain(b, k.x_grid, i, stencil_radius)
+        bs = betas if betas is not None else _default_betas(gain, beta_quantiles, inner)
+        if betas is None and bs:
+            # cap default levels just under the ring minimum: sublevel-set
+            # geometry need not match the window shape, but any level below
+            # every ring value fits whenever no valley escapes; levels at or
+            # above escaping valleys still flag violations
+            ring = gain[~inner]
+            ring = ring[np.isfinite(ring)]
+            if ring.size:
+                lo = ring.min()
+                cap = lo - max(1e-12, 0.05 * abs(lo))
+                floor = min(bs)
+                bs = sorted({max(min(beta, cap), floor) for beta in bs})
+        row_checks = []
+        ok_c = True
+        ok_u = True
+        for beta in bs:
+            sub = gain <= beta
+            contained = not (sub & ~inner).any()
+            if sub.any():
+                vals = np.where(sub, b[i], NEG)
+                top = vals.max()
+                bounded = top == NEG or bool((inner & (vals == top)).any())
+            else:
+                bounded = True
+            ok_c &= contained
+            ok_u &= bounded
+            row_checks.append(
+                LevelSetCheck(
+                    beta=float(beta),
+                    set_size=int(sub.sum()),
+                    contained=contained,
+                    bounded_above=bounded,
+                )
+            )
+        if not bs:
+            ok_c = False  # nothing finite to test against
+        coercive.append(EVIDENCE if ok_c else VIOLATION)
+        upper.append(EVIDENCE if ok_u else VIOLATION)
+        checks.append(row_checks)
+    return CoercivityReport(
+        margin=float(window_margin),
+        coercive=coercive,
+        upper_coercive=upper,
+        checks=checks,
+    )
+
+
+def slow_superlevel_compactness_report(
+    f,
+    k,
+    window_margin,
+    *,
+    betas=None,
+    beta_quantiles=(0.75, 0.9),
+    sides=None,
+):
+    """``superlevel_compactness_report`` with one iteration per x-node."""
+    from maxplus.conjugacy import (
+        EVIDENCE, VIOLATION, LevelSetCheck, SuperlevelReport, inner_window_mask,
+    )
+    from maxplus.grids import otimes
+
+    b = k.matrix()
+    inner = inner_window_mask(k.y_grid, window_margin, sides)
+    neg_f = -f.flat
+    verdicts = []
+    checks = []
+    for i in range(k.x_grid.size):
+        vals = otimes(b[i], neg_f)
+        bs = betas if betas is not None else _default_betas(vals, beta_quantiles, inner)
+        if not bs:
+            # b(x,·) - f is -inf everywhere: all superlevel sets are empty
+            verdicts.append(EVIDENCE)
+            checks.append([])
+            continue
+        row_checks = []
+        ok = True
+        for beta in bs:
+            sup = vals >= beta
+            contained = not (sup & ~inner).any()
+            ok &= contained
+            row_checks.append(
+                LevelSetCheck(beta=float(beta), set_size=int(sup.sum()), contained=contained)
+            )
+        verdicts.append(EVIDENCE if ok else VIOLATION)
+        checks.append(row_checks)
+    return SuperlevelReport(margin=float(window_margin), verdicts=verdicts, checks=checks)
+
+
+def slow_tightness_witness(kernel, g, *, window_margin=0.1, sides=None, stencil_radius=1):
+    """First idom node whose row minimum is finite and attained inside
+    the window, or None: the witness search of ``tightness_criterion``."""
+    from maxplus.conjugacy import inner_window_mask
+    from maxplus.grids import domain_masks
+
+    idom = domain_masks(g, stencil_radius).idom.reshape(-1)
+    b = kernel.matrix()
+    inner = inner_window_mask(kernel.y_grid, window_margin, sides)
+    for x in np.flatnonzero(idom):
+        row = b[x]
+        lo = row.min()
+        if lo == NEG:
+            continue
+        if (inner & (row == lo)).any():
+            return int(x)
+    return None
+
+
+def _chebyshev_ball_mask(grid, flat_index, radius):
+    mask = np.zeros(grid.n, dtype=bool)
+    sl = tuple(
+        slice(lo, hi + 1) for lo, hi in grid.ball_slices(flat_index, radius)
+    )
+    mask[sl] = True
+    return mask.reshape(-1)
+
+
+def slow_covering_interior(grid, top, dual_dom, radius):
+    """Nodes of ``top`` whose Chebyshev ball meets no node of
+    ``dual_dom`` outside ``top``, one ball at a time."""
+    interior = np.zeros(grid.size, dtype=bool)
+    for y in np.flatnonzero(top):
+        ball = _chebyshev_ball_mask(grid, y, radius)
+        if not (ball & dual_dom & ~top).any():
+            interior[y] = True
+    return interior

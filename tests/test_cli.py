@@ -130,6 +130,29 @@ def test_non_object_scenario_exits_3(tmp_path, capsys, command, top):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [[1], "gaussian_mean"], ids=["array", "string"])
+def test_non_object_ldp_sequence_exits_3(tmp_path, capsys, value):
+    obj = json.loads((SCENARIOS / "gaussian_ldp.json").read_text())
+    obj["sequence"] = value
+    cfg = tmp_path / "seq.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["ldp", "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert "sequence is a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [[1], "r=0.05"], ids=["array", "string"])
+def test_non_object_merton_params_exits_3(tmp_path, capsys, value):
+    obj = json.loads((SCENARIOS / "gaussian_ldp.json").read_text())
+    obj["sequence"] = {
+        "type": "merton", "params": value, "horizons": [200, 400],
+        "xi_min": 0.0, "xi_max": 1.0, "xi_step": 0.5,
+    }
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["ldp", "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert "params is a JSON object" in capsys.readouterr().err
+
+
 def test_removed_flags_rejected(tmp_path):
     cfg = SCENARIOS / "conjugate_quadratic.json"
     with pytest.raises(SystemExit):

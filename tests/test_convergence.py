@@ -424,3 +424,11 @@ def test_report_exports(tmp_path):
     obj = json.loads(dumps(report_to_json(rep)))
     assert obj["statements"]["closed_limsup"]["verdict"] == "PASS"
     assert len(obj["sets"]) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_trend_limit_of_an_overflowing_fit_is_nan():
+    # the fit's residual is inf, so there is no usable trend
+    assert math.isnan(trend_limit((3, 320, 321), [0.0, 0.0, 6.5e303]))
+    assert math.isnan(trend_limit((3, 320, 321), [6.5e303, -6.5e303, 6.5e303]))
+    assert trend_limit((1, 2, 4), [1.0, 1.5, 1.75]) == pytest.approx(2.0)

@@ -16,7 +16,7 @@ from maxplus import (
     verdict,
 )
 from conftest import random_kernel_and_g
-from oracles import enumerate_preimages
+from oracles import enumerate_preimages, slow_covering_interior
 from test_conjugacy import identity_kernel
 
 NEG = NEG_INF
@@ -231,3 +231,32 @@ def test_verdicts_match_enumeration(rng):
             assert (v.uniqueness == "UNIQUE") == (count == 1)
         checked += 1
     assert checked == 25
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(1,), (2,), (37,), (1, 9), (9, 1), (7, 8)])
+def test_covering_interior_matches_ball_loop(rng, shape, radius):
+    # build_covering's pinned set is alg | interior(top), with interior
+    # taken by one boolean dilation; the oracle tests one ball at a time
+    if len(shape) == 1:
+        yg = Grid.line(0.0, 1.0, shape[0]) if shape[0] > 1 else Grid.line(0.0, 0.0, 1)
+        xg = Grid.line(0.0, 1.0, 5)
+    else:
+        lo = tuple(0.0 if n == 1 else -1.0 for n in shape)
+        yg = Grid(lo, (0.0 if shape[0] == 1 else 1.0, 0.0 if shape[1] == 1 else 1.0), shape)
+        xg = Grid.line(0.0, 1.0, 5)
+    for _ in range(40):
+        b = np.round(rng.normal(0, 2, (xg.size, yg.size)), 0)
+        b[rng.random(b.shape) < 0.2] = NEG
+        b[:, ~np.isfinite(b).any(axis=0)] = 0.0
+        b[~np.isfinite(b).any(axis=1), 0] = 0.0
+        k = Kernel.from_table(xg, yg, b)
+        g = GridFn(xg, np.where(rng.random(5) < 0.2, POS, rng.normal(0, 1, 5)))
+        rep = build_covering(g, k, stencil_radius=radius)
+        top = np.zeros(yg.size, dtype=bool)
+        top[rep.top_essential] = True
+        alg = np.zeros(yg.size, dtype=bool)
+        alg[rep.alg_essential] = True
+        dual_dom = np.isfinite(rep.subdiff.dual.flat)
+        ref = alg | slow_covering_interior(yg, top, dual_dom, radius)
+        assert rep.pinned.tolist() == np.flatnonzero(ref).tolist()

@@ -28,7 +28,7 @@ from maxplus import (
     tightness_criterion,
 )
 from maxplus.forms import QuasiLinearForm
-from oracles import slow_limit_log_moment
+from oracles import slow_coercivity_report, slow_limit_log_moment
 
 NEG = NEG_INF
 POS = POS_INF
@@ -100,6 +100,30 @@ def test_gaussian_pipeline_needs_asserted_limits_for_full():
     gin = GartnerInput(sequences=gin.sequences, kernel=gin.kernel, mode="limsup")
     out = pipeline(gin)
     assert out.verdict == "BOUNDS_ONLY"
+
+
+def test_pipeline_computes_coercivity_once(monkeypatch):
+    from maxplus import ldp
+
+    calls = []
+    original = ldp.coercivity_report
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ldp, "coercivity_report", counted)
+    gin = gaussian_input()
+    out = pipeline(gin)
+    assert len(calls) == 1
+    assert out.verdict == "FULL_LDP"
+    a = out.assumptions
+    assert (a.discrete_space, a.coercive, a.upper_coercive) == (True, "EVIDENCE", "EVIDENCE")
+    assert (a.dual_superlevel_compact, a.quasicontinuous_dual) == ("VIOLATION", True)
+    t = a.tightness
+    assert (t.holds, t.witness, t.strongly_coercive) == (True, 50, True)
+    assert t.coercivity == slow_coercivity_report(gin.kernel, 0.1)
+    assert "coercivity" not in repr(t)
 
 
 def test_tightness_criterion_zero_row_witness():
