@@ -89,7 +89,10 @@ def _run_conjugate(obj, out_dir, summary):
     yg = grid_from_json(obj["y_grid"])
     kernel = kernel_from_json(obj["kernel"], xg, yg)
     f = gridfn_from_json(obj["f"])
-    if obj.get("fast") and kernel.kind == "bilinear" and xg.dim == 1:
+    fast = obj.get("fast", False)
+    if type(fast) is not bool:
+        raise ValidationError(f"conjugate scenario: fast is a JSON boolean, got {json.dumps(fast)}")
+    if fast and kernel.kind == "bilinear" and xg.dim == 1:
         out = legendre_fast(f, xg)
     else:
         out = conjugate(f, kernel)

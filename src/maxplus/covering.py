@@ -69,6 +69,7 @@ class CoveringReport:
     minimal_top: bool
     stencil_radius: int
     subdiff: object = field(repr=False)
+    masks: object = field(repr=False)  # domain_masks(g, stencil_radius)
 
     def piece(self, y_index):
         return self.subdiff.preimage(y_index)
@@ -145,6 +146,7 @@ def build_covering(g, k, xprime=None, stencil_radius=1):
         minimal_top=bool(top[piece_index].all()) if piece_index.size else True,
         stencil_radius=stencil_radius,
         subdiff=sd,
+        masks=masks,
     )
 
 
@@ -208,14 +210,16 @@ class PreimageReport:
         )
 
 
-def solve_preimage(g, k, xprime=None, *, le_tol=0.0, eq_tol=0.0):
+def solve_preimage(g, k, xprime=None, *, le_tol=0.0, eq_tol=0.0, _candidate=None):
     """Certify existence through the canonical candidate pre-image.
 
     FAIL is a result, not an error: when the candidate fails, no function
-    bounded below solves the problem.
+    bounded below solves the problem.  ``_candidate`` is the lifted dual
+    conjugate of g when the caller has already built it.
     """
-    dual = conjugate(g, k.transpose())
-    cand = lifted_candidate(dual)
+    cand = _candidate
+    if cand is None:
+        cand = lifted_candidate(conjugate(g, k.transpose()))
     bf = conjugate(cand, k)
 
     gv = g.flat
@@ -315,17 +319,18 @@ def verdict(g, k, xprime=None, config=CoveringConfig()):
     the dual conjugate: UNIQUE iff also topologically minimal.
     """
     rep = build_covering(g, k, xprime, config.stencil_radius)
-    pre = solve_preimage(g, k, xprime, le_tol=config.le_tol, eq_tol=config.eq_tol)
     cand = lifted_candidate(rep.subdiff.dual)
+    pre = solve_preimage(
+        g, k, xprime, le_tol=config.le_tol, eq_tol=config.eq_tol, _candidate=cand
+    )
     if np.isfinite(cand.values).any():
         qc_ok, qc_witness = quasicontinuity_check(cand, config.stencil_radius)
     else:
         qc_ok, qc_witness = True, None  # empty domain: vacuously quasi-continuous
 
-    masks = domain_masks(g, config.stencil_radius)
     xmask = _as_node_mask(k.x_grid, xprime)
     inside = bool(
-        (xmask <= (masks.idom.reshape(-1) | np.isneginf(g.flat))).all()
+        (xmask <= (rep.masks.idom.reshape(-1) | np.isneginf(g.flat))).all()
     )
     if config.assume_finite_exact:
         assumptions = AssumptionReport(

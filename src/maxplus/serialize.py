@@ -9,6 +9,7 @@ row-major node order; kernels are ``{"type": "bilinear"}`` or
 bytes.
 """
 
+import itertools
 import json
 import math
 
@@ -34,25 +35,37 @@ def num_to_json(v):
     return v
 
 
-def num_from_json(v):
-    if isinstance(v, str):
-        if v == "+inf":
-            return float("inf")
-        if v == "-inf":
-            return float("-inf")
-        raise ValidationError(f"unknown numeric literal {v!r}")
-    out = float(v)
-    if math.isnan(out):
-        raise ValidationError("NaN is not an extended real")
-    return out
-
-
 def values_to_json(arr):
     return [num_to_json(v) for v in np.asarray(arr).reshape(-1)]
 
 
-def values_from_json(items):
-    return np.array([num_from_json(v) for v in items], dtype=np.float64)
+_INFINITIES = {"+inf": math.inf, "-inf": -math.inf}
+
+
+def values_from_json(items, what="values"):
+    """A JSON list of extended reals as one float64 array.
+
+    Numbers and the strings "+inf"/"-inf" are converted in one pass;
+    anything else (another string, null, a boolean, a nested list, an
+    integer beyond the float range, NaN) is rejected.
+    """
+    if type(items) is not list:
+        raise ValidationError(f"{what}: a JSON list of numbers, got {type(items).__name__}")
+    try:
+        vals = [_INFINITIES[v] if type(v) is str else v for v in items]
+    except KeyError as e:
+        raise ValidationError(f"unknown numeric literal {e.args[0]!r}") from None
+    odd = set(map(type, vals)) - {float, int}
+    if odd:
+        bad = next(v for v in vals if type(v) in odd)
+        raise ValidationError(f"{what}: {json.dumps(bad)} is not a number")
+    try:
+        arr = np.fromiter(vals, dtype=np.float64, count=len(vals))
+    except OverflowError:
+        raise ValidationError(f"{what}: an integer beyond the float range") from None
+    if np.isnan(arr).any():
+        raise ValidationError("NaN is not an extended real")
+    return arr
 
 
 def grid_to_json(grid):
@@ -76,7 +89,7 @@ def gridfn_to_json(fn):
 def gridfn_from_json(obj, tag="plain"):
     _expect_keys(obj, {"grid", "values"}, "grid function")
     grid = grid_from_json(obj["grid"])
-    return GridFn(grid, values_from_json(obj["values"]).reshape(grid.shape), tag)
+    return GridFn(grid, values_from_json(obj["values"]), tag)
 
 
 def kernel_to_json(k):
@@ -95,10 +108,14 @@ def kernel_from_json(obj, x_grid, y_grid):
         return Kernel.bilinear(x_grid, y_grid)
     if obj.get("type") == "table":
         _expect_keys(obj, {"type", "rows"}, "kernel")
-        rows = np.array(
-            [[num_from_json(v) for v in row] for row in obj["rows"]]
-        )
-        return Kernel.from_table(x_grid, y_grid, rows)
+        rows = obj["rows"]
+        if type(rows) is not list or not all(type(r) is list for r in rows):
+            raise ValidationError("kernel: rows is a JSON list of lists")
+        if len({len(r) for r in rows}) > 1:
+            raise ValidationError("kernel: rows differ in length")
+        flat = values_from_json(list(itertools.chain.from_iterable(rows)), "kernel rows")
+        ncols = len(rows[0]) if rows else 0
+        return Kernel.from_table(x_grid, y_grid, flat.reshape(len(rows), ncols))
     raise ValidationError(f"unknown kernel type {obj.get('type')!r}")
 
 

@@ -50,6 +50,23 @@ def slow_bilinear_conjugate(xs, ys, f):
     return out
 
 
+def dense_bilinear_2d(x0, x1, y0, y1, neg_f, chunk=256):
+    """The 2-D bilinear action over every cell, in chunks of X-rows.
+
+    This was the library's kernel before it pruned rows; it stays as the
+    oracle the pruned kernel must match bit for bit, signed zeros
+    included.
+    """
+    nx = x0.shape[0]
+    out = np.empty(nx)
+    for lo in range(0, nx, chunk):
+        hi = min(lo + chunk, nx)
+        t = np.multiply.outer(x0[lo:hi], y0) + np.multiply.outer(x1[lo:hi], y1)
+        t += neg_f[None, :]
+        out[lo:hi] = t.max(axis=1)
+    return out
+
+
 def enumerate_preimages(b_rows, g, xprime, value_set, cap=2):
     """Count solutions of the pre-image problem over a quantized value set.
 

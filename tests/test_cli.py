@@ -228,3 +228,68 @@ def test_seeded_rerun_byte_identical(tmp_path):
     assert rc == rc2 == 0
     for name in ("gaussian_ldp_out.json", "gaussian_ldp_out.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]])
+def test_conjugate_fast_must_be_boolean(tmp_path, capsys, value):
+    obj = json.loads((SCENARIOS / "conjugate_quadratic.json").read_text())
+    obj["fast"] = value
+    cfg = tmp_path / "fast.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["conjugate", "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert "fast is a JSON boolean" in capsys.readouterr().err
+
+
+def test_conjugate_2d_box_matches_dense_oracle(tmp_path):
+    from maxplus import Grid, GridFn
+    from maxplus.serialize import dumps, gridfn_to_json
+    from oracles import dense_bilinear_2d
+
+    xbox = {"dim": 2, "lo": [-1.5, -1.0], "hi": [1.5, 1.0], "n": [31, 21]}
+    ybox = {"dim": 2, "lo": [-1.0, -1.0], "hi": [1.0, 1.0], "n": [17, 25]}
+    yg = Grid.box(ybox["lo"], ybox["hi"], ybox["n"])
+    xg = Grid.box(xbox["lo"], xbox["hi"], xbox["n"])
+    y = yg.coords
+    f = np.round((y[:, 0] ** 2 + 2 * y[:, 1] ** 2) / 2, 2)
+    values = [("+inf" if abs(a) > 0.9 and abs(b) > 0.9 else v)
+              for (a, b), v in zip(y.tolist(), f.tolist())]
+    cfg = tmp_path / "box.json"
+    cfg.write_text(json.dumps({
+        "kind": "conjugate", "x_grid": xbox, "y_grid": ybox,
+        "kernel": {"type": "bilinear"},
+        "f": {"grid": ybox, "values": values}, "out": "box_out.json",
+    }))
+    assert run(["conjugate", "--config", cfg, "--out-dir", tmp_path]) == 0
+    neg_f = np.array([-np.inf if v == "+inf" else -v for v in values])
+    x = xg.coords
+    want = dense_bilinear_2d(
+        x[:, 0].copy(), x[:, 1].copy(), y[:, 0].copy(), y[:, 1].copy(), neg_f
+    )
+    expected = dumps(gridfn_to_json(GridFn(xg, want.reshape(xg.shape))))
+    assert (tmp_path / "box_out.json").read_text() == expected
+
+
+@pytest.mark.parametrize("bad", [None, [1.0], True, 10**400, "1.5", "inf"],
+                         ids=["null", "list", "true", "huge-int", "numeric-string", "inf"])
+@pytest.mark.parametrize("where", ["f", "table"])
+def test_malformed_numbers_exit_3(tmp_path, capsys, bad, where):
+    obj = json.loads((SCENARIOS / "covering_identity.json").read_text())
+    if where == "f":
+        obj["g"]["values"][1] = bad
+    else:
+        obj["kernel"]["rows"][0][1] = bad
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["covering", "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [[[0.0, "-inf"], [1.0]], [[0.0, "-inf"], 5], "rows", [[[0.0]]]],
+                         ids=["ragged", "non-list-row", "string", "nested"])
+def test_malformed_table_rows_exit_3(tmp_path, capsys, rows):
+    obj = json.loads((SCENARIOS / "covering_identity.json").read_text())
+    obj["kernel"]["rows"] = rows
+    cfg = tmp_path / "rows.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["covering", "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert "error:" in capsys.readouterr().err

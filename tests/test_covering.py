@@ -260,3 +260,52 @@ def test_covering_interior_matches_ball_loop(rng, shape, radius):
         dual_dom = np.isfinite(rep.subdiff.dual.flat)
         ref = alg | slow_covering_interior(yg, top, dual_dom, radius)
         assert rep.pinned.tolist() == np.flatnonzero(ref).tolist()
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("finite_exact", [True, False])
+def test_verdict_builds_each_piece_once(rng, monkeypatch, finite_exact):
+    import maxplus.covering as covering
+
+    k, g = random_kernel_and_g(rng, max_nodes=6)
+    cfg = CoveringConfig(stencil_radius=1, assume_finite_exact=finite_exact)
+    want = verdict(g, k, None, cfg)
+    conj = _counting(monkeypatch, covering, "conjugate")
+    masks = _counting(monkeypatch, covering, "domain_masks")
+    lifts = _counting(monkeypatch, covering, "lifted_candidate")
+    sub = _counting(monkeypatch, covering, "subdifferential_map")
+    got = verdict(g, k, None, cfg)
+    # the dual conjugate inside subdifferential_map (through its own
+    # module) plus B of the candidate: one conjugate call here
+    assert (len(sub), len(conj), len(masks), len(lifts)) == (1, 1, 1, 1)
+    assert (got.existence, got.uniqueness) == (want.existence, want.uniqueness)
+    assert got.assumptions == want.assumptions
+
+
+def test_solve_preimage_with_a_built_candidate_is_unchanged(rng):
+    from maxplus.covering import lifted_candidate
+
+    for _ in range(40):
+        k, g = random_kernel_and_g(rng, max_nodes=6)
+        xprime = np.flatnonzero(rng.random(k.x_grid.size) < 0.6)
+        plain = solve_preimage(g, k, xprime, eq_tol=0.5)
+        cand = lifted_candidate(conjugate(g, k.transpose()))
+        reuse = solve_preimage(g, k, xprime, eq_tol=0.5, _candidate=cand)
+        for name in ("candidate", "transformed"):
+            assert np.array_equal(getattr(plain, name).values, getattr(reuse, name).values)
+        assert (plain.le_margin, plain.eq_residual, plain.passed) == (
+            reuse.le_margin, reuse.eq_residual, reuse.passed
+        )
+        for name in ("le_violations", "eq_violations", "degenerate_rows"):
+            assert np.array_equal(getattr(plain, name), getattr(reuse, name))

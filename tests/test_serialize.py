@@ -26,8 +26,8 @@ from maxplus.serialize import (
     gridfn_to_json,
     kernel_from_json,
     kernel_to_json,
-    num_from_json,
     num_to_json,
+    values_from_json,
 )
 
 
@@ -35,12 +35,11 @@ def test_infinity_string_convention():
     assert num_to_json(POS_INF) == "+inf"
     assert num_to_json(NEG_INF) == "-inf"
     assert num_to_json(1.5) == 1.5
-    assert num_from_json("+inf") == POS_INF
-    assert num_from_json("-inf") == NEG_INF
+    assert values_from_json(["+inf", "-inf", 2]).tolist() == [POS_INF, NEG_INF, 2.0]
     with pytest.raises(ValidationError):
-        num_from_json("oops")
+        values_from_json(["oops"])
     with pytest.raises(ValidationError):
-        num_from_json(float("nan"))
+        values_from_json([float("nan")])
 
 
 def test_gridfn_roundtrip_1d():
