@@ -2,13 +2,18 @@
 
 The inner loops that dominate runtime (dense max-plus matrix action,
 the on-the-fly bilinear actions and the linear-time conjugate transform)
-are numpy code.  The matrix actions materialise at most ``_CHUNK_ROWS``
-rows of the kernel at a time and evaluate every term with the same
-floating-point expression as a one-shot dense evaluation, so the
-chunked results are bit-identical to it.  The 2-D bilinear action skips
-most terms: a 1-D partial transform per Y-row bounds each row's best
-term to within a proved rounding slack, and only the rows that can hold
-the maximum are evaluated term by term.
+are numpy code.  Every dense walk over the kernel, here and in the
+window diagnostics, takes ``block_rows(|Y|)`` X-rows at a time: as many
+|Y|-wide rows as fit in ``_CELL_BUDGET`` float64 cells (1 MiB), so that
+a block and its temporaries stay in cache and no |X|x|Y| matrix is ever
+built.  Each block evaluates every term with the same floating-point
+expression as a one-shot dense evaluation, so the blocked results are
+bit-identical to it.  The 2-D bilinear action skips most terms: a 1-D
+partial transform per Y-row bounds each row's best term to within a
+proved rounding slack, and only the rows that can hold the maximum are
+evaluated term by term.  It keeps chunks of ``_CHUNK_ROWS`` X-nodes,
+since its temporaries are per-row estimates and candidate cells rather
+than dense |Y|-wide slabs.
 
 Conventions: values are float64 where -inf is the max-plus zero and is
 absorbing for addition; kernels never contain +inf; no NaN ever enters
@@ -17,16 +22,23 @@ absorbing for addition; kernels never contain +inf; no NaN ever enters
 
 import numpy as np
 
-_CHUNK_ROWS = 256  # materialise at most this many kernel rows at a time
+_CELL_BUDGET = 2**17  # float64 cells per dense block (1 MiB)
+_CHUNK_ROWS = 256  # X-nodes per chunk of the pruned 2-D action
 _SLACK = 5 * 2.0**-53  # 2-D pruning: delta per unit of magnitude
+
+
+def block_rows(ny):
+    """X-rows per dense block when each row holds ``ny`` cells."""
+    return max(1, _CELL_BUDGET // ny)
 
 
 def matvec_table(table, neg_f):
     """Row-wise max of table[i, j] + neg_f[j] with -inf absorbing."""
     nx = table.shape[0]
     out = np.empty(nx)
-    for lo in range(0, nx, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, nx)
+    step = block_rows(neg_f.shape[0])
+    for lo in range(0, nx, step):
+        hi = min(lo + step, nx)
         with np.errstate(invalid="ignore"):
             t = table[lo:hi] + neg_f[None, :]
         # -inf entries meeting +inf in neg_f give NaN; the convention is -inf
@@ -39,8 +51,9 @@ def matvec_bilinear(x, y, neg_f):
     """Row-wise max of x[i]*y[j] + neg_f[j]; products are always finite."""
     nx = x.shape[0]
     out = np.empty(nx)
-    for lo in range(0, nx, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, nx)
+    step = block_rows(y.shape[0])
+    for lo in range(0, nx, step):
+        hi = min(lo + step, nx)
         t = np.multiply.outer(x[lo:hi], y) + neg_f[None, :]
         out[lo:hi] = t.max(axis=1)
     return out

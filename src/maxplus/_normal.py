@@ -1,9 +1,29 @@
-"""Stable log-scale normal-distribution helpers."""
+"""Stable log-scale normal-distribution helpers.
+
+``log_ndtr`` and ``ndtr`` are scipy's, imported at their first call so
+that importing the package loads numpy only.  The first call rebinds
+both names in this module to scipy's ufuncs; later calls, and callers
+that look them up as ``_normal.log_ndtr``, reach scipy directly.
+"""
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .grids import NEG_INF
+
+
+def _bind_special():
+    global log_ndtr, ndtr
+    from scipy.special import log_ndtr, ndtr
+
+
+def log_ndtr(x):
+    _bind_special()
+    return log_ndtr(x)
+
+
+def ndtr(x):
+    _bind_special()
+    return ndtr(x)
 
 
 def log_gauss_interval(a, b):

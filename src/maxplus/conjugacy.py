@@ -18,7 +18,6 @@ half-line domain) through ``WindowSides``.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from . import _kernels
 from .errors import ValidationError
@@ -27,6 +26,7 @@ from .grids import (
     POS_INF,
     Grid,
     GridFn,
+    ball_extreme,
     check_values,
     otimes,
     require_same_grid,
@@ -87,24 +87,36 @@ class Kernel:
             return Kernel.bilinear(self.y_grid, self.x_grid)
         return Kernel.from_table(self.y_grid, self.x_grid, self.table.T)
 
-    def matrix(self):
-        """Dense b(x, y) table (materialised for the bilinear form)."""
+    def rows(self, idx):
+        """b(x, ·) for the X-nodes ``idx`` (a slice or an index array).
+
+        A table kernel returns its table's rows; a bilinear kernel builds
+        the block with the expression of the bilinear actions, so every
+        cell is the same float whichever block it is built in.
+        """
         if self.kind == "table":
-            return self.table
-        xc = self.x_grid.coords
+            return self.table[idx]
+        xc = self.x_grid.coords[idx]
         yc = self.y_grid.coords
         if self.x_grid.dim == 1:
-            m = np.multiply.outer(xc, yc)
-        else:
-            m = np.multiply.outer(xc[:, 0], yc[:, 0]) + np.multiply.outer(
-                xc[:, 1], yc[:, 1]
-            )
+            return np.multiply.outer(xc, yc)
+        return np.multiply.outer(xc[:, 0], yc[:, 0]) + np.multiply.outer(
+            xc[:, 1], yc[:, 1]
+        )
+
+    def matrix(self):
+        """Dense b(x, y) table (materialised for the bilinear form).
+
+        The library walks kernels through ``rows`` in blocks; this whole
+        matrix is for tests and small inspections.
+        """
+        m = self.rows(slice(None))
         m.setflags(write=False)
         return m
 
     def row(self, i):
         """b(x_i, ·) as a GridFn on the Y-grid."""
-        return GridFn(self.y_grid, np.array(self.matrix()[i]))
+        return GridFn(self.y_grid, self.rows(slice(i, i + 1))[0])
 
     def __repr__(self):
         return f"Kernel({self.kind}, X={self.x_grid}, Y={self.y_grid})"
@@ -194,11 +206,17 @@ def subdifferential_map(g, k):
     empty subdifferential.
     """
     require_same_grid(g, k.x_grid, "subdifferential_map: g")
-    b = k.matrix()
     gv = g.flat
     dual = conjugate(g, k.transpose())
-    terms = otimes(b, -gv[:, None])
-    attain = np.isfinite(b) & (gv[:, None] < POS_INF) & (terms == dual.flat[None, :])
+    dv = dual.flat
+    nx = k.x_grid.size
+    attain = np.empty((nx, k.y_grid.size), dtype=bool)
+    step = _kernels.block_rows(k.y_grid.size)
+    for lo in range(0, nx, step):
+        hi = min(lo + step, nx)
+        b = k.rows(slice(lo, hi))
+        gb = gv[lo:hi, None]
+        attain[lo:hi] = np.isfinite(b) & (gb < POS_INF) & (otimes(b, -gb) == dv)
     attain.setflags(write=False)
     return SubdiffMap(x_grid=k.x_grid, y_grid=k.y_grid, attain=attain, dual=dual)
 
@@ -255,33 +273,34 @@ def inner_window_mask(grid, margin, sides=None):
     return mask.reshape(-1)
 
 
-def _row_blocks(grid, radius):
+def _row_blocks(grid, radius, ny):
     """Blocks of X-rows with the halo their stencil balls reach.
 
     Yields ``(lo, hi, h0, h1)``: flat rows lo:hi form one block of whole
-    slices along the first axis (about ``_CHUNK_ROWS`` rows), and rows
-    h0:h1 hold every Chebyshev ball of the given radius around them.
+    slices along the first axis (``_kernels.block_rows(ny)`` rows, at
+    least one slice), and rows h0:h1 hold every Chebyshev ball of the
+    given radius around them.
     """
     n0 = grid.n[0]
     step = grid.size // n0  # nodes per first-axis slice
-    per = max(1, _kernels._CHUNK_ROWS // step)
+    per = max(1, _kernels.block_rows(ny) // step)
     for a in range(0, n0, per):
         e = min(a + per, n0)
         yield a * step, e * step, max(0, a - radius) * step, min(n0, e + radius) * step
 
 
-def _block_gain(b, grid, radius, lo, hi, h0, h1):
-    """max_{z in ball(x)} b(z, ·) - b(x, ·) for the x-rows lo:hi.
+def _block_gain(halo, grid, radius, a, e):
+    """max_{z in ball(x)} b(z, ·) - b(x, ·) for the halo rows a:e.
 
-    A maximum filter along the X axes in mode ``nearest`` takes the max
-    over the Chebyshev ball clipped to the grid; the halo rows h0:h1
-    supply the neighbours outside the block.
+    ``halo`` holds the kernel rows of whole first-axis slices; the max
+    over the Chebyshev ball clipped to the grid runs along the X axes
+    only, and the rows around a:e supply the neighbours outside it.
     """
-    halo = b[h0:h1].reshape((-1,) + grid.n[1:] + (b.shape[1],))
-    sup = ndimage.maximum_filter(
-        halo, size=(2 * radius + 1,) * grid.dim + (1,), mode="nearest"
+    ny = halo.shape[1]
+    sup = ball_extreme(
+        halo.reshape((-1,) + grid.n[1:] + (ny,)), radius, np.maximum, range(grid.dim)
     )
-    return otimes(sup.reshape(h1 - h0, -1)[lo - h0 : hi - h0], -b[lo:hi])
+    return otimes(sup.reshape(-1, ny)[a:e], -halo[a:e])
 
 
 def _clipped_nodes(grid, radius, sides):
@@ -421,14 +440,15 @@ def coercivity_report(
     The x-nodes are processed as array code over blocks of rows; the
     report is the one a per-node loop over these definitions returns.
     """
-    b = k.matrix()
     inner = inner_window_mask(k.y_grid, window_margin, sides)
     clipped = _clipped_nodes(k.x_grid, stencil_radius, x_sides)
     coercive = []
     upper = []
     checks = []
-    for lo, hi, h0, h1 in _row_blocks(k.x_grid, stencil_radius):
-        gain = _block_gain(b, k.x_grid, stencil_radius, lo, hi, h0, h1)
+    for lo, hi, h0, h1 in _row_blocks(k.x_grid, stencil_radius, k.y_grid.size):
+        halo = k.rows(slice(h0, h1))
+        rows = halo[lo - h0 : hi - h0]
+        gain = _block_gain(halo, k.x_grid, stencil_radius, lo - h0, hi - h0)
         if betas is not None:
             levels, use = _given_levels(betas, hi - lo)
         else:
@@ -453,7 +473,6 @@ def coercivity_report(
         sizes = np.empty(shape, dtype=np.int64)
         contained = np.empty(shape, dtype=bool)
         bounded = np.empty(shape, dtype=bool)
-        rows = b[lo:hi]
         for j in range(shape[1]):
             sub = gain <= levels[:, j, None]
             sizes[:, j] = sub.sum(axis=1)
@@ -513,13 +532,12 @@ def superlevel_compactness_report(
     code over blocks of x-rows.
     """
     require_same_grid(f, k.y_grid, "superlevel_compactness_report: f")
-    b = k.matrix()
     inner = inner_window_mask(k.y_grid, window_margin, sides)
     neg_f = -f.flat
     verdicts = []
     checks = []
-    for lo, hi, _, _ in _row_blocks(k.x_grid, 0):
-        vals = otimes(b[lo:hi], neg_f)
+    for lo, hi, _, _ in _row_blocks(k.x_grid, 0, k.y_grid.size):
+        vals = otimes(k.rows(slice(lo, hi)), neg_f)
         if betas is not None:
             levels, use = _given_levels(betas, hi - lo)
         else:

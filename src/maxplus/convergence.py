@@ -14,7 +14,6 @@ u.s.c., so these run over the same family; (open-liminf),
 (closed-limsup), (compact-limsup) set bounds with caller-declared roles.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -467,48 +466,4 @@ def default_interval_sets(grid, cap=200):
         open_ = np.zeros(n, dtype=bool)
         open_[i + 1 : j] = True
         out.append((closed, open_))
-    return out
-
-
-def report_to_csv(report, path):
-    """Write per-set margins: set_id, kind, lhs_trend, rhs, margin, verdict."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["set_id", "kind", "lhs_trend", "rhs", "margin", "verdict"])
-        for r in report.to_rows():
-            w.writerow([r.set_id, r.kind, repr(r.lhs_trend), repr(r.rhs), repr(r.margin), r.verdict])
-
-
-def report_to_json(report):
-    """Statement verdicts plus per-set rows as a JSON-ready dict."""
-    from .serialize import num_to_json as _raw
-
-    def num_to_json(v):
-        return None if np.isnan(v) else _raw(v)  # inconclusive rows carry NaN
-
-    out = {
-        "statements": {
-            name: {
-                "verdict": res.verdict,
-                "margin": num_to_json(res.margin),
-                "witness": res.witness,
-            }
-            for name, res in report.results.items()
-        }
-    }
-    rows = []
-    for r in report.to_rows():
-        if isinstance(r, SetBoundRow):
-            rows.append(
-                {
-                    "set_id": r.set_id,
-                    "kind": r.kind,
-                    "lhs_trend": num_to_json(r.lhs_trend),
-                    "rhs": num_to_json(r.rhs),
-                    "margin": num_to_json(r.margin),
-                    "verdict": r.verdict,
-                }
-            )
-    if rows:
-        out["sets"] = rows
     return out

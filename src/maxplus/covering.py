@@ -78,19 +78,21 @@ class CoveringReport:
         return {int(y): self.piece(y) for y in self.piece_index}
 
 
-def build_covering(g, k, xprime=None, stencil_radius=1):
+def build_covering(g, k, xprime=None, stencil_radius=1, *, _masks=None):
     """Assemble the covering report for the target X' ∩ {g > -inf}.
 
     A piece index y is algebraically essential when removing that single
     piece uncovers a target node, and topologically essential when
-    removing every piece in the stencil ball around y does.
+    removing every piece in the stencil ball around y does.  ``_masks``
+    is ``domain_masks(g, stencil_radius)`` when the caller has already
+    built it.
     """
     sd = subdifferential_map(g, k)
     dual = sd.dual.flat
     piece_mask = dual < POS_INF
     piece_index = np.flatnonzero(piece_mask)
 
-    masks = domain_masks(g, stencil_radius)
+    masks = _masks if _masks is not None else domain_masks(g, stencil_radius)
     target = _as_node_mask(k.x_grid, xprime) & masks.udom.reshape(-1)
 
     active = sd.attain[:, piece_mask]  # target coverage only through pieces

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GridMismatchError, ValidationError
 
@@ -173,14 +172,6 @@ class Grid:
             idx = np.clip(idx, 0, self.n[0] - 1)
         return idx
 
-    def ball_slices(self, flat_index, radius):
-        """Index bounds of the Chebyshev ball around a node, per axis."""
-        idx = np.unravel_index(flat_index, self.n)
-        return tuple(
-            (max(0, i - radius), min(k - 1, i + radius))
-            for i, k in zip(np.atleast_1d(idx), self.n)
-        )
-
     def __repr__(self):
         axes = "x".join(
             f"[{a},{b}]/{k}" for a, b, k in zip(self.lo, self.hi, self.n)
@@ -222,15 +213,6 @@ class GridFn:
     def constant(cls, grid, value, tag="plain"):
         return cls(grid, np.full(grid.shape, float(value)), tag)
 
-    @classmethod
-    def from_callable(cls, grid, fn, tag="plain"):
-        c = grid.coords
-        if grid.dim == 1:
-            vals = np.array([fn(x) for x in c], dtype=np.float64)
-        else:
-            vals = np.array([fn(x0, x1) for x0, x1 in c], dtype=np.float64)
-        return cls(grid, vals.reshape(grid.shape), tag)
-
     @property
     def flat(self):
         return self.values.reshape(-1)
@@ -254,18 +236,44 @@ def require_same_grid(fn, grid, what):
         raise GridMismatchError(what, grid, fn.grid)
 
 
+def ball_extreme(values, radius, op, axes):
+    """``op``-reduction of ``values`` over the Chebyshev ball along ``axes``.
+
+    The ball is clipped to the array, which is what an edge-clamped
+    (``nearest``) filter gives for a max or a min, since a clamped index
+    repeats a value that is already in the ball.  The box is separable:
+    one pass per axis, each combining 2*radius shifted slices.  ``op`` is
+    ``np.maximum`` or ``np.minimum``, which do no rounding, so the result
+    is exact.  Single-node axes are skipped; the dtype is kept, so bool
+    arrays work too.
+    """
+    out = np.asarray(values)
+    passes = [ax for ax in axes if out.shape[ax] > 1]
+    if not passes:
+        return out.copy()
+    for ax in passes:
+        n = out.shape[ax]
+        acc = out.copy()
+        dst, src = np.moveaxis(acc, ax, 0), np.moveaxis(out, ax, 0)  # views
+        for s in range(1, min(radius, n - 1) + 1):
+            op(dst[: n - s], src[s:], out=dst[: n - s])
+            op(dst[s:], src[: n - s], out=dst[s:])
+        out = acc
+    return out
+
+
 def stencil_max(values, radius):
     """Dilation by the Chebyshev ball of the given radius (u.s.c. hull)."""
     if radius == 0:
         return np.array(values, dtype=np.float64)
-    return ndimage.maximum_filter(values, size=2 * radius + 1, mode="nearest")
+    return ball_extreme(values, radius, np.maximum, range(np.ndim(values)))
 
 
 def stencil_min(values, radius):
     """Erosion by the Chebyshev ball of the given radius (l.s.c. hull)."""
     if radius == 0:
         return np.array(values, dtype=np.float64)
-    return ndimage.minimum_filter(values, size=2 * radius + 1, mode="nearest")
+    return ball_extreme(values, radius, np.minimum, range(np.ndim(values)))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _CHUNK_ROWS
+from ._kernels import block_rows
 from .conjugacy import (
     EVIDENCE,
     CoercivityReport,
@@ -163,7 +163,10 @@ class TightnessCriterion:
     coercivity: CoercivityReport = field(repr=False)  # the report behind strongly_coercive
 
 
-def tightness_criterion(kernel, g, *, window_margin=0.1, sides=None, x_sides=None, stencil_radius=1):
+def tightness_criterion(
+    kernel, g, *, window_margin=0.1, sides=None, x_sides=None, stencil_radius=1,
+    _masks=None,
+):
     """Search for a bounded-below kernel row based at a locally-bounded node.
 
     Asymptotic tightness of the family follows when the kernel is
@@ -171,20 +174,22 @@ def tightness_criterion(kernel, g, *, window_margin=0.1, sides=None, x_sides=Non
     bounded below.  On a window, bounded below means the row's minimum is
     not pinned to an edge that emulates infinity.  The witness is the
     first such x0 in node order; the rows are searched in blocks.
+    ``_masks`` is ``domain_masks(g, stencil_radius)`` when the caller
+    has already built it.
     """
     co = coercivity_report(
         kernel, window_margin, stencil_radius=stencil_radius, sides=sides,
         x_sides=x_sides,
     )
     strong = co.all_coercive
-    masks = domain_masks(g, stencil_radius)
+    masks = _masks if _masks is not None else domain_masks(g, stencil_radius)
     nodes = np.flatnonzero(masks.idom.reshape(-1))
-    b = kernel.matrix()
     inner = inner_window_mask(kernel.y_grid, window_margin, sides)
     witness = None
-    for lo in range(0, nodes.size, _CHUNK_ROWS):
-        xs = nodes[lo : lo + _CHUNK_ROWS]
-        rows = b[xs]
+    step = block_rows(kernel.y_grid.size)
+    for lo in range(0, nodes.size, step):
+        xs = nodes[lo : lo + step]
+        rows = kernel.rows(xs)
         low = rows.min(axis=1)
         hit = (low > NEG_INF) & (inner & (rows == low[:, None])).any(axis=1)
         if hit.any():
@@ -262,14 +267,14 @@ def pipeline(
     )
     masks = domain_masks(g, stencil_radius)
     xprime = masks.idom.reshape(-1)
-    cov = build_covering(g, k, xprime, stencil_radius)
+    cov = build_covering(g, k, xprime, stencil_radius, _masks=masks)
     rate = cov.subdiff.dual
     density = lifted_candidate(rate)
     fbar = MaxPlusForm(density)
 
     tight = tightness_criterion(
         k, g, window_margin=window_margin, sides=sides, x_sides=x_sides,
-        stencil_radius=stencil_radius,
+        stencil_radius=stencil_radius, _masks=masks,
     )
     co = tight.coercivity
     fc = superlevel_compactness_report(density, k, window_margin, sides=sides)

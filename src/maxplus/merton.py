@@ -22,8 +22,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
+from . import _normal
 from ._normal import log_gauss_mass, log_mgf_piecewise_linear, mask_runs
 from .convergence import FormSequence, trend_limit
 from .conjugacy import Kernel
@@ -285,12 +285,12 @@ class MertonValueForm(QuasiLinearForm):
         mu, sd = self._law()
         if sd == 0.0:
             return intercept + slope * max(mu, a)
-        t1 = T * (intercept + slope * a) + log_ndtr((a - mu) / sd)
+        t1 = T * (intercept + slope * a) + _normal.log_ndtr((a - mu) / sd)
         t2 = (
             T * intercept
             + T * slope * mu
             + T * slope * slope * sd * sd * T / 2.0
-            + log_ndtr(-(a - mu - slope * sd * sd * T) / sd)
+            + _normal.log_ndtr(-(a - mu - slope * sd * sd * T) / sd)
         )
         m = np.maximum(t1, t2)
         u, v = np.asarray(t1 - m), np.asarray(t2 - m)
@@ -323,7 +323,7 @@ class MertonValueForm(QuasiLinearForm):
             if sd == 0.0:
                 terms.append(0.0 if mu <= a else NEG_INF)
             else:
-                terms.append(float(log_ndtr((a - mu) / sd)))
+                terms.append(float(_normal.log_ndtr((a - mu) / sd)))
         if not terms:
             return NEG_INF
         m = max(terms)
@@ -416,7 +416,7 @@ def exact_tail_value(c, xi, p, horizon):
     u = (c - drift_rate(xi, p) - math.log(p.w0) / T) * math.sqrt(T) / (
         p.sigma * abs(xi)
     )
-    return float(log_ndtr(-u) / T)
+    return float(_normal.log_ndtr(-u) / T)
 
 
 @dataclass(frozen=True)

@@ -232,11 +232,20 @@ def clipped_merton_affine(p, horizon, xi, floor, slope):
 # field.
 
 
+def ball_slices(grid, flat_index, radius):
+    """Index bounds of the Chebyshev ball around a node, per axis."""
+    idx = np.unravel_index(flat_index, grid.n)
+    return tuple(
+        (max(0, i - radius), min(k - 1, i + radius))
+        for i, k in zip(np.atleast_1d(idx), grid.n)
+    )
+
+
 def _neighborhood_gain(b, grid, x_index, radius):
     """max_{z in ball(x)} b(z, ·) - b(x, ·) with max-plus conventions."""
     from maxplus.grids import otimes
 
-    bounds = grid.ball_slices(x_index, radius)
+    bounds = ball_slices(grid, x_index, radius)
     if grid.dim == 1:
         rows = range(bounds[0][0], bounds[0][1] + 1)
         flat_rows = list(rows)
@@ -414,7 +423,7 @@ def slow_tightness_witness(kernel, g, *, window_margin=0.1, sides=None, stencil_
 def _chebyshev_ball_mask(grid, flat_index, radius):
     mask = np.zeros(grid.n, dtype=bool)
     sl = tuple(
-        slice(lo, hi + 1) for lo, hi in grid.ball_slices(flat_index, radius)
+        slice(lo, hi + 1) for lo, hi in ball_slices(grid, flat_index, radius)
     )
     mask[sl] = True
     return mask.reshape(-1)

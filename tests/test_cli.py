@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -293,3 +296,28 @@ def test_malformed_table_rows_exit_3(tmp_path, capsys, rows):
     cfg.write_text(json.dumps(obj))
     assert run(["covering", "--config", cfg, "--out-dir", tmp_path]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_core_import_and_gaussian_ldp_load_no_scipy(tmp_path):
+    # scipy.special is imported at the first Gaussian interval mass; the
+    # CLI, the kernels and a Gaussian ldp without set bounds need numpy only
+    import maxplus
+
+    code = "\n".join([
+        "import sys",
+        "import maxplus.cli",
+        "def scipy_modules():",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "assert not scipy_modules(), scipy_modules()",
+        "argv = ['ldp', '--config', sys.argv[1], '--out-dir', sys.argv[2]]",
+        "assert maxplus.cli.main(argv) == 0",
+        "assert not scipy_modules(), scipy_modules()",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(maxplus.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(SCENARIOS / "gaussian_ldp.json"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "gaussian_ldp_out.json").exists()
+

@@ -192,11 +192,31 @@ def test_legendre_bit_exact_stress(rng):
 
 
 # ---------------------------------------------------------------------------
-# kernels: chunked evaluation against one-shot dense expressions
+# kernels: blocked evaluation against one-shot dense expressions
 # ---------------------------------------------------------------------------
 
-# row counts on both sides of the kernels' chunk size
-KERNEL_ROWS = [1, _kernels._CHUNK_ROWS - 1, _kernels._CHUNK_ROWS, _kernels._CHUNK_ROWS + 1, 600]
+BUDGET = _kernels._CELL_BUDGET
+CHUNK = _kernels._CHUNK_ROWS  # X-nodes per chunk of the pruned 2-D action
+ROWS_97 = _kernels.block_rows(97)  # X-rows per dense block at |Y| = 97
+
+# row counts on both sides of the 2-D chunk and of the dense block at |Y| = 97
+KERNEL_ROWS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 600, ROWS_97 - 1, ROWS_97, ROWS_97 + 1]
+
+# (|X|, |Y|) at the block edges where |Y| decides the block height: rows
+# either side of a 7-row block, a |Y| wider than the budget (one row per
+# block) and |Y| = 1 (the budget's worth of rows per block)
+EDGE_SHAPES = [
+    (6, BUDGET // 7), (7, BUDGET // 7), (8, BUDGET // 7),
+    (3, BUDGET + 1), (BUDGET - 1, 1), (BUDGET, 1), (BUDGET + 1, 1),
+]
+EDGE_IDS = [f"{nx}x{ny}" for nx, ny in EDGE_SHAPES]
+
+
+def test_block_rows_fill_the_budget():
+    assert ROWS_97 == BUDGET // 97
+    assert _kernels.block_rows(BUDGET // 7) == 7
+    assert _kernels.block_rows(BUDGET + 1) == 1
+    assert _kernels.block_rows(1) == BUDGET
 
 
 def kernel_neg_f(rng, ny):
@@ -245,6 +265,19 @@ def test_matvec_bilinear_2d_bit_exact_against_dense(rng, nx):
     assert np.array_equal(_kernels.matvec_bilinear_2d(x0, x1, y0, y1, neg_f), dense)
 
 
+@pytest.mark.parametrize("nx,ny", EDGE_SHAPES, ids=EDGE_IDS)
+def test_dense_actions_at_block_edges(rng, nx, ny):
+    neg_f = kernel_neg_f(rng, ny)
+    table = rng.uniform(-5, 5, (nx, ny))
+    table[rng.random((nx, ny)) < 0.1] = NEG
+    dense = np.where(table == NEG, NEG, table + neg_f[None, :]).max(axis=1)
+    assert np.array_equal(_kernels.matvec_table(table, neg_f), dense)
+    x = rng.uniform(-3, 3, nx)
+    y = rng.uniform(-2, 2, ny)
+    dense = (x[:, None] * y[None, :] + neg_f[None, :]).max(axis=1)
+    assert np.array_equal(_kernels.matvec_bilinear(x, y, neg_f), dense)
+
+
 @pytest.mark.parametrize("nx", KERNEL_ROWS)
 def test_envelope_merge_bit_exact_against_dense(rng, nx):
     ny = 97
@@ -253,6 +286,62 @@ def test_envelope_merge_bit_exact_against_dense(rng, nx):
     xs = np.sort(rng.uniform(-3, 3, nx))
     dense = (xs[:, None] * slopes[None, :] + icepts[None, :]).max(axis=1)
     assert np.array_equal(_kernels.envelope_merge(slopes, icepts, xs), dense)
+
+
+# ---------------------------------------------------------------------------
+# kernel blocks
+# ---------------------------------------------------------------------------
+
+def block_kernels(rng):
+    """A 1-D bilinear, a 2-D bilinear and a table kernel with -inf entries."""
+    x1, y1 = Grid.line(-3, 3, 37), Grid.line(-2, 2, 23)
+    x2, y2 = Grid.box((-1, -2), (1, 2), (5, 7)), Grid.box((-3, 0), (3, 1), (4, 6))
+    table = rng.uniform(-5, 5, (37, 23))
+    table[rng.random((37, 23)) < 0.2] = NEG
+    table[:, 0] = table[0] = 1.0
+    return [Kernel.bilinear(x1, y1), Kernel.bilinear(x2, y2), Kernel.from_table(x1, y1, table)]
+
+
+def test_kernel_rows_bit_exact_against_matrix(rng):
+    for k in block_kernels(rng):
+        m = k.matrix()
+        nx = k.x_grid.size
+        idx = rng.permutation(nx)[: nx // 2]
+        assert np.array_equal(k.rows(slice(None)), m)
+        assert np.array_equal(k.rows(slice(3, 11)), m[3:11])
+        assert np.array_equal(k.rows(idx), m[idx])
+        assert k.rows(idx[:0]).shape == (0, k.y_grid.size)
+        for i in (0, nx // 2, nx - 1):
+            assert np.array_equal(k.row(i).flat, m[i])
+        # the bilinear cells are the products the conjugate itself takes
+        if k.kind == "bilinear" and k.x_grid.dim == 1:
+            want = np.multiply.outer(k.x_grid.coords, k.y_grid.coords)
+            assert np.array_equal(m.view(np.int64), want.view(np.int64))
+
+
+def dense_attain(g, k):
+    """The attainment matrix in one dense evaluation."""
+    b = k.matrix()
+    gv = g.flat
+    dual = conjugate(g, k.transpose()).flat
+    return np.isfinite(b) & (gv[:, None] < POS) & (otimes(b, -gv[:, None]) == dual)
+
+
+@pytest.mark.parametrize(
+    "nx,ny", [(1, 97), (ROWS_97 - 1, 97), (ROWS_97, 97), (ROWS_97 + 1, 97)]
+    + [s for s in EDGE_SHAPES if s[0] < 100] + [(5, 1)],
+)
+def test_subdifferential_map_bit_exact_at_block_edges(rng, nx, ny):
+    xg = Grid.line(-2, 2, nx) if nx > 1 else Grid.line(0.0, 0.0, 1)
+    yg = Grid.line(-3, 3, ny) if ny > 1 else Grid.line(0.0, 0.0, 1)
+    g = np.round(rng.uniform(-2, 2, nx) + xg.coords**2, 1)
+    g[rng.random(nx) < 0.05] = POS
+    k = Kernel.bilinear(xg, yg)
+    for gv in (g, xg.coords**2 / 2):
+        fn = GridFn(xg, gv)
+        sd = subdifferential_map(fn, k)
+        assert np.array_equal(sd.attain, dense_attain(fn, k))
+        assert not sd.attain.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -407,25 +407,6 @@ def test_default_interval_sets_cap_and_shape():
         assert np.array_equal(open_, want)
 
 
-def test_report_exports(tmp_path):
-    import json
-    from maxplus.convergence import report_to_csv, report_to_json
-    from maxplus.serialize import dumps
-
-    g = Grid.line(-3, 3, 61)
-    seq = gaussian_mean_sequence(g, (64, 128, 256))
-    rep = ldp_bounds_check(seq, quadratic_limit_form(g),
-                           closed_sets=[g.coords >= 1.0], tol=1e-2)
-    path = tmp_path / "rows.csv"
-    report_to_csv(rep, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "set_id,kind,lhs_trend,rhs,margin,verdict"
-    assert len(lines) == 2
-    obj = json.loads(dumps(report_to_json(rep)))
-    assert obj["statements"]["closed_limsup"]["verdict"] == "PASS"
-    assert len(obj["sets"]) == 1
-
-
 @pytest.mark.filterwarnings("error")
 def test_trend_limit_of_an_overflowing_fit_is_nan():
     # the fit's residual is inf, so there is no usable trend

@@ -5,7 +5,7 @@ search of ``tightness_criterion`` run as array code over blocks of
 X-rows.  Each report must equal, field by field, what the per-row loops
 in ``tests/oracles.py`` return: on table kernels with sprinkled -inf, on
 1-D and 2-D bilinear kernels, on single-node axes, and at row counts
-that cross the block boundary.  No RuntimeWarning may fire.
+on both sides of the dense block edges.  No RuntimeWarning may fire.
 """
 
 import numpy as np
@@ -30,8 +30,15 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 NEG = float("-inf")
 POS = float("inf")
 
-CHUNK = _kernels._CHUNK_ROWS
-ROW_COUNTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 600]
+BUDGET = _kernels._CELL_BUDGET
+# row counts up to and past a 256-node chunk; at |Y| <= 61 all but 600
+# fit in one dense block
+ROW_COUNTS = [1, 255, 256, 257, 600]
+# (|X|, |Y|) at the edges of the budget's blocks: rows on both sides of a
+# 7-row block, |Y| wider than the budget (one row per block) and |Y| = 1
+EDGE_SHAPES = [
+    (6, BUDGET // 7), (7, BUDGET // 7), (8, BUDGET // 7), (3, BUDGET + 1), (5, 1),
+]
 
 SIDES = {
     "open": None,
@@ -121,12 +128,9 @@ def test_table_kernel_reports_equal_per_row_loops(case, radius, sides, x_sides, 
     assert_tightness_equal(k, g, radius=radius, sides=SIDES[sides], x_sides=SIDES[x_sides])
 
 
-@pytest.mark.parametrize("nx", ROW_COUNTS)
-@pytest.mark.parametrize("radius", [0, 1, 2])
-def test_banded_table_across_blocks(nx, radius):
+def assert_banded_table_equal(nx, ny, radius):
     # a band of finite entries, so the finite inner count differs by row
     rng = np.random.default_rng(nx + 10 * radius)
-    ny = 48
     i = np.arange(nx)[:, None] * (ny - 1) // max(nx - 1, 1)
     j = np.arange(ny)[None, :]
     b = np.where(np.abs(i - j) <= 6, np.round(rng.normal(0, 4, (nx, ny)), 1), NEG)
@@ -139,6 +143,18 @@ def test_banded_table_across_blocks(nx, radius):
     assert_tightness_equal(k, g, radius=radius)
 
 
+@pytest.mark.parametrize("nx", ROW_COUNTS)
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_banded_table_across_blocks(nx, radius):
+    assert_banded_table_equal(nx, 48, radius)
+
+
+@pytest.mark.parametrize("nx,ny", EDGE_SHAPES)
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_banded_table_at_block_edges(nx, ny, radius):
+    assert_banded_table_equal(nx, ny, radius)
+
+
 # ---------------------------------------------------------------------------
 # bilinear kernels
 # ---------------------------------------------------------------------------
@@ -149,6 +165,17 @@ def test_banded_table_across_blocks(nx, radius):
 )
 def test_bilinear_1d_across_blocks(nx, radius, sides):
     xg, yg = line(nx, -2.0, 2.0), line(61, -4.0, 4.0)
+    k = Kernel.bilinear(xg, yg)
+    f = GridFn(yg, yg.coords**2 / 2)
+    assert_reports_equal(k, f, radius=radius, sides=SIDES[sides], x_sides=SIDES[sides])
+    g = GridFn(xg, xg.coords**2)
+    assert_tightness_equal(k, g, radius=radius, sides=SIDES[sides], x_sides=SIDES[sides])
+
+
+@pytest.mark.parametrize("nx,ny", EDGE_SHAPES)
+@pytest.mark.parametrize("radius,sides", [(0, "open"), (1, "half"), (2, "closed")])
+def test_bilinear_1d_at_block_edges(nx, ny, radius, sides):
+    xg, yg = line(nx, -2.0, 2.0), line(ny, -4.0, 4.0)
     k = Kernel.bilinear(xg, yg)
     f = GridFn(yg, yg.coords**2 / 2)
     assert_reports_equal(k, f, radius=radius, sides=SIDES[sides], x_sides=SIDES[sides])
@@ -178,21 +205,19 @@ def test_infinite_f(f_kind):
     assert_reports_equal(k, GridFn(yg, vals))
 
 
-BOXES = [
-    (1, 7), (7, 1), (1, 1), (5, 5),
-    (40, 15),   # 17 first-axis slices per block: halos cross blocks
-    (3, 300),   # one slice per block, wider than a block
-    (600, 1), (1, 600),
-]
+BOXES = [(1, 7), (7, 1), (1, 1), (5, 5), (40, 15), (3, 300), (600, 1), (1, 600)]
+
+# X-boxes at the block edges of a 128x128 Y-box, whose blocks hold 8 rows:
+# 7, 8 and 9 one-node slices; two 4-node slices per block, so that halos
+# cross blocks; 9-node slices, one per block and wider than the budget
+EDGE_BOXES = [(7, 1), (8, 1), (9, 1), (5, 4), (3, 9)]
 
 
-@pytest.mark.parametrize("n", BOXES, ids=[f"{a}x{b}" for a, b in BOXES])
-@pytest.mark.parametrize("radius", [0, 1, 2])
-def test_bilinear_2d_across_blocks(n, radius):
+def assert_box_reports_equal(n, y_n, radius):
     lo = tuple(-1.0 if m > 1 else 0.0 for m in n)
     hi = tuple(1.0 if m > 1 else 0.0 for m in n)
     xg = Grid(lo, hi, n)
-    yg = Grid.box((-3.0, -3.0), (3.0, 3.0), (9, 7))
+    yg = Grid.box((-3.0, -3.0), (3.0, 3.0), y_n)
     k = Kernel.bilinear(xg, yg)
     f = GridFn(yg, (yg.coords**2).sum(axis=1))
     closed = WindowSides((True, False), (False, True))
@@ -200,6 +225,19 @@ def test_bilinear_2d_across_blocks(n, radius):
     assert_reports_equal(k, f, radius=radius, sides=sides, x_sides=sides)
     g = GridFn(xg, (xg.coords**2).sum(axis=1))
     assert_tightness_equal(k, g, radius=radius, x_sides=closed)
+
+
+@pytest.mark.parametrize("n", BOXES, ids=[f"{a}x{b}" for a, b in BOXES])
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_bilinear_2d_across_blocks(n, radius):
+    assert_box_reports_equal(n, (9, 7), radius)
+
+
+@pytest.mark.parametrize("n", EDGE_BOXES, ids=[f"{a}x{b}" for a, b in EDGE_BOXES])
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_bilinear_2d_at_block_edges(n, radius):
+    assert _kernels.block_rows(128 * 128) == 8
+    assert_box_reports_equal(n, (128, 128), radius)
 
 
 # ---------------------------------------------------------------------------

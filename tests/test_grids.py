@@ -14,6 +14,7 @@ from maxplus import (
     oplus,
     otimes,
 )
+from maxplus.grids import ball_extreme, stencil_max, stencil_min
 
 NEG = NEG_INF
 POS = POS_INF
@@ -145,3 +146,51 @@ def test_2d_domain_masks():
     vals2[0, 0] = POS
     m2 = domain_masks(GridFn(g, vals2), 1)
     assert m2.idom.sum() == 5  # nodes not touching the corner
+
+
+# -- the stencil against scipy.ndimage's edge-clamped filters ----------------
+
+stencil_values = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.sampled_from([0.0, -0.0, NEG, POS]),
+)
+
+
+@st.composite
+def stencil_arrays(draw):
+    """1-D and 2-D float or bool arrays, single-node axes included."""
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=2)))
+    size = int(np.prod(shape))
+    if draw(st.booleans()):
+        vals = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        return np.array(vals, dtype=bool).reshape(shape)
+    vals = draw(st.lists(stencil_values, min_size=size, max_size=size))
+    return np.array(vals, dtype=np.float64).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stencil_arrays(), st.integers(0, 3))
+def test_stencil_matches_ndimage_nearest(values, radius):
+    # compared with ==: the sign ndimage gives a tie of +0 and -0 depends
+    # on the order of the cells
+    from scipy import ndimage
+
+    before = values.tobytes()
+    size = 2 * radius + 1
+    for ours, ref, op in (
+        (stencil_max, ndimage.maximum_filter, np.maximum),
+        (stencil_min, ndimage.minimum_filter, np.minimum),
+    ):
+        want = ref(values, size=size, mode="nearest")
+        got = ours(values, radius)
+        assert got.shape == want.shape and (got == want).all()
+        if radius:
+            assert got.dtype == want.dtype
+        # along the leading axes only, as the coercivity gain filters its
+        # X axes and not the Y axis
+        lead = range(values.ndim - 1)
+        want = ref(values, size=(size,) * len(lead) + (1,), mode="nearest")
+        got = ball_extreme(values, radius, op, lead)
+        assert got.dtype == values.dtype and (got == want).all()
+    assert values.tobytes() == before  # the input is untouched
+

@@ -126,6 +126,40 @@ def test_pipeline_computes_coercivity_once(monkeypatch):
     assert "coercivity" not in repr(t)
 
 
+def test_pipeline_builds_domain_masks_once(monkeypatch):
+    from maxplus import covering, grids, ldp
+
+    calls = []
+    original = grids.domain_masks
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (grids, covering, ldp):  # every module that bound it
+        monkeypatch.setattr(module, "domain_masks", counted)
+    out = pipeline(gaussian_input())
+    assert len(calls) == 1
+    assert out.verdict == "FULL_LDP"
+    assert out.covering.masks.idom is not None
+
+
+def test_pipeline_peak_memory_below_one_dense_kernel():
+    # the kernel is walked in cache-sized blocks: no |X| x |Y| float matrix
+    import tracemalloc
+
+    n = 1601
+    gin = gaussian_input(n=n)
+    tracemalloc.start()
+    try:
+        out = pipeline(gin)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.verdict == "FULL_LDP"
+    assert peak < 8 * n * n, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_tightness_criterion_zero_row_witness():
     g = Grid.line(-2, 2, 41)
     k = Kernel.bilinear(g, g)
