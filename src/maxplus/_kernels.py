@@ -5,15 +5,20 @@ the on-the-fly bilinear actions and the linear-time conjugate transform)
 are numpy code.  Every dense walk over the kernel, here and in the
 window diagnostics, takes ``block_rows(|Y|)`` X-rows at a time: as many
 |Y|-wide rows as fit in ``_CELL_BUDGET`` float64 cells (1 MiB), so that
-a block and its temporaries stay in cache and no |X|x|Y| matrix is ever
-built.  Each block evaluates every term with the same floating-point
+a block stays in cache and no |X|x|Y| matrix is ever built.  The dense
+actions allocate one block buffer per call and evaluate each block in
+place.  Each block evaluates every term with the same floating-point
 expression as a one-shot dense evaluation, so the blocked results are
-bit-identical to it.  The 2-D bilinear action skips most terms: a 1-D
-partial transform per Y-row bounds each row's best term to within a
-proved rounding slack, and only the rows that can hold the maximum are
-evaluated term by term.  It keeps chunks of ``_CHUNK_ROWS`` X-nodes,
-since its temporaries are per-row estimates and candidate cells rather
-than dense |Y|-wide slabs.
+bit-identical to it.
+
+The other two kernels skip most terms and stay bit-exact by a proved
+rounding bound.  The 2-D bilinear action bounds each Y-row's best term
+with a 1-D partial transform and evaluates only the rows that can hold
+the maximum; it keeps chunks of ``_CHUNK_ROWS`` X-nodes, since its
+temporaries are per-row estimates and candidate cells rather than dense
+|Y|-wide slabs.  The envelope merge gives every line an interval of x
+outside which a neighbouring hull line beats it after rounding, and
+evaluates each x only against the lines whose interval holds it.
 
 Conventions: values are float64 where -inf is the max-plus zero and is
 absorbing for addition; kernels never contain +inf; no NaN ever enters
@@ -24,7 +29,8 @@ import numpy as np
 
 _CELL_BUDGET = 2**17  # float64 cells per dense block (1 MiB)
 _CHUNK_ROWS = 256  # X-nodes per chunk of the pruned 2-D action
-_SLACK = 5 * 2.0**-53  # 2-D pruning: delta per unit of magnitude
+_U = 2.0**-53  # unit roundoff
+_SLACK = 5 * _U  # 2-D pruning: delta per unit of magnitude
 
 
 def block_rows(ny):
@@ -34,16 +40,21 @@ def block_rows(ny):
 
 def matvec_table(table, neg_f):
     """Row-wise max of table[i, j] + neg_f[j] with -inf absorbing."""
-    nx = table.shape[0]
+    nx, ny = table.shape
     out = np.empty(nx)
-    step = block_rows(neg_f.shape[0])
+    step = min(block_rows(ny), nx)
+    # one block, reused, in the table's memory order (a transposed kernel's
+    # table is column-major) as numpy's own table + neg_f would be: the
+    # order decides which zero a tie of +0 and -0 keeps
+    buf = np.empty_like(table[:step], dtype=np.float64)
     for lo in range(0, nx, step):
         hi = min(lo + step, nx)
+        t = buf[: hi - lo]
         with np.errstate(invalid="ignore"):
-            t = table[lo:hi] + neg_f[None, :]
+            np.add(table[lo:hi], neg_f, out=t)
         # -inf entries meeting +inf in neg_f give NaN; the convention is -inf
         t[np.isnan(t)] = -np.inf
-        out[lo:hi] = t.max(axis=1)
+        t.max(axis=1, out=out[lo:hi])
     return out
 
 
@@ -51,11 +62,14 @@ def matvec_bilinear(x, y, neg_f):
     """Row-wise max of x[i]*y[j] + neg_f[j]; products are always finite."""
     nx = x.shape[0]
     out = np.empty(nx)
-    step = block_rows(y.shape[0])
+    step = min(block_rows(y.shape[0]), nx)
+    buf = np.empty((step, y.shape[0]))  # one block, reused
     for lo in range(0, nx, step):
         hi = min(lo + step, nx)
-        t = np.multiply.outer(x[lo:hi], y) + neg_f[None, :]
-        out[lo:hi] = t.max(axis=1)
+        t = buf[: hi - lo]
+        np.multiply.outer(x[lo:hi], y, out=t)
+        t += neg_f
+        t.max(axis=1, out=out[lo:hi])
     return out
 
 
@@ -152,50 +166,108 @@ def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
 
 
 def envelope_merge(slopes, icepts, xs):
-    """Upper envelope of finite lines x -> x*s + c, evaluated on sorted xs.
+    """Max over the lines x -> fl(x*s) + c at each of the sorted xs.
 
-    ``slopes`` must be strictly increasing.  Near crossing points the
-    pointer may lag by one line because of rounding, so the value at each
-    x is the max over the current hull line and its two hull neighbours;
-    every candidate is evaluated with the same expression the dense path
-    uses (fl(x*s) + c).
+    Bit-identical to the dense max over all lines (``matvec_bilinear(xs,
+    slopes, icepts)``).  ``slopes`` are non-decreasing and finite, ``icepts``
+    lie in R ∪ {-inf} (a -inf line is -inf everywhere and never wins).
+
+    Write l_j(x) = x*s_j + c_j exactly and v_j(x) = fl(fl(x*s_j) + c_j).
+    With u = 2**-53, M = max|x| * max|s| + max|c| over the finite lines and
+    no overflow, each rounding errs by at most u times its result plus, on
+    underflow, 2**-1075, so |v_j - l_j| <= (2 + u)u*M + 2**-1074 and
+
+      (1) l_r(x) - l_j(x) > e := 4.01u*M + 2**-1072  implies  v_r(x) > v_j(x).
+
+    Let L and R be the hull lines (upper envelope, built with the float
+    cross-product test over Python lists) of next smaller and next larger
+    slope than s_j.  l_L - l_j = b - a*x with a = s_j - s_L > 0 and
+    b = c_L - c_j, so by (1) line j loses to L wherever b - a*x > e.  The
+    float lo_j = fl(fl(fl(b) - D) / fl(a)), with D = 16u*M + (1 + max|s|) *
+    2**-1060 (at least 15.9u*M + (1 + max|s|) * 2**-1061 as computed),
+    satisfies b - a*lo_j >= D(1 - 3.01u) - 4.02u|b| - a*2**-1075 >= e,
+    since |b| <= 2M and a <= 2 max|s|; so every x < lo_j has b - a*x > e.
+    A quotient that overflows to +inf stands for one beyond every float x,
+    and one that overflows to -inf excludes nothing.  Likewise line j
+    loses to R at every x > hi_j = fl(fl(fl(c_j - c_R) + D) / fl(s_R - s_j)).
+    A line with no L (no R) gets lo_j = -inf (hi_j = +inf).  For a hull
+    line these bounds are the crossing points with its hull neighbours,
+    widened by D / (slope gap); a line far below the hull gets lo_j > hi_j.
+
+    A line that loses to another does not hold the largest v(x), so at each
+    x every line holding it has lo_j <= x <= hi_j, and the max over these
+    candidates is the dense max.  Nothing here assumes the float hull is
+    the exact one; a hull that is off only adds candidates.  This matters
+    for near-collinear lines: there the computed max can belong to a line
+    the hull dropped, which the hull lines next to x need not beat.  The
+    candidates (x, j) come from ``searchsorted`` of lo_j and hi_j into xs;
+    for lines in general position there are about |lines| + |xs| of them.
+
+    Degenerate cases: where 4(M + max|s|) overflows, (1) and the bounds
+    fail, so every line is a candidate at every x; candidates are
+    evaluated a cell budget at a time, so memory stays bounded however
+    many there are.  A max equal to 0 is recomputed from its full dense
+    row, because the sign numpy gives a tie of +0 and -0 depends on the
+    order of the cells.
     """
-    m = slopes.shape[0]
-    keep = np.empty(m, dtype=np.int64)
+    out = np.full(xs.shape[0], -np.inf)
+    fin = np.flatnonzero(np.isfinite(icepts))
+    if fin.size == 0:
+        return out
+    s, c = slopes[fin], icepts[fin]
+    hs, hc = _upper_hull(s.tolist(), c.tolist())
+    left = np.searchsorted(hs, s, "left") - 1  # hull line of next smaller slope
+    right = np.searchsorted(hs, s, "right")  # ... and of next larger slope
+    smax = np.abs(s).max()
+    lo = np.full(s.size, -np.inf)
+    hi = np.full(s.size, np.inf)
+    with np.errstate(over="ignore"):
+        mag = np.abs(xs).max() * smax + np.abs(c).max()
+        d = 16 * _U * mag + (1 + smax) * 2.0**-1060
+        if np.isfinite(4 * (mag + smax)):
+            i = np.flatnonzero(left >= 0)
+            lo[i] = ((hc[left[i]] - c[i]) - d) / (s[i] - hs[left[i]])
+            i = np.flatnonzero(right < hs.size)
+            hi[i] = ((c[i] - hc[right[i]]) + d) / (hs[right[i]] - s[i])
+
+    # candidate pairs (x, line), in groups of lines holding about a cell
+    # budget of pairs, so that degenerate inputs stay within memory
+    first = np.searchsorted(xs, lo, "left")
+    n = np.maximum(np.searchsorted(xs, hi, "right") - first, 0)
+    cum = np.cumsum(n)
+    cuts = np.searchsorted(cum, np.arange(_CELL_BUDGET, cum[-1], _CELL_BUDGET), "right")
+    for a, b in zip([0, *cuts], [*cuts, s.size]):
+        k = n[a:b]
+        line = np.repeat(np.arange(a, b), k)
+        node = np.arange(line.size) + np.repeat(first[a:b] - (np.cumsum(k) - k), k)
+        np.maximum.at(out, node, xs[node] * s[line] + c[line])
+
+    zero = np.flatnonzero(out == 0)
+    if zero.size:
+        out[zero] = matvec_bilinear(xs[zero], slopes, icepts)
+    return out
+
+
+def _upper_hull(slopes, icepts):
+    """Slopes and intercepts of the upper envelope's lines, slopes non-decreasing.
+
+    Of lines with equal slopes the first of largest intercept is kept; a
+    line is dropped when the float cross-product test finds that it never
+    strictly wins between its two neighbours.
+    """
+    ks, kc = [0.0] * len(slopes), [0.0] * len(slopes)
     k = 0
-    for j in range(m):
-        sj = slopes[j]
-        cj = icepts[j]
-        if k > 0 and slopes[keep[k - 1]] == sj:
-            if icepts[keep[k - 1]] >= cj:
+    for sj, cj in zip(slopes, icepts):
+        if k and ks[k - 1] == sj:
+            if kc[k - 1] >= cj:
                 continue
             k -= 1
         while k >= 2:
-            a = keep[k - 2]
-            b = keep[k - 1]
-            # line b never strictly wins if its crossing with a is at or
-            # past its crossing with j
-            if (icepts[a] - icepts[b]) * (sj - slopes[b]) >= (icepts[b] - cj) * (slopes[b] - slopes[a]):
+            sb, cb = ks[k - 1], kc[k - 1]
+            if (kc[k - 2] - cb) * (sj - sb) >= (cb - cj) * (sb - ks[k - 2]):
                 k -= 1
             else:
                 break
-        keep[k] = j
+        ks[k], kc[k] = sj, cj
         k += 1
-
-    out = np.empty(xs.shape[0])
-    p = 0
-    for i in range(xs.shape[0]):
-        x = xs[i]
-        while p + 1 < k and x * slopes[keep[p + 1]] + icepts[keep[p + 1]] >= x * slopes[keep[p]] + icepts[keep[p]]:
-            p += 1
-        best = x * slopes[keep[p]] + icepts[keep[p]]
-        if p > 0:
-            v = x * slopes[keep[p - 1]] + icepts[keep[p - 1]]
-            if v > best:
-                best = v
-        if p + 1 < k:
-            v = x * slopes[keep[p + 1]] + icepts[keep[p + 1]]
-            if v > best:
-                best = v
-        out[i] = best
-    return out
+    return np.array(ks[:k]), np.array(kc[:k])

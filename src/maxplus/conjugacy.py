@@ -152,26 +152,22 @@ def legendre_fast(f, x_grid):
     """Legendre-Fenchel transform of a 1-D grid function in O(|X| + |Y|).
 
     Bit-identical to ``conjugate(f, Kernel.bilinear(x_grid, f.grid))``:
-    an upper-envelope pass over the lines y ↦ (slope y, intercept -f(y))
-    followed by a monotone merge against the sorted x nodes, evaluating
-    each candidate line with the same float expression the dense path
-    uses.
+    the lines y ↦ (slope y, intercept -f(y)) go through the upper-envelope
+    merge, which evaluates its candidates with the dense path's float
+    expression (see ``_kernels.envelope_merge``).  An f with a -inf node
+    gives +inf everywhere, as the dense path does.  The one input on which
+    the two paths differ is an f that is +inf everywhere: the dense path
+    returns -inf everywhere, this one raises ``ValidationError``.
     """
     if f.grid.dim != 1 or x_grid.dim != 1:
         raise ValidationError("legendre_fast handles 1-D grids only")
     vals = f.flat
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise ValidationError("legendre_fast: f has no finite value")
-    xs = x_grid.coords
     if np.isneginf(vals).any():
         # some line has intercept +inf, so the transform is +inf everywhere
         return GridFn(x_grid, np.full(x_grid.shape, POS_INF))
-    slopes = f.grid.coords[finite]
-    icepts = -vals[finite]
-    out = _kernels.envelope_merge(
-        np.ascontiguousarray(slopes), np.ascontiguousarray(icepts), xs
-    )
+    if not np.isfinite(vals).any():
+        raise ValidationError("legendre_fast: f has no finite value")
+    out = _kernels.envelope_merge(f.grid.coords, -vals, x_grid.coords)
     return GridFn(x_grid, out)
 
 

@@ -36,7 +36,14 @@ def num_to_json(v):
 
 
 def values_to_json(arr):
-    return [num_to_json(v) for v in np.asarray(arr).reshape(-1)]
+    """A float array as a JSON list: numbers, with "+inf"/"-inf" for the infinities."""
+    a = np.asarray(arr, dtype=np.float64).reshape(-1)
+    if np.isnan(a).any():
+        raise ValidationError("NaN cannot be serialized")
+    out = a.tolist()
+    for i in np.flatnonzero(np.isinf(a)).tolist():
+        out[i] = "+inf" if out[i] > 0 else "-inf"
+    return out
 
 
 _INFINITIES = {"+inf": math.inf, "-inf": -math.inf}
@@ -95,11 +102,7 @@ def gridfn_from_json(obj, tag="plain"):
 def kernel_to_json(k):
     if k.kind == "bilinear":
         return {"type": "bilinear"}
-    rows = [
-        [num_to_json(v) for v in row]
-        for row in np.asarray(k.table)
-    ]
-    return {"type": "table", "rows": rows}
+    return {"type": "table", "rows": [values_to_json(row) for row in k.table]}
 
 
 def kernel_from_json(obj, x_grid, y_grid):

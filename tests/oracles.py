@@ -67,6 +67,56 @@ def dense_bilinear_2d(x0, x1, y0, y1, neg_f, chunk=256):
     return out
 
 
+def slow_envelope_merge(slopes, icepts, xs):
+    """The library's upper-envelope merge before it became array code.
+
+    A hull pass, then a pointer that walks the hull as x grows and takes
+    the max over its current line and the two hull neighbours.  It equals
+    the dense max for lines in general position, but not always for
+    near-collinear lines, where the computed max can belong to a line the
+    hull dropped.  ``slopes`` strictly increasing, ``icepts`` finite.
+    """
+    m = slopes.shape[0]
+    keep = np.empty(m, dtype=np.int64)
+    k = 0
+    for j in range(m):
+        sj = slopes[j]
+        cj = icepts[j]
+        if k > 0 and slopes[keep[k - 1]] == sj:
+            if icepts[keep[k - 1]] >= cj:
+                continue
+            k -= 1
+        while k >= 2:
+            a = keep[k - 2]
+            b = keep[k - 1]
+            # line b never strictly wins if its crossing with a is at or
+            # past its crossing with j
+            if (icepts[a] - icepts[b]) * (sj - slopes[b]) >= (icepts[b] - cj) * (slopes[b] - slopes[a]):
+                k -= 1
+            else:
+                break
+        keep[k] = j
+        k += 1
+
+    out = np.empty(xs.shape[0])
+    p = 0
+    for i in range(xs.shape[0]):
+        x = xs[i]
+        while p + 1 < k and x * slopes[keep[p + 1]] + icepts[keep[p + 1]] >= x * slopes[keep[p]] + icepts[keep[p]]:
+            p += 1
+        best = x * slopes[keep[p]] + icepts[keep[p]]
+        if p > 0:
+            v = x * slopes[keep[p - 1]] + icepts[keep[p - 1]]
+            if v > best:
+                best = v
+        if p + 1 < k:
+            v = x * slopes[keep[p + 1]] + icepts[keep[p + 1]]
+            if v > best:
+                best = v
+        out[i] = best
+    return out
+
+
 def enumerate_preimages(b_rows, g, xprime, value_set, cap=2):
     """Count solutions of the pre-image problem over a quantized value set.
 

@@ -321,3 +321,20 @@ def test_core_import_and_gaussian_ldp_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "gaussian_ldp_out.json").exists()
 
+
+
+@pytest.mark.parametrize("values", [["-inf", "+inf", "+inf"], ["-inf", "-inf", "-inf"]],
+                         ids=["neg-inf-and-plus-inf", "all-neg-inf"])
+def test_conjugate_fast_with_neg_inf_and_no_finite_value(tmp_path, values):
+    line = {"lo": -1.0, "hi": 1.0, "n": 3, "dim": 1}
+    for fast in (True, False):
+        cfg = tmp_path / f"fast_{fast}.json"
+        cfg.write_text(json.dumps({
+            "kind": "conjugate", "x_grid": line, "y_grid": line,
+            "kernel": {"type": "bilinear"}, "f": {"grid": line, "values": values},
+            "fast": fast, "out": f"out_{fast}.json",
+        }))
+        assert run(["conjugate", "--config", cfg, "--out-dir", tmp_path]) == 0
+    fast_bytes = (tmp_path / "out_True.json").read_bytes()
+    assert fast_bytes == (tmp_path / "out_False.json").read_bytes()
+    assert json.loads(fast_bytes)["values"] == ["+inf"] * 3

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxplus import (
     Grid,
@@ -18,7 +22,7 @@ from maxplus import (
     superlevel_compactness_report,
 )
 from maxplus import _kernels
-from oracles import slow_conjugate
+from oracles import slow_conjugate, slow_envelope_merge
 
 NEG = NEG_INF
 POS = POS_INF
@@ -166,6 +170,15 @@ def test_legendre_rejects_all_infinite():
         legendre_fast(GridFn(yg, np.full(5, POS)), yg)
 
 
+@pytest.mark.parametrize("vals", [[NEG, POS, POS], [NEG, NEG, NEG]], ids=["neg-inf-and-plus-inf", "all-neg-inf"])
+def test_legendre_neg_inf_without_finite_values(vals):
+    yg = Grid.line(-1, 1, 3)
+    f = GridFn(yg, vals)
+    fast = legendre_fast(f, yg)
+    assert np.array_equal(fast.values, conjugate(f, Kernel.bilinear(yg, yg)).values)
+    assert np.all(np.isposinf(fast.values))
+
+
 def test_legendre_neg_inf_propagates():
     yg = Grid.line(-1, 1, 5)
     vals = np.array([0.0, NEG, 1.0, 2.0, 3.0])
@@ -286,6 +299,185 @@ def test_envelope_merge_bit_exact_against_dense(rng, nx):
     xs = np.sort(rng.uniform(-3, 3, nx))
     dense = (xs[:, None] * slopes[None, :] + icepts[None, :]).max(axis=1)
     assert np.array_equal(_kernels.envelope_merge(slopes, icepts, xs), dense)
+
+
+def test_dense_actions_hold_one_block(rng):
+    """A dense action allocates one block buffer per call, not one per block."""
+    n = 4096
+    x = np.sort(rng.uniform(-3, 3, n))
+    y = np.linspace(-2, 2, n)
+    neg_f = kernel_neg_f(rng, n)
+    table = np.broadcast_to(y, (n, n))  # the table's rows, without 128 MiB of them
+    limit = 1.5 * BUDGET * 8 + n * 8  # 1.5 blocks plus the output
+    for action, args in ((_kernels.matvec_bilinear, (x, y, neg_f)),
+                         (_kernels.matvec_table, (table, neg_f))):
+        tracemalloc.start()
+        try:
+            action(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (action.__name__, peak, limit)
+
+
+def test_matvec_table_transposed_keeps_the_dense_zero_sign(rng):
+    """A transposed table is column-major; its ±0 ties keep the dense sum's sign."""
+    for ny in [*rng.integers(1, 40, 20), 97]:
+        nx = 3000 if ny < 97 else ROWS_97 + 1  # one block; then two at |Y| = 97
+        table = rng.choice([0.0, -0.0, NEG], size=(ny, nx)).T
+        neg_f = rng.choice([0.0, -0.0, NEG, POS], size=ny)
+        with np.errstate(invalid="ignore"):
+            t = table + neg_f[None, :]
+        t[np.isnan(t)] = NEG
+        want = t.max(axis=1)
+        got = _kernels.matvec_table(table, neg_f)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# upper-envelope merge against the dense max, bit for bit
+# ---------------------------------------------------------------------------
+
+def dense_envelope(slopes, icepts, xs):
+    """max over lines of fl(x*s) + c, every cell: the dense action's expression."""
+    return (np.multiply.outer(xs, slopes) + icepts[None, :]).max(axis=1)
+
+
+def assert_envelope_exact(slopes, icepts, xs):
+    got = _kernels.envelope_merge(slopes, icepts, xs)
+    want = dense_envelope(slopes, icepts, xs)
+    diff = got.view(np.uint64) != want.view(np.uint64)
+    assert not diff.any(), (xs[diff][:3], got[diff][:3], want[diff][:3])
+    return got
+
+
+def near_collinear(rng, n):
+    """Lines through nearly one point (x0, y0): nearly collinear (s, c) points."""
+    s = np.unique(rng.uniform(-3, 3, n))
+    x0, y0 = rng.uniform(-2, 2, 2)
+    c = y0 - x0 * s + rng.integers(-2, 3, s.size) * 1e-16
+    xs = np.sort(x0 + rng.integers(-4, 5, 40) * np.spacing(x0))
+    return s, c, xs
+
+
+def test_envelope_near_collinear_lines(rng):
+    old_differs = 0
+    for _ in range(400):
+        s, c, xs = near_collinear(rng, int(rng.integers(2, 60)))
+        got = assert_envelope_exact(s, c, xs)
+        old = slow_envelope_merge(s, c, xs)
+        old_differs += not np.array_equal(old.view(np.uint64), got.view(np.uint64))
+    # the pointer walk over the hull misses lines the hull dropped
+    assert old_differs > 0
+
+
+def test_envelope_nodes_within_an_ulp_of_crossings(rng):
+    for _ in range(100):
+        n = int(rng.integers(2, 50))
+        s = np.unique(rng.uniform(-3, 3, n))
+        c = rng.uniform(-4, 4, s.size)
+        # crossing points of every consecutive pair, and the floats either side
+        t = (c[:-1] - c[1:]) / (s[1:] - s[:-1])
+        t = t[np.abs(t) < 10]
+        xs = np.sort(np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]))
+        if xs.size:
+            assert_envelope_exact(s, c, xs)
+
+
+def test_envelope_matches_the_old_loop_in_general_position(rng):
+    for _ in range(100):
+        n = int(rng.integers(1, 300))
+        s = np.unique(rng.uniform(-3, 3, n))
+        c = rng.uniform(-4, 4, s.size)
+        xs = np.sort(rng.uniform(-4, 4, int(rng.integers(1, 300))))
+        got = assert_envelope_exact(s, c, xs)
+        assert np.array_equal(got.view(np.uint64), slow_envelope_merge(s, c, xs).view(np.uint64))
+
+
+@pytest.mark.parametrize("case", ["one line", "one x", "equal slopes", "duplicate lines"])
+def test_envelope_degenerate_hulls(rng, case):
+    xs = np.sort(rng.uniform(-3, 3, 50))
+    if case == "one line":
+        s, c = np.array([0.5]), np.array([-1.25])
+    elif case == "one x":
+        s, c = np.linspace(-2, 2, 97), rng.uniform(-4, 4, 97)
+        xs = xs[:1]
+    elif case == "equal slopes":
+        # a one-line hull and no neighbour in slope: every line is a
+        # candidate everywhere, more pairs than one cell budget
+        s, c = np.full(3000, 1.5), rng.uniform(-4, 4, 3000)
+    else:  # non-decreasing slopes, each line twice
+        s = np.repeat(np.linspace(-2, 2, 9), 2)
+        c = np.repeat(rng.uniform(-4, 4, 9), 2)
+    assert_envelope_exact(s, c, xs)
+
+
+@pytest.mark.parametrize("f_zero", [0.0, -0.0])
+def test_envelope_signed_zero_ties(f_zero):
+    slopes = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    for xs in (np.array([-0.0]), np.array([0.0]), np.array([-0.0, 0.0]), np.array([-1.0, -0.0, 0.0, 1.0])):
+        for pattern in range(2**slopes.size):
+            # f = f_zero on the chosen nodes and 1 elsewhere: ties at 0 only
+            chosen = (pattern >> np.arange(slopes.size)) & 1 == 1
+            icepts = np.where(chosen, -f_zero, -1.0)
+            assert_envelope_exact(slopes, icepts, xs)
+            icepts[~chosen] = NEG  # f = +inf: -inf lines between the zeros
+            if chosen.any():
+                assert_envelope_exact(slopes, icepts, xs)
+
+
+def test_envelope_huge_intercepts_take_every_line(rng):
+    # 4*(M + max|s|) overflows: every line is a candidate, still exact
+    s = np.linspace(-2, 2, 33)
+    c = rng.uniform(-1, 1, 33) * 1e308
+    assert_envelope_exact(s, c, np.sort(rng.uniform(-3, 3, 40)))
+
+
+def test_envelope_all_neg_inf_lines():
+    out = _kernels.envelope_merge(np.array([0.0, 1.0]), np.array([NEG, NEG]), np.array([0.5]))
+    assert np.array_equal(out, [NEG])
+
+
+@st.composite
+def lines_and_nodes(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["uniform", "near-collinear", "quantized", "quadratic"]))
+    if kind == "near-collinear":
+        s, c, xs = near_collinear(rng, n)
+    else:
+        s = np.sort(rng.uniform(-3, 3, n)) if kind != "quantized" else np.unique(rng.integers(-4, 5, n) / 2.0)
+        if kind == "uniform":
+            c = rng.uniform(-4, 4, s.size)
+        elif kind == "quantized":
+            c = rng.integers(-4, 5, s.size) / 4.0
+        else:
+            c = -np.round(s * s / 2, 1)
+        xs = np.sort(rng.choice([rng.uniform(-3, 3), 0.0, -0.0, 0.5], size=draw(st.integers(1, 30))))
+    if draw(st.booleans()):
+        c = c.copy()
+        c[rng.random(c.size) < 0.2] = NEG
+    return s, c, xs
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines_and_nodes())
+def test_envelope_property_against_dense(case):
+    assert_envelope_exact(*case)
+
+
+def test_legendre_fast_matches_dense_with_plus_inf_nodes_and_zero_ties(rng):
+    yg = Grid.line(-2, 2, 9)  # nodes -2, -1.5, ..., 2 with an exact 0
+    xg = Grid.line(-1, 1, 5)
+    for _ in range(200):
+        vals = rng.choice([0.0, -0.0, 1.0, POS], size=9)
+        if not np.isfinite(vals).any():
+            continue
+        f = GridFn(yg, vals)
+        fast = legendre_fast(f, xg).values
+        dense = conjugate(f, Kernel.bilinear(xg, yg)).values
+        assert np.array_equal(fast.view(np.uint64), dense.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,21 @@ def test_infinity_string_convention():
         values_from_json([float("nan")])
 
 
+def test_values_to_json_matches_the_per_value_rule():
+    from maxplus.serialize import values_to_json
+
+    arr = np.array([1.5, -0.0, 0.0, POS_INF, NEG_INF, 1e-310, 2.0**70, -3.25])
+    want = [num_to_json(v) for v in arr]
+    got = values_to_json(arr)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert str(got) == str(want)  # signed zeros survive
+    assert values_to_json(np.arange(3).reshape(3, 1)) == [0.0, 1.0, 2.0]
+    assert values_to_json(np.empty(0)) == []
+    with pytest.raises(ValidationError):
+        values_to_json(np.array([0.0, np.nan, POS_INF]))
+
+
 def test_gridfn_roundtrip_1d():
     g = Grid.line(-1.5, 2.5, 9)
     fn = GridFn(g, [0.0, 1.0, NEG_INF, 3.0, POS_INF, 5.0, 6.0, 7.0, 8.0])
