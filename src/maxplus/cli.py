@@ -18,6 +18,7 @@ byte-identical artifacts.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -44,6 +45,45 @@ def _json_object(value, what):
     if not isinstance(value, dict):
         raise ValidationError(f"{what} is a JSON object, got {type(value).__name__}")
     return value
+
+
+def _json_number(value, what):
+    """A finite JSON number, returned as given."""
+    finite = False
+    if type(value) in (int, float):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not finite:
+        raise ValidationError(f"{what} is a finite number, got {json.dumps(value)}")
+    return value
+
+
+def _json_count(value, what, minimum):
+    if type(value) is not int:
+        raise ValidationError(f"{what} is a JSON integer, got {json.dumps(value)}")
+    if value < minimum:
+        raise ValidationError(f"{what} must be at least {minimum}, got {value}")
+    return value
+
+
+def _xi_grid(obj, what):
+    """The fraction grid xi_min, xi_min + xi_step, ... up to xi_max."""
+    lo, hi, step = (
+        _json_number(obj[k], f"{what}: {k}") for k in ("xi_min", "xi_max", "xi_step")
+    )
+    if not step > 0:
+        raise ValidationError(f"{what}: xi_step must be positive, got {step}")
+    return np.arange(lo, hi + 1e-12, step)
+
+
+def _merton_params(obj, what):
+    """MertonParams from the r, alpha, sigma and optional w0 fields."""
+    return MertonParams(
+        **{k: _json_number(obj[k], f"{what}: {k}") for k in ("r", "alpha", "sigma")},
+        w0=_json_number(obj.get("w0", 1.0), f"{what}: w0"),
+    )
 
 
 def _load_scenario(path, kind):
@@ -192,11 +232,8 @@ def _build_ldp_input(obj, yg):
         )
         prm = _json_object(seq_obj["params"], "sequence: params")
         _expect_keys(prm, {"r", "alpha", "sigma", "w0"}, "params", optional={"w0"})
-        p = MertonParams(
-            r=prm["r"], alpha=prm["alpha"], sigma=prm["sigma"],
-            w0=prm.get("w0", 1.0),
-        )
-        xi = np.arange(seq_obj["xi_min"], seq_obj["xi_max"] + 1e-12, seq_obj["xi_step"])
+        p = _merton_params(prm, "params")
+        xi = _xi_grid(seq_obj, "sequence")
         return p, xi, seq_obj.get("truncate_at"), tuple(seq_obj["horizons"])
     raise ValidationError(f"unknown sequence type {kind!r}")
 
@@ -288,18 +325,21 @@ def _run_merton(obj, out_dir, summary, seed_override=None):
         "merton scenario",
         optional={"w0", "out", "seed"},
     )
-    p = MertonParams(
-        r=obj["r"], alpha=obj["alpha"], sigma=obj["sigma"], w0=obj.get("w0", 1.0)
+    p = _merton_params(obj, "merton scenario")
+    seed = _json_count(
+        seed_override if seed_override is not None else obj.get("seed", 0),
+        "merton scenario: seed", 0,
     )
-    seed = int(seed_override if seed_override is not None else obj.get("seed", 0))
-    xi = np.arange(obj["xi_min"], obj["xi_max"] + 1e-12, obj["xi_step"])
+    horizons = obj["T"]
+    if not isinstance(horizons, list):
+        raise ValidationError(f"merton scenario: T is a list, got {json.dumps(horizons)}")
     report = tail_rate_experiment(
-        c=obj["c"],
+        c=_json_number(obj["c"], "merton scenario: c"),
         p=p,
-        horizons=list(obj["T"]),
-        n_paths=int(obj["paths"]),
+        horizons=[_json_number(T, "merton scenario: T entry") for T in horizons],
+        n_paths=_json_count(obj["paths"], "merton scenario: paths", 1),
         seed=seed,
-        xi_grid=xi,
+        xi_grid=_xi_grid(obj, "merton scenario"),
     )
     name = obj.get("out", "merton_tailrate.csv")
     rows = report.csv_rows()

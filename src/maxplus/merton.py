@@ -18,6 +18,8 @@ changing the limit values for nonnegative x.
 
 import csv
 import math
+import numbers
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -183,7 +185,10 @@ def simulate(p, control, horizon, n_paths, seed):
         xi = control.xi
         base = math.log(p.w0) / T + drift_rate(xi, p)
         scale = p.sigma * xi / math.sqrt(T)
-        values = base + scale * rng.standard_normal(n_paths)
+        # base + scale * z with the same two roundings, in one array
+        values = rng.standard_normal(n_paths)
+        values *= scale
+        values += base
     elif isinstance(control, FeedbackControl):
         if control.times[-1] < T:
             raise ValidationError("feedback table does not cover the horizon")
@@ -473,6 +478,31 @@ class TailRateReport:
             csv.writer(fh).writerows(self.csv_rows())
 
 
+def _check_horizons(horizons):
+    """The horizons as a list: nonempty, finite, positive and distinct."""
+    hs = list(horizons)
+    if not hs:
+        raise ValidationError("need at least one horizon")
+    seen = set()
+    for T in hs:
+        if isinstance(T, bool) or not isinstance(T, numbers.Real):
+            raise ValidationError(f"horizon {T!r} is not a number")
+        t = float(T)
+        if not (math.isfinite(t) and t > 0):
+            raise ValidationError(f"horizons must be finite and positive, got {T!r}")
+        if t in seen:
+            raise ValidationError(f"horizon {T!r} is repeated")
+        seen.add(t)
+    return hs
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def tail_rate_experiment(
     c,
     p,
@@ -493,7 +523,13 @@ def tail_rate_experiment(
     minimization oracle over the fraction grid.  ``n_paths`` and ``seed``
     matter only for the Monte Carlo horizons; a ``None`` seed draws fresh
     entropy once for the whole experiment.
+
+    Horizons must be distinct finite positive numbers.  The Monte Carlo
+    cells are sampled on a thread pool, one worker per usable CPU; each
+    cell draws from its own child seed, so the report does not depend on
+    the worker count.
     """
+    horizons = _check_horizons(horizons)
     xi_grid = np.asarray(xi_grid, dtype=np.float64)
     if xi_grid.size == 0:
         raise ValidationError("xi grid is empty")
@@ -504,6 +540,35 @@ def tail_rate_experiment(
     ss = np.random.SeedSequence(seed)
     nxi = xi_grid.size
     mc_set = set(horizons if mc_horizons is None else mc_horizons)
+
+    def tail_hits(cell):
+        ti, xj = cell
+        # the child ss.spawn(...)[ti * nxi + xj] would be, made only for
+        # the cells that sample
+        child = np.random.SeedSequence(
+            ss.entropy,
+            spawn_key=ss.spawn_key + (ti * nxi + xj,),
+            pool_size=ss.pool_size,
+        )
+        control = ConstantControl(float(xi_grid[xj]))
+        samples = simulate(p, control, horizons[ti], n_paths, child)
+        return int(np.count_nonzero(samples.values >= c))
+
+    # numpy draws normals without the GIL, so threads sample in parallel
+    sampled = [
+        (ti, xj)
+        for ti, T in enumerate(horizons)
+        if T in mc_set
+        for xj in range(nxi)
+    ]
+    counts = []
+    if sampled:
+        from concurrent.futures import ThreadPoolExecutor
+
+        workers = min(_usable_cpus(), len(sampled))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(tail_hits, sampled))
+    tally = iter(counts)
 
     cells = []
     sup_by_horizon = {}
@@ -519,15 +584,7 @@ def tail_rate_experiment(
             se = 0.0
             inconclusive = True
             if T in mc_set:
-                # the child ss.spawn(...)[ti * nxi + xj] would be, made
-                # only for the cells that sample
-                child = np.random.SeedSequence(
-                    ss.entropy,
-                    spawn_key=ss.spawn_key + (ti * nxi + xj,),
-                    pool_size=ss.pool_size,
-                )
-                samples = simulate(p, ConstantControl(float(xi)), T, n_paths, child)
-                hits = int((samples.values >= c).sum())
+                hits = next(tally)
                 if hits > 0:
                     phat = hits / n_paths
                     mc = math.log(phat) / T
@@ -546,7 +603,7 @@ def tail_rate_experiment(
         sup_by_horizon[float(T)] = (best_val, best_xi)
 
     sups = [sup_by_horizon[float(T)][0] for T in horizons]
-    trend = trend_limit(list(horizons), sups)
+    trend = trend_limit(horizons, sups)
     return TailRateReport(
         threshold=float(c),
         target=float(target),

@@ -488,3 +488,97 @@ def slow_covering_interior(grid, top, dual_dom, radius):
         if not (ball & dual_dom & ~top).any():
             interior[y] = True
     return interior
+
+
+# -- tail-rate experiment, one cell at a time --------------------------------
+#
+# ``merton.tail_rate_experiment`` before its Monte Carlo cells moved onto a
+# thread pool: one serial loop over (horizon, fraction), sampling each cell
+# from ``base + scale * z``, the constant-control draw of ``merton.simulate``
+# before it scaled its normals in place.  The report must equal the
+# library's cell by cell.
+
+
+def slow_constant_samples(p, xi, horizon, n_paths, seed):
+    """log(W_T)/T under a constant fraction, drawn as base + scale * z."""
+    rng = np.random.default_rng(seed)
+    T = float(horizon)
+    drift = p.r + (p.alpha - p.r) * xi - p.sigma**2 * xi**2 / 2.0
+    base = math.log(p.w0) / T + drift
+    scale = p.sigma * xi / math.sqrt(T)
+    return base + scale * rng.standard_normal(n_paths)
+
+
+def slow_tail_rate_experiment(c, p, horizons, n_paths=100_000, seed=None, *, xi_grid, mc_horizons=None):
+    from maxplus.convergence import trend_limit
+    from maxplus.grids import NEG_INF
+    from maxplus.merton import (
+        TailCell,
+        TailRateReport,
+        constant_control_rate,
+        exact_tail_value,
+        growth_conjugate,
+    )
+
+    xi_grid = np.asarray(xi_grid, dtype=np.float64)
+    degenerate = c <= p.r
+    target = -growth_conjugate(c, p)
+    rates = np.array([constant_control_rate(c, xi, p) for xi in xi_grid])
+    best = int(rates.argmin())
+    ss = np.random.SeedSequence(seed)
+    nxi = xi_grid.size
+    mc_set = set(horizons if mc_horizons is None else mc_horizons)
+
+    cells = []
+    sup_by_horizon = {}
+    for ti, T in enumerate(horizons):
+        best_val = NEG_INF
+        best_xi = float(xi_grid[0])
+        for xj, xi in enumerate(xi_grid):
+            exact = exact_tail_value(c, float(xi), p, T)
+            if exact > best_val:
+                best_val = exact
+                best_xi = float(xi)
+            mc = NEG_INF
+            se = 0.0
+            inconclusive = True
+            if T in mc_set:
+                # the child ss.spawn(...)[ti * nxi + xj] would be, made
+                # only for the cells that sample
+                child = np.random.SeedSequence(
+                    ss.entropy,
+                    spawn_key=ss.spawn_key + (ti * nxi + xj,),
+                    pool_size=ss.pool_size,
+                )
+                values = slow_constant_samples(p, float(xi), T, n_paths, child)
+                hits = int((values >= c).sum())
+                if hits > 0:
+                    phat = hits / n_paths
+                    mc = math.log(phat) / T
+                    se = math.sqrt((1.0 - phat) / (phat * n_paths)) / T
+                    inconclusive = False
+            cells.append(
+                TailCell(
+                    horizon=float(T),
+                    xi=float(xi),
+                    exact=exact,
+                    mc=mc,
+                    mc_se=se,
+                    inconclusive=inconclusive,
+                )
+            )
+        sup_by_horizon[float(T)] = (best_val, best_xi)
+
+    sups = [sup_by_horizon[float(T)][0] for T in horizons]
+    trend = trend_limit(list(horizons), sups)
+    return TailRateReport(
+        threshold=float(c),
+        target=float(target),
+        cells=cells,
+        sup_by_horizon=sup_by_horizon,
+        trend=float(trend),
+        oracle_rate=float(rates[best]),
+        oracle_xi=float(xi_grid[best]),
+        degenerate=degenerate,
+        seed=seed,
+    )

@@ -300,7 +300,9 @@ def test_malformed_table_rows_exit_3(tmp_path, capsys, rows):
 
 def test_core_import_and_gaussian_ldp_load_no_scipy(tmp_path):
     # scipy.special is imported at the first Gaussian interval mass; the
-    # CLI, the kernels and a Gaussian ldp without set bounds need numpy only
+    # CLI, the kernels and a Gaussian ldp without set bounds need numpy only.
+    # The merton thread pool imports concurrent.futures (and with it
+    # logging) only when Monte Carlo cells are sampled.
     import maxplus
 
     code = "\n".join([
@@ -309,6 +311,7 @@ def test_core_import_and_gaussian_ldp_load_no_scipy(tmp_path):
         "def scipy_modules():",
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
         "assert not scipy_modules(), scipy_modules()",
+        "assert 'concurrent.futures' not in sys.modules",
         "argv = ['ldp', '--config', sys.argv[1], '--out-dir', sys.argv[2]]",
         "assert maxplus.cli.main(argv) == 0",
         "assert not scipy_modules(), scipy_modules()",
@@ -338,3 +341,84 @@ def test_conjugate_fast_with_neg_inf_and_no_finite_value(tmp_path, values):
     fast_bytes = (tmp_path / "out_True.json").read_bytes()
     assert fast_bytes == (tmp_path / "out_False.json").read_bytes()
     assert json.loads(fast_bytes)["values"] == ["+inf"] * 3
+
+
+MALFORMED_MERTON_FIELDS = [
+    ("paths", 200.7, "paths is a JSON integer"),
+    ("paths", "200", "paths is a JSON integer"),
+    ("paths", True, "paths is a JSON integer"),
+    ("paths", 0, "paths must be at least 1"),
+    ("seed", 1.5, "seed is a JSON integer"),
+    ("seed", -1, "seed must be at least 0"),
+    ("seed", True, "seed is a JSON integer"),
+    ("r", "0.05", "r is a finite number"),
+    ("sigma", None, "sigma is a finite number"),
+    ("w0", True, "w0 is a finite number"),
+    ("c", "0.12", "c is a finite number"),
+    ("c", None, "c is a finite number"),
+    ("c", float("nan"), "c is a finite number"),
+    ("xi_min", "0.05", "xi_min is a finite number"),
+    ("xi_max", [6.0], "xi_max is a finite number"),
+    ("xi_step", "0.05", "xi_step is a finite number"),
+    ("xi_step", float("inf"), "xi_step is a finite number"),
+    ("xi_step", 0, "xi_step must be positive"),
+    ("xi_step", -0.05, "xi_step must be positive"),
+    ("T", 25, "T is a list"),
+    ("T", [25, "50"], "T entry is a finite number"),
+    ("T", [25, True], "T entry is a finite number"),
+    ("T", [25, float("nan")], "T entry is a finite number"),
+    ("T", [float("inf")], "T entry is a finite number"),
+    ("T", [], "at least one horizon"),
+    ("T", [0], "finite and positive"),
+    ("T", [-5], "finite and positive"),
+    ("T", [25, 25], "repeated"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    MALFORMED_MERTON_FIELDS,
+    ids=[f"{f}={json.dumps(v)}" for f, v, _ in MALFORMED_MERTON_FIELDS],
+)
+def test_malformed_merton_field_exits_3(tmp_path, capsys, field, value, message):
+    obj = json.loads((SCENARIOS / "merton_tailrate.json").read_text())
+    obj["paths"] = 200
+    obj[field] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["merton", "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "merton_tailrate.csv").exists()
+
+
+def test_negative_merton_seed_flag_exits_3(tmp_path, capsys):
+    rc = run(["merton", "--config", SCENARIOS / "merton_tailrate.json",
+              "--out-dir", tmp_path, "--seed", -1])
+    assert rc == 3
+    assert "seed must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("xi_step", 0, "sequence: xi_step must be positive"),
+     ("xi_step", -0.1, "sequence: xi_step must be positive"),
+     ("xi_step", "0.1", "sequence: xi_step is a finite number"),
+     ("xi_min", None, "sequence: xi_min is a finite number"),
+     ("alpha", "0.1", "params: alpha is a finite number")],
+    ids=["step-zero", "step-negative", "step-string", "min-null", "alpha-string"],
+)
+def test_ldp_merton_bad_field_exits_3(tmp_path, capsys, field, value, message):
+    obj = json.loads((SCENARIOS / "gaussian_ldp.json").read_text())
+    seq = {
+        "type": "merton", "params": {"r": 0.05, "alpha": 0.10, "sigma": 0.20},
+        "horizons": [200, 400], "xi_min": 0.0, "xi_max": 1.0, "xi_step": 0.5,
+    }
+    if field in seq:
+        seq[field] = value
+    else:
+        seq["params"][field] = value
+    obj["sequence"] = seq
+    cfg = tmp_path / "seq.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["ldp", "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert message in capsys.readouterr().err

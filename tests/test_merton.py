@@ -1,4 +1,8 @@
+import concurrent.futures
 import math
+import os
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -27,7 +31,11 @@ from maxplus import (
     truncate_form,
 )
 from maxplus.merton import exact_tail_value
-from oracles import clipped_merton_affine
+from oracles import (
+    clipped_merton_affine,
+    slow_constant_samples,
+    slow_tail_rate_experiment,
+)
 
 P = MertonParams(r=0.05, alpha=0.10, sigma=0.20)
 
@@ -395,6 +403,121 @@ def test_tail_rate_exact_only_needs_no_paths_or_seed():
     assert rep.sup_by_horizon[25.0][0] == max(
         exact_tail_value(0.12, x, P, 25) for x in (0.5, 1.0)
     )
+
+
+@pytest.mark.parametrize("xi", [0.0, -1.5, -0.05, 0.5, 2.0, 8.0])
+def test_simulate_constant_matches_base_plus_scale_z(xi):
+    # the in-place draw rounds as base + scale * z does, bit for bit
+    for p in (P, MertonParams(r=0.03, alpha=0.11, sigma=0.35, w0=2.5)):
+        for T in (1, 25.0, 333.3):
+            for seed in (0, 7, np.random.SeedSequence(5, spawn_key=(3,))):
+                got = simulate(p, ConstantControl(xi), T, 4097, seed).values
+                want = slow_constant_samples(p, xi, T, 4097, seed)
+                assert got.tobytes() == want.tobytes()
+
+
+def _force_workers(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _cell_fields(report):
+    return [(c.horizon, c.xi, c.exact, c.mc, c.mc_se, c.inconclusive) for c in report.cells]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_paths", [1, 2000])
+@pytest.mark.parametrize("mc_horizons", [None, [50], []], ids=["all", "subset", "none"])
+@pytest.mark.parametrize("seed", [0, 1, 77])
+def test_tail_rate_matches_serial_oracle(monkeypatch, seed, mc_horizons, n_paths, workers):
+    _force_workers(monkeypatch, workers)
+    kw = dict(c=0.1, p=P, horizons=[25, 50, 100], n_paths=n_paths, seed=seed,
+              mc_horizons=mc_horizons)
+    for xi in (np.arange(0.25, 3.0, 0.25), np.array([1.5])):
+        got = tail_rate_experiment(xi_grid=xi, **kw)
+        want = slow_tail_rate_experiment(xi_grid=xi, **kw)
+        assert _cell_fields(got) == _cell_fields(want)
+        assert got.csv_rows() == want.csv_rows()
+        assert (got.sup_by_horizon, got.trend) == (want.sup_by_horizon, want.trend)
+    if mc_horizons != [] and n_paths > 1:
+        assert not all(c.inconclusive for c in got.cells)
+
+
+def test_tail_rate_oversubscribed_pool_matches_serial_oracle(monkeypatch):
+    # more workers than cores, switching threads every microsecond
+    _force_workers(monkeypatch, 8)
+    kw = dict(c=0.1, p=P, horizons=[25, 50], n_paths=3000, seed=20240817,
+              xi_grid=np.arange(0.1, 3.0, 0.1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = tail_rate_experiment(**kw)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.csv_rows() == slow_tail_rate_experiment(**kw).csv_rows()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every thread pool made while the test runs."""
+    sizes = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+def test_tail_rate_pool_sizes_and_joins_its_threads(monkeypatch, pool_sizes):
+    _force_workers(monkeypatch, 2)
+    kw = dict(c=0.12, p=P, horizons=[25, 50], n_paths=500, seed=5)
+    before = threading.active_count()
+    tail_rate_experiment(xi_grid=np.array([0.5, 1.0, 1.5]), **kw)
+    assert threading.active_count() == before
+    assert pool_sizes == [2]
+    # no more workers than sampling cells
+    tail_rate_experiment(xi_grid=np.array([1.0]), mc_horizons=[50], **kw)
+    assert pool_sizes == [2, 1]
+    assert threading.active_count() == before
+    # exact values only: no pool at all
+    tail_rate_experiment(xi_grid=np.array([0.5, 1.0]), mc_horizons=[], **kw)
+    assert pool_sizes == [2, 1]
+
+
+def test_tail_rate_workers_fall_back_to_cpu_count(monkeypatch, pool_sizes):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    tail_rate_experiment(c=0.12, p=P, horizons=[25], n_paths=100, seed=1,
+                         xi_grid=np.array([0.5, 1.0, 1.5, 2.0]))
+    assert pool_sizes == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    tail_rate_experiment(c=0.12, p=P, horizons=[25], n_paths=100, seed=1,
+                         xi_grid=np.array([0.5, 1.0]))
+    assert pool_sizes == [3, 1]
+
+
+def test_tail_rate_worker_error_propagates_and_joins(monkeypatch):
+    _force_workers(monkeypatch, 2)
+    before = threading.active_count()
+    with pytest.raises(ValidationError, match="at least one path"):
+        tail_rate_experiment(c=0.12, p=P, horizons=[25, 50], n_paths=0, seed=1,
+                             xi_grid=np.array([0.5, 1.0]))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "horizons",
+    [[], [0], [-5], [25, 0.0], [25, 25], [25, 25.0], [float("nan")], [float("inf")],
+     ["25"], [True], [None]],
+    ids=["empty", "zero", "negative", "zero-float", "duplicate", "duplicate-float",
+         "nan", "inf", "string", "bool", "null"],
+)
+def test_tail_rate_rejects_bad_horizons(horizons):
+    with pytest.raises(ValidationError):
+        tail_rate_experiment(c=0.12, p=P, horizons=horizons, n_paths=10, seed=1,
+                             xi_grid=np.array([0.5, 1.0]))
 
 
 def test_growth_value_legendre_consistency():
