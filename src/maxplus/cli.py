@@ -68,6 +68,43 @@ def _json_count(value, what, minimum):
     return value
 
 
+def _json_bool(value, what):
+    if type(value) is not bool:
+        raise ValidationError(f"{what} is a JSON boolean, got {json.dumps(value)}")
+    return value
+
+
+def _json_str(value, what):
+    if type(value) is not str:
+        raise ValidationError(f"{what} is a JSON string, got {json.dumps(value)}")
+    return value
+
+
+def _json_tol(value, what):
+    if _json_number(value, what) < 0:
+        raise ValidationError(f"{what} must be at least 0, got {value}")
+    return value
+
+
+def _json_indices(value, what):
+    """A nonempty list of positive JSON integers, as a tuple."""
+    if not isinstance(value, list) or not value:
+        raise ValidationError(
+            f"{what} is a nonempty list of positive JSON integers, got {json.dumps(value)}"
+        )
+    return tuple(_json_count(v, f"{what} entry", 1) for v in value)
+
+
+def _json_nodes(value, size, what):
+    """A list of JSON integers in [0, size), as an index array."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} is a list of node indices, got {json.dumps(value)}")
+    for v in value:
+        if _json_count(v, f"{what} entry", 0) >= size:
+            raise ValidationError(f"{what} entry {v} is not below the {size} X-nodes")
+    return np.asarray(value, dtype=np.int64)
+
+
 def _xi_grid(obj, what):
     """The fraction grid xi_min, xi_min + xi_step, ... up to xi_max."""
     lo, hi, step = (
@@ -100,14 +137,24 @@ def _load_scenario(path, kind):
     return obj
 
 
-def _sides_from(obj, dim):
-    cb = obj.get("closed_below", [False] * dim)
-    ca = obj.get("closed_above", [False] * dim)
-    if isinstance(cb, bool):
-        cb = [cb] * dim
-    if isinstance(ca, bool):
-        ca = [ca] * dim
-    return WindowSides(tuple(cb), tuple(ca))
+def _json_side(value, dim, what):
+    """A closed-side flag per axis: one JSON boolean, or a list of dim."""
+    if type(value) is bool:
+        return (value,) * dim
+    if not isinstance(value, list) or len(value) != dim:
+        raise ValidationError(
+            f"{what} is a JSON boolean or a list of {dim} of them, got {json.dumps(value)}"
+        )
+    return tuple(_json_bool(v, f"{what} entry") for v in value)
+
+
+def _sides_from(obj, dim, what, prefix=""):
+    """WindowSides from the ``{prefix}closed_below/above`` fields."""
+    return WindowSides(*(
+        _json_side(obj.get(f"{prefix}closed_{s}", False), dim,
+                   f"{what}: {prefix}closed_{s}")
+        for s in ("below", "above")
+    ))
 
 
 def _write(out_dir, name, text):
@@ -129,14 +176,12 @@ def _run_conjugate(obj, out_dir, summary):
     yg = grid_from_json(obj["y_grid"])
     kernel = kernel_from_json(obj["kernel"], xg, yg)
     f = gridfn_from_json(obj["f"])
-    fast = obj.get("fast", False)
-    if type(fast) is not bool:
-        raise ValidationError(f"conjugate scenario: fast is a JSON boolean, got {json.dumps(fast)}")
+    fast = _json_bool(obj.get("fast", False), "conjugate scenario: fast")
+    name = _json_str(obj.get("out", "conjugate.json"), "conjugate scenario: out")
     if fast and kernel.kind == "bilinear" and xg.dim == 1:
         out = legendre_fast(f, xg)
     else:
         out = conjugate(f, kernel)
-    name = obj.get("out", "conjugate.json")
     path = _write(out_dir, name, dumps(gridfn_to_json(out)))
     if summary:
         v = out.flat
@@ -161,8 +206,9 @@ def _run_covering(obj, out_dir, summary):
     g = gridfn_from_json(obj["g"])
     xprime = None
     if "xprime" in obj:
-        xprime = np.asarray(obj["xprime"], dtype=np.int64)
-    cfg_obj = obj.get("config", {})
+        xprime = _json_nodes(obj["xprime"], xg.size, "covering scenario: xprime")
+    out_name = _json_str(obj.get("out", "covering.json"), "covering scenario: out")
+    cfg_obj = _json_object(obj.get("config", {}), "covering scenario: config")
     _expect_keys(
         cfg_obj,
         {"stencil_radius", "window_margin", "le_tol", "eq_tol",
@@ -171,13 +217,20 @@ def _run_covering(obj, out_dir, summary):
         optional={"stencil_radius", "window_margin", "le_tol", "eq_tol",
                   "assume_finite_exact", "closed_below", "closed_above"},
     )
+    what = "covering config"
     cfg = CoveringConfig(
-        stencil_radius=int(cfg_obj.get("stencil_radius", 1)),
-        window_margin=float(cfg_obj.get("window_margin", 0.1)),
-        le_tol=float(cfg_obj.get("le_tol", 0.0)),
-        eq_tol=float(cfg_obj.get("eq_tol", 0.0)),
-        assume_finite_exact=bool(cfg_obj.get("assume_finite_exact", False)),
-        sides=_sides_from(cfg_obj, yg.dim),
+        stencil_radius=_json_count(
+            cfg_obj.get("stencil_radius", 1), f"{what}: stencil_radius", 0
+        ),
+        window_margin=float(
+            _json_number(cfg_obj.get("window_margin", 0.1), f"{what}: window_margin")
+        ),
+        le_tol=float(_json_tol(cfg_obj.get("le_tol", 0.0), f"{what}: le_tol")),
+        eq_tol=float(_json_tol(cfg_obj.get("eq_tol", 0.0), f"{what}: eq_tol")),
+        assume_finite_exact=_json_bool(
+            cfg_obj.get("assume_finite_exact", False), f"{what}: assume_finite_exact"
+        ),
+        sides=_sides_from(cfg_obj, yg.dim, what),
     )
     v = covering_verdict(g, kernel, xprime, cfg)
     rep = v.covering
@@ -199,7 +252,7 @@ def _run_covering(obj, out_dir, summary):
             "candidate": gridfn_to_json(v.certificate.candidate),
         },
     }
-    path = _write(out_dir, obj.get("out", "covering.json"), dumps(payload))
+    path = _write(out_dir, out_name, dumps(payload))
     print(f"existence={v.existence} uniqueness={v.uniqueness} -> {path}")
     print(f"{'y-node':>8} {'piece (x-nodes)':<28} {'alg':>4} {'top':>4}")
     for y in rep.piece_index[:40]:
@@ -220,7 +273,7 @@ def _build_ldp_input(obj, yg):
     kind = seq_obj.get("type")
     if kind == "gaussian_mean":
         _expect_keys(seq_obj, {"type", "n_list"}, "sequence")
-        seq = gaussian_mean_sequence(yg, tuple(seq_obj["n_list"]))
+        seq = gaussian_mean_sequence(yg, _json_indices(seq_obj["n_list"], "sequence: n_list"))
         return [seq], {}
     if kind == "merton":
         _expect_keys(
@@ -234,7 +287,10 @@ def _build_ldp_input(obj, yg):
         _expect_keys(prm, {"r", "alpha", "sigma", "w0"}, "params", optional={"w0"})
         p = _merton_params(prm, "params")
         xi = _xi_grid(seq_obj, "sequence")
-        return p, xi, seq_obj.get("truncate_at"), tuple(seq_obj["horizons"])
+        trunc = None
+        if "truncate_at" in seq_obj:
+            trunc = _json_number(seq_obj["truncate_at"], "sequence: truncate_at")
+        return p, xi, trunc, _json_indices(seq_obj["horizons"], "sequence: horizons")
     raise ValidationError(f"unknown sequence type {kind!r}")
 
 
@@ -252,16 +308,18 @@ def _run_ldp(obj, out_dir, summary):
     xg = grid_from_json(obj["x_grid"])
     yg = grid_from_json(obj["y_grid"])
     kernel = kernel_from_json(obj["kernel"], xg, yg)
+    what = "ldp scenario"
     mode = obj.get("mode", "limit-asserted")
-    sides = _sides_from(obj, yg.dim)
-    x_sides = _sides_from(
-        {"closed_below": obj.get("x_closed_below", False),
-         "closed_above": obj.get("x_closed_above", False)},
-        xg.dim,
+    sides = _sides_from(obj, yg.dim, what)
+    x_sides = _sides_from(obj, xg.dim, what, prefix="x_")
+    margin = float(_json_number(obj.get("window_margin", 0.1), f"{what}: window_margin"))
+    sup_edge_to_inf = _json_bool(
+        obj.get("sup_edge_to_inf", False), f"{what}: sup_edge_to_inf"
     )
-    margin = float(obj.get("window_margin", 0.1))
+    json_name = _json_str(obj.get("out_json", "ldp.json"), f"{what}: out_json")
+    csv_name = _json_str(obj.get("out_csv", "ldp.csv"), f"{what}: out_csv")
 
-    seq_obj = _json_object(obj["sequence"], "ldp scenario: sequence")
+    seq_obj = _json_object(obj["sequence"], f"{what}: sequence")
     if seq_obj.get("type") == "gaussian_mean":
         seqs, _ = _build_ldp_input(obj, yg)
         ginput = GartnerInput(sequences=tuple(seqs), kernel=kernel, mode=mode)
@@ -275,7 +333,7 @@ def _run_ldp(obj, out_dir, summary):
         window_margin=margin,
         sides=sides,
         x_sides=x_sides,
-        sup_edge_to_inf=bool(obj.get("sup_edge_to_inf", False)),
+        sup_edge_to_inf=sup_edge_to_inf,
     )
 
     pinned = set(out.pinned.tolist())
@@ -295,7 +353,7 @@ def _run_ldp(obj, out_dir, summary):
         "covered": out.covering.covered,
         "minimal_top": out.covering.minimal_top,
     }
-    jpath = _write(out_dir, obj.get("out_json", "ldp.json"), dumps(payload))
+    jpath = _write(out_dir, json_name, dumps(payload))
     lines = ["y,rate_lower,in_pinned\n"]
     coords = yg.coords
     rl = out.rate_lower.flat
@@ -303,7 +361,7 @@ def _run_ldp(obj, out_dir, summary):
         v = num_to_json(rl[i])
         v = v if isinstance(v, str) else repr(v)
         lines.append(f"{coords[i]!r},{v},{int(i in pinned)}\n")
-    cpath = _write(out_dir, obj.get("out_csv", "ldp.csv"), "".join(lines))
+    cpath = _write(out_dir, csv_name, "".join(lines))
     print(f"verdict={out.verdict} -> {jpath}, {cpath}")
     if summary:
         print(
@@ -330,6 +388,7 @@ def _run_merton(obj, out_dir, summary, seed_override=None):
         seed_override if seed_override is not None else obj.get("seed", 0),
         "merton scenario: seed", 0,
     )
+    name = _json_str(obj.get("out", "merton_tailrate.csv"), "merton scenario: out")
     horizons = obj["T"]
     if not isinstance(horizons, list):
         raise ValidationError(f"merton scenario: T is a list, got {json.dumps(horizons)}")
@@ -341,7 +400,6 @@ def _run_merton(obj, out_dir, summary, seed_override=None):
         seed=seed,
         xi_grid=_xi_grid(obj, "merton scenario"),
     )
-    name = obj.get("out", "merton_tailrate.csv")
     rows = report.csv_rows()
     text = "".join(",".join(map(str, row)) + "\n" for row in rows)
     path = _write(out_dir, name, text)

@@ -15,7 +15,7 @@ stand in for infinity are distinguished from genuine boundaries (as in a
 half-line domain) through ``WindowSides``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +45,11 @@ class Kernel:
     contain at least one finite entry.
     """
 
-    def __init__(self, x_grid, y_grid, table=None, kind=None):
+    def __init__(self, x_grid, y_grid, table=None):
         self.x_grid = x_grid
         self.y_grid = y_grid
         if table is None:
-            self.kind = kind or "bilinear"
-            if self.kind != "bilinear":
-                raise ValidationError("only the bilinear closed form is registered")
+            self.kind = "bilinear"
             if x_grid.dim != y_grid.dim:
                 raise ValidationError("bilinear kernel needs grids of equal dimension")
             self.table = None
@@ -353,31 +351,6 @@ def _given_levels(betas, rows):
     return levels, np.ones(levels.shape, dtype=bool)
 
 
-def _level_checks(levels, use, sizes, contained, bounded=None):
-    """Per-row lists of LevelSetCheck for the levels in use."""
-    if bounded is None:
-        bounded = np.ones(levels.shape, dtype=bool)
-    return [
-        [
-            LevelSetCheck(beta=beta, set_size=n, contained=c, bounded_above=u)
-            for beta, in_use, n, c, u in zip(*row)
-            if in_use
-        ]
-        for row in zip(
-            levels.tolist(), use.tolist(), sizes.tolist(), contained.tolist(),
-            bounded.tolist(),
-        )
-    ]
-
-
-@dataclass(frozen=True)
-class LevelSetCheck:
-    beta: float
-    set_size: int
-    contained: bool
-    bounded_above: bool = True
-
-
 @dataclass(frozen=True)
 class CoercivityReport:
     """Per-x sublevel-set diagnostics for the neighborhood-gain function.
@@ -386,20 +359,12 @@ class CoercivityReport:
     label per x-node; EDGE marks nodes whose stencil ball is clipped by
     an open side of the X-window (the ball is then not a faithful
     neighborhood of the emulated space, so the node is not testable).
-    The strongly-coercive labels coincide with the coercive ones because
-    a stencil ball on a grid is already a finite neighborhood
-    (``finite_neighborhoods`` records this).
+    The coercive labels are also the strongly-coercive ones, because a
+    stencil ball on a grid is already a finite neighborhood.
     """
 
-    margin: float
     coercive: list
     upper_coercive: list
-    checks: list = field(repr=False)
-    finite_neighborhoods: bool = True
-
-    @property
-    def strongly_coercive(self):
-        return self.coercive
 
     @property
     def all_coercive(self):
@@ -440,7 +405,6 @@ def coercivity_report(
     clipped = _clipped_nodes(k.x_grid, stencil_radius, x_sides)
     coercive = []
     upper = []
-    checks = []
     for lo, hi, h0, h1 in _row_blocks(k.x_grid, stencil_radius, k.y_grid.size):
         halo = k.rows(slice(h0, h1))
         rows = halo[lo - h0 : hi - h0]
@@ -464,46 +428,31 @@ def coercivity_report(
                     axis=1,
                 )
                 levels[capped] = fit
-                use[capped, 1:] = fit[:, 1:] != fit[:, :-1]  # one check per level
-        shape = levels.shape
-        sizes = np.empty(shape, dtype=np.int64)
-        contained = np.empty(shape, dtype=bool)
-        bounded = np.empty(shape, dtype=bool)
-        for j in range(shape[1]):
+                use[capped, 1:] = fit[:, 1:] != fit[:, :-1]  # each level once
+        # no level at all leaves nothing finite to test against
+        ok_c = use.any(axis=1)
+        ok_u = np.ones(hi - lo, dtype=bool)
+        for j in range(levels.shape[1]):
             sub = gain <= levels[:, j, None]
-            sizes[:, j] = sub.sum(axis=1)
-            contained[:, j] = ~(sub & ~inner).any(axis=1)
+            ok_c &= ~use[:, j] | ~(sub & ~inner).any(axis=1)
             vals = np.where(sub, rows, NEG_INF)
             top = vals.max(axis=1)
-            bounded[:, j] = (top == NEG_INF) | (inner & (vals == top[:, None])).any(axis=1)
-        # no level at all leaves nothing finite to test against
-        ok_c = ((contained | ~use).all(axis=1) & use.any(axis=1)).tolist()
-        ok_u = (bounded | ~use).all(axis=1).tolist()
-        row_checks = _level_checks(levels, use, sizes, contained, bounded)
-        for i, edge in enumerate(clipped[lo:hi].tolist()):
-            if edge:
-                coercive.append(EDGE)
-                upper.append(EDGE)
-                checks.append([])
-                continue
-            coercive.append(EVIDENCE if ok_c[i] else VIOLATION)
-            upper.append(EVIDENCE if ok_u[i] else VIOLATION)
-            checks.append(row_checks[i])
-    return CoercivityReport(
-        margin=float(window_margin),
-        coercive=coercive,
-        upper_coercive=upper,
-        checks=checks,
-    )
+            ok_u &= (
+                ~use[:, j]
+                | (top == NEG_INF)
+                | (inner & (vals == top[:, None])).any(axis=1)
+            )
+        edge = clipped[lo:hi]
+        coercive += np.where(edge, EDGE, np.where(ok_c, EVIDENCE, VIOLATION)).tolist()
+        upper += np.where(edge, EDGE, np.where(ok_u, EVIDENCE, VIOLATION)).tolist()
+    return CoercivityReport(coercive=coercive, upper_coercive=upper)
 
 
 @dataclass(frozen=True)
 class SuperlevelReport:
     """Per-x superlevel-set confinement evidence for b(x,·) - f."""
 
-    margin: float
     verdicts: list
-    checks: list = field(repr=False)
 
     @property
     def all_evidence(self):
@@ -531,20 +480,15 @@ def superlevel_compactness_report(
     inner = inner_window_mask(k.y_grid, window_margin, sides)
     neg_f = -f.flat
     verdicts = []
-    checks = []
     for lo, hi, _, _ in _row_blocks(k.x_grid, 0, k.y_grid.size):
         vals = otimes(k.rows(slice(lo, hi)), neg_f)
         if betas is not None:
             levels, use = _given_levels(betas, hi - lo)
         else:
             levels, use = _row_quantiles(vals, inner & np.isfinite(vals), beta_quantiles)
-        sizes = np.empty(levels.shape, dtype=np.int64)
-        contained = np.empty(levels.shape, dtype=bool)
+        ok = np.ones(hi - lo, dtype=bool)
         for j in range(levels.shape[1]):
             sup = vals >= levels[:, j, None]
-            sizes[:, j] = sup.sum(axis=1)
-            contained[:, j] = ~(sup & ~inner).any(axis=1)
-        ok = (contained | ~use).all(axis=1).tolist()
-        verdicts.extend(EVIDENCE if v else VIOLATION for v in ok)
-        checks.extend(_level_checks(levels, use, sizes, contained))
-    return SuperlevelReport(margin=float(window_margin), verdicts=verdicts, checks=checks)
+            ok &= ~use[:, j] | ~(sup & ~inner).any(axis=1)
+        verdicts += np.where(ok, EVIDENCE, VIOLATION).tolist()
+    return SuperlevelReport(verdicts=verdicts)

@@ -14,6 +14,7 @@ u.s.c., so these run over the same family; (open-liminf),
 (closed-limsup), (compact-limsup) set bounds with caller-declared roles.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +34,16 @@ EPS = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True)
 class FormSequence:
-    """A sequence of forms over one Y-grid, sampled at finite indices."""
+    """A sequence of forms over one Y-grid, sampled at positive integer indices."""
 
     generator: object  # index -> QuasiLinearForm
     n_list: tuple
     y_grid: Grid
 
     def __post_init__(self):
+        for k in self.n_list:
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+                raise ValidationError(f"n_list entries are positive integers, got {k!r}")
         n = tuple(int(k) for k in self.n_list)
         if not n or sorted(n) != list(n):
             raise ValidationError("n_list must be a nondecreasing nonempty tuple")

@@ -280,13 +280,11 @@ class CoveringConfig:
     # assumptions hold outright; set True to record them as satisfied
     # instead of sampling window evidence
     assume_finite_exact: bool = False
-    sides: object = None    # Y-window edge roles
-    x_sides: object = None  # X-window edge roles
+    sides: object = None  # Y-window edge roles
 
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    discrete_space: bool
     dual_superlevel_compact: str
     kernel_coercive: str
     xprime_inside_idom: bool
@@ -294,12 +292,14 @@ class AssumptionReport:
 
     @property
     def combined(self):
-        """(discrete or continuity-side) and (compactness or coercivity)."""
-        first = self.discrete_space
-        second = self.dual_superlevel_compact == EVIDENCE or (
+        """(discrete or continuity-side) and (compactness or coercivity).
+
+        A finite grid is a discrete space, so the first clause always
+        holds and only the second is checked.
+        """
+        return self.dual_superlevel_compact == EVIDENCE or (
             self.kernel_coercive == EVIDENCE and self.xprime_inside_idom
         )
-        return first and second
 
 
 @dataclass(frozen=True)
@@ -336,7 +336,6 @@ def verdict(g, k, xprime=None, config=CoveringConfig()):
     )
     if config.assume_finite_exact:
         assumptions = AssumptionReport(
-            discrete_space=True,
             dual_superlevel_compact=EVIDENCE,
             kernel_coercive=EVIDENCE,
             xprime_inside_idom=inside,
@@ -348,7 +347,6 @@ def verdict(g, k, xprime=None, config=CoveringConfig()):
             config.window_margin,
             stencil_radius=config.stencil_radius,
             sides=config.sides,
-            x_sides=config.x_sides,
         )
         fc = superlevel_compactness_report(
             cand,
@@ -357,7 +355,6 @@ def verdict(g, k, xprime=None, config=CoveringConfig()):
             sides=config.sides,
         )
         assumptions = AssumptionReport(
-            discrete_space=True,
             dual_superlevel_compact=EVIDENCE if fc.all_evidence else VIOLATION,
             kernel_coercive=EVIDENCE if co.all_coercive else VIOLATION,
             xprime_inside_idom=inside,

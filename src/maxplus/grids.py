@@ -209,16 +209,9 @@ class GridFn:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    @classmethod
-    def constant(cls, grid, value, tag="plain"):
-        return cls(grid, np.full(grid.shape, float(value)), tag)
-
     @property
     def flat(self):
         return self.values.reshape(-1)
-
-    def with_values(self, values, tag=None):
-        return GridFn(self.grid, values, self.tag if tag is None else tag)
 
     def __call__(self, flat_index):
         return float(self.flat[flat_index])

@@ -159,8 +159,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 class TightnessCriterion:
     holds: bool
     witness: object  # x node index or None
-    strongly_coercive: bool
-    coercivity: CoercivityReport = field(repr=False)  # the report behind strongly_coercive
+    coercivity: CoercivityReport = field(repr=False)  # the report behind holds
 
 
 def tightness_criterion(
@@ -181,7 +180,6 @@ def tightness_criterion(
         kernel, window_margin, stencil_radius=stencil_radius, sides=sides,
         x_sides=x_sides,
     )
-    strong = co.all_coercive
     masks = _masks if _masks is not None else domain_masks(g, stencil_radius)
     nodes = np.flatnonzero(masks.idom.reshape(-1))
     inner = inner_window_mask(kernel.y_grid, window_margin, sides)
@@ -196,16 +194,14 @@ def tightness_criterion(
             witness = int(xs[hit.argmax()])
             break
     return TightnessCriterion(
-        holds=strong and witness is not None,
+        holds=co.all_coercive and witness is not None,
         witness=witness,
-        strongly_coercive=strong,
         coercivity=co,
     )
 
 
 @dataclass(frozen=True)
 class AssumptionEvidence:
-    discrete_space: bool
     coercive: str
     upper_coercive: str
     dual_superlevel_compact: str
@@ -245,11 +241,9 @@ def pipeline(
     x_sides=None,
     limit_tol=1e-6,
     sup_edge_to_inf=False,
-    qc_tol=None,
     open_sets=(),
     closed_sets=(),
     verify_bounds=False,
-    bound_tol=1e-3,
 ):
     """Run the full identification pipeline.
 
@@ -280,11 +274,8 @@ def pipeline(
     fc = superlevel_compactness_report(density, k, window_margin, sides=sides)
     # sampled-smooth rate candidates close with O(h^2 curvature) gaps; a
     # one-step tolerance keeps them quasi-continuous while spikes still fail
-    if qc_tol is None:
-        qc_tol = k.y_grid.step(0)
-    qc_ok, _ = quasicontinuity_check(density, stencil_radius, tol=qc_tol)
+    qc_ok, _ = quasicontinuity_check(density, stencil_radius, tol=k.y_grid.step(0))
     assumptions = AssumptionEvidence(
-        discrete_space=True,
         coercive=EVIDENCE if co.all_coercive else VIOLATION,
         upper_coercive=EVIDENCE if co.all_upper_coercive else VIOLATION,
         dual_superlevel_compact=EVIDENCE if fc.all_evidence else VIOLATION,
@@ -314,7 +305,6 @@ def pipeline(
                 fbar,
                 open_sets=pinned_open,
                 closed_sets=list(closed_sets),
-                tol=bound_tol,
             )
             bound_rows.extend(rep.to_rows())
     else:

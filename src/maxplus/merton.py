@@ -16,7 +16,6 @@ the bounded-below kernel row that the tightness criterion needs, without
 changing the limit values for nonnegative x.
 """
 
-import csv
 import math
 import numbers
 import os
@@ -472,10 +471,6 @@ class TailRateReport:
                 ]
             )
         return rows
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(self.csv_rows())
 
 
 def _check_horizons(horizons):

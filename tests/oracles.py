@@ -345,20 +345,17 @@ def slow_coercivity_report(
 ):
     """``coercivity_report`` with one Python iteration per x-node."""
     from maxplus.conjugacy import (
-        EDGE, EVIDENCE, VIOLATION, CoercivityReport, LevelSetCheck,
-        inner_window_mask,
+        EDGE, EVIDENCE, VIOLATION, CoercivityReport, inner_window_mask,
     )
 
     b = k.matrix()
     inner = inner_window_mask(k.y_grid, window_margin, sides)
     coercive = []
     upper = []
-    checks = []
     for i in range(k.x_grid.size):
         if _window_clipped(k.x_grid, i, stencil_radius, x_sides):
             coercive.append(EDGE)
             upper.append(EDGE)
-            checks.append([])
             continue
         gain = _neighborhood_gain(b, k.x_grid, i, stencil_radius)
         bs = betas if betas is not None else _default_betas(gain, beta_quantiles, inner)
@@ -374,7 +371,6 @@ def slow_coercivity_report(
                 cap = lo - max(1e-12, 0.05 * abs(lo))
                 floor = min(bs)
                 bs = sorted({max(min(beta, cap), floor) for beta in bs})
-        row_checks = []
         ok_c = True
         ok_u = True
         for beta in bs:
@@ -388,25 +384,11 @@ def slow_coercivity_report(
                 bounded = True
             ok_c &= contained
             ok_u &= bounded
-            row_checks.append(
-                LevelSetCheck(
-                    beta=float(beta),
-                    set_size=int(sub.sum()),
-                    contained=contained,
-                    bounded_above=bounded,
-                )
-            )
         if not bs:
             ok_c = False  # nothing finite to test against
         coercive.append(EVIDENCE if ok_c else VIOLATION)
         upper.append(EVIDENCE if ok_u else VIOLATION)
-        checks.append(row_checks)
-    return CoercivityReport(
-        margin=float(window_margin),
-        coercive=coercive,
-        upper_coercive=upper,
-        checks=checks,
-    )
+    return CoercivityReport(coercive=coercive, upper_coercive=upper)
 
 
 def slow_superlevel_compactness_report(
@@ -420,7 +402,7 @@ def slow_superlevel_compactness_report(
 ):
     """``superlevel_compactness_report`` with one iteration per x-node."""
     from maxplus.conjugacy import (
-        EVIDENCE, VIOLATION, LevelSetCheck, SuperlevelReport, inner_window_mask,
+        EVIDENCE, VIOLATION, SuperlevelReport, inner_window_mask,
     )
     from maxplus.grids import otimes
 
@@ -428,27 +410,18 @@ def slow_superlevel_compactness_report(
     inner = inner_window_mask(k.y_grid, window_margin, sides)
     neg_f = -f.flat
     verdicts = []
-    checks = []
     for i in range(k.x_grid.size):
         vals = otimes(b[i], neg_f)
         bs = betas if betas is not None else _default_betas(vals, beta_quantiles, inner)
         if not bs:
             # b(x,·) - f is -inf everywhere: all superlevel sets are empty
             verdicts.append(EVIDENCE)
-            checks.append([])
             continue
-        row_checks = []
         ok = True
         for beta in bs:
-            sup = vals >= beta
-            contained = not (sup & ~inner).any()
-            ok &= contained
-            row_checks.append(
-                LevelSetCheck(beta=float(beta), set_size=int(sup.sum()), contained=contained)
-            )
+            ok &= not ((vals >= beta) & ~inner).any()
         verdicts.append(EVIDENCE if ok else VIOLATION)
-        checks.append(row_checks)
-    return SuperlevelReport(margin=float(window_margin), verdicts=verdicts, checks=checks)
+    return SuperlevelReport(verdicts=verdicts)
 
 
 def slow_tightness_witness(kernel, g, *, window_margin=0.1, sides=None, stencil_radius=1):

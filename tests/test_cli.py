@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -243,6 +244,16 @@ def test_conjugate_fast_must_be_boolean(tmp_path, capsys, value):
     assert "fast is a JSON boolean" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [5, None, ["out.json"]])
+def test_conjugate_out_must_be_string(tmp_path, capsys, value):
+    obj = json.loads((SCENARIOS / "conjugate_quadratic.json").read_text())
+    obj["out"] = value
+    cfg = tmp_path / "out.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["conjugate", "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert "out is a JSON string" in capsys.readouterr().err
+
+
 def test_conjugate_2d_box_matches_dense_oracle(tmp_path):
     from maxplus import Grid, GridFn
     from maxplus.serialize import dumps, gridfn_to_json
@@ -372,6 +383,7 @@ MALFORMED_MERTON_FIELDS = [
     ("T", [0], "finite and positive"),
     ("T", [-5], "finite and positive"),
     ("T", [25, 25], "repeated"),
+    ("out", 5, "out is a JSON string"),
 ]
 
 
@@ -422,3 +434,159 @@ def test_ldp_merton_bad_field_exits_3(tmp_path, capsys, field, value, message):
     cfg.write_text(json.dumps(obj))
     assert run(["ldp", "--config", cfg, "--out-dir", tmp_path]) == 3
     assert message in capsys.readouterr().err
+
+
+MERTON_SEQUENCE = {
+    "type": "merton", "params": {"r": 0.05, "alpha": 0.10, "sigma": 0.20},
+    "horizons": [200, 400], "xi_min": 0.0, "xi_max": 1.0, "xi_step": 0.5,
+}
+
+# (where, field, value, message): "top" is the ldp scenario itself,
+# "gaussian" and "merton" its sequence object of that type
+MALFORMED_LDP_FIELDS = [
+    ("top", "sup_edge_to_inf", "false", "sup_edge_to_inf is a JSON boolean"),
+    ("top", "sup_edge_to_inf", 1, "sup_edge_to_inf is a JSON boolean"),
+    ("top", "x_closed_below", "n", "x_closed_below is a JSON boolean or a list"),
+    ("top", "closed_below", [1], "closed_below entry is a JSON boolean"),
+    ("top", "closed_below", ["no"], "closed_below entry is a JSON boolean"),
+    ("top", "closed_above", [True, True], "closed_above is a JSON boolean or a list of 1"),
+    ("top", "x_closed_above", [], "x_closed_above is a JSON boolean or a list of 1"),
+    ("top", "window_margin", "0.1", "window_margin is a finite number"),
+    ("top", "window_margin", None, "window_margin is a finite number"),
+    ("top", "out_json", 5, "out_json is a JSON string"),
+    ("top", "out_csv", ["a.csv"], "out_csv is a JSON string"),
+    ("gaussian", "n_list", "ab", "n_list is a nonempty list of positive JSON integers"),
+    ("gaussian", "n_list", [], "n_list is a nonempty list of positive JSON integers"),
+    ("gaussian", "n_list", [64.7, 128], "n_list entry is a JSON integer"),
+    ("gaussian", "n_list", ["64", 128], "n_list entry is a JSON integer"),
+    ("gaussian", "n_list", [True, 128], "n_list entry is a JSON integer"),
+    ("gaussian", "n_list", [0, 128], "n_list entry must be at least 1"),
+    ("merton", "horizons", [-5], "horizons entry must be at least 1"),
+    ("merton", "horizons", [200, "400"], "horizons entry is a JSON integer"),
+    ("merton", "horizons", [200.5], "horizons entry is a JSON integer"),
+    ("merton", "horizons", 200, "horizons is a nonempty list"),
+    ("merton", "truncate_at", "0", "truncate_at is a finite number"),
+    ("merton", "truncate_at", None, "truncate_at is a finite number"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, field, value, message",
+    MALFORMED_LDP_FIELDS,
+    ids=[f"{w}-{f}={json.dumps(v)}" for w, f, v, _ in MALFORMED_LDP_FIELDS],
+)
+def test_malformed_ldp_field_exits_3(tmp_path, capsys, where, field, value, message):
+    obj = json.loads((SCENARIOS / "gaussian_ldp.json").read_text())
+    if where == "merton":
+        obj["sequence"] = json.loads(json.dumps(MERTON_SEQUENCE))
+    target = obj if where == "top" else obj["sequence"]
+    target[field] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["ldp", "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "gaussian_ldp_out.json").exists()
+
+
+def test_ldp_side_flags_take_a_boolean_or_one_per_axis(tmp_path):
+    obj = json.loads((SCENARIOS / "gaussian_ldp.json").read_text())
+    for name, below in (("one", True), ("list", [True])):
+        obj.update(closed_below=below, out_json=f"{name}.json", out_csv=f"{name}.csv")
+        cfg = tmp_path / f"{name}_in.json"
+        cfg.write_text(json.dumps(obj))
+        assert run(["ldp", "--config", cfg, "--out-dir", tmp_path]) == 0
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "list.json").read_bytes()
+
+
+MALFORMED_COVERING_FIELDS = [
+    ("top", "config", [], "config is a JSON object"),
+    ("top", "config", "exact", "config is a JSON object"),
+    ("top", "out", 5, "out is a JSON string"),
+    ("top", "xprime", [True, False, True], "xprime entry is a JSON integer"),
+    ("top", "xprime", [0.7, 1.2], "xprime entry is a JSON integer"),
+    ("top", "xprime", [-1], "xprime entry must be at least 0"),
+    ("top", "xprime", [7], "xprime entry 7 is not below the 3 X-nodes"),
+    ("top", "xprime", "ab", "xprime is a list of node indices"),
+    ("config", "assume_finite_exact", "false", "assume_finite_exact is a JSON boolean"),
+    ("config", "assume_finite_exact", 0, "assume_finite_exact is a JSON boolean"),
+    ("config", "stencil_radius", 1.7, "stencil_radius is a JSON integer"),
+    ("config", "stencil_radius", "1", "stencil_radius is a JSON integer"),
+    ("config", "stencil_radius", -1, "stencil_radius must be at least 0"),
+    ("config", "le_tol", "0.5", "le_tol is a finite number"),
+    ("config", "le_tol", -1, "le_tol must be at least 0"),
+    ("config", "eq_tol", "nan", "eq_tol is a finite number"),
+    ("config", "eq_tol", float("inf"), "eq_tol is a finite number"),
+    ("config", "window_margin", "0.1", "window_margin is a finite number"),
+    ("config", "closed_below", "yes", "closed_below is a JSON boolean or a list"),
+    ("config", "closed_above", [1], "closed_above entry is a JSON boolean"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, field, value, message",
+    MALFORMED_COVERING_FIELDS,
+    ids=[f"{w}-{f}={json.dumps(v)}" for w, f, v, _ in MALFORMED_COVERING_FIELDS],
+)
+def test_malformed_covering_field_exits_3(tmp_path, capsys, where, field, value, message):
+    obj = json.loads((SCENARIOS / "covering_identity.json").read_text())
+    (obj if where == "top" else obj["config"])[field] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["covering", "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "covering_out.json").exists()
+
+
+def test_covering_xprime_selects_target_nodes(tmp_path):
+    obj = json.loads((SCENARIOS / "covering_identity.json").read_text())
+    obj["xprime"] = [0, 2]
+    cfg = tmp_path / "xprime.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["covering", "--config", cfg, "--out-dir", tmp_path]) == 0
+    out = json.loads((tmp_path / "covering_out.json").read_text())
+    assert out["existence"] == "YES"
+
+
+# SHA-256 of every artifact of the checked-in scenarios.  A change to one
+# of these bytes is a change of results: make it on purpose, update the
+# digest, and give the reason in CHANGES.md.
+PINNED_DIGESTS = {
+    "conjugate_quadratic.json": {
+        "conjugate_out.json":
+            "2d90d31780f500b0c7ca60ec754fb8f6b1e645e862e4a4a105b4f99ab050af56",
+    },
+    "covering_identity.json": {
+        "covering_out.json":
+            "6776b6fc7150d4086d8e8b1e694424e824716b3973572f9ebb4e11593c6a6460",
+    },
+    "gaussian_ldp.json": {
+        "gaussian_ldp_out.csv":
+            "e13ef2c913647b93e76ec5c47b82d32786693364aef299959908a64bae178703",
+        "gaussian_ldp_out.json":
+            "99c79026df7939d2099518039049bb52e6ae0800abc466f4432dfe401a42b60e",
+    },
+    "merton_tailrate.json": {
+        "merton_tailrate.csv":
+            "5f52c437fd444fe9ce65fa0a4a79fedf7d7b964199750a52f2ff75bee878e900",
+    },
+}
+
+
+def test_pinned_digests_cover_every_scenario():
+    assert sorted(PINNED_DIGESTS) == sorted(p.name for p in SCENARIOS.glob("*.json"))
+
+
+@pytest.mark.parametrize("scenario", sorted(PINNED_DIGESTS))
+def test_scenario_artifacts_match_pinned_digests(tmp_path, scenario):
+    path = SCENARIOS / scenario
+    kind = json.loads(path.read_text())["kind"]
+    assert run([kind, "--config", path, "--out-dir", tmp_path]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    for name, digest in PINNED_DIGESTS[scenario].items():
+        assert written.get(name) == digest, (
+            f"{scenario}: {name} changed (sha256 {written.get(name)}, pinned "
+            f"{digest}); a deliberate change of artifact bytes updates the "
+            "pinned digest and gives its reason in CHANGES.md"
+        )
+    assert sorted(written) == sorted(PINNED_DIGESTS[scenario])

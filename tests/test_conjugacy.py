@@ -640,8 +640,6 @@ def test_bilinear_halfline_window_is_coercive_evidence():
     assert rep.all_upper_coercive
     assert rep.coercive[0] == "EVIDENCE"  # genuine boundary x = 0 is testable
     assert rep.coercive[-1] == "EDGE"  # the top x edge only emulates infinity
-    assert rep.strongly_coercive == rep.coercive  # finite stencil neighborhoods
-    assert rep.finite_neighborhoods
 
 
 def test_zero_kernel_violates_coercivity():

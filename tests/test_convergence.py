@@ -14,6 +14,7 @@ from maxplus import (
     LogIntegralForm,
     MaxPlusForm,
     NEG_INF,
+    ValidationError,
     asymptotic_tightness_check,
     constant_sequence,
     default_interval_sets,
@@ -54,6 +55,22 @@ def gaussian_bin_sequence(grid, n_list):
         n_list=tuple(n_list),
         y_grid=grid,
     )
+
+
+@pytest.mark.parametrize(
+    "n_list", [(64.7, 128), (64.0, 128), (True, 2), ("64", 128), (0, 1), (-5,)],
+    ids=["fraction", "integral-float", "bool", "string", "zero", "negative"],
+)
+def test_form_sequence_rejects_non_integer_indices(n_list):
+    g = Grid.line(-1.0, 1.0, 5)
+    with pytest.raises(ValidationError, match="positive integers"):
+        gaussian_mean_sequence(g, n_list)
+
+
+def test_form_sequence_takes_numpy_integers():
+    g = Grid.line(-1.0, 1.0, 5)
+    seq = gaussian_mean_sequence(g, np.array([64, 128]))
+    assert seq.n_list == (64, 128) and type(seq.n_list[0]) is int
 
 
 # ---------------------------------------------------------------------------

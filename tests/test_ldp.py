@@ -118,10 +118,10 @@ def test_pipeline_computes_coercivity_once(monkeypatch):
     assert len(calls) == 1
     assert out.verdict == "FULL_LDP"
     a = out.assumptions
-    assert (a.discrete_space, a.coercive, a.upper_coercive) == (True, "EVIDENCE", "EVIDENCE")
+    assert (a.coercive, a.upper_coercive) == ("EVIDENCE", "EVIDENCE")
     assert (a.dual_superlevel_compact, a.quasicontinuous_dual) == ("VIOLATION", True)
     t = a.tightness
-    assert (t.holds, t.witness, t.strongly_coercive) == (True, 50, True)
+    assert (t.holds, t.witness, t.coercivity.all_coercive) == (True, 50, True)
     assert t.coercivity == slow_coercivity_report(gin.kernel, 0.1)
     assert "coercivity" not in repr(t)
 
