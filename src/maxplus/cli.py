@@ -18,7 +18,6 @@ byte-identical artifacts.
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -32,6 +31,8 @@ from .ldp import BOUNDS_ONLY, FULL_LDP, GartnerInput, pipeline
 from .merton import MertonParams, growth_input, tail_rate_experiment
 from .serialize import (
     _expect_keys,
+    _json_count,
+    _json_number,
     dumps,
     grid_from_json,
     gridfn_from_json,
@@ -44,27 +45,6 @@ from .serialize import (
 def _json_object(value, what):
     if not isinstance(value, dict):
         raise ValidationError(f"{what} is a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _json_number(value, what):
-    """A finite JSON number, returned as given."""
-    finite = False
-    if type(value) in (int, float):
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    if not finite:
-        raise ValidationError(f"{what} is a finite number, got {json.dumps(value)}")
-    return value
-
-
-def _json_count(value, what, minimum):
-    if type(value) is not int:
-        raise ValidationError(f"{what} is a JSON integer, got {json.dumps(value)}")
-    if value < minimum:
-        raise ValidationError(f"{what} must be at least {minimum}, got {value}")
     return value
 
 
@@ -232,6 +212,12 @@ def _run_covering(obj, out_dir, summary):
         ),
         sides=_sides_from(cfg_obj, yg.dim, what),
     )
+    window = sorted({"window_margin", "closed_below", "closed_above"} & set(cfg_obj))
+    if cfg.assume_finite_exact and window:
+        raise ValidationError(
+            f"{what}: {', '.join(window)} cannot be set with assume_finite_exact, "
+            "which samples no window"
+        )
     v = covering_verdict(g, kernel, xprime, cfg)
     rep = v.covering
     payload = {

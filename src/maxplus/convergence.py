@@ -62,8 +62,6 @@ class GaussianMeanForm(QuasiLinearForm):
     piecewise-linear interpolant with end pieces extended to infinity.
     """
 
-    array_affine = True
-
     def __init__(self, index, grid):
         if grid.dim != 1:
             raise ValidationError("GaussianMeanForm lives on a 1-D grid")
@@ -82,6 +80,12 @@ class GaussianMeanForm(QuasiLinearForm):
 
     def evaluate_affine(self, slope, intercept=0.0):
         return intercept + 0.5 * slope * slope
+
+    @classmethod
+    def affine_rows(cls, forms, slopes, intercept=0.0):
+        # the value does not depend on the index
+        row = forms[0].evaluate_affine(np.asarray(slopes, dtype=np.float64), intercept)
+        return np.broadcast_to(row, (len(forms),) + row.shape)
 
     def eval_on_set(self, mask):
         runs = mask_runs(self._grid, _to_mask(self._grid, mask))
@@ -128,13 +132,12 @@ def _trend_basis(ns):
     return np.stack(cols, axis=1)
 
 
-def _fit_limit(ns, v):
-    """Least-squares limit against {1, 1/n, log(n)/n}; (limit, max residual).
+def _fit_limit(A, v):
+    """Least-squares limit of v against the basis A; (limit, max residual).
 
     A fit that overflows has a residual of inf or NaN, which callers
     treat as a failed fit.
     """
-    A = _trend_basis(ns)
     coef, *_ = np.linalg.lstsq(A, v, rcond=None)
     with np.errstate(over="ignore", invalid="ignore"):
         resid = float(np.abs(A @ coef - v).max())
@@ -158,7 +161,7 @@ def trend_limit(ns, values):
         if (tail == tail[-1]).all():
             return float(v[-1])
         return float("nan") if np.isfinite(v[-1]) else float(v[-1])
-    limit, resid = _fit_limit(ns, v)
+    limit, resid = _fit_limit(_trend_basis(ns), v)
     return limit if np.isfinite(resid) else float("nan")
 
 
@@ -176,7 +179,7 @@ def trend_pair(ns, values, *, fit_resid_tol=1e-2):
     if (v == v[0]).all():
         return float(v[0]), float(v[0])
     if np.isfinite(v).all():
-        limit, resid = _fit_limit(ns, v)
+        limit, resid = _fit_limit(_trend_basis(ns), v)
         if np.isfinite(resid) and resid <= fit_resid_tol:
             return limit, limit
     tail = v[v.size // 2:]
@@ -194,6 +197,8 @@ def trend_pairs(ns, values, *, fit_resid_tol=1e-2):
     rescales it (and, in a block, every column with it), and one whose
     residual lies within the rounding of the batched product A @ coef
     of the tolerance, since the one-column product may round otherwise.
+    A one-column solve is a function of the column's bits, so each
+    distinct column among these is solved once.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.shape[0] == 0:
@@ -223,8 +228,15 @@ def trend_pairs(ns, values, *, fit_resid_tol=1e-2):
                 # two roundings of |A @ coef - w| differ by at most 4 eps (|A||coef| + |w|)
                 slack = 8.0 * EPS * (np.abs(A) @ np.abs(coef) + np.abs(wb)).max(axis=0)
             alone[batch[np.abs(resid[batch] - fit_resid_tol) <= slack]] = True
-        for j in np.flatnonzero(alone):
-            limit[j], resid[j] = _fit_limit(ns, w[:, j])
+        single = np.flatnonzero(alone)
+        if single.size:
+            # the bit patterns of the columns, so that -0.0 and 0.0 stay apart
+            bits = np.ascontiguousarray(w[:, single].T).view(np.uint64)
+            _, first, where = np.unique(
+                bits, axis=0, return_index=True, return_inverse=True
+            )
+            fits = [_fit_limit(A, w[:, single[j]]) for j in first]
+            limit[single], resid[single] = np.array(fits).T[:, where.reshape(-1)]
         ok = np.isfinite(resid) & (resid <= fit_resid_tol)
         lo[fit[ok]] = hi[fit[ok]] = limit[ok]
     return lo, hi

@@ -54,9 +54,11 @@ class QuasiLinearForm:
 
     grid = None
     join_defect_bound = 0.0
-    # True when evaluate_affine takes an array of 1-D slopes and returns
-    # one value per slope, each equal to the scalar call bit for bit
-    array_affine = False
+    # a class may set affine_rows to a classmethod (forms, slopes,
+    # intercept) -> array whose row s holds forms[s].evaluate_affine at
+    # every 1-D slope, bit for bit; families of such forms are then
+    # evaluated in one call per index
+    affine_rows = None
 
     def evaluate(self, phi):
         raise NotImplementedError

@@ -62,29 +62,35 @@ class GartnerInput:
         object.__setattr__(self, "sequences", seqs)
 
 
-def _value_matrix(seq, kernel):
-    """V[i, x] = F_{n_i}(b(x,·)) for every index n_i and x-node.
+def _value_tensor(seqs, kernel):
+    """V[i, s, x] = F^s_{n_i}(b(x,·)) for sequences s sharing one n_list.
 
-    On a 1-D bilinear kernel the slices are affine; a form whose class
-    declares ``array_affine`` fills its row in one call over all slopes,
-    any other form is called once per slope.
+    On a 1-D bilinear kernel the slices are affine: at each index the
+    forms of one class that defines ``affine_rows`` fill their rows in one
+    call over all slopes; any other form is called once per slope.
     """
-    forms = [form for _, form in seq.forms()]
+    forms = [[form for _, form in seq.forms()] for seq in seqs]
     nx = kernel.x_grid.size
-    V = np.empty((len(forms), nx))
+    V = np.empty((len(seqs[0].n_list), len(seqs), nx))
     if kernel.kind == "bilinear":
         coords = kernel.x_grid.coords
         flat = kernel.x_grid.dim == 1
         slopes = list(coords) if flat else [tuple(c) for c in coords]
-        for i, form in enumerate(forms):
-            if flat and getattr(form, "array_affine", False):
-                V[i] = form.evaluate_affine(coords, 0.0)
-            else:
-                V[i] = [form.evaluate_affine(s, 0.0) for s in slopes]
+        for i, at_n in enumerate(zip(*forms)):
+            classes = {}
+            for s, form in enumerate(at_n):
+                classes.setdefault(type(form), []).append(s)
+            for cls, members in classes.items():
+                rows = getattr(cls, "affine_rows", None) if flat else None
+                if rows is not None:
+                    V[i, members] = rows([at_n[s] for s in members], coords, 0.0)
+                else:
+                    for s in members:
+                        V[i, s] = [at_n[s].evaluate_affine(y, 0.0) for y in slopes]
     else:
         for x in range(nx):
             row = kernel.row(x)
-            V[:, x] = [form.evaluate(row) for form in forms]
+            V[:, :, x] = [[form.evaluate(row) for form in at_n] for at_n in zip(*forms)]
     return V
 
 
@@ -111,16 +117,24 @@ def limit_log_moment(gartner_input, *, limit_tol=1e-6, sup_edge_to_inf=False):
     """
     k = gartner_input.kernel
     nx = k.x_grid.size
-    per_member = np.empty((len(gartner_input.sequences), nx))
+    seqs = gartner_input.sequences
+    lo = np.empty((len(seqs), nx))
+    per_member = np.empty((len(seqs), nx))
+    groups = {}
+    for si, seq in enumerate(seqs):
+        groups.setdefault(seq.n_list, []).append(si)
+    for ns, members in groups.items():
+        V = _value_tensor([seqs[si] for si in members], k)
+        lo_g, up_g = trend_pairs(ns, V.reshape(len(ns), -1))
+        lo[members] = lo_g.reshape(-1, nx)
+        per_member[members] = up_g.reshape(-1, nx)
+
     gaps = np.zeros(nx)
-    for si, seq in enumerate(gartner_input.sequences):
-        lo, up = trend_pairs(seq.n_list, _value_matrix(seq, k))
-        per_member[si] = up
-        if gartner_input.mode == "limit-asserted":
-            ne = up != lo
-            gap = np.zeros(nx)
-            gap[ne] = np.abs(up[ne] - lo[ne])
-            gaps = np.fmax(gaps, gap)  # a NaN gap is skipped, as max() does
+    if gartner_input.mode == "limit-asserted":
+        ne = per_member != lo
+        gap = np.zeros_like(lo)
+        gap[ne] = np.abs(per_member[ne] - lo[ne])
+        gaps = np.fmax.reduce(gap, axis=0, initial=0.0)  # a NaN gap is skipped, as max() does
 
     downgraded = False
     if gartner_input.mode == "limit-asserted" and np.nanmax(gaps, initial=0.0) > limit_tol:

@@ -263,8 +263,6 @@ class MertonValueForm(QuasiLinearForm):
     lookup_grid: Grid = None
     clip_floor: float = None
 
-    array_affine = True
-
     @property
     def grid(self):
         return self.lookup_grid
@@ -280,32 +278,65 @@ class MertonValueForm(QuasiLinearForm):
         return mu, sd
 
     def evaluate_affine(self, slope, intercept=0.0):
-        p, T = self.params, self.horizon
-        if self.clip_floor is None:
-            return intercept + slope * math.log(p.w0) / T + slope * (
-                p.r + p.excess * self.xi + (slope - 1.0) * p.sigma**2 * self.xi**2 / 2.0
-            )
-        a = self.clip_floor
-        mu, sd = self._law()
-        if sd == 0.0:
-            return intercept + slope * max(mu, a)
-        t1 = T * (intercept + slope * a) + _normal.log_ndtr((a - mu) / sd)
-        t2 = (
-            T * intercept
-            + T * slope * mu
-            + T * slope * slope * sd * sd * T / 2.0
-            + _normal.log_ndtr(-(a - mu - slope * sd * sd * T) / sd)
-        )
-        m = np.maximum(t1, t2)
-        u, v = np.asarray(t1 - m), np.asarray(t2 - m)
-        # one of u, v is 0; below -37 the other's e^d < 2^-53 leaves
-        # log(1 + e^d) at exactly 0.  The rest go through libm one at a
-        # time: numpy's vectorised exp and log differ in the last bit.
-        s = np.zeros(u.shape)
-        near = ~(np.minimum(u, v) < -37.0)
-        s[near] = _log_sum_exp_pair(u[near], v[near])
-        out = (m + s) / T
+        out = self.affine_rows([self], slope, intercept)[0]
         return float(out) if np.ndim(out) == 0 else out
+
+    @classmethod
+    def affine_rows(cls, forms, slopes, intercept=0.0):
+        """Row s: ``forms[s]`` on y ↦ slope·y + intercept, for every slope.
+
+        Each form's constants form a column that broadcasts against the
+        slopes, so every entry takes the float operations of a one-form,
+        one-slope evaluation.
+        """
+        slope = np.asarray(slopes, dtype=np.float64)
+        out = np.empty((len(forms),) + slope.shape)
+        plain, point, normal = [], [], []
+        for i, f in enumerate(forms):
+            p, T = f.params, f.horizon
+            if f.clip_floor is None:
+                plain.append(
+                    (i, math.log(p.w0), T, p.r + p.excess * f.xi, p.sigma**2, f.xi**2)
+                )
+                continue
+            mu, sd = f._law()
+            if sd == 0.0:
+                point.append((i, max(mu, f.clip_floor)))
+            else:
+                normal.append((i, T, f.clip_floor, mu, sd))
+
+        def columns(consts):
+            rows, *cols = zip(*consts)
+            shape = (-1,) + (1,) * slope.ndim
+            return list(rows), [np.array(c, dtype=np.float64).reshape(shape) for c in cols]
+
+        if plain:
+            rows, (lw, T, c0, s2, x2) = columns(plain)
+            out[rows] = intercept + slope * lw / T + slope * (
+                c0 + (slope - 1.0) * s2 * x2 / 2.0
+            )
+        if point:
+            rows, (top,) = columns(point)
+            out[rows] = intercept + slope * top
+        if normal:
+            rows, (T, a, mu, sd) = columns(normal)
+            t1 = T * (intercept + slope * a) + _normal.log_ndtr((a - mu) / sd)
+            t2 = (
+                T * intercept
+                + T * slope * mu
+                + T * slope * slope * sd * sd * T / 2.0
+                + _normal.log_ndtr(-(a - mu - slope * sd * sd * T) / sd)
+            )
+            m = np.maximum(t1, t2)
+            u, v = t1 - m, t2 - m
+            # one of u, v is 0; below -37 the other's e^d < 2^-53 leaves
+            # log(1 + e^d) at exactly 0.  The rest go through libm one at a
+            # time: numpy's vectorised exp and log differ in the last bit.
+            s = np.zeros(u.shape)
+            near = ~(np.minimum(u, v) < -37.0)
+            s[near] = _log_sum_exp_pair(u[near], v[near])
+            out[rows] = (m + s) / T
+        return out
 
     def eval_on_set(self, mask):
         if self.lookup_grid is None:

@@ -82,11 +82,34 @@ def grid_to_json(grid):
 
 
 def grid_from_json(obj):
+    """A Grid from ``{"lo", "hi", "n", "dim"}``.
+
+    ``dim`` is the JSON integer 1 or 2.  Per axis, ``lo`` and ``hi`` are
+    finite JSON numbers and ``n`` a JSON integer of at least 1: scalars
+    for dim 1, lists of two for dim 2.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError(f"grid is a JSON object, got {type(obj).__name__}")
     _expect_keys(obj, {"lo", "hi", "n", "dim"}, "grid")
-    dim = int(obj["dim"])
+    dim = obj["dim"]
+    if type(dim) is not int or dim not in (1, 2):
+        raise ValidationError(f"grid: dim is the JSON integer 1 or 2, got {json.dumps(dim)}")
+
+    def per_axis(key, read):
+        value = obj[key]
+        if dim == 1:
+            return read(value, f"grid: {key}")
+        if type(value) is not list or len(value) != 2:
+            raise ValidationError(
+                f"grid: {key} is a list of 2 for dim 2, got {json.dumps(value)}"
+            )
+        return tuple(read(v, f"grid: {key} entry") for v in value)
+
+    lo, hi = per_axis("lo", _json_number), per_axis("hi", _json_number)
+    n = per_axis("n", lambda v, what: _json_count(v, what, 1))
     if dim == 1:
-        return Grid.line(obj["lo"], obj["hi"], obj["n"])
-    return Grid.box(obj["lo"], obj["hi"], obj["n"])
+        return Grid.line(lo, hi, n)
+    return Grid.box(lo, hi, n)
 
 
 def gridfn_to_json(fn):
@@ -188,6 +211,27 @@ def empirical_form_from_csv(path, epsilon, lookup_grid=None):
     return EmpiricalForm(
         epsilon=epsilon, samples=np.array(samples), lookup_grid=lookup_grid
     )
+
+
+def _json_number(value, what):
+    """A finite JSON number, returned as given."""
+    finite = False
+    if type(value) in (int, float):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not finite:
+        raise ValidationError(f"{what} is a finite number, got {json.dumps(value)}")
+    return value
+
+
+def _json_count(value, what, minimum):
+    if type(value) is not int:
+        raise ValidationError(f"{what} is a JSON integer, got {json.dumps(value)}")
+    if value < minimum:
+        raise ValidationError(f"{what} must be at least {minimum}, got {value}")
+    return value
 
 
 def _expect_keys(obj, allowed, what, optional=frozenset()):

@@ -547,6 +547,84 @@ def test_covering_xprime_selects_target_nodes(tmp_path):
     assert out["existence"] == "YES"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("window_margin", 0.1), ("closed_below", True), ("closed_above", [False]),
+])
+def test_covering_window_fields_rejected_with_assume_finite_exact(
+    tmp_path, capsys, field, value
+):
+    obj = json.loads((SCENARIOS / "covering_identity.json").read_text())
+    assert obj["config"]["assume_finite_exact"] is True
+    obj["config"][field] = value
+    cfg = tmp_path / "window.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["covering", "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert f"{field} cannot be set with assume_finite_exact" in capsys.readouterr().err
+    assert not (tmp_path / "covering_out.json").exists()
+    # the window field alone is read once the window is sampled
+    obj["config"]["assume_finite_exact"] = False
+    cfg.write_text(json.dumps(obj))
+    assert run(["covering", "--config", cfg, "--out-dir", tmp_path]) != 3
+
+
+LINE = {"dim": 1, "lo": 0.0, "hi": 1.0, "n": 5}
+BOX = {"dim": 2, "lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [3, 3]}
+
+# (base grid, fields replaced, message): one malformed value each
+MALFORMED_GRIDS = [
+    (LINE, {"n": 5.7}, "grid: n is a JSON integer"),
+    (LINE, {"n": 5.0}, "grid: n is a JSON integer"),
+    (LINE, {"n": True}, "grid: n is a JSON integer"),
+    (LINE, {"n": "5"}, "grid: n is a JSON integer"),
+    (LINE, {"n": [5]}, "grid: n is a JSON integer"),
+    (LINE, {"n": 0}, "grid: n must be at least 1"),
+    (LINE, {"dim": "1"}, "grid: dim is the JSON integer 1 or 2"),
+    (LINE, {"dim": True}, "grid: dim is the JSON integer 1 or 2"),
+    (LINE, {"dim": 1.0}, "grid: dim is the JSON integer 1 or 2"),
+    (LINE, {"dim": 3}, "grid: dim is the JSON integer 1 or 2"),
+    (LINE, {"lo": "0"}, "grid: lo is a finite number"),
+    (LINE, {"lo": None}, "grid: lo is a finite number"),
+    (LINE, {"lo": [0.0]}, "grid: lo is a finite number"),
+    (LINE, {"hi": True}, "grid: hi is a finite number"),
+    (LINE, {"hi": float("inf")}, "grid: hi is a finite number"),
+    (LINE, {"hi": 10**400}, "grid: hi is a finite number"),
+    (BOX, {"n": 3}, "grid: n is a list of 2 for dim 2"),
+    (BOX, {"n": [3, 3, 3]}, "grid: n is a list of 2 for dim 2"),
+    (BOX, {"n": [3, 2.5]}, "grid: n entry is a JSON integer"),
+    (BOX, {"lo": 0.0}, "grid: lo is a list of 2 for dim 2"),
+    (BOX, {"lo": [0.0, "0"]}, "grid: lo entry is a finite number"),
+    (BOX, {"hi": [1.0, float("nan")]}, "grid: hi entry is a finite number"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, fields, message",
+    MALFORMED_GRIDS,
+    ids=[f"{b['dim']}d-{json.dumps(f)}" for b, f, _ in MALFORMED_GRIDS],
+)
+@pytest.mark.parametrize("scenario", [
+    "conjugate_quadratic.json", "covering_identity.json", "gaussian_ldp.json",
+])
+def test_malformed_grid_exits_3(tmp_path, capsys, scenario, base, fields, message):
+    obj = json.loads((SCENARIOS / scenario).read_text())
+    obj["x_grid"] = {**base, **fields}
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(obj))
+    assert run([obj["kind"], "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.json"]
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1.0, 5], "line"], ids=["array", "string"])
+def test_non_object_grid_exits_3(tmp_path, capsys, grid):
+    obj = json.loads((SCENARIOS / "gaussian_ldp.json").read_text())
+    obj["y_grid"] = grid
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["ldp", "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert "grid is a JSON object" in capsys.readouterr().err
+
+
 # SHA-256 of every artifact of the checked-in scenarios.  A change to one
 # of these bytes is a change of results: make it on purpose, update the
 # digest, and give the reason in CHANGES.md.

@@ -131,6 +131,37 @@ def test_trend_pairs_equal_trend_pair_column_by_column(case):
         assert np.array([lo[j], hi[j]]).tobytes() == ref.tobytes()
 
 
+def test_trend_pairs_solves_each_distinct_tiny_column_once(monkeypatch):
+    ns = (400, 800, 1600, 3200)
+    tiny = np.array([-1.3275e-273, 0.0, 0.0, 0.0])
+    up = tiny.copy()
+    up[0] = np.nextafter(tiny[0], 0.0)  # 1 ulp apart
+    signed = np.array([-1.3275e-273, -0.0, 0.0, 0.0])  # apart in bits only
+    spread = np.array([3e-280, -1e-290, 2e-285, 5e-300])
+    huge = np.array([1e300, 2e300, -1e299, 3e300])
+    huge_up = huge.copy()
+    huge_up[2] = np.nextafter(huge[2], np.inf)
+    normal = np.array([0.5, 0.25, 0.125, 0.0625])
+    distinct = [tiny, up, signed, spread, huge, huge_up]
+    order = [0, 1, 0, 2, 3, 0, 4, 5, 4, 3, 1, 2, 0]
+    V = np.stack([distinct[i] for i in order] + [normal, normal], axis=1)
+
+    solves = []
+    lstsq = np.linalg.lstsq
+
+    def counting(A, b, **kw):
+        solves.append(np.ndim(b))
+        return lstsq(A, b, **kw)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    lo, hi = trend_pairs(ns, V)
+    assert sorted(solves) == [1] * len(distinct) + [2]  # one batch for the rest
+    monkeypatch.undo()
+    for j in range(V.shape[1]):
+        ref = np.array(trend_pair(ns, V[:, j]))
+        assert np.array([lo[j], hi[j]]).tobytes() == ref.tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_fit_takes_the_trailing_half_without_warning():
     # the fits overflow: residual NaN for the first column, inf for the second

@@ -407,9 +407,62 @@ def _bilinear_2d_case(nlen):
     return GartnerInput((seq,), Kernel.bilinear(xg, yg)), False
 
 
+def _mixed_nlists_case(nlen):
+    """Members whose n_lists differ, interleaved in member order."""
+    a = {1: (400,), 2: (400, 800), 4: (200, 400, 800, 1600)}[nlen]
+    b = {1: (500,), 2: (300, 900), 4: (250, 500, 1000, 2000)}[nlen]
+    xi = np.arange(0.0, 6.0 + 1e-9, 0.5)
+    xg, yg = Grid.line(-0.2, 1.2, 29), Grid.line(0.0, 2.0, 11)
+    ina = growth_input(P, xg, yg, xi, a, clip_floor=0.0)
+    inb = growth_input(P, xg, yg, xi, b, clip_floor=0.0)
+    seqs = [
+        sa if i % 2 else sb
+        for i, (sa, sb) in enumerate(zip(ina.sequences, inb.sequences))
+    ]
+    seqs.insert(5, gaussian_mean_sequence(yg, a))
+    return GartnerInput(seqs, ina.kernel), True
+
+
+class _ScalarOnlyMerton(QuasiLinearForm):
+    """A Merton form behind an interface with no ``affine_rows``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.grid = inner.grid
+
+    def evaluate_affine(self, slope, intercept=0.0):
+        return self.inner.evaluate_affine(slope, intercept)
+
+
+def _merton_beside_scalar_only_case(nlen):
+    """Merton members and scalar-only members sharing one n_list."""
+    gin, edge = _merton_case(0.0)(nlen)
+    seqs = list(gin.sequences)
+    for i in range(1, len(seqs), 3):
+        seqs[i] = FormSequence(
+            lambda n, gen=seqs[i].generator: _ScalarOnlyMerton(gen(n)),
+            seqs[i].n_list,
+            seqs[i].y_grid,
+        )
+    return GartnerInput(seqs, gin.kernel), edge
+
+
+def _merton_tiny_case(nlen):
+    """A clipped family whose fractions near 20 leave equal tiny columns
+    such as [-1.3e-273, 0] at many x-nodes."""
+    ns = {1: (400,), 2: (400, 800), 4: (400, 800, 1600, 3200)}[nlen]
+    xi = np.concatenate([[0.0, 2.0], np.arange(20.0, 21.6 + 1e-9, 0.2), [40.0]])
+    return growth_input(
+        P, Grid.line(0.0, 1.2, 13), Grid.line(0.0, 2.0, 11), xi, ns, clip_floor=0.0,
+    ), True
+
+
 BATCH_CASES = {
     "merton": _merton_case(None),
     "merton-clipped": _merton_case(0.0),
+    "merton-mixed-nlists": _mixed_nlists_case,
+    "merton-beside-scalar-only": _merton_beside_scalar_only_case,
+    "merton-tiny": _merton_tiny_case,
     "gaussian": _gaussian_case,
     "constant-maxplus": _constant_maxplus_case,
     "table": _table_case,
@@ -436,6 +489,17 @@ def test_limit_log_moment_bit_identical_to_per_node_loop(case, nlen, mode):
         assert ref_down  # the parity sequence reaches the downgrade
     if case.startswith("merton") and nlen == 4:
         assert ref_edge.size and np.isfinite(ref_g).any()
+
+
+def test_tiny_case_repeats_tiny_columns():
+    gin, _ = _merton_tiny_case(4)
+    k = gin.kernel
+    cols = [
+        tuple(form.evaluate_affine(x) for _, form in seq.forms())
+        for seq in gin.sequences for x in k.x_grid.coords
+    ]
+    tiny = [c for c in cols if 0.0 < max(map(abs, c)) < 2.0**-900]
+    assert len(tiny) > 2 * len(set(tiny)) > 0
 
 
 class _CountingGaussian(GaussianMeanForm):
