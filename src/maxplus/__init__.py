@@ -9,8 +9,6 @@ from .grids import (
     GridFn,
     domain_masks,
     indicator,
-    neg,
-    oplus,
     otimes,
 )
 from .conjugacy import (
@@ -34,43 +32,30 @@ from .covering import (
     verdict,
 )
 from .forms import (
-    EmpiricalForm,
     LogIntegralForm,
     MaxPlusForm,
-    SupFamilyForm,
-    density_of,
     join_defect_estimate,
-    tightness_check,
 )
 from .convergence import (
     FormSequence,
     GaussianMeanForm,
-    asymptotic_tightness_check,
-    constant_sequence,
     default_interval_sets,
-    estimate_rate,
     gaussian_mean_sequence,
     ldp_bounds_check,
-    weak_convergence_check,
 )
 from .ldp import GartnerInput, GartnerOutput, limit_log_moment, pipeline, tightness_criterion
 from .merton import (
     ConstantControl,
-    FeedbackControl,
     MertonParams,
     MertonValueForm,
     brute_force_growth,
-    empirical_form,
     growth_conjugate,
     growth_input,
     growth_value,
     optimal_fraction,
     rate_threshold,
-    risk_sensitive_exact,
-    risk_sensitive_value,
     simulate,
     tail_rate_experiment,
-    truncate_form,
 )
 
 __version__ = "0.1.0"

@@ -4,14 +4,11 @@ Limits over the sequence index are never certified: every verdict is a
 finite-prefix trend with a declared extrapolation rule and tolerance.
 The default extrapolation fits values against the basis
 {1, 1/n, log(n)/n} (least squares over the available indices) and reads
-off the constant; liminf / limsup trends apply the same fit to the
-running tail minimum / maximum.
+off the constant; when the fit does not explain the data, the liminf /
+limsup trends fall back to the minimum / maximum over the trailing half.
 
-Statements checked, mirroring the weak-convergence ladder: (weak) test
-functions converge two-sidedly; (lsc-liminf) / (usc-limsup) one-sided
-bounds on functions — on a grid every function is both l.s.c. and
-u.s.c., so these run over the same family; (open-liminf),
-(closed-limsup), (compact-limsup) set bounds with caller-declared roles.
+Statements checked: (open-liminf), (closed-limsup) and (compact-limsup)
+set bounds, with roles the caller declares.
 """
 
 import numbers
@@ -22,7 +19,7 @@ import numpy as np
 from ._normal import log_gauss_mass, log_mgf_piecewise_linear, mask_runs
 from .errors import ValidationError
 from .forms import QuasiLinearForm, _to_mask
-from .grids import NEG_INF, Grid, GridFn
+from .grids import Grid
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -113,12 +110,6 @@ def gaussian_mean_sequence(grid, n_list):
     )
 
 
-def constant_sequence(form, n_list):
-    return FormSequence(
-        generator=lambda n: form, n_list=tuple(n_list), y_grid=form.grid
-    )
-
-
 # ---------------------------------------------------------------------------
 # trend extrapolation
 # ---------------------------------------------------------------------------
@@ -165,40 +156,24 @@ def trend_limit(ns, values):
     return limit if np.isfinite(resid) else float("nan")
 
 
-def trend_pair(ns, values, *, fit_resid_tol=1e-2):
-    """(liminf trend, limsup trend) for a finite prefix.
-
-    When the smooth fit explains the data (max residual within the
-    tolerance) the sequence is treated as convergent and both sides
-    equal the fitted limit; otherwise the conservative branch estimates
-    min/max over the trailing half are reported.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        return float("nan"), float("nan")
-    if (v == v[0]).all():
-        return float(v[0]), float(v[0])
-    if np.isfinite(v).all():
-        limit, resid = _fit_limit(_trend_basis(ns), v)
-        if np.isfinite(resid) and resid <= fit_resid_tol:
-            return limit, limit
-    tail = v[v.size // 2:]
-    return float(tail.min()), float(tail.max())
-
-
 def trend_pairs(ns, values, *, fit_resid_tol=1e-2):
     """(liminf trends, limsup trends) of every column of ``values``.
 
-    Row i holds the values at index ns[i]; column j gets exactly
-    ``trend_pair(ns, values[:, j])``.  The fitted columns share one
-    multi-right-hand-side least-squares solve, whose coefficients equal
-    the one-column solves bit for bit.  Two kinds of column are refitted
-    alone: one whose largest entry lies so far from 1 that the solver
-    rescales it (and, in a block, every column with it), and one whose
-    residual lies within the rounding of the batched product A @ coef
-    of the tolerance, since the one-column product may round otherwise.
-    A one-column solve is a function of the column's bits, so each
-    distinct column among these is solved once.
+    Row i holds the values at index ns[i].  When the smooth fit explains
+    a column (max residual within the tolerance) the column is treated
+    as convergent and both sides equal the fitted limit; otherwise the
+    conservative estimates min/max over the trailing half are reported.
+    A constant column returns its value exactly.
+
+    The fitted columns share one multi-right-hand-side least-squares
+    solve, whose coefficients equal the one-column solves bit for bit.
+    Two kinds of column are refitted alone: one whose largest entry lies
+    so far from 1 that the solver rescales it (and, in a block, every
+    column with it), and one whose residual lies within the rounding of
+    the batched product A @ coef of the tolerance, since the one-column
+    product may round otherwise.  A one-column solve is a function of
+    the column's bits, so each distinct column among these is solved
+    once.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.shape[0] == 0:
@@ -243,11 +218,11 @@ def trend_pairs(ns, values, *, fit_resid_tol=1e-2):
 
 
 def limsup_trend(ns, values, **kw):
-    return trend_pair(ns, values, **kw)[1]
+    return float(trend_pairs(ns, np.asarray(values, dtype=np.float64)[:, None], **kw)[1][0])
 
 
 def liminf_trend(ns, values, **kw):
-    return trend_pair(ns, values, **kw)[0]
+    return float(trend_pairs(ns, np.asarray(values, dtype=np.float64)[:, None], **kw)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -282,48 +257,6 @@ def _margin_pair(a, b):
     if a == b:
         return 0.0
     return a - b
-
-
-def weak_convergence_check(seq, limit_form, test_functions, *, tol=1e-2):
-    """Two-sided and one-sided convergence of F_n(φ) toward F(φ).
-
-    ``test_functions`` should be finite-valued grid functions (the grid
-    stands in for continuous bounded test functions).  Fewer than three
-    sequence indices make every statement INCONCLUSIVE.
-    """
-    stmts = {"weak": [], "lsc_liminf": [], "usc_limsup": []}
-    rows = []
-    short = len(seq.n_list) < 3
-    for t_idx, phi in enumerate(test_functions):
-        vals = [form.evaluate(phi) for _, form in seq.forms()]
-        target = limit_form.evaluate(phi)
-        if short:
-            for s in stmts:
-                stmts[s].append((INCONCLUSIVE, 0.0, t_idx))
-            continue
-        up = limsup_trend(seq.n_list, vals)
-        lo = liminf_trend(seq.n_list, vals)
-        two = max(abs(_margin_pair(up, target)), abs(_margin_pair(lo, target)))
-        stmts["weak"].append((PASS if two <= tol else FAIL, two, t_idx))
-        m5 = _margin_pair(lo, target)
-        stmts["lsc_liminf"].append((PASS if m5 >= -tol else FAIL, m5, t_idx))
-        m6 = _margin_pair(target, up)
-        stmts["usc_limsup"].append((PASS if m6 >= -tol else FAIL, m6, t_idx))
-        rows.append((t_idx, lo, up, target))
-
-    results = {}
-    for name, entries in stmts.items():
-        if not entries:
-            results[name] = StatementResult(name, INCONCLUSIVE, 0.0)
-            continue
-        worst = min(entries, key=lambda e: -np.inf if e[0] == FAIL else e[1])
-        verdict = (
-            INCONCLUSIVE
-            if any(e[0] == INCONCLUSIVE for e in entries)
-            else (FAIL if any(e[0] == FAIL for e in entries) else PASS)
-        )
-        results[name] = StatementResult(name, verdict, worst[1], worst[2])
-    return ConvergenceReport(results=results, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -398,66 +331,6 @@ def ldp_bounds_check(
         worst = min(sel, key=lambda r: r.margin)
         results[name] = StatementResult(name, verdict, worst.margin, worst.set_id)
     return ConvergenceReport(results=results, rows=rows)
-
-
-@dataclass(frozen=True)
-class TightnessEvidence:
-    evidence: bool
-    trace: list
-    defect_bounds: list
-
-
-def asymptotic_tightness_check(
-    seq, windows, *, floor=-1e6, drop=1.0, monotone_tol=1e-9
-):
-    """Uniform escape of mass from nested windows along the sequence.
-
-    For each window K the limsup trend of F_n(K^c) is recorded; evidence
-    requires the trace to be nonincreasing and to either hit the floor
-    (treated as -inf) or fall by at least ``drop``, with the forms' join
-    defect bounds staying bounded.
-    """
-    trace = []
-    prev_mask = None
-    for w in windows:
-        m = _to_mask(seq.y_grid, w)
-        if prev_mask is not None and (prev_mask & ~m).any():
-            raise ValidationError("windows must be nested")
-        prev_mask = m
-        vals = [f.eval_on_set(~m) for _, f in seq.forms()]
-        trace.append(limsup_trend(seq.n_list, vals))
-    bounds = [form.join_defect_bound for _, form in seq.forms()]
-    ok = bool(trace) and all(np.isfinite(b) for b in bounds)
-    if ok:
-        # pairwise comparison keeps -inf steps well defined
-        ok = all(b <= a + monotone_tol for a, b in zip(trace, trace[1:]))
-    if ok:
-        ok = trace[-1] <= floor or trace[-1] <= trace[0] - drop
-    return TightnessEvidence(evidence=ok, trace=trace, defect_bounds=bounds)
-
-
-def estimate_rate(seq, delta, *, ceiling=1e6):
-    """Pointwise rate estimate from ball evaluations.
-
-    f̂(y) = -(extrapolated limit of) F_n(ball(y, delta)); the estimate is
-    off by up to the oscillation of the true rate over the ball.  Nodes
-    whose balls never carry mass are reported at the ceiling.
-    """
-    grid = seq.y_grid
-    if grid.dim != 1:
-        raise ValidationError("rate estimation runs on 1-D grids")
-    if delta < grid.step(0):
-        raise ValidationError("delta must be at least the grid spacing")
-    c = grid.coords
-    forms = seq.forms()
-    out = np.empty(grid.size)
-    for i in range(grid.size):
-        # tiny slack so coordinate rounding cannot drop a boundary node
-        mask = np.abs(c - c[i]) <= delta * (1.0 + 1e-12)
-        vals = [f.eval_on_set(mask) for _, f in forms]
-        lim = trend_limit(seq.n_list, vals)
-        out[i] = ceiling if lim == NEG_INF else -lim
-    return GridFn(grid, out.reshape(grid.shape))
 
 
 def default_interval_sets(grid, cap=200):

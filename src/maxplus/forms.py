@@ -4,8 +4,7 @@ A quasi-linear form F is isotone, additively homogeneous, and satisfies
 F(φ∨ψ) <= α + F(φ) ∨ F(ψ) for some α; the best such α is the join
 defect.  Max-plus forms (defect <= 0) are represented by a density f via
 F(φ) = max_y (φ(y) - f(y)); log-integral forms ε log ∫ e^{φ/ε} dμ have
-defect at most ε log 2.  Empirical forms are log-integral forms of an
-atomic sample measure with ε = 1/T.
+defect at most ε log 2.
 
 Indicator evaluation: on a finite grid every function is both l.s.c. and
 u.s.c., so the l.s.c. and maximal extensions of a form collapse onto
@@ -173,113 +172,6 @@ def _eps_scale(eps, logval):
 
 
 @dataclass(frozen=True)
-class SupFamilyForm(QuasiLinearForm):
-    """Pointwise supremum of finitely many forms on one grid."""
-
-    members: tuple
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValidationError("SupFamilyForm needs at least one member")
-        object.__setattr__(self, "members", tuple(self.members))
-
-    @property
-    def grid(self):
-        return self.members[0].grid
-
-    @property
-    def join_defect_bound(self):
-        return max(m.join_defect_bound for m in self.members)
-
-    def evaluate(self, phi):
-        return max(m.evaluate(phi) for m in self.members)
-
-    def evaluate_affine(self, slope, intercept=0.0):
-        return max(m.evaluate_affine(slope, intercept) for m in self.members)
-
-    def eval_on_set(self, mask):
-        return max(m.eval_on_set(mask) for m in self.members)
-
-
-@dataclass(frozen=True)
-class EmpiricalForm(QuasiLinearForm):
-    """Log-integral form of an atomic sample measure, ε = 1/T.
-
-    F(φ) = ε log Σ_i w_i e^{φ(s_i)/ε}; grid functions are read at the
-    node nearest each sample.  ``lookup_grid`` fixes the grid used for
-    nearest-node lookup and set evaluation.
-    """
-
-    epsilon: float
-    samples: np.ndarray
-    sample_weights: np.ndarray = None
-    lookup_grid: Grid = None
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValidationError("epsilon must be positive")
-        s = check_values(self.samples, "samples").reshape(-1)
-        if not np.isfinite(s).all():
-            raise ValidationError("samples must be finite")
-        if s.size == 0:
-            raise ValidationError("need at least one sample")
-        if self.sample_weights is None:
-            w = np.full(s.shape, 1.0 / s.size)
-        else:
-            w = check_values(self.sample_weights, "sample weights").reshape(-1)
-            if w.shape != s.shape or (w < 0).any() or w.sum() <= 0:
-                raise ValidationError("sample weights must be nonnegative with mass")
-        lw = np.full(w.shape, NEG_INF)
-        lw[w > 0] = np.log(w[w > 0])
-        for a in (s, w, lw):
-            a.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "sample_weights", w)
-        object.__setattr__(self, "_log_w", lw)
-
-    @property
-    def grid(self):
-        return self.lookup_grid
-
-    @property
-    def join_defect_bound(self):
-        return self.epsilon * LOG2
-
-    def _phi_at_samples(self, phi):
-        idx = phi.grid.nearest_index(self.samples)
-        return phi.flat[idx]
-
-    def evaluate(self, phi):
-        if phi.grid.dim != 1:
-            raise ValidationError("EmpiricalForm evaluates 1-D grid functions")
-        vals = self._phi_at_samples(phi)
-        t = otimes(vals / self.epsilon, self._log_w)
-        return _eps_scale(self.epsilon, logsumexp_weighted(t))
-
-    def evaluate_affine(self, slope, intercept=0.0):
-        vals = slope * self.samples + intercept
-        t = vals / self.epsilon + self._log_w
-        return _eps_scale(self.epsilon, logsumexp_weighted(t))
-
-    def eval_on_set(self, mask):
-        if self.lookup_grid is None:
-            raise ValidationError("set evaluation needs a lookup grid")
-        m = _to_mask(self.lookup_grid, mask)
-        idx = self.lookup_grid.nearest_index(self.samples)
-        inside = m[idx]
-        return _eps_scale(self.epsilon, logsumexp_weighted(self._log_w[inside]))
-
-    def clipped(self, floor):
-        """Samples composed with y ↦ y ∨ floor (state truncation)."""
-        return EmpiricalForm(
-            epsilon=self.epsilon,
-            samples=np.maximum(self.samples, floor),
-            sample_weights=self.sample_weights,
-            lookup_grid=self.lookup_grid,
-        )
-
-
-@dataclass(frozen=True)
 class JoinDefectEstimate:
     defect: float
     witness: object
@@ -367,51 +259,3 @@ def join_defect_estimate(form, n_pairs=200, rng_seed=0):
         isotonicity_violations=iso_bad,
         homogeneity_max_err=float(hom_err),
     )
-
-
-def density_of(form, *, defect_tol=1e-9, n_pairs=50, rng_seed=0):
-    """Recover the density of a max-plus linear form from singletons.
-
-    f(y) = -F({y}).  Raises when the sampled join defect exceeds the
-    tolerance (the form is not max-plus linear, so no density exists).
-    """
-    est = join_defect_estimate(form, n_pairs=n_pairs, rng_seed=rng_seed)
-    if est.defect > defect_tol:
-        raise ValidationError(
-            f"form is not max-plus linear: sampled join defect {est.defect:.3g}"
-        )
-    grid = form.grid
-    vals = np.empty(grid.size)
-    mask = np.zeros(grid.size, dtype=bool)
-    for i in range(grid.size):
-        mask[:] = False
-        mask[i] = True
-        vals[i] = -form.eval_on_set(mask)
-    return GridFn(grid, vals.reshape(grid.shape), tag="lsc")
-
-
-@dataclass(frozen=True)
-class TightnessTrace:
-    tight: bool
-    trace: list
-    floor: float
-
-
-def tightness_check(form, windows, *, floor=-1e6):
-    """Evaluate F on complements of nested windows.
-
-    ``tight`` when some complement value falls to the floor (the floor is
-    treated as -inf; forms with no mass outside a window reach -inf
-    exactly).
-    """
-    grid = form.grid
-    prev = None
-    trace = []
-    for w in windows:
-        m = _to_mask(grid, w)
-        if prev is not None and (prev & ~m).any():
-            raise ValidationError("windows must be nested")
-        prev = m
-        trace.append(form.eval_on_set(~m))
-    tight = bool(trace) and min(trace) <= floor
-    return TightnessTrace(tight=tight, trace=trace, floor=floor)

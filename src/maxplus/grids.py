@@ -25,11 +25,6 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
-def oplus(a, b):
-    """Max-plus addition: the pointwise maximum."""
-    return np.maximum(a, b)
-
-
 def otimes(a, b):
     """Max-plus multiplication: a + b with -inf absorbing.
 
@@ -39,15 +34,6 @@ def otimes(a, b):
     b = np.asarray(b, dtype=np.float64)
     with np.errstate(invalid="ignore"):
         out = np.where(np.isneginf(a) | np.isneginf(b), NEG_INF, a + b)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def neg(a):
-    """Max-plus conjugation sign flip; swaps -inf and +inf."""
-    a = np.asarray(a, dtype=np.float64)
-    out = -a
     if out.ndim == 0:
         return float(out)
     return out
@@ -158,19 +144,6 @@ class Grid:
             c = np.stack([g0.ravel(), g1.ravel()], axis=1)
         c.setflags(write=False)
         return c
-
-    def nearest_index(self, points):
-        """Flat indices of the nodes nearest to the given coordinates (1-D)."""
-        if self.dim != 1:
-            raise ValidationError("nearest_index is 1-D only")
-        pts = np.asarray(points, dtype=np.float64)
-        h = self.step(0)
-        if h == 0.0:
-            idx = np.zeros(pts.shape, dtype=np.int64)
-        else:
-            idx = np.rint((pts - self.lo[0]) / h).astype(np.int64)
-            idx = np.clip(idx, 0, self.n[0] - 1)
-        return idx
 
     def __repr__(self):
         axes = "x".join(

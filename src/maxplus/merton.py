@@ -4,22 +4,23 @@ A single risky asset with lognormal price (drift alpha, volatility
 sigma) and a bank account at rate r; the control is the fraction of
 wealth held in the asset.  For a constant fraction the terminal
 log-wealth is Gaussian, so risk-sensitive values and tail probabilities
-have closed forms; Monte Carlo simulation cross-checks them.
+have closed forms; exact Gaussian sampling of the terminal log-wealth
+cross-checks the tail probabilities by Monte Carlo.
 
 The optimal growth value g(x) = sup over fractions of the risk-sensitive
 growth rate is finite exactly on [0, 1); its convex conjugate is the
 rate function of the long-term growth tail, strictly positive above the
 threshold r + (alpha-r)^2 / (2 sigma^2).
 
-State truncation (composing the growth state with max(·, a)) restores
-the bounded-below kernel row that the tightness criterion needs, without
-changing the limit values for nonnegative x.
+State truncation (composing the growth state with max(·, a), the
+``clip_floor`` of the exact forms) restores the bounded-below kernel row
+that the tightness criterion needs, without changing the limit values
+for nonnegative x.
 """
 
 import math
 import numbers
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from ._normal import log_gauss_mass, log_mgf_piecewise_linear, mask_runs
 from .convergence import FormSequence, trend_limit
 from .conjugacy import Kernel
 from .errors import ValidationError
-from .forms import EmpiricalForm, QuasiLinearForm, _to_mask
+from .forms import QuasiLinearForm, _to_mask
 from .grids import NEG_INF, POS_INF, Grid
 
 LOG2 = float(np.log(2.0))
@@ -120,122 +121,31 @@ class ConstantControl:
     xi: float
 
 
-@dataclass(frozen=True)
-class FeedbackControl:
-    """Fraction tabulated over (time, log-wealth), Euler-Maruyama stepped."""
-
-    times: np.ndarray
-    logw: np.ndarray
-    table: np.ndarray  # shape (len(times), len(logw))
-    time_step: float
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        w = np.asarray(self.logw, dtype=np.float64)
-        tab = np.asarray(self.table, dtype=np.float64)
-        if tab.shape != (t.size, w.size):
-            raise ValidationError("feedback table shape mismatch")
-        if self.time_step <= 0:
-            raise ValidationError("time_step must be positive")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "logw", w)
-        object.__setattr__(self, "table", tab)
-
-    def fraction(self, t, logw_values):
-        ti = int(np.abs(self.times - t).argmin())
-        if self.logw.size == 1:
-            return self.table[ti, np.zeros(len(logw_values), dtype=int)]
-        wi = np.clip(
-            np.rint(
-                (logw_values - self.logw[0]) / (self.logw[1] - self.logw[0])
-            ).astype(int),
-            0,
-            self.logw.size - 1,
-        )
-        return self.table[ti, wi]
-
-
-@dataclass(frozen=True)
-class WealthSamples:
-    """Samples of log(W_T) / T under one control."""
-
-    horizon: float
-    values: np.ndarray
-    control: object
-    seed: object
-
-
 def drift_rate(xi, p):
     """Almost-sure growth rate of log-wealth under a constant fraction."""
     return p.r + p.excess * xi - p.sigma**2 * xi**2 / 2.0
 
 
 def simulate(p, control, horizon, n_paths, seed):
-    """Sample log(W_T)/T.  Constant controls are drawn exactly from the
-    Gaussian law; feedback controls step log-wealth with Euler-Maruyama.
-    Deterministic given the seed."""
+    """Sample log(W_T)/T under a constant fraction, drawn exactly from its
+    Gaussian law.  Deterministic given the seed; the array is read-only."""
     if horizon <= 0:
         raise ValidationError("horizon must be positive")
     if n_paths < 1:
         raise ValidationError("need at least one path")
+    if not isinstance(control, ConstantControl):
+        raise ValidationError(f"unknown control {control!r}")
     rng = np.random.default_rng(seed)
     T = float(horizon)
-    if isinstance(control, ConstantControl):
-        xi = control.xi
-        base = math.log(p.w0) / T + drift_rate(xi, p)
-        scale = p.sigma * xi / math.sqrt(T)
-        # base + scale * z with the same two roundings, in one array
-        values = rng.standard_normal(n_paths)
-        values *= scale
-        values += base
-    elif isinstance(control, FeedbackControl):
-        if control.times[-1] < T:
-            raise ValidationError("feedback table does not cover the horizon")
-        dt = control.time_step
-        steps = int(math.ceil(T / dt))
-        logw = np.full(n_paths, math.log(p.w0))
-        t = 0.0
-        for _ in range(steps):
-            h = min(dt, T - t)
-            if h <= 0:
-                break
-            xi = control.fraction(t, logw)
-            z = rng.standard_normal(n_paths)
-            logw += (p.r + p.excess * xi - p.sigma**2 * xi**2 / 2.0) * h
-            logw += p.sigma * xi * math.sqrt(h) * z
-            t += h
-        values = logw / T
-    else:
-        raise ValidationError(f"unknown control {control!r}")
+    xi = control.xi
+    base = math.log(p.w0) / T + drift_rate(xi, p)
+    scale = p.sigma * xi / math.sqrt(T)
+    # base + scale * z with the same two roundings, in one array
+    values = rng.standard_normal(n_paths)
+    values *= scale
+    values += base
     values.setflags(write=False)
-    return WealthSamples(horizon=T, values=values, control=control, seed=seed)
-
-
-def risk_sensitive_value(x, samples):
-    """Empirical (1/T) log E[W_T^x], log-sum-exp stabilised."""
-    T = samples.horizon
-    t = x * T * samples.values
-    m = t.max()
-    if m == NEG_INF:
-        return NEG_INF
-    return float((m + math.log(np.exp(t - m).mean())) / T)
-
-
-def risk_sensitive_exact(x, xi, p, horizon):
-    """(1/T) log E[W_T^x] for a constant fraction, via the lognormal moment."""
-    T = float(horizon)
-    return x * math.log(p.w0) / T + x * (
-        p.r + p.excess * xi + (x - 1.0) * p.sigma**2 * xi**2 / 2.0
-    )
-
-
-def empirical_form(samples, lookup_grid=None):
-    """The sample measure as a log-integral form with scale 1/T."""
-    return EmpiricalForm(
-        epsilon=1.0 / samples.horizon,
-        samples=samples.values,
-        lookup_grid=lookup_grid,
-    )
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -379,34 +289,6 @@ class MertonValueForm(QuasiLinearForm):
             sd,
             state_floor=self.clip_floor,
         )
-
-
-def truncate_form(form, floor, params=None):
-    """Compose a form's state with max(·, floor).
-
-    For sample-based forms the samples are clipped; the exact forms carry
-    the floor into their closed-form evaluations.  A floor at or above
-    the rate threshold is allowed but defeats the purpose (warning).
-    """
-    if params is not None and floor >= rate_threshold(params):
-        warnings.warn(
-            "truncation floor is not below the rate threshold; "
-            "identification above the floor is lost",
-            stacklevel=2,
-        )
-    if isinstance(form, EmpiricalForm):
-        return form.clipped(floor)
-    if isinstance(form, MertonValueForm):
-        if form.clip_floor is not None:
-            floor = max(floor, form.clip_floor)
-        return MertonValueForm(
-            params=form.params,
-            horizon=form.horizon,
-            xi=form.xi,
-            lookup_grid=form.lookup_grid,
-            clip_floor=floor,
-        )
-    raise ValidationError(f"no truncation rule for {type(form).__name__}")
 
 
 def growth_input(p, x_grid, y_grid, xi_values, horizons, *, clip_floor=None, mode="limit-asserted"):
@@ -577,8 +459,8 @@ def tail_rate_experiment(
             pool_size=ss.pool_size,
         )
         control = ConstantControl(float(xi_grid[xj]))
-        samples = simulate(p, control, horizons[ti], n_paths, child)
-        return int(np.count_nonzero(samples.values >= c))
+        values = simulate(p, control, horizons[ti], n_paths, child)
+        return int(np.count_nonzero(values >= c))
 
     # numpy draws normals without the GIL, so threads sample in parallel
     sampled = [

@@ -16,12 +16,6 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .forms import (
-    EmpiricalForm,
-    LogIntegralForm,
-    MaxPlusForm,
-    SupFamilyForm,
-)
 from .grids import Grid, GridFn
 from .conjugacy import Kernel
 
@@ -122,12 +116,6 @@ def gridfn_from_json(obj, tag="plain"):
     return GridFn(grid, values_from_json(obj["values"]), tag)
 
 
-def kernel_to_json(k):
-    if k.kind == "bilinear":
-        return {"type": "bilinear"}
-    return {"type": "table", "rows": [values_to_json(row) for row in k.table]}
-
-
 def kernel_from_json(obj, x_grid, y_grid):
     if obj.get("type") == "bilinear":
         _expect_keys(obj, {"type"}, "kernel")
@@ -143,74 +131,6 @@ def kernel_from_json(obj, x_grid, y_grid):
         ncols = len(rows[0]) if rows else 0
         return Kernel.from_table(x_grid, y_grid, flat.reshape(len(rows), ncols))
     raise ValidationError(f"unknown kernel type {obj.get('type')!r}")
-
-
-def form_to_json(form):
-    if isinstance(form, MaxPlusForm):
-        return {"variant": "maxplus", "density": gridfn_to_json(form.density)}
-    if isinstance(form, LogIntegralForm):
-        return {
-            "variant": "log_integral",
-            "epsilon": form.epsilon,
-            "grid": grid_to_json(form.weight_grid),
-            "weights": values_to_json(form.weights),
-        }
-    if isinstance(form, SupFamilyForm):
-        return {"variant": "sup", "members": [form_to_json(m) for m in form.members]}
-    if isinstance(form, EmpiricalForm):
-        out = {
-            "variant": "empirical",
-            "epsilon": form.epsilon,
-            "samples": values_to_json(form.samples),
-            "weights": values_to_json(form.sample_weights),
-        }
-        if form.lookup_grid is not None:
-            out["grid"] = grid_to_json(form.lookup_grid)
-        return out
-    raise ValidationError(f"cannot serialize form {type(form).__name__}")
-
-
-def form_from_json(obj):
-    variant = obj.get("variant")
-    if variant == "maxplus":
-        _expect_keys(obj, {"variant", "density"}, "form")
-        return MaxPlusForm(gridfn_from_json(obj["density"], tag="lsc"))
-    if variant == "log_integral":
-        _expect_keys(obj, {"variant", "epsilon", "grid", "weights"}, "form")
-        grid = grid_from_json(obj["grid"])
-        return LogIntegralForm(
-            weight_grid=grid,
-            epsilon=float(obj["epsilon"]),
-            weights=values_from_json(obj["weights"]),
-        )
-    if variant == "sup":
-        _expect_keys(obj, {"variant", "members"}, "form")
-        return SupFamilyForm(tuple(form_from_json(m) for m in obj["members"]))
-    if variant == "empirical":
-        _expect_keys(obj, {"variant", "epsilon", "samples", "weights", "grid"},
-                     "form", optional={"weights", "grid"})
-        grid = grid_from_json(obj["grid"]) if "grid" in obj else None
-        weights = values_from_json(obj["weights"]) if "weights" in obj else None
-        return EmpiricalForm(
-            epsilon=float(obj["epsilon"]),
-            samples=values_from_json(obj["samples"]),
-            sample_weights=weights,
-            lookup_grid=grid,
-        )
-    raise ValidationError(f"unknown form variant {variant!r}")
-
-
-def empirical_form_from_csv(path, epsilon, lookup_grid=None):
-    """Load an empirical form from a one-column CSV of samples."""
-    samples = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                samples.append(float(line.split(",")[0]))
-    return EmpiricalForm(
-        epsilon=epsilon, samples=np.array(samples), lookup_grid=lookup_grid
-    )
 
 
 def _json_number(value, what):

@@ -218,6 +218,38 @@ def _slice_values(seq, kernel, x_index):
     return out
 
 
+def trend_pair(ns, values, *, fit_resid_tol=1e-2):
+    """(liminf trend, limsup trend) of one column, by its own fit.
+
+    The one-column rule ``convergence.trend_pairs`` batches: when the
+    smooth fit explains the data (max residual within the tolerance)
+    both sides equal the fitted limit; otherwise min/max over the
+    trailing half are reported.
+    """
+    from maxplus.convergence import _fit_limit, _trend_basis
+
+    v = np.asarray(values, dtype=np.float64)
+    if v.size == 0:
+        return float("nan"), float("nan")
+    if (v == v[0]).all():
+        return float(v[0]), float(v[0])
+    if np.isfinite(v).all():
+        limit, resid = _fit_limit(_trend_basis(ns), v)
+        if np.isfinite(resid) and resid <= fit_resid_tol:
+            return limit, limit
+    tail = v[v.size // 2:]
+    return float(tail.min()), float(tail.max())
+
+
+def constant_sequence(form, n_list):
+    """The same form at every index."""
+    from maxplus.convergence import FormSequence
+
+    return FormSequence(
+        generator=lambda n: form, n_list=tuple(n_list), y_grid=form.grid
+    )
+
+
 def slow_limit_log_moment(gartner_input, *, limit_tol=1e-6, sup_edge_to_inf=False):
     """Limit log-moment values node by node, one scalar trend fit each.
 
@@ -225,8 +257,6 @@ def slow_limit_log_moment(gartner_input, *, limit_tol=1e-6, sup_edge_to_inf=Fals
     Returns (g as a flat array, limit gaps, downgraded flag, indices of
     the nodes reported unbounded at the family's edge).
     """
-    from maxplus.convergence import trend_pair
-
     k = gartner_input.kernel
     nx = k.x_grid.size
     limit_asserted = gartner_input.mode == "limit-asserted"
@@ -461,6 +491,31 @@ def slow_covering_interior(grid, top, dual_dom, radius):
         if not (ball & dual_dom & ~top).any():
             interior[y] = True
     return interior
+
+
+# -- risk-sensitive values of a constant fraction ----------------------------
+#
+# The closed form checks ``merton.MertonValueForm``; the sample estimate
+# checks the law that ``merton.simulate`` draws from.
+
+
+def risk_sensitive_exact(x, xi, p, horizon):
+    """(1/T) log E[W_T^x] for a constant fraction, via the lognormal moment."""
+    T = float(horizon)
+    return x * math.log(p.w0) / T + x * (
+        p.r + p.excess * xi + (x - 1.0) * p.sigma**2 * xi**2 / 2.0
+    )
+
+
+def risk_sensitive_value(x, values, horizon):
+    """Empirical (1/T) log E[W_T^x] of samples of log(W_T)/T, log-sum-exp
+    stabilised."""
+    T = float(horizon)
+    t = x * T * values
+    m = t.max()
+    if m == NEG:
+        return NEG
+    return float((m + math.log(np.exp(t - m).mean())) / T)
 
 
 # -- tail-rate experiment, one cell at a time --------------------------------

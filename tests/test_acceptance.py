@@ -279,7 +279,7 @@ def test_criterion_7_trend_and_monte_carlo_cross_check():
     within = []
     for child, v in zip(ss.spawn(rng_grid.size), rng_grid):
         s = simulate(P, ConstantControl(float(v)), 25.0, 100_000, child)
-        hits = int((s.values >= 0.12).sum())
+        hits = int((s >= 0.12).sum())
         if hits == 0:
             continue
         phat = hits / 100_000

@@ -336,6 +336,28 @@ def test_core_import_and_gaussian_ldp_load_no_scipy(tmp_path):
     assert (tmp_path / "gaussian_ldp_out.json").exists()
 
 
+def test_serialize_imports_neither_forms_nor_merton():
+    # the package __init__ imports every module, so the wire formats are
+    # loaded under a bare package object that skips it
+    import maxplus
+
+    code = "\n".join([
+        "import sys, types",
+        "pkg = types.ModuleType('maxplus')",
+        "pkg.__path__ = [sys.argv[1]]",
+        "sys.modules['maxplus'] = pkg",
+        "import maxplus.serialize",
+        "loaded = sorted(m for m in sys.modules if m.startswith('maxplus.'))",
+        "assert 'maxplus.forms' not in loaded, loaded",
+        "assert 'maxplus.merton' not in loaded, loaded",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(Path(maxplus.__file__).parent)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 
 @pytest.mark.parametrize("values", [["-inf", "+inf", "+inf"], ["-inf", "-inf", "-inf"]],
                          ids=["neg-inf-and-plus-inf", "all-neg-inf"])

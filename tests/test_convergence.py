@@ -7,54 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxplus import (
-    FormSequence,
     GaussianMeanForm,
     Grid,
     GridFn,
-    LogIntegralForm,
     MaxPlusForm,
     NEG_INF,
     ValidationError,
-    asymptotic_tightness_check,
-    constant_sequence,
     default_interval_sets,
-    estimate_rate,
     gaussian_mean_sequence,
     ldp_bounds_check,
-    weak_convergence_check,
 )
 from maxplus.convergence import (
     _trend_basis,
     liminf_trend,
     limsup_trend,
     trend_limit,
-    trend_pair,
     trend_pairs,
 )
-from maxplus.grids import stencil_min
-from oracles import gauss_log_mass
+from oracles import constant_sequence, gauss_log_mass, trend_pair
 
 NEG = NEG_INF
-
-
-def gaussian_bin_form(grid, n):
-    """Discretise the law of the mean of n standard Gaussians onto nodes.
-
-    Density-proportional weights avoid the half-cell bias that interval
-    binning would put into tilted sums (cell mass concentrates at the
-    inner edge while the node value applies).
-    """
-    h = grid.step(0)
-    w = h * math.sqrt(n / (2 * math.pi)) * np.exp(-n * grid.coords**2 / 2)
-    return LogIntegralForm(grid, 1.0 / n, w)
-
-
-def gaussian_bin_sequence(grid, n_list):
-    return FormSequence(
-        generator=lambda n: gaussian_bin_form(grid, n),
-        n_list=tuple(n_list),
-        y_grid=grid,
-    )
 
 
 @pytest.mark.parametrize(
@@ -198,6 +170,30 @@ def test_liminf_limsup_of_alternating():
     assert liminf_trend(ns, vals) == 0.0
 
 
+_COLUMN_KINDS = {
+    "finite": lambda rng, ns: rng.uniform(-4.0, 4.0, len(ns)),
+    "smooth": lambda rng, ns: 1.5 + 2.0 / np.asarray(ns, dtype=np.float64)
+    + rng.uniform(-1e-3, 1e-3, len(ns)),
+    "infinities": lambda rng, ns: rng.choice([NEG, float("inf"), -1.5, 2.0], len(ns)),
+    "signed-zeros": lambda rng, ns: rng.choice([-0.0, 0.0], len(ns)),
+    "constant": lambda rng, ns: np.full(len(ns), rng.uniform(-4.0, 4.0)),
+    "tiny": lambda rng, ns: rng.uniform(-1.0, 1.0, len(ns)) * 2.0**-950,
+    "huge": lambda rng, ns: rng.uniform(-1.0, 1.0, len(ns)) * 2.0**950,
+}
+
+
+@pytest.mark.parametrize("m", range(6))
+@pytest.mark.parametrize("kind", sorted(_COLUMN_KINDS))
+def test_one_sided_trends_equal_trend_pair(kind, m):
+    rng = np.random.default_rng(m)
+    for _ in range(20):
+        ns = np.sort(rng.choice(np.arange(1, 5001), m, replace=False)).tolist()
+        col = _COLUMN_KINDS[kind](rng, ns)
+        lo, hi = trend_pair(ns, col)
+        assert np.float64(liminf_trend(ns, col)).tobytes() == np.float64(lo).tobytes()
+        assert np.float64(limsup_trend(ns, col)).tobytes() == np.float64(hi).tobytes()
+
+
 def test_trend_eventually_neg_inf():
     assert trend_limit([1, 2, 3], [0.5, NEG, NEG]) == NEG
 
@@ -253,65 +249,12 @@ def test_gaussian_member_set_mass_matches_mpmath():
 
 
 # ---------------------------------------------------------------------------
-# weak convergence
+# set bounds
 # ---------------------------------------------------------------------------
 
 def quadratic_limit_form(grid):
     return MaxPlusForm(GridFn(grid, grid.coords**2 / 2, tag="lsc"))
 
-
-def test_weak_convergence_gaussian_bins_to_quadratic():
-    # the kinked test function leaves an n^(-3/2) term the basis cannot
-    # absorb, so the fit window starts past the small-n regime
-    g = Grid.line(-3, 3, 121)
-    seq = gaussian_bin_sequence(g, (32, 64, 128, 256))
-    F = quadratic_limit_form(g)
-    phis = [
-        GridFn(g, np.minimum(g.coords, 1.0)),
-        GridFn(g, -np.abs(g.coords)),
-        GridFn(g, np.cos(g.coords)),
-    ]
-    rep = weak_convergence_check(seq, F, phis, tol=1e-2)
-    assert rep.all_pass()
-    # the raw value at n = 64 is already within a percent for min(y, 1)
-    v64 = gaussian_bin_form(g, 64).evaluate(phis[0])
-    assert abs(v64 - 0.5) < 1e-2
-
-
-def test_weak_convergence_constant_sequence_zero_margin():
-    g = Grid.line(-1, 1, 11)
-    F = MaxPlusForm(GridFn(g, np.abs(g.coords)))
-    seq = constant_sequence(F, (1, 2, 3, 4))
-    rep = weak_convergence_check(seq, F, [GridFn(g, g.coords)], tol=0.0)
-    assert rep.all_pass()
-    assert rep.results["weak"].margin == 0.0
-
-
-def test_weak_convergence_alternating_fails():
-    g = Grid.line(-1, 1, 5)
-    f1 = MaxPlusForm(GridFn(g, np.zeros(5)))
-    f2 = MaxPlusForm(GridFn(g, np.full(5, 1.0)))
-    seq = FormSequence(
-        generator=lambda n: f1 if n % 2 == 0 else f2,
-        n_list=(1, 2, 3, 4, 5, 6),
-        y_grid=g,
-    )
-    rep = weak_convergence_check(seq, f1, [GridFn(g, np.zeros(5))], tol=1e-6)
-    assert rep.results["weak"].verdict == "FAIL"
-    assert rep.results["weak"].witness is not None
-
-
-def test_weak_convergence_short_prefix_inconclusive():
-    g = Grid.line(-1, 1, 5)
-    F = MaxPlusForm(GridFn(g, np.zeros(5)))
-    seq = constant_sequence(F, (1, 2))
-    rep = weak_convergence_check(seq, F, [GridFn(g, np.zeros(5))])
-    assert rep.results["weak"].verdict == "INCONCLUSIVE"
-
-
-# ---------------------------------------------------------------------------
-# set bounds
-# ---------------------------------------------------------------------------
 
 def test_ldp_bounds_gaussian_tail_sets():
     g = Grid.line(-3, 3, 121)
@@ -336,19 +279,20 @@ def test_ldp_bounds_wrong_limit_fails_open_side():
     assert rep.results["open_liminf"].verdict == "FAIL"
 
 
+def test_set_bounds_short_prefix_inconclusive():
+    g = Grid.line(-1, 1, 5)
+    F = MaxPlusForm(GridFn(g, np.zeros(5)))
+    seq = constant_sequence(F, (1, 2))
+    rep = ldp_bounds_check(seq, F, open_sets=[g.coords > 0], closed_sets=[g.coords >= 0])
+    assert rep.results["open_liminf"].verdict == "INCONCLUSIVE"
+    assert rep.results["closed_limsup"].verdict == "INCONCLUSIVE"
+
+
 def test_bound_implication_ladder():
-    # one-sided passes imply the two-sided pass; closed-set bounds imply
-    # compact-set bounds on the same sets
+    # closed-set bounds imply compact-set bounds on the same sets
     g = Grid.line(-3, 3, 121)
     seq = gaussian_mean_sequence(g, (64, 128, 256, 512))
     F = quadratic_limit_form(g)
-    phis = [GridFn(g, np.minimum(g.coords, 1.0))]
-    wrep = weak_convergence_check(seq, F, phis, tol=1e-2)
-    if (
-        wrep.results["lsc_liminf"].verdict == "PASS"
-        and wrep.results["usc_limsup"].verdict == "PASS"
-    ):
-        assert wrep.results["weak"].verdict == "PASS"
     inner = np.abs(g.coords) <= 2.0
     sets = [g.coords >= 1.0, np.abs(g.coords) >= 0.5]
     rep = ldp_bounds_check(
@@ -360,79 +304,6 @@ def test_bound_implication_ladder():
     )
     if rep.results["closed_limsup"].verdict == "PASS":
         assert rep.results["compact_limsup"].verdict == "PASS"
-
-
-# ---------------------------------------------------------------------------
-# asymptotic tightness
-# ---------------------------------------------------------------------------
-
-def test_gaussian_sequence_asymptotically_tight():
-    g = Grid.line(-5, 5, 101)
-    seq = gaussian_mean_sequence(g, (16, 32, 64, 128))
-    windows = [np.abs(g.coords) <= r for r in (1.0, 2.0, 3.0, 4.0)]
-    res = asymptotic_tightness_check(seq, windows)
-    assert res.evidence
-    # the trace tracks the rate at the first node outside each window
-    for t, w in zip(res.trace, windows):
-        edge = np.abs(g.coords[~w]).min()
-        assert abs(t + edge * edge / 2) < 0.05
-
-
-def test_fixed_outside_mass_not_tight():
-    g = Grid.line(-5, 5, 101)
-    w = np.full(101, 1e-9)
-    w[0] = 0.5
-    w[50] = 0.5
-    seq = constant_sequence(LogIntegralForm(g, 0.5, w), (4, 8, 16))
-    windows = [np.abs(g.coords) <= r for r in (1.0, 2.0, 3.0)]
-    res = asymptotic_tightness_check(seq, windows)
-    assert not res.evidence
-
-
-def test_single_tight_form_repeated():
-    g = Grid.line(-5, 5, 101)
-    w = np.zeros(101)
-    w[50] = 1.0
-    seq = constant_sequence(LogIntegralForm(g, 0.5, w), (4, 8, 16))
-    windows = [np.abs(g.coords) <= r for r in (1.0, 2.0)]
-    res = asymptotic_tightness_check(seq, windows)
-    assert res.evidence
-    assert res.trace[0] == NEG
-
-
-# ---------------------------------------------------------------------------
-# rate estimation
-# ---------------------------------------------------------------------------
-
-def test_rate_estimate_constant_maxplus_is_stencil_min(rng):
-    g = Grid.line(-2, 2, 41)
-    f = rng.uniform(0, 3, 41)
-    seq = constant_sequence(MaxPlusForm(GridFn(g, f)), (2, 4, 8))
-    est = estimate_rate(seq, g.step(0))
-    assert np.array_equal(est.values, stencil_min(f, 1))
-
-
-def test_rate_estimate_gaussian_recovers_quadratic():
-    g = Grid.line(-2, 2, 41)
-    delta = g.step(0)
-    seq = gaussian_mean_sequence(g, (64, 128, 256, 512))
-    est = estimate_rate(seq, delta)
-    c = g.coords
-    for i in range(g.size):
-        ball = np.abs(c - c[i]) <= delta * (1 + 1e-12)
-        lo, hi = c[ball].min(), c[ball].max()
-        oracle = 0.0 if lo <= 0 <= hi else min(lo * lo, hi * hi) / 2
-        assert abs(est.values[i] - oracle) < 1e-2
-
-
-def test_rate_estimate_point_mass_hits_ceiling():
-    g = Grid.line(-2, 2, 11)
-    w = np.zeros(11)
-    w[5] = 1.0
-    seq = constant_sequence(LogIntegralForm(g, 0.25, w), (2, 4, 8))
-    est = estimate_rate(seq, g.step(0), ceiling=1e6)
-    assert est.values[5] == 0.0
-    assert est.values[0] == 1e6
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,16 @@
 import math
 
 import numpy as np
-import pytest
 
 from maxplus import (
-    EmpiricalForm,
     Grid,
     GridFn,
     LogIntegralForm,
     MaxPlusForm,
     NEG_INF,
     POS_INF,
-    SupFamilyForm,
-    ValidationError,
-    density_of,
     indicator,
     join_defect_estimate,
-    tightness_check,
 )
 
 NEG = NEG_INF
@@ -69,26 +63,6 @@ def test_log_integral_huge_values_do_not_overflow():
     got = F.evaluate(phi)
     assert np.isfinite(got)
     assert abs(got - (900.0 + 1e-3 * math.log(0.2))) < 1e-9
-
-
-def test_sup_family_is_pointwise_max():
-    g = grid(3)
-    f1 = MaxPlusForm(GridFn(g, [0.0, 1.0, 2.0]))
-    f2 = MaxPlusForm(GridFn(g, [2.0, 1.0, 0.0]))
-    F = SupFamilyForm((f1, f2))
-    phi = GridFn(g, [0.0, 0.0, 0.0])
-    assert F.evaluate(phi) == max(f1.evaluate(phi), f2.evaluate(phi))
-    assert F.join_defect_bound == 0.0
-
-
-def test_empirical_matches_log_integral_on_nodes():
-    g = grid(4, 0.0, 3.0)
-    samples = np.array([0.0, 1.0, 1.0, 3.0])
-    F = EmpiricalForm(epsilon=0.5, samples=samples, lookup_grid=g)
-    phi = GridFn(g, [0.3, -0.2, 0.7, 0.1])
-    w = np.array([0.25, 0.5, 0.0, 0.25])
-    G = LogIntegralForm(g, 0.5, w)
-    assert abs(F.evaluate(phi) - G.evaluate(phi)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -159,55 +133,6 @@ def test_join_defect_never_exceeds_eps_log2(rng):
         assert est.homogeneity_max_err <= 1e-12
 
 
-def test_sup_family_defect_bounded_by_members(rng):
-    g = grid(6)
-    members = [
-        LogIntegralForm(g, 0.3, rng.uniform(0, 1, 6) + 0.01),
-        LogIntegralForm(g, 0.8, rng.uniform(0, 1, 6) + 0.01),
-        MaxPlusForm(GridFn(g, rng.uniform(-2, 2, 6))),
-    ]
-    F = SupFamilyForm(tuple(members))
-    assert F.join_defect_bound == max(m.join_defect_bound for m in members)
-    est = join_defect_estimate(F, n_pairs=300, rng_seed=3)
-    assert est.defect <= F.join_defect_bound + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# densities
-# ---------------------------------------------------------------------------
-
-def test_density_of_sup_form_is_zero():
-    g = grid(4)
-    F = MaxPlusForm(GridFn(g, np.zeros(4)))
-    d = density_of(F)
-    assert np.array_equal(d.values, np.zeros(4))
-
-
-def test_density_recovers_shifted_values():
-    g = grid(2)
-    F = MaxPlusForm(GridFn(g, [1.0, 2.0]))
-    d = density_of(F)
-    assert np.array_equal(d.values, [1.0, 2.0])
-
-
-def test_density_roundtrip(rng):
-    g = grid(7)
-    f = rng.uniform(-3, 3, 7)
-    F = MaxPlusForm(GridFn(g, f))
-    d = density_of(F)
-    assert np.array_equal(d.values, f)
-    G = MaxPlusForm(d)
-    for _ in range(20):
-        phi = GridFn(g, rng.uniform(-4, 4, 7))
-        assert G.evaluate(phi) == F.evaluate(phi)
-
-
-def test_density_of_log_integral_rejected():
-    F = uniform_two_point(1.0)
-    with pytest.raises(ValidationError):
-        density_of(F)
-
-
 # ---------------------------------------------------------------------------
 # homogeneity and scaling limits
 # ---------------------------------------------------------------------------
@@ -247,50 +172,3 @@ def test_log_integral_tends_to_maxplus_as_eps_shrinks(rng):
         limit = MaxPlusForm(GridFn(g, -eps * np.log(w)))
         errs.append(abs(F.evaluate(phi) - limit.evaluate(phi)))
     assert errs[0] > errs[1] > errs[2]
-
-
-# ---------------------------------------------------------------------------
-# tightness
-# ---------------------------------------------------------------------------
-
-def _windows(n, sizes):
-    out = []
-    for s in sizes:
-        m = np.zeros(n, dtype=bool)
-        mid = n // 2
-        m[max(0, mid - s) : mid + s + 1] = True
-        out.append(m)
-    return out
-
-
-def test_tightness_all_mass_in_first_window():
-    g = grid(9)
-    w = np.zeros(9)
-    w[4] = 1.0
-    F = LogIntegralForm(g, 0.5, w)
-    res = tightness_check(F, _windows(9, [1, 2, 3]))
-    assert res.tight
-    assert res.trace[0] == NEG
-
-
-def test_tightness_growing_quadratic_density():
-    g = Grid.line(-10, 10, 201)
-    F = MaxPlusForm(GridFn(g, g.coords**2))
-    windows = []
-    for r in (2.0, 4.0, 6.0, 8.0):
-        windows.append(np.abs(g.coords) <= r)
-    res = tightness_check(F, windows, floor=-60.0)
-    # trace is -min of the density over the nodes outside each window
-    for t, r in zip(res.trace, (2.0, 4.0, 6.0, 8.0)):
-        outside = np.abs(g.coords) > r
-        assert t == -(g.coords[outside] ** 2).min()
-    assert res.trace[-1] <= -60.0
-    assert res.tight
-
-
-def test_tightness_flat_density_not_tight():
-    g = Grid.line(-10, 10, 41)
-    F = MaxPlusForm(GridFn(g, np.zeros(41)))
-    res = tightness_check(F, _windows(41, [5, 10, 15]))
-    assert not res.tight
-    assert all(t == 0.0 for t in res.trace)

@@ -10,8 +10,6 @@ from maxplus import (
     POS_INF,
     ValidationError,
     domain_masks,
-    neg,
-    oplus,
     otimes,
 )
 from maxplus.grids import ball_extreme, stencil_max, stencil_min
@@ -29,24 +27,23 @@ ext_real = st.one_of(
 
 
 def test_neutral_and_absorbing_elements():
-    assert oplus(NEG, 3.0) == 3.0
+    assert np.maximum(NEG, 3.0) == 3.0
     assert otimes(NEG, POS) == NEG
     assert otimes(POS, NEG) == NEG
     assert otimes(2.0, 3.0) == 5.0
     assert otimes(POS, 5.0) == POS
-    assert neg(NEG) == POS and neg(POS) == NEG
 
 
 @settings(max_examples=400, deadline=None)
 @given(ext_real, ext_real, ext_real)
 def test_semiring_laws(a, b, c):
-    assert oplus(a, b) == oplus(b, a)
+    assert np.maximum(a, b) == np.maximum(b, a)
     assert otimes(a, b) == otimes(b, a)
-    assert oplus(oplus(a, b), c) == oplus(a, oplus(b, c))
+    assert np.maximum(np.maximum(a, b), c) == np.maximum(a, np.maximum(b, c))
     assert otimes(otimes(a, b), c) == otimes(a, otimes(b, c))
     # distributivity and the identities
-    assert otimes(a, oplus(b, c)) == oplus(otimes(a, b), otimes(a, c))
-    assert oplus(a, NEG) == a
+    assert otimes(a, np.maximum(b, c)) == np.maximum(otimes(a, b), otimes(a, c))
+    assert np.maximum(a, NEG) == a
     assert otimes(a, 0.0) == a
     assert otimes(a, NEG) == NEG
 
@@ -60,7 +57,7 @@ def test_semiring_laws_bulk(rng):
     rng.shuffle(vals)
     a, b, c = vals[:3000], vals[3000:6000], vals[6000:9000]
     assert np.array_equal(otimes(otimes(a, b), c), otimes(a, otimes(b, c)))
-    assert np.array_equal(otimes(a, oplus(b, c)), oplus(otimes(a, b), otimes(a, c)))
+    assert np.array_equal(otimes(a, np.maximum(b, c)), np.maximum(otimes(a, b), otimes(a, c)))
 
 
 def test_nan_rejected():

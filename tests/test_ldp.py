@@ -17,7 +17,6 @@ from maxplus import (
     POS_INF,
     WindowSides,
     conjugate,
-    constant_sequence,
     gaussian_mean_sequence,
     growth_conjugate,
     growth_input,
@@ -28,7 +27,7 @@ from maxplus import (
     tightness_criterion,
 )
 from maxplus.forms import QuasiLinearForm
-from oracles import slow_coercivity_report, slow_limit_log_moment
+from oracles import constant_sequence, slow_coercivity_report, slow_limit_log_moment
 
 NEG = NEG_INF
 POS = POS_INF
