@@ -33,6 +33,7 @@ from .serialize import (
     _expect_keys,
     _json_count,
     _json_number,
+    _json_object,
     dumps,
     grid_from_json,
     gridfn_from_json,
@@ -40,12 +41,6 @@ from .serialize import (
     kernel_from_json,
     num_to_json,
 )
-
-
-def _json_object(value, what):
-    if not isinstance(value, dict):
-        raise ValidationError(f"{what} is a JSON object, got {type(value).__name__}")
-    return value
 
 
 def _json_bool(value, what):
@@ -188,7 +183,7 @@ def _run_covering(obj, out_dir, summary):
     if "xprime" in obj:
         xprime = _json_nodes(obj["xprime"], xg.size, "covering scenario: xprime")
     out_name = _json_str(obj.get("out", "covering.json"), "covering scenario: out")
-    cfg_obj = _json_object(obj.get("config", {}), "covering scenario: config")
+    cfg_obj = obj.get("config", {})
     _expect_keys(
         cfg_obj,
         {"stencil_radius", "window_margin", "le_tol", "eq_tol",
@@ -269,7 +264,7 @@ def _build_ldp_input(obj, yg):
             "sequence",
             optional={"truncate_at"},
         )
-        prm = _json_object(seq_obj["params"], "sequence: params")
+        prm = seq_obj["params"]
         _expect_keys(prm, {"r", "alpha", "sigma", "w0"}, "params", optional={"w0"})
         p = _merton_params(prm, "params")
         xi = _xi_grid(seq_obj, "sequence")

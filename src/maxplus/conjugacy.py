@@ -345,12 +345,6 @@ def _row_quantiles(values, keep, quantiles):
     return levels, np.repeat(some[:, None], len(quantiles), axis=1)
 
 
-def _given_levels(betas, rows):
-    """The same explicit levels for every row, all of them in use."""
-    levels = np.broadcast_to(np.asarray(betas, dtype=np.float64), (rows, len(betas)))
-    return levels, np.ones(levels.shape, dtype=bool)
-
-
 @dataclass(frozen=True)
 class CoercivityReport:
     """Per-x sublevel-set diagnostics for the neighborhood-gain function.
@@ -382,8 +376,6 @@ def coercivity_report(
     window_margin,
     *,
     stencil_radius=1,
-    betas=None,
-    beta_quantiles=(0.5, 0.75, 0.9),
     sides=None,
     x_sides=None,
 ):
@@ -393,10 +385,10 @@ def coercivity_report(
     {y : max_{z in V} b(z,y) - b(x,y) <= beta} are tested for containment
     in the inner window (coercive evidence) and for the max of b(x, ·)
     over them being attained away from open edges (upper-coercive
-    evidence).  Betas default to quantiles of the finite gain values
-    inside the inner window.  ``sides`` declare which Y-window edges are
-    genuine boundaries; ``x_sides`` the same for the X-window, whose open
-    edges produce untestable (EDGE) nodes.
+    evidence).  The levels beta are the 0.5, 0.75 and 0.9 quantiles of
+    the finite gain values inside the inner window.  ``sides`` declare
+    which Y-window edges are genuine boundaries; ``x_sides`` the same for
+    the X-window, whose open edges produce untestable (EDGE) nodes.
 
     The x-nodes are processed as array code over blocks of rows; the
     report is the one a per-node loop over these definitions returns.
@@ -409,26 +401,23 @@ def coercivity_report(
         halo = k.rows(slice(h0, h1))
         rows = halo[lo - h0 : hi - h0]
         gain = _block_gain(halo, k.x_grid, stencil_radius, lo - h0, hi - h0)
-        if betas is not None:
-            levels, use = _given_levels(betas, hi - lo)
-        else:
-            levels, use = _row_quantiles(gain, inner & np.isfinite(gain), beta_quantiles)
-            # cap default levels just under the ring minimum: sublevel-set
-            # geometry need not match the window shape, but any level below
-            # every ring value fits whenever no valley escapes; levels at or
-            # above escaping valleys still flag violations
-            ring = ~inner & np.isfinite(gain)
-            capped = ring.any(axis=1) & use.any(axis=1)
-            if capped.any():
-                lo_ring = np.where(ring[capped], gain[capped], POS_INF).min(axis=1)
-                cap = lo_ring - np.maximum(1e-12, 0.05 * np.abs(lo_ring))
-                raw = levels[capped]
-                fit = np.sort(
-                    np.maximum(np.minimum(raw, cap[:, None]), raw.min(axis=1)[:, None]),
-                    axis=1,
-                )
-                levels[capped] = fit
-                use[capped, 1:] = fit[:, 1:] != fit[:, :-1]  # each level once
+        levels, use = _row_quantiles(gain, inner & np.isfinite(gain), (0.5, 0.75, 0.9))
+        # cap the levels just under the ring minimum: sublevel-set
+        # geometry need not match the window shape, but any level below
+        # every ring value fits whenever no valley escapes; levels at or
+        # above escaping valleys still flag violations
+        ring = ~inner & np.isfinite(gain)
+        capped = ring.any(axis=1) & use.any(axis=1)
+        if capped.any():
+            lo_ring = np.where(ring[capped], gain[capped], POS_INF).min(axis=1)
+            cap = lo_ring - np.maximum(1e-12, 0.05 * np.abs(lo_ring))
+            raw = levels[capped]
+            fit = np.sort(
+                np.maximum(np.minimum(raw, cap[:, None]), raw.min(axis=1)[:, None]),
+                axis=1,
+            )
+            levels[capped] = fit
+            use[capped, 1:] = fit[:, 1:] != fit[:, :-1]  # each level once
         # no level at all leaves nothing finite to test against
         ok_c = use.any(axis=1)
         ok_u = np.ones(hi - lo, dtype=bool)
@@ -464,17 +453,15 @@ def superlevel_compactness_report(
     k,
     window_margin,
     *,
-    betas=None,
-    beta_quantiles=(0.75, 0.9),
     sides=None,
 ):
     """Evidence that superlevel sets {b(x,·) - f >= beta} stay confined.
 
     Empty superlevel sets count as evidence (there is nothing to escape);
-    sets touching an open window edge are violations.  Betas default to
-    quantiles of the finite values inside the inner window; a row with
-    none (b(x,·) - f is -inf there) has only empty superlevel sets.  Array
-    code over blocks of x-rows.
+    sets touching an open window edge are violations.  The levels beta
+    are the 0.75 and 0.9 quantiles of the finite values inside the inner
+    window; a row with none (b(x,·) - f is -inf there) has only empty
+    superlevel sets.  Array code over blocks of x-rows.
     """
     require_same_grid(f, k.y_grid, "superlevel_compactness_report: f")
     inner = inner_window_mask(k.y_grid, window_margin, sides)
@@ -482,10 +469,7 @@ def superlevel_compactness_report(
     verdicts = []
     for lo, hi, _, _ in _row_blocks(k.x_grid, 0, k.y_grid.size):
         vals = otimes(k.rows(slice(lo, hi)), neg_f)
-        if betas is not None:
-            levels, use = _given_levels(betas, hi - lo)
-        else:
-            levels, use = _row_quantiles(vals, inner & np.isfinite(vals), beta_quantiles)
+        levels, use = _row_quantiles(vals, inner & np.isfinite(vals), (0.75, 0.9))
         ok = np.ones(hi - lo, dtype=bool)
         for j in range(levels.shape[1]):
             sup = vals >= levels[:, j, None]

@@ -7,8 +7,8 @@ The default extrapolation fits values against the basis
 off the constant; when the fit does not explain the data, the liminf /
 limsup trends fall back to the minimum / maximum over the trailing half.
 
-Statements checked: (open-liminf), (closed-limsup) and (compact-limsup)
-set bounds, with roles the caller declares.
+Statements checked: (open-liminf) and (closed-limsup) set bounds, with
+roles the caller declares.
 """
 
 import numbers
@@ -27,6 +27,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 LOG2 = float(np.log(2.0))
 EPS = float(np.finfo(np.float64).eps)
+# a trend fit whose max residual stays within this explains its column
+FIT_RESID_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -156,11 +158,11 @@ def trend_limit(ns, values):
     return limit if np.isfinite(resid) else float("nan")
 
 
-def trend_pairs(ns, values, *, fit_resid_tol=1e-2):
+def trend_pairs(ns, values):
     """(liminf trends, limsup trends) of every column of ``values``.
 
     Row i holds the values at index ns[i].  When the smooth fit explains
-    a column (max residual within the tolerance) the column is treated
+    a column (max residual within ``FIT_RESID_TOL``) the column is treated
     as convergent and both sides equal the fitted limit; otherwise the
     conservative estimates min/max over the trailing half are reported.
     A constant column returns its value exactly.
@@ -202,7 +204,7 @@ def trend_pairs(ns, values, *, fit_resid_tol=1e-2):
                 resid[batch] = np.abs(A @ coef - wb).max(axis=0)
                 # two roundings of |A @ coef - w| differ by at most 4 eps (|A||coef| + |w|)
                 slack = 8.0 * EPS * (np.abs(A) @ np.abs(coef) + np.abs(wb)).max(axis=0)
-            alone[batch[np.abs(resid[batch] - fit_resid_tol) <= slack]] = True
+            alone[batch[np.abs(resid[batch] - FIT_RESID_TOL) <= slack]] = True
         single = np.flatnonzero(alone)
         if single.size:
             # the bit patterns of the columns, so that -0.0 and 0.0 stay apart
@@ -212,17 +214,17 @@ def trend_pairs(ns, values, *, fit_resid_tol=1e-2):
             )
             fits = [_fit_limit(A, w[:, single[j]]) for j in first]
             limit[single], resid[single] = np.array(fits).T[:, where.reshape(-1)]
-        ok = np.isfinite(resid) & (resid <= fit_resid_tol)
+        ok = np.isfinite(resid) & (resid <= FIT_RESID_TOL)
         lo[fit[ok]] = hi[fit[ok]] = limit[ok]
     return lo, hi
 
 
-def limsup_trend(ns, values, **kw):
-    return float(trend_pairs(ns, np.asarray(values, dtype=np.float64)[:, None], **kw)[1][0])
+def limsup_trend(ns, values):
+    return float(trend_pairs(ns, np.asarray(values, dtype=np.float64)[:, None])[1][0])
 
 
-def liminf_trend(ns, values, **kw):
-    return float(trend_pairs(ns, np.asarray(values, dtype=np.float64)[:, None], **kw)[0][0])
+def liminf_trend(ns, values):
+    return float(trend_pairs(ns, np.asarray(values, dtype=np.float64)[:, None])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -269,59 +271,51 @@ class SetBoundRow:
     verdict: str
 
 
-def ldp_bounds_check(
-    seq,
-    limit_form,
-    open_sets=(),
-    closed_sets=(),
-    compact_sets=(),
-    *,
-    tol=1e-3,
-):
+def ldp_bounds_check(seq, limit_form, open_sets=(), closed_sets=(), *, tol=1e-3):
     """Set-wise deviation bounds against the candidate limit form.
 
     Open sets: the liminf trend of F_n(G) must reach F(G) from above
-    (within tol).  Closed and compact sets: the limsup trend must stay
-    below F(C).  Roles are declared by the caller; on a grid window an
-    "open" set is one stripped of its boundary nodes.
+    (within tol).  Closed sets: the limsup trend must stay below F(C).
+    Roles are declared by the caller; on a grid window an "open" set is
+    one stripped of its boundary nodes.  The sets of one role are
+    evaluated into one (indices x sets) array and fitted in one
+    ``trend_pairs`` call.
     """
     rows = []
-    short = len(seq.n_list) < 3
-    families = [
-        ("open", open_sets),
-        ("closed", closed_sets),
-        ("compact", compact_sets),
-    ]
-    evaluated = [(n, f) for n, f in seq.forms()]
-    for kind, sets in families:
-        for sid, mask in enumerate(sets):
-            vals = [f.eval_on_set(mask) for _, f in evaluated]
-            rhs = limit_form.eval_on_set(mask)
-            if short:
-                rows.append(SetBoundRow(f"{kind}:{sid}", kind, float("nan"), rhs, 0.0, INCONCLUSIVE))
-                continue
-            if kind == "open":
-                lhs = liminf_trend(seq.n_list, vals)
-                margin = _margin_pair(lhs, rhs)
-            else:
-                lhs = limsup_trend(seq.n_list, vals)
-                margin = _margin_pair(rhs, lhs)
-            if np.isnan(margin):
-                v = INCONCLUSIVE
-                margin = 0.0
-            else:
-                v = PASS if margin >= -tol else FAIL
-            rows.append(SetBoundRow(f"{kind}:{sid}", kind, lhs, rhs, float(margin), v))
-
     results = {}
-    for name, kind in (
-        ("open_liminf", "open"),
-        ("closed_limsup", "closed"),
-        ("compact_limsup", "compact"),
+    forms = [f for _, f in seq.forms()]
+    for name, kind, sets in (
+        ("open_liminf", "open", open_sets),
+        ("closed_limsup", "closed", closed_sets),
     ):
-        sel = [r for r in rows if r.kind == kind]
-        if not sel:
+        if len(sets) == 0:
             continue  # family not supplied
+        rhs = [limit_form.eval_on_set(mask) for mask in sets]
+        if len(seq.n_list) < 3:
+            sel = [
+                SetBoundRow(f"{kind}:{sid}", kind, float("nan"), r, 0.0, INCONCLUSIVE)
+                for sid, r in enumerate(rhs)
+            ]
+        else:
+            vals = np.array(
+                [[f.eval_on_set(mask) for mask in sets] for f in forms], dtype=np.float64
+            )
+            lo, hi = trend_pairs(seq.n_list, vals)
+            sel = []
+            for sid, r in enumerate(rhs):
+                if kind == "open":
+                    lhs = float(lo[sid])
+                    margin = _margin_pair(lhs, r)
+                else:
+                    lhs = float(hi[sid])
+                    margin = _margin_pair(r, lhs)
+                if np.isnan(margin):
+                    v = INCONCLUSIVE
+                    margin = 0.0
+                else:
+                    v = PASS if margin >= -tol else FAIL
+                sel.append(SetBoundRow(f"{kind}:{sid}", kind, lhs, r, float(margin), v))
+        rows += sel
         if any(r.verdict == INCONCLUSIVE for r in sel):
             verdict = INCONCLUSIVE
         elif any(r.verdict == FAIL for r in sel):

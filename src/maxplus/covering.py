@@ -18,7 +18,6 @@ import numpy as np
 
 from .conjugacy import (
     EVIDENCE,
-    Kernel,
     VIOLATION,
     coercivity_report,
     conjugate,
@@ -27,7 +26,6 @@ from .conjugacy import (
 )
 from .errors import ValidationError
 from .grids import (
-    NEG_INF,
     POS_INF,
     GridFn,
     domain_masks,
@@ -67,7 +65,6 @@ class CoveringReport:
     pinned: np.ndarray
     minimal_alg: bool
     minimal_top: bool
-    stencil_radius: int
     subdiff: object = field(repr=False)
     masks: object = field(repr=False)  # domain_masks(g, stencil_radius)
 
@@ -146,7 +143,6 @@ def build_covering(g, k, xprime=None, stencil_radius=1, *, _masks=None):
         pinned=np.flatnonzero(pinned),
         minimal_alg=bool(alg[piece_index].all()) if piece_index.size else True,
         minimal_top=bool(top[piece_index].all()) if piece_index.size else True,
-        stencil_radius=stencil_radius,
         subdiff=sd,
         masks=masks,
     )
@@ -183,7 +179,7 @@ def lifted_candidate(dual):
     """
     vals = np.array(dual.values)
     vals[np.isneginf(vals)] = POS_INF
-    return GridFn(dual.grid, vals, tag="lsc")
+    return GridFn(dual.grid, vals)
 
 
 @dataclass(frozen=True)

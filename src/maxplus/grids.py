@@ -152,20 +152,15 @@ class Grid:
         return f"Grid({axes})"
 
 
-TAGS = ("lsc", "usc", "plain")
-
-
 @dataclass(frozen=True)
 class GridFn:
     """A function sampled on a grid, extended-real valued.
 
-    ``values`` has the grid's shape.  ``tag`` is advisory semicontinuity
-    metadata used by hull and extension operations.
+    ``values`` has the grid's shape.
     """
 
     grid: Grid
     values: np.ndarray
-    tag: str = "plain"
 
     def __post_init__(self):
         arr = check_values(self.values)
@@ -176,8 +171,6 @@ class GridFn:
                 raise ValidationError(
                     f"values shape {arr.shape} does not match grid {self.grid.shape}"
                 )
-        if self.tag not in TAGS:
-            raise ValidationError(f"tag must be one of {TAGS}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

@@ -29,9 +29,9 @@ from .conjugacy import (
     superlevel_compactness_report,
 )
 from .covering import build_covering, lifted_candidate, quasicontinuity_check
-from .convergence import ldp_bounds_check, trend_pairs
+from .convergence import trend_pairs
 from .errors import ValidationError
-from .forms import MaxPlusForm, _to_mask
+from .forms import MaxPlusForm
 from .grids import NEG_INF, POS_INF, GridFn, domain_masks
 
 
@@ -102,14 +102,14 @@ class LimitDiagnostics:
     edge_unbounded: np.ndarray
 
 
-def limit_log_moment(gartner_input, *, limit_tol=1e-6, sup_edge_to_inf=False):
+def limit_log_moment(gartner_input, *, sup_edge_to_inf=False):
     """Per-node limit of the generalized log-moment values.
 
     For each x: the limsup trend over n of each sequence's values on the
     kernel slice b(x,·), then the sup over the family.  In
     ``limit-asserted`` mode liminf and limsup trends must agree within
-    ``limit_tol``; a mismatch downgrades the whole run to limsup mode
-    with a warning.
+    the constant tolerance 1e-6; a mismatch downgrades the whole run to
+    limsup mode with a warning.
 
     With ``sup_edge_to_inf`` (for families indexed by a control grid) a
     supremum strictly attained at the family's first or last member is
@@ -137,7 +137,7 @@ def limit_log_moment(gartner_input, *, limit_tol=1e-6, sup_edge_to_inf=False):
         gaps = np.fmax.reduce(gap, axis=0, initial=0.0)  # a NaN gap is skipped, as max() does
 
     downgraded = False
-    if gartner_input.mode == "limit-asserted" and np.nanmax(gaps, initial=0.0) > limit_tol:
+    if gartner_input.mode == "limit-asserted" and np.nanmax(gaps, initial=0.0) > 1e-6:
         warnings.warn(
             "limsup/liminf trends disagree; downgrading to limsup mode",
             stacklevel=2,
@@ -243,52 +243,44 @@ class GartnerOutput:
     covering: object
     limit_form: MaxPlusForm  # max-plus form with the candidate rate density
     diagnostics: LimitDiagnostics
-    bound_rows: list = field(default_factory=list)
 
 
 def pipeline(
     gartner_input,
     *,
-    stencil_radius=1,
     window_margin=0.1,
     sides=None,
     x_sides=None,
-    limit_tol=1e-6,
     sup_edge_to_inf=False,
-    open_sets=(),
-    closed_sets=(),
-    verify_bounds=False,
 ):
     """Run the full identification pipeline.
 
-    Computes the limit log-moment values, their dual conjugate (the rate
-    lower bound), the covering on the locally bounded nodes, the pinned
-    set, and assumption evidence.  Optional set families are bounded
-    against the candidate limit form: upper bounds F̄(C) on closed sets,
-    lower bounds F̄(G ∩ pinned) on open sets; with ``verify_bounds`` the
-    finite-prefix trends of the sequences are checked against them.
-    Weak evidence degrades the verdict, never aborts.
+    Computes the limit log-moment values (limit tolerance 1e-6, see
+    ``limit_log_moment``), their dual conjugate (the rate lower bound),
+    the covering on the locally bounded nodes, the pinned set, and
+    assumption evidence.  Every stencil (local boundedness, coercivity
+    balls, the quasi-continuity closing) has the constant radius 1, the
+    default of each stage.  ``limit_form`` is the max-plus form of the
+    candidate rate density, against which ``ldp_bounds_check`` bounds
+    set families.  Weak evidence degrades the verdict, never aborts.
     """
     k = gartner_input.kernel
-    g, diag = limit_log_moment(
-        gartner_input, limit_tol=limit_tol, sup_edge_to_inf=sup_edge_to_inf
-    )
-    masks = domain_masks(g, stencil_radius)
+    g, diag = limit_log_moment(gartner_input, sup_edge_to_inf=sup_edge_to_inf)
+    masks = domain_masks(g)
     xprime = masks.idom.reshape(-1)
-    cov = build_covering(g, k, xprime, stencil_radius, _masks=masks)
+    cov = build_covering(g, k, xprime, _masks=masks)
     rate = cov.subdiff.dual
     density = lifted_candidate(rate)
     fbar = MaxPlusForm(density)
 
     tight = tightness_criterion(
-        k, g, window_margin=window_margin, sides=sides, x_sides=x_sides,
-        stencil_radius=stencil_radius, _masks=masks,
+        k, g, window_margin=window_margin, sides=sides, x_sides=x_sides, _masks=masks,
     )
     co = tight.coercivity
     fc = superlevel_compactness_report(density, k, window_margin, sides=sides)
     # sampled-smooth rate candidates close with O(h^2 curvature) gaps; a
     # one-step tolerance keeps them quasi-continuous while spikes still fail
-    qc_ok, _ = quasicontinuity_check(density, stencil_radius, tol=k.y_grid.step(0))
+    qc_ok, _ = quasicontinuity_check(density, tol=k.y_grid.step(0))
     assumptions = AssumptionEvidence(
         coercive=EVIDENCE if co.all_coercive else VIOLATION,
         upper_coercive=EVIDENCE if co.all_upper_coercive else VIOLATION,
@@ -296,35 +288,6 @@ def pipeline(
         quasicontinuous_dual=qc_ok,
         tightness=tight,
     )
-
-    pinned_mask = np.zeros(k.y_grid.size, dtype=bool)
-    pinned_mask[cov.pinned] = True
-
-    rows = []
-    for sid, mask in enumerate(closed_sets):
-        rhs = fbar.eval_on_set(mask)
-        rows.append(("closed", sid, rhs))
-    for sid, mask in enumerate(open_sets):
-        rhs = fbar.eval_on_set(_to_mask(k.y_grid, mask) & pinned_mask)
-        rows.append(("open", sid, rhs))
-
-    bound_rows = []
-    if verify_bounds and (open_sets or closed_sets):
-        pinned_open = [
-            _to_mask(k.y_grid, m) & pinned_mask for m in open_sets
-        ]
-        for seq in gartner_input.sequences:
-            rep = ldp_bounds_check(
-                seq,
-                fbar,
-                open_sets=pinned_open,
-                closed_sets=list(closed_sets),
-            )
-            bound_rows.extend(rep.to_rows())
-    else:
-        bound_rows = [
-            {"kind": kind, "set": sid, "limit_bound": rhs} for kind, sid, rhs in rows
-        ]
 
     limits_ok = gartner_input.mode == "limit-asserted" and not diag.downgraded
     if cov.covered and cov.minimal_top and limits_ok and assumptions.bounds_ready:
@@ -343,5 +306,4 @@ def pipeline(
         covering=cov,
         limit_form=fbar,
         diagnostics=diag,
-        bound_rows=bound_rows,
     )

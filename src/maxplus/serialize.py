@@ -82,8 +82,6 @@ def grid_from_json(obj):
     finite JSON numbers and ``n`` a JSON integer of at least 1: scalars
     for dim 1, lists of two for dim 2.
     """
-    if not isinstance(obj, dict):
-        raise ValidationError(f"grid is a JSON object, got {type(obj).__name__}")
     _expect_keys(obj, {"lo", "hi", "n", "dim"}, "grid")
     dim = obj["dim"]
     if type(dim) is not int or dim not in (1, 2):
@@ -110,17 +108,18 @@ def gridfn_to_json(fn):
     return {"grid": grid_to_json(fn.grid), "values": values_to_json(fn.values)}
 
 
-def gridfn_from_json(obj, tag="plain"):
+def gridfn_from_json(obj):
     _expect_keys(obj, {"grid", "values"}, "grid function")
     grid = grid_from_json(obj["grid"])
-    return GridFn(grid, values_from_json(obj["values"]), tag)
+    return GridFn(grid, values_from_json(obj["values"]))
 
 
 def kernel_from_json(obj, x_grid, y_grid):
-    if obj.get("type") == "bilinear":
+    kind = _json_object(obj, "kernel").get("type")
+    if kind == "bilinear":
         _expect_keys(obj, {"type"}, "kernel")
         return Kernel.bilinear(x_grid, y_grid)
-    if obj.get("type") == "table":
+    if kind == "table":
         _expect_keys(obj, {"type", "rows"}, "kernel")
         rows = obj["rows"]
         if type(rows) is not list or not all(type(r) is list for r in rows):
@@ -130,7 +129,7 @@ def kernel_from_json(obj, x_grid, y_grid):
         flat = values_from_json(list(itertools.chain.from_iterable(rows)), "kernel rows")
         ncols = len(rows[0]) if rows else 0
         return Kernel.from_table(x_grid, y_grid, flat.reshape(len(rows), ncols))
-    raise ValidationError(f"unknown kernel type {obj.get('type')!r}")
+    raise ValidationError(f"unknown kernel type {kind!r}")
 
 
 def _json_number(value, what):
@@ -154,7 +153,16 @@ def _json_count(value, what, minimum):
     return value
 
 
+def _json_object(value, what):
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} is a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _expect_keys(obj, allowed, what, optional=frozenset()):
+    """Check that the JSON object ``obj`` has only ``allowed`` fields,
+    and every one of them that is not ``optional``."""
+    _json_object(obj, what)
     extra = set(obj) - set(allowed)
     missing = set(allowed) - set(obj) - set(optional)
     if extra:

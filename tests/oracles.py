@@ -218,11 +218,11 @@ def _slice_values(seq, kernel, x_index):
     return out
 
 
-def trend_pair(ns, values, *, fit_resid_tol=1e-2):
+def trend_pair(ns, values):
     """(liminf trend, limsup trend) of one column, by its own fit.
 
     The one-column rule ``convergence.trend_pairs`` batches: when the
-    smooth fit explains the data (max residual within the tolerance)
+    smooth fit explains the data (max residual within 1e-2)
     both sides equal the fitted limit; otherwise min/max over the
     trailing half are reported.
     """
@@ -235,10 +235,41 @@ def trend_pair(ns, values, *, fit_resid_tol=1e-2):
         return float(v[0]), float(v[0])
     if np.isfinite(v).all():
         limit, resid = _fit_limit(_trend_basis(ns), v)
-        if np.isfinite(resid) and resid <= fit_resid_tol:
+        if np.isfinite(resid) and resid <= 1e-2:
             return limit, limit
     tail = v[v.size // 2:]
     return float(tail.min()), float(tail.max())
+
+
+def slow_set_bound_rows(seq, limit_form, open_sets=(), closed_sets=()):
+    """The rows of ``convergence.ldp_bounds_check`` at its default tol, one
+    set at a time.
+
+    The per-set loop before the sets of one role were fitted together:
+    each set's values over the indices get their own ``trend_pair`` fit.
+    Rows are (set id, kind, lhs trend, rhs, margin, verdict).
+    """
+    forms = [f for _, f in seq.forms()]
+    rows = []
+    for kind, sets in (("open", open_sets), ("closed", closed_sets)):
+        for sid, mask in enumerate(sets):
+            rhs = limit_form.eval_on_set(mask)
+            if len(seq.n_list) < 3:
+                rows.append((f"{kind}:{sid}", kind, float("nan"), rhs, 0.0, "INCONCLUSIVE"))
+                continue
+            lo, up = trend_pair(seq.n_list, [f.eval_on_set(mask) for f in forms])
+            lhs = lo if kind == "open" else up
+            # equal infinities count as zero margin
+            if lhs == rhs:
+                margin = 0.0
+            else:
+                margin = lhs - rhs if kind == "open" else rhs - lhs
+            if math.isnan(margin):
+                verdict, margin = "INCONCLUSIVE", 0.0
+            else:
+                verdict = "PASS" if margin >= -1e-3 else "FAIL"
+            rows.append((f"{kind}:{sid}", kind, float(lhs), rhs, float(margin), verdict))
+    return rows
 
 
 def constant_sequence(form, n_list):
@@ -250,7 +281,7 @@ def constant_sequence(form, n_list):
     )
 
 
-def slow_limit_log_moment(gartner_input, *, limit_tol=1e-6, sup_edge_to_inf=False):
+def slow_limit_log_moment(gartner_input, *, sup_edge_to_inf=False):
     """Limit log-moment values node by node, one scalar trend fit each.
 
     The per-node loop of ``ldp.limit_log_moment`` before it was batched.
@@ -269,7 +300,7 @@ def slow_limit_log_moment(gartner_input, *, limit_tol=1e-6, sup_edge_to_inf=Fals
             if limit_asserted:
                 gap = 0.0 if up == lo else abs(up - lo)
                 gaps[xi] = max(gaps[xi], gap)
-    downgraded = limit_asserted and np.nanmax(gaps, initial=0.0) > limit_tol
+    downgraded = limit_asserted and np.nanmax(gaps, initial=0.0) > 1e-6
     g = per_member.max(axis=0)
     edge = np.zeros(nx, dtype=bool)
     if sup_edge_to_inf and per_member.shape[0] >= 3:
@@ -368,8 +399,6 @@ def slow_coercivity_report(
     window_margin,
     *,
     stencil_radius=1,
-    betas=None,
-    beta_quantiles=(0.5, 0.75, 0.9),
     sides=None,
     x_sides=None,
 ):
@@ -388,9 +417,9 @@ def slow_coercivity_report(
             upper.append(EDGE)
             continue
         gain = _neighborhood_gain(b, k.x_grid, i, stencil_radius)
-        bs = betas if betas is not None else _default_betas(gain, beta_quantiles, inner)
-        if betas is None and bs:
-            # cap default levels just under the ring minimum: sublevel-set
+        bs = _default_betas(gain, (0.5, 0.75, 0.9), inner)
+        if bs:
+            # cap the levels just under the ring minimum: sublevel-set
             # geometry need not match the window shape, but any level below
             # every ring value fits whenever no valley escapes; levels at or
             # above escaping valleys still flag violations
@@ -426,8 +455,6 @@ def slow_superlevel_compactness_report(
     k,
     window_margin,
     *,
-    betas=None,
-    beta_quantiles=(0.75, 0.9),
     sides=None,
 ):
     """``superlevel_compactness_report`` with one iteration per x-node."""
@@ -442,7 +469,7 @@ def slow_superlevel_compactness_report(
     verdicts = []
     for i in range(k.x_grid.size):
         vals = otimes(b[i], neg_f)
-        bs = betas if betas is not None else _default_betas(vals, beta_quantiles, inner)
+        bs = _default_betas(vals, (0.75, 0.9), inner)
         if not bs:
             # b(x,·) - f is -inf everywhere: all superlevel sets are empty
             verdicts.append(EVIDENCE)

@@ -10,7 +10,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from maxplus import (
     ConstantControl,
@@ -20,8 +19,6 @@ from maxplus import (
     Kernel,
     LogIntegralForm,
     MertonParams,
-    MertonValueForm,
-    NEG_INF,
     POS_INF,
     brute_force_growth,
     conjugate,

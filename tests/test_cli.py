@@ -489,6 +489,10 @@ MALFORMED_LDP_FIELDS = [
     ("merton", "horizons", 200, "horizons is a nonempty list"),
     ("merton", "truncate_at", "0", "truncate_at is a finite number"),
     ("merton", "truncate_at", None, "truncate_at is a finite number"),
+    # pipeline options that an ldp scenario does not set
+    ("top", "stencil_radius", 1, "unknown fields ['stencil_radius']"),
+    ("top", "limit_tol", 1e-6, "unknown fields ['limit_tol']"),
+    ("top", "open_sets", [[0, 3]], "unknown fields ['open_sets']"),
 ]
 
 
@@ -645,6 +649,22 @@ def test_non_object_grid_exits_3(tmp_path, capsys, grid):
     cfg.write_text(json.dumps(obj))
     assert run(["ldp", "--config", cfg, "--out-dir", tmp_path]) == 3
     assert "grid is a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [5, [[1]], [1]], ids=["number", "nested-list", "list"])
+@pytest.mark.parametrize("scenario, field", [
+    ("conjugate_quadratic.json", "f"), ("conjugate_quadratic.json", "kernel"),
+    ("covering_identity.json", "g"), ("covering_identity.json", "kernel"),
+    ("gaussian_ldp.json", "kernel"),
+])
+def test_non_object_kernel_or_grid_function_exits_3(tmp_path, capsys, scenario, field, value):
+    obj = json.loads((SCENARIOS / scenario).read_text())
+    obj[field] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(obj))
+    assert run([obj["kind"], "--config", cfg, "--out-dir", tmp_path]) == 3
+    what = "kernel" if field == "kernel" else "grid function"
+    assert f"error: {what} is a JSON object" in capsys.readouterr().err
 
 
 # SHA-256 of every artifact of the checked-in scenarios.  A change to one

@@ -81,7 +81,6 @@ def test_bilinear_quadratic_three_nodes():
     f = GridFn(g, g.coords**2 / 2)
     out = conjugate(f, k)
     assert np.array_equal(out.values, [0.5, 0.0, 0.5])
-    assert out.tag == "plain"
 
 
 def test_all_plus_inf_f_gives_neg_inf():

@@ -7,24 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxplus import (
+    GartnerInput,
     GaussianMeanForm,
     Grid,
     GridFn,
+    Kernel,
     MaxPlusForm,
+    MertonParams,
     NEG_INF,
     ValidationError,
     default_interval_sets,
     gaussian_mean_sequence,
+    growth_input,
     ldp_bounds_check,
+    pipeline,
 )
 from maxplus.convergence import (
+    FormSequence,
     _trend_basis,
     liminf_trend,
     limsup_trend,
     trend_limit,
     trend_pairs,
 )
-from oracles import constant_sequence, gauss_log_mass, trend_pair
+from oracles import constant_sequence, gauss_log_mass, slow_set_bound_rows, trend_pair
 
 NEG = NEG_INF
 
@@ -253,7 +259,7 @@ def test_gaussian_member_set_mass_matches_mpmath():
 # ---------------------------------------------------------------------------
 
 def quadratic_limit_form(grid):
-    return MaxPlusForm(GridFn(grid, grid.coords**2 / 2, tag="lsc"))
+    return MaxPlusForm(GridFn(grid, grid.coords**2 / 2))
 
 
 def test_ldp_bounds_gaussian_tail_sets():
@@ -289,21 +295,68 @@ def test_set_bounds_short_prefix_inconclusive():
 
 
 def test_bound_implication_ladder():
-    # closed-set bounds imply compact-set bounds on the same sets
+    # on a finite grid every set is compact, so the closed-limsup bound is
+    # also the compact one; it holds on a tail and on a two-sided set
     g = Grid.line(-3, 3, 121)
     seq = gaussian_mean_sequence(g, (64, 128, 256, 512))
     F = quadratic_limit_form(g)
-    inner = np.abs(g.coords) <= 2.0
     sets = [g.coords >= 1.0, np.abs(g.coords) >= 0.5]
-    rep = ldp_bounds_check(
-        seq,
-        F,
-        closed_sets=sets,
-        compact_sets=[s & inner for s in sets],
-        tol=1e-3,
+    rep = ldp_bounds_check(seq, F, closed_sets=sets, tol=1e-3)
+    assert rep.results["closed_limsup"].verdict == "PASS"
+
+
+def _criterion_5_case():
+    grid = Grid.line(-2.0, 2.0, 101)
+    seq = gaussian_mean_sequence(grid, (1024, 2048, 4096, 8192))
+    gin = GartnerInput(sequences=(seq,), kernel=Kernel.bilinear(grid, grid),
+                       mode="limit-asserted")
+    return seq, pipeline(gin).limit_form, default_interval_sets(grid, cap=200)
+
+
+def _merton_case():
+    # below the floor the clipped law has no mass: those sets evaluate to -inf
+    yg = Grid.line(-1.0, 2.0, 31)
+    gin = growth_input(
+        MertonParams(r=0.05, alpha=0.10, sigma=0.20), Grid.line(0.0, 1.2, 13), yg,
+        [0.5, 1.8], (50, 100, 200, 400), clip_floor=0.0,
     )
-    if rep.results["closed_limsup"].verdict == "PASS":
-        assert rep.results["compact_limsup"].verdict == "PASS"
+    F = MaxPlusForm(GridFn(yg, yg.coords**2))
+    return gin.sequences[1], F, default_interval_sets(yg, cap=60)
+
+
+def _short_case():
+    g = Grid.line(-1.0, 1.0, 9)
+    F = MaxPlusForm(GridFn(g, g.coords**2))
+    return constant_sequence(F, (1, 2)), F, default_interval_sets(g, cap=10)
+
+
+def _oscillating_case():
+    # no smooth fit explains alternating values: liminf and limsup differ
+    g = Grid.line(-1.0, 1.0, 9)
+    forms = [MaxPlusForm(GridFn(g, g.coords**2)), MaxPlusForm(GridFn(g, 1.0 - g.coords))]
+    seq = FormSequence(lambda n: forms[n % 2], tuple(range(1, 9)), g)
+    return seq, forms[0], default_interval_sets(g, cap=10)
+
+
+@pytest.mark.parametrize(
+    "case", [_criterion_5_case, _merton_case, _short_case, _oscillating_case],
+    ids=["criterion-5", "merton-neg-inf", "short-n-list", "oscillating"],
+)
+def test_ldp_bounds_check_rows_equal_per_set_fits(case):
+    seq, F, fam = case()
+    sets = dict(open_sets=[o for _, o in fam], closed_sets=[c for c, _ in fam])
+    rows = ldp_bounds_check(seq, F, **sets).to_rows()
+    want = slow_set_bound_rows(seq, F, **sets)
+    assert len(rows) == len(want) == 2 * len(fam)
+
+    def bits(v):
+        return np.float64(v).tobytes()
+
+    for row, (sid, kind, lhs, rhs, margin, verdict) in zip(rows, want):
+        assert (row.set_id, row.kind, row.verdict) == (sid, kind, verdict)
+        assert [bits(row.lhs_trend), bits(row.rhs), bits(row.margin)] == [
+            bits(lhs), bits(rhs), bits(margin)
+        ]
 
 
 # ---------------------------------------------------------------------------

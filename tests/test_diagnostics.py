@@ -35,9 +35,11 @@ BUDGET = _kernels._CELL_BUDGET
 # fit in one dense block
 ROW_COUNTS = [1, 255, 256, 257, 600]
 # (|X|, |Y|) at the edges of the budget's blocks: rows on both sides of a
-# 7-row block, |Y| wider than the budget (one row per block) and |Y| = 1
+# 7-row block, |Y| wider than the budget (one row per block), |Y| = 1, and
+# |Y| = 2, whose inner window is empty
 EDGE_SHAPES = [
     (6, BUDGET // 7), (7, BUDGET // 7), (8, BUDGET // 7), (3, BUDGET + 1), (5, 1),
+    (300, 2),
 ]
 
 SIDES = {
@@ -51,11 +53,10 @@ def line(n, lo=-3.0, hi=3.0):
     return Grid.line(lo, hi, n) if n > 1 else Grid.line(0.0, 0.0, 1)
 
 
-def assert_reports_equal(k, f, *, radius=1, sides=None, x_sides=None, betas=None,
-                         f_betas=None):
-    kw = dict(stencil_radius=radius, sides=sides, x_sides=x_sides, betas=betas)
+def assert_reports_equal(k, f, *, radius=1, sides=None, x_sides=None):
+    kw = dict(stencil_radius=radius, sides=sides, x_sides=x_sides)
     assert coercivity_report(k, 0.1, **kw) == slow_coercivity_report(k, 0.1, **kw)
-    kw = dict(sides=sides, betas=f_betas)
+    kw = dict(sides=sides)
     assert superlevel_compactness_report(f, k, 0.1, **kw) == (
         slow_superlevel_compactness_report(f, k, 0.1, **kw)
     )
@@ -117,14 +118,10 @@ def table_cases(draw):
     st.integers(0, 2),
     st.sampled_from(sorted(SIDES)),
     st.sampled_from(sorted(SIDES)),
-    st.sampled_from([None, [], [-1.0], [0.5], [2.0, -1.0, 2.0]]),
 )
-def test_table_kernel_reports_equal_per_row_loops(case, radius, sides, x_sides, betas):
+def test_table_kernel_reports_equal_per_row_loops(case, radius, sides, x_sides):
     k, f, g = case
-    assert_reports_equal(
-        k, f, radius=radius, sides=SIDES[sides], x_sides=SIDES[x_sides],
-        betas=betas, f_betas=betas,
-    )
+    assert_reports_equal(k, f, radius=radius, sides=SIDES[sides], x_sides=SIDES[x_sides])
     assert_tightness_equal(k, g, radius=radius, sides=SIDES[sides], x_sides=SIDES[x_sides])
 
 
@@ -183,15 +180,6 @@ def test_bilinear_1d_at_block_edges(nx, ny, radius, sides):
     assert_tightness_equal(k, g, radius=radius, sides=SIDES[sides], x_sides=SIDES[sides])
 
 
-@pytest.mark.parametrize("betas", [[], [-1.0], [0.0], [3.0, 0.25, 3.0]])
-@pytest.mark.parametrize("ny", [2, 41])  # two Y-nodes leave the inner window empty
-def test_explicit_betas(betas, ny):
-    xg, yg = line(300, -2.0, 2.0), line(ny, -4.0, 4.0)
-    k = Kernel.bilinear(xg, yg)
-    f = GridFn(yg, yg.coords**2 / 2)
-    assert_reports_equal(k, f, betas=betas, f_betas=betas)
-
-
 @pytest.mark.parametrize("f_kind", ["inf_entries", "all_posinf", "all_neginf"])
 def test_infinite_f(f_kind):
     xg, yg = line(257, -2.0, 2.0), line(41, -4.0, 4.0)
@@ -241,7 +229,7 @@ def test_bilinear_2d_at_block_edges(n, radius):
 
 
 # ---------------------------------------------------------------------------
-# the quantiles behind the default betas
+# the quantiles behind the levels
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=150, deadline=None)

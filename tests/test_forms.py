@@ -9,7 +9,6 @@ from maxplus import (
     MaxPlusForm,
     NEG_INF,
     POS_INF,
-    indicator,
     join_defect_estimate,
 )
 

@@ -14,7 +14,6 @@ from maxplus import (
     GridFn,
     MertonParams,
     MertonValueForm,
-    NEG_INF,
     POS_INF,
     ValidationError,
     brute_force_growth,

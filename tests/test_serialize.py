@@ -14,7 +14,6 @@ from maxplus import (
 from maxplus.serialize import (
     dumps,
     grid_from_json,
-    grid_to_json,
     gridfn_from_json,
     gridfn_to_json,
     kernel_from_json,
