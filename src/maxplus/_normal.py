@@ -8,6 +8,7 @@ that look them up as ``_normal.log_ndtr``, reach scipy directly.
 
 import numpy as np
 
+from .errors import ValidationError
 from .grids import NEG_INF
 
 
@@ -90,7 +91,7 @@ def log_mgf_piecewise_linear(coords, values, scale, mu, sd, state_floor=None):
     coords = np.asarray(coords, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
-        raise ValueError("piecewise-linear log-mgf needs finite values")
+        raise ValidationError("piecewise-linear log-mgf needs finite values")
     if sd == 0.0:
         state = mu if state_floor is None else max(mu, state_floor)
         return _interp_extrapolating(coords, values, state)

@@ -5,7 +5,7 @@ Four subcommands sharing one scenario-file convention::
     maxplus conjugate --config scenario.json [--out-dir DIR] [--summary]
     maxplus covering  --config scenario.json ...
     maxplus ldp       --config scenario.json ...
-    maxplus merton    [--config scenario.json | flags] ...
+    maxplus merton    --config scenario.json [--seed N] ...
 
 A scenario file is a JSON object with a ``kind`` field matching the
 subcommand plus the kind-specific payload; any other top level, and
@@ -143,7 +143,7 @@ def _write(out_dir, name, text):
 def _run_conjugate(obj, out_dir, summary):
     _expect_keys(
         obj,
-        {"kind", "x_grid", "y_grid", "kernel", "f", "fast", "out"},
+        {"kind", "x_grid", "y_grid", "kernel", "f"},
         "conjugate scenario",
         optional={"fast", "out"},
     )
@@ -169,9 +169,7 @@ def _run_conjugate(obj, out_dir, summary):
 def _run_covering(obj, out_dir, summary):
     _expect_keys(
         obj,
-        {
-            "kind", "x_grid", "y_grid", "kernel", "g", "xprime", "config", "out",
-        },
+        {"kind", "x_grid", "y_grid", "kernel", "g"},
         "covering scenario",
         optional={"xprime", "config", "out"},
     )
@@ -186,8 +184,7 @@ def _run_covering(obj, out_dir, summary):
     cfg_obj = obj.get("config", {})
     _expect_keys(
         cfg_obj,
-        {"stencil_radius", "window_margin", "le_tol", "eq_tol",
-         "assume_finite_exact", "closed_below", "closed_above"},
+        (),
         "covering config",
         optional={"stencil_radius", "window_margin", "le_tol", "eq_tol",
                   "assume_finite_exact", "closed_below", "closed_above"},
@@ -249,38 +246,36 @@ def _run_covering(obj, out_dir, summary):
     return 0 if v.existence == "YES" else 2
 
 
-def _build_ldp_input(obj, yg):
-    seq_obj = obj["sequence"]  # a JSON object: _run_ldp checked it
+def _ldp_sequences(obj, xg, yg):
+    """The form sequences of an ldp scenario's ``sequence`` object."""
+    seq_obj = _json_object(obj["sequence"], "ldp scenario: sequence")
     kind = seq_obj.get("type")
     if kind == "gaussian_mean":
         _expect_keys(seq_obj, {"type", "n_list"}, "sequence")
-        seq = gaussian_mean_sequence(yg, _json_indices(seq_obj["n_list"], "sequence: n_list"))
-        return [seq], {}
+        return (gaussian_mean_sequence(yg, _json_indices(seq_obj["n_list"], "sequence: n_list")),)
     if kind == "merton":
         _expect_keys(
             seq_obj,
-            {"type", "params", "horizons", "xi_min", "xi_max", "xi_step",
-             "truncate_at"},
+            {"type", "params", "horizons", "xi_min", "xi_max", "xi_step"},
             "sequence",
             optional={"truncate_at"},
         )
         prm = seq_obj["params"]
-        _expect_keys(prm, {"r", "alpha", "sigma", "w0"}, "params", optional={"w0"})
+        _expect_keys(prm, {"r", "alpha", "sigma"}, "params", optional={"w0"})
         p = _merton_params(prm, "params")
         xi = _xi_grid(seq_obj, "sequence")
         trunc = None
         if "truncate_at" in seq_obj:
             trunc = _json_number(seq_obj["truncate_at"], "sequence: truncate_at")
-        return p, xi, trunc, _json_indices(seq_obj["horizons"], "sequence: horizons")
+        horizons = _json_indices(seq_obj["horizons"], "sequence: horizons")
+        return growth_input(p, xg, yg, xi, horizons, clip_floor=trunc).sequences
     raise ValidationError(f"unknown sequence type {kind!r}")
 
 
 def _run_ldp(obj, out_dir, summary):
     _expect_keys(
         obj,
-        {"kind", "x_grid", "y_grid", "kernel", "sequence", "mode",
-         "window_margin", "closed_below", "closed_above", "x_closed_below",
-         "x_closed_above", "sup_edge_to_inf", "out_json", "out_csv"},
+        {"kind", "x_grid", "y_grid", "kernel", "sequence"},
         "ldp scenario",
         optional={"mode", "window_margin", "closed_below", "closed_above",
                   "x_closed_below", "x_closed_above", "sup_edge_to_inf",
@@ -300,15 +295,7 @@ def _run_ldp(obj, out_dir, summary):
     json_name = _json_str(obj.get("out_json", "ldp.json"), f"{what}: out_json")
     csv_name = _json_str(obj.get("out_csv", "ldp.csv"), f"{what}: out_csv")
 
-    seq_obj = _json_object(obj["sequence"], f"{what}: sequence")
-    if seq_obj.get("type") == "gaussian_mean":
-        seqs, _ = _build_ldp_input(obj, yg)
-        ginput = GartnerInput(sequences=tuple(seqs), kernel=kernel, mode=mode)
-    else:
-        p, xi, trunc, horizons = _build_ldp_input(obj, yg)
-        ginput = growth_input(
-            p, xg, yg, xi, horizons, clip_floor=trunc, mode=mode
-        )
+    ginput = GartnerInput(_ldp_sequences(obj, xg, yg), kernel, mode)
     out = pipeline(
         ginput,
         window_margin=margin,
@@ -353,14 +340,10 @@ def _run_ldp(obj, out_dir, summary):
 
 
 def _run_merton(obj, out_dir, summary, seed_override=None):
-    if "a" in obj:
-        raise ValidationError(
-            "merton scenario: the tail-rate experiment has no truncation floor `a`"
-        )
     _expect_keys(
         obj,
-        {"kind", "r", "alpha", "sigma", "w0", "c", "T", "paths", "seed",
-         "xi_min", "xi_max", "xi_step", "out"},
+        {"kind", "r", "alpha", "sigma", "c", "T", "paths", "xi_min", "xi_max",
+         "xi_step"},
         "merton scenario",
         optional={"w0", "out", "seed"},
     )
@@ -402,49 +385,17 @@ def main(argv=None):
         description="Max-plus conjugacies, coverings, and rate-function identification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("conjugate", "covering", "ldp"):
+    for name in ("conjugate", "covering", "ldp", "merton"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out-dir", default=".")
         sp.add_argument("--summary", action="store_true")
-    sp = sub.add_parser("merton")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--out-dir", default=".")
+    # the loop ends on merton, the one subcommand that draws random numbers
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--summary", action="store_true")
-    sp.add_argument("--r", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--w0", type=float, default=1.0)
-    sp.add_argument("--c", type=float)
-    sp.add_argument("--T", type=float, action="append")
-    sp.add_argument("--paths", type=int, default=100000)
-    sp.add_argument("--xi-min", type=float, default=0.05)
-    sp.add_argument("--xi-max", type=float, default=6.0)
-    sp.add_argument("--xi-step", type=float, default=0.05)
-    sp.add_argument("--a", type=float, default=None,
-                    help="rejected: the tail-rate experiment has no truncation floor")
-    sp.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "merton" and args.config is None:
-            missing = [k for k in ("r", "alpha", "sigma", "c", "T") if getattr(args, k) is None]
-            if missing:
-                raise ValidationError(f"merton needs --config or flags: missing {missing}")
-            obj = {
-                "kind": "merton", "r": args.r, "alpha": args.alpha,
-                "sigma": args.sigma, "w0": args.w0, "c": args.c, "T": args.T,
-                "paths": args.paths, "seed": args.seed or 0,
-                "xi_min": args.xi_min, "xi_max": args.xi_max,
-                "xi_step": args.xi_step,
-            }
-            if args.a is not None:
-                obj["a"] = args.a
-            if args.out is not None:
-                obj["out"] = args.out
-            return _run_merton(obj, args.out_dir, args.summary)
         obj = _load_scenario(args.config, args.command)
         if args.command == "conjugate":
             return _run_conjugate(obj, args.out_dir, args.summary)

@@ -95,12 +95,9 @@ class GaussianMeanForm(QuasiLinearForm):
     def evaluate(self, phi):
         if phi.grid != self._grid:
             raise ValidationError("GaussianMeanForm: phi lives on another grid")
-        v = phi.flat
-        if not np.isfinite(v).all():
-            raise ValidationError("GaussianMeanForm evaluates finite functions")
         n = self.index
         return log_mgf_piecewise_linear(
-            self._grid.coords, v, n, 0.0, 1.0 / np.sqrt(n)
+            self._grid.coords, phi.flat, n, 0.0, 1.0 / np.sqrt(n)
         )
 
 
@@ -243,9 +240,6 @@ class StatementResult:
 class ConvergenceReport:
     results: dict
     rows: list = field(default_factory=list, repr=False)
-
-    def verdict(self, statement):
-        return self.results[statement].verdict
 
     def all_pass(self):
         return all(r.verdict == PASS for r in self.results.values())

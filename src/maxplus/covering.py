@@ -201,12 +201,6 @@ class PreimageReport:
     eq_violations: np.ndarray
     degenerate_rows: np.ndarray
 
-    def summary(self):
-        return (
-            f"pre-image check: {'PASS' if self.passed else 'FAIL'} "
-            f"(<= margin {self.le_margin:.3g}, equality residual {self.eq_residual:.3g})"
-        )
-
 
 def solve_preimage(g, k, xprime=None, *, le_tol=0.0, eq_tol=0.0, _candidate=None):
     """Certify existence through the canonical candidate pre-image.

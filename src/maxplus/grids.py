@@ -179,9 +179,6 @@ class GridFn:
     def flat(self):
         return self.values.reshape(-1)
 
-    def __call__(self, flat_index):
-        return float(self.flat[flat_index])
-
 
 def indicator(grid, mask):
     """Max-plus characteristic function: 0 on the set, -inf off it."""

@@ -291,10 +291,12 @@ class MertonValueForm(QuasiLinearForm):
         )
 
 
-def growth_input(p, x_grid, y_grid, xi_values, horizons, *, clip_floor=None, mode="limit-asserted"):
+def growth_input(p, x_grid, y_grid, xi_values, horizons, *, clip_floor=None):
     """Pipeline input: one exact sequence per control fraction."""
     from .ldp import GartnerInput
 
+    if y_grid.dim != 1:
+        raise ValidationError("a Merton sequence lives on a 1-D grid")
     kernel = Kernel.bilinear(x_grid, y_grid)
     seqs = []
     for xi in xi_values:
@@ -307,7 +309,7 @@ def growth_input(p, x_grid, y_grid, xi_values, horizons, *, clip_floor=None, mod
                 y_grid=y_grid,
             )
         )
-    return GartnerInput(sequences=seqs, kernel=kernel, mode=mode)
+    return GartnerInput(sequences=seqs, kernel=kernel, mode="limit-asserted")
 
 
 # ---------------------------------------------------------------------------

@@ -159,12 +159,12 @@ def _json_object(value, what):
     return value
 
 
-def _expect_keys(obj, allowed, what, optional=frozenset()):
-    """Check that the JSON object ``obj`` has only ``allowed`` fields,
-    and every one of them that is not ``optional``."""
+def _expect_keys(obj, required, what, optional=()):
+    """Check that the JSON object ``obj`` has every ``required`` field
+    and no field that is neither ``required`` nor ``optional``."""
     _json_object(obj, what)
-    extra = set(obj) - set(allowed)
-    missing = set(allowed) - set(obj) - set(optional)
+    extra = set(obj) - set(required) - set(optional)
+    missing = set(required) - set(obj)
     if extra:
         raise ValidationError(f"{what}: unknown fields {sorted(extra)}")
     if missing:

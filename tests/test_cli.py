@@ -68,15 +68,6 @@ def test_merton_scenario_target_column(tmp_path):
     assert abs(float(last[-1]) + 0.0077086) < 1e-7
 
 
-def test_merton_via_flags(tmp_path):
-    rc = run(["merton", "--out-dir", tmp_path, "--r", 0.05, "--alpha", 0.10,
-              "--sigma", 0.20, "--c", 0.12, "--T", 25, "--paths", 1000,
-              "--xi-min", 0.5, "--xi-max", 3.0, "--xi-step", 0.5,
-              "--out", "flags.csv"])
-    assert rc == 0
-    assert (tmp_path / "flags.csv").exists()
-
-
 def test_merton_ldp_scenario(tmp_path):
     obj = {
         "kind": "ldp",
@@ -104,6 +95,74 @@ def test_merton_ldp_scenario(tmp_path):
     out = json.loads((tmp_path / "m.json").read_text())
     assert out["verdict"] in ("BOUNDS_ONLY", "FULL_LDP")
     assert out["assumptions"]["tightness_holds"] is True
+
+
+def small_merton_ldp(**fields):
+    """A merton ldp scenario on a 13 x 11 node window, 9 fractions, 3 horizons."""
+    obj = {
+        "kind": "ldp",
+        "x_grid": {"lo": 0.0, "hi": 1.2, "n": 13, "dim": 1},
+        "y_grid": {"lo": 0.0, "hi": 1.0, "n": 11, "dim": 1},
+        "kernel": {"type": "bilinear"},
+        "sequence": {
+            "type": "merton",
+            "params": {"r": 0.05, "alpha": 0.10, "sigma": 0.20},
+            "horizons": [200, 400, 800],
+            "xi_min": 0.0, "xi_max": 4.0, "xi_step": 0.5,
+        },
+        "closed_below": True,
+        "x_closed_below": True,
+    }
+    obj.update(fields)
+    return obj
+
+
+def run_ldp(tmp_path, obj, name):
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(dict(obj, out_json=f"{name}_out.json", out_csv=f"{name}_out.csv")))
+    return run(["ldp", "--config", cfg, "--out-dir", tmp_path])
+
+
+@pytest.mark.parametrize("truncate_at", [None, 0.0], ids=["plain", "truncated"])
+def test_merton_ldp_runs_on_its_table_kernel(tmp_path, truncate_at):
+    obj = small_merton_ldp()
+    if truncate_at is not None:
+        obj["sequence"]["truncate_at"] = truncate_at
+    x = np.linspace(0.0, 1.2, 13)
+    y = np.linspace(0.0, 1.0, 11)
+    table = dict(obj, kernel={"type": "table", "rows": np.multiply.outer(x, y).tolist()})
+    zero = dict(obj, kernel={"type": "table", "rows": np.zeros((13, 11)).tolist()})
+    codes = [run_ldp(tmp_path, o, name)
+             for o, name in ((obj, "bilinear"), (table, "table"), (zero, "zero"))]
+    outs = [json.loads((tmp_path / f"{name}_out.json").read_text())
+            for name in ("bilinear", "table", "zero")]
+    assert codes[0] == codes[1]
+    assert outs[0]["verdict"] == outs[1]["verdict"]
+    lm = [np.array(o["log_moment"]["values"], dtype=float) for o in outs]
+    fin = np.isfinite(lm[0])
+    assert fin.any()
+    assert np.array_equal(fin, np.isfinite(lm[1]))
+    assert np.abs(lm[1][fin] - lm[0][fin]).max() <= 1e-12
+    # b = 0 makes every log-moment value 0: the kernel is read, not replaced
+    assert np.abs(lm[0][fin]).max() > 1e-2
+    assert np.abs(lm[2]).max() <= 1e-12
+
+
+def test_merton_ldp_table_with_neg_inf_exits_3(tmp_path, capsys):
+    rows = np.zeros((13, 11)).tolist()
+    rows[4][6] = "-inf"
+    obj = small_merton_ldp(kernel={"type": "table", "rows": rows})
+    assert run_ldp(tmp_path, obj, "neginf") == 3
+    assert "needs finite values" in capsys.readouterr().err
+    assert not (tmp_path / "neginf_out.json").exists()
+
+
+def test_merton_ldp_on_2d_grids_exits_3(tmp_path, capsys):
+    box = {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [3, 3], "dim": 2}
+    obj = small_merton_ldp(x_grid=box, y_grid=box)
+    assert run_ldp(tmp_path, obj, "box") == 3
+    assert "a Merton sequence lives on a 1-D grid" in capsys.readouterr().err
+    assert not (tmp_path / "box_out.json").exists()
 
 
 def test_corrupt_json_exits_3(tmp_path):
@@ -166,25 +225,36 @@ def test_removed_flags_rejected(tmp_path):
                               ("ldp", SCENARIOS / "gaussian_ldp.json")):
         with pytest.raises(SystemExit):
             run([command, "--seed", 1, "--config", scenario, "--out-dir", tmp_path])
+    # the merton parameters come from the scenario file alone
+    for flag in ("--a", "--r"):
+        with pytest.raises(SystemExit):
+            run(["merton", flag, 5.0, "--config", SCENARIOS / "merton_tailrate.json",
+                 "--out-dir", tmp_path])
     assert not any(tmp_path.iterdir())
 
 
 def test_merton_seed_flag_sets_the_sample(tmp_path):
-    def csv(seed, out):
-        rc = run(["merton", "--out-dir", tmp_path, "--r", 0.05, "--alpha", 0.10,
-                  "--sigma", 0.20, "--c", 0.12, "--T", 25, "--paths", 300,
-                  "--xi-min", 0.5, "--xi-max", 1.5, "--xi-step", 0.5,
-                  "--seed", seed, "--out", out])
-        assert rc == 0
-        return (tmp_path / out).read_bytes()
+    obj = json.loads((SCENARIOS / "merton_tailrate.json").read_text())
+    obj.update(T=[25], paths=300, xi_min=0.5, xi_max=1.5, xi_step=0.5)
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(obj))
 
-    one = csv(1, "one.csv")
-    assert csv(1, "again.csv") == one
-    assert csv(2, "two.csv") != one
+    def csv(seed, out_dir):
+        rc = run(["merton", "--config", cfg, "--out-dir", tmp_path / out_dir,
+                  "--seed", seed])
+        assert rc == 0
+        return (tmp_path / out_dir / "merton_tailrate.csv").read_bytes()
+
+    one = csv(1, "one")
+    assert csv(1, "again") == one
+    assert csv(2, "two") != one
 
 
 def test_missing_flags_rejected(tmp_path):
-    assert run(["merton", "--out-dir", tmp_path]) == 3
+    for command in ("conjugate", "covering", "ldp", "merton"):
+        with pytest.raises(SystemExit):
+            run([command, "--out-dir", tmp_path])
+    assert not any(tmp_path.iterdir())
 
 
 def test_merton_truncation_field_rejected(tmp_path, capsys):
@@ -193,16 +263,7 @@ def test_merton_truncation_field_rejected(tmp_path, capsys):
     cfg = tmp_path / "a.json"
     cfg.write_text(json.dumps(obj))
     assert run(["merton", "--config", cfg, "--out-dir", tmp_path]) == 3
-    assert "truncation floor" in capsys.readouterr().err
-    assert not (tmp_path / "merton_tailrate.csv").exists()
-
-
-def test_merton_truncation_flag_rejected(tmp_path, capsys):
-    rc = run(["merton", "--out-dir", tmp_path, "--r", 0.05, "--alpha", 0.10,
-              "--sigma", 0.20, "--c", 0.12, "--T", 25, "--paths", 100,
-              "--xi-min", 0.5, "--xi-max", 1.0, "--xi-step", 0.5, "--a", 5.0])
-    assert rc == 3
-    assert "truncation floor" in capsys.readouterr().err
+    assert "merton scenario: unknown fields ['a']" in capsys.readouterr().err
     assert not (tmp_path / "merton_tailrate.csv").exists()
 
 

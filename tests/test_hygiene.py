@@ -1,9 +1,14 @@
-"""Every imported name is read somewhere in the module that imports it.
+"""Static checks of the sources, made with ``ast``.
 
+Every imported name is read somewhere in the module that imports it.
 The library modules (bar ``__init__``, which re-exports) and the test
-files are parsed with ``ast``.  A name counts as read when it is loaded
-anywhere in the module, so an import that a ``global`` statement binds
-for other functions (``_normal``'s lazy scipy names) counts as read.
+files are parsed.  A name counts as read when it is loaded anywhere in
+the module, so an import that a ``global`` statement binds for other
+functions (``_normal``'s lazy scipy names) counts as read.
+
+Every ``raise`` in the library raises a ``MaxplusError`` subclass or
+``NotImplementedError``, so that the CLI turns every rejected input into
+exit status 3 rather than a traceback.
 """
 
 import ast
@@ -11,10 +16,17 @@ from pathlib import Path
 
 import pytest
 
+from maxplus import errors
+
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    p for p in (ROOT / "src" / "maxplus").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "maxplus").glob("*.py"))
+MODULES = [p for p in LIBRARY if p.name != "__init__.py"] + sorted(
+    (ROOT / "tests").glob("*.py")
+)
+RAISABLE = {
+    name for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, errors.MaxplusError)
+} | {"NotImplementedError"}
 
 
 def unused_imports(source):
@@ -48,3 +60,38 @@ def test_scan_sees_an_unused_import_and_a_global_rebinding():
         "    return a + sep\n"
     )
     assert unused_imports(source) == [(1, "np"), (2, "path")]
+
+
+def foreign_raises(source):
+    """(line, name) of every ``raise`` of a class outside ``RAISABLE``;
+    a bare re-raise is named ``None``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", getattr(exc, "attr", None))
+            if name not in RAISABLE:
+                out.append((node.lineno, name))
+    return out
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[p.name for p in LIBRARY])
+def test_library_raises_only_package_errors(path):
+    assert foreign_raises(path.read_text()) == []
+
+
+def test_scan_sees_a_foreign_raise_and_a_bare_reraise():
+    source = (
+        "from .errors import ValidationError\n"
+        "def check(v):\n"
+        "    if v < 0:\n"
+        "        raise ValidationError('negative')\n"
+        "    if v > 9:\n"
+        "        raise ValueError('large')\n"
+        "    try:\n"
+        "        return 1 / v\n"
+        "    except ZeroDivisionError:\n"
+        "        raise\n"
+        "    raise errors.GridMismatchError\n"
+    )
+    assert foreign_raises(source) == [(6, "ValueError"), (10, None)]
