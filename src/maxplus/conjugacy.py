@@ -13,6 +13,14 @@ infinity; a finite window can only sample them, so the reports here label
 their findings EVIDENCE or VIOLATION, never proofs.  Window edges that
 stand in for infinity are distinguished from genuine boundaries (as in a
 half-line domain) through ``WindowSides``.
+
+The window diagnostics walk the kernel in blocks of X-rows, in buffers
+allocated once per call, and sort only the inner window's cells for their
+levels.  Every level test is one reduction over the ring, the Y-nodes
+outside the inner window: a level set leaves the window iff the ring's
+extreme passes the level, and a sublevel set that stays inside holds its
+row maximum inside, so the upper-coercivity test runs only on the rows
+whose sets reach the ring (the arguments are in ``coercivity_report``).
 """
 
 from dataclasses import dataclass
@@ -28,7 +36,6 @@ from .grids import (
     GridFn,
     ball_extreme,
     check_values,
-    otimes,
     require_same_grid,
 )
 
@@ -85,22 +92,28 @@ class Kernel:
             return Kernel.bilinear(self.y_grid, self.x_grid)
         return Kernel.from_table(self.y_grid, self.x_grid, self.table.T)
 
-    def rows(self, idx):
+    def rows(self, idx, out=None):
         """b(x, ·) for the X-nodes ``idx`` (a slice or an index array).
 
-        A table kernel returns its table's rows; a bilinear kernel builds
-        the block with the expression of the bilinear actions, so every
-        cell is the same float whichever block it is built in.
+        A table kernel returns its table's rows (a view for a slice); a
+        bilinear kernel builds the block with the expression of the
+        bilinear actions, so every cell is the same float whichever block
+        it is built in.  ``out`` is a float buffer of at least that many
+        rows: a bilinear block is written into its leading rows, so a walk
+        over blocks allocates its block once.  A table kernel leaves it
+        alone.
         """
         if self.kind == "table":
             return self.table[idx]
         xc = self.x_grid.coords[idx]
         yc = self.y_grid.coords
+        if out is not None:
+            out = out[: xc.shape[0]]
         if self.x_grid.dim == 1:
-            return np.multiply.outer(xc, yc)
-        return np.multiply.outer(xc[:, 0], yc[:, 0]) + np.multiply.outer(
-            xc[:, 1], yc[:, 1]
-        )
+            return np.multiply.outer(xc, yc, out=out)
+        out = np.multiply.outer(xc[:, 0], yc[:, 0], out=out)
+        out += np.multiply.outer(xc[:, 1], yc[:, 1])
+        return out
 
     def matrix(self):
         """Dense b(x, y) table (materialised for the bilinear form).
@@ -198,19 +211,30 @@ def subdifferential_map(g, k):
     y ∈ ∂g(x) iff b(x, y) is finite, g(x) < +inf, and x attains the max
     defining the dual conjugate at y.  Points with g(x) = +inf carry an
     empty subdifferential.
+
+    The test runs over blocks of X-rows as ``(b - g) == dual`` at the
+    columns where the dual is above -inf.  That is the definition bit for
+    bit: a - c is a + (-c) in IEEE arithmetic, so a finite b and g < +inf
+    give the dual's own term b + (-g), finite or +inf; and a term equal to
+    a dual above -inf is neither -inf (b = -inf or g = +inf) nor NaN
+    (b = g = -inf), since kernels hold no +inf.
     """
     require_same_grid(g, k.x_grid, "subdifferential_map: g")
     gv = g.flat
     dual = conjugate(g, k.transpose())
     dv = dual.flat
+    reached = dv > NEG_INF
     nx = k.x_grid.size
     attain = np.empty((nx, k.y_grid.size), dtype=bool)
-    step = _kernels.block_rows(k.y_grid.size)
+    step = min(_kernels.block_rows(k.y_grid.size), nx)
+    buf = np.empty((step, k.y_grid.size))  # one block, reused
     for lo in range(0, nx, step):
         hi = min(lo + step, nx)
-        b = k.rows(slice(lo, hi))
-        gb = gv[lo:hi, None]
-        attain[lo:hi] = np.isfinite(b) & (gb < POS_INF) & (otimes(b, -gb) == dv)
+        t = buf[: hi - lo]
+        with np.errstate(invalid="ignore"):
+            np.subtract(k.rows(slice(lo, hi), out=buf), gv[lo:hi, None], out=t)
+        np.equal(t, dv, out=attain[lo:hi])
+        attain[lo:hi] &= reached
     attain.setflags(write=False)
     return SubdiffMap(x_grid=k.x_grid, y_grid=k.y_grid, attain=attain, dual=dual)
 
@@ -245,13 +269,17 @@ class WindowSides:
         return cb, ca
 
 
-def inner_window_mask(grid, margin, sides=None):
-    """Nodes at coordinate distance > margin*(hi-lo) from every open edge."""
+def _inner_box(grid, margin, sides=None):
+    """The inner window as one index slice per axis.
+
+    Coordinates are monotone along each axis, so the nodes each axis
+    keeps form one index range, and the window is their box.
+    """
     if not (0.0 < margin < 0.5):
         raise ValidationError("window margin must lie in (0, 1/2)")
     sides = sides or WindowSides.all_open(grid.dim)
     cb, ca = sides.normalized(grid.dim)
-    mask = np.ones(grid.shape, dtype=bool)
+    box = []
     for ax in range(grid.dim):
         lo, hi = grid.lo[ax], grid.hi[ax]
         pad = margin * (hi - lo)
@@ -261,10 +289,53 @@ def inner_window_mask(grid, margin, sides=None):
             ok &= c >= lo + pad
         if not ca[ax]:
             ok &= c <= hi - pad
-        shape = [1] * grid.dim
-        shape[ax] = c.size
-        mask &= ok.reshape(shape)
+        idx = np.flatnonzero(ok)
+        box.append(slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0))
+    return tuple(box)
+
+
+def inner_window_mask(grid, margin, sides=None):
+    """Nodes at coordinate distance > margin*(hi-lo) from every open edge."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[_inner_box(grid, margin, sides)] = True
     return mask.reshape(-1)
+
+
+def _window_views(vals, grid, box):
+    """Views of a block of Y-rows: the inner box and the ring slabs.
+
+    The ring, the cells outside the box, is cut into at most 2·dim
+    slabs: along each axis, the cells below and above the box's range
+    that lie in the box's ranges of the earlier axes.
+    """
+    v = vals.reshape((-1,) + grid.shape)
+    whole = (slice(None),)
+    slabs = []
+    for ax, s in enumerate(box):
+        for part in (slice(0, s.start), slice(s.stop, None)):
+            slab = v[whole + box[:ax] + (part,)]
+            if slab.size:
+                slabs.append(slab)
+    return v[whole + box], slabs
+
+
+def _ring_reduce(slabs, op):
+    """``op`` (np.minimum or np.maximum) over each row's ring cells.
+
+    None when the ring is empty.
+    """
+    acc = None
+    for slab in slabs:
+        r = op.reduce(slab, axis=tuple(range(1, slab.ndim)))
+        acc = r if acc is None else op(acc, r, out=acc)
+    return acc
+
+
+def _sorted_window(box_view, out):
+    """Each row's inner-box cells, sorted, in the buffer ``out``."""
+    np.copyto(out.reshape(box_view.shape), box_view)
+    out.sort(axis=1)
+    return out
 
 
 def _row_blocks(grid, radius, ny):
@@ -283,18 +354,38 @@ def _row_blocks(grid, radius, ny):
         yield a * step, e * step, max(0, a - radius) * step, min(n0, e + radius) * step
 
 
-def _block_gain(halo, grid, radius, a, e):
-    """max_{z in ball(x)} b(z, ·) - b(x, ·) for the halo rows a:e.
+def _block_gain(halo, grid, radius, a, e, out):
+    """max_{z in ball(x)} b(z, ·) - b(x, ·) for the halo rows a:e, into ``out``.
 
     ``halo`` holds the kernel rows of whole first-axis slices; the max
     over the Chebyshev ball clipped to the grid runs along the X axes
-    only, and the rows around a:e supply the neighbours outside it.
+    only (within each slice first on a 2-D grid), and the rows around
+    a:e supply the neighbours outside it.  ``sup - rows`` equals
+    ``otimes(sup, -rows)`` bit for bit: a - c is a + (-c) in IEEE
+    arithmetic, sup is never +inf (kernels hold none) and sup >= rows, so
+    the one case otimes treats apart, sup = rows = -inf, is the NaN that
+    is set to -inf.
     """
-    ny = halo.shape[1]
-    sup = ball_extreme(
-        halo.reshape((-1,) + grid.n[1:] + (ny,)), radius, np.maximum, range(grid.dim)
-    )
-    return otimes(sup.reshape(-1, ny)[a:e], -halo[a:e])
+    rows = halo[a:e]
+    src = halo
+    if grid.dim > 1:
+        ny = halo.shape[1]
+        src = ball_extreme(
+            halo.reshape((-1,) + grid.n[1:] + (ny,)), radius, np.maximum,
+            range(1, grid.dim),
+        ).reshape(-1, ny)
+    np.copyto(out, src[a:e])
+    step = grid.size // grid.n[0]  # nodes per first-axis slice
+    for d in range(step, radius * step + 1, step):  # the slices d rows away
+        n = min(e, src.shape[0] - d) - a  # rows with a neighbour d rows on
+        if n > 0:
+            np.maximum(out[:n], src[a + d : a + d + n], out=out[:n])
+        i = max(a, d) - a  # first row with a neighbour d rows back
+        if i < e - a:
+            np.maximum(out[i:], src[a + i - d : e - d], out=out[i:])
+    with np.errstate(invalid="ignore"):
+        np.subtract(out, rows, out=out)
+    return np.fmax(out, NEG_INF, out=out)  # NaN to -inf
 
 
 def _clipped_nodes(grid, radius, sides):
@@ -315,33 +406,41 @@ def _clipped_nodes(grid, radius, sides):
     return clipped.reshape(-1)
 
 
-def _row_quantiles(values, keep, quantiles):
-    """Quantiles of each row's kept values; (levels, use).
+def _row_quantiles(s, quantiles):
+    """Quantiles of the finite values of each row of ``s``; (levels, use).
 
-    ``levels[i, j]`` equals ``np.quantile(values[i][keep[i]],
-    quantiles[j])`` (method ``linear``) bit for bit: the same order
-    statistics and the same interpolation expression, after one row-wise
-    sort.  ``use`` marks the rows that keep any value; the levels of the
-    other rows are placeholders.
+    Each row of ``s`` is sorted, so its infinities sit at its ends.
+    ``levels[i, j]`` equals ``np.quantile`` of row i's finite values at
+    ``quantiles[j]`` (method ``linear``) bit for bit: the same order
+    statistics and the same interpolation expression.  ``use`` marks the
+    rows with any finite value; the levels of the other rows are
+    placeholders.
     """
-    counts = keep.sum(axis=1)
-    s = np.sort(np.where(keep, values, POS_INF), axis=1)
-    rows = np.arange(s.shape[0])
+    m, w = s.shape
+    first = np.zeros(m, dtype=np.intp)  # position of the row's first finite value
+    counts = np.full(m, w, dtype=np.intp)
+    if w:
+        low = np.flatnonzero(s[:, 0] == NEG_INF)
+        n = np.count_nonzero(s[low] == NEG_INF, axis=1)
+        first[low] = n
+        counts[low] -= n
+        high = np.flatnonzero(s[:, -1] == POS_INF)
+        counts[high] -= np.count_nonzero(s[high] == POS_INF, axis=1)
     some = counts > 0
-    last = np.maximum(counts - 1, 0)
-    levels = np.empty((s.shape[0], len(quantiles)))
-    for j, q in enumerate(quantiles):
-        virt = (counts - 1) * q
-        prev = np.floor(virt)
-        top = virt >= counts - 1  # numpy takes the largest value there
-        t = np.where(top, virt + 1, virt - prev)
-        a = np.where(some, s[rows, np.where(top, last, prev).astype(np.intp)], 0.0)
-        b = np.where(some, s[rows, np.where(top, last, prev + 1).astype(np.intp)], 0.0)
-        diff = b - a
-        lerp = a + diff * t
-        upper = t >= 0.5
-        lerp[upper] = (b - diff * (1 - t))[upper]
-        levels[:, j] = lerp
+    rows = np.flatnonzero(some)
+    c, f0 = counts[rows, None], first[rows, None]
+    virt = (c - 1) * np.asarray(quantiles, dtype=np.float64)
+    prev = np.floor(virt)
+    top = virt >= c - 1  # numpy takes the largest value there
+    t = np.where(top, virt + 1, virt - prev)
+    a = s[rows[:, None], f0 + np.where(top, c - 1, prev).astype(np.intp)]
+    b = s[rows[:, None], f0 + np.where(top, c - 1, prev + 1).astype(np.intp)]
+    diff = b - a
+    lerp = a + diff * t
+    upper = t >= 0.5
+    lerp[upper] = (b - diff * (1 - t))[upper]
+    levels = np.zeros((m, len(quantiles)))
+    levels[rows] = lerp
     return levels, np.repeat(some[:, None], len(quantiles), axis=1)
 
 
@@ -390,48 +489,76 @@ def coercivity_report(
     which Y-window edges are genuine boundaries; ``x_sides`` the same for
     the X-window, whose open edges produce untestable (EDGE) nodes.
 
-    The x-nodes are processed as array code over blocks of rows; the
-    report is the one a per-node loop over these definitions returns.
+    The x-nodes are processed as array code over blocks of rows, with
+    the block buffers allocated once per call; the report is the one a
+    per-node loop over these definitions returns.  Each level test is one
+    reduction over the ring (the Y-nodes outside the inner window):
+
+    - the sublevel set at beta leaves the window iff the ring minimum of
+      the gain is <= beta;
+    - a sublevel set inside the window holds its max of b(x, ·) there
+      (or is -inf throughout), so the upper test only runs on the rows
+      whose set reaches the ring, where it holds iff the max of b(x, ·)
+      over the set's inner part is >= the max over its ring part.
     """
-    inner = inner_window_mask(k.y_grid, window_margin, sides)
+    box = _inner_box(k.y_grid, window_margin, sides)
     clipped = _clipped_nodes(k.x_grid, stencil_radius, x_sides)
+    ny = k.y_grid.size
+    blocks = list(_row_blocks(k.x_grid, stencil_radius, ny))
+    width = max(hi - lo for lo, hi, _, _ in blocks)
+    halo_buf = None  # a table kernel's rows are views of its table
+    if k.kind == "bilinear":
+        halo_buf = np.empty((max(h1 - h0 for _, _, h0, h1 in blocks), ny))
+    gain_buf = np.empty((width, ny))
+    win_buf = np.empty((width, int(np.prod([s.stop - s.start for s in box]))))
     coercive = []
     upper = []
-    for lo, hi, h0, h1 in _row_blocks(k.x_grid, stencil_radius, k.y_grid.size):
-        halo = k.rows(slice(h0, h1))
-        rows = halo[lo - h0 : hi - h0]
-        gain = _block_gain(halo, k.x_grid, stencil_radius, lo - h0, hi - h0)
-        levels, use = _row_quantiles(gain, inner & np.isfinite(gain), (0.5, 0.75, 0.9))
-        # cap the levels just under the ring minimum: sublevel-set
-        # geometry need not match the window shape, but any level below
-        # every ring value fits whenever no valley escapes; levels at or
-        # above escaping valleys still flag violations
-        ring = ~inner & np.isfinite(gain)
-        capped = ring.any(axis=1) & use.any(axis=1)
-        if capped.any():
-            lo_ring = np.where(ring[capped], gain[capped], POS_INF).min(axis=1)
-            cap = lo_ring - np.maximum(1e-12, 0.05 * np.abs(lo_ring))
-            raw = levels[capped]
-            fit = np.sort(
-                np.maximum(np.minimum(raw, cap[:, None]), raw.min(axis=1)[:, None]),
-                axis=1,
-            )
-            levels[capped] = fit
-            use[capped, 1:] = fit[:, 1:] != fit[:, :-1]  # each level once
+    for lo, hi, h0, h1 in blocks:
+        halo = k.rows(slice(h0, h1), out=halo_buf)
+        gain = _block_gain(
+            halo, k.x_grid, stencil_radius, lo - h0, hi - h0, gain_buf[: hi - lo]
+        )
+        box_view, slabs = _window_views(gain, k.y_grid, box)
+        levels, use = _row_quantiles(
+            _sorted_window(box_view, win_buf[: hi - lo]), (0.5, 0.75, 0.9)
+        )
+        ring_min = _ring_reduce(slabs, np.minimum)
+        reach = np.zeros_like(use)
+        if ring_min is not None:
+            # cap the levels just under the finite ring minimum: sublevel-set
+            # geometry need not match the window shape, but any level below
+            # every ring value fits whenever no valley escapes; levels at or
+            # above escaping valleys still flag violations.  A ring holding
+            # -inf caps every level to the lowest: the sets reach the ring
+            # at every level anyway, and the lowest level admits a finite
+            # ring value only when the finite cap would have kept that level
+            # alone too, so the labels are the finite cap's.
+            capped = use[:, 0] & (ring_min < POS_INF)
+            if capped.any():
+                lo_ring = ring_min[capped]
+                cap = lo_ring - np.maximum(1e-12, 0.05 * np.abs(lo_ring))
+                raw = levels[capped]
+                fit = np.sort(
+                    np.maximum(np.minimum(raw, cap[:, None]), raw.min(axis=1)[:, None]),
+                    axis=1,
+                )
+                levels[capped] = fit
+                use[capped, 1:] = fit[:, 1:] != fit[:, :-1]  # each level once
+            reach = use & (ring_min[:, None] <= levels)
         # no level at all leaves nothing finite to test against
-        ok_c = use.any(axis=1)
+        ok_c = use[:, 0] & ~reach.any(axis=1)
         ok_u = np.ones(hi - lo, dtype=bool)
-        for j in range(levels.shape[1]):
-            sub = gain <= levels[:, j, None]
-            ok_c &= ~use[:, j] | ~(sub & ~inner).any(axis=1)
-            vals = np.where(sub, rows, NEG_INF)
-            top = vals.max(axis=1)
-            ok_u &= (
-                ~use[:, j]
-                | (top == NEG_INF)
-                | (inner & (vals == top[:, None])).any(axis=1)
-            )
         edge = clipped[lo:hi]
+        tested = np.flatnonzero(reach.any(axis=1) & ~edge)
+        if tested.size:
+            g = gain[tested]
+            b = halo[lo - h0 + tested]
+            for j in range(levels.shape[1]):
+                box_view, slabs = _window_views(
+                    np.where(g <= levels[tested, j, None], b, NEG_INF), k.y_grid, box
+                )
+                top_in = box_view.max(axis=tuple(range(1, box_view.ndim)), initial=NEG_INF)
+                ok_u[tested] &= ~reach[tested, j] | (_ring_reduce(slabs, np.maximum) <= top_in)
         coercive += np.where(edge, EDGE, np.where(ok_c, EVIDENCE, VIOLATION)).tolist()
         upper += np.where(edge, EDGE, np.where(ok_u, EVIDENCE, VIOLATION)).tolist()
     return CoercivityReport(coercive=coercive, upper_coercive=upper)
@@ -461,18 +588,32 @@ def superlevel_compactness_report(
     sets touching an open window edge are violations.  The levels beta
     are the 0.75 and 0.9 quantiles of the finite values inside the inner
     window; a row with none (b(x,·) - f is -inf there) has only empty
-    superlevel sets.  Array code over blocks of x-rows.
+    superlevel sets.  Array code over blocks of x-rows in buffers
+    allocated once per call.  The values are ``b + (-f)`` with NaN set to
+    -inf, which is ``otimes(b, -f)`` bit for bit (NaN comes only from
+    -inf meeting +inf, where otimes gives -inf), and the set at beta
+    reaches the ring iff the ring maximum is >= beta.
     """
     require_same_grid(f, k.y_grid, "superlevel_compactness_report: f")
-    inner = inner_window_mask(k.y_grid, window_margin, sides)
+    box = _inner_box(k.y_grid, window_margin, sides)
     neg_f = -f.flat
+    blocks = list(_row_blocks(k.x_grid, 0, k.y_grid.size))
+    width = max(hi - lo for lo, hi, _, _ in blocks)
+    buf = np.empty((width, k.y_grid.size))  # a bilinear block is built in place
+    win_buf = np.empty((width, int(np.prod([s.stop - s.start for s in box]))))
     verdicts = []
-    for lo, hi, _, _ in _row_blocks(k.x_grid, 0, k.y_grid.size):
-        vals = otimes(k.rows(slice(lo, hi)), neg_f)
-        levels, use = _row_quantiles(vals, inner & np.isfinite(vals), (0.75, 0.9))
+    for lo, hi, _, _ in blocks:
+        vals = buf[: hi - lo]
+        with np.errstate(invalid="ignore"):
+            np.add(k.rows(slice(lo, hi), out=buf), neg_f, out=vals)
+        np.fmax(vals, NEG_INF, out=vals)  # NaN to -inf
+        box_view, slabs = _window_views(vals, k.y_grid, box)
+        levels, use = _row_quantiles(
+            _sorted_window(box_view, win_buf[: hi - lo]), (0.75, 0.9)
+        )
+        ring_max = _ring_reduce(slabs, np.maximum)
         ok = np.ones(hi - lo, dtype=bool)
-        for j in range(levels.shape[1]):
-            sup = vals >= levels[:, j, None]
-            ok &= ~use[:, j] | ~(sup & ~inner).any(axis=1)
+        if ring_max is not None:
+            ok = ~(use & (ring_max[:, None] >= levels)).any(axis=1)
         verdicts += np.where(ok, EVIDENCE, VIOLATION).tolist()
     return SuperlevelReport(verdicts=verdicts)

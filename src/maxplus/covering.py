@@ -10,6 +10,16 @@ Pre-image functions range over R ∪ {+inf} per node: densities are
 bounded below, so a dual-conjugate value of -inf marks a node supported
 only by infinite g and is lifted out of the candidate's effective domain
 (set to +inf) before certification.
+
+The essential pieces need no per-node loop.  A target node's covering
+pieces lie in the Chebyshev ball around y iff y lies in the box
+[max - r, min + r] of their coordinates on every axis; flat order runs
+along the first axis slowest, so each row's first and last attaining
+piece (two ``argmax`` calls) give that axis's extent, and the second
+axis of a 2-D grid takes one reduction of the attainment rows.  A
+difference array then marks all the boxes at once, and a node whose
+first and last pieces coincide is covered by one piece, which is then
+algebraically essential.
 """
 
 from dataclasses import dataclass, field
@@ -92,40 +102,43 @@ def build_covering(g, k, xprime=None, stencil_radius=1, *, _masks=None):
     masks = _masks if _masks is not None else domain_masks(g, stencil_radius)
     target = _as_node_mask(k.x_grid, xprime) & masks.udom.reshape(-1)
 
-    active = sd.attain[:, piece_mask]  # target coverage only through pieces
-    cover_count = active.sum(axis=1)
-    uncovered = target & (cover_count == 0)
+    # target coverage only through pieces; each row's first and last
+    # attaining piece decide whether it is covered, and by one piece
+    active = sd.attain if piece_mask.all() else sd.attain[:, piece_mask]
+    nx, ny = active.shape[0], k.y_grid.size
+    first = last = np.zeros(nx, dtype=np.intp)
+    hit = np.zeros(nx, dtype=bool)
+    if piece_index.size:
+        first = active.argmax(axis=1)
+        last = piece_index.size - 1 - active[:, ::-1].argmax(axis=1)
+        hit = active[np.arange(nx), first]
+    uncovered = target & ~hit
     covered = not uncovered.any()
 
-    ny = k.y_grid.size
     alg = np.zeros(ny, dtype=bool)
-    top = np.zeros(ny, dtype=bool)
-    singles = target & (cover_count == 1)
-    if singles.any():
-        alg[piece_index] = sd.attain[np.ix_(singles, piece_mask)].any(axis=0)
+    rows = target & hit
+    alg[piece_index[first[rows & (first == last)]]] = True
 
     # y is topologically essential iff some target node's covering pieces
-    # all lie in the Chebyshev ball around y
+    # all lie in the Chebyshev ball around y, that is iff y lies in the box
+    # [max - r, min + r] of their coordinates on every axis
     r = stencil_radius
-    for x in np.flatnonzero(target & (cover_count > 0)):
-        ys = np.flatnonzero(sd.attain[x] & piece_mask)
-        if k.y_grid.dim == 1:
-            lo, hi = ys.min(), ys.max()
-            if hi - lo <= 2 * r:
-                top[max(0, hi - r) : lo + r + 1] = True
-        else:
-            ij = np.array(np.unravel_index(ys, k.y_grid.n)).T
-            lo = ij.max(axis=0) - r
-            hi = ij.min(axis=0) + r
-            if (lo <= hi).all():
-                box = np.zeros(k.y_grid.n, dtype=bool)
-                box[
-                    max(0, lo[0]) : hi[0] + 1,
-                    max(0, lo[1]) : hi[1] + 1,
-                ] = True
-                top |= box.reshape(-1)
+    n = k.y_grid.n
+    stride = ny // n[0]  # flat order runs along the first axis slowest
+    lo = [piece_index[first[rows]] // stride]
+    hi = [piece_index[last[rows]] // stride]
+    if k.y_grid.dim == 2:
+        # the second axis's extent of each row's pieces
+        seen = np.logical_or.reduce(
+            sd.attain.reshape(nx, n[0], n[1]), axis=1,
+            where=piece_mask.reshape(1, n[0], n[1]),
+        )[rows]
+        lo.append(seen.argmax(axis=1))
+        hi.append(n[1] - 1 - seen[:, ::-1].argmax(axis=1))
+    lo, hi = np.array(lo).T, np.array(hi).T
+    tight = (hi - lo <= 2 * r).all(axis=1)
+    top = _union_of_boxes(n, np.maximum(hi - r, 0)[tight], np.minimum(lo + r + 1, n)[tight])
     top &= piece_mask
-    alg &= piece_mask
 
     # interior of top: no node of the dual's domain outside top lies in
     # the Chebyshev ball around y
@@ -146,6 +159,24 @@ def build_covering(g, k, xprime=None, stencil_radius=1, *, _masks=None):
         subdiff=sd,
         masks=masks,
     )
+
+
+def _union_of_boxes(shape, start, stop):
+    """Flat mask of the union of the index boxes start[i] <= idx < stop[i].
+
+    One row of per-axis bounds per box, each box non-empty; a difference
+    array marks them all at once: +-1 at the 2**dim corners of each box,
+    then a running sum along every axis.
+    """
+    diff = np.zeros(tuple(m + 1 for m in shape), dtype=np.intp)
+    for corner in np.ndindex(*(2,) * len(shape)):
+        at = tuple(
+            (stop if c else start)[:, ax] for ax, c in enumerate(corner)
+        )
+        np.add.at(diff, at, (-1) ** sum(corner))
+    for ax in range(len(shape)):
+        np.cumsum(diff, axis=ax, out=diff)
+    return (diff[tuple(slice(m) for m in shape)] > 0).reshape(-1)
 
 
 def quasicontinuity_check(f, stencil_radius=1, tol=0.0):

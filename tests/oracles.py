@@ -520,6 +520,37 @@ def slow_covering_interior(grid, top, dual_dom, radius):
     return interior
 
 
+def slow_essential_pieces(attain, piece_mask, target, y_grid, radius):
+    """(alg, top): the essential pieces of ``covering.build_covering``,
+    one covered target node at a time.
+
+    y is algebraically essential when some target node is covered by the
+    piece y alone, and topologically essential when some target node's
+    covering pieces all lie in the Chebyshev ball around y.
+    """
+    alg = np.zeros(y_grid.size, dtype=bool)
+    top = np.zeros(y_grid.size, dtype=bool)
+    for x in np.flatnonzero(target):
+        ys = np.flatnonzero(attain[x] & piece_mask)
+        if ys.size == 0:
+            continue
+        if ys.size == 1:
+            alg[ys[0]] = True
+        if y_grid.dim == 1:
+            lo, hi = ys.min(), ys.max()
+            if hi - lo <= 2 * radius:
+                top[max(0, hi - radius) : lo + radius + 1] = True
+        else:
+            ij = np.array(np.unravel_index(ys, y_grid.n)).T
+            lo = ij.max(axis=0) - radius
+            hi = ij.min(axis=0) + radius
+            if (lo <= hi).all():
+                box = np.zeros(y_grid.n, dtype=bool)
+                box[max(0, lo[0]) : hi[0] + 1, max(0, lo[1]) : hi[1] + 1] = True
+                top |= box.reshape(-1)
+    return alg, top & piece_mask
+
+
 # -- risk-sensitive values of a constant fraction ----------------------------
 #
 # The closed form checks ``merton.MertonValueForm``; the sample estimate

@@ -771,3 +771,25 @@ def test_scenario_artifacts_match_pinned_digests(tmp_path, scenario):
             "pinned digest and gives its reason in CHANGES.md"
         )
     assert sorted(written) == sorted(PINNED_DIGESTS[scenario])
+
+
+# The checked-in Gaussian scenario runs on 101 nodes, one row block.  The
+# same scenario on 1601 nodes walks the window diagnostics and the
+# attainment map over 20 blocks; its artifacts are pinned as well.
+GAUSSIAN_1601_DIGESTS = {
+    "gaussian_ldp_out.csv":
+        "8092cabb0697f6a7c14231312325e1745c011ba5f4fe250f083ae8a6c412dc6b",
+    "gaussian_ldp_out.json":
+        "cc3b43e76731e4b17ae188e231effec3e72db05e8d9515d1328679fe49d8334b",
+}
+
+
+def test_gaussian_ldp_on_1601_nodes_matches_pinned_digests(tmp_path):
+    obj = json.loads((SCENARIOS / "gaussian_ldp.json").read_text())
+    obj["x_grid"]["n"] = obj["y_grid"]["n"] = 1601
+    cfg = tmp_path / "gaussian_ldp_1601.json"
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert run(["ldp", "--config", cfg, "--out-dir", out]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == GAUSSIAN_1601_DIGESTS

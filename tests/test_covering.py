@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxplus import (
     CoveringConfig,
@@ -16,7 +18,7 @@ from maxplus import (
     verdict,
 )
 from conftest import random_kernel_and_g
-from oracles import enumerate_preimages, slow_covering_interior
+from oracles import enumerate_preimages, slow_covering_interior, slow_essential_pieces
 from test_conjugacy import identity_kernel
 
 NEG = NEG_INF
@@ -309,3 +311,153 @@ def test_solve_preimage_with_a_built_candidate_is_unchanged(rng):
         )
         for name in ("le_violations", "eq_violations", "degenerate_rows"):
             assert np.array_equal(getattr(plain, name), getattr(reuse, name))
+
+
+# ---------------------------------------------------------------------------
+# essential pieces against the per-node loop
+# ---------------------------------------------------------------------------
+
+def _y_grid(n):
+    if len(n) == 1:
+        return Grid.line(0.0, 1.0, n[0]) if n[0] > 1 else Grid.line(0.0, 0.0, 1)
+    return Grid(
+        tuple(0.0 for _ in n), tuple(1.0 if m > 1 else 0.0 for m in n), n
+    )
+
+
+@st.composite
+def attainment_cases(draw):
+    """Table kernels whose column maxima tie on random row sets.
+
+    Entries in {0, -1, -2, -inf} make the attainment pattern random; a
+    constant row ties with every column maximum 0, so some nodes are
+    covered by pieces wider than any ball and reaching the grid edges.
+    """
+    if draw(st.booleans()):
+        n = (draw(st.integers(1, 14)),)
+    else:
+        n = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    yg = _y_grid(n)
+    nx, ny = draw(st.integers(1, 7)), yg.size
+    cells = st.sampled_from([0.0, 0.0, -1.0, -2.0, NEG])
+    b = np.array(draw(st.lists(cells, min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
+    if draw(st.booleans()):
+        b[draw(st.integers(0, nx - 1))] = 0.0
+    b[~np.isfinite(b).any(axis=1), 0] = 0.0
+    b[0, ~np.isfinite(b).any(axis=0)] = 0.0
+    g = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.0, 0.0, -1.0, POS, NEG]), min_size=nx, max_size=nx
+    )))
+    xprime = draw(st.one_of(
+        st.none(),
+        st.just([]),  # an empty target
+        st.lists(st.booleans(), min_size=nx, max_size=nx).map(np.array),
+    ))
+    return b, g, yg, xprime, draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(attainment_cases())
+def test_essential_pieces_match_per_node_loop(case):
+    b, g, yg, xprime, radius = case
+    xg = Grid.line(0.0, 1.0, b.shape[0]) if b.shape[0] > 1 else Grid.line(0.0, 0.0, 1)
+    rep = build_covering(GridFn(xg, g), Kernel.from_table(xg, yg, b), xprime, radius)
+
+    # attainment by its definition: b finite, g < +inf, and the term
+    # otimes(b, -g) equal to the dual, which is the column max of the terms
+    with np.errstate(invalid="ignore"):
+        term = np.where(np.isneginf(b) | np.isposinf(g)[:, None], NEG, b - g[:, None])
+    dual = term.max(axis=0)
+    assert np.array_equal(rep.subdiff.dual.flat, dual)
+    attain = np.isfinite(b) & (g < POS)[:, None] & (term == dual)
+    assert np.array_equal(rep.subdiff.attain, attain)
+
+    piece_mask = dual < POS
+    alg, top = slow_essential_pieces(attain, piece_mask, rep.target, yg, radius)
+    pinned = alg | slow_covering_interior(yg, top, np.isfinite(dual), radius)
+    covered_by = (attain & piece_mask).any(axis=1)
+    assert rep.uncovered_nodes.tolist() == np.flatnonzero(rep.target & ~covered_by).tolist()
+    assert rep.alg_essential.tolist() == np.flatnonzero(alg).tolist()
+    assert rep.top_essential.tolist() == np.flatnonzero(top).tolist()
+    assert rep.pinned.tolist() == np.flatnonzero(pinned).tolist()
+    assert rep.minimal_top == bool(top[piece_mask].all())
+    assert rep.minimal_alg == bool(alg[piece_mask].all())
+
+
+def test_build_covering_peak_memory():
+    # the essential pieces come from the attainment rows already built:
+    # no second |X| x |Y| boolean beside it
+    import tracemalloc
+
+    from maxplus import domain_masks
+
+    n = 1601
+    grid = Grid.line(-2.0, 2.0, n)
+    k = Kernel.bilinear(grid, grid)
+    g = GridFn(grid, 0.5 * grid.coords**2)
+    masks = domain_masks(g)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = build_covering(g, k, masks.idom.reshape(-1), _masks=masks)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.covered and rep.minimal_top
+    assert peak <= 7.9e6, f"peak {peak / 1e6:.2f} MB"
+
+
+# ---------------------------------------------------------------------------
+# degenerate inputs: a verdict or a ValidationError, never NaN or a crash
+# ---------------------------------------------------------------------------
+
+@st.composite
+def degenerate_cases(draw):
+    """Small tables with ±inf entries, single-node axes and empty X'."""
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([NEG, NEG, POS]))
+    b = np.array(draw(st.lists(cells, min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
+    if draw(st.booleans()):
+        b[b == POS] = 0.0  # most tables are valid kernels
+    g = np.array(draw(st.lists(
+        st.one_of(st.integers(-3, 3).map(float), st.sampled_from([NEG, POS])),
+        min_size=nx, max_size=nx,
+    )))
+    xprime = draw(st.one_of(
+        st.just([]), st.lists(st.integers(0, nx - 1), max_size=nx, unique=True)
+    ))
+    return b, g, xprime
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(degenerate_cases(), st.booleans())
+def test_verdict_on_degenerate_inputs(case, finite_exact):
+    b, g, xprime = case
+    nx, ny = b.shape
+    xg = Grid.line(0, 1, nx) if nx > 1 else Grid.line(0, 0, 1)
+    yg = Grid.line(0, 1, ny) if ny > 1 else Grid.line(0, 0, 1)
+    cfg = EXACT if finite_exact else CoveringConfig()
+    try:
+        v = verdict(GridFn(xg, g), Kernel.from_table(xg, yg, b), xprime, cfg)
+    except ValidationError:
+        # only a table that is no kernel is rejected
+        fin = np.isfinite(b)
+        assert np.isposinf(b).any() or not (fin.any(axis=1).all() and fin.any(axis=0).all())
+        return
+    assert v.existence in ("YES", "NO", "UNKNOWN")
+    assert v.uniqueness in ("UNIQUE", "NOT_UNIQUE", "UNKNOWN")
+    for arr in (v.certificate.candidate.values, v.certificate.transformed.values):
+        assert not np.isnan(arr).any()
+    assert not np.isnan([v.certificate.le_margin, v.certificate.eq_residual]).any()
+
+    count, _ = enumerate_preimages(b.tolist(), g.tolist(), xprime, _enum_values())
+    if v.existence == "YES":
+        assert count >= 1
+    if v.existence == "NO":
+        assert count == 0
+    if finite_exact:
+        # on a finite grid with the assumptions granted, the verdict decides
+        assert (v.existence == "YES") == (count >= 1)
+        if count >= 1:
+            assert (v.uniqueness == "UNIQUE") == (count == 1)

@@ -15,10 +15,16 @@ from hypothesis import strategies as st
 
 from maxplus import Grid, GridFn, Kernel, WindowSides, _kernels, tightness_criterion
 from maxplus.conjugacy import (
+    EDGE,
+    VIOLATION,
+    _row_blocks,
     _row_quantiles,
     coercivity_report,
+    conjugate,
+    inner_window_mask,
     superlevel_compactness_report,
 )
+from maxplus.covering import lifted_candidate
 from oracles import (
     slow_coercivity_report,
     slow_superlevel_compactness_report,
@@ -229,6 +235,149 @@ def test_bilinear_2d_at_block_edges(n, radius):
 
 
 # ---------------------------------------------------------------------------
+# the ring tests: sets that reach the ring, and windows without inner or ring
+# ---------------------------------------------------------------------------
+
+@st.composite
+def ring_cases(draw):
+    """Tables whose gain sublevel sets all reach the ring.
+
+    The ring columns are constant along X, so their gain is 0, the least
+    any gain can be, and every level reaches them.  When ``forced``, their
+    entries exceed every inner one, so the max of b(x, ·) over each set
+    lies in the ring and every tested row is an upper-coercive VIOLATION;
+    otherwise they may tie with inner entries or stay below them.
+    """
+    radius = draw(st.integers(1, 2))
+    nx, ny = draw(st.integers(2 * radius + 1, 10)), draw(st.integers(3, 14))
+    inner = inner_window_mask(line(ny, 0.0, 1.0), 0.1)
+    b = np.array(draw(st.lists(
+        st.integers(-32, 32).map(lambda v: v / 4.0), min_size=nx * ny, max_size=nx * ny
+    ))).reshape(nx, ny)
+    high = st.integers(36, 64).map(lambda v: v / 4.0)
+    forced = draw(st.booleans())
+    ring = np.array(draw(st.lists(
+        high if forced else st.one_of(high, st.sampled_from(b.ravel().tolist())),
+        min_size=ny, max_size=ny,
+    )))
+    b[:, ~inner] = ring[~inner]
+    return b, radius, draw(st.sampled_from(["open", "closed"])), forced
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_cases())
+def test_upper_violations_through_the_ring(case):
+    b, radius, x_sides, forced = case
+    nx, ny = b.shape
+    k = Kernel.from_table(line(nx, 0.0, 1.0), line(ny, 0.0, 1.0), b)
+    kw = dict(stencil_radius=radius, x_sides=SIDES[x_sides])
+    rep = coercivity_report(k, 0.1, **kw)
+    assert rep == slow_coercivity_report(k, 0.1, **kw)
+    if not forced:
+        return
+    tested = [v for v in rep.upper_coercive if v != EDGE]
+    assert tested and all(v == VIOLATION for v in tested)
+    assert all(v == VIOLATION for v in rep.coercive if v != EDGE)
+
+
+@st.composite
+def tied_cases(draw):
+    """Tables and densities over a few values, so that levels, ring
+    extremes and row maxima tie often, with -inf in the ring."""
+    nx, ny = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    cells = st.sampled_from([0.0, 1.0, 2.0, NEG])
+    b = np.array(draw(st.lists(cells, min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
+    b[~np.isfinite(b).any(axis=1), 0] = 0.0
+    b[0, ~np.isfinite(b).any(axis=0)] = 0.0
+    f = np.array(draw(st.lists(
+        st.sampled_from([0.0, 1.0, NEG, POS]), min_size=ny, max_size=ny
+    )))
+    xg, yg = line(nx, 0.0, 1.0), line(ny, 0.0, 1.0)
+    return Kernel.from_table(xg, yg, b), GridFn(yg, f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tied_cases(),
+    st.integers(0, 2),
+    st.sampled_from(sorted(SIDES)),
+    st.sampled_from(sorted(SIDES)),
+)
+def test_tied_levels_equal_per_row_loops(case, radius, sides, x_sides):
+    k, f = case
+    assert_reports_equal(k, f, radius=radius, sides=SIDES[sides], x_sides=SIDES[x_sides])
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_cases(), st.sampled_from(["no inner", "no ring"]), st.integers(0, 2))
+def test_windows_without_inner_or_ring(case, window, radius):
+    # two open-sided Y-nodes leave the inner window empty; closed sides
+    # leave the ring empty
+    k, f, _ = case
+    ny = k.y_grid.size
+    b = k.matrix()
+    if window == "no inner":
+        ny = 2
+        b = np.column_stack([b[:, 0], b[:, -1]])
+        b[0, ~np.isfinite(b).any(axis=0)] = 0.0
+        b[~np.isfinite(b).any(axis=1), 0] = 0.0
+        f = GridFn(line(2, 0.0, 1.0), f.flat[[0, -1]])
+        sides = None
+    else:
+        sides = SIDES["closed"]
+    k = Kernel.from_table(k.x_grid, line(ny, 0.0, 1.0), b)
+    f = GridFn(k.y_grid, f.flat)
+    assert_reports_equal(k, f, radius=radius, sides=sides)
+    if window == "no inner":
+        assert all(v in (EDGE, VIOLATION) for v in coercivity_report(k, 0.1).coercive)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark size: 1601 nodes, 20 blocks
+# ---------------------------------------------------------------------------
+
+def gauss_ldp_case(n=1601):
+    # the kernel and rate density of the 1601-node Gaussian ldp: the limit
+    # log-moment is x^2/2 exactly, and the density its lifted dual
+    grid = Grid.line(-2.0, 2.0, n)
+    k = Kernel.bilinear(grid, grid)
+    g = GridFn(grid, 0.5 * grid.coords**2)
+    return k, lifted_candidate(conjugate(g, k.transpose()))
+
+
+def test_reports_at_benchmark_size_equal_per_row_loops():
+    k, f = gauss_ldp_case()
+    assert len(list(_row_blocks(k.x_grid, 1, k.y_grid.size))) == 20
+    co = coercivity_report(k, 0.1)
+    assert co == slow_coercivity_report(k, 0.1)
+    assert co.coercive.count(EDGE) == 2 and co.all_coercive and co.all_upper_coercive
+    sl = superlevel_compactness_report(f, k, 0.1)
+    assert sl == slow_superlevel_compactness_report(f, k, 0.1)
+    assert sl.verdicts.count(VIOLATION) == 640
+
+
+def test_window_reports_hold_few_blocks():
+    # per-call buffers: a few block-sized arrays at once, not fresh
+    # temporaries for every step of every block
+    import tracemalloc
+
+    k, f = gauss_ldp_case()
+    block = _kernels._CELL_BUDGET * 8
+    for call, blocks in (
+        (lambda: coercivity_report(k, 0.1), 6),
+        (lambda: superlevel_compactness_report(f, k, 0.1), 4),
+    ):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < blocks * block, f"peak {peak / block:.2f} blocks"
+
+
+# ---------------------------------------------------------------------------
 # the quantiles behind the levels
 # ---------------------------------------------------------------------------
 
@@ -245,7 +394,9 @@ def test_bilinear_2d_at_block_edges(n, radius):
 )
 def test_row_quantiles_match_np_quantile(case, quantiles):
     vals, keep = case
-    levels, use = _row_quantiles(vals, keep, quantiles)
+    # dropped cells become infinities of both signs, sorted to the row ends
+    pad = np.where(np.arange(vals.size).reshape(vals.shape) % 2, NEG, POS)
+    levels, use = _row_quantiles(np.sort(np.where(keep, vals, pad), axis=1), quantiles)
     for i in range(vals.shape[0]):
         assert use[i].tolist() == [bool(keep[i].any())] * len(quantiles)
         if keep[i].any():

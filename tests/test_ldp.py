@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxplus import (
     FormSequence,
@@ -26,6 +28,7 @@ from maxplus import (
     rate_threshold,
     tightness_criterion,
 )
+from maxplus.errors import ValidationError
 from maxplus.forms import QuasiLinearForm
 from oracles import constant_sequence, slow_coercivity_report, slow_limit_log_moment
 
@@ -524,3 +527,56 @@ def test_array_call_only_for_forms_that_declare_it():
         assert np.array_equal(g.values, 0.5 * grid.coords**2)
     assert _CountingGaussian.calls == [1] * len(ns)  # one call per form
     assert _ScalarOnly.calls == [0] * (len(ns) * grid.size)
+
+
+# ---------------------------------------------------------------------------
+# degenerate inputs: a verdict or a ValidationError, never NaN or a crash
+# ---------------------------------------------------------------------------
+
+@st.composite
+def degenerate_pipelines(draw):
+    """Table kernels with ±inf entries and densities with ±inf values, on
+    grids down to single nodes; all-infinite limit values leave X' (the
+    locally bounded nodes) empty."""
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    finite = st.integers(-4, 4).map(lambda v: v / 2.0)
+    cells = st.one_of(finite, finite, st.sampled_from([NEG, NEG, POS]))
+    b = np.array(draw(st.lists(cells, min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
+    if draw(st.booleans()):
+        b[b == POS] = 0.0  # most tables are valid kernels
+    f = np.array(draw(st.lists(
+        st.one_of(finite, st.sampled_from([NEG, POS])), min_size=ny, max_size=ny
+    )))
+    return b, f, draw(st.sampled_from(["limsup", "limit-asserted"]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(degenerate_pipelines())
+def test_pipeline_on_degenerate_inputs(case):
+    b, f, mode = case
+    nx, ny = b.shape
+    xg = Grid.line(-1, 1, nx) if nx > 1 else Grid.line(0, 0, 1)
+    yg = Grid.line(-1, 1, ny) if ny > 1 else Grid.line(0, 0, 1)
+    try:
+        k = Kernel.from_table(xg, yg, b)
+    except ValidationError:
+        fin = np.isfinite(b)
+        assert np.isposinf(b).any() or not (fin.any(axis=1).all() and fin.any(axis=0).all())
+        return
+    gin = GartnerInput(
+        sequences=(constant_sequence(MaxPlusForm(GridFn(yg, f)), (1, 2, 3)),),
+        kernel=k,
+        mode=mode,
+    )
+    try:
+        out = pipeline(gin)
+    except ValidationError:
+        return
+    assert out.verdict in ("FULL_LDP", "BOUNDS_ONLY", "INCONCLUSIVE")
+    for arr in (out.log_moment.values, out.rate_lower.values):
+        assert not np.isnan(arr).any()
+    a = out.assumptions
+    for label in (a.coercive, a.upper_coercive, a.dual_superlevel_compact):
+        assert label in ("EVIDENCE", "VIOLATION")
+    assert set(out.pinned.tolist()) <= set(range(ny))
