@@ -34,7 +34,6 @@ from .conjugacy import (
     subdifferential_map,
     superlevel_compactness_report,
 )
-from .errors import ValidationError
 from .grids import (
     POS_INF,
     GridFn,
@@ -187,11 +186,10 @@ def quasicontinuity_check(f, stencil_radius=1, tol=0.0):
     whether its excess stays within ``tol``: a strict local minimum of a
     sampled-smooth function carries an excess of about half its second
     difference, while a genuine spike carries the whole jump, so a
-    one-grid-step tolerance separates the two regimes.
+    one-grid-step tolerance separates the two regimes.  An f with no
+    finite value has an empty domain and is vacuously quasi-continuous.
     """
     dom = np.isfinite(f.values).reshape(-1)
-    if not dom.any():
-        raise ValidationError("quasicontinuity_check: f has empty domain")
     closing = stencil_min(stencil_max(f.values, stencil_radius), stencil_radius)
     with np.errstate(invalid="ignore"):
         gap = closing.reshape(-1) - f.flat
@@ -346,10 +344,7 @@ def verdict(g, k, xprime=None, config=CoveringConfig()):
     pre = solve_preimage(
         g, k, xprime, le_tol=config.le_tol, eq_tol=config.eq_tol, _candidate=cand
     )
-    if np.isfinite(cand.values).any():
-        qc_ok, qc_witness = quasicontinuity_check(cand, config.stencil_radius)
-    else:
-        qc_ok, qc_witness = True, None  # empty domain: vacuously quasi-continuous
+    qc_ok, qc_witness = quasicontinuity_check(cand, config.stencil_radius)
 
     xmask = _as_node_mask(k.x_grid, xprime)
     inside = bool(

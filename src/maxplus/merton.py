@@ -20,7 +20,6 @@ for nonnegative x.
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,26 +125,39 @@ def drift_rate(xi, p):
     return p.r + p.excess * xi - p.sigma**2 * xi**2 / 2.0
 
 
-def simulate(p, control, horizon, n_paths, seed):
-    """Sample log(W_T)/T under a constant fraction, drawn exactly from its
-    Gaussian law.  Deterministic given the seed; the array is read-only."""
-    if horizon <= 0:
-        raise ValidationError("horizon must be positive")
-    if n_paths < 1:
-        raise ValidationError("need at least one path")
-    if not isinstance(control, ConstantControl):
-        raise ValidationError(f"unknown control {control!r}")
-    rng = np.random.default_rng(seed)
-    T = float(horizon)
-    xi = control.xi
-    base = math.log(p.w0) / T + drift_rate(xi, p)
-    scale = p.sigma * xi / math.sqrt(T)
-    # base + scale * z with the same two roundings, in one array
-    values = rng.standard_normal(n_paths)
-    values *= scale
-    values += base
-    values.setflags(write=False)
-    return values
+def simulate(p, controls, horizon, n_paths, seed):
+    """Sample log(W_T)/T under each constant fraction, with common random
+    numbers.
+
+    Under a constant fraction xi, log(W_T)/T is exactly base + scale * Z
+    with Z standard normal, so one draw of ``n_paths`` normals from
+    ``seed`` serves every control.  Returns an iterator that yields, for
+    each control in order, a fresh read-only array of the samples.  Each
+    array alone has its control's exact law; arrays of one call share
+    their normals.  A one-control call draws what it always did.
+
+    The arguments are checked, and the normals drawn, at the call.
+    """
+    _check_horizon(horizon)
+    if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral) or n_paths < 1:
+        raise ValidationError(f"need at least one path, got {n_paths!r}")
+    if not isinstance(controls, (list, tuple)) or not controls:
+        raise ValidationError(f"need a nonempty list of controls, got {controls!r}")
+    for control in controls:
+        if not isinstance(control, ConstantControl):
+            raise ValidationError(f"unknown control {control!r}")
+    z = np.random.default_rng(seed).standard_normal(n_paths)
+    return _constant_paths(p, list(controls), float(horizon), z)
+
+
+def _constant_paths(p, controls, T, z):
+    for control in controls:
+        xi = control.xi
+        # base + scale * z with the same two roundings, in one array
+        values = z * (p.sigma * xi / math.sqrt(T))
+        values += math.log(p.w0) / T + drift_rate(xi, p)
+        values.setflags(write=False)
+        yield values
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +400,14 @@ class TailRateReport:
         return rows
 
 
+def _check_horizon(T):
+    """A horizon is a finite positive number."""
+    if isinstance(T, bool) or not isinstance(T, numbers.Real):
+        raise ValidationError(f"horizon {T!r} is not a number")
+    if not (math.isfinite(T) and T > 0):
+        raise ValidationError(f"horizons must be finite and positive, got {T!r}")
+
+
 def _check_horizons(horizons):
     """The horizons as a list: nonempty, finite, positive and distinct."""
     hs = list(horizons)
@@ -395,22 +415,11 @@ def _check_horizons(horizons):
         raise ValidationError("need at least one horizon")
     seen = set()
     for T in hs:
-        if isinstance(T, bool) or not isinstance(T, numbers.Real):
-            raise ValidationError(f"horizon {T!r} is not a number")
-        t = float(T)
-        if not (math.isfinite(t) and t > 0):
-            raise ValidationError(f"horizons must be finite and positive, got {T!r}")
-        if t in seen:
+        _check_horizon(T)
+        if float(T) in seen:
             raise ValidationError(f"horizon {T!r} is repeated")
-        seen.add(t)
+        seen.add(float(T))
     return hs
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def tail_rate_experiment(
@@ -434,10 +443,11 @@ def tail_rate_experiment(
     matter only for the Monte Carlo horizons; a ``None`` seed draws fresh
     entropy once for the whole experiment.
 
-    Horizons must be distinct finite positive numbers.  The Monte Carlo
-    cells are sampled on a thread pool, one worker per usable CPU; each
-    cell draws from its own child seed, so the report does not depend on
-    the worker count.
+    Horizons must be distinct finite positive numbers.  Each Monte Carlo
+    horizon draws one vector of normals from its own child seed, shared
+    by all fractions (common random numbers, see ``simulate``): every
+    cell keeps its law and standard error, and the cells of one horizon
+    are correlated.
     """
     horizons = _check_horizons(horizons)
     xi_grid = np.asarray(xi_grid, dtype=np.float64)
@@ -448,41 +458,22 @@ def tail_rate_experiment(
     rates = np.array([constant_control_rate(c, xi, p) for xi in xi_grid])
     best = int(rates.argmin())
     ss = np.random.SeedSequence(seed)
-    nxi = xi_grid.size
     mc_set = set(horizons if mc_horizons is None else mc_horizons)
-
-    def tail_hits(cell):
-        ti, xj = cell
-        # the child ss.spawn(...)[ti * nxi + xj] would be, made only for
-        # the cells that sample
-        child = np.random.SeedSequence(
-            ss.entropy,
-            spawn_key=ss.spawn_key + (ti * nxi + xj,),
-            pool_size=ss.pool_size,
-        )
-        control = ConstantControl(float(xi_grid[xj]))
-        values = simulate(p, control, horizons[ti], n_paths, child)
-        return int(np.count_nonzero(values >= c))
-
-    # numpy draws normals without the GIL, so threads sample in parallel
-    sampled = [
-        (ti, xj)
-        for ti, T in enumerate(horizons)
-        if T in mc_set
-        for xj in range(nxi)
-    ]
-    counts = []
-    if sampled:
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = min(_usable_cpus(), len(sampled))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(tail_hits, sampled))
-    tally = iter(counts)
+    controls = [ConstantControl(float(xi)) for xi in xi_grid]
 
     cells = []
     sup_by_horizon = {}
     for ti, T in enumerate(horizons):
+        if T in mc_set:
+            # the child ss.spawn(len(horizons))[ti] would be, made only for
+            # the horizons that sample
+            child = np.random.SeedSequence(
+                ss.entropy, spawn_key=ss.spawn_key + (ti,), pool_size=ss.pool_size
+            )
+            counts = [
+                int(np.count_nonzero(values >= c))
+                for values in simulate(p, controls, T, n_paths, child)
+            ]
         best_val = NEG_INF
         best_xi = float(xi_grid[0])
         for xj, xi in enumerate(xi_grid):
@@ -494,7 +485,7 @@ def tail_rate_experiment(
             se = 0.0
             inconclusive = True
             if T in mc_set:
-                hits = next(tally)
+                hits = counts[xj]
                 if hits > 0:
                     phat = hits / n_paths
                     mc = math.log(phat) / T

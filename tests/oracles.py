@@ -578,11 +578,11 @@ def risk_sensitive_value(x, values, horizon):
 
 # -- tail-rate experiment, one cell at a time --------------------------------
 #
-# ``merton.tail_rate_experiment`` before its Monte Carlo cells moved onto a
-# thread pool: one serial loop over (horizon, fraction), sampling each cell
-# from ``base + scale * z``, the constant-control draw of ``merton.simulate``
-# before it scaled its normals in place.  The report must equal the
-# library's cell by cell.
+# ``merton.tail_rate_experiment`` as one serial loop over (horizon,
+# fraction).  Each cell draws its own samples as ``base + scale * z`` from
+# its horizon's child seed, so the cells of one horizon see the same
+# normals, as the library's common-random-numbers draw does without drawing
+# them again.  The report must equal the library's cell by cell.
 
 
 def slow_constant_samples(p, xi, horizon, n_paths, seed):
@@ -612,7 +612,6 @@ def slow_tail_rate_experiment(c, p, horizons, n_paths=100_000, seed=None, *, xi_
     rates = np.array([constant_control_rate(c, xi, p) for xi in xi_grid])
     best = int(rates.argmin())
     ss = np.random.SeedSequence(seed)
-    nxi = xi_grid.size
     mc_set = set(horizons if mc_horizons is None else mc_horizons)
 
     cells = []
@@ -629,12 +628,10 @@ def slow_tail_rate_experiment(c, p, horizons, n_paths=100_000, seed=None, *, xi_
             se = 0.0
             inconclusive = True
             if T in mc_set:
-                # the child ss.spawn(...)[ti * nxi + xj] would be, made
+                # the child ss.spawn(len(horizons))[ti] would be, made
                 # only for the cells that sample
                 child = np.random.SeedSequence(
-                    ss.entropy,
-                    spawn_key=ss.spawn_key + (ti * nxi + xj,),
-                    pool_size=ss.pool_size,
+                    ss.entropy, spawn_key=ss.spawn_key + (ti,), pool_size=ss.pool_size
                 )
                 values = slow_constant_samples(p, float(xi), T, n_paths, child)
                 hits = int((values >= c).sum())

@@ -275,7 +275,7 @@ def test_criterion_7_trend_and_monte_carlo_cross_check():
     ss = np.random.SeedSequence(707)
     within = []
     for child, v in zip(ss.spawn(rng_grid.size), rng_grid):
-        s = simulate(P, ConstantControl(float(v)), 25.0, 100_000, child)
+        (s,) = simulate(P, [ConstantControl(float(v))], 25.0, 100_000, child)
         hits = int((s >= 0.12).sum())
         if hits == 0:
             continue

@@ -68,6 +68,59 @@ def test_merton_scenario_target_column(tmp_path):
     assert abs(float(last[-1]) + 0.0077086) < 1e-7
 
 
+def test_merton_scenario_samples_serially_within_3_se(tmp_path):
+    # the checked-in tail-rate scenario, in a fresh process: no thread is
+    # started and the Monte Carlo cells agree with their exact values.
+    # scipy.special loads concurrent.futures itself (through numpy.testing),
+    # so the package's own imports are checked for executors instead.
+    import ast
+
+    import maxplus
+
+    for path in Path(maxplus.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names]
+                if isinstance(node, ast.ImportFrom):
+                    names.append(node.module or "")
+                assert not any(n.split(".")[0] in ("concurrent", "threading", "multiprocessing")
+                               for n in names), (path.name, names)
+
+    code = "\n".join([
+        "import json, sys, threading",
+        "started = []",
+        "start = threading.Thread.start",
+        "def recording_start(self):",
+        "    started.append(self.name)",
+        "    start(self)",
+        "threading.Thread.start = recording_start",
+        "import maxplus.cli",
+        "before = threading.active_count()",
+        "argv = ['merton', '--config', sys.argv[1], '--out-dir', sys.argv[2]]",
+        "rc = maxplus.cli.main(argv)",
+        "print(json.dumps({'rc': rc, 'started': started,",
+        "                  'threads': [before, threading.active_count()]}))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(maxplus.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(SCENARIOS / "merton_tailrate.json"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["rc"] == 0
+    assert got["started"] == []
+    assert got["threads"][0] == got["threads"][1]
+    conclusive = outside = 0
+    for line in (tmp_path / "merton_tailrate.csv").read_text().splitlines()[1:]:
+        _, _, exact, mc, se, _, _ = line.split(",")
+        if mc:
+            conclusive += 1
+            outside += abs(float(mc) - float(exact)) > 3.0 * float(se)
+    assert conclusive > 0
+    assert outside <= 0.02 * conclusive, (outside, conclusive)
+
+
 def test_merton_ldp_scenario(tmp_path):
     obj = {
         "kind": "ldp",
@@ -372,9 +425,8 @@ def test_malformed_table_rows_exit_3(tmp_path, capsys, rows):
 
 def test_core_import_and_gaussian_ldp_load_no_scipy(tmp_path):
     # scipy.special is imported at the first Gaussian interval mass; the
-    # CLI, the kernels and a Gaussian ldp without set bounds need numpy only.
-    # The merton thread pool imports concurrent.futures (and with it
-    # logging) only when Monte Carlo cells are sampled.
+    # CLI, the kernels and a Gaussian ldp without set bounds need numpy only,
+    # and leave concurrent.futures (and with it logging) unloaded.
     import maxplus
 
     code = "\n".join([
@@ -748,7 +800,7 @@ PINNED_DIGESTS = {
     },
     "merton_tailrate.json": {
         "merton_tailrate.csv":
-            "5f52c437fd444fe9ce65fa0a4a79fedf7d7b964199750a52f2ff75bee878e900",
+            "3dd8fd1b9b34102e6e765d0c59f7eacce60ea70e240dd067942e511c827c633a",
     },
 }
 

@@ -103,10 +103,12 @@ def test_quasicontinuity_constant():
     assert ok
 
 
-def test_quasicontinuity_needs_domain():
+def test_quasicontinuity_empty_domain_is_vacuous():
+    # no finite value, no node to judge: the check passes, as in verdict
     g = Grid.line(0, 2, 3)
-    with pytest.raises(ValidationError):
-        quasicontinuity_check(GridFn(g, [POS, POS, NEG]), 1)
+    for vals in ([POS, POS, NEG], [POS, POS, POS], [NEG, NEG, NEG]):
+        for tol in (0.0, 1.0):
+            assert quasicontinuity_check(GridFn(g, vals), 1, tol) == (True, None)
 
 
 # ---------------------------------------------------------------------------

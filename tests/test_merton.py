@@ -1,8 +1,6 @@
-import concurrent.futures
 import math
-import os
-import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -104,35 +102,73 @@ def test_param_validation():
 
 def test_riskless_control_is_deterministic():
     p = MertonParams(r=0.05, alpha=0.10, sigma=0.20, w0=2.0)
-    s = simulate(p, ConstantControl(0.0), 10.0, 1000, seed=1)
+    (s,) = simulate(p, [ConstantControl(0.0)], 10.0, 1000, seed=1)
     expect = math.log(2.0) / 10.0 + 0.05
     assert np.all(s == expect)
 
 
 def test_simulated_mean_matches_drift():
-    s = simulate(P, ConstantControl(1.0), 10.0, 100_000, seed=2)
+    (s,) = simulate(P, [ConstantControl(1.0)], 10.0, 100_000, seed=2)
     drift = 0.05 + 0.05 - 0.5 * 0.04  # r + excess - sigma^2/2 = 0.08
     se = 0.2 / math.sqrt(10.0) / math.sqrt(100_000)
     assert abs(s.mean() - drift) < 3 * se
 
 
 def test_seeded_determinism():
-    a = simulate(P, ConstantControl(1.5), 5.0, 1000, seed=42)
-    b = simulate(P, ConstantControl(1.5), 5.0, 1000, seed=42)
+    (a,) = simulate(P, [ConstantControl(1.5)], 5.0, 1000, seed=42)
+    (b,) = simulate(P, [ConstantControl(1.5)], 5.0, 1000, seed=42)
     assert np.array_equal(a, b)
-    c = simulate(P, ConstantControl(1.5), 5.0, 1000, seed=43)
+    (c,) = simulate(P, [ConstantControl(1.5)], 5.0, 1000, seed=43)
     assert not np.array_equal(a, c)
 
 
 def test_simulate_rejects_unknown_controls():
     for control in (1.0, None, {"xi": 1.0}):
         with pytest.raises(ValidationError, match="unknown control"):
-            simulate(P, control, 10.0, 10, seed=0)
+            simulate(P, [ConstantControl(1.0), control], 10.0, 10, seed=0)
 
 
 def test_nonpositive_horizon_rejected():
     with pytest.raises(ValidationError):
-        simulate(P, ConstantControl(1.0), 0.0, 10, seed=0)
+        simulate(P, [ConstantControl(1.0)], 0.0, 10, seed=0)
+
+
+XIS = [0.0, -1.5, -0.05, 0.5, 2.0, 8.0]
+
+
+def test_simulate_shares_one_draw_across_controls():
+    # common random numbers: control j of one call gets the bits that a
+    # one-control call with the same seed gets
+    for T, seed in ((25.0, 3), (333.3, np.random.SeedSequence(5, spawn_key=(1,)))):
+        got = list(simulate(P, [ConstantControl(xi) for xi in XIS], T, 4097, seed))
+        assert len(got) == len(XIS)
+        assert len({id(a) for a in got}) == len(XIS)
+        for xi, values in zip(XIS, got):
+            assert not values.flags.writeable
+            (alone,) = simulate(P, [ConstantControl(xi)], T, 4097, seed)
+            assert values.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize(
+    "controls,horizon,n_paths",
+    [
+        (ConstantControl(1.0), 10.0, 10),
+        ([], 10.0, 10),
+        ((c for c in [ConstantControl(1.0)]), 10.0, 10),
+        ([ConstantControl(1.0)], float("nan"), 10),
+        ([ConstantControl(1.0)], float("inf"), 10),
+        ([ConstantControl(1.0)], "10", 10),
+        ([ConstantControl(1.0)], 10.0, 0),
+        ([ConstantControl(1.0)], 10.0, 2.5),
+        ([ConstantControl(1.0)], 10.0, True),
+    ],
+    ids=["bare-control", "no-controls", "generator", "nan-T", "inf-T", "string-T",
+         "zero-paths", "fractional-paths", "bool-paths"],
+)
+def test_simulate_checks_arguments_at_the_call(controls, horizon, n_paths):
+    # the error comes from the call itself, before any array is asked for
+    with pytest.raises(ValidationError):
+        simulate(P, controls, horizon, n_paths, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +183,7 @@ def test_exact_value_reference():
 def test_empirical_matches_exact_within_se():
     T, n = 10.0, 100_000
     for x, xi in ((0.5, 1.0), (0.5, 2.5), (-0.3, 1.0)):
-        s = simulate(P, ConstantControl(xi), T, n, seed=11)
+        (s,) = simulate(P, [ConstantControl(xi)], T, n, seed=11)
         got = risk_sensitive_value(x, s, T)
         want = risk_sensitive_exact(x, xi, P, T)
         # bootstrap standard error of the log-mean estimate
@@ -330,21 +366,27 @@ def test_clipped_affine_on_slope_arrays_matches_libm_closed_form():
 
 
 def test_tail_rate_cell_seeds_match_spawned_children():
-    # each Monte Carlo cell draws from the child SeedSequence(seed).spawn
-    # gives at position ti * |xi| + xj, so artifacts keep their bytes
-    horizons, xi = [25, 50], np.array([0.5, 1.0, 1.5])
-    rep = tail_rate_experiment(
-        c=0.12, p=P, horizons=horizons, n_paths=500, seed=42, xi_grid=xi,
-        mc_horizons=[50],
-    )
-    kids = np.random.SeedSequence(42).spawn(len(horizons) * xi.size)
-    for xj, x in enumerate(xi):
-        ref = simulate(P, ConstantControl(float(x)), 50, 500, kids[xi.size + xj])
-        hits = int((ref >= 0.12).sum())
-        cell = rep.cells[xi.size + xj]
-        assert cell.inconclusive == (hits == 0)
-        if hits:
-            assert cell.mc == math.log(hits / 500) / 50
+    # every Monte Carlo cell of horizon ti counts the samples that a
+    # one-control simulate draws from SeedSequence(seed).spawn(|T|)[ti]
+    horizons, xi = [25, 50, 100], np.arange(0.25, 3.0, 0.25)
+    for mc_horizons in (None, [50]):
+        rep = tail_rate_experiment(
+            c=0.1, p=P, horizons=horizons, n_paths=500, seed=42, xi_grid=xi,
+            mc_horizons=mc_horizons,
+        )
+        kids = np.random.SeedSequence(42).spawn(len(horizons))
+        for ti, T in enumerate(horizons):
+            for xj, x in enumerate(xi):
+                cell = rep.cells[ti * xi.size + xj]
+                if mc_horizons is not None and T not in mc_horizons:
+                    assert cell.inconclusive
+                    continue
+                (ref,) = simulate(P, [ConstantControl(float(x))], T, 500, kids[ti])
+                hits = int(np.count_nonzero(ref >= 0.1))
+                assert cell.inconclusive == (hits == 0)
+                if hits:
+                    assert cell.mc == math.log(hits / 500) / T
+        assert not all(c.inconclusive for c in rep.cells)
 
 
 def test_tail_rate_exact_only_needs_no_paths_or_seed():
@@ -358,106 +400,78 @@ def test_tail_rate_exact_only_needs_no_paths_or_seed():
     )
 
 
-@pytest.mark.parametrize("xi", [0.0, -1.5, -0.05, 0.5, 2.0, 8.0])
+@pytest.mark.parametrize("xi", XIS)
 def test_simulate_constant_matches_base_plus_scale_z(xi):
     # the in-place draw rounds as base + scale * z does, bit for bit
     for p in (P, MertonParams(r=0.03, alpha=0.11, sigma=0.35, w0=2.5)):
         for T in (1, 25.0, 333.3):
             for seed in (0, 7, np.random.SeedSequence(5, spawn_key=(3,))):
-                got = simulate(p, ConstantControl(xi), T, 4097, seed)
+                (got,) = simulate(p, [ConstantControl(xi)], T, 4097, seed)
                 want = slow_constant_samples(p, xi, T, 4097, seed)
                 assert got.tobytes() == want.tobytes()
-
-
-def _force_workers(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def _cell_fields(report):
     return [(c.horizon, c.xi, c.exact, c.mc, c.mc_se, c.inconclusive) for c in report.cells]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("callers", [1, 2])
 @pytest.mark.parametrize("n_paths", [1, 2000])
 @pytest.mark.parametrize("mc_horizons", [None, [50], []], ids=["all", "subset", "none"])
 @pytest.mark.parametrize("seed", [0, 1, 77])
-def test_tail_rate_matches_serial_oracle(monkeypatch, seed, mc_horizons, n_paths, workers):
-    _force_workers(monkeypatch, workers)
+def test_tail_rate_matches_serial_oracle(seed, mc_horizons, n_paths, callers):
+    # with two callers, a second experiment runs on another thread at the
+    # same time; the library keeps no state between calls, so both match
     kw = dict(c=0.1, p=P, horizons=[25, 50, 100], n_paths=n_paths, seed=seed,
               mc_horizons=mc_horizons)
     for xi in (np.arange(0.25, 3.0, 0.25), np.array([1.5])):
-        got = tail_rate_experiment(xi_grid=xi, **kw)
         want = slow_tail_rate_experiment(xi_grid=xi, **kw)
-        assert _cell_fields(got) == _cell_fields(want)
-        assert got.csv_rows() == want.csv_rows()
-        assert (got.sup_by_horizon, got.trend) == (want.sup_by_horizon, want.trend)
+        others = []
+        threads = [
+            threading.Thread(
+                target=lambda: others.append(tail_rate_experiment(xi_grid=xi, **kw))
+            )
+            for _ in range(callers - 1)
+        ]
+        for t in threads:
+            t.start()
+        got = tail_rate_experiment(xi_grid=xi, **kw)
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert len(others) == callers - 1
+        for rep in (got, *others):
+            assert _cell_fields(rep) == _cell_fields(want)
+            assert rep.csv_rows() == want.csv_rows()
+            assert (rep.sup_by_horizon, rep.trend) == (want.sup_by_horizon, want.trend)
     if mc_horizons != [] and n_paths > 1:
         assert not all(c.inconclusive for c in got.cells)
 
 
-def test_tail_rate_oversubscribed_pool_matches_serial_oracle(monkeypatch):
-    # more workers than cores, switching threads every microsecond
-    _force_workers(monkeypatch, 8)
-    kw = dict(c=0.1, p=P, horizons=[25, 50], n_paths=3000, seed=20240817,
-              xi_grid=np.arange(0.1, 3.0, 0.1))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = tail_rate_experiment(**kw)
-    finally:
-        sys.setswitchinterval(interval)
-    assert got.csv_rows() == slow_tail_rate_experiment(**kw).csv_rows()
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """The max_workers of every thread pool made while the test runs."""
-    sizes = []
-
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    return sizes
-
-
-def test_tail_rate_pool_sizes_and_joins_its_threads(monkeypatch, pool_sizes):
-    _force_workers(monkeypatch, 2)
-    kw = dict(c=0.12, p=P, horizons=[25, 50], n_paths=500, seed=5)
-    before = threading.active_count()
-    tail_rate_experiment(xi_grid=np.array([0.5, 1.0, 1.5]), **kw)
-    assert threading.active_count() == before
-    assert pool_sizes == [2]
-    # no more workers than sampling cells
-    tail_rate_experiment(xi_grid=np.array([1.0]), mc_horizons=[50], **kw)
-    assert pool_sizes == [2, 1]
-    assert threading.active_count() == before
-    # exact values only: no pool at all
-    tail_rate_experiment(xi_grid=np.array([0.5, 1.0]), mc_horizons=[], **kw)
-    assert pool_sizes == [2, 1]
-
-
-def test_tail_rate_workers_fall_back_to_cpu_count(monkeypatch, pool_sizes):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    tail_rate_experiment(c=0.12, p=P, horizons=[25], n_paths=100, seed=1,
-                         xi_grid=np.array([0.5, 1.0, 1.5, 2.0]))
-    assert pool_sizes == [3]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    tail_rate_experiment(c=0.12, p=P, horizons=[25], n_paths=100, seed=1,
-                         xi_grid=np.array([0.5, 1.0]))
-    assert pool_sizes == [3, 1]
-
-
-def test_tail_rate_worker_error_propagates_and_joins(monkeypatch):
-    _force_workers(monkeypatch, 2)
+def test_tail_rate_worker_error_propagates_and_joins():
     before = threading.active_count()
     with pytest.raises(ValidationError, match="at least one path"):
         tail_rate_experiment(c=0.12, p=P, horizons=[25, 50], n_paths=0, seed=1,
                              xi_grid=np.array([0.5, 1.0]))
     assert threading.active_count() == before
+
+
+def test_tail_rate_holds_a_few_path_arrays():
+    # 120 fractions share one draw, counted one array at a time: the
+    # experiment never holds a fractions x paths array (96 MB here)
+    n_paths = 100_000
+    xi = np.arange(0.05, 6.0 + 1e-9, 0.05)
+    assert xi.size == 120
+    kw = dict(c=0.12, p=P, horizons=[25, 50], seed=3)
+    tail_rate_experiment(n_paths=10, xi_grid=xi[:2], **kw)  # lazy imports done
+    tracemalloc.start()
+    try:
+        rep = tail_rate_experiment(n_paths=n_paths, xi_grid=xi, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not all(c.inconclusive for c in rep.cells)
+    assert peak < 4 * n_paths * 8, peak
 
 
 @pytest.mark.parametrize(
