@@ -9,6 +9,7 @@ that look them up as ``_normal.log_ndtr``, reach scipy directly.
 import numpy as np
 
 from .errors import ValidationError
+from .forms import logsumexp_weighted
 from .grids import NEG_INF
 
 
@@ -54,21 +55,12 @@ def log_gauss_mass(intervals, mu=0.0, sd=1.0):
     ``intervals`` is an iterable of (lo, hi) pairs, disjoint up to
     endpoints; sd == 0 degenerates to a point mass at mu.
     """
-    terms = []
-    for lo, hi in intervals:
-        if sd == 0.0:
-            terms.append(0.0 if lo <= mu <= hi else NEG_INF)
-        else:
-            terms.append(log_gauss_interval((lo - mu) / sd, (hi - mu) / sd))
-    if not terms:
-        return NEG_INF
-    t = np.asarray(terms)
-    m = t.max()
-    if m == NEG_INF:
-        return NEG_INF
     if sd == 0.0:
-        return 0.0
-    return float(m + np.log(np.exp(t - m).sum()))
+        # a shared endpoint holding mu counts its mass once
+        return 0.0 if any(lo <= mu <= hi for lo, hi in intervals) else NEG_INF
+    return logsumexp_weighted(
+        [log_gauss_interval((lo - mu) / sd, (hi - mu) / sd) for lo, hi in intervals]
+    )
 
 
 def _interp_extrapolating(coords, values, t):
@@ -124,11 +116,7 @@ def log_mgf_piecewise_linear(coords, values, scale, mu, sd, state_floor=None):
             scale * (q + s * mu) + scale * scale * s * s * sd * sd / 2.0
             + log_gauss_interval(za, zb)
         )
-    t = np.asarray(terms)
-    m = t.max()
-    if m == NEG_INF or m == np.inf:
-        return float(m)
-    return float((m + np.log(np.exp(t - m).sum())) / scale)
+    return float(logsumexp_weighted(terms) / scale)
 
 
 def mask_runs(grid, mask):

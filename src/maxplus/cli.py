@@ -315,8 +315,8 @@ def _run_ldp(obj, out_dir, summary):
             "upper_coercive": out.assumptions.upper_coercive,
             "dual_superlevel_compact": out.assumptions.dual_superlevel_compact,
             "quasicontinuous_dual": out.assumptions.quasicontinuous_dual,
-            "tightness_holds": out.assumptions.tightness.holds,
-            "tightness_witness": out.assumptions.tightness.witness,
+            "tightness_holds": out.tightness.holds,
+            "tightness_witness": out.tightness.witness,
         },
         "covered": out.covering.covered,
         "minimal_top": out.covering.minimal_top,
@@ -334,7 +334,7 @@ def _run_ldp(obj, out_dir, summary):
     if summary:
         print(
             f"covered={out.covering.covered} minimal_top={out.covering.minimal_top} "
-            f"pinned={len(pinned)}/{yg.size} tightness={out.assumptions.tightness.holds}"
+            f"pinned={len(pinned)}/{yg.size} tightness={out.tightness.holds}"
         )
     return 0 if out.verdict in (FULL_LDP, BOUNDS_ONLY) else 2
 

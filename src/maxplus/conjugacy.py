@@ -501,6 +501,8 @@ def coercivity_report(
       whose set reaches the ring, where it holds iff the max of b(x, ·)
       over the set's inner part is >= the max over its ring part.
     """
+    # a ball as wide as the longest X-axis already holds the whole grid
+    stencil_radius = min(stencil_radius, max(k.x_grid.n))
     box = _inner_box(k.y_grid, window_margin, sides)
     clipped = _clipped_nodes(k.x_grid, stencil_radius, x_sides)
     ny = k.y_grid.size

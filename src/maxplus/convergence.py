@@ -18,14 +18,13 @@ import numpy as np
 
 from ._normal import log_gauss_mass, log_mgf_piecewise_linear, mask_runs
 from .errors import ValidationError
-from .forms import QuasiLinearForm, _to_mask
-from .grids import Grid
+from .forms import LOG2, QuasiLinearForm
+from .grids import Grid, node_mask
 
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-LOG2 = float(np.log(2.0))
 EPS = float(np.finfo(np.float64).eps)
 # a trend fit whose max residual stays within this explains its column
 FIT_RESID_TOL = 1e-2
@@ -87,7 +86,7 @@ class GaussianMeanForm(QuasiLinearForm):
         return np.broadcast_to(row, (len(forms),) + row.shape)
 
     def eval_on_set(self, mask):
-        runs = mask_runs(self._grid, _to_mask(self._grid, mask))
+        runs = mask_runs(self._grid, node_mask(self._grid, mask))
         sd = 1.0 / np.sqrt(self.index)
         lp = log_gauss_mass(runs, 0.0, sd)
         return lp / self.index if np.isfinite(lp) else lp

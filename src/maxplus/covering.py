@@ -38,20 +38,10 @@ from .grids import (
     POS_INF,
     GridFn,
     domain_masks,
+    node_mask,
     stencil_max,
     stencil_min,
 )
-
-
-def _as_node_mask(grid, nodes):
-    if nodes is None:
-        return np.ones(grid.size, dtype=bool)
-    nodes = np.asarray(nodes)
-    if nodes.dtype == bool:
-        return nodes.reshape(-1).copy()
-    mask = np.zeros(grid.size, dtype=bool)
-    mask[nodes.reshape(-1).astype(np.int64)] = True
-    return mask
 
 
 @dataclass(frozen=True)
@@ -99,7 +89,7 @@ def build_covering(g, k, xprime=None, stencil_radius=1, *, _masks=None):
     piece_index = np.flatnonzero(piece_mask)
 
     masks = _masks if _masks is not None else domain_masks(g, stencil_radius)
-    target = _as_node_mask(k.x_grid, xprime) & masks.udom.reshape(-1)
+    target = node_mask(k.x_grid, xprime) & masks.udom.reshape(-1)
 
     # target coverage only through pieces; each row's first and last
     # attaining piece decide whether it is covered, and by one piece
@@ -120,9 +110,10 @@ def build_covering(g, k, xprime=None, stencil_radius=1, *, _masks=None):
 
     # y is topologically essential iff some target node's covering pieces
     # all lie in the Chebyshev ball around y, that is iff y lies in the box
-    # [max - r, min + r] of their coordinates on every axis
-    r = stencil_radius
+    # [max - r, min + r] of their coordinates on every axis; a ball as wide
+    # as the longest axis already holds the whole grid
     n = k.y_grid.n
+    r = min(stencil_radius, max(n))
     stride = ny // n[0]  # flat order runs along the first axis slowest
     lo = [piece_index[first[rows]] // stride]
     hi = [piece_index[last[rows]] // stride]
@@ -254,7 +245,7 @@ def solve_preimage(g, k, xprime=None, *, le_tol=0.0, eq_tol=0.0, _candidate=None
         fin_exceed = both_fin & (bv - gv > le_tol)
         le_ok = not ((le_viol & ~both_fin) | fin_exceed).any()
 
-        xmask = _as_node_mask(k.x_grid, xprime)
+        xmask = node_mask(k.x_grid, xprime)
         eq_fin = xmask & both_fin
         eq_residual = (
             float(np.abs(bv[eq_fin] - gv[eq_fin]).max()) if eq_fin.any() else 0.0
@@ -303,32 +294,46 @@ class CoveringConfig:
 
 
 @dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionEvidence:
+    """Window evidence for the standing assumptions of both verdicts.
+
+    EVIDENCE/VIOLATION labels for the kernel's coercivity and upper
+    coercivity and for compact superlevel sets of the candidate's dual,
+    and whether the candidate survives its closing (quasi-continuity).
+    """
+
+    coercive: str
+    upper_coercive: str
     dual_superlevel_compact: str
-    kernel_coercive: str
-    xprime_inside_idom: bool
     quasicontinuous_dual: bool
 
-    @property
-    def combined(self):
-        """(discrete or continuity-side) and (compactness or coercivity).
 
-        A finite grid is a discrete space, so the first clause always
-        holds and only the second is checked.
-        """
-        return self.dual_superlevel_compact == EVIDENCE or (
-            self.kernel_coercive == EVIDENCE and self.xprime_inside_idom
-        )
+def assumption_evidence(
+    co, cand, k, window_margin, *, sides, closing_radius, closing_tol
+):
+    """The labels of the kernel's coercivity report ``co`` and the candidate.
+
+    The candidate's superlevel sets are sampled on the Y-window that
+    ``window_margin`` and ``sides`` give, and its closing of the given
+    radius must stay within ``closing_tol`` (see ``quasicontinuity_check``).
+    """
+    fc = superlevel_compactness_report(cand, k, window_margin, sides=sides)
+    qc_ok, _ = quasicontinuity_check(cand, closing_radius, closing_tol)
+    return AssumptionEvidence(
+        coercive=EVIDENCE if co.all_coercive else VIOLATION,
+        upper_coercive=EVIDENCE if co.all_upper_coercive else VIOLATION,
+        dual_superlevel_compact=EVIDENCE if fc.all_evidence else VIOLATION,
+        quasicontinuous_dual=qc_ok,
+    )
 
 
 @dataclass(frozen=True)
 class Verdict:
     existence: str
     uniqueness: str
-    assumptions: AssumptionReport
+    assumptions: AssumptionEvidence
     covering: CoveringReport
     certificate: PreimageReport
-    quasicontinuity_witness: object = None
 
 
 def verdict(g, k, xprime=None, config=CoveringConfig()):
@@ -336,55 +341,47 @@ def verdict(g, k, xprime=None, config=CoveringConfig()):
 
     Existence: YES when the covering holds or the candidate certifies;
     NO when neither and the standing assumptions have evidence; UNKNOWN
-    otherwise.  Uniqueness requires a covering plus quasi-continuity of
-    the dual conjugate: UNIQUE iff also topologically minimal.
+    otherwise.  The assumptions hold when the dual superlevel sets are
+    compact or the kernel is coercive with X' inside the locally bounded
+    nodes; a finite grid is a discrete space, so continuity needs no
+    check.  Uniqueness requires a covering plus quasi-continuity of the
+    dual conjugate: UNIQUE iff also topologically minimal.
     """
-    rep = build_covering(g, k, xprime, config.stencil_radius)
+    r = config.stencil_radius
+    rep = build_covering(g, k, xprime, r)
     cand = lifted_candidate(rep.subdiff.dual)
     pre = solve_preimage(
         g, k, xprime, le_tol=config.le_tol, eq_tol=config.eq_tol, _candidate=cand
     )
-    qc_ok, qc_witness = quasicontinuity_check(cand, config.stencil_radius)
+    if config.assume_finite_exact:
+        # granted, not sampled: only the closing is checked
+        ev = AssumptionEvidence(
+            coercive=EVIDENCE,
+            upper_coercive=EVIDENCE,
+            dual_superlevel_compact=EVIDENCE,
+            quasicontinuous_dual=quasicontinuity_check(cand, r)[0],
+        )
+    else:
+        ev = assumption_evidence(
+            coercivity_report(k, config.window_margin, stencil_radius=r, sides=config.sides),
+            cand, k, config.window_margin, sides=config.sides,
+            closing_radius=r, closing_tol=0.0,
+        )
 
-    xmask = _as_node_mask(k.x_grid, xprime)
+    xmask = node_mask(k.x_grid, xprime)
     inside = bool(
         (xmask <= (rep.masks.idom.reshape(-1) | np.isneginf(g.flat))).all()
     )
-    if config.assume_finite_exact:
-        assumptions = AssumptionReport(
-            dual_superlevel_compact=EVIDENCE,
-            kernel_coercive=EVIDENCE,
-            xprime_inside_idom=inside,
-            quasicontinuous_dual=qc_ok,
-        )
-    else:
-        co = coercivity_report(
-            k,
-            config.window_margin,
-            stencil_radius=config.stencil_radius,
-            sides=config.sides,
-        )
-        fc = superlevel_compactness_report(
-            cand,
-            k,
-            config.window_margin,
-            sides=config.sides,
-        )
-        assumptions = AssumptionReport(
-            dual_superlevel_compact=EVIDENCE if fc.all_evidence else VIOLATION,
-            kernel_coercive=EVIDENCE if co.all_coercive else VIOLATION,
-            xprime_inside_idom=inside,
-            quasicontinuous_dual=qc_ok,
-        )
+    holds = ev.dual_superlevel_compact == EVIDENCE or (ev.coercive == EVIDENCE and inside)
 
     if rep.covered or pre.passed:
         existence = YES
-    elif assumptions.combined:
+    elif holds:
         existence = NO
     else:
         existence = UNKNOWN
 
-    if existence == YES and rep.covered and qc_ok and assumptions.combined:
+    if existence == YES and rep.covered and ev.quasicontinuous_dual and holds:
         uniqueness = UNIQUE if rep.minimal_top else NOT_UNIQUE
     else:
         uniqueness = UNKNOWN
@@ -392,8 +389,7 @@ def verdict(g, k, xprime=None, config=CoveringConfig()):
     return Verdict(
         existence=existence,
         uniqueness=uniqueness,
-        assumptions=assumptions,
+        assumptions=ev,
         covering=rep,
         certificate=pre,
-        quasicontinuity_witness=qc_witness,
     )

@@ -24,6 +24,7 @@ from .grids import (
     GridFn,
     check_values,
     indicator,
+    node_mask,
     otimes,
     require_same_grid,
 )
@@ -73,16 +74,7 @@ class QuasiLinearForm:
 
     def eval_on_set(self, mask):
         """F of the max-plus indicator of a node set; empty set gives -inf."""
-        return self.evaluate(indicator(self.grid, _to_mask(self.grid, mask)))
-
-
-def _to_mask(grid, mask):
-    m = np.asarray(mask)
-    if m.dtype == bool:
-        return m.reshape(-1)
-    out = np.zeros(grid.size, dtype=bool)
-    out[m.astype(np.int64).reshape(-1)] = True
-    return out
+        return self.evaluate(indicator(self.grid, node_mask(self.grid, mask)))
 
 
 def _affine_gridfn(grid, slope, intercept):
@@ -114,7 +106,7 @@ class MaxPlusForm(QuasiLinearForm):
         return float(otimes(phi.flat, -self.density.flat).max())
 
     def eval_on_set(self, mask):
-        m = _to_mask(self.grid, mask)
+        m = node_mask(self.grid, mask)
         if not m.any():
             return NEG_INF
         return float(-self.density.flat[m].min())
@@ -161,7 +153,7 @@ class LogIntegralForm(QuasiLinearForm):
         return _eps_scale(self.epsilon, logsumexp_weighted(t))
 
     def eval_on_set(self, mask):
-        m = _to_mask(self.grid, mask)
+        m = node_mask(self.grid, mask)
         return _eps_scale(self.epsilon, logsumexp_weighted(self._log_w[m]))
 
 

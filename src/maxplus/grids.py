@@ -187,6 +187,19 @@ def indicator(grid, mask):
     return GridFn(grid, vals)
 
 
+def node_mask(grid, nodes):
+    """Flat bool mask of a node set: a bool mask, an index list, or None
+    for every node.  A bool mask comes back as a view."""
+    if nodes is None:
+        return np.ones(grid.size, dtype=bool)
+    nodes = np.asarray(nodes)
+    if nodes.dtype == bool:
+        return nodes.reshape(-1)
+    mask = np.zeros(grid.size, dtype=bool)
+    mask[nodes.reshape(-1).astype(np.int64)] = True
+    return mask
+
+
 def require_same_grid(fn, grid, what):
     if fn.grid != grid:
         raise GridMismatchError(what, grid, fn.grid)

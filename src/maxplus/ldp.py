@@ -23,12 +23,15 @@ from .conjugacy import (
     EVIDENCE,
     CoercivityReport,
     Kernel,
-    VIOLATION,
     coercivity_report,
     inner_window_mask,
-    superlevel_compactness_report,
 )
-from .covering import build_covering, lifted_candidate, quasicontinuity_check
+from .covering import (
+    AssumptionEvidence,
+    assumption_evidence,
+    build_covering,
+    lifted_candidate,
+)
 from .convergence import trend_pairs
 from .errors import ValidationError
 from .forms import MaxPlusForm
@@ -215,31 +218,13 @@ def tightness_criterion(
 
 
 @dataclass(frozen=True)
-class AssumptionEvidence:
-    coercive: str
-    upper_coercive: str
-    dual_superlevel_compact: str
-    quasicontinuous_dual: bool
-    tightness: TightnessCriterion
-
-    @property
-    def bounds_ready(self):
-        """Evidence backing the one-sided deviation bounds."""
-        return (
-            self.upper_coercive == EVIDENCE
-            and (self.coercive == EVIDENCE or self.dual_superlevel_compact == EVIDENCE)
-            and self.quasicontinuous_dual
-            and self.tightness.holds
-        )
-
-
-@dataclass(frozen=True)
 class GartnerOutput:
     log_moment: GridFn  # g on the X-grid
     rate_lower: GridFn  # dual conjugate of g on the Y-grid
     pinned: np.ndarray  # y-nodes where the rate is identified
     verdict: str
     assumptions: AssumptionEvidence
+    tightness: TightnessCriterion
     covering: object
     limit_form: MaxPlusForm  # max-plus form with the candidate rate density
     diagnostics: LimitDiagnostics
@@ -276,23 +261,24 @@ def pipeline(
     tight = tightness_criterion(
         k, g, window_margin=window_margin, sides=sides, x_sides=x_sides, _masks=masks,
     )
-    co = tight.coercivity
-    fc = superlevel_compactness_report(density, k, window_margin, sides=sides)
     # sampled-smooth rate candidates close with O(h^2 curvature) gaps; a
     # one-step tolerance keeps them quasi-continuous while spikes still fail
-    qc_ok, _ = quasicontinuity_check(density, tol=k.y_grid.step(0))
-    assumptions = AssumptionEvidence(
-        coercive=EVIDENCE if co.all_coercive else VIOLATION,
-        upper_coercive=EVIDENCE if co.all_upper_coercive else VIOLATION,
-        dual_superlevel_compact=EVIDENCE if fc.all_evidence else VIOLATION,
-        quasicontinuous_dual=qc_ok,
-        tightness=tight,
+    ev = assumption_evidence(
+        tight.coercivity, density, k, window_margin, sides=sides,
+        closing_radius=1, closing_tol=k.y_grid.step(0),
+    )
+    # the evidence backing the one-sided deviation bounds
+    bounds_ready = (
+        ev.upper_coercive == EVIDENCE
+        and (ev.coercive == EVIDENCE or ev.dual_superlevel_compact == EVIDENCE)
+        and ev.quasicontinuous_dual
+        and tight.holds
     )
 
     limits_ok = gartner_input.mode == "limit-asserted" and not diag.downgraded
-    if cov.covered and cov.minimal_top and limits_ok and assumptions.bounds_ready:
+    if cov.covered and cov.minimal_top and limits_ok and bounds_ready:
         verdict = FULL_LDP
-    elif assumptions.bounds_ready:
+    elif bounds_ready:
         verdict = BOUNDS_ONLY
     else:
         verdict = INCONCLUSIVE
@@ -302,7 +288,8 @@ def pipeline(
         rate_lower=rate,
         pinned=cov.pinned,
         verdict=verdict,
-        assumptions=assumptions,
+        assumptions=ev,
+        tightness=tight,
         covering=cov,
         limit_form=fbar,
         diagnostics=diag,

@@ -29,10 +29,8 @@ from ._normal import log_gauss_mass, log_mgf_piecewise_linear, mask_runs
 from .convergence import FormSequence, trend_limit
 from .conjugacy import Kernel
 from .errors import ValidationError
-from .forms import QuasiLinearForm, _to_mask
-from .grids import NEG_INF, POS_INF, Grid
-
-LOG2 = float(np.log(2.0))
+from .forms import LOG2, QuasiLinearForm
+from .grids import NEG_INF, POS_INF, Grid, node_mask
 
 
 @dataclass(frozen=True)
@@ -263,7 +261,7 @@ class MertonValueForm(QuasiLinearForm):
     def eval_on_set(self, mask):
         if self.lookup_grid is None:
             raise ValidationError("set evaluation needs a lookup grid")
-        runs = mask_runs(self.lookup_grid, _to_mask(self.lookup_grid, mask))
+        runs = mask_runs(self.lookup_grid, node_mask(self.lookup_grid, mask))
         mu, sd = self._law()
         T = self.horizon
         if self.clip_floor is None:
@@ -286,6 +284,8 @@ class MertonValueForm(QuasiLinearForm):
         m = max(terms)
         if m == NEG_INF:
             return NEG_INF
+        # libm and a sequential sum, not forms.logsumexp_weighted: numpy's
+        # vectorised exp, log and pairwise sum can differ in the last bit
         lp = m + math.log(sum(math.exp(t - m) for t in terms))
         return lp / T
 

@@ -686,6 +686,28 @@ def test_covering_xprime_selects_target_nodes(tmp_path):
     assert out["existence"] == "YES"
 
 
+@pytest.mark.parametrize("finite_exact", [True, False], ids=["finite-exact", "sampled"])
+def test_covering_radius_beyond_the_grid_acts_as_the_whole_grid(
+    tmp_path, capsys, finite_exact
+):
+    # every axis has 3 nodes, so from radius 3 on each ball holds the grid;
+    # a huge radius neither loops over it nor overflows int64
+    obj = json.loads((SCENARIOS / "covering_identity.json").read_text())
+    obj["config"] = {"assume_finite_exact": finite_exact}
+    runs = []
+    for radius in (3, 10**12, 10**30):
+        obj["config"]["stencil_radius"] = radius
+        cfg = tmp_path / "radius.json"
+        cfg.write_text(json.dumps(obj))
+        out_dir = tmp_path / str(radius)
+        t0 = time.perf_counter()
+        assert run(["covering", "--config", cfg, "--out-dir", out_dir, "--summary"]) == 0
+        assert time.perf_counter() - t0 < 2.0
+        stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
+        runs.append(((out_dir / "covering_out.json").read_bytes(), stdout))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 @pytest.mark.parametrize("field, value", [
     ("window_margin", 0.1), ("closed_below", True), ("closed_above", [False]),
 ])

@@ -5,7 +5,9 @@ search of ``tightness_criterion`` run as array code over blocks of
 X-rows.  Each report must equal, field by field, what the per-row loops
 in ``tests/oracles.py`` return: on table kernels with sprinkled -inf, on
 1-D and 2-D bilinear kernels, on single-node axes, and at row counts
-on both sides of the dense block edges.  No RuntimeWarning may fire.
+on both sides of the dense block edges.  The assumption labels that
+``covering.verdict`` and ``ldp.pipeline`` read from these reports must be
+the per-row loops' labels too.  No RuntimeWarning may fire.
 """
 
 import numpy as np
@@ -13,9 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxplus import Grid, GridFn, Kernel, WindowSides, _kernels, tightness_criterion
+from maxplus import (
+    CoveringConfig,
+    GartnerInput,
+    Grid,
+    GridFn,
+    Kernel,
+    MaxPlusForm,
+    WindowSides,
+    _kernels,
+    pipeline,
+    quasicontinuity_check,
+    tightness_criterion,
+    verdict,
+)
 from maxplus.conjugacy import (
     EDGE,
+    EVIDENCE,
     VIOLATION,
     _row_blocks,
     _row_quantiles,
@@ -24,8 +40,10 @@ from maxplus.conjugacy import (
     inner_window_mask,
     superlevel_compactness_report,
 )
-from maxplus.covering import lifted_candidate
+from maxplus.covering import AssumptionEvidence, lifted_candidate
+from conftest import dyadic, random_kernel_and_g
 from oracles import (
+    constant_sequence,
     slow_coercivity_report,
     slow_superlevel_compactness_report,
     slow_tightness_witness,
@@ -330,6 +348,53 @@ def test_windows_without_inner_or_ring(case, window, radius):
     assert_reports_equal(k, f, radius=radius, sides=sides)
     if window == "no inner":
         assert all(v in (EDGE, VIOLATION) for v in coercivity_report(k, 0.1).coercive)
+
+
+# ---------------------------------------------------------------------------
+# the assumption labels of covering.verdict and ldp.pipeline
+# ---------------------------------------------------------------------------
+
+def oracle_evidence(k, cand, *, radius, sides, x_sides, closing_tol):
+    """The labels of the per-row reports and the candidate's closing."""
+    co = slow_coercivity_report(k, 0.1, stencil_radius=radius, sides=sides, x_sides=x_sides)
+    fc = slow_superlevel_compactness_report(cand, k, 0.1, sides=sides)
+    label = {True: EVIDENCE, False: VIOLATION}
+    return AssumptionEvidence(
+        coercive=label[co.all_coercive],
+        upper_coercive=label[co.all_upper_coercive],
+        dual_superlevel_compact=label[fc.all_evidence],
+        quasicontinuous_dual=quasicontinuity_check(cand, radius, closing_tol)[0],
+    )
+
+
+@pytest.mark.parametrize("sides", ["open", "closed"])
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_verdict_assumptions_are_the_oracle_labels(rng, radius, sides):
+    # the closing is held to tolerance 0; verdict samples no X-sides
+    for _ in range(25):
+        k, g = random_kernel_and_g(rng)
+        cfg = CoveringConfig(stencil_radius=radius, sides=SIDES[sides])
+        cand = lifted_candidate(conjugate(g, k.transpose()))
+        assert verdict(g, k, None, cfg).assumptions == oracle_evidence(
+            k, cand, radius=radius, sides=SIDES[sides], x_sides=None, closing_tol=0.0
+        )
+
+
+@pytest.mark.parametrize("sides", ["open", "closed"])
+def test_pipeline_assumptions_are_the_oracle_labels(rng, sides):
+    # radius 1 throughout, the closing held to one Y-grid step
+    for _ in range(25):
+        k, _ = random_kernel_and_g(rng)
+        f = dyadic(rng, k.y_grid.size)
+        f[rng.random(f.size) < 0.15] = POS
+        gin = GartnerInput(
+            (constant_sequence(MaxPlusForm(GridFn(k.y_grid, f)), (1, 2, 3)),), k
+        )
+        out = pipeline(gin, sides=SIDES[sides], x_sides=SIDES[sides])
+        assert out.assumptions == oracle_evidence(
+            k, lifted_candidate(out.rate_lower), radius=1, sides=SIDES[sides],
+            x_sides=SIDES[sides], closing_tol=k.y_grid.step(0),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_gaussian_pipeline_full_identification():
     # interior nodes are pinned (identified)
     pinned = set(out.pinned.tolist())
     assert all(i in pinned for i in range(1, 100))
-    assert out.assumptions.tightness.holds
+    assert out.tightness.holds
 
 
 def test_gaussian_pipeline_needs_asserted_limits_for_full():
@@ -122,7 +122,7 @@ def test_pipeline_computes_coercivity_once(monkeypatch):
     a = out.assumptions
     assert (a.coercive, a.upper_coercive) == ("EVIDENCE", "EVIDENCE")
     assert (a.dual_superlevel_compact, a.quasicontinuous_dual) == ("VIOLATION", True)
-    t = a.tightness
+    t = out.tightness
     assert (t.holds, t.witness, t.coercivity.all_coercive) == (True, 50, True)
     assert t.coercivity == slow_coercivity_report(gin.kernel, 0.1)
     assert "coercivity" not in repr(t)
@@ -243,9 +243,9 @@ def test_merton_pinned_set_sits_above_threshold(merton_out):
 
 def test_merton_bounds_only_with_display_inequalities(merton_out):
     assert merton_out.verdict == "BOUNDS_ONLY"
-    assert merton_out.assumptions.tightness.holds
+    assert merton_out.tightness.holds
     xg, _ = merton_grids()
-    assert xg.coords[merton_out.assumptions.tightness.witness] == 0.0
+    assert xg.coords[merton_out.tightness.witness] == 0.0
     # upper deviation bound on a closed tail set evaluates to -g*(c)
     _, yg = merton_grids()
     fbar = merton_out.limit_form
