@@ -11,18 +11,31 @@ place.  Each block evaluates every term with the same floating-point
 expression as a one-shot dense evaluation, so the blocked results are
 bit-identical to it.
 
-The other two kernels skip most terms and stay bit-exact by a proved
-rounding bound.  The 2-D bilinear action bounds each Y-row's best term
-with a 1-D partial transform and evaluates only the rows that can hold
-the maximum; it keeps chunks of ``_CHUNK_ROWS`` X-nodes, since its
+Three kernels skip most terms and stay bit-exact by a proved rounding
+bound.  The envelope merge gives every line an interval of x outside
+which a neighbouring hull line beats it after rounding, and evaluates
+each x only against the lines whose interval holds it.  The 1-D bilinear
+action is that merge above ``_ENVELOPE_ROWS`` X-nodes, and the dense
+sweep at or below it.  The 2-D bilinear action bounds each Y-row's best
+term with a 1-D partial transform and evaluates only the rows that can
+hold the maximum; it keeps chunks of ``_CHUNK_ROWS`` X-nodes, since its
 temporaries are per-row estimates and candidate cells rather than dense
-|Y|-wide slabs.  The envelope merge gives every line an interval of x
-outside which a neighbouring hull line beats it after rounding, and
-evaluates each x only against the lines whose interval holds it.
+|Y|-wide slabs.
+
+The crossover is a count of X-nodes, not of cells.  Measured with numpy
+2.4 on a 2-core x86-64 host, the dense sweep costs about 1.3 ns a cell
+and the merge about 77 us, plus 0.78 us a line (the hull pass over
+Python lists) and 0.012 us an x: a line costs as much as about 600
+dense cells, so the merge pays once |X| is past a few hundred, whatever
+|Y| is.  On 56 shapes (32 to 8192 X-nodes, 2 to 8192 Y-nodes), each
+with a convex and a random f, taking the merge above 512 X-nodes was at
+most 1.9 times slower than the faster path, and each cell-count
+crossover tried (2**14 to 2**18 cells) was 8 times slower or worse on
+some shape.
 
 Conventions: values are float64 where -inf is the max-plus zero and is
-absorbing for addition; kernels never contain +inf; no NaN ever enters
-(callers validate).
+absorbing for addition, also against a product that overflows to +inf;
+kernels never contain +inf; no NaN ever enters (callers validate).
 """
 
 import numpy as np
@@ -31,6 +44,7 @@ _CELL_BUDGET = 2**17  # float64 cells per dense block (1 MiB)
 _CHUNK_ROWS = 256  # X-nodes per chunk of the pruned 2-D action
 _U = 2.0**-53  # unit roundoff
 _SLACK = 5 * _U  # 2-D pruning: delta per unit of magnitude
+_ENVELOPE_ROWS = 512  # the 1-D bilinear action merges envelopes above this |X|
 
 
 def block_rows(ny):
@@ -59,16 +73,48 @@ def matvec_table(table, neg_f):
 
 
 def matvec_bilinear(x, y, neg_f):
-    """Row-wise max of x[i]*y[j] + neg_f[j]; products are always finite."""
+    """Row-wise max of x[i]*y[j] + neg_f[j], bit-identical to the dense sweep.
+
+    Above ``_ENVELOPE_ROWS`` X-nodes, with x and y non-decreasing (grid
+    coordinates always are), the maxima come from ``envelope_merge(y,
+    neg_f, x)``, which evaluates about |X| + |Y| candidate cells with the
+    dense expression; otherwise from ``_dense_bilinear``, which evaluates
+    every cell.  A +inf in neg_f (an f with a -inf node) gives +inf
+    everywhere; a -inf term (f = +inf) absorbs a product that overflows.
+    """
+    if np.isposinf(neg_f).any():
+        return np.full(x.shape[0], np.inf)
+    if x.shape[0] > _ENVELOPE_ROWS and _nondecreasing(x) and _nondecreasing(y):
+        return envelope_merge(y, neg_f, x)
+    return _dense_bilinear(x, y, neg_f)
+
+
+def _nondecreasing(a):
+    return bool((a[1:] >= a[:-1]).all())
+
+
+def _dense_bilinear(x, y, neg_f):
+    """Row-wise max of x[i]*y[j] + neg_f[j] over every cell, in blocks.
+
+    neg_f holds no +inf.  A product can overflow to +inf only past the
+    float range; at a -inf term the sum is then NaN, and such cells are
+    set to -inf, the absorbing zero.  Every other cell is the one-shot
+    dense expression.
+    """
     nx = x.shape[0]
     out = np.empty(nx)
     step = min(block_rows(y.shape[0]), nx)
     buf = np.empty((step, y.shape[0]))  # one block, reused
+    with np.errstate(over="ignore"):
+        absorb = np.isinf(np.abs(x).max() * np.abs(y).max()) and np.isneginf(neg_f).any()
     for lo in range(0, nx, step):
         hi = min(lo + step, nx)
         t = buf[: hi - lo]
-        np.multiply.outer(x[lo:hi], y, out=t)
-        t += neg_f
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply.outer(x[lo:hi], y, out=t)
+            t += neg_f
+        if absorb:
+            t[np.isnan(t)] = -np.inf
         t.max(axis=1, out=out[lo:hi])
     return out
 
@@ -97,15 +143,19 @@ def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
     comparing the two never drops such a row.  Those rows are evaluated
     with the dense expression, which makes every result bit-exact.
 
-    Degenerate cases: with +inf in neg_f every x with a finite delta has
-    a finite A + B meeting it, so the max is +inf; where delta is not
-    finite (magnitudes overflow) every row is a candidate, which is the
-    dense sweep.  A max equal to 0 is recomputed from its full dense row,
-    because the sign numpy gives a tie of +0 and -0 depends on the order
-    of the cells.  X is handled in chunks of ``_CHUNK_ROWS`` nodes sorted
-    by x1, so no temporary holds more than a dense chunk's cells.
+    Degenerate cases: a +inf in neg_f gives +inf everywhere, as it does
+    in every dense result that is not NaN.  Where delta is not finite
+    (magnitudes overflow) every row is a candidate, which is the dense
+    sweep, except that a -inf term (f = +inf) absorbs a sum that
+    overflows to +inf instead of giving NaN.  A max equal to 0 is
+    recomputed from its full dense row, because the sign numpy gives a
+    tie of +0 and -0 depends on the order of the cells.  X is handled in
+    chunks of ``_CHUNK_ROWS`` nodes sorted by x1, so no temporary holds
+    more than a dense chunk's cells.
     """
     nx = x0.shape[0]
+    if np.isposinf(neg_f).any():
+        return np.full(nx, np.inf)
     out = np.empty(nx)
     with np.errstate(over="ignore", invalid="ignore"):
         c = np.abs(neg_f[np.isfinite(neg_f)])
@@ -114,10 +164,9 @@ def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
         )
         window = 2 * _SLACK * mag  # 2 delta per x
     bounded = np.isfinite(window)
+    ninf = np.isneginf(neg_f)
+    absorb = not bounded.all() and ninf.any()  # only there can sums overflow
     todo = np.arange(nx)
-    if np.isposinf(neg_f).any():
-        out[bounded] = np.inf
-        todo = todo[~bounded]
 
     u0, row_of = np.unique(y0, return_inverse=True)
     order = np.argsort(row_of, kind="stable")  # Y-nodes grouped by row
@@ -150,6 +199,8 @@ def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
         xb = np.repeat(x1[idx[xi]], n)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = (xa * y0_rows[at] + xb * y1_rows[at]) + neg_f_rows[at]
+        if absorb:
+            vals[np.isneginf(neg_f_rows[at])] = -np.inf
         new_x = np.flatnonzero(np.diff(xi, prepend=-1))
         best = np.full(idx.size, -np.inf)  # no candidate: every cell is -inf
         if new_x.size:
@@ -158,8 +209,10 @@ def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
         zero = best == 0
         if zero.any():
             z = idx[zero]
-            t = np.multiply.outer(x0[z], y0) + np.multiply.outer(x1[z], y1)
-            t += neg_f[None, :]
+            with np.errstate(over="ignore", invalid="ignore"):
+                t = np.multiply.outer(x0[z], y0) + np.multiply.outer(x1[z], y1)
+                t += neg_f[None, :]
+            t[:, ninf] = -np.inf
             best[zero] = t.max(axis=1)
         out[idx] = best
     return out
@@ -168,7 +221,7 @@ def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
 def envelope_merge(slopes, icepts, xs):
     """Max over the lines x -> fl(x*s) + c at each of the sorted xs.
 
-    Bit-identical to the dense max over all lines (``matvec_bilinear(xs,
+    Bit-identical to the dense max over all lines (``_dense_bilinear(xs,
     slopes, icepts)``).  ``slopes`` are non-decreasing and finite, ``icepts``
     lie in R ∪ {-inf} (a -inf line is -inf everywhere and never wins).
 
@@ -204,7 +257,8 @@ def envelope_merge(slopes, icepts, xs):
     for lines in general position there are about |lines| + |xs| of them.
 
     Degenerate cases: where 4(M + max|s|) overflows, (1) and the bounds
-    fail, so every line is a candidate at every x; candidates are
+    fail, so every line is a candidate at every x (a -inf line is never
+    one, which is the dense sweep's absorbing rule); candidates are
     evaluated a cell budget at a time, so memory stays bounded however
     many there are.  A max equal to 0 is recomputed from its full dense
     row, because the sign numpy gives a tie of +0 and -0 depends on the
@@ -240,11 +294,12 @@ def envelope_merge(slopes, icepts, xs):
         k = n[a:b]
         line = np.repeat(np.arange(a, b), k)
         node = np.arange(line.size) + np.repeat(first[a:b] - (np.cumsum(k) - k), k)
-        np.maximum.at(out, node, xs[node] * s[line] + c[line])
+        with np.errstate(over="ignore"):
+            np.maximum.at(out, node, xs[node] * s[line] + c[line])
 
     zero = np.flatnonzero(out == 0)
     if zero.size:
-        out[zero] = matvec_bilinear(xs[zero], slopes, icepts)
+        out[zero] = _dense_bilinear(xs[zero], slopes, icepts)
     return out
 
 

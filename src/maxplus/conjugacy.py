@@ -162,13 +162,16 @@ def conjugate(f, k):
 def legendre_fast(f, x_grid):
     """Legendre-Fenchel transform of a 1-D grid function in O(|X| + |Y|).
 
-    Bit-identical to ``conjugate(f, Kernel.bilinear(x_grid, f.grid))``:
-    the lines y ↦ (slope y, intercept -f(y)) go through the upper-envelope
-    merge, which evaluates its candidates with the dense path's float
-    expression (see ``_kernels.envelope_merge``).  An f with a -inf node
-    gives +inf everywhere, as the dense path does.  The one input on which
-    the two paths differ is an f that is +inf everywhere: the dense path
-    returns -inf everywhere, this one raises ``ValidationError``.
+    Bit-identical to ``conjugate(f, Kernel.bilinear(x_grid, f.grid))``,
+    products that overflow included: the lines y ↦ (slope y, intercept
+    -f(y)) go through the upper-envelope merge, which ``conjugate`` also
+    takes above ``_kernels._ENVELOPE_ROWS`` X-nodes and which evaluates its
+    candidates with the dense sweep's float expression (see
+    ``_kernels.envelope_merge``).  This function takes the merge at every
+    size.  An f with a -inf node gives +inf everywhere, as ``conjugate``
+    does.  The one input on which the two differ is an f that is +inf
+    everywhere: ``conjugate`` returns -inf everywhere, this one raises
+    ``ValidationError``.
     """
     if f.grid.dim != 1 or x_grid.dim != 1:
         raise ValidationError("legendre_fast handles 1-D grids only")

@@ -50,6 +50,27 @@ def slow_bilinear_conjugate(xs, ys, f):
     return out
 
 
+def dense_matvec_bilinear(x, y, neg_f):
+    """The 1-D bilinear action over every cell, in blocks of 2**17 cells.
+
+    This was the library's kernel before it merged upper envelopes above
+    a crossover; it stays as the oracle that the merge and the library's
+    own dense sweep must match bit for bit, signed zeros included.  It
+    has no absorbing rule: a +inf product meeting f = +inf gives NaN.
+    """
+    nx = x.shape[0]
+    out = np.empty(nx)
+    step = min(max(1, 2**17 // y.shape[0]), nx)
+    buf = np.empty((step, y.shape[0]))  # one block, reused
+    for lo in range(0, nx, step):
+        hi = min(lo + step, nx)
+        t = buf[: hi - lo]
+        np.multiply.outer(x[lo:hi], y, out=t)
+        t += neg_f
+        t.max(axis=1, out=out[lo:hi])
+    return out
+
+
 def dense_bilinear_2d(x0, x1, y0, y1, neg_f, chunk=256):
     """The 2-D bilinear action over every cell, in chunks of X-rows.
 

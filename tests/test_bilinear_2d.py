@@ -154,6 +154,24 @@ def test_large_f_magnitudes(rng):
     assert_bits_equal(x0, x1, y0, y1, neg_f)
 
 
+def test_overflowing_sums_meet_plus_inf_f(rng):
+    # x0*y0 overflows while x1*y1 stays finite, so some sums are +inf; the
+    # dense sweep gave NaN where one met f = +inf, the action takes -inf
+    x0, x1 = product(np.linspace(-1e200, 1e200, 5), np.linspace(-1, 1, 3))
+    y0, y1 = product(np.linspace(-1e200, 1e200, 4), np.linspace(-1, 1, 3))
+    neg_f = rng.uniform(-1, 1, y0.size)
+    neg_f[[0, 5, 11]] = NEG
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(dense_bilinear_2d(x0, x1, y0, y1, neg_f)).any()
+        t = np.multiply.outer(x0, y0) + np.multiply.outer(x1, y1)
+        t += neg_f[None, :]
+    t[:, np.isneginf(neg_f)] = NEG
+    want = t.max(axis=1)
+    got = _kernels.matvec_bilinear_2d(x0, x1, y0, y1, neg_f)
+    assert not np.isnan(want).any()
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_slack_covers_the_proved_bound():
     # the docstring's argument: |D - E| <= (4 + 2u)u M per cell, with room
     # for rounding M and the window in floats

@@ -489,6 +489,25 @@ def test_conjugate_fast_with_neg_inf_and_no_finite_value(tmp_path, values):
     assert json.loads(fast_bytes)["values"] == ["+inf"] * 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_conjugate_fast_and_dense_agree_where_products_overflow(tmp_path):
+    # grid bounds near 1e200 and f = +inf nodes: the dense action once met
+    # a +inf product with a -inf term, printed NaN warnings and exited 3
+    line = {"lo": -1e200, "hi": 1e200, "n": 5, "dim": 1}
+    values = ["+inf", 0.0, 1.0, 0.0, "+inf"]
+    for fast in (True, False):
+        cfg = tmp_path / f"fast_{fast}.json"
+        cfg.write_text(json.dumps({
+            "kind": "conjugate", "x_grid": line, "y_grid": line,
+            "kernel": {"type": "bilinear"}, "f": {"grid": line, "values": values},
+            "fast": fast, "out": f"out_{fast}.json",
+        }))
+        assert run(["conjugate", "--config", cfg, "--out-dir", tmp_path]) == 0
+    fast_bytes = (tmp_path / "out_True.json").read_bytes()
+    assert fast_bytes == (tmp_path / "out_False.json").read_bytes()
+    assert json.loads(fast_bytes)["values"] == ["+inf", "+inf", 0.0, "+inf", "+inf"]
+
+
 MALFORMED_MERTON_FIELDS = [
     ("paths", 200.7, "paths is a JSON integer"),
     ("paths", "200", "paths is a JSON integer"),

@@ -22,7 +22,7 @@ from maxplus import (
     superlevel_compactness_report,
 )
 from maxplus import _kernels
-from oracles import slow_conjugate, slow_envelope_merge
+from oracles import dense_matvec_bilinear, slow_conjugate, slow_envelope_merge
 
 NEG = NEG_INF
 POS = POS_INF
@@ -309,6 +309,7 @@ def test_dense_actions_hold_one_block(rng):
     table = np.broadcast_to(y, (n, n))  # the table's rows, without 128 MiB of them
     limit = 1.5 * BUDGET * 8 + n * 8  # 1.5 blocks plus the output
     for action, args in ((_kernels.matvec_bilinear, (x, y, neg_f)),
+                         (_kernels._dense_bilinear, (x, y, neg_f)),
                          (_kernels.matvec_table, (table, neg_f))):
         tracemalloc.start()
         try:
@@ -477,6 +478,173 @@ def test_legendre_fast_matches_dense_with_plus_inf_nodes_and_zero_ties(rng):
         fast = legendre_fast(f, xg).values
         dense = conjugate(f, Kernel.bilinear(xg, yg)).values
         assert np.array_equal(fast.view(np.uint64), dense.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# 1-D bilinear action: the envelope merge above the crossover, bit for bit
+# ---------------------------------------------------------------------------
+
+ROWS = _kernels._ENVELOPE_ROWS  # X-nodes above which the action merges envelopes
+
+
+def assert_action_exact(x, y, neg_f, want=None):
+    got = _kernels.matvec_bilinear(x, y, neg_f)
+    if want is None:
+        want = dense_matvec_bilinear(x, y, neg_f)
+    diff = got.view(np.uint64) != want.view(np.uint64)
+    assert not diff.any(), (x[diff][:3], got[diff][:3], want[diff][:3])
+    return got
+
+
+@pytest.fixture
+def merges(monkeypatch):
+    """The |X| of every envelope merge that ``matvec_bilinear`` takes."""
+    calls = []
+    merge = _kernels.envelope_merge
+
+    def counted(slopes, icepts, xs):
+        calls.append(xs.shape[0])
+        return merge(slopes, icepts, xs)
+
+    monkeypatch.setattr(_kernels, "envelope_merge", counted)
+    return calls
+
+
+@pytest.mark.parametrize("nx", [ROWS, ROWS + 1])
+def test_action_at_the_crossover(rng, merges, nx):
+    x = np.sort(rng.uniform(-3, 3, nx))
+    y = np.linspace(-2, 2, 97)
+    assert_action_exact(x, y, kernel_neg_f(rng, 97))
+    assert merges == ([nx] if nx > ROWS else [])
+
+
+@pytest.mark.parametrize("unsorted", ["x", "y"])
+def test_action_unsorted_takes_the_dense_sweep(rng, merges, unsorted):
+    x = np.sort(rng.uniform(-3, 3, 2 * ROWS))
+    y = np.linspace(-2, 2, 97)
+    if unsorted == "x":
+        x = rng.permutation(x)
+    else:
+        y = rng.permutation(y)
+    assert_action_exact(x, y, kernel_neg_f(rng, 97))
+    assert merges == []
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 97), (2 * ROWS, 1)], ids=["one x", "one y"])
+def test_action_one_node_axes(rng, merges, nx, ny):
+    x = np.sort(rng.uniform(-3, 3, nx))
+    y = np.sort(rng.uniform(-2, 2, ny))
+    assert_action_exact(x, y, rng.uniform(-5, 5, ny))
+    assert len(merges) == (nx > ROWS)
+
+
+@pytest.mark.parametrize("case", ["all -inf", "one +inf"])
+def test_action_infinite_neg_f(rng, case):
+    y = np.linspace(-2, 2, 97)
+    for nx in (ROWS, ROWS + 1):
+        x = np.sort(rng.uniform(-3, 3, nx))
+        if case == "all -inf":
+            neg_f = np.full(97, NEG)
+        else:
+            neg_f = kernel_neg_f(rng, 97)
+            neg_f[40] = POS
+        got = assert_action_exact(x, y, neg_f)
+        assert np.all(got == (NEG if case == "all -inf" else POS))
+
+
+@pytest.mark.parametrize("f_zero", [0.0, -0.0])
+def test_action_signed_zero_ties_above_the_crossover(rng, merges, f_zero):
+    x = np.sort(np.concatenate([rng.uniform(-3, 3, ROWS), np.zeros(9)]))
+    zeros = np.flatnonzero(x == 0)
+    x[zeros] = rng.choice([0.0, -0.0], zeros.size)  # still non-decreasing
+    y = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    for pattern in range(1, 2**y.size):
+        # f = f_zero on the chosen nodes and 1 (then +inf) elsewhere
+        chosen = (pattern >> np.arange(y.size)) & 1 == 1
+        neg_f = np.where(chosen, -f_zero, -1.0)
+        assert_action_exact(x, y, neg_f)
+        neg_f[~chosen] = NEG
+        assert_action_exact(x, y, neg_f)
+    assert merges == [x.size] * 2 * (2**y.size - 1)
+
+
+@pytest.mark.parametrize("case", ["products", "intercepts"])
+def test_action_where_the_envelope_bound_overflows(rng, merges, case):
+    # 4(M + max|y|) overflows, so the merge takes every line at every x
+    nx, ny = ROWS + 1, 33
+    if case == "products":  # some products overflow to +-inf as well
+        x, y = np.linspace(-1e200, 1e200, nx), np.linspace(-1e200, 1e200, ny)
+        neg_f = rng.uniform(-1, 1, ny)
+    else:
+        x, y = np.sort(rng.uniform(-3, 3, nx)), np.linspace(-2, 2, ny)
+        neg_f = rng.uniform(-1, 1, ny) * 1e308
+    with np.errstate(over="ignore"):
+        want = dense_matvec_bilinear(x, y, neg_f)
+    assert_action_exact(x, y, neg_f, want)
+    assert merges == [nx]
+
+
+def absorbing_dense(x, y, neg_f):
+    """The dense 1-D action with a -inf term (f = +inf) absorbing every product."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.multiply.outer(x, y) + neg_f
+    t[:, np.isneginf(neg_f)] = NEG
+    return t.max(axis=1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("nx", [5, ROWS + 1])
+def test_action_overflowing_products_meet_plus_inf_f(rng, nx):
+    x = np.linspace(-1e200, 1e200, nx)
+    for y, neg_f in (
+        (np.linspace(-1e200, 1e200, 5), np.array([NEG, -0.0, -1.0, -0.0, NEG])),
+        (np.linspace(-1e200, 1e200, 41), np.where(rng.random(41) < 0.2, NEG, rng.uniform(-1, 1, 41))),
+    ):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(dense_matvec_bilinear(x, y, neg_f)).any()  # the former result
+        want = absorbing_dense(x, y, neg_f)
+        assert not np.isnan(want).any()
+        assert_action_exact(x, y, neg_f, want)
+        dense = _kernels._dense_bilinear(x, y, neg_f)
+        assert np.array_equal(dense.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def action_inputs(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+
+    def axis(n, scale):
+        kind = draw(st.sampled_from(["uniform", "grid", "half-integer"]))
+        if kind == "uniform":
+            return np.sort(rng.uniform(-scale, scale, n))
+        if kind == "grid":
+            return Grid.line(-scale, scale, n).coords if n > 1 else np.array([scale])
+        a = np.sort(rng.integers(-4, 5, n) / 2.0)
+        zeros = np.flatnonzero(a == 0)
+        a[zeros] = rng.choice([0.0, -0.0], zeros.size)  # ±0 ties
+        return a
+
+    x = axis(draw(st.integers(ROWS + 1, ROWS + 200)), 3.0)
+    y = axis(draw(st.integers(1, 60)), 2.0)
+    kind = draw(st.sampled_from(["uniform", "quantized", "convex", "zero"]))
+    if kind == "uniform":
+        f = rng.uniform(-4, 4, y.size)
+    elif kind == "quantized":
+        f = rng.integers(-4, 5, y.size) / 4.0
+    elif kind == "convex":
+        f = np.round(y * y / 2, 1)
+    else:
+        f = rng.choice([0.0, -0.0], y.size)
+    if draw(st.booleans()):
+        f[rng.random(y.size) < 0.2] = POS
+    return x, y, -f
+
+
+@settings(max_examples=150, deadline=None)
+@given(action_inputs())
+def test_action_property_above_the_crossover(case):
+    assert_action_exact(*case)
 
 
 # ---------------------------------------------------------------------------
