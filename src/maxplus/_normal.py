@@ -121,18 +121,9 @@ def log_mgf_piecewise_linear(coords, values, scale, mu, sd, state_floor=None):
 
 def mask_runs(grid, mask):
     """Coordinate intervals of the maximal contiguous runs of a 1-D mask."""
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
+    padded = np.zeros(np.size(mask) + 2, dtype=bool)
+    padded[1:-1] = np.asarray(mask, dtype=bool).reshape(-1)
+    # a run starts and ends where the padded mask changes (its np.diff)
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
     c = grid.coords
-    runs = []
-    i = 0
-    n = mask.size
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            runs.append((float(c[i]), float(c[j])))
-            i = j + 1
-        else:
-            i += 1
-    return runs
+    return list(zip(c[edges[::2]].tolist(), c[edges[1::2] - 1].tolist()))

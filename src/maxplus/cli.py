@@ -40,6 +40,7 @@ from .serialize import (
     gridfn_to_json,
     kernel_from_json,
     num_to_json,
+    values_to_json,
 )
 
 
@@ -304,12 +305,11 @@ def _run_ldp(obj, out_dir, summary):
         sup_edge_to_inf=sup_edge_to_inf,
     )
 
-    pinned = set(out.pinned.tolist())
     payload = {
         "verdict": out.verdict,
         "log_moment": gridfn_to_json(out.log_moment),
         "rate_lower": gridfn_to_json(out.rate_lower),
-        "pinned": sorted(pinned),
+        "pinned": out.pinned.tolist(),
         "assumptions": {
             "coercive": out.assumptions.coercive,
             "upper_coercive": out.assumptions.upper_coercive,
@@ -322,19 +322,16 @@ def _run_ldp(obj, out_dir, summary):
         "minimal_top": out.covering.minimal_top,
     }
     jpath = _write(out_dir, json_name, dumps(payload))
-    lines = ["y,rate_lower,in_pinned\n"]
-    coords = yg.coords
-    rl = out.rate_lower.flat
-    for i in range(yg.size):
-        v = num_to_json(rl[i])
-        v = v if isinstance(v, str) else repr(v)
-        lines.append(f"{coords[i]!r},{v},{int(i in pinned)}\n")
+    in_pinned = np.zeros(yg.size, dtype=np.int64)
+    in_pinned[out.pinned] = 1
+    rows = zip(yg.coords.tolist(), values_to_json(out.rate_lower.flat), in_pinned.tolist())
+    lines = ["y,rate_lower,in_pinned\n"] + [f"{y!r},{v},{p}\n" for y, v, p in rows]
     cpath = _write(out_dir, csv_name, "".join(lines))
     print(f"verdict={out.verdict} -> {jpath}, {cpath}")
     if summary:
         print(
             f"covered={out.covering.covered} minimal_top={out.covering.minimal_top} "
-            f"pinned={len(pinned)}/{yg.size} tightness={out.tightness.holds}"
+            f"pinned={out.pinned.size}/{yg.size} tightness={out.tightness.holds}"
         )
     return 0 if out.verdict in (FULL_LDP, BOUNDS_ONLY) else 2
 

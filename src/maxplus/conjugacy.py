@@ -160,29 +160,15 @@ def conjugate(f, k):
 
 
 def legendre_fast(f, x_grid):
-    """Legendre-Fenchel transform of a 1-D grid function in O(|X| + |Y|).
+    """Legendre-Fenchel transform of a 1-D grid function on ``x_grid``.
 
-    Bit-identical to ``conjugate(f, Kernel.bilinear(x_grid, f.grid))``,
-    products that overflow included: the lines y ↦ (slope y, intercept
-    -f(y)) go through the upper-envelope merge, which ``conjugate`` also
-    takes above ``_kernels._ENVELOPE_ROWS`` X-nodes and which evaluates its
-    candidates with the dense sweep's float expression (see
-    ``_kernels.envelope_merge``).  This function takes the merge at every
-    size.  An f with a -inf node gives +inf everywhere, as ``conjugate``
-    does.  The one input on which the two differ is an f that is +inf
-    everywhere: ``conjugate`` returns -inf everywhere, this one raises
-    ``ValidationError``.
+    ``conjugate(f, Kernel.bilinear(x_grid, f.grid))`` for 1-D grids: the
+    dense sweep at or below ``_kernels._ENVELOPE_ROWS`` X-nodes and the
+    O(|X| + |Y|) upper-envelope merge above, bit-identical to each other.
     """
     if f.grid.dim != 1 or x_grid.dim != 1:
         raise ValidationError("legendre_fast handles 1-D grids only")
-    vals = f.flat
-    if np.isneginf(vals).any():
-        # some line has intercept +inf, so the transform is +inf everywhere
-        return GridFn(x_grid, np.full(x_grid.shape, POS_INF))
-    if not np.isfinite(vals).any():
-        raise ValidationError("legendre_fast: f has no finite value")
-    out = _kernels.envelope_merge(f.grid.coords, -vals, x_grid.coords)
-    return GridFn(x_grid, out)
+    return conjugate(f, Kernel.bilinear(x_grid, f.grid))
 
 
 @dataclass(frozen=True)

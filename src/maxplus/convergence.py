@@ -2,10 +2,12 @@
 
 Limits over the sequence index are never certified: every verdict is a
 finite-prefix trend with a declared extrapolation rule and tolerance.
-The default extrapolation fits values against the basis
-{1, 1/n, log(n)/n} (least squares over the available indices) and reads
-off the constant; when the fit does not explain the data, the liminf /
-limsup trends fall back to the minimum / maximum over the trailing half.
+There is one rule, ``trend_pairs``, and every trend in the package
+(limit log-moments, set bounds, the tail-rate trend) reads it: values
+are fitted against the basis {1, 1/n, log(n)/n} (least squares over the
+available indices) and the constant is read off; when the fit does not
+explain the data, the liminf / limsup trends fall back to the minimum /
+maximum over the trailing half.
 
 Statements checked: (open-liminf) and (closed-limsup) set bounds, with
 roles the caller declares.
@@ -25,7 +27,6 @@ PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-EPS = float(np.finfo(np.float64).eps)
 # a trend fit whose max residual stays within this explains its column
 FIT_RESID_TOL = 1e-2
 
@@ -121,57 +122,24 @@ def _trend_basis(ns):
     return np.stack(cols, axis=1)
 
 
-def _fit_limit(A, v):
-    """Least-squares limit of v against the basis A; (limit, max residual).
-
-    A fit that overflows has a residual of inf or NaN, which callers
-    treat as a failed fit.
-    """
-    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = float(np.abs(A @ coef - v).max())
-    return float(coef[0]), resid
-
-
-def trend_limit(ns, values):
-    """Extrapolated limit of values over indices ns.
-
-    Constant sequences return their value exactly.  An eventually -inf
-    (or +inf) sequence returns that value; other non-finite data, and
-    finite data whose fit overflows, return NaN (no usable trend).
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        return float("nan")
-    if (v == v[0]).all():
-        return float(v[0])
-    if not np.isfinite(v).all():
-        tail = v[np.isfinite(v).argmin():]
-        if (tail == tail[-1]).all():
-            return float(v[-1])
-        return float("nan") if np.isfinite(v[-1]) else float(v[-1])
-    limit, resid = _fit_limit(_trend_basis(ns), v)
-    return limit if np.isfinite(resid) else float("nan")
-
-
 def trend_pairs(ns, values):
     """(liminf trends, limsup trends) of every column of ``values``.
 
     Row i holds the values at index ns[i].  When the smooth fit explains
-    a column (max residual within ``FIT_RESID_TOL``) the column is treated
-    as convergent and both sides equal the fitted limit; otherwise the
-    conservative estimates min/max over the trailing half are reported.
-    A constant column returns its value exactly.
+    a column (max residual within ``FIT_RESID_TOL``, limit finite) the
+    column is treated as convergent and both sides equal the fitted
+    limit; otherwise the conservative estimates min/max over the
+    trailing half are reported.  A constant column returns its value
+    exactly.
 
-    The fitted columns share one multi-right-hand-side least-squares
-    solve, whose coefficients equal the one-column solves bit for bit.
-    Two kinds of column are refitted alone: one whose largest entry lies
-    so far from 1 that the solver rescales it (and, in a block, every
-    column with it), and one whose residual lies within the rounding of
-    the batched product A @ coef of the tolerance, since the one-column
-    product may round otherwise.  A one-column solve is a function of
-    the column's bits, so each distinct column among these is solved
-    once.
+    Each fitted column is first scaled by the power of two that puts its
+    largest |entry| in [1/2, 1).  The scaling is exact, and it leaves
+    LAPACK's gelsd no column to rescale, so one least-squares solve over
+    all columns gives each column the coefficients of its own one-column
+    solve.  The residual is an element-wise sum over the basis columns
+    minus the column, the same float expression for one column or many.
+    Limit and residual are scaled back; a limit beyond the float range
+    is no fit.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.shape[0] == 0:
@@ -185,32 +153,20 @@ def trend_pairs(ns, values):
     if fit.size:
         A = _trend_basis(ns)
         w = v[:, fit]
-        limit = np.empty(fit.size)
-        resid = np.empty(fit.size)
-        # LAPACK's gelsd rescales a right-hand side whose largest entry is
-        # below 2^-970 or above 2^970
-        size = np.abs(w).max(axis=0)
-        alone = (size < 2.0**-900) | (size > 2.0**900)
-        batch = np.flatnonzero(~alone)
-        if batch.size:
-            wb = w[:, batch]
-            coef, *_ = np.linalg.lstsq(A, wb, rcond=None)
-            limit[batch] = coef[0]
-            with np.errstate(over="ignore", invalid="ignore"):
-                resid[batch] = np.abs(A @ coef - wb).max(axis=0)
-                # two roundings of |A @ coef - w| differ by at most 4 eps (|A||coef| + |w|)
-                slack = 8.0 * EPS * (np.abs(A) @ np.abs(coef) + np.abs(wb)).max(axis=0)
-            alone[batch[np.abs(resid[batch] - FIT_RESID_TOL) <= slack]] = True
-        single = np.flatnonzero(alone)
-        if single.size:
-            # the bit patterns of the columns, so that -0.0 and 0.0 stay apart
-            bits = np.ascontiguousarray(w[:, single].T).view(np.uint64)
-            _, first, where = np.unique(
-                bits, axis=0, return_index=True, return_inverse=True
-            )
-            fits = [_fit_limit(A, w[:, single[j]]) for j in first]
-            limit[single], resid[single] = np.array(fits).T[:, where.reshape(-1)]
-        ok = np.isfinite(resid) & (resid <= FIT_RESID_TOL)
+        _, e = np.frexp(np.abs(w).max(axis=0))
+        np.ldexp(w, -e, out=w)
+        coef = np.linalg.lstsq(A, w, rcond=None)[0]
+        # the residual overwrites w one index row at a time
+        for a, row in zip(A, w):
+            fitted = a[0] * coef[0]
+            for j in range(1, a.size):
+                fitted += a[j] * coef[j]
+            np.subtract(fitted, row, out=row)
+        np.abs(w, out=w)
+        with np.errstate(over="ignore"):
+            limit = np.ldexp(coef[0], e)
+            resid = np.ldexp(w.max(axis=0), e)
+        ok = np.isfinite(limit) & (resid <= FIT_RESID_TOL)
         lo[fit[ok]] = hi[fit[ok]] = limit[ok]
     return lo, hi
 

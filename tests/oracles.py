@@ -203,6 +203,28 @@ def gauss_log_mass(a, b, mu=0.0, sd=1.0, dps=40):
         return float(mpmath.log(p))
 
 
+def slow_mask_runs(grid, mask):
+    """Coordinate intervals of the maximal runs of a 1-D mask, node by node.
+
+    The per-node loop ``_normal.mask_runs`` replaced.
+    """
+    mask = np.asarray(mask, dtype=bool).reshape(-1)
+    c = grid.coords
+    runs = []
+    i = 0
+    n = mask.size
+    while i < n:
+        if mask[i]:
+            j = i
+            while j + 1 < n and mask[j + 1]:
+                j += 1
+            runs.append((float(c[i]), float(c[j])))
+            i = j + 1
+        else:
+            i += 1
+    return runs
+
+
 def gauss_log_mgf_affine(slope, intercept, scale, mu, sd):
     """(1/scale) log E[e^{scale (slope X + intercept)}], X ~ N(mu, sd)."""
     return intercept + slope * mu + scale * slope * slope * sd * sd / 2.0
@@ -242,21 +264,35 @@ def _slice_values(seq, kernel, x_index):
 def trend_pair(ns, values):
     """(liminf trend, limsup trend) of one column, by its own fit.
 
-    The one-column rule ``convergence.trend_pairs`` batches: when the
-    smooth fit explains the data (max residual within 1e-2)
-    both sides equal the fitted limit; otherwise min/max over the
-    trailing half are reported.
+    The one-column rule ``convergence.trend_pairs`` batches, restated:
+    fit the column, scaled by the power of two that puts its largest
+    |entry| in [1/2, 1), against {1, 1/n, log(n)/n} with a one-column
+    least-squares solve; the residual is the sum over the basis columns
+    minus the column.  When the scaled-back limit is finite and the
+    scaled-back max residual is within 1e-2, both sides equal the limit;
+    otherwise min/max over the trailing half are reported.
     """
-    from maxplus.convergence import _fit_limit, _trend_basis
-
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         return float("nan"), float("nan")
     if (v == v[0]).all():
         return float(v[0]), float(v[0])
     if np.isfinite(v).all():
-        limit, resid = _fit_limit(_trend_basis(ns), v)
-        if np.isfinite(resid) and resid <= 1e-2:
+        n = np.asarray(ns, dtype=np.float64)
+        basis = [np.ones_like(n), 1.0 / n]
+        if n.size >= 3:
+            basis.append(np.log(n) / n)
+        A = np.stack(basis, axis=1)
+        e = math.frexp(float(np.abs(v).max()))[1]
+        w = np.ldexp(v, -e)
+        coef = np.linalg.lstsq(A, w, rcond=None)[0]
+        r = A[:, 0] * coef[0]
+        for j in range(1, A.shape[1]):
+            r = r + A[:, j] * coef[j]
+        with np.errstate(over="ignore"):
+            limit = float(np.ldexp(coef[0], e))
+            resid = float(np.ldexp(np.abs(r - w).max(), e))
+        if math.isfinite(limit) and resid <= 1e-2:
             return limit, limit
     tail = v[v.size // 2:]
     return float(tail.min()), float(tail.max())
@@ -617,7 +653,6 @@ def slow_constant_samples(p, xi, horizon, n_paths, seed):
 
 
 def slow_tail_rate_experiment(c, p, horizons, n_paths=100_000, seed=None, *, xi_grid, mc_horizons=None):
-    from maxplus.convergence import trend_limit
     from maxplus.grids import NEG_INF
     from maxplus.merton import (
         TailCell,
@@ -674,7 +709,7 @@ def slow_tail_rate_experiment(c, p, horizons, n_paths=100_000, seed=None, *, xi_
         sup_by_horizon[float(T)] = (best_val, best_xi)
 
     sups = [sup_by_horizon[float(T)][0] for T in horizons]
-    trend = trend_limit(list(horizons), sups)
+    trend = trend_pair(list(horizons), sups)[1]
     return TailRateReport(
         threshold=float(c),
         target=float(target),

@@ -210,7 +210,7 @@ def test_criterion_5_gaussian_identification_end_to_end():
         and rep.all_pass()
         and worst >= -1e-3
         and elapsed <= 10.0,
-        f"(rate err {rate_err:.2e}, worst margin {worst:.2e}, verdict {out.verdict}, {elapsed:.1f}s)",
+        f"(rate err {rate_err:.2e}, worst margin {worst:.2e}, verdict {out.verdict}, {elapsed:.3f} s)",
     )
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -174,6 +175,30 @@ def run_ldp(tmp_path, obj, name):
     cfg = tmp_path / f"{name}.json"
     cfg.write_text(json.dumps(dict(obj, out_json=f"{name}_out.json", out_csv=f"{name}_out.csv")))
     return run(["ldp", "--config", cfg, "--out-dir", tmp_path])
+
+
+def _csv_number(field):
+    try:
+        return math.isfinite(float(field))
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("scenario", ["gaussian", "merton"])
+def test_ldp_csv_fields_are_plain_numbers(tmp_path, scenario):
+    if scenario == "gaussian":
+        obj = json.loads((SCENARIOS / "gaussian_ldp.json").read_text())
+    else:
+        obj = small_merton_ldp(sup_edge_to_inf=True)
+    assert run_ldp(tmp_path, obj, scenario) == 0
+    lines = (tmp_path / f"{scenario}_out.csv").read_text().splitlines()
+    assert lines[0] == "y,rate_lower,in_pinned"
+    assert len(lines) == obj["y_grid"]["n"] + 1
+    for line in lines[1:]:
+        y, rate, pinned = line.split(",")
+        assert _csv_number(y), line
+        assert _csv_number(rate) or rate in ("+inf", "-inf"), line
+        assert pinned in ("0", "1"), line
 
 
 @pytest.mark.parametrize("truncate_at", [None, 0.0], ids=["plain", "truncated"])
@@ -472,9 +497,13 @@ def test_serialize_imports_neither_forms_nor_merton():
 
 
 
-@pytest.mark.parametrize("values", [["-inf", "+inf", "+inf"], ["-inf", "-inf", "-inf"]],
-                         ids=["neg-inf-and-plus-inf", "all-neg-inf"])
-def test_conjugate_fast_with_neg_inf_and_no_finite_value(tmp_path, values):
+@pytest.mark.parametrize(
+    "values, want",
+    [(["-inf", "+inf", "+inf"], "+inf"), (["-inf", "-inf", "-inf"], "+inf"),
+     (["+inf", "+inf", "+inf"], "-inf")],
+    ids=["neg-inf-and-plus-inf", "all-neg-inf", "all-plus-inf"],
+)
+def test_conjugate_fast_with_neg_inf_and_no_finite_value(tmp_path, values, want):
     line = {"lo": -1.0, "hi": 1.0, "n": 3, "dim": 1}
     for fast in (True, False):
         cfg = tmp_path / f"fast_{fast}.json"
@@ -486,7 +515,7 @@ def test_conjugate_fast_with_neg_inf_and_no_finite_value(tmp_path, values):
         assert run(["conjugate", "--config", cfg, "--out-dir", tmp_path]) == 0
     fast_bytes = (tmp_path / "out_True.json").read_bytes()
     assert fast_bytes == (tmp_path / "out_False.json").read_bytes()
-    assert json.loads(fast_bytes)["values"] == ["+inf"] * 3
+    assert json.loads(fast_bytes)["values"] == [want] * 3
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -835,7 +864,7 @@ PINNED_DIGESTS = {
     },
     "gaussian_ldp.json": {
         "gaussian_ldp_out.csv":
-            "e13ef2c913647b93e76ec5c47b82d32786693364aef299959908a64bae178703",
+            "7e290a8479042fab672378f00bf944d1bc8087722eaec55abc358777365093a1",
         "gaussian_ldp_out.json":
             "99c79026df7939d2099518039049bb52e6ae0800abc466f4432dfe401a42b60e",
     },
@@ -871,7 +900,7 @@ def test_scenario_artifacts_match_pinned_digests(tmp_path, scenario):
 # attainment map over 20 blocks; its artifacts are pinned as well.
 GAUSSIAN_1601_DIGESTS = {
     "gaussian_ldp_out.csv":
-        "8092cabb0697f6a7c14231312325e1745c011ba5f4fe250f083ae8a6c412dc6b",
+        "55546952e15a9e873834949faf00339cb384688329214054aa92ede1d8309412",
     "gaussian_ldp_out.json":
         "cc3b43e76731e4b17ae188e231effec3e72db05e8d9515d1328679fe49d8334b",
 }

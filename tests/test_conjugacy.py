@@ -163,10 +163,12 @@ def test_legendre_single_x_node():
     assert np.array_equal(out.values, [0.0])
 
 
-def test_legendre_rejects_all_infinite():
+def test_legendre_of_all_plus_inf_is_neg_inf():
     yg = Grid.line(-1, 1, 5)
-    with pytest.raises(ValidationError):
-        legendre_fast(GridFn(yg, np.full(5, POS)), yg)
+    f = GridFn(yg, np.full(5, POS))
+    fast = legendre_fast(f, yg)
+    assert np.array_equal(fast.values, conjugate(f, Kernel.bilinear(yg, yg)).values)
+    assert np.all(np.isneginf(fast.values))
 
 
 @pytest.mark.parametrize("vals", [[NEG, POS, POS], [NEG, NEG, NEG]], ids=["neg-inf-and-plus-inf", "all-neg-inf"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -27,10 +28,16 @@ from maxplus.convergence import (
     _trend_basis,
     liminf_trend,
     limsup_trend,
-    trend_limit,
     trend_pairs,
 )
-from oracles import constant_sequence, gauss_log_mass, slow_set_bound_rows, trend_pair
+from maxplus._normal import mask_runs
+from oracles import (
+    constant_sequence,
+    gauss_log_mass,
+    slow_mask_runs,
+    slow_set_bound_rows,
+    trend_pair,
+)
 
 NEG = NEG_INF
 
@@ -68,16 +75,27 @@ def trend_columns(draw):
     cols = []
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(
-            ["const", "finite", "sprinkled", "tail", "boundary", "extreme"]
+            ["const", "finite", "sprinkled", "tail", "boundary", "extreme", "spread"]
         ))
         if kind == "const":
             col = [draw(ext_vals)] * m
         elif kind == "finite":
             col = draw(st.lists(finite_vals, min_size=m, max_size=m))
         elif kind == "extreme":
-            # magnitudes the least-squares solver rescales
-            scale = draw(st.sampled_from([1e-300, 1e-290, 1e280, 1e289]))
+            # magnitudes gelsd would rescale, subnormal ones and ones whose
+            # fit overflows included
+            scale = draw(st.sampled_from(
+                [1e-320, 1e-300, 1e-290, 2.0**-1000, 1e280, 1e289, 2.0**1000, 1e302]
+            ))
             col = [scale * x for x in draw(st.lists(finite_vals, min_size=m, max_size=m))]
+        elif kind == "spread":
+            # tiny, normal and huge entries in one column
+            scales = draw(st.lists(
+                st.sampled_from([0.0, 1e-318, 1e-300, 1.0, 1e290]), min_size=m, max_size=m
+            ))
+            col = [a * x for a, x in zip(scales, draw(
+                st.lists(finite_vals, min_size=m, max_size=m)
+            ))]
         elif kind == "sprinkled":
             col = draw(st.lists(ext_vals, min_size=m, max_size=m))
         elif kind == "tail":
@@ -109,7 +127,7 @@ def test_trend_pairs_equal_trend_pair_column_by_column(case):
         assert np.array([lo[j], hi[j]]).tobytes() == ref.tobytes()
 
 
-def test_trend_pairs_solves_each_distinct_tiny_column_once(monkeypatch):
+def test_trend_pairs_makes_one_lstsq_call(monkeypatch):
     ns = (400, 800, 1600, 3200)
     tiny = np.array([-1.3275e-273, 0.0, 0.0, 0.0])
     up = tiny.copy()
@@ -120,53 +138,80 @@ def test_trend_pairs_solves_each_distinct_tiny_column_once(monkeypatch):
     huge_up = huge.copy()
     huge_up[2] = np.nextafter(huge[2], np.inf)
     normal = np.array([0.5, 0.25, 0.125, 0.0625])
-    distinct = [tiny, up, signed, spread, huge, huge_up]
-    order = [0, 1, 0, 2, 3, 0, 4, 5, 4, 3, 1, 2, 0]
-    V = np.stack([distinct[i] for i in order] + [normal, normal], axis=1)
+    distinct = [tiny, up, signed, spread, huge, huge_up, normal]
+    order = [0, 1, 0, 2, 3, 0, 4, 5, 4, 3, 1, 2, 0, 6, 6]
+    V = np.stack([distinct[i] for i in order], axis=1)
 
     solves = []
     lstsq = np.linalg.lstsq
 
     def counting(A, b, **kw):
-        solves.append(np.ndim(b))
+        solves.append(np.shape(b))
         return lstsq(A, b, **kw)
 
     monkeypatch.setattr(np.linalg, "lstsq", counting)
     lo, hi = trend_pairs(ns, V)
-    assert sorted(solves) == [1] * len(distinct) + [2]  # one batch for the rest
+    assert solves == [V.shape]
     monkeypatch.undo()
     for j in range(V.shape[1]):
         ref = np.array(trend_pair(ns, V[:, j]))
         assert np.array([lo[j], hi[j]]).tobytes() == ref.tobytes()
 
 
+def test_trend_pairs_peak_memory_in_blocks_of_the_input():
+    # the merton-family block: 201 members x 121 x-nodes at 4 horizons,
+    # half the columns smooth, 600 of them tiny
+    rng = np.random.default_rng(27)
+    ns = np.array([400, 800, 1600, 3200])
+    V = rng.uniform(-1.0, 1.0, (4, 24321))
+    V[:, ::2] = 1.5 + 2.0 / ns[:, None] + 1e-4 * V[:, ::2]
+    V[:, 1:1200:2] *= 1e-280
+    tracemalloc.start()
+    try:
+        trend_pairs(ns, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 3.96 blocks measured: the scaled copy, lstsq's workspace and
+    # coefficients, the trailing-half bounds
+    assert peak <= 4.0 * V.nbytes, peak / V.nbytes
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_fit_takes_the_trailing_half_without_warning():
-    # the fits overflow: residual NaN for the first column, inf for the second
-    ns = (3, 320, 321)
-    V = np.array([[6.5e303, -6.5e303, 6.5e303], [0.0, 0.0, 6.5e303]]).T
-    lo, hi = trend_pairs(ns, V)
-    for j in range(V.shape[1]):
-        tail = V[1:, j]
-        ref = np.array([tail.min(), tail.max()])
-        assert np.array(trend_pair(ns, V[:, j])).tobytes() == ref.tobytes()
-        assert np.array([lo[j], hi[j]]).tobytes() == ref.tobytes()
+    cases = [
+        # the scaled-back residuals are about 1e292
+        ((3, 320, 321), [[6.5e303, -6.5e303, 6.5e303], [0.0, 0.0, 6.5e303]]),
+        # the residual is exactly 0 and the limit overflows to -inf
+        ((29, 30), [[9.83113433127829e306, -8.426686569667106e306]]),
+    ]
+    for ns, cols in cases:
+        V = np.array(cols).T
+        lo, hi = trend_pairs(ns, V)
+        for j in range(V.shape[1]):
+            tail = V[len(ns) // 2:, j]
+            ref = np.array([tail.min(), tail.max()])
+            assert np.array(trend_pair(ns, V[:, j])).tobytes() == ref.tobytes()
+            assert np.array([lo[j], hi[j]]).tobytes() == ref.tobytes()
 
 
 def test_trend_constant_is_exact():
-    assert trend_limit([2, 4, 8], [0.3, 0.3, 0.3]) == 0.3
+    lo, hi = trend_pairs([2, 4, 8], np.array([[0.3, NEG], [0.3, NEG], [0.3, NEG]]))
+    assert lo.tolist() == hi.tolist() == [0.3, NEG]
 
 
 def test_trend_recovers_one_over_n():
     ns = [8, 16, 32, 64]
     vals = [1.5 + 2.0 / n for n in ns]
-    assert abs(trend_limit(ns, vals) - 1.5) < 1e-12
+    assert abs(limsup_trend(ns, vals) - 1.5) < 1e-12
+    assert liminf_trend(ns, vals) == limsup_trend(ns, vals)
+    assert limsup_trend((1, 2, 4), [1.0, 1.5, 1.75]) == pytest.approx(2.0)
 
 
 def test_trend_recovers_log_term():
     ns = [64, 128, 256, 512]
     vals = [-0.5 - 0.5 * math.log(n) / n - 0.3 / n for n in ns]
-    assert abs(trend_limit(ns, vals) + 0.5) < 1e-10
+    assert abs(limsup_trend(ns, vals) + 0.5) < 1e-10
 
 
 def test_liminf_limsup_of_alternating():
@@ -201,7 +246,8 @@ def test_one_sided_trends_equal_trend_pair(kind, m):
 
 
 def test_trend_eventually_neg_inf():
-    assert trend_limit([1, 2, 3], [0.5, NEG, NEG]) == NEG
+    assert liminf_trend([1, 2, 3], [0.5, NEG, NEG]) == NEG
+    assert limsup_trend([1, 2, 3], [0.5, NEG, NEG]) == NEG
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +298,31 @@ def test_gaussian_member_set_mass_matches_mpmath():
     got = F.eval_on_set(mask)
     want = gauss_log_mass(1.0, 1.5, 0.0, 1.0 / math.sqrt(n)) / n
     assert abs(got - want) < 1e-12
+
+
+@st.composite
+def grids_and_masks(draw):
+    """A 1-D grid with a mask: empty, full, one node, runs at either end."""
+    n = draw(st.integers(1, 40))
+    g = Grid.line(-1.0, 3.0, n) if n > 1 else Grid.line(0.5, 0.5, 1)
+    kind = draw(st.sampled_from(["random", "empty", "full", "ends"]))
+    if kind == "random":
+        mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    elif kind == "ends":
+        mask = [False] * n
+        mask[0] = mask[-1] = True
+    else:
+        mask = [kind == "full"] * n
+    return g, np.array(mask, dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids_and_masks())
+def test_mask_runs_equal_the_node_loop(case):
+    g, mask = case
+    got = mask_runs(g, mask)
+    assert got == slow_mask_runs(g, mask)
+    assert all(type(a) is float and type(b) is float for a, b in got)
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +448,3 @@ def test_default_interval_sets_cap_and_shape():
         want = closed.copy()
         want[idx[0]] = want[idx[-1]] = False
         assert np.array_equal(open_, want)
-
-
-@pytest.mark.filterwarnings("error")
-def test_trend_limit_of_an_overflowing_fit_is_nan():
-    # the fit's residual is inf, so there is no usable trend
-    assert math.isnan(trend_limit((3, 320, 321), [0.0, 0.0, 6.5e303]))
-    assert math.isnan(trend_limit((3, 320, 321), [6.5e303, -6.5e303, 6.5e303]))
-    assert trend_limit((1, 2, 4), [1.0, 1.5, 1.75]) == pytest.approx(2.0)
