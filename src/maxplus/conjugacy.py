@@ -160,15 +160,26 @@ def conjugate(f, k):
 
 
 def legendre_fast(f, x_grid):
-    """Legendre-Fenchel transform of a 1-D grid function on ``x_grid``.
+    """Legendre-Fenchel transform of a 1-D grid function in O(|X| + |Y|).
 
-    ``conjugate(f, Kernel.bilinear(x_grid, f.grid))`` for 1-D grids: the
-    dense sweep at or below ``_kernels._ENVELOPE_ROWS`` X-nodes and the
-    O(|X| + |Y|) upper-envelope merge above, bit-identical to each other.
+    Bit-identical to ``conjugate(f, Kernel.bilinear(x_grid, f.grid))``,
+    products that overflow included: the lines y ↦ (slope y, intercept
+    -f(y)) go through the upper-envelope merge, which ``conjugate`` also
+    takes above ``_kernels._ENVELOPE_ROWS`` X-nodes and which evaluates its
+    candidates with the dense sweep's float expression (see
+    ``_kernels.envelope_merge``).  This function takes the merge at every
+    size.  An f with a -inf node gives +inf everywhere and an f that is
+    +inf everywhere gives -inf everywhere (every line has intercept -inf),
+    as ``conjugate`` does.
     """
     if f.grid.dim != 1 or x_grid.dim != 1:
         raise ValidationError("legendre_fast handles 1-D grids only")
-    return conjugate(f, Kernel.bilinear(x_grid, f.grid))
+    vals = f.flat
+    if np.isneginf(vals).any():
+        # some line has intercept +inf, so the transform is +inf everywhere
+        return GridFn(x_grid, np.full(x_grid.shape, POS_INF))
+    out = _kernels.envelope_merge(f.grid.coords, -vals, x_grid.coords)
+    return GridFn(x_grid, out)
 
 
 @dataclass(frozen=True)

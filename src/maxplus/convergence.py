@@ -133,10 +133,12 @@ def trend_pairs(ns, values):
     exactly.
 
     Each fitted column is first scaled by the power of two that puts its
-    largest |entry| in [1/2, 1).  The scaling is exact, and it leaves
-    LAPACK's gelsd no column to rescale, so one least-squares solve over
-    all columns gives each column the coefficients of its own one-column
-    solve.  The residual is an element-wise sum over the basis columns
+    largest |entry| in [1/2, 1).  Scaling up is exact; scaling down rounds
+    only entries that land below 2^-1022, about 2^1022 times smaller than
+    the largest, and the one-column rule rounds them the same way.  The
+    scaled columns leave LAPACK's gelsd none to rescale, so one
+    least-squares solve over all columns gives each column the
+    coefficients of its own one-column solve.  The residual is an element-wise sum over the basis columns
     minus the column, the same float expression for one column or many.
     Limit and residual are scaled back; a limit beyond the float range
     is no fit.

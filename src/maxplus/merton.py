@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _normal
 from ._normal import log_gauss_mass, log_mgf_piecewise_linear, mask_runs
-from .convergence import FormSequence, trend_pairs
+from .convergence import FormSequence, limsup_trend
 from .conjugacy import Kernel
 from .errors import ValidationError
 from .forms import LOG2, QuasiLinearForm
@@ -438,7 +438,7 @@ def tail_rate_experiment(
     and (for horizons in ``mc_horizons``, default all) a Monte Carlo
     estimate with its standard error; cells whose tail count is zero are
     inconclusive.  Reports per-horizon suprema, their extrapolated trend
-    (the limsup side of ``convergence.trend_pairs`` over the horizons),
+    (``convergence.limsup_trend`` over the horizons),
     the rate-function target, and an independent one-dimensional
     minimization oracle over the fraction grid.  ``n_paths`` and ``seed``
     matter only for the Monte Carlo horizons; a ``None`` seed draws fresh
@@ -504,8 +504,8 @@ def tail_rate_experiment(
             )
         sup_by_horizon[float(T)] = (best_val, best_xi)
 
-    sups = np.array([[sup_by_horizon[float(T)][0]] for T in horizons])
-    trend = trend_pairs(horizons, sups)[1][0]
+    sups = [sup_by_horizon[float(T)][0] for T in horizons]
+    trend = limsup_trend(horizons, sups)
     return TailRateReport(
         threshold=float(c),
         target=float(target),
