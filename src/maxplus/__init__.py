@@ -45,7 +45,6 @@ from .convergence import (
 )
 from .ldp import GartnerInput, GartnerOutput, limit_log_moment, pipeline, tightness_criterion
 from .merton import (
-    ConstantControl,
     MertonParams,
     MertonValueForm,
     brute_force_growth,

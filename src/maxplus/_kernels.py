@@ -34,8 +34,9 @@ crossover tried (2**14 to 2**18 cells) was 8 times slower or worse on
 some shape.
 
 Conventions: values are float64 where -inf is the max-plus zero and is
-absorbing for addition, also against a product that overflows to +inf;
-kernels never contain +inf; no NaN ever enters (callers validate).
+absorbing for addition; kernels never contain +inf, and bilinear kernels
+are built only where no product overflows (``conjugacy.Kernel``); no NaN
+ever enters (callers validate).
 """
 
 import numpy as np
@@ -80,7 +81,7 @@ def matvec_bilinear(x, y, neg_f):
     neg_f, x)``, which evaluates about |X| + |Y| candidate cells with the
     dense expression; otherwise from ``_dense_bilinear``, which evaluates
     every cell.  A +inf in neg_f (an f with a -inf node) gives +inf
-    everywhere; a -inf term (f = +inf) absorbs a product that overflows.
+    everywhere.
     """
     if np.isposinf(neg_f).any():
         return np.full(x.shape[0], np.inf)
@@ -96,25 +97,18 @@ def _nondecreasing(a):
 def _dense_bilinear(x, y, neg_f):
     """Row-wise max of x[i]*y[j] + neg_f[j] over every cell, in blocks.
 
-    neg_f holds no +inf.  A product can overflow to +inf only past the
-    float range; at a -inf term the sum is then NaN, and such cells are
-    set to -inf, the absorbing zero.  Every other cell is the one-shot
-    dense expression.
+    neg_f holds no +inf.  Every cell is the one-shot dense expression.
     """
     nx = x.shape[0]
     out = np.empty(nx)
     step = min(block_rows(y.shape[0]), nx)
     buf = np.empty((step, y.shape[0]))  # one block, reused
-    with np.errstate(over="ignore"):
-        absorb = np.isinf(np.abs(x).max() * np.abs(y).max()) and np.isneginf(neg_f).any()
     for lo in range(0, nx, step):
         hi = min(lo + step, nx)
         t = buf[: hi - lo]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             np.multiply.outer(x[lo:hi], y, out=t)
             t += neg_f
-        if absorb:
-            t[np.isnan(t)] = -np.inf
         t.max(axis=1, out=out[lo:hi])
     return out
 
@@ -146,12 +140,10 @@ def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
     Degenerate cases: a +inf in neg_f gives +inf everywhere, as it does
     in every dense result that is not NaN.  Where delta is not finite
     (magnitudes overflow) every row is a candidate, which is the dense
-    sweep, except that a -inf term (f = +inf) absorbs a sum that
-    overflows to +inf instead of giving NaN.  A max equal to 0 is
-    recomputed from its full dense row, because the sign numpy gives a
-    tie of +0 and -0 depends on the order of the cells.  X is handled in
-    chunks of ``_CHUNK_ROWS`` nodes sorted by x1, so no temporary holds
-    more than a dense chunk's cells.
+    sweep.  A max equal to 0 is recomputed from its full dense row,
+    because the sign numpy gives a tie of +0 and -0 depends on the order
+    of the cells.  X is handled in chunks of ``_CHUNK_ROWS`` nodes sorted
+    by x1, so no temporary holds more than a dense chunk's cells.
     """
     nx = x0.shape[0]
     if np.isposinf(neg_f).any():
@@ -164,8 +156,6 @@ def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
         )
         window = 2 * _SLACK * mag  # 2 delta per x
     bounded = np.isfinite(window)
-    ninf = np.isneginf(neg_f)
-    absorb = not bounded.all() and ninf.any()  # only there can sums overflow
     todo = np.arange(nx)
 
     u0, row_of = np.unique(y0, return_inverse=True)
@@ -199,8 +189,6 @@ def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
         xb = np.repeat(x1[idx[xi]], n)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = (xa * y0_rows[at] + xb * y1_rows[at]) + neg_f_rows[at]
-        if absorb:
-            vals[np.isneginf(neg_f_rows[at])] = -np.inf
         new_x = np.flatnonzero(np.diff(xi, prepend=-1))
         best = np.full(idx.size, -np.inf)  # no candidate: every cell is -inf
         if new_x.size:
@@ -212,7 +200,6 @@ def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
             with np.errstate(over="ignore", invalid="ignore"):
                 t = np.multiply.outer(x0[z], y0) + np.multiply.outer(x1[z], y1)
                 t += neg_f[None, :]
-            t[:, ninf] = -np.inf
             best[zero] = t.max(axis=1)
         out[idx] = best
     return out

@@ -155,7 +155,7 @@ def _run_conjugate(obj, out_dir, summary):
     fast = _json_bool(obj.get("fast", False), "conjugate scenario: fast")
     name = _json_str(obj.get("out", "conjugate.json"), "conjugate scenario: out")
     if fast and kernel.kind == "bilinear" and xg.dim == 1:
-        out = legendre_fast(f, xg)
+        out = legendre_fast(f, kernel)
     else:
         out = conjugate(f, kernel)
     path = _write(out_dir, name, dumps(gridfn_to_json(out)))

@@ -49,7 +49,9 @@ class Kernel:
 
     Either the closed-form bilinear kernel b(x, y) = x·y or a dense table.
     Table entries live in R ∪ {-inf}; every row and every column must
-    contain at least one finite entry.
+    contain at least one finite entry.  A bilinear kernel's values must
+    be finite floats: the sum over axes of max|x_a|·max|y_a| must not
+    overflow, and it bounds every computed b(x, y).
     """
 
     def __init__(self, x_grid, y_grid, table=None):
@@ -59,6 +61,13 @@ class Kernel:
             self.kind = "bilinear"
             if x_grid.dim != y_grid.dim:
                 raise ValidationError("bilinear kernel needs grids of equal dimension")
+            xm, ym = (np.abs(g.coords).max(axis=0) for g in (x_grid, y_grid))
+            with np.errstate(over="ignore"):
+                bound = np.sum(xm * ym)
+            if not np.isfinite(bound):
+                raise ValidationError(
+                    f"bilinear kernel on {x_grid} x {y_grid}: x·y leaves the float range"
+                )
             self.table = None
         else:
             self.kind = "table"
@@ -159,27 +168,28 @@ def conjugate(f, k):
     return GridFn(k.x_grid, out.reshape(k.x_grid.shape))
 
 
-def legendre_fast(f, x_grid):
+def legendre_fast(f, k):
     """Legendre-Fenchel transform of a 1-D grid function in O(|X| + |Y|).
 
-    Bit-identical to ``conjugate(f, Kernel.bilinear(x_grid, f.grid))``,
-    products that overflow included: the lines y ↦ (slope y, intercept
-    -f(y)) go through the upper-envelope merge, which ``conjugate`` also
-    takes above ``_kernels._ENVELOPE_ROWS`` X-nodes and which evaluates its
-    candidates with the dense sweep's float expression (see
-    ``_kernels.envelope_merge``).  This function takes the merge at every
-    size.  An f with a -inf node gives +inf everywhere and an f that is
-    +inf everywhere gives -inf everywhere (every line has intercept -inf),
-    as ``conjugate`` does.
+    ``k`` is a 1-D bilinear kernel and ``f`` lives on its Y-grid, as in
+    ``conjugate(f, k)``, to which the result is bit-identical: the lines
+    y ↦ (slope y, intercept -f(y)) go through the upper-envelope merge,
+    which ``conjugate`` also takes above ``_kernels._ENVELOPE_ROWS``
+    X-nodes and which evaluates its candidates with the dense sweep's
+    float expression (see ``_kernels.envelope_merge``).  This function
+    takes the merge at every size.  An f with a -inf node gives +inf
+    everywhere and an f that is +inf everywhere gives -inf everywhere
+    (every line has intercept -inf), as ``conjugate`` does.
     """
-    if f.grid.dim != 1 or x_grid.dim != 1:
-        raise ValidationError("legendre_fast handles 1-D grids only")
+    if k.kind != "bilinear" or k.x_grid.dim != 1:
+        raise ValidationError(f"legendre_fast needs a 1-D bilinear kernel, got {k!r}")
+    require_same_grid(f, k.y_grid, "legendre_fast: f")
     vals = f.flat
     if np.isneginf(vals).any():
         # some line has intercept +inf, so the transform is +inf everywhere
-        return GridFn(x_grid, np.full(x_grid.shape, POS_INF))
-    out = _kernels.envelope_merge(f.grid.coords, -vals, x_grid.coords)
-    return GridFn(x_grid, out)
+        return GridFn(k.x_grid, np.full(k.x_grid.shape, POS_INF))
+    out = _kernels.envelope_merge(k.y_grid.coords, -vals, k.x_grid.coords)
+    return GridFn(k.x_grid, out)
 
 
 @dataclass(frozen=True)

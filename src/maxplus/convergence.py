@@ -187,7 +187,6 @@ def liminf_trend(ns, values):
 
 @dataclass(frozen=True)
 class StatementResult:
-    statement: str
     verdict: str
     margin: float
     witness: object = None
@@ -274,7 +273,7 @@ def ldp_bounds_check(seq, limit_form, open_sets=(), closed_sets=(), *, tol=1e-3)
         else:
             verdict = PASS
         worst = min(sel, key=lambda r: r.margin)
-        results[name] = StatementResult(name, verdict, worst.margin, worst.set_id)
+        results[name] = StatementResult(verdict, worst.margin, worst.set_id)
     return ConvergenceReport(results=results, rows=rows)
 
 

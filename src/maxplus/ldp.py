@@ -227,7 +227,6 @@ class GartnerOutput:
     tightness: TightnessCriterion
     covering: object
     limit_form: MaxPlusForm  # max-plus form with the candidate rate density
-    diagnostics: LimitDiagnostics
 
 
 def pipeline(
@@ -292,5 +291,4 @@ def pipeline(
         tightness=tight,
         covering=cov,
         limit_form=fbar,
-        diagnostics=diag,
     )

@@ -111,46 +111,44 @@ def brute_force_growth(x, p, xi_grid):
 # simulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantControl:
-    """Constant fraction in the risky asset; admits exact sampling."""
-
-    xi: float
-
-
 def drift_rate(xi, p):
     """Almost-sure growth rate of log-wealth under a constant fraction."""
     return p.r + p.excess * xi - p.sigma**2 * xi**2 / 2.0
 
 
-def simulate(p, controls, horizon, n_paths, seed):
+def simulate(p, xi, horizon, n_paths, seed):
     """Sample log(W_T)/T under each constant fraction, with common random
     numbers.
 
     Under a constant fraction xi, log(W_T)/T is exactly base + scale * Z
     with Z standard normal, so one draw of ``n_paths`` normals from
-    ``seed`` serves every control.  Returns an iterator that yields, for
-    each control in order, a fresh read-only array of the samples.  Each
-    array alone has its control's exact law; arrays of one call share
-    their normals.  A one-control call draws what it always did.
+    ``seed`` serves every fraction.  ``xi`` is a nonempty 1-D array-like
+    of finite fractions.  Returns an iterator that yields, for each
+    fraction in order, a fresh read-only array of the samples.  Each
+    array alone has its fraction's exact law; arrays of one call share
+    their normals.  A one-fraction call draws what it always did.
 
     The arguments are checked, and the normals drawn, at the call.
     """
     _check_horizon(horizon)
     if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral) or n_paths < 1:
         raise ValidationError(f"need at least one path, got {n_paths!r}")
-    if not isinstance(controls, (list, tuple)) or not controls:
-        raise ValidationError(f"need a nonempty list of controls, got {controls!r}")
-    for control in controls:
-        if not isinstance(control, ConstantControl):
-            raise ValidationError(f"unknown control {control!r}")
+    fractions = np.asarray(xi)
+    if (
+        fractions.ndim != 1
+        or fractions.size == 0
+        or fractions.dtype.kind not in "iuf"
+        or not np.isfinite(fractions).all()
+    ):
+        raise ValidationError(f"need a nonempty 1-D array of finite fractions, got {xi!r}")
     z = np.random.default_rng(seed).standard_normal(n_paths)
-    return _constant_paths(p, list(controls), float(horizon), z)
+    # one fraction at a time in Python floats: an array expression would
+    # square xi with a multiply, which can round otherwise than libm pow
+    return _constant_paths(p, fractions.astype(np.float64).tolist(), float(horizon), z)
 
 
-def _constant_paths(p, controls, T, z):
-    for control in controls:
-        xi = control.xi
+def _constant_paths(p, fractions, T, z):
+    for xi in fractions:
         # base + scale * z with the same two roundings, in one array
         values = z * (p.sigma * xi / math.sqrt(T))
         values += math.log(p.w0) / T + drift_rate(xi, p)
@@ -351,52 +349,46 @@ def exact_tail_value(c, xi, p, horizon):
 
 
 @dataclass(frozen=True)
-class TailCell:
-    horizon: float
-    xi: float
-    exact: float
-    mc: float
-    mc_se: float
-    inconclusive: bool
-
-
-@dataclass(frozen=True)
 class TailRateReport:
-    threshold: float
+    """The experiment as one (horizon x fraction) table.
+
+    ``exact``, ``mc`` and ``mc_se`` have one row per horizon and one
+    column per fraction; ``mc`` and ``mc_se`` are NaN where a cell is
+    inconclusive.
+    """
+
     target: float  # -g*(c)
-    cells: list
-    sup_by_horizon: dict  # T -> (sup exact value, argmax xi)
+    horizons: tuple  # the horizons as floats
+    xi: np.ndarray
+    exact: np.ndarray
+    mc: np.ndarray
+    mc_se: np.ndarray
     trend: float
     oracle_rate: float
     oracle_xi: float
     degenerate: bool
-    seed: int
+
+    @property
+    def sup_by_horizon(self):
+        """T -> (sup exact value, first fraction attaining it)."""
+        best = self.exact.argmax(axis=1)
+        return {
+            T: (float(self.exact[ti, j]), float(self.xi[j]))
+            for ti, (T, j) in enumerate(zip(self.horizons, best))
+        }
 
     def csv_rows(self):
         rows = [
-            [
-                "T",
-                "xi",
-                "exact_value",
-                "mc_value",
-                "mc_se",
-                "sup_over_xi",
-                "target_minus_gstar",
-            ]
+            ["T", "xi", "exact_value", "mc_value", "mc_se", "sup_over_xi", "target_minus_gstar"]
         ]
-        for cell in self.cells:
-            sup, _ = self.sup_by_horizon[cell.horizon]
-            rows.append(
-                [
-                    repr(cell.horizon),
-                    repr(cell.xi),
-                    repr(cell.exact),
-                    "" if cell.inconclusive else repr(cell.mc),
-                    "" if cell.inconclusive else repr(cell.mc_se),
-                    repr(sup),
-                    repr(self.target),
-                ]
-            )
+        for ti, (T, (sup, _)) in enumerate(self.sup_by_horizon.items()):
+            table = (self.exact[ti], self.mc[ti], self.mc_se[ti])
+            for xi, exact, mc, se in zip(self.xi.tolist(), *(a.tolist() for a in table)):
+                # an inconclusive cell leaves mc_value and mc_se empty
+                mc_cells = ["", ""] if math.isnan(mc) else [repr(mc), repr(se)]
+                rows.append(
+                    [repr(T), repr(xi), repr(exact), *mc_cells, repr(sup), repr(self.target)]
+                )
         return rows
 
 
@@ -451,7 +443,7 @@ def tail_rate_experiment(
     are correlated.
     """
     horizons = _check_horizons(horizons)
-    xi_grid = np.asarray(xi_grid, dtype=np.float64)
+    xi_grid = np.array(xi_grid, dtype=np.float64)  # a copy: the report keeps it
     if xi_grid.size == 0:
         raise ValidationError("xi grid is empty")
     degenerate = c <= p.r
@@ -460,10 +452,11 @@ def tail_rate_experiment(
     best = int(rates.argmin())
     ss = np.random.SeedSequence(seed)
     mc_set = set(horizons if mc_horizons is None else mc_horizons)
-    controls = [ConstantControl(float(xi)) for xi in xi_grid]
 
-    cells = []
-    sup_by_horizon = {}
+    shape = (len(horizons), xi_grid.size)
+    exact = np.empty(shape)
+    mc = np.full(shape, np.nan)
+    mc_se = np.full(shape, np.nan)
     for ti, T in enumerate(horizons):
         if T in mc_set:
             # the child ss.spawn(len(horizons))[ti] would be, made only for
@@ -471,49 +464,28 @@ def tail_rate_experiment(
             child = np.random.SeedSequence(
                 ss.entropy, spawn_key=ss.spawn_key + (ti,), pool_size=ss.pool_size
             )
+            # a comprehension, so no path array outlives the counting
             counts = [
                 int(np.count_nonzero(values >= c))
-                for values in simulate(p, controls, T, n_paths, child)
+                for values in simulate(p, xi_grid, T, n_paths, child)
             ]
-        best_val = NEG_INF
-        best_xi = float(xi_grid[0])
-        for xj, xi in enumerate(xi_grid):
-            exact = exact_tail_value(c, float(xi), p, T)
-            if exact > best_val:
-                best_val = exact
-                best_xi = float(xi)
-            mc = NEG_INF
-            se = 0.0
-            inconclusive = True
-            if T in mc_set:
-                hits = counts[xj]
+            for xj, hits in enumerate(counts):
                 if hits > 0:
                     phat = hits / n_paths
-                    mc = math.log(phat) / T
-                    se = math.sqrt((1.0 - phat) / (phat * n_paths)) / T
-                    inconclusive = False
-            cells.append(
-                TailCell(
-                    horizon=float(T),
-                    xi=float(xi),
-                    exact=exact,
-                    mc=mc,
-                    mc_se=se,
-                    inconclusive=inconclusive,
-                )
-            )
-        sup_by_horizon[float(T)] = (best_val, best_xi)
+                    mc[ti, xj] = math.log(phat) / T
+                    mc_se[ti, xj] = math.sqrt((1.0 - phat) / (phat * n_paths)) / T
+        exact[ti] = [exact_tail_value(c, xi, p, T) for xi in xi_grid.tolist()]
 
-    sups = [sup_by_horizon[float(T)][0] for T in horizons]
-    trend = limsup_trend(horizons, sups)
+    sups = exact[np.arange(len(horizons)), exact.argmax(axis=1)]
     return TailRateReport(
-        threshold=float(c),
         target=float(target),
-        cells=cells,
-        sup_by_horizon=sup_by_horizon,
-        trend=float(trend),
+        horizons=tuple(float(T) for T in horizons),
+        xi=xi_grid,
+        exact=exact,
+        mc=mc,
+        mc_se=mc_se,
+        trend=float(limsup_trend(horizons, sups)),
         oracle_rate=float(rates[best]),
         oracle_xi=float(xi_grid[best]),
         degenerate=degenerate,
-        seed=seed,
     )

@@ -9,6 +9,7 @@ no NaN).
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -636,10 +637,11 @@ def risk_sensitive_value(x, values, horizon):
 # -- tail-rate experiment, one cell at a time --------------------------------
 #
 # ``merton.tail_rate_experiment`` as one serial loop over (horizon,
-# fraction).  Each cell draws its own samples as ``base + scale * z`` from
+# fraction), with the closed forms restated in the library's float
+# operations.  Each cell draws its own samples as ``base + scale * z`` from
 # its horizon's child seed, so the cells of one horizon see the same
 # normals, as the library's common-random-numbers draw does without drawing
-# them again.  The report must equal the library's cell by cell.
+# them again.  The table must equal the library's bit for bit.
 
 
 def slow_constant_samples(p, xi, horizon, n_paths, seed):
@@ -653,71 +655,83 @@ def slow_constant_samples(p, xi, horizon, n_paths, seed):
 
 
 def slow_tail_rate_experiment(c, p, horizons, n_paths=100_000, seed=None, *, xi_grid, mc_horizons=None):
-    from maxplus.grids import NEG_INF
-    from maxplus.merton import (
-        TailCell,
-        TailRateReport,
-        constant_control_rate,
-        exact_tail_value,
-        growth_conjugate,
-    )
-
+    """The experiment's table, suprema, trend, oracle and CSV rows."""
     xi_grid = np.asarray(xi_grid, dtype=np.float64)
-    degenerate = c <= p.r
-    target = -growth_conjugate(c, p)
-    rates = np.array([constant_control_rate(c, xi, p) for xi in xi_grid])
-    best = int(rates.argmin())
+    excess = p.alpha - p.r
+    if c >= p.r + excess**2 / (2.0 * p.sigma**2):
+        d = math.sqrt(c - p.r) - excess / (math.sqrt(2.0) * p.sigma)
+        target = -(d**2)
+    else:
+        target = -0.0
+    rates = []
+    for xi in xi_grid:  # numpy scalars, as the library iterates the grid
+        m = p.r + excess * xi - p.sigma**2 * xi**2 / 2.0
+        if c <= m:
+            rates.append(0.0)
+        elif xi == 0.0:
+            rates.append(math.inf)
+        else:
+            rates.append((c - m) ** 2 / (2.0 * p.sigma**2 * xi**2))
+    best = int(np.argmin(rates))
     ss = np.random.SeedSequence(seed)
     mc_set = set(horizons if mc_horizons is None else mc_horizons)
 
-    cells = []
+    shape = (len(horizons), xi_grid.size)
+    exact = np.empty(shape)
+    mc = np.full(shape, np.nan)
+    mc_se = np.full(shape, np.nan)
     sup_by_horizon = {}
     for ti, T in enumerate(horizons):
-        best_val = NEG_INF
-        best_xi = float(xi_grid[0])
-        for xj, xi in enumerate(xi_grid):
-            exact = exact_tail_value(c, float(xi), p, T)
-            if exact > best_val:
-                best_val = exact
-                best_xi = float(xi)
-            mc = NEG_INF
-            se = 0.0
-            inconclusive = True
+        Tf = float(T)
+        best_val, best_xi = NEG, float(xi_grid[0])
+        for xj, xi in enumerate(xi_grid.tolist()):
+            if xi == 0.0:
+                value = 0.0 if p.r + math.log(p.w0) / Tf >= c else NEG
+            else:
+                drift = p.r + excess * xi - p.sigma**2 * xi**2 / 2.0
+                u = (c - drift - math.log(p.w0) / Tf) * math.sqrt(Tf) / (p.sigma * abs(xi))
+                value = float(log_ndtr(-u) / Tf)
+            exact[ti, xj] = value
+            if value > best_val:
+                best_val, best_xi = value, xi
             if T in mc_set:
                 # the child ss.spawn(len(horizons))[ti] would be, made
                 # only for the cells that sample
                 child = np.random.SeedSequence(
                     ss.entropy, spawn_key=ss.spawn_key + (ti,), pool_size=ss.pool_size
                 )
-                values = slow_constant_samples(p, float(xi), T, n_paths, child)
+                values = slow_constant_samples(p, xi, T, n_paths, child)
                 hits = int((values >= c).sum())
                 if hits > 0:
                     phat = hits / n_paths
-                    mc = math.log(phat) / T
-                    se = math.sqrt((1.0 - phat) / (phat * n_paths)) / T
-                    inconclusive = False
-            cells.append(
-                TailCell(
-                    horizon=float(T),
-                    xi=float(xi),
-                    exact=exact,
-                    mc=mc,
-                    mc_se=se,
-                    inconclusive=inconclusive,
-                )
-            )
-        sup_by_horizon[float(T)] = (best_val, best_xi)
+                    mc[ti, xj] = math.log(phat) / T
+                    mc_se[ti, xj] = math.sqrt((1.0 - phat) / (phat * n_paths)) / T
+        sup_by_horizon[Tf] = (best_val, best_xi)
 
+    rows = [["T", "xi", "exact_value", "mc_value", "mc_se", "sup_over_xi",
+             "target_minus_gstar"]]
+    for ti, T in enumerate(horizons):
+        for xj, xi in enumerate(xi_grid.tolist()):
+            sampled = not math.isnan(mc[ti, xj])
+            rows.append([
+                repr(float(T)),
+                repr(xi),
+                repr(float(exact[ti, xj])),
+                repr(float(mc[ti, xj])) if sampled else "",
+                repr(float(mc_se[ti, xj])) if sampled else "",
+                repr(sup_by_horizon[float(T)][0]),
+                repr(target),
+            ])
     sups = [sup_by_horizon[float(T)][0] for T in horizons]
-    trend = trend_pair(list(horizons), sups)[1]
-    return TailRateReport(
-        threshold=float(c),
-        target=float(target),
-        cells=cells,
+    return SimpleNamespace(
+        target=target,
+        exact=exact,
+        mc=mc,
+        mc_se=mc_se,
         sup_by_horizon=sup_by_horizon,
-        trend=float(trend),
+        trend=trend_pair(list(horizons), sups)[1],
         oracle_rate=float(rates[best]),
         oracle_xi=float(xi_grid[best]),
-        degenerate=degenerate,
-        seed=seed,
+        degenerate=c <= p.r,
+        rows=rows,
     )

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from maxplus import (
-    ConstantControl,
     GartnerInput,
     Grid,
     GridFn,
@@ -73,7 +72,7 @@ def test_criterion_1_fast_transform_bit_exact_and_timed():
             else Grid.line(xlo, xlo, 1)
         )
         f = random_piecewise_fn(rng, yg)
-        fast = legendre_fast(f, xg).values
+        fast = legendre_fast(f, Kernel.bilinear(xg, yg)).values
         # the dense oracle, not conjugate, which above 512 X-nodes takes the
         # same envelope merge as legendre_fast
         brute = dense_matvec_bilinear(xg.coords, yg.coords, -f.values)
@@ -94,7 +93,7 @@ def test_criterion_1_fast_transform_bit_exact_and_timed():
             times.append(time.perf_counter() - t0)
         return float(np.median(times) * 1e3)
 
-    ms = median_ms(lambda: legendre_fast(f, xg))
+    ms = median_ms(lambda: legendre_fast(f, k))
     conj_ms = median_ms(lambda: conjugate(f, k))
     _report(
         1,
@@ -284,7 +283,7 @@ def test_criterion_7_trend_and_monte_carlo_cross_check():
     ss = np.random.SeedSequence(707)
     within = []
     for child, v in zip(ss.spawn(rng_grid.size), rng_grid):
-        (s,) = simulate(P, [ConstantControl(float(v))], 25.0, 100_000, child)
+        (s,) = simulate(P, [float(v)], 25.0, 100_000, child)
         hits = int((s >= 0.12).sum())
         if hits == 0:
             continue

@@ -7,7 +7,7 @@ cell, including the sign of a zero: results are compared through their
 bit patterns.  Inputs are product boxes with one-node axes, X != Y, row
 counts across the chunk size, quantized f with exact ties, x0 = 0 and
 signed-zero coordinates, +inf and -inf values of f, and magnitudes near
-the overflow threshold.
+the overflow threshold; a kernel whose sums overflow is rejected.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxplus import _kernels
+from maxplus import Grid, Kernel, ValidationError, _kernels
 from oracles import dense_bilinear_2d
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -154,22 +154,20 @@ def test_large_f_magnitudes(rng):
     assert_bits_equal(x0, x1, y0, y1, neg_f)
 
 
-def test_overflowing_sums_meet_plus_inf_f(rng):
-    # x0*y0 overflows while x1*y1 stays finite, so some sums are +inf; the
-    # dense sweep gave NaN where one met f = +inf, the action takes -inf
-    x0, x1 = product(np.linspace(-1e200, 1e200, 5), np.linspace(-1, 1, 3))
-    y0, y1 = product(np.linspace(-1e200, 1e200, 4), np.linspace(-1, 1, 3))
-    neg_f = rng.uniform(-1, 1, y0.size)
-    neg_f[[0, 5, 11]] = NEG
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(dense_bilinear_2d(x0, x1, y0, y1, neg_f)).any()
-        t = np.multiply.outer(x0, y0) + np.multiply.outer(x1, y1)
-        t += neg_f[None, :]
-    t[:, np.isneginf(neg_f)] = NEG
-    want = t.max(axis=1)
-    got = _kernels.matvec_bilinear_2d(x0, x1, y0, y1, neg_f)
-    assert not np.isnan(want).any()
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kernel_rejects_overflowing_sums():
+    # x0*y0 and x1*y1 are floats near 1.6e308 each, their sum is not
+    a = 1.5 * 2.0**511
+    box = Grid.box((-a, -a), (a, a), (3, 3))
+    with pytest.raises(ValidationError, match="bilinear kernel"):
+        Kernel.bilinear(box, box)
+    half = Grid.box((-a, -1), (a, 1), (3, 3))
+    k = Kernel.bilinear(box, half)
+    assert np.isfinite(k.matrix()).all()
+    big = Grid.box((-1e200, -1), (1e200, 1), (3, 3))
+    for x, y in ((big, big), (big, half)):
+        with pytest.raises(ValidationError, match="bilinear kernel"):
+            Kernel.bilinear(x, y)
 
 
 def test_slack_covers_the_proved_bound():

@@ -518,23 +518,55 @@ def test_conjugate_fast_with_neg_inf_and_no_finite_value(tmp_path, values, want)
     assert json.loads(fast_bytes)["values"] == [want] * 3
 
 
+BIG_LINE = {"dim": 1, "lo": -1e200, "hi": 1e200, "n": 5}
+BIG_BOX = {"dim": 2, "lo": [-1e200, -1e200], "hi": [1e200, 1e200], "n": [3, 3]}
+OVERFLOWING_KERNEL_SCENARIOS = {
+    "conjugate-2d": {
+        "kind": "conjugate", "x_grid": BIG_BOX, "y_grid": BIG_BOX,
+        "kernel": {"type": "bilinear"}, "f": {"grid": BIG_BOX, "values": [0.0] * 9},
+    },
+    "conjugate-1d-fast": {
+        "kind": "conjugate", "x_grid": BIG_LINE, "y_grid": BIG_LINE,
+        "kernel": {"type": "bilinear"}, "fast": True,
+        "f": {"grid": BIG_LINE, "values": ["+inf", 0.0, 1.0, 0.0, "+inf"]},
+    },
+    "covering-1d": {
+        "kind": "covering", "x_grid": BIG_LINE, "y_grid": BIG_LINE,
+        "kernel": {"type": "bilinear"}, "g": {"grid": BIG_LINE, "values": [0.0] * 5},
+    },
+    "ldp-1d": {
+        "kind": "ldp", "x_grid": BIG_LINE, "y_grid": BIG_LINE,
+        "kernel": {"type": "bilinear"}, "mode": "limit-asserted",
+        "sequence": {"type": "gaussian_mean", "n_list": [64, 128, 256, 512]},
+    },
+}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_conjugate_fast_and_dense_agree_where_products_overflow(tmp_path):
-    # grid bounds near 1e200 and f = +inf nodes: the dense action once met
-    # a +inf product with a -inf term, printed NaN warnings and exited 3
-    line = {"lo": -1e200, "hi": 1e200, "n": 5, "dim": 1}
-    values = ["+inf", 0.0, 1.0, 0.0, "+inf"]
-    for fast in (True, False):
-        cfg = tmp_path / f"fast_{fast}.json"
-        cfg.write_text(json.dumps({
-            "kind": "conjugate", "x_grid": line, "y_grid": line,
-            "kernel": {"type": "bilinear"}, "f": {"grid": line, "values": values},
-            "fast": fast, "out": f"out_{fast}.json",
-        }))
-        assert run(["conjugate", "--config", cfg, "--out-dir", tmp_path]) == 0
-    fast_bytes = (tmp_path / "out_True.json").read_bytes()
-    assert fast_bytes == (tmp_path / "out_False.json").read_bytes()
-    assert json.loads(fast_bytes)["values"] == ["+inf", "+inf", 0.0, "+inf", "+inf"]
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_KERNEL_SCENARIOS))
+def test_overflowing_bilinear_kernel_exits_3(tmp_path, capsys, case):
+    # x*y of 1e200 and 1e200 is no float: the kernel is rejected before any
+    # action, where the 2-D conjugate gave NaN and the 1-D runs computed on
+    # +inf kernel cells with overflow warnings
+    obj = OVERFLOWING_KERNEL_SCENARIOS[case]
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(obj))
+    assert run([obj["kind"], "--config", cfg, "--out-dir", tmp_path / "out"]) == 3
+    assert "bilinear kernel" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_conjugate_f_off_the_y_grid_exits_3(tmp_path, capsys, fast):
+    # the fast path once built its kernel on f's own grid and ignored y_grid
+    obj = json.loads((SCENARIOS / "conjugate_quadratic.json").read_text())
+    obj["y_grid"] = {**obj["y_grid"], "n": 5}
+    obj["fast"] = fast
+    cfg = tmp_path / "conj.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["conjugate", "--config", cfg, "--out-dir", tmp_path / "out"]) == 3
+    assert "expected grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 MALFORMED_MERTON_FIELDS = [

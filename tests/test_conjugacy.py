@@ -141,8 +141,9 @@ def test_kernel_rejects_plus_inf_and_empty_rows():
 def test_legendre_matches_brute_force_quadratic():
     g = Grid.line(-1, 1, 101)
     f = GridFn(g, g.coords**2 / 2)
-    fast = legendre_fast(f, g)
-    brute = conjugate(f, Kernel.bilinear(g, g))
+    k = Kernel.bilinear(g, g)
+    fast = legendre_fast(f, k)
+    brute = conjugate(f, k)
     assert np.array_equal(fast.values, brute.values)
 
 
@@ -150,24 +151,26 @@ def test_legendre_abs_value():
     yg = Grid.line(-2, 2, 41)
     xg = Grid.line(-2, 2, 41)
     f = GridFn(yg, np.abs(yg.coords))
-    out = legendre_fast(f, xg)
+    k = Kernel.bilinear(xg, yg)
+    out = legendre_fast(f, k)
     # zero on [-1, 1], then linear growth: value 2 at x = 2
     assert out.values[np.abs(xg.coords) <= 1].max() == 0.0
     assert out.values[-1] == 2.0 * 2.0 - 2.0
-    assert np.array_equal(out.values, conjugate(f, Kernel.bilinear(xg, yg)).values)
+    assert np.array_equal(out.values, conjugate(f, k).values)
 
 
 def test_legendre_single_x_node():
     yg = Grid.line(-1, 1, 11)
-    out = legendre_fast(GridFn(yg, np.zeros(11)), Grid.line(0, 0, 1))
+    out = legendre_fast(GridFn(yg, np.zeros(11)), Kernel.bilinear(Grid.line(0, 0, 1), yg))
     assert np.array_equal(out.values, [0.0])
 
 
 def test_legendre_of_all_plus_inf_is_neg_inf():
     yg = Grid.line(-1, 1, 5)
     f = GridFn(yg, np.full(5, POS))
-    fast = legendre_fast(f, yg)
-    assert np.array_equal(fast.values, conjugate(f, Kernel.bilinear(yg, yg)).values)
+    k = Kernel.bilinear(yg, yg)
+    fast = legendre_fast(f, k)
+    assert np.array_equal(fast.values, conjugate(f, k).values)
     assert np.all(np.isneginf(fast.values))
 
 
@@ -175,18 +178,32 @@ def test_legendre_of_all_plus_inf_is_neg_inf():
 def test_legendre_neg_inf_without_finite_values(vals):
     yg = Grid.line(-1, 1, 3)
     f = GridFn(yg, vals)
-    fast = legendre_fast(f, yg)
-    assert np.array_equal(fast.values, conjugate(f, Kernel.bilinear(yg, yg)).values)
+    k = Kernel.bilinear(yg, yg)
+    fast = legendre_fast(f, k)
+    assert np.array_equal(fast.values, conjugate(f, k).values)
     assert np.all(np.isposinf(fast.values))
 
 
 def test_legendre_neg_inf_propagates():
     yg = Grid.line(-1, 1, 5)
     vals = np.array([0.0, NEG, 1.0, 2.0, 3.0])
-    fast = legendre_fast(GridFn(yg, vals), yg)
-    brute = conjugate(GridFn(yg, vals), Kernel.bilinear(yg, yg))
+    k = Kernel.bilinear(yg, yg)
+    fast = legendre_fast(GridFn(yg, vals), k)
+    brute = conjugate(GridFn(yg, vals), k)
     assert np.all(np.isposinf(fast.values))
     assert np.array_equal(fast.values, brute.values)
+
+
+def test_legendre_checks_its_kernel_and_grid():
+    yg, xg = Grid.line(-1, 1, 5), Grid.line(-2, 2, 7)
+    f = GridFn(yg, yg.coords**2)
+    with pytest.raises(GridMismatchError):
+        legendre_fast(f, Kernel.bilinear(xg, Grid.line(-1, 1, 6)))
+    with pytest.raises(ValidationError, match="1-D bilinear kernel"):
+        legendre_fast(f, Kernel.from_table(xg, yg, np.zeros((7, 5))))
+    box = Grid.box((-1, -1), (1, 1), (2, 2))
+    with pytest.raises(ValidationError, match="1-D bilinear kernel"):
+        legendre_fast(GridFn(box, np.zeros((2, 2))), Kernel.bilinear(box, box))
 
 
 def test_legendre_bit_exact_stress(rng):
@@ -200,8 +217,9 @@ def test_legendre_bit_exact_stress(rng):
         f = random_piecewise_fn(rng, yg)
         if not np.isfinite(f.values).any():
             continue
-        fast = legendre_fast(f, xg)
-        brute = conjugate(f, Kernel.bilinear(xg, yg))
+        k = Kernel.bilinear(xg, yg)
+        fast = legendre_fast(f, k)
+        brute = conjugate(f, k)
         assert np.array_equal(fast.values, brute.values), f"trial {trial}"
 
 
@@ -477,8 +495,9 @@ def test_legendre_fast_matches_dense_with_plus_inf_nodes_and_zero_ties(rng):
         if not np.isfinite(vals).any():
             continue
         f = GridFn(yg, vals)
-        fast = legendre_fast(f, xg).values
-        dense = conjugate(f, Kernel.bilinear(xg, yg)).values
+        k = Kernel.bilinear(xg, yg)
+        fast = legendre_fast(f, k).values
+        dense = conjugate(f, k).values
         assert np.array_equal(fast.view(np.uint64), dense.view(np.uint64))
 
 
@@ -586,29 +605,25 @@ def test_action_where_the_envelope_bound_overflows(rng, merges, case):
     assert merges == [nx]
 
 
-def absorbing_dense(x, y, neg_f):
-    """The dense 1-D action with a -inf term (f = +inf) absorbing every product."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = np.multiply.outer(x, y) + neg_f
-    t[:, np.isneginf(neg_f)] = NEG
-    return t.max(axis=1)
-
-
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("nx", [5, ROWS + 1])
-def test_action_overflowing_products_meet_plus_inf_f(rng, nx):
-    x = np.linspace(-1e200, 1e200, nx)
-    for y, neg_f in (
-        (np.linspace(-1e200, 1e200, 5), np.array([NEG, -0.0, -1.0, -0.0, NEG])),
-        (np.linspace(-1e200, 1e200, 41), np.where(rng.random(41) < 0.2, NEG, rng.uniform(-1, 1, 41))),
-    ):
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(dense_matvec_bilinear(x, y, neg_f)).any()  # the former result
-        want = absorbing_dense(x, y, neg_f)
-        assert not np.isnan(want).any()
-        assert_action_exact(x, y, neg_f, want)
-        dense = _kernels._dense_bilinear(x, y, neg_f)
-        assert np.array_equal(dense.view(np.uint64), want.view(np.uint64))
+def test_kernel_rejects_overflowing_products(rng, nx):
+    # b(x, y) = x*y must be a float: 1e200 * 1e200 is not, so the kernel is
+    # rejected where the actions once met +inf products; at ROWS + 1 X-nodes
+    # the action on the largest admissible grid takes the envelope merge
+    big, unit = Grid.line(-1e200, 1e200, nx), Grid.line(-1, 1, 3)
+    for xg, yg in ((big, big), (big, Grid.line(0, 1e200, 2)), (Grid.line(1e200, 1e200, 1), big)):
+        for x, y in ((xg, yg), (yg, xg)):
+            with pytest.raises(ValidationError, match="bilinear kernel"):
+                Kernel.bilinear(x, y)
+    edge = Grid.line(-1e154, 1e154, nx)  # 1e308 is a float
+    for x, y in ((big, unit), (unit, big), (edge, edge)):
+        k = Kernel.bilinear(x, y)
+        assert np.isfinite(k.matrix()).all() and np.isfinite(k.transpose().matrix()).all()
+    y = Grid.line(-1e154, 1e154, 41).coords
+    neg_f = np.where(rng.random(41) < 0.2, NEG, rng.uniform(-1, 1, 41))
+    assert np.isfinite(assert_action_exact(edge.coords, y, neg_f)).all()
 
 
 @st.composite

@@ -9,6 +9,11 @@ functions (``_normal``'s lazy scipy names) counts as read.
 Every ``raise`` in the library raises a ``MaxplusError`` subclass or
 ``NotImplementedError``, so that the CLI turns every rejected input into
 exit status 3 rather than a traceback.
+
+Every field of a library dataclass is read somewhere in the library or
+the tests: as an attribute load, or as a string constant (a name that a
+``getattr`` loop reads).  The scan goes by name, so it finds fields that
+nothing reads under any name.
 """
 
 import ast
@@ -20,9 +25,8 @@ from maxplus import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "maxplus").glob("*.py"))
-MODULES = [p for p in LIBRARY if p.name != "__init__.py"] + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+MODULES = [p for p in LIBRARY if p.name != "__init__.py"] + TESTS
 RAISABLE = {
     name for name, obj in vars(errors).items()
     if isinstance(obj, type) and issubclass(obj, errors.MaxplusError)
@@ -95,3 +99,63 @@ def test_scan_sees_a_foreign_raise_and_a_bare_reraise():
         "    raise errors.GridMismatchError\n"
     )
     assert foreign_raises(source) == [(6, "ValueError"), (10, None)]
+
+
+def dataclass_fields(source):
+    """(class, field) of every annotated field of a ``@dataclass``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            fn = dec.func if isinstance(dec, ast.Call) else dec
+            if getattr(fn, "id", getattr(fn, "attr", None)) == "dataclass":
+                out += [
+                    (node.name, stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    return out
+
+
+def read_names(source):
+    """Attribute names loaded anywhere in the source, and its string constants."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return {
+        node.attr for node in nodes
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    } | {
+        node.value for node in nodes
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def unread_fields(library, readers):
+    read = set().union(*map(read_names, readers))
+    return [
+        (cls, name)
+        for source in library
+        for cls, name in dataclass_fields(source)
+        if name not in read
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    sources = [p.read_text() for p in LIBRARY]
+    assert unread_fields(sources, sources + [p.read_text() for p in TESTS]) == []
+
+
+def test_scan_sees_an_unread_field():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    kept: float\n"
+        "    listed: list = field(default_factory=list)\n"
+        "    dead: int = 0\n"
+        "    LIMIT = 3\n"
+        "class Plain:\n"
+        "    other: int\n"
+    )
+    reader = "print(r.kept, [getattr(r, k) for k in ('listed',)])\nr.dead = 1\n"
+    assert unread_fields([source], [source, reader]) == [("Report", "dead")]

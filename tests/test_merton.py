@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from maxplus import (
-    ConstantControl,
     Grid,
     GridFn,
     MertonParams,
@@ -102,73 +101,74 @@ def test_param_validation():
 
 def test_riskless_control_is_deterministic():
     p = MertonParams(r=0.05, alpha=0.10, sigma=0.20, w0=2.0)
-    (s,) = simulate(p, [ConstantControl(0.0)], 10.0, 1000, seed=1)
+    (s,) = simulate(p, [0.0], 10.0, 1000, seed=1)
     expect = math.log(2.0) / 10.0 + 0.05
     assert np.all(s == expect)
 
 
 def test_simulated_mean_matches_drift():
-    (s,) = simulate(P, [ConstantControl(1.0)], 10.0, 100_000, seed=2)
+    (s,) = simulate(P, [1.0], 10.0, 100_000, seed=2)
     drift = 0.05 + 0.05 - 0.5 * 0.04  # r + excess - sigma^2/2 = 0.08
     se = 0.2 / math.sqrt(10.0) / math.sqrt(100_000)
     assert abs(s.mean() - drift) < 3 * se
 
 
 def test_seeded_determinism():
-    (a,) = simulate(P, [ConstantControl(1.5)], 5.0, 1000, seed=42)
-    (b,) = simulate(P, [ConstantControl(1.5)], 5.0, 1000, seed=42)
+    (a,) = simulate(P, [1.5], 5.0, 1000, seed=42)
+    (b,) = simulate(P, [1.5], 5.0, 1000, seed=42)
     assert np.array_equal(a, b)
-    (c,) = simulate(P, [ConstantControl(1.5)], 5.0, 1000, seed=43)
+    (c,) = simulate(P, [1.5], 5.0, 1000, seed=43)
     assert not np.array_equal(a, c)
 
 
 def test_simulate_rejects_unknown_controls():
-    for control in (1.0, None, {"xi": 1.0}):
-        with pytest.raises(ValidationError, match="unknown control"):
-            simulate(P, [ConstantControl(1.0), control], 10.0, 10, seed=0)
+    for xi in (None, {"xi": 1.0}, "1.0", ["1.0"], [True], [[1.0]], [1.0, None],
+               [1.0, float("nan")], [float("-inf")]):
+        with pytest.raises(ValidationError, match="finite fractions"):
+            simulate(P, xi, 10.0, 10, seed=0)
 
 
 def test_nonpositive_horizon_rejected():
     with pytest.raises(ValidationError):
-        simulate(P, [ConstantControl(1.0)], 0.0, 10, seed=0)
+        simulate(P, [1.0], 0.0, 10, seed=0)
 
 
 XIS = [0.0, -1.5, -0.05, 0.5, 2.0, 8.0]
 
 
 def test_simulate_shares_one_draw_across_controls():
-    # common random numbers: control j of one call gets the bits that a
-    # one-control call with the same seed gets
+    # common random numbers: fraction j of one call gets the bits that a
+    # one-fraction call with the same seed gets
     for T, seed in ((25.0, 3), (333.3, np.random.SeedSequence(5, spawn_key=(1,)))):
-        got = list(simulate(P, [ConstantControl(xi) for xi in XIS], T, 4097, seed))
+        got = list(simulate(P, XIS, T, 4097, seed))
         assert len(got) == len(XIS)
         assert len({id(a) for a in got}) == len(XIS)
         for xi, values in zip(XIS, got):
             assert not values.flags.writeable
-            (alone,) = simulate(P, [ConstantControl(xi)], T, 4097, seed)
+            (alone,) = simulate(P, [xi], T, 4097, seed)
             assert values.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize(
-    "controls,horizon,n_paths",
+    "xi,horizon,n_paths",
     [
-        (ConstantControl(1.0), 10.0, 10),
+        (1.0, 10.0, 10),
         ([], 10.0, 10),
-        ((c for c in [ConstantControl(1.0)]), 10.0, 10),
-        ([ConstantControl(1.0)], float("nan"), 10),
-        ([ConstantControl(1.0)], float("inf"), 10),
-        ([ConstantControl(1.0)], "10", 10),
-        ([ConstantControl(1.0)], 10.0, 0),
-        ([ConstantControl(1.0)], 10.0, 2.5),
-        ([ConstantControl(1.0)], 10.0, True),
+        ((x for x in [1.0]), 10.0, 10),
+        ([1.0], float("nan"), 10),
+        ([1.0], float("inf"), 10),
+        ([1.0], "10", 10),
+        ([1.0], 10.0, 0),
+        ([1.0], 10.0, 2.5),
+        ([1.0], 10.0, True),
     ],
     ids=["bare-control", "no-controls", "generator", "nan-T", "inf-T", "string-T",
          "zero-paths", "fractional-paths", "bool-paths"],
 )
-def test_simulate_checks_arguments_at_the_call(controls, horizon, n_paths):
+def test_simulate_checks_arguments_at_the_call(xi, horizon, n_paths):
     # the error comes from the call itself, before any array is asked for
     with pytest.raises(ValidationError):
-        simulate(P, controls, horizon, n_paths, seed=0)
+        simulate(P, xi, horizon, n_paths, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_exact_value_reference():
 def test_empirical_matches_exact_within_se():
     T, n = 10.0, 100_000
     for x, xi in ((0.5, 1.0), (0.5, 2.5), (-0.3, 1.0)):
-        (s,) = simulate(P, [ConstantControl(xi)], T, n, seed=11)
+        (s,) = simulate(P, [xi], T, n, seed=11)
         got = risk_sensitive_value(x, s, T)
         want = risk_sensitive_exact(x, xi, P, T)
         # bootstrap standard error of the log-mean estimate
@@ -295,10 +295,11 @@ def test_tail_rate_oracle_and_trend():
     assert sups == sorted(sups)  # monotone toward the target
     assert all(s < rep.target for s in sups)
     # Monte Carlo cross-check at the shortest horizon
-    cells = [c for c in rep.cells if c.horizon == 25.0 and not c.inconclusive]
-    assert cells
-    hits = sum(abs(c.mc - c.exact) < 3 * c.mc_se for c in cells)
-    assert hits / len(cells) > 0.98
+    sampled = ~np.isnan(rep.mc[0])
+    assert sampled.any()
+    within = np.abs(rep.mc[0] - rep.exact[0]) < 3 * rep.mc_se[0]
+    assert within[sampled].mean() > 0.98
+    assert np.isnan(rep.mc[1:]).all()
 
 
 def test_tail_rate_below_threshold_degenerates_to_zero():
@@ -339,7 +340,7 @@ def test_tail_rate_zero_hits_inconclusive():
         seed=3,
         xi_grid=np.array([0.5]),
     )
-    assert all(c.inconclusive for c in rep.cells)
+    assert np.isnan(rep.mc).all() and np.isnan(rep.mc_se).all()
 
 
 def test_tail_rate_report_deterministic():
@@ -367,7 +368,7 @@ def test_clipped_affine_on_slope_arrays_matches_libm_closed_form():
 
 def test_tail_rate_cell_seeds_match_spawned_children():
     # every Monte Carlo cell of horizon ti counts the samples that a
-    # one-control simulate draws from SeedSequence(seed).spawn(|T|)[ti]
+    # one-fraction simulate draws from SeedSequence(seed).spawn(|T|)[ti]
     horizons, xi = [25, 50, 100], np.arange(0.25, 3.0, 0.25)
     for mc_horizons in (None, [50]):
         rep = tail_rate_experiment(
@@ -377,16 +378,16 @@ def test_tail_rate_cell_seeds_match_spawned_children():
         kids = np.random.SeedSequence(42).spawn(len(horizons))
         for ti, T in enumerate(horizons):
             for xj, x in enumerate(xi):
-                cell = rep.cells[ti * xi.size + xj]
+                mc = rep.mc[ti, xj]
                 if mc_horizons is not None and T not in mc_horizons:
-                    assert cell.inconclusive
+                    assert math.isnan(mc)
                     continue
-                (ref,) = simulate(P, [ConstantControl(float(x))], T, 500, kids[ti])
+                (ref,) = simulate(P, [float(x)], T, 500, kids[ti])
                 hits = int(np.count_nonzero(ref >= 0.1))
-                assert cell.inconclusive == (hits == 0)
+                assert math.isnan(mc) == (hits == 0)
                 if hits:
-                    assert cell.mc == math.log(hits / 500) / T
-        assert not all(c.inconclusive for c in rep.cells)
+                    assert mc == math.log(hits / 500) / T
+        assert not np.isnan(rep.mc).all()
 
 
 def test_tail_rate_exact_only_needs_no_paths_or_seed():
@@ -394,7 +395,7 @@ def test_tail_rate_exact_only_needs_no_paths_or_seed():
         c=0.12, p=P, horizons=[25, 50], xi_grid=np.array([0.5, 1.0]),
         mc_horizons=[],
     )
-    assert all(c.inconclusive for c in rep.cells)
+    assert np.isnan(rep.mc).all()
     assert rep.sup_by_horizon[25.0][0] == max(
         exact_tail_value(0.12, x, P, 25) for x in (0.5, 1.0)
     )
@@ -406,13 +407,18 @@ def test_simulate_constant_matches_base_plus_scale_z(xi):
     for p in (P, MertonParams(r=0.03, alpha=0.11, sigma=0.35, w0=2.5)):
         for T in (1, 25.0, 333.3):
             for seed in (0, 7, np.random.SeedSequence(5, spawn_key=(3,))):
-                (got,) = simulate(p, [ConstantControl(xi)], T, 4097, seed)
+                (got,) = simulate(p, [xi], T, 4097, seed)
                 want = slow_constant_samples(p, xi, T, 4097, seed)
                 assert got.tobytes() == want.tobytes()
 
 
-def _cell_fields(report):
-    return [(c.horizon, c.xi, c.exact, c.mc, c.mc_se, c.inconclusive) for c in report.cells]
+def assert_report_matches_oracle(rep, want):
+    for name in ("exact", "mc", "mc_se"):
+        assert getattr(rep, name).tobytes() == getattr(want, name).tobytes(), name
+    assert rep.csv_rows() == want.rows
+    for name in ("sup_by_horizon", "trend", "target", "oracle_rate", "oracle_xi",
+                 "degenerate"):
+        assert getattr(rep, name) == getattr(want, name), name
 
 
 @pytest.mark.parametrize("callers", [1, 2])
@@ -441,11 +447,24 @@ def test_tail_rate_matches_serial_oracle(seed, mc_horizons, n_paths, callers):
             assert not t.is_alive()
         assert len(others) == callers - 1
         for rep in (got, *others):
-            assert _cell_fields(rep) == _cell_fields(want)
-            assert rep.csv_rows() == want.csv_rows()
-            assert (rep.sup_by_horizon, rep.trend) == (want.sup_by_horizon, want.trend)
+            assert_report_matches_oracle(rep, want)
     if mc_horizons != [] and n_paths > 1:
-        assert not all(c.inconclusive for c in got.cells)
+        assert not np.isnan(got.mc).all()
+
+
+@pytest.mark.parametrize("c", [P.r, -10.0], ids=["riskless-rate", "all-tied"])
+def test_tail_rate_counts_samples_at_the_threshold(c):
+    # at xi = 0 every sample is r exactly (w0 = 1), so c = r counts them
+    # all; at c = -10 every exact value is a signed zero and the first
+    # fraction is the argmax.  Negative fractions spread the law by |xi|.
+    kw = dict(c=c, p=P, horizons=[25, 50], n_paths=1000, seed=5,
+              xi_grid=np.array([-1.5, -0.05, 0.0, 0.5, 2.0]))
+    rep = tail_rate_experiment(**kw)
+    assert_report_matches_oracle(rep, slow_tail_rate_experiment(**kw))
+    assert (rep.mc[:, 2] == 0.0).all()
+    if c < 0:
+        assert (rep.exact == 0.0).all()
+        assert all(xi == -1.5 for _, xi in rep.sup_by_horizon.values())
 
 
 def test_tail_rate_worker_error_propagates_and_joins():
@@ -470,7 +489,7 @@ def test_tail_rate_holds_a_few_path_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not all(c.inconclusive for c in rep.cells)
+    assert not np.isnan(rep.mc).all()
     assert peak < 4 * n_paths * 8, peak
 
 
