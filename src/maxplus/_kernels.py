@@ -58,9 +58,10 @@ def matvec_table(table, neg_f):
     nx, ny = table.shape
     out = np.empty(nx)
     step = min(block_rows(ny), nx)
-    # one block, reused, in the table's memory order (a transposed kernel's
-    # table is column-major) as numpy's own table + neg_f would be: the
-    # order decides which zero a tie of +0 and -0 keeps
+    # one block, reused, in the table's memory order as numpy's own
+    # table + neg_f would be: the order decides which zero a tie of +0 and
+    # -0 keeps.  Kernel tables are C-ordered (Kernel copies them, a
+    # transposed one too); a raw column-major array keeps its own order
     buf = np.empty_like(table[:step], dtype=np.float64)
     for lo in range(0, nx, step):
         hi = min(lo + step, nx)

@@ -81,14 +81,28 @@ def _json_nodes(value, size, what):
     return np.asarray(value, dtype=np.int64)
 
 
+_XI_NODES = 100_000  # far above the 801 fractions of acceptance criterion 8
+
+
 def _xi_grid(obj, what):
-    """The fraction grid xi_min, xi_min + xi_step, ... up to xi_max."""
+    """The fraction grid xi_min, xi_min + xi_step, ... up to xi_max.
+
+    At most ``_XI_NODES`` nodes; an empty range gives an empty grid.
+    """
     lo, hi, step = (
         _json_number(obj[k], f"{what}: {k}") for k in ("xi_min", "xi_max", "xi_step")
     )
     if not step > 0:
         raise ValidationError(f"{what}: xi_step must be positive, got {step}")
-    return np.arange(lo, hi + 1e-12, step)
+    with np.errstate(over="ignore"):
+        # np.arange's node count, before its ceil
+        span = (np.float64(hi) + 1e-12 - lo) / step
+    if not (np.isfinite(span) and span <= _XI_NODES):
+        raise ValidationError(
+            f"{what}: (xi_max - xi_min) / xi_step = {span:.6g}, "
+            f"not a count of at most {_XI_NODES} nodes"
+        )
+    return np.arange(lo, hi + 1e-12, step) if span > 0 else np.empty(0)
 
 
 def _merton_params(obj, what):

@@ -16,11 +16,12 @@ half-line domain) through ``WindowSides``.
 
 The window diagnostics walk the kernel in blocks of X-rows, in buffers
 allocated once per call, and sort only the inner window's cells for their
-levels.  Every level test is one reduction over the ring, the Y-nodes
-outside the inner window: a level set leaves the window iff the ring's
-extreme passes the level, and a sublevel set that stays inside holds its
-row maximum inside, so the upper-coercivity test runs only on the rows
-whose sets reach the ring (the arguments are in ``coercivity_report``).
+level, one quantile per report.  Each level test is one reduction over
+the ring, the Y-nodes outside the inner window: a level set leaves the
+window iff the ring's extreme passes the level, and a sublevel set that
+stays inside holds its row maximum inside, so the upper-coercivity test
+runs only on the rows whose sets reach the ring (the arguments are in
+``coercivity_report``).
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ from .errors import ValidationError
 from .grids import (
     NEG_INF,
     POS_INF,
-    Grid,
     GridFn,
     ball_extreme,
     check_values,
@@ -145,8 +145,7 @@ class Kernel:
 def conjugate(f, k):
     """Max-plus conjugate of f through the kernel: x ↦ max_y b(x,y) - f(y).
 
-    The dual transform is ``conjugate(g, k.transpose())``.  Result is
-    tagged plain.
+    The dual transform is ``conjugate(g, k.transpose())``.
     """
     require_same_grid(f, k.y_grid, "conjugate: f")
     neg_f = -f.flat
@@ -201,8 +200,6 @@ class SubdiffMap:
     is attained at x_i with b(x_i, y_j) finite and g(x_i) < +inf.
     """
 
-    x_grid: Grid
-    y_grid: Grid
     attain: np.ndarray
     dual: GridFn  # the dual conjugate of g on the Y-grid
 
@@ -246,7 +243,7 @@ def subdifferential_map(g, k):
         np.equal(t, dv, out=attain[lo:hi])
         attain[lo:hi] &= reached
     attain.setflags(write=False)
-    return SubdiffMap(x_grid=k.x_grid, y_grid=k.y_grid, attain=attain, dual=dual)
+    return SubdiffMap(attain=attain, dual=dual)
 
 
 @dataclass(frozen=True)
@@ -311,34 +308,25 @@ def inner_window_mask(grid, margin, sides=None):
     return mask.reshape(-1)
 
 
-def _window_views(vals, grid, box):
-    """Views of a block of Y-rows: the inner box and the ring slabs.
+def _window_split(vals, grid, box, op):
+    """A block of Y-rows as its inner-box view and ``op`` over its ring.
 
-    The ring, the cells outside the box, is cut into at most 2·dim
-    slabs: along each axis, the cells below and above the box's range
-    that lie in the box's ranges of the earlier axes.
+    ``op`` (np.minimum or np.maximum) reduces each row's ring, the cells
+    outside the box, cut into at most 2·dim slabs: along each axis, the
+    cells below and above the box's range that lie in the box's ranges
+    of the earlier axes.  An empty ring reduces to the identity of
+    ``op``, +inf or -inf, which passes no finite level.
     """
     v = vals.reshape((-1,) + grid.shape)
     whole = (slice(None),)
-    slabs = []
+    empty = POS_INF if op is np.minimum else NEG_INF
+    ring = np.full(v.shape[0], empty)
     for ax, s in enumerate(box):
         for part in (slice(0, s.start), slice(s.stop, None)):
             slab = v[whole + box[:ax] + (part,)]
-            if slab.size:
-                slabs.append(slab)
-    return v[whole + box], slabs
-
-
-def _ring_reduce(slabs, op):
-    """``op`` (np.minimum or np.maximum) over each row's ring cells.
-
-    None when the ring is empty.
-    """
-    acc = None
-    for slab in slabs:
-        r = op.reduce(slab, axis=tuple(range(1, slab.ndim)))
-        acc = r if acc is None else op(acc, r, out=acc)
-    return acc
+            r = op.reduce(slab, axis=tuple(range(1, slab.ndim)), initial=empty)
+            op(ring, r, out=ring)
+    return v[whole + box], ring
 
 
 def _sorted_window(box_view, out):
@@ -416,15 +404,18 @@ def _clipped_nodes(grid, radius, sides):
     return clipped.reshape(-1)
 
 
-def _row_quantiles(s, quantiles):
-    """Quantiles of the finite values of each row of ``s``; (levels, use).
+def _row_quantile(s, q):
+    """The q-quantile of the finite values of each row of ``s``; (level, use).
 
     Each row of ``s`` is sorted, so its infinities sit at its ends.
-    ``levels[i, j]`` equals ``np.quantile`` of row i's finite values at
-    ``quantiles[j]`` (method ``linear``) bit for bit: the same order
-    statistics and the same interpolation expression.  ``use`` marks the
-    rows with any finite value; the levels of the other rows are
-    placeholders.
+    ``level[i]`` is ``np.quantile`` of row i's finite values at ``q``
+    (method ``linear``, type 7 of Hyndman & Fan 1996) bit for bit
+    wherever that is finite: the same order statistics a <= b and the
+    same interpolation expression.  Where b - a overflows, ``np.quantile``
+    gives NaN or ±inf; the expression then runs on a/2 and b/2, exact at
+    such magnitudes, and the result is doubled, so the level stays finite
+    and between a and b.  ``use`` marks the rows with any finite value;
+    the levels of the other rows are placeholders.
     """
     m, w = s.shape
     first = np.zeros(m, dtype=np.intp)  # position of the row's first finite value
@@ -436,22 +427,26 @@ def _row_quantiles(s, quantiles):
         counts[low] -= n
         high = np.flatnonzero(s[:, -1] == POS_INF)
         counts[high] -= np.count_nonzero(s[high] == POS_INF, axis=1)
-    some = counts > 0
-    rows = np.flatnonzero(some)
-    c, f0 = counts[rows, None], first[rows, None]
-    virt = (c - 1) * np.asarray(quantiles, dtype=np.float64)
+    use = counts > 0
+    rows = np.flatnonzero(use)
+    c, f0 = counts[rows], first[rows]
+    virt = (c - 1) * float(q)
     prev = np.floor(virt)
     top = virt >= c - 1  # numpy takes the largest value there
     t = np.where(top, virt + 1, virt - prev)
-    a = s[rows[:, None], f0 + np.where(top, c - 1, prev).astype(np.intp)]
-    b = s[rows[:, None], f0 + np.where(top, c - 1, prev + 1).astype(np.intp)]
+    a = s[rows, f0 + np.where(top, c - 1, prev).astype(np.intp)]
+    b = s[rows, f0 + np.where(top, c - 1, prev + 1).astype(np.intp)]
+    with np.errstate(over="ignore"):
+        scale = np.where(np.isinf(b - a), 0.5, 1.0)
+    a *= scale
+    b *= scale
     diff = b - a
     lerp = a + diff * t
     upper = t >= 0.5
     lerp[upper] = (b - diff * (1 - t))[upper]
-    levels = np.zeros((m, len(quantiles)))
-    levels[rows] = lerp
-    return levels, np.repeat(some[:, None], len(quantiles), axis=1)
+    level = np.zeros(m)
+    level[rows] = lerp / scale
+    return level, use
 
 
 @dataclass(frozen=True)
@@ -490,18 +485,19 @@ def coercivity_report(
 ):
     """Sample coercivity of the kernel through stencil neighborhoods.
 
-    For each x-node and V the stencil ball around it, the sublevel sets
-    {y : max_{z in V} b(z,y) - b(x,y) <= beta} are tested for containment
+    For each x-node and V the stencil ball around it, the sublevel set
+    {y : max_{z in V} b(z,y) - b(x,y) <= beta} is tested for containment
     in the inner window (coercive evidence) and for the max of b(x, ·)
-    over them being attained away from open edges (upper-coercive
-    evidence).  The levels beta are the 0.5, 0.75 and 0.9 quantiles of
-    the finite gain values inside the inner window.  ``sides`` declare
-    which Y-window edges are genuine boundaries; ``x_sides`` the same for
-    the X-window, whose open edges produce untestable (EDGE) nodes.
+    over it being attained away from open edges (upper-coercive
+    evidence).  The level beta is the median of the finite gain values
+    inside the inner window; a row with none has no level and is a
+    coercive violation.  ``sides`` declare which Y-window edges are
+    genuine boundaries; ``x_sides`` the same for the X-window, whose open
+    edges produce untestable (EDGE) nodes.
 
     The x-nodes are processed as array code over blocks of rows, with
     the block buffers allocated once per call; the report is the one a
-    per-node loop over these definitions returns.  Each level test is one
+    per-node loop over these definitions returns.  Each test is one
     reduction over the ring (the Y-nodes outside the inner window):
 
     - the sublevel set at beta leaves the window iff the ring minimum of
@@ -510,6 +506,15 @@ def coercivity_report(
       (or is -inf throughout), so the upper test only runs on the rows
       whose set reaches the ring, where it holds iff the max of b(x, ·)
       over the set's inner part is >= the max over its ring part.
+
+    One level gives the labels of the 0.5, 0.75 and 0.9 quantiles L1 <=
+    L2 <= L3 capped just under the ring minimum m, as
+    max(min(L, c), L1) with c = m - max(1e-12, 0.05|m|) < m (-inf for
+    m = -inf), each distinct level tested once.  If L1 < c every capped
+    level is below m and no set reaches the ring; otherwise every capped
+    level is L1.  So a set reaches the ring iff m <= L1, and the upper
+    test only ever acts at L1.  Finite gains are >= 0, so their quantiles
+    are finite and ordered, and L1 is the median.
     """
     # a ball as wide as the longest X-axis already holds the whole grid
     stencil_radius = min(stencil_radius, max(k.x_grid.n))
@@ -530,47 +535,21 @@ def coercivity_report(
         gain = _block_gain(
             halo, k.x_grid, stencil_radius, lo - h0, hi - h0, gain_buf[: hi - lo]
         )
-        box_view, slabs = _window_views(gain, k.y_grid, box)
-        levels, use = _row_quantiles(
-            _sorted_window(box_view, win_buf[: hi - lo]), (0.5, 0.75, 0.9)
-        )
-        ring_min = _ring_reduce(slabs, np.minimum)
-        reach = np.zeros_like(use)
-        if ring_min is not None:
-            # cap the levels just under the finite ring minimum: sublevel-set
-            # geometry need not match the window shape, but any level below
-            # every ring value fits whenever no valley escapes; levels at or
-            # above escaping valleys still flag violations.  A ring holding
-            # -inf caps every level to the lowest: the sets reach the ring
-            # at every level anyway, and the lowest level admits a finite
-            # ring value only when the finite cap would have kept that level
-            # alone too, so the labels are the finite cap's.
-            capped = use[:, 0] & (ring_min < POS_INF)
-            if capped.any():
-                lo_ring = ring_min[capped]
-                cap = lo_ring - np.maximum(1e-12, 0.05 * np.abs(lo_ring))
-                raw = levels[capped]
-                fit = np.sort(
-                    np.maximum(np.minimum(raw, cap[:, None]), raw.min(axis=1)[:, None]),
-                    axis=1,
-                )
-                levels[capped] = fit
-                use[capped, 1:] = fit[:, 1:] != fit[:, :-1]  # each level once
-            reach = use & (ring_min[:, None] <= levels)
-        # no level at all leaves nothing finite to test against
-        ok_c = use[:, 0] & ~reach.any(axis=1)
+        inner, ring_min = _window_split(gain, k.y_grid, box, np.minimum)
+        level, use = _row_quantile(_sorted_window(inner, win_buf[: hi - lo]), 0.5)
+        reach = use & (ring_min <= level)
+        ok_c = use & ~reach
         ok_u = np.ones(hi - lo, dtype=bool)
         edge = clipped[lo:hi]
-        tested = np.flatnonzero(reach.any(axis=1) & ~edge)
+        tested = np.flatnonzero(reach & ~edge)
         if tested.size:
-            g = gain[tested]
-            b = halo[lo - h0 + tested]
-            for j in range(levels.shape[1]):
-                box_view, slabs = _window_views(
-                    np.where(g <= levels[tested, j, None], b, NEG_INF), k.y_grid, box
-                )
-                top_in = box_view.max(axis=tuple(range(1, box_view.ndim)), initial=NEG_INF)
-                ok_u[tested] &= ~reach[tested, j] | (_ring_reduce(slabs, np.maximum) <= top_in)
+            # b(x, ·) on the sublevel set, -inf off it
+            b_sub = np.where(
+                gain[tested] <= level[tested, None], halo[lo - h0 + tested], NEG_INF
+            )
+            inner, ring_max = _window_split(b_sub, k.y_grid, box, np.maximum)
+            top_in = inner.max(axis=tuple(range(1, inner.ndim)), initial=NEG_INF)
+            ok_u[tested] = ring_max <= top_in
         coercive += np.where(edge, EDGE, np.where(ok_c, EVIDENCE, VIOLATION)).tolist()
         upper += np.where(edge, EDGE, np.where(ok_u, EVIDENCE, VIOLATION)).tolist()
     return CoercivityReport(coercive=coercive, upper_coercive=upper)
@@ -597,14 +576,16 @@ def superlevel_compactness_report(
     """Evidence that superlevel sets {b(x,·) - f >= beta} stay confined.
 
     Empty superlevel sets count as evidence (there is nothing to escape);
-    sets touching an open window edge are violations.  The levels beta
-    are the 0.75 and 0.9 quantiles of the finite values inside the inner
-    window; a row with none (b(x,·) - f is -inf there) has only empty
-    superlevel sets.  Array code over blocks of x-rows in buffers
+    sets touching an open window edge are violations.  The level beta is
+    the 0.75 quantile of the finite values inside the inner window; a row
+    with none (b(x,·) - f is -inf there) has only empty superlevel sets.
+    The set at beta reaches the ring iff the ring maximum is >= beta.
+    Testing the 0.9 quantile too would change no label: the quantiles are
+    ordered, so a ring maximum at or above the 0.9 quantile is at or
+    above the 0.75 quantile.  Array code over blocks of x-rows in buffers
     allocated once per call.  The values are ``b + (-f)`` with NaN set to
-    -inf, which is ``otimes(b, -f)`` bit for bit (NaN comes only from
-    -inf meeting +inf, where otimes gives -inf), and the set at beta
-    reaches the ring iff the ring maximum is >= beta.
+    -inf, which is ``otimes(b, -f)`` bit for bit (NaN comes only from -inf
+    meeting +inf, where otimes gives -inf).
     """
     require_same_grid(f, k.y_grid, "superlevel_compactness_report: f")
     box = _inner_box(k.y_grid, window_margin, sides)
@@ -619,13 +600,7 @@ def superlevel_compactness_report(
         with np.errstate(invalid="ignore"):
             np.add(k.rows(slice(lo, hi), out=buf), neg_f, out=vals)
         np.fmax(vals, NEG_INF, out=vals)  # NaN to -inf
-        box_view, slabs = _window_views(vals, k.y_grid, box)
-        levels, use = _row_quantiles(
-            _sorted_window(box_view, win_buf[: hi - lo]), (0.75, 0.9)
-        )
-        ring_max = _ring_reduce(slabs, np.maximum)
-        ok = np.ones(hi - lo, dtype=bool)
-        if ring_max is not None:
-            ok = ~(use & (ring_max[:, None] >= levels)).any(axis=1)
-        verdicts += np.where(ok, EVIDENCE, VIOLATION).tolist()
+        inner, ring_max = _window_split(vals, k.y_grid, box, np.maximum)
+        level, use = _row_quantile(_sorted_window(inner, win_buf[: hi - lo]), 0.75)
+        verdicts += np.where(use & (ring_max >= level), VIOLATION, EVIDENCE).tolist()
     return SuperlevelReport(verdicts=verdicts)

@@ -63,7 +63,7 @@ class Grid:
 
     ``lo``, ``hi`` and ``n`` are per-axis tuples; scalars are accepted for
     1-D grids.  Per axis: n >= 1, lo <= hi, and lo == hi only when n == 1.
-    Bounds must be finite.
+    Bounds and their span hi - lo must be finite.
     """
 
     lo: tuple
@@ -93,6 +93,8 @@ class Grid:
                 raise ValidationError("grid needs at least one node per axis")
             if a > b:
                 raise ValidationError("grid lower bound exceeds upper bound")
+            if not np.isfinite(b - a):  # Python floats: an overflow is inf, no warning
+                raise ValidationError(f"grid span {b} - ({a}) leaves the float range")
             if a == b and k != 1:
                 raise ValidationError("degenerate axis (lo == hi) requires n == 1")
         object.__setattr__(self, "lo", lo)

@@ -99,7 +99,6 @@ def _value_tensor(seqs, kernel):
 
 @dataclass(frozen=True)
 class LimitDiagnostics:
-    mode: str
     downgraded: bool
     limit_gaps: np.ndarray
     edge_unbounded: np.ndarray
@@ -159,7 +158,6 @@ def limit_log_moment(gartner_input, *, sup_edge_to_inf=False):
         g = np.where(edge, POS_INF, g)
 
     diag = LimitDiagnostics(
-        mode=gartner_input.mode,
         downgraded=downgraded,
         limit_gaps=gaps,
         edge_unbounded=np.flatnonzero(edge),

@@ -35,7 +35,11 @@ from .grids import NEG_INF, POS_INF, Grid, node_mask
 
 @dataclass(frozen=True)
 class MertonParams:
-    """Market parameters: alpha > r > 0, sigma > 0, initial wealth > 0."""
+    """Market parameters: alpha > r > 0, sigma > 0, initial wealth > 0.
+
+    sigma^2 and (alpha - r)^2 / (2 sigma^2), which every closed form
+    uses, must be positive and finite floats.
+    """
 
     r: float
     alpha: float
@@ -49,6 +53,15 @@ class MertonParams:
             raise ValidationError("need sigma > 0")
         if self.w0 <= 0:
             raise ValidationError("need positive initial wealth")
+        # numpy scalars: Python's float ** raises OverflowError instead of giving inf
+        with np.errstate(over="ignore", under="ignore"):
+            var = np.float64(self.sigma) ** 2
+            if not 0 < var < POS_INF:
+                raise ValidationError(
+                    f"sigma = {self.sigma!r}: sigma^2 leaves the float range"
+                )
+            if not np.isfinite(np.float64(self.excess) ** 2 / (2.0 * var)):
+                raise ValidationError("(alpha - r)^2 / (2 sigma^2) leaves the float range")
 
     @property
     def excess(self):

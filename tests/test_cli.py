@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxplus.cli import main
+from maxplus.cli import _xi_grid, main
+from maxplus.errors import ValidationError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -556,6 +557,19 @@ def test_overflowing_bilinear_kernel_exits_3(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+def test_covering_on_a_grid_whose_span_overflows_exits_3(tmp_path, capsys):
+    # on [-1e308, 1e308] every coordinate was NaN, and the identity table
+    # still read existence YES with exit 0
+    obj = json.loads((SCENARIOS / "covering_identity.json").read_text())
+    wide = {"dim": 1, "lo": -1e308, "hi": 1e308, "n": 3}
+    obj["x_grid"] = obj["y_grid"] = obj["g"]["grid"] = wide
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["covering", "--config", cfg, "--out-dir", tmp_path / "out"]) == 3
+    assert "grid span" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("fast", [True, False])
 def test_conjugate_f_off_the_y_grid_exits_3(tmp_path, capsys, fast):
     # the fast path once built its kernel on f's own grid and ignored y_grid
@@ -589,6 +603,15 @@ MALFORMED_MERTON_FIELDS = [
     ("xi_step", float("inf"), "xi_step is a finite number"),
     ("xi_step", 0, "xi_step must be positive"),
     ("xi_step", -0.05, "xi_step must be positive"),
+    # the node count np.arange would take: beyond the float range, beyond
+    # the bound, or of a range far below xi_min, where np.arange raised
+    ("xi_step", 5e-324, "not a count of at most 100000 nodes"),
+    ("xi_max", 1e300, "not a count of at most 100000 nodes"),
+    ("xi_min", 1e300, "xi grid is empty"),
+    ("xi_max", -1e300, "xi grid is empty"),
+    # closed forms beyond the float range, where Python's ** raised
+    ("alpha", 1e300, "(alpha - r)^2 / (2 sigma^2) leaves the float range"),
+    ("sigma", 1e-300, "sigma^2 leaves the float range"),
     ("T", 25, "T is a list"),
     ("T", [25, "50"], "T entry is a finite number"),
     ("T", [25, True], "T entry is a finite number"),
@@ -618,6 +641,13 @@ def test_malformed_merton_field_exits_3(tmp_path, capsys, field, value, message)
     assert not (tmp_path / "merton_tailrate.csv").exists()
 
 
+def test_xi_grid_holds_at_most_100000_nodes():
+    obj = {"xi_min": 0.0, "xi_max": 99999.5, "xi_step": 1.0}
+    assert _xi_grid(obj, "scenario").size == 100_000
+    with pytest.raises(ValidationError, match="at most 100000 nodes"):
+        _xi_grid({**obj, "xi_max": 100000.5}, "scenario")
+
+
 def test_negative_merton_seed_flag_exits_3(tmp_path, capsys):
     rc = run(["merton", "--config", SCENARIOS / "merton_tailrate.json",
               "--out-dir", tmp_path, "--seed", -1])
@@ -631,8 +661,13 @@ def test_negative_merton_seed_flag_exits_3(tmp_path, capsys):
      ("xi_step", -0.1, "sequence: xi_step must be positive"),
      ("xi_step", "0.1", "sequence: xi_step is a finite number"),
      ("xi_min", None, "sequence: xi_min is a finite number"),
-     ("alpha", "0.1", "params: alpha is a finite number")],
-    ids=["step-zero", "step-negative", "step-string", "min-null", "alpha-string"],
+     ("alpha", "0.1", "params: alpha is a finite number"),
+     ("xi_step", 1e-300, "sequence: (xi_max - xi_min) / xi_step"),
+     ("xi_min", 1e300, "need at least one form sequence"),
+     ("alpha", 1e300, "(alpha - r)^2 / (2 sigma^2) leaves the float range"),
+     ("sigma", 1e-300, "sigma^2 leaves the float range")],
+    ids=["step-zero", "step-negative", "step-string", "min-null", "alpha-string",
+         "step-tiny", "min-huge", "alpha-huge", "sigma-tiny"],
 )
 def test_ldp_merton_bad_field_exits_3(tmp_path, capsys, field, value, message):
     obj = json.loads((SCENARIOS / "gaussian_ldp.json").read_text())

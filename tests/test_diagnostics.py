@@ -34,7 +34,7 @@ from maxplus.conjugacy import (
     EVIDENCE,
     VIOLATION,
     _row_blocks,
-    _row_quantiles,
+    _row_quantile,
     coercivity_report,
     conjugate,
     inner_window_mask,
@@ -461,9 +461,28 @@ def test_row_quantiles_match_np_quantile(case, quantiles):
     vals, keep = case
     # dropped cells become infinities of both signs, sorted to the row ends
     pad = np.where(np.arange(vals.size).reshape(vals.shape) % 2, NEG, POS)
-    levels, use = _row_quantiles(np.sort(np.where(keep, vals, pad), axis=1), quantiles)
-    for i in range(vals.shape[0]):
-        assert use[i].tolist() == [bool(keep[i].any())] * len(quantiles)
-        if keep[i].any():
-            ref = [float(np.quantile(vals[i][keep[i]], q)) for q in quantiles]
-            assert levels[i].tolist() == ref
+    rows = np.sort(np.where(keep, vals, pad), axis=1)
+    for q in quantiles:
+        level, use = _row_quantile(rows, q)
+        assert use.tolist() == keep.any(axis=1).tolist()
+        for i in np.flatnonzero(use):
+            assert level[i] == float(np.quantile(vals[i][keep[i]], q))
+
+
+def test_level_of_a_row_whose_span_overflows_is_finite():
+    # np.quantile gives (-1e308, NaN, -inf) at (0.5, 0.75, 0.9) here: b - a
+    # overflows in its interpolation, with a RuntimeWarning
+    span = [-1e308] * 4 + [1e308]
+    levels = [_row_quantile(np.array([span]), q)[0][0] for q in np.linspace(0, 1, 41)]
+    assert np.all(np.isfinite(levels))
+    assert levels[0] == -1e308 and levels[-1] == 1e308
+    assert np.all(np.diff(levels) >= 0)
+    assert _row_quantile(np.array([span]), 0.75)[0][0] == -1e308  # type 7: t = 0
+    assert _row_quantile(np.array([span]), 0.9)[0][0] == pytest.approx(2e307, rel=1e-14)
+    # margin 0.1 keeps Y-nodes 1..5 in the inner window: the row's ring is
+    # its two end cells, and the 0.75 level is -1e308
+    yg = Grid.line(0.0, 6.0, 7)
+    f = GridFn(yg, np.zeros(7))
+    for ring, want in ((-1.5e308, EVIDENCE), (-1e308, VIOLATION)):
+        k = Kernel.from_table(Grid.line(0.0, 0.0, 1), yg, [[ring] + span + [ring]])
+        assert superlevel_compactness_report(f, k, 0.1).verdicts == [want]

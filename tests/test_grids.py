@@ -78,6 +78,16 @@ def test_grid_validation():
         Grid.box((0, 0, 0), (1, 1, 1), (2, 2, 2))
 
 
+def test_grid_span_must_be_finite():
+    # finite bounds whose span overflows: the step was inf and every
+    # coordinate NaN (0 * inf), with a RuntimeWarning
+    with pytest.raises(ValidationError, match="span"):
+        Grid.line(-1e308, 1e308, 3)
+    with pytest.raises(ValidationError, match="span"):
+        Grid.box((0.0, -1e308), (1.0, 1e308), (2, 3))
+    Grid.line(-8e307, 8e307, 3)  # the span is 1.6e308, a float
+
+
 def test_coords_fixed_expression_order():
     g = Grid.line(-1.3, 2.7, 1001)
     h = (2.7 - (-1.3)) / 1000
