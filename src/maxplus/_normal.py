@@ -1,4 +1,8 @@
-"""Stable log-scale normal-distribution helpers.
+"""Stable log-scale normal-distribution helpers, as array code.
+
+``log_gauss_interval`` is elementwise, its three branches masks, and
+``log_mgf_piecewise_linear`` sums all its segment terms in one
+log-sum-exp; both give the bits of the scalar loops in ``tests/oracles.py``.
 
 ``log_ndtr`` and ``ndtr`` are scipy's, imported at their first call so
 that importing the package loads numpy only.  The first call rebinds
@@ -29,48 +33,41 @@ def ndtr(x):
 
 
 def log_gauss_interval(a, b):
-    """log P(a <= Z <= b) for standard normal Z, stable in both tails."""
-    a = float(a)
-    b = float(b)
-    if not b > a:
-        return NEG_INF
-    if a == NEG_INF and b == np.inf:
-        return 0.0
+    """log P(a <= Z <= b) for standard normal Z, elementwise; floats give a float."""
+    a, b = np.broadcast_arrays(np.asarray(a, np.float64), np.asarray(b, np.float64))
+    out = np.full(a.shape, NEG_INF)
+    whole = (a == NEG_INF) & (b == np.inf)
+    out[whole] = 0.0
+    todo = (b > a) & ~whole
+    upper = todo & (a >= 0.0)
+    tail = upper | (todo & (b <= 0.0))
+    # an upper-tail interval [a, b] is the lower-tail one [-b, -a] mirrored
+    lo = np.where(upper, -b, a)[tail]
+    hi = np.where(upper, -a, b)[tail]
     with np.errstate(divide="ignore"):
-        if a >= 0.0:
-            la = log_ndtr(-a)
-            lb = log_ndtr(-b)
-            return float(la + np.log1p(-np.exp(lb - la)))
-        if b <= 0.0:
-            la = log_ndtr(a)
-            lb = log_ndtr(b)
-            return float(lb + np.log1p(-np.exp(la - lb)))
-    # interval straddles 0: the probability is far from underflow
-    return float(np.log(ndtr(b) - ndtr(a)))
+        la = log_ndtr(lo)
+        lb = log_ndtr(hi)
+        out[tail] = lb + np.log1p(-np.exp(la - lb))
+    # an interval straddling 0 has a probability far from underflow
+    mid = todo & ~tail
+    out[mid] = np.log(ndtr(b[mid]) - ndtr(a[mid]))
+    return float(out) if out.ndim == 0 else out
 
 
 def log_gauss_mass(intervals, mu=0.0, sd=1.0):
     """log P(X in union of intervals) for X ~ N(mu, sd^2).
 
-    ``intervals`` is an iterable of (lo, hi) pairs, disjoint up to
+    ``intervals`` is a sequence of (lo, hi) pairs, disjoint up to
     endpoints; sd == 0 degenerates to a point mass at mu.
     """
+    lo, hi = np.asarray(intervals, dtype=np.float64).reshape(-1, 2).T
     if sd == 0.0:
         # a shared endpoint holding mu counts its mass once
-        return 0.0 if any(lo <= mu <= hi for lo, hi in intervals) else NEG_INF
-    return logsumexp_weighted(
-        [log_gauss_interval((lo - mu) / sd, (hi - mu) / sd) for lo, hi in intervals]
-    )
-
-
-def _interp_extrapolating(coords, values, t):
-    """Piecewise-linear interpolation whose end segments extend outward."""
-    if coords.size == 1:
-        return float(values[0])
-    j = int(np.clip(np.searchsorted(coords, t) - 1, 0, coords.size - 2))
-    h = coords[j + 1] - coords[j]
-    s = (values[j + 1] - values[j]) / h
-    return float(values[j] + s * (t - coords[j]))
+        return 0.0 if ((lo <= mu) & (mu <= hi)).any() else NEG_INF
+    # an endpoint beyond the float range is infinite, as in Python's float division
+    with np.errstate(over="ignore"):
+        lo, hi = (lo - mu) / sd, (hi - mu) / sd
+    return logsumexp_weighted(log_gauss_interval(lo, hi))
 
 
 def log_mgf_piecewise_linear(coords, values, scale, mu, sd, state_floor=None):
@@ -84,39 +81,40 @@ def log_mgf_piecewise_linear(coords, values, scale, mu, sd, state_floor=None):
     values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
         raise ValidationError("piecewise-linear log-mgf needs finite values")
-    if sd == 0.0:
-        state = mu if state_floor is None else max(mu, state_floor)
-        return _interp_extrapolating(coords, values, state)
     if coords.size == 1:
         return float(values[0])
+    # the atom: at the state itself when sd == 0, else at the floor
+    floor = None if state_floor is None else float(state_floor)
+    if sd == 0.0:
+        floor = mu if floor is None else max(mu, floor)
+    if floor is not None:
+        j = int(np.clip(np.searchsorted(coords, floor) - 1, 0, coords.size - 2))
+        step = (values[j + 1] - values[j]) / (coords[j + 1] - coords[j])
+        atom = values[j] + step * (floor - coords[j])
+        if sd == 0.0:
+            return float(atom)
 
-    h = np.diff(coords)
-    slopes = np.diff(values) / h
+    slopes = np.diff(values) / np.diff(coords)
     icepts = values[:-1] - slopes * coords[:-1]
-    segs = [(NEG_INF, coords[0], slopes[0], icepts[0])]
-    for j in range(slopes.size):
-        segs.append((coords[j], coords[j + 1], slopes[j], icepts[j]))
-    segs.append((coords[-1], np.inf, slopes[-1], icepts[-1]))
-
-    terms = []
-    if state_floor is not None:
-        a0 = float(state_floor)
-        segs = [
-            (max(lo, a0), hi, s, q) for lo, hi, s, q in segs if hi >= a0
-        ]
-        terms.append(
-            scale * _interp_extrapolating(coords, values, a0)
-            + log_ndtr((a0 - mu) / sd)
-        )
-    for lo, hi, s, q in segs:
-        shift = mu + scale * s * sd * sd
-        za = NEG_INF if lo == NEG_INF else (lo - shift) / sd
-        zb = np.inf if hi == np.inf else (hi - shift) / sd
-        terms.append(
-            scale * (q + s * mu) + scale * scale * s * s * sd * sd / 2.0
-            + log_gauss_interval(za, zb)
-        )
-    return float(logsumexp_weighted(terms) / scale)
+    # segment k spans [lo[k], hi[k]]; the first and last extend to infinity
+    k = np.clip(np.arange(-1, coords.size), 0, coords.size - 2)
+    s, q = slopes[k], icepts[k]
+    lo = np.concatenate(([NEG_INF], coords))
+    hi = np.concatenate((coords, [np.inf]))
+    head = []
+    if floor is not None:
+        keep = hi >= floor
+        lo = np.where(floor > lo, floor, lo)[keep]
+        hi, s, q = hi[keep], s[keep], q[keep]
+        head = [scale * atom + log_ndtr((floor - mu) / sd)]
+    shift = mu + scale * s * sd * sd
+    z = np.stack([lo, hi])
+    fin = np.isfinite(z)  # the end segments' infinite bounds stay
+    z[fin] = (z[fin] - np.broadcast_to(shift, z.shape)[fin]) / sd
+    # each segment's term is its Gaussian mass, shifted by its slope
+    terms = scale * (q + s * mu) + scale * scale * s * s * sd * sd / 2.0
+    terms += log_gauss_interval(*z)
+    return float(logsumexp_weighted(np.concatenate((head, terms))) / scale)
 
 
 def mask_runs(grid, mask):

@@ -87,7 +87,10 @@ _XI_NODES = 100_000  # far above the 801 fractions of acceptance criterion 8
 def _xi_grid(obj, what):
     """The fraction grid xi_min, xi_min + xi_step, ... up to xi_max.
 
-    At most ``_XI_NODES`` nodes; an empty range gives an empty grid.
+    The nodes are np.arange's.  xi_max is a node when it lies on the
+    grid up to the rounding of xi_min, xi_max and xi_step, at any
+    magnitude.  At most ``_XI_NODES`` nodes; an empty range gives an
+    empty grid.
     """
     lo, hi, step = (
         _json_number(obj[k], f"{what}: {k}") for k in ("xi_min", "xi_max", "xi_step")
@@ -95,14 +98,27 @@ def _xi_grid(obj, what):
     if not step > 0:
         raise ValidationError(f"{what}: xi_step must be positive, got {step}")
     with np.errstate(over="ignore"):
-        # np.arange's node count, before its ceil
+        # np.arange's node count before its ceil, and xi_max's place on the grid
         span = (np.float64(hi) + 1e-12 - lo) / step
-    if not (np.isfinite(span) and span <= _XI_NODES):
+        at = (np.float64(hi) - lo) / step
+    n = int(np.ceil(span)) if np.isfinite(span) and span > 0 else 0
+    # beside a large |xi_min| or |xi_max| the 1e-12 rounds away: an xi_max
+    # within 8 roundoff units (2^-53) of its three fields of node n is a node
+    if abs(at - n) <= 8 * 2.0**-53 * (abs(lo) + abs(hi)) / step:
+        n += 1
+    if not (np.isfinite(span) and n <= _XI_NODES):
         raise ValidationError(
-            f"{what}: (xi_max - xi_min) / xi_step = {span:.6g}, "
+            f"{what}: (xi_max - xi_min) / xi_step = {at:.6g}, "
             f"not a count of at most {_XI_NODES} nodes"
         )
-    return np.arange(lo, hi + 1e-12, step) if span > 0 else np.empty(0)
+    if n < 2:
+        # beside a huge xi_min even half a step can round away from the stop
+        return np.full(n, lo, dtype=np.float64)
+    # a node's value depends on xi_min and xi_step alone, not on the stop;
+    # a stop past both the former one and node n - 1 keeps the former
+    # grid as a prefix and builds the n nodes counted
+    stop = max(hi + 1e-12, lo + (n - 0.5) * step)
+    return np.arange(lo, min(stop, sys.float_info.max), step)[:n]
 
 
 def _merton_params(obj, what):

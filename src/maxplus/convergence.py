@@ -78,7 +78,9 @@ class GaussianMeanForm(QuasiLinearForm):
         return LOG2 / self.index
 
     def evaluate_affine(self, slope, intercept=0.0):
-        return intercept + 0.5 * slope * slope
+        # a value beyond the float range is +inf
+        with np.errstate(over="ignore"):
+            return intercept + 0.5 * slope * slope
 
     @classmethod
     def affine_rows(cls, forms, slopes, intercept=0.0):

@@ -129,6 +129,18 @@ def drift_rate(xi, p):
     return p.r + p.excess * xi - p.sigma**2 * xi**2 / 2.0
 
 
+def _check_fractions(p, xi):
+    """Reject a fraction whose sigma^2 xi^2, which every closed form uses,
+    leaves the float range."""
+    xi = np.asarray(xi, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(np.float64(p.sigma) ** 2 * xi**2)
+    if bad.any():
+        raise ValidationError(
+            f"fraction {float(xi[bad][0])!r}: sigma^2 xi^2 leaves the float range"
+        )
+
+
 def simulate(p, xi, horizon, n_paths, seed):
     """Sample log(W_T)/T under each constant fraction, with common random
     numbers.
@@ -320,6 +332,7 @@ def growth_input(p, x_grid, y_grid, xi_values, horizons, *, clip_floor=None):
 
     if y_grid.dim != 1:
         raise ValidationError("a Merton sequence lives on a 1-D grid")
+    _check_fractions(p, xi_values)
     kernel = Kernel.bilinear(x_grid, y_grid)
     seqs = []
     for xi in xi_values:
@@ -340,25 +353,34 @@ def growth_input(p, x_grid, y_grid, xi_values, horizons, *, clip_floor=None):
 # ---------------------------------------------------------------------------
 
 def constant_control_rate(c, xi, p):
-    """Asymptotic tail rate of {log(W_T)/T >= c} under a constant fraction."""
+    """Asymptotic tail rate of {log(W_T)/T >= c} under a constant fraction.
+
+    A rate beyond the float range is +inf.
+    """
     m = drift_rate(xi, p)
     if c <= m:
         return 0.0
     if xi == 0.0:
         return POS_INF
-    return (c - m) ** 2 / (2.0 * p.sigma**2 * xi**2)
+    # numpy scalars: Python's float ** raises OverflowError instead of giving inf
+    with np.errstate(over="ignore", divide="ignore"):
+        return (np.float64(c) - m) ** 2 / (2.0 * p.sigma**2 * xi**2)
 
 
 def exact_tail_value(c, xi, p, horizon):
-    """(1/T) log P[log(W_T)/T >= c] under a constant fraction, exact."""
+    """(1/T) log P[log(W_T)/T >= c] under a constant fraction, exact.
+
+    A value beyond the float range is -inf.
+    """
     T = float(horizon)
-    if xi == 0.0:
-        reach = p.r + math.log(p.w0) / T
+    spread = p.sigma * abs(xi)
+    if spread == 0.0:
+        # a point mass: xi = 0, or sigma |xi| below the float range
+        reach = drift_rate(xi, p) + math.log(p.w0) / T
         return 0.0 if reach >= c else NEG_INF
-    u = (c - drift_rate(xi, p) - math.log(p.w0) / T) * math.sqrt(T) / (
-        p.sigma * abs(xi)
-    )
-    return float(_normal.log_ndtr(-u) / T)
+    u = (c - drift_rate(xi, p) - math.log(p.w0) / T) * math.sqrt(T) / spread
+    # Python's float division: an overflow gives -inf without a warning
+    return float(_normal.log_ndtr(-u)) / T
 
 
 @dataclass(frozen=True)
@@ -459,6 +481,7 @@ def tail_rate_experiment(
     xi_grid = np.array(xi_grid, dtype=np.float64)  # a copy: the report keeps it
     if xi_grid.size == 0:
         raise ValidationError("xi grid is empty")
+    _check_fractions(p, xi_grid)
     degenerate = c <= p.r
     target = -growth_conjugate(c, p)
     rates = np.array([constant_control_rate(c, xi, p) for xi in xi_grid])

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import mpmath
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtr
 
 NEG = float("-inf")
 POS = float("inf")
@@ -229,6 +229,99 @@ def slow_mask_runs(grid, mask):
 def gauss_log_mgf_affine(slope, intercept, scale, mu, sd):
     """(1/scale) log E[e^{scale (slope X + intercept)}], X ~ N(mu, sd)."""
     return intercept + slope * mu + scale * slope * slope * sd * sd / 2.0
+
+
+def slow_log_gauss_interval(a, b):
+    """log P(a <= Z <= b) for standard normal Z, one interval at a time.
+
+    The scalar three-branch rule ``_normal.log_gauss_interval`` replaced
+    with masks; the array code must match it bit for bit.
+    """
+    a = float(a)
+    b = float(b)
+    if not b > a:
+        return NEG
+    if a == NEG and b == POS:
+        return 0.0
+    with np.errstate(divide="ignore"):
+        if a >= 0.0:
+            la = log_ndtr(-a)
+            lb = log_ndtr(-b)
+            return float(la + np.log1p(-np.exp(lb - la)))
+        if b <= 0.0:
+            la = log_ndtr(a)
+            lb = log_ndtr(b)
+            return float(lb + np.log1p(-np.exp(la - lb)))
+    # interval straddles 0: the probability is far from underflow
+    return float(np.log(ndtr(b) - ndtr(a)))
+
+
+def slow_log_gauss_mass(intervals, mu=0.0, sd=1.0):
+    """log P(X in union of intervals), X ~ N(mu, sd^2), interval by interval."""
+    from maxplus.forms import logsumexp_weighted
+
+    if sd == 0.0:
+        return 0.0 if any(lo <= mu <= hi for lo, hi in intervals) else NEG
+    return logsumexp_weighted(
+        [slow_log_gauss_interval((lo - mu) / sd, (hi - mu) / sd) for lo, hi in intervals]
+    )
+
+
+def _interp_extrapolating(coords, values, t):
+    """Piecewise-linear interpolation whose end segments extend outward."""
+    if coords.size == 1:
+        return float(values[0])
+    j = int(np.clip(np.searchsorted(coords, t) - 1, 0, coords.size - 2))
+    h = coords[j + 1] - coords[j]
+    s = (values[j + 1] - values[j]) / h
+    return float(values[j] + s * (t - coords[j]))
+
+
+def slow_log_mgf_piecewise_linear(coords, values, scale, mu, sd, state_floor=None):
+    """(1/scale) log E[exp(scale * phi(X))], X ~ N(mu, sd^2), segment by segment.
+
+    The per-segment loop that ``_normal.log_mgf_piecewise_linear``
+    replaced with array code over all segments at once; same arguments,
+    same result bits.
+    """
+    from maxplus.errors import ValidationError
+    from maxplus.forms import logsumexp_weighted
+
+    coords = np.asarray(coords, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValidationError("piecewise-linear log-mgf needs finite values")
+    if sd == 0.0:
+        state = mu if state_floor is None else max(mu, state_floor)
+        return _interp_extrapolating(coords, values, state)
+    if coords.size == 1:
+        return float(values[0])
+
+    h = np.diff(coords)
+    slopes = np.diff(values) / h
+    icepts = values[:-1] - slopes * coords[:-1]
+    segs = [(NEG, coords[0], slopes[0], icepts[0])]
+    for j in range(slopes.size):
+        segs.append((coords[j], coords[j + 1], slopes[j], icepts[j]))
+    segs.append((coords[-1], POS, slopes[-1], icepts[-1]))
+
+    terms = []
+    if state_floor is not None:
+        a0 = float(state_floor)
+        segs = [(max(lo, a0), hi, s, q) for lo, hi, s, q in segs if hi >= a0]
+        terms.append(
+            scale * _interp_extrapolating(coords, values, a0)
+            + log_ndtr((a0 - mu) / sd)
+        )
+    for lo, hi, s, q in segs:
+        shift = mu + scale * s * sd * sd
+        za = NEG if lo == NEG else (lo - shift) / sd
+        zb = POS if hi == POS else (hi - shift) / sd
+        terms.append(
+            scale * (q + s * mu) + scale * scale * s * s * sd * sd / 2.0
+            + slow_log_gauss_interval(za, zb)
+        )
+    return float(logsumexp_weighted(terms) / scale)
 
 
 def quantized_instance(rng, max_nodes=5, lo=-3, hi=3, p_neg=0.2, p_posinf=0.2):

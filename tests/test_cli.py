@@ -10,8 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import maxplus.convergence
+import maxplus.merton
 from maxplus.cli import _xi_grid, main
 from maxplus.errors import ValidationError
+from oracles import slow_log_mgf_piecewise_linear
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -234,6 +237,42 @@ def test_merton_ldp_table_with_neg_inf_exits_3(tmp_path, capsys):
     assert run_ldp(tmp_path, obj, "neginf") == 3
     assert "needs finite values" in capsys.readouterr().err
     assert not (tmp_path / "neginf_out.json").exists()
+
+
+def table_kernel_ldp(sequence):
+    """A table-kernel ldp scenario: 201 Gaussian nodes, or the truncated 13 x 11 Merton one."""
+    if sequence == "merton":
+        obj = small_merton_ldp()
+        obj["sequence"]["truncate_at"] = 0.0
+        x, y = np.linspace(0.0, 1.2, 13), np.linspace(0.0, 1.0, 11)
+    else:
+        obj = json.loads((SCENARIOS / "gaussian_ldp.json").read_text())
+        for axis in ("x_grid", "y_grid"):
+            obj[axis] = dict(obj[axis], n=201)
+        x = y = np.linspace(-2.0, 2.0, 201)
+    obj["kernel"] = {"type": "table", "rows": np.multiply.outer(x, y).tolist()}
+    return obj, x.size
+
+
+@pytest.mark.parametrize("sequence", ["gaussian_mean", "merton"])
+def test_table_kernel_ldp_writes_the_segment_loops_bytes(tmp_path, monkeypatch, sequence):
+    obj, nx = table_kernel_ldp(sequence)
+    rc = run_ldp(tmp_path, obj, "array")
+    calls = []
+
+    def loop(*args, **kwargs):
+        calls.append(args)
+        return slow_log_mgf_piecewise_linear(*args, **kwargs)
+
+    for module in (maxplus.convergence, maxplus.merton):
+        monkeypatch.setattr(module, "log_mgf_piecewise_linear", loop)
+    assert run_ldp(tmp_path, obj, "loop") == rc
+    # every (form, index, x-node) value went through the loop
+    forms = 9 * 3 if sequence == "merton" else 4
+    assert len(calls) == forms * nx
+    for suffix in ("json", "csv"):
+        array = (tmp_path / f"array_out.{suffix}").read_bytes()
+        assert array == (tmp_path / f"loop_out.{suffix}").read_bytes()
 
 
 def test_merton_ldp_on_2d_grids_exits_3(tmp_path, capsys):
@@ -646,6 +685,108 @@ def test_xi_grid_holds_at_most_100000_nodes():
     assert _xi_grid(obj, "scenario").size == 100_000
     with pytest.raises(ValidationError, match="at most 100000 nodes"):
         _xi_grid({**obj, "xi_max": 100000.5}, "scenario")
+    # a kept xi_max counts against the bound
+    with pytest.raises(ValidationError, match="at most 100000 nodes"):
+        _xi_grid({**obj, "xi_max": 100000.0}, "scenario")
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step, size",
+    [(0.0, 20000.0, 0.5, 40001), (-20000.0, 0.5, 0.5, 40002), (0.0, 2.0**14, 1.0, 16385),
+     (-1e300, -1e300, 1.0, 1), (1e300, 1e300, 1e290, 1), (0.0, 1e200, 1e196, 10001)],
+)
+def test_xi_grid_keeps_xi_max_at_any_magnitude(lo, hi, step, size):
+    # beside a large |xi_min| or |xi_max| the former 1e-12 pad rounded
+    # away, which dropped xi_max, or left a one-node grid empty
+    xi = _xi_grid({"xi_min": lo, "xi_max": hi, "xi_step": step}, "scenario")
+    assert xi.size == size
+    assert xi[0] == lo
+    assert abs(xi[-1] - hi) <= 1e-12 * abs(hi)
+    # the nodes before xi_max are the former grid's, bit for bit
+    assert xi[:-1].tobytes() == np.arange(lo, hi + 1e-12, step)[: size - 1].tobytes()
+
+
+def _ordinary_xi_grids():
+    """The checked-in and benchmark fraction grids, random decimal ones, and
+    random ones whose step is below 1e-12."""
+    grids = [(0.05, 6.0, 0.05), (0.0, 40.0, 1.0), (0.0, 40.0, 0.2), (0.0, 40.0, 0.1),
+             (0.0, 4.0, 0.5), (0.0, 1.0, 0.5), (0.5, 1.5, 0.5), (0.0, 99999.5, 1.0)]
+    rng = np.random.default_rng(2026)
+    for _ in range(3000):
+        digits = int(rng.integers(1, 4))
+        lo = round(float(rng.uniform(-300.0, 300.0)), digits)
+        step = max(round(float(rng.uniform(0.001, 5.0)), digits), 0.1)
+        off = float(rng.choice([0.0, rng.uniform(-1.0, 1.0)])) * step
+        hi = round(lo + step * int(rng.integers(0, 120)) + off, digits)
+        grids.append((lo, hi, step))
+    # steps below the 1e-12 pad: the former grid holds nodes past xi_max
+    grids += [(0.0, 1e-10, 1e-13), (1.0, 1.0 + 1e-10, 3e-13)]
+    for _ in range(300):
+        lo = float(rng.uniform(-2.0, 2.0))
+        step = float(rng.uniform(1e-14, 2e-12))
+        grids.append((lo, lo + step * int(rng.integers(0, 2000)) + float(rng.uniform(-1.0, 1.0)) * step, step))
+    return grids
+
+
+def test_xi_grid_keeps_every_ordinary_grid_bit_for_bit():
+    for lo, hi, step in _ordinary_xi_grids():
+        before = np.arange(lo, hi + 1e-12, step) if hi + 1e-12 - lo > 0 else np.empty(0)
+        xi = _xi_grid({"xi_min": lo, "xi_max": hi, "xi_step": step}, "scenario")
+        assert xi.tobytes() == before.tobytes(), (lo, hi, step)
+
+
+def test_huge_fraction_exits_3_in_merton(tmp_path, capsys):
+    obj = json.loads((SCENARIOS / "merton_tailrate.json").read_text())
+    obj.update(xi_min=0.0, xi_max=1e200, xi_step=1e196, paths=100)
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(obj))
+    assert run(["merton", "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert "fraction 1e+196: sigma^2 xi^2 leaves the float range" in capsys.readouterr().err
+    assert not (tmp_path / "merton_tailrate.csv").exists()
+
+
+def test_huge_fraction_exits_3_in_ldp(tmp_path, capsys):
+    obj = small_merton_ldp()
+    obj["sequence"].update(xi_min=0.0, xi_max=1e200, xi_step=1e196)
+    assert run_ldp(tmp_path, obj, "huge") == 3
+    assert "fraction 1e+196: sigma^2 xi^2 leaves the float range" in capsys.readouterr().err
+    assert not (tmp_path / "huge_out.json").exists()
+
+
+def run_merton_fields(tmp_path, capsys, **fields):
+    obj = json.loads((SCENARIOS / "merton_tailrate.json").read_text())
+    obj.update(paths=200, **fields)
+    cfg = tmp_path / "fields.json"
+    cfg.write_text(json.dumps(obj))
+    rc = run(["merton", "--config", cfg, "--out-dir", tmp_path])
+    rows = (tmp_path / "merton_tailrate.csv").read_text().splitlines()[1:]
+    return rc, capsys.readouterr().out, [row.split(",") for row in rows]
+
+
+def test_huge_threshold_reads_infinite_rates_without_a_warning(tmp_path, capsys):
+    # (c - m)^2 overflowed in constant_control_rate with a RuntimeWarning
+    rc, out, rows = run_merton_fields(tmp_path, capsys, c=1e308, w0=1e-300)
+    assert rc == 0
+    assert "oracle_rate=inf" in out and "trend=-inf" in out
+    assert {row[2] for row in rows} == {"-inf"}
+
+
+def test_subnormal_horizon_reads_minus_inf_without_a_warning(tmp_path, capsys):
+    # log P / T overflowed in exact_tail_value with a RuntimeWarning
+    rc, out, rows = run_merton_fields(tmp_path, capsys, T=[5e-324])
+    assert rc == 0
+    assert {row[0] for row in rows} == {"5e-324"}
+    assert {row[2] for row in rows} == {"-inf"}
+
+
+def test_gaussian_ldp_on_a_huge_x_grid_reads_plus_inf_without_a_warning(tmp_path):
+    # x^2 / 2 overflowed in GaussianMeanForm.evaluate_affine with a RuntimeWarning
+    obj = json.loads((SCENARIOS / "gaussian_ldp.json").read_text())
+    obj["x_grid"] = dict(obj["x_grid"], hi=1e300)
+    assert run_ldp(tmp_path, obj, "huge") == 2
+    values = json.loads((tmp_path / "huge_out.json").read_text())["log_moment"]["values"]
+    assert values[0] == 2.0
+    assert set(values[1:]) == {"+inf"}
 
 
 def test_negative_merton_seed_flag_exits_3(tmp_path, capsys):

@@ -21,7 +21,7 @@ from maxplus import (
     simulate,
     tail_rate_experiment,
 )
-from maxplus.merton import exact_tail_value
+from maxplus.merton import constant_control_rate, exact_tail_value, growth_input
 from oracles import (
     clipped_merton_affine,
     risk_sensitive_exact,
@@ -178,6 +178,39 @@ def test_simulate_checks_arguments_at_the_call(xi, horizon, n_paths):
 def test_exact_value_reference():
     assert risk_sensitive_exact(0.5, 1.0, P, 10.0) == pytest.approx(0.045, abs=1e-15)
     assert risk_sensitive_exact(0.0, 3.0, P, 7.0) == 0.0
+
+
+@pytest.mark.parametrize("to_float", [float, np.float64], ids=["float", "float64"])
+@pytest.mark.parametrize("c, xi", [(1e308, 0.05), (0.12, 1e-200)], ids=["c-huge", "xi-tiny"])
+def test_tail_rate_beyond_the_float_range_is_plus_inf(c, xi, to_float):
+    # (c - m)^2 overflowed, or sigma^2 xi^2 underflowed to 0, with a
+    # RuntimeWarning (Python floats: an OverflowError)
+    assert constant_control_rate(c, to_float(xi), P) == POS_INF
+
+
+def test_tail_value_beyond_the_float_range_is_minus_inf():
+    # log P / T overflowed with a RuntimeWarning
+    assert exact_tail_value(0.12, 0.5, P, 5e-324) == -POS_INF
+    assert math.isfinite(exact_tail_value(0.12, 0.5, P, 1e-300))
+
+
+@pytest.mark.parametrize("xi", [0.0, 5e-324, -5e-324])
+def test_tail_value_of_a_vanishing_spread_is_the_point_mass(xi):
+    # sigma |xi| underflowed to 0 and the division by it raised ZeroDivisionError
+    assert exact_tail_value(0.12, xi, P, 25.0) == -POS_INF
+    assert exact_tail_value(0.04, xi, P, 25.0) == 0.0
+
+
+@pytest.mark.parametrize("xi", [1.4e154, -1e200, 1e155])
+def test_fractions_whose_variance_overflows_are_rejected(xi):
+    grid = Grid.line(0.0, 1.0, 5)
+    with pytest.raises(ValidationError, match="sigma\\^2 xi\\^2 leaves the float range"):
+        tail_rate_experiment(0.12, P, [25], xi_grid=[0.5, xi])
+    with pytest.raises(ValidationError, match="sigma\\^2 xi\\^2 leaves the float range"):
+        growth_input(P, grid, grid, [0.5, xi], [200])
+    # xi^2 itself must be finite: sigma < 1 keeps the largest such fraction
+    big = float(np.sqrt(np.finfo(float).max)) * 0.999
+    assert tail_rate_experiment(0.12, P, [25], mc_horizons=[], xi_grid=[big]).xi[0] == big
 
 
 def test_empirical_matches_exact_within_se():
