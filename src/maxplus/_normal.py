@@ -3,6 +3,8 @@
 ``log_gauss_interval`` is elementwise, its three branches masks, and
 ``log_mgf_piecewise_linear`` sums all its segment terms in one
 log-sum-exp; both give the bits of the scalar loops in ``tests/oracles.py``.
+Where a steep slope overflows the loop's segment terms into NaN, with a
+``RuntimeWarning``, ``log_mgf_piecewise_linear`` reads +inf or raises.
 
 ``log_ndtr`` and ``ndtr`` are scipy's, imported at their first call so
 that importing the package loads numpy only.  The first call rebinds
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .forms import logsumexp_weighted
-from .grids import NEG_INF
+from .grids import NEG_INF, POS_INF
 
 
 def _bind_special():
@@ -75,7 +77,11 @@ def log_mgf_piecewise_linear(coords, values, scale, mu, sd, state_floor=None):
 
     ``phi`` is the piecewise-linear interpolant of (coords, values) with
     its end segments extended to infinity; ``state_floor`` composes the
-    state with max(X, floor) first.  Values must be finite.
+    state with max(X, floor) first.  Values must be finite.  A segment
+    whose slope puts its term beyond the float range makes the value
+    +inf; a term that floats cannot form at all (such a slope against a
+    shifted mass below the range), with no +inf term beside it, raises
+    ``ValidationError``.
     """
     coords = np.asarray(coords, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -112,8 +118,18 @@ def log_mgf_piecewise_linear(coords, values, scale, mu, sd, state_floor=None):
     fin = np.isfinite(z)  # the end segments' infinite bounds stay
     z[fin] = (z[fin] - np.broadcast_to(shift, z.shape)[fin]) / sd
     # each segment's term is its Gaussian mass, shifted by its slope
-    terms = scale * (q + s * mu) + scale * scale * s * s * sd * sd / 2.0
-    terms += log_gauss_interval(*z)
+    terms = scale * (q + s * mu)
+    with np.errstate(over="ignore"):
+        # a slope too steep for the float range makes this +inf ...
+        terms += scale * scale * s * s * sd * sd / 2.0
+    with np.errstate(invalid="ignore"):
+        # ... and NaN where the shifted mass is below the range (-inf)
+        terms += log_gauss_interval(*z)
+    if (terms == POS_INF).any():
+        # a term beyond the float range outweighs every other, NaN or not
+        return POS_INF
+    if np.isnan(terms).any():
+        raise ValidationError("piecewise-linear log-mgf: a segment term leaves the float range")
     return float(logsumexp_weighted(np.concatenate((head, terms))) / scale)
 
 

@@ -17,6 +17,7 @@ byte-identical artifacts.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -406,7 +407,9 @@ def _run_merton(obj, out_dir, summary, seed_override=None):
     return 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="maxplus",
         description="Max-plus conjugacies, coverings, and rate-function identification",
@@ -419,8 +422,11 @@ def main(argv=None):
         sp.add_argument("--summary", action="store_true")
     # the loop ends on merton, the one subcommand that draws random numbers
     sp.add_argument("--seed", type=int, default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         obj = _load_scenario(args.config, args.command)

@@ -148,10 +148,12 @@ def simulate(p, xi, horizon, n_paths, seed):
     Under a constant fraction xi, log(W_T)/T is exactly base + scale * Z
     with Z standard normal, so one draw of ``n_paths`` normals from
     ``seed`` serves every fraction.  ``xi`` is a nonempty 1-D array-like
-    of finite fractions.  Returns an iterator that yields, for each
-    fraction in order, a fresh read-only array of the samples.  Each
-    array alone has its fraction's exact law; arrays of one call share
-    their normals.  A one-fraction call draws what it always did.
+    of finite fractions.  Returns a ``ConstantPaths`` iterable: iterating
+    it yields, for each fraction in order, a fresh read-only array of the
+    samples, and its ``tail_counts(c)`` gives every fraction's count of
+    samples at or above c without building those arrays.  Each array
+    alone has its fraction's exact law; arrays of one call share their
+    normals.  A one-fraction call draws what it always did.
 
     The arguments are checked, and the normals drawn, at the call.
     """
@@ -166,19 +168,62 @@ def simulate(p, xi, horizon, n_paths, seed):
         or not np.isfinite(fractions).all()
     ):
         raise ValidationError(f"need a nonempty 1-D array of finite fractions, got {xi!r}")
+    _check_fractions(p, fractions)
     z = np.random.default_rng(seed).standard_normal(n_paths)
+    T = float(horizon)
     # one fraction at a time in Python floats: an array expression would
     # square xi with a multiply, which can round otherwise than libm pow
-    return _constant_paths(p, fractions.astype(np.float64).tolist(), float(horizon), z)
+    xis = fractions.astype(np.float64).tolist()
+    return ConstantPaths(
+        scale=np.array([p.sigma * x / math.sqrt(T) for x in xis]),
+        base=np.array([math.log(p.w0) / T + drift_rate(x, p) for x in xis]),
+        z=z,
+    )
 
 
-def _constant_paths(p, fractions, T, z):
-    for xi in fractions:
-        # base + scale * z with the same two roundings, in one array
-        values = z * (p.sigma * xi / math.sqrt(T))
-        values += math.log(p.w0) / T + drift_rate(xi, p)
-        values.setflags(write=False)
-        yield values
+@dataclass(frozen=True)
+class ConstantPaths:
+    """The samples fl(fl(z * scale[j]) + base[j]) of fraction j, for the
+    normals ``z`` shared by all fractions."""
+
+    scale: np.ndarray
+    base: np.ndarray
+    z: np.ndarray
+
+    def __iter__(self):
+        for s, b in zip(self.scale.tolist(), self.base.tolist()):
+            # base + scale * z with the same two roundings, in one array
+            values = self.z * s
+            values += b
+            values.setflags(write=False)
+            yield values
+
+    def tail_counts(self, c):
+        """Per fraction, the number of its samples at or above c.
+
+        IEEE rounding is monotone, so a fraction's samples are
+        non-decreasing in z when its scale is >= 0 (constant at ±0) and
+        non-increasing when it is < 0: over the sorted draw, the samples
+        at or above c form a suffix or a prefix.  One bisection for all
+        fractions finds where each one starts or ends, evaluating the
+        same two-rounding expression, so the counts are exact.
+        """
+        zs = np.sort(self.z)
+        n = zs.size
+        falling = self.scale < 0
+        # first k in [0, n] whose sample is >= c (rising) or is not (falling)
+        lo = np.zeros(self.scale.shape, dtype=np.intp)
+        hi = np.full(self.scale.shape, n, dtype=np.intp)
+        while (searching := lo < hi).any():
+            # a closed search (lo = hi = mid) reads some sample, keeps hi
+            # at mid and lo by the guard below
+            mid = (lo + hi) // 2
+            v = zs[np.minimum(mid, n - 1)] * self.scale
+            v += self.base
+            past = (v >= c) != falling
+            hi = np.where(past, mid, hi)
+            lo = np.where(searching & ~past, mid + 1, lo)
+        return np.where(falling, lo, n - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +461,16 @@ class TailRateReport:
         rows = [
             ["T", "xi", "exact_value", "mc_value", "mc_se", "sup_over_xi", "target_minus_gstar"]
         ]
+        # a value repeated down the column is formatted once
+        xis = [repr(xi) for xi in self.xi.tolist()]
+        target = repr(self.target)
         for ti, (T, (sup, _)) in enumerate(self.sup_by_horizon.items()):
+            T, sup = repr(T), repr(sup)
             table = (self.exact[ti], self.mc[ti], self.mc_se[ti])
-            for xi, exact, mc, se in zip(self.xi.tolist(), *(a.tolist() for a in table)):
+            for xi, exact, mc, se in zip(xis, *(a.tolist() for a in table)):
                 # an inconclusive cell leaves mc_value and mc_se empty
                 mc_cells = ["", ""] if math.isnan(mc) else [repr(mc), repr(se)]
-                rows.append(
-                    [repr(T), repr(xi), repr(exact), *mc_cells, repr(sup), repr(self.target)]
-                )
+                rows.append([T, xi, repr(exact), *mc_cells, sup, target])
         return rows
 
 
@@ -500,12 +547,8 @@ def tail_rate_experiment(
             child = np.random.SeedSequence(
                 ss.entropy, spawn_key=ss.spawn_key + (ti,), pool_size=ss.pool_size
             )
-            # a comprehension, so no path array outlives the counting
-            counts = [
-                int(np.count_nonzero(values >= c))
-                for values in simulate(p, xi_grid, T, n_paths, child)
-            ]
-            for xj, hits in enumerate(counts):
+            counts = simulate(p, xi_grid, T, n_paths, child).tail_counts(c)
+            for xj, hits in enumerate(counts.tolist()):
                 if hits > 0:
                     phat = hits / n_paths
                     mc[ti, xj] = math.log(phat) / T

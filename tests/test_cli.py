@@ -789,6 +789,22 @@ def test_gaussian_ldp_on_a_huge_x_grid_reads_plus_inf_without_a_warning(tmp_path
     assert set(values[1:]) == {"+inf"}
 
 
+def test_gaussian_ldp_on_a_huge_table_kernel_reads_plus_inf_without_a_warning(tmp_path):
+    # the table x * y of the grid above: its rows' steep end segments
+    # overflowed the segment terms into NaN (RuntimeWarnings, then exit 3
+    # on "NaN is not an extended real"); they read +inf, as the bilinear
+    # kernel does on these grids
+    obj = json.loads((SCENARIOS / "gaussian_ldp.json").read_text())
+    obj["x_grid"] = dict(obj["x_grid"], hi=1e300, n=11)
+    obj["y_grid"] = dict(obj["y_grid"], n=11)
+    x, y = np.linspace(-2.0, 1e300, 11), np.linspace(-2.0, 2.0, 11)
+    obj["kernel"] = {"type": "table", "rows": np.multiply.outer(x, y).tolist()}
+    assert run_ldp(tmp_path, obj, "huge") == 2
+    values = json.loads((tmp_path / "huge_out.json").read_text())["log_moment"]["values"]
+    assert math.isclose(values[0], 2.0, rel_tol=1e-12)
+    assert set(values[1:]) == {"+inf"}
+
+
 def test_negative_merton_seed_flag_exits_3(tmp_path, capsys):
     rc = run(["merton", "--config", SCENARIOS / "merton_tailrate.json",
               "--out-dir", tmp_path, "--seed", -1])

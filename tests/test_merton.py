@@ -5,7 +5,10 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import maxplus.merton
 from maxplus import (
     Grid,
     GridFn,
@@ -149,6 +152,71 @@ def test_simulate_shares_one_draw_across_controls():
             assert values.tobytes() == alone.tobytes()
 
 
+def paths_and_counts(paths, c):
+    """The per-fraction counts of the sorted draw, and of every sample array."""
+    return paths.tail_counts(c).tolist(), [int(np.count_nonzero(a >= c)) for a in paths]
+
+
+# fractions whose samples all equal the base (sigma |xi| underflows to 0
+# at 5e-324, and at +-1e-300 z * scale is below half an ulp of the base:
+# all or none count), negative ones, which reverse the order, and
+# ordinary ones
+FRACTIONS = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324]),
+        st.floats(-8.0, 8.0),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    FRACTIONS,
+    st.floats(1e-2, 1e4),
+    st.one_of(st.integers(1, 5), st.integers(6, 5000)),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.floats(-2.0, 2.0), st.sampled_from([P.r, 0.0, -0.0])),
+)
+def test_tail_counts_of_the_sorted_draw_equal_the_sample_counts(xi, T, n_paths, seed, c):
+    p = MertonParams(r=0.05, alpha=0.10, sigma=0.20, w0=float(seed % 3 + 1))
+    got, want = paths_and_counts(simulate(p, xi, T, n_paths, seed), c)
+    assert got == want
+
+
+@pytest.mark.parametrize("pick", [0, 1, 2, -1], ids=["first", "second", "middle", "last"])
+def test_tail_counts_at_a_sample_value(pick):
+    # c equal to a sample of one fraction counts that sample, and every
+    # fraction counts its ties with c, whichever way its samples run
+    for T in (25.0, 1e4):
+        paths = simulate(P, XIS, T, 2001, 9)
+        for values in paths:
+            c = float(np.sort(values)[[0, 1, 1000, -1][pick]])
+            got, want = paths_and_counts(paths, c)
+            assert got == want
+            assert got[XIS.index(0.0)] in (0, 2001)
+
+
+def test_tail_rate_calls_simulate_once_per_monte_carlo_horizon(monkeypatch):
+    # merton.simulate is the sampling entry point of the tail-rate
+    # experiment, called through the module on every Monte Carlo horizon
+    calls = []
+    original = maxplus.merton.simulate
+
+    def counting(*args, **kwargs):
+        calls.append((args[2], args[3]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(maxplus.merton, "simulate", counting)
+    kw = dict(c=0.12, p=P, horizons=[25, 50, 100], n_paths=300, seed=4,
+              xi_grid=np.array([0.5, 1.0]))
+    for mc_horizons, want in ((None, [25, 50, 100]), ([50, 100], [50, 100]), ([], [])):
+        calls.clear()
+        tail_rate_experiment(mc_horizons=mc_horizons, **kw)
+        assert calls == [(T, 300) for T in want]
+
+
 @pytest.mark.parametrize(
     "xi,horizon,n_paths",
     [
@@ -208,6 +276,8 @@ def test_fractions_whose_variance_overflows_are_rejected(xi):
         tail_rate_experiment(0.12, P, [25], xi_grid=[0.5, xi])
     with pytest.raises(ValidationError, match="sigma\\^2 xi\\^2 leaves the float range"):
         growth_input(P, grid, grid, [0.5, xi], [200])
+    with pytest.raises(ValidationError, match="sigma\\^2 xi\\^2 leaves the float range"):
+        simulate(P, [0.5, xi], 25, 10, seed=0)
     # xi^2 itself must be finite: sigma < 1 keeps the largest such fraction
     big = float(np.sqrt(np.finfo(float).max)) * 0.999
     assert tail_rate_experiment(0.12, P, [25], mc_horizons=[], xi_grid=[big]).xi[0] == big
