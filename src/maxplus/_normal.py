@@ -12,6 +12,8 @@ both names in this module to scipy's ufuncs; later calls, and callers
 that look them up as ``_normal.log_ndtr``, reach scipy directly.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -77,11 +79,14 @@ def log_mgf_piecewise_linear(coords, values, scale, mu, sd, state_floor=None):
 
     ``phi`` is the piecewise-linear interpolant of (coords, values) with
     its end segments extended to infinity; ``state_floor`` composes the
-    state with max(X, floor) first.  Values must be finite.  A segment
-    whose slope puts its term beyond the float range makes the value
-    +inf; a term that floats cannot form at all (such a slope against a
-    shifted mass below the range), with no +inf term beside it, raises
-    ``ValidationError``.
+    state with max(X, floor) first.  Values must be finite, and scale > 0.
+    Where scale times the largest value leaves the float range, phi is
+    shifted down by that value and the result up by it: the log-moment of
+    phi + c is c plus that of phi.  Values whose spread leaves the float
+    range raise ``ValidationError``.  A segment whose slope puts its term
+    beyond the float range makes the value +inf; a term that floats cannot
+    form at all (such a slope against a shifted mass below the range),
+    with no +inf term beside it, raises ``ValidationError``.
     """
     coords = np.asarray(coords, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -99,6 +104,16 @@ def log_mgf_piecewise_linear(coords, values, scale, mu, sd, state_floor=None):
         atom = values[j] + step * (floor - coords[j])
         if sd == 0.0:
             return float(atom)
+    # Python floats: an overflow here reads inf, with no warning
+    top = float(values.max())
+    if math.isinf(float(scale) * top):
+        if math.isinf(top - float(values.min())):
+            raise ValidationError(
+                "piecewise-linear log-mgf: the values' spread leaves the float range"
+            )
+        return top + log_mgf_piecewise_linear(
+            coords, values - top, scale, mu, sd, state_floor
+        )
 
     slopes = np.diff(values) / np.diff(coords)
     icepts = values[:-1] - slopes * coords[:-1]

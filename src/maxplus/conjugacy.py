@@ -15,13 +15,16 @@ stand in for infinity are distinguished from genuine boundaries (as in a
 half-line domain) through ``WindowSides``.
 
 The window diagnostics walk the kernel in blocks of X-rows, in buffers
-allocated once per call, and sort only the inner window's cells for their
-level, one quantile per report.  Each level test is one reduction over
-the ring, the Y-nodes outside the inner window: a level set leaves the
-window iff the ring's extreme passes the level, and a sublevel set that
-stays inside holds its row maximum inside, so the upper-coercivity test
-runs only on the rows whose sets reach the ring (the arguments are in
-``coercivity_report``).
+allocated once per call, one quantile level per report.  Each level test
+compares the level with one reduction over the ring, the Y-nodes outside
+the inner window: a level set leaves the window iff the ring's extreme
+passes the level, and a sublevel set that stays inside holds its row
+maximum inside, so the upper-coercivity test runs only on the rows whose
+sets reach the ring (the arguments are in ``coercivity_report``).  A row's
+comparison is decided by counting its inner cells on each side of the
+ring value, which places the ring among the order statistics around the
+level; a row is sorted only where its level itself is needed
+(``_level_below``).
 """
 
 from dataclasses import dataclass
@@ -329,13 +332,6 @@ def _window_split(vals, grid, box, op):
     return v[whole + box], ring
 
 
-def _sorted_window(box_view, out):
-    """Each row's inner-box cells, sorted, in the buffer ``out``."""
-    np.copyto(out.reshape(box_view.shape), box_view)
-    out.sort(axis=1)
-    return out
-
-
 def _row_blocks(grid, radius, ny):
     """Blocks of X-rows with the halo their stencil balls reach.
 
@@ -404,49 +400,116 @@ def _clipped_nodes(grid, radius, sides):
     return clipped.reshape(-1)
 
 
+def _type7(c, q):
+    """Type-7 positions ia <= ib and weight t of the q-quantile of c values.
+
+    ``c`` is an array of counts; the quantile of c sorted values s is
+    ``_lerp(s[ia], s[ib], t)``, as in ``np.quantile`` (method ``linear``,
+    type 7 of Hyndman & Fan 1996).  At the top position ia = ib = c - 1.
+    """
+    virt = (c - 1) * float(q)
+    prev = np.floor(virt)
+    top = virt >= c - 1  # numpy takes the largest value there
+    ia = np.where(top, c - 1, prev).astype(np.intp)
+    ib = np.where(top, c - 1, prev + 1).astype(np.intp)
+    return ia, ib, np.where(top, virt + 1, virt - prev)
+
+
+def _lerp(a, b, t):
+    """The type-7 interpolation between finite order statistics a <= b.
+
+    ``np.quantile``'s two-sided expression bit for bit wherever b - a is
+    finite.  Where it overflows, ``np.quantile`` gives NaN or ±inf; the
+    expression then runs on a/2 and b/2, exact at such magnitudes, and
+    the result is doubled.
+
+    Lemma: a <= lerp <= b for t in [0, 1] (and for any t when a == b).
+    For t < 0.5, fl(diff·t) lies in [0, diff/2] and a + diff/2 <= b even
+    with diff = fl(b - a) rounded up; for t >= 0.5 the mirror argument
+    runs from b.  Rounding is monotone, and halving and doubling are
+    exact, so the rounded level keeps both bounds.
+    """
+    with np.errstate(over="ignore"):
+        scale = np.where(np.isinf(b - a), 0.5, 1.0)
+    a = a * scale
+    b = b * scale
+    diff = b - a
+    lerp = a + diff * t
+    upper = t >= 0.5
+    lerp[upper] = (b - diff * (1 - t))[upper]
+    return lerp / scale
+
+
 def _row_quantile(s, q):
     """The q-quantile of the finite values of each row of ``s``; (level, use).
 
     Each row of ``s`` is sorted, so its infinities sit at its ends.
-    ``level[i]`` is ``np.quantile`` of row i's finite values at ``q``
-    (method ``linear``, type 7 of Hyndman & Fan 1996) bit for bit
-    wherever that is finite: the same order statistics a <= b and the
-    same interpolation expression.  Where b - a overflows, ``np.quantile``
-    gives NaN or ±inf; the expression then runs on a/2 and b/2, exact at
-    such magnitudes, and the result is doubled, so the level stays finite
-    and between a and b.  ``use`` marks the rows with any finite value;
-    the levels of the other rows are placeholders.
+    ``level[i]`` is ``np.quantile`` of row i's finite values at ``q`` bit
+    for bit wherever that is finite, and finite where ``np.quantile``'s
+    interpolation overflows (see ``_lerp``).  ``use`` marks the rows with
+    any finite value; the levels of the other rows are placeholders.
     """
     m, w = s.shape
     first = np.zeros(m, dtype=np.intp)  # position of the row's first finite value
     counts = np.full(m, w, dtype=np.intp)
     if w:
         low = np.flatnonzero(s[:, 0] == NEG_INF)
-        n = np.count_nonzero(s[low] == NEG_INF, axis=1)
+        n = (s[low] == NEG_INF).sum(axis=1, dtype=np.uint32)
         first[low] = n
         counts[low] -= n
         high = np.flatnonzero(s[:, -1] == POS_INF)
-        counts[high] -= np.count_nonzero(s[high] == POS_INF, axis=1)
+        counts[high] -= (s[high] == POS_INF).sum(axis=1, dtype=np.uint32)
     use = counts > 0
     rows = np.flatnonzero(use)
-    c, f0 = counts[rows], first[rows]
-    virt = (c - 1) * float(q)
-    prev = np.floor(virt)
-    top = virt >= c - 1  # numpy takes the largest value there
-    t = np.where(top, virt + 1, virt - prev)
-    a = s[rows, f0 + np.where(top, c - 1, prev).astype(np.intp)]
-    b = s[rows, f0 + np.where(top, c - 1, prev + 1).astype(np.intp)]
-    with np.errstate(over="ignore"):
-        scale = np.where(np.isinf(b - a), 0.5, 1.0)
-    a *= scale
-    b *= scale
-    diff = b - a
-    lerp = a + diff * t
-    upper = t >= 0.5
-    lerp[upper] = (b - diff * (1 - t))[upper]
+    ia, ib, t = _type7(counts[rows], q)
+    f0 = first[rows]
     level = np.zeros(m)
-    level[rows] = lerp / scale
+    level[rows] = _lerp(s[rows, f0 + ia], s[rows, f0 + ib], t)
     return level, use
+
+
+def _level_below(inner, ring, q, op, buf):
+    """``op(level, ring)`` per row, decided by rank counts; (below, use).
+
+    ``inner`` holds each row's inner-window cells, ``level`` is the
+    q-quantile of a row's finite ones (``_row_quantile`` of the sorted
+    row), ``op`` is np.less or np.less_equal and ``buf`` a bool buffer of
+    at least the block's shape.  ``use`` marks the rows with any finite
+    value; ``below`` is false on the others.
+
+    With s a row's c finite values sorted and ia <= ib their type-7
+    positions, s[ia] <= level <= s[ib] (the lemma of ``_lerp``).  Let n
+    count the finite values v with op(v, ring).  If n <= ia, s[ia] fails
+    op against the ring, so the level does too; if n > ib, s[ib] passes,
+    so the level does.  Only n = ib = ia + 1 is open: s[ia] is then the
+    largest finite value that passes and s[ib] the smallest that fails,
+    two masked reductions, and ``_lerp`` gives the level bit for bit.
+    No row is sorted.
+    """
+    m = inner.shape[0]
+    axes = tuple(range(1, inner.ndim))
+    col = (slice(None),) + (None,) * len(axes)
+    flags = buf[:m].reshape(inner.shape)
+    # a uint32 sum counts flags about twice as fast as np.count_nonzero
+    n = op(inner, ring[col], out=flags).sum(axis=axes, dtype=np.uint32)
+    c = np.full(m, int(np.prod(inner.shape[1:])), dtype=np.intp)
+    # infinities are counted only in a block that holds them
+    for inf, extreme in ((NEG_INF, np.min), (POS_INF, np.max)):
+        if (extreme(inner, axis=axes, initial=-inf) == inf).any():
+            k = np.equal(inner, inf, out=flags).sum(axis=axes, dtype=np.uint32)
+            c -= k
+            n -= k * op(inf, ring)
+    use = c > 0
+    ia, ib, t = _type7(c, q)
+    below = use & (n > ib)
+    rows = np.flatnonzero(use & (ia < n) & (n <= ib))
+    if rows.size:
+        cells = inner[rows]
+        side = op(cells, ring[rows][col])
+        a = np.where(side, cells, NEG_INF).max(axis=axes)
+        b = np.where(side, POS_INF, cells).min(axis=axes)
+        below[rows] = op(_lerp(a, b, t[rows]), ring[rows])
+    return below, use
 
 
 @dataclass(frozen=True)
@@ -507,14 +570,10 @@ def coercivity_report(
       whose set reaches the ring, where it holds iff the max of b(x, ·)
       over the set's inner part is >= the max over its ring part.
 
-    One level gives the labels of the 0.5, 0.75 and 0.9 quantiles L1 <=
-    L2 <= L3 capped just under the ring minimum m, as
-    max(min(L, c), L1) with c = m - max(1e-12, 0.05|m|) < m (-inf for
-    m = -inf), each distinct level tested once.  If L1 < c every capped
-    level is below m and no set reaches the ring; otherwise every capped
-    level is L1.  So a set reaches the ring iff m <= L1, and the upper
-    test only ever acts at L1.  Finite gains are >= 0, so their quantiles
-    are finite and ordered, and L1 is the median.
+    Whether the ring minimum is <= beta is decided by counting the finite
+    inner gains below it (``_level_below``), so no row is sorted for the
+    first test; beta itself is computed, from the sorted inner gains, only
+    on the rows the upper test runs on.
     """
     # a ball as wide as the longest X-axis already holds the whole grid
     stencil_radius = min(stencil_radius, max(k.x_grid.n))
@@ -527,7 +586,9 @@ def coercivity_report(
     if k.kind == "bilinear":
         halo_buf = np.empty((max(h1 - h0 for _, _, h0, h1 in blocks), ny))
     gain_buf = np.empty((width, ny))
-    win_buf = np.empty((width, int(np.prod([s.stop - s.start for s in box]))))
+    inner_size = int(np.prod([s.stop - s.start for s in box]))
+    side_buf = np.empty((width, inner_size), dtype=bool)
+    sort_buf = None
     coercive = []
     upper = []
     for lo, hi, h0, h1 in blocks:
@@ -536,16 +597,23 @@ def coercivity_report(
             halo, k.x_grid, stencil_radius, lo - h0, hi - h0, gain_buf[: hi - lo]
         )
         inner, ring_min = _window_split(gain, k.y_grid, box, np.minimum)
-        level, use = _row_quantile(_sorted_window(inner, win_buf[: hi - lo]), 0.5)
-        reach = use & (ring_min <= level)
-        ok_c = use & ~reach
+        below, use = _level_below(inner, ring_min, 0.5, np.less, side_buf)
+        reach = use & ~below  # the ring minimum is <= the level
+        ok_c = below
         ok_u = np.ones(hi - lo, dtype=bool)
         edge = clipped[lo:hi]
         tested = np.flatnonzero(reach & ~edge)
         if tested.size:
+            if sort_buf is None:  # at the first tested rows: most calls have none
+                sort_buf = np.empty((width, inner_size))
+            cells = sort_buf[: tested.size]
+            shape = (tested.size,) + inner.shape[1:]
+            np.take(inner, tested, axis=0, out=cells.reshape(shape), mode="clip")
+            cells.sort(axis=1)
+            level = _row_quantile(cells, 0.5)[0]
             # b(x, ·) on the sublevel set, -inf off it
             b_sub = np.where(
-                gain[tested] <= level[tested, None], halo[lo - h0 + tested], NEG_INF
+                gain[tested] <= level[:, None], halo[lo - h0 + tested], NEG_INF
             )
             inner, ring_max = _window_split(b_sub, k.y_grid, box, np.maximum)
             top_in = inner.max(axis=tuple(range(1, inner.ndim)), initial=NEG_INF)
@@ -579,10 +647,12 @@ def superlevel_compactness_report(
     sets touching an open window edge are violations.  The level beta is
     the 0.75 quantile of the finite values inside the inner window; a row
     with none (b(x,·) - f is -inf there) has only empty superlevel sets.
-    The set at beta reaches the ring iff the ring maximum is >= beta.
-    Testing the 0.9 quantile too would change no label: the quantiles are
-    ordered, so a ring maximum at or above the 0.9 quantile is at or
-    above the 0.75 quantile.  Array code over blocks of x-rows in buffers
+    The set at beta reaches the ring iff the ring maximum is >= beta,
+    which counting the finite inner values at or below the ring maximum
+    decides on all but a few rows (``_level_below``).  Testing the 0.9
+    quantile too would change no label: the quantiles are ordered, so a
+    ring maximum at or above the 0.9 quantile is at or above the 0.75
+    quantile.  Array code over blocks of x-rows in buffers
     allocated once per call.  The values are ``b + (-f)`` with NaN set to
     -inf, which is ``otimes(b, -f)`` bit for bit (NaN comes only from -inf
     meeting +inf, where otimes gives -inf).
@@ -593,7 +663,8 @@ def superlevel_compactness_report(
     blocks = list(_row_blocks(k.x_grid, 0, k.y_grid.size))
     width = max(hi - lo for lo, hi, _, _ in blocks)
     buf = np.empty((width, k.y_grid.size))  # a bilinear block is built in place
-    win_buf = np.empty((width, int(np.prod([s.stop - s.start for s in box]))))
+    inner_size = int(np.prod([s.stop - s.start for s in box]))
+    side_buf = np.empty((width, inner_size), dtype=bool)
     verdicts = []
     for lo, hi, _, _ in blocks:
         vals = buf[: hi - lo]
@@ -601,6 +672,6 @@ def superlevel_compactness_report(
             np.add(k.rows(slice(lo, hi), out=buf), neg_f, out=vals)
         np.fmax(vals, NEG_INF, out=vals)  # NaN to -inf
         inner, ring_max = _window_split(vals, k.y_grid, box, np.maximum)
-        level, use = _row_quantile(_sorted_window(inner, win_buf[: hi - lo]), 0.75)
-        verdicts += np.where(use & (ring_max >= level), VIOLATION, EVIDENCE).tolist()
+        below, _ = _level_below(inner, ring_max, 0.75, np.less_equal, side_buf)
+        verdicts += np.where(below, VIOLATION, EVIDENCE).tolist()
     return SuperlevelReport(verdicts=verdicts)

@@ -12,7 +12,7 @@ the per-row loops' labels too.  No RuntimeWarning may fire.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxplus import (
@@ -29,10 +29,13 @@ from maxplus import (
     tightness_criterion,
     verdict,
 )
+from maxplus import conjugacy
 from maxplus.conjugacy import (
     EDGE,
     EVIDENCE,
     VIOLATION,
+    _level_below,
+    _lerp,
     _row_blocks,
     _row_quantile,
     coercivity_report,
@@ -429,8 +432,8 @@ def test_window_reports_hold_few_blocks():
     k, f = gauss_ldp_case()
     block = _kernels._CELL_BUDGET * 8
     for call, blocks in (
-        (lambda: coercivity_report(k, 0.1), 6),
-        (lambda: superlevel_compactness_report(f, k, 0.1), 4),
+        (lambda: coercivity_report(k, 0.1), 3),
+        (lambda: superlevel_compactness_report(f, k, 0.1), 2),
     ):
         tracemalloc.start()
         try:
@@ -440,6 +443,24 @@ def test_window_reports_hold_few_blocks():
         finally:
             tracemalloc.stop()
         assert peak < blocks * block, f"peak {peak / block:.2f} blocks"
+
+
+def test_reports_at_benchmark_size_sort_no_row(monkeypatch):
+    # the rank counts decide every coercivity row and all but one
+    # superlevel row; no level is interpolated anywhere else
+    k, f = gauss_ldp_case()
+    rows = []
+
+    def counted(a, b, t):
+        rows.append(len(a))
+        return lerp(a, b, t)
+
+    lerp = conjugacy._lerp
+    monkeypatch.setattr(conjugacy, "_lerp", counted)
+    coercivity_report(k, 0.1)
+    assert sum(rows) == 0
+    superlevel_compactness_report(f, k, 0.1)
+    assert sum(rows) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -486,3 +507,72 @@ def test_level_of_a_row_whose_span_overflows_is_finite():
     for ring, want in ((-1.5e308, EVIDENCE), (-1e308, VIOLATION)):
         k = Kernel.from_table(Grid.line(0.0, 0.0, 1), yg, [[ring] + span + [ring]])
         assert superlevel_compactness_report(f, k, 0.1).verdicts == [want]
+
+
+# cells that tie, signed zeros, infinities and spans whose difference
+# overflows
+RANK_CELLS = st.one_of(
+    st.integers(-8, 8).map(lambda v: v / 4.0),
+    st.sampled_from([0.0, -0.0, NEG, POS, 1e308, -1e308, 5e-324]),
+)
+
+
+@st.composite
+def rank_cases(draw):
+    """Rows of inner cells and ring values, the rings often equal to a cell."""
+    m, w = draw(st.integers(1, 6)), draw(st.integers(0, 9))
+    cells = np.array(draw(st.lists(RANK_CELLS, min_size=m * w, max_size=m * w)))
+    cells = cells.reshape(m, w)
+    ring = np.array([
+        draw(st.one_of(RANK_CELLS, st.sampled_from(row.tolist())) if w else RANK_CELLS)
+        for row in cells
+    ])
+    return cells, ring
+
+
+# rows with no finite value, one, signed zeros and an overflowing span,
+# against rings of 0, +inf, -0 and -inf
+EXTREME_ROWS = (
+    np.array([[NEG, POS, NEG], [POS, 1.0, NEG], [-0.0, 0.0, 0.0], [-1e308, 1e308, 0.5]]),
+    np.array([0.0, POS, -0.0, NEG]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rank_cases(), st.sampled_from([0.5, 0.75]), st.booleans())
+@example(EXTREME_ROWS, 0.5, False)
+@example(EXTREME_ROWS, 0.75, True)
+def test_rank_decision_matches_the_sorted_level(case, q, box):
+    cells, ring = case
+    level, use = _row_quantile(np.sort(cells, axis=1), q)
+    inner = cells.reshape(cells.shape[0], 1, -1) if box else cells
+    buf = np.ones((cells.shape[0] + 2, cells.shape[1]), dtype=bool)
+    # coercivity: the ring minimum reaches the level iff ring <= level
+    below, got_use = _level_below(inner, ring, q, np.less, buf)
+    assert got_use.tolist() == use.tolist()
+    assert (use & ~below).tolist() == (use & (ring <= level)).tolist()
+    assert not below[~use].any()
+    # superlevel: the ring maximum reaches the level iff level <= ring
+    below, _ = _level_below(inner, ring, q, np.less_equal, buf)
+    assert below.tolist() == (use & (level <= ring)).tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_lerp_lies_between_its_order_statistics(cases):
+    a, b, t = (np.array(c) for c in zip(*cases))
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    level = _lerp(a, b, t)
+    assert np.all(a <= level) and np.all(level <= b)
+    # at the top position a == b and t >= 1
+    assert np.array_equal(_lerp(a, a, t + 1.0), a)

@@ -131,3 +131,18 @@ def test_gauss_mass_of_a_tiny_spread_reads_infinite_endpoints():
     # (1 - 0) / 1e-310 overflows: the interval [1, 2] lies beyond the law's tail
     assert outcome(log_gauss_mass, [(1.0, 2.0)], 0.0, 1e-310) == (float, np.float64(NEG).tobytes())
     assert outcome(log_gauss_mass, [(-1.0, 1e300)], 0.0, 1e-10) == (float, np.float64(0.0).tobytes())
+
+
+def test_piecewise_log_mgf_of_a_large_constant_row_is_that_constant():
+    # scale * 1e307 leaves the float range, yet the log-moment of a
+    # constant is that constant; a spread beyond the range is refused
+    coords = np.linspace(-2.0, 2.0, 5)
+    for value in (1e307, -1e307, 1.7e308):
+        for floor in (None, 0.5):
+            got = outcome(
+                log_mgf_piecewise_linear, coords, np.full(5, value), 64, 0.0, 0.125, floor
+            )
+            assert got == (float, np.float64(value).tobytes())
+    spread = np.array([-1e308, 0.0, 1.0, 1e308, 0.0])
+    got = outcome(log_mgf_piecewise_linear, coords, spread, 64, 0.0, 0.125)
+    assert got is ValidationError
