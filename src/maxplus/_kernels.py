@@ -36,10 +36,16 @@ some shape.
 Conventions: values are float64 where -inf is the max-plus zero and is
 absorbing for addition; kernels never contain +inf, and bilinear kernels
 are built only where no product overflows (``conjugacy.Kernel``); no NaN
-ever enters (callers validate).
+ever enters (callers validate).  A zero maximum reads +0: 0 is the unit
+of R ∪ {-inf} and has no sign, while the zero numpy's max keeps from a
+tie of +0 and -0 depends on the order of the cells.  Each action ends
+with ``out += 0.0``, which under round-to-nearest turns -0 into +0 and
+leaves every other value, ±inf included, as it is (IEEE 754-2019 §6.3).
 """
 
 import numpy as np
+
+from .grids import NEG_INF
 
 _CELL_BUDGET = 2**17  # float64 cells per dense block (1 MiB)
 _CHUNK_ROWS = 256  # X-nodes per chunk of the pruned 2-D action
@@ -58,19 +64,16 @@ def matvec_table(table, neg_f):
     nx, ny = table.shape
     out = np.empty(nx)
     step = min(block_rows(ny), nx)
-    # one block, reused, in the table's memory order as numpy's own
-    # table + neg_f would be: the order decides which zero a tie of +0 and
-    # -0 keeps.  Kernel tables are C-ordered (Kernel copies them, a
-    # transposed one too); a raw column-major array keeps its own order
-    buf = np.empty_like(table[:step], dtype=np.float64)
+    buf = np.empty((step, ny))  # one block, reused
     for lo in range(0, nx, step):
         hi = min(lo + step, nx)
         t = buf[: hi - lo]
         with np.errstate(invalid="ignore"):
             np.add(table[lo:hi], neg_f, out=t)
         # -inf entries meeting +inf in neg_f give NaN; the convention is -inf
-        t[np.isnan(t)] = -np.inf
+        np.fmax(t, NEG_INF, out=t)
         t.max(axis=1, out=out[lo:hi])
+    out += 0.0
     return out
 
 
@@ -111,6 +114,7 @@ def _dense_bilinear(x, y, neg_f):
             np.multiply.outer(x[lo:hi], y, out=t)
             t += neg_f
         t.max(axis=1, out=out[lo:hi])
+    out += 0.0
     return out
 
 
@@ -141,9 +145,7 @@ def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
     Degenerate cases: a +inf in neg_f gives +inf everywhere, as it does
     in every dense result that is not NaN.  Where delta is not finite
     (magnitudes overflow) every row is a candidate, which is the dense
-    sweep.  A max equal to 0 is recomputed from its full dense row,
-    because the sign numpy gives a tie of +0 and -0 depends on the order
-    of the cells.  X is handled in chunks of ``_CHUNK_ROWS`` nodes sorted
+    sweep.  X is handled in chunks of ``_CHUNK_ROWS`` nodes sorted
     by x1, so no temporary holds more than a dense chunk's cells.
     """
     nx = x0.shape[0]
@@ -194,15 +196,8 @@ def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
         best = np.full(idx.size, -np.inf)  # no candidate: every cell is -inf
         if new_x.size:
             best[xi[new_x]] = np.maximum.reduceat(vals, first[new_x])
-
-        zero = best == 0
-        if zero.any():
-            z = idx[zero]
-            with np.errstate(over="ignore", invalid="ignore"):
-                t = np.multiply.outer(x0[z], y0) + np.multiply.outer(x1[z], y1)
-                t += neg_f[None, :]
-            best[zero] = t.max(axis=1)
         out[idx] = best
+    out += 0.0
     return out
 
 
@@ -248,9 +243,7 @@ def envelope_merge(slopes, icepts, xs):
     fail, so every line is a candidate at every x (a -inf line is never
     one, which is the dense sweep's absorbing rule); candidates are
     evaluated a cell budget at a time, so memory stays bounded however
-    many there are.  A max equal to 0 is recomputed from its full dense
-    row, because the sign numpy gives a tie of +0 and -0 depends on the
-    order of the cells.
+    many there are.
     """
     out = np.full(xs.shape[0], -np.inf)
     fin = np.flatnonzero(np.isfinite(icepts))
@@ -284,10 +277,7 @@ def envelope_merge(slopes, icepts, xs):
         node = np.arange(line.size) + np.repeat(first[a:b] - (np.cumsum(k) - k), k)
         with np.errstate(over="ignore"):
             np.maximum.at(out, node, xs[node] * s[line] + c[line])
-
-    zero = np.flatnonzero(out == 0)
-    if zero.size:
-        out[zero] = _dense_bilinear(xs[zero], slopes, icepts)
+    out += 0.0
     return out
 
 

@@ -128,17 +128,18 @@ def log_mgf_piecewise_linear(coords, values, scale, mu, sd, state_floor=None):
         lo = np.where(floor > lo, floor, lo)[keep]
         hi, s, q = hi[keep], s[keep], q[keep]
         head = [scale * atom + log_ndtr((floor - mu) / sd)]
-    shift = mu + scale * s * sd * sd
+    with np.errstate(over="ignore"):
+        # a slope too steep for the float range shifts the mass to ±inf
+        shift = mu + scale * s * sd * sd
     z = np.stack([lo, hi])
     fin = np.isfinite(z)  # the end segments' infinite bounds stay
     z[fin] = (z[fin] - np.broadcast_to(shift, z.shape)[fin]) / sd
     # each segment's term is its Gaussian mass, shifted by its slope
-    terms = scale * (q + s * mu)
-    with np.errstate(over="ignore"):
-        # a slope too steep for the float range makes this +inf ...
+    with np.errstate(over="ignore", invalid="ignore"):
+        # such a slope makes the quadratic part +inf, and the term NaN where
+        # that meets a linear part of -inf or a shifted mass below the range
+        terms = scale * (q + s * mu)
         terms += scale * scale * s * s * sd * sd / 2.0
-    with np.errstate(invalid="ignore"):
-        # ... and NaN where the shifted mass is below the range (-inf)
         terms += log_gauss_interval(*z)
     if (terms == POS_INF).any():
         # a term beyond the float range outweighs every other, NaN or not

@@ -148,7 +148,8 @@ class Kernel:
 def conjugate(f, k):
     """Max-plus conjugate of f through the kernel: x ↦ max_y b(x,y) - f(y).
 
-    The dual transform is ``conjugate(g, k.transpose())``.
+    The dual transform is ``conjugate(g, k.transpose())``.  A zero maximum
+    reads +0, whatever the signs of the zeros it ties (see ``_kernels``).
     """
     require_same_grid(f, k.y_grid, "conjugate: f")
     neg_f = -f.flat

@@ -97,10 +97,6 @@ class MaxPlusForm(QuasiLinearForm):
     def grid(self):
         return self.density.grid
 
-    @property
-    def join_defect_bound(self):
-        return 0.0
-
     def evaluate(self, phi):
         require_same_grid(phi, self.grid, "MaxPlusForm.evaluate")
         return float(otimes(phi.flat, -self.density.flat).max())

@@ -540,14 +540,10 @@ def tail_rate_experiment(
     exact = np.empty(shape)
     mc = np.full(shape, np.nan)
     mc_se = np.full(shape, np.nan)
+    children = ss.spawn(len(horizons))
     for ti, T in enumerate(horizons):
         if T in mc_set:
-            # the child ss.spawn(len(horizons))[ti] would be, made only for
-            # the horizons that sample
-            child = np.random.SeedSequence(
-                ss.entropy, spawn_key=ss.spawn_key + (ti,), pool_size=ss.pool_size
-            )
-            counts = simulate(p, xi_grid, T, n_paths, child).tail_counts(c)
+            counts = simulate(p, xi_grid, T, n_paths, children[ti]).tail_counts(c)
             for xj, hits in enumerate(counts.tolist()):
                 if hits > 0:
                     phat = hits / n_paths

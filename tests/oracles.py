@@ -56,8 +56,8 @@ def dense_matvec_bilinear(x, y, neg_f):
 
     This was the library's kernel before it merged upper envelopes above
     a crossover; it stays as the oracle that the merge and the library's
-    own dense sweep must match bit for bit, signed zeros included.  It
-    has no absorbing rule: a +inf product meeting f = +inf gives NaN.
+    own dense sweep must match bit for bit once its zero maxima read +0.
+    It has no absorbing rule: a +inf product meeting f = +inf gives NaN.
     """
     nx = x.shape[0]
     out = np.empty(nx)
@@ -76,8 +76,8 @@ def dense_bilinear_2d(x0, x1, y0, y1, neg_f, chunk=256):
     """The 2-D bilinear action over every cell, in chunks of X-rows.
 
     This was the library's kernel before it pruned rows; it stays as the
-    oracle the pruned kernel must match bit for bit, signed zeros
-    included.
+    oracle the pruned kernel must match bit for bit once its zero maxima
+    read +0.
     """
     nx = x0.shape[0]
     out = np.empty(nx)

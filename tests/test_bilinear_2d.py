@@ -3,8 +3,8 @@
 ``_kernels.matvec_bilinear_2d`` evaluates only the Y-rows whose 1-D
 estimate comes within the rounding slack of the best one.  Its results
 must equal those of ``oracles.dense_bilinear_2d``, which evaluates every
-cell, including the sign of a zero: results are compared through their
-bit patterns.  Inputs are product boxes with one-node axes, X != Y, row
+cell, plus 0.0: a zero maximum reads +0.  Results are compared through
+their bit patterns.  Inputs are product boxes with one-node axes, X != Y, row
 counts across the chunk size, quantized f with exact ties, x0 = 0 and
 signed-zero coordinates, +inf and -inf values of f, and magnitudes near
 the overflow threshold; a kernel whose sums overflow is rejected.
@@ -33,11 +33,12 @@ def product(a0, a1):
 
 def assert_bits_equal(x0, x1, y0, y1, neg_f):
     got = _kernels.matvec_bilinear_2d(x0, x1, y0, y1, neg_f)
-    want = dense_bilinear_2d(x0, x1, y0, y1, neg_f)
+    want = dense_bilinear_2d(x0, x1, y0, y1, neg_f) + 0.0  # a zero max reads +0
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
         got[got.view(np.uint64) != want.view(np.uint64)][:5],
         want[got.view(np.uint64) != want.view(np.uint64)][:5],
     )
+    assert not np.signbit(got[got == 0]).any()
 
 
 # axis nodes: uniform, integer (exact ties, an exact 0) or with -0.0
@@ -111,8 +112,9 @@ def test_pruned_across_chunks(rng, shape, f_kind):
 @pytest.mark.parametrize("n", [2, 3, 7, 40])
 def test_zero_ties_take_the_dense_sign(n):
     # at x = (0, 0) with f = 0 every cell is +0 or -0 (-0 where y0 < 0 and
-    # y1 < 0), and which sign the max takes depends on the order of the
-    # cells; y0 descends, so grouping rows by y0 reverses that order
+    # y1 < 0), and the sign numpy's max keeps depends on the order of the
+    # cells; y0 descends, so grouping rows by y0 reverses that order.  The
+    # dense sign under the rule is +0 either way
     x0, x1 = product([-1.0, 0.0, 1.0], [0.0, -0.0, 2.0])
     y0, y1 = product(np.linspace(1, -1, n), np.linspace(-1, 0.5, n))
     for neg_f in (-np.zeros(y0.size), np.zeros(y0.size)):

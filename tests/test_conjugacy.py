@@ -22,7 +22,7 @@ from maxplus import (
     superlevel_compactness_report,
 )
 from maxplus import _kernels
-from oracles import dense_matvec_bilinear, slow_conjugate, slow_envelope_merge
+from oracles import dense_bilinear_2d, dense_matvec_bilinear, slow_conjugate, slow_envelope_merge
 
 NEG = NEG_INF
 POS = POS_INF
@@ -251,6 +251,14 @@ def test_block_rows_fill_the_budget():
     assert _kernels.block_rows(1) == BUDGET
 
 
+def assert_zero_rule_bits(got, want):
+    """got is want + 0.0 bit for bit: -0 turns into +0 and nothing else moves."""
+    want = want + 0.0
+    diff = got.view(np.uint64) != want.view(np.uint64)
+    assert not diff.any(), (np.flatnonzero(diff)[:3], got[diff][:3], want[diff][:3])
+    assert not np.signbit(got[got == 0]).any()
+
+
 def kernel_neg_f(rng, ny):
     """-f for an f that is +inf on about 5% of the nodes."""
     neg_f = rng.uniform(-5, 5, ny)
@@ -340,20 +348,6 @@ def test_dense_actions_hold_one_block(rng):
         assert peak < limit, (action.__name__, peak, limit)
 
 
-def test_matvec_table_transposed_keeps_the_dense_zero_sign(rng):
-    """A transposed table is column-major; its ±0 ties keep the dense sum's sign."""
-    for ny in [*rng.integers(1, 40, 20), 97]:
-        nx = 3000 if ny < 97 else ROWS_97 + 1  # one block; then two at |Y| = 97
-        table = rng.choice([0.0, -0.0, NEG], size=(ny, nx)).T
-        neg_f = rng.choice([0.0, -0.0, NEG, POS], size=ny)
-        with np.errstate(invalid="ignore"):
-            t = table + neg_f[None, :]
-        t[np.isnan(t)] = NEG
-        want = t.max(axis=1)
-        got = _kernels.matvec_table(table, neg_f)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 # ---------------------------------------------------------------------------
 # upper-envelope merge against the dense max, bit for bit
 # ---------------------------------------------------------------------------
@@ -365,9 +359,7 @@ def dense_envelope(slopes, icepts, xs):
 
 def assert_envelope_exact(slopes, icepts, xs):
     got = _kernels.envelope_merge(slopes, icepts, xs)
-    want = dense_envelope(slopes, icepts, xs)
-    diff = got.view(np.uint64) != want.view(np.uint64)
-    assert not diff.any(), (xs[diff][:3], got[diff][:3], want[diff][:3])
+    assert_zero_rule_bits(got, dense_envelope(slopes, icepts, xs))
     return got
 
 
@@ -434,6 +426,7 @@ def test_envelope_degenerate_hulls(rng, case):
 
 @pytest.mark.parametrize("f_zero", [0.0, -0.0])
 def test_envelope_signed_zero_ties(f_zero):
+    # every pattern of ±0 lines meets x = ±0; a zero max reads +0
     slopes = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
     for xs in (np.array([-0.0]), np.array([0.0]), np.array([-0.0, 0.0]), np.array([-1.0, -0.0, 0.0, 1.0])):
         for pattern in range(2**slopes.size):
@@ -512,8 +505,7 @@ def assert_action_exact(x, y, neg_f, want=None):
     got = _kernels.matvec_bilinear(x, y, neg_f)
     if want is None:
         want = dense_matvec_bilinear(x, y, neg_f)
-    diff = got.view(np.uint64) != want.view(np.uint64)
-    assert not diff.any(), (x[diff][:3], got[diff][:3], want[diff][:3])
+    assert_zero_rule_bits(got, want)
     return got
 
 
@@ -662,6 +654,134 @@ def action_inputs(draw):
 @given(action_inputs())
 def test_action_property_above_the_crossover(case):
     assert_action_exact(*case)
+
+
+# ---------------------------------------------------------------------------
+# a zero maximum reads +0, in every action
+# ---------------------------------------------------------------------------
+
+def dense_table(table, neg_f):
+    """The table action over every cell; -inf meeting +inf (NaN) reads -inf."""
+    with np.errstate(invalid="ignore"):
+        t = table + neg_f[None, :]
+    t[np.isnan(t)] = NEG
+    return t.max(axis=1)
+
+
+def signed_axis(rng, n, signs="signed"):
+    """n sorted coordinates with exact ties, zero products and -0.0; a
+    non-negative axis makes x*y -0 wherever x < 0 meets y = +0."""
+    if signs == "non-negative":
+        return np.sort(rng.choice([0.0, 0.5, 1.0, 2.0], n))
+    return np.sort(rng.choice([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0], n))
+
+
+def half_grid(n, signs="signed"):
+    """n nodes a half apart, from 0 or centred on it (a node at 0 when n is odd)."""
+    if signs == "non-negative":
+        return Grid.line(0.0, (n - 1) / 2, n)
+    return Grid.line(-(n - 1) / 4, (n - 1) / 4, n)
+
+
+def tie_f(rng, n, infs, values="ties"):
+    """f of +0, of ±0, or of ±0, ±1 and 0.5, with +inf nodes or one -inf node."""
+    f = rng.choice({"+0": [0.0], "±0": [0.0, -0.0], "ties": [0.0, -0.0, 1.0, -1.0, 0.5]}[values], n)
+    if infs == "+inf nodes":
+        f[rng.random(n) < 0.3] = POS
+    elif infs == "a -inf node":
+        f[rng.integers(n)] = NEG
+    return f
+
+
+def zero_rule_table(rng, nx, ny, infs, signs, values):
+    cols = rng.choice([0.0, -0.0, 1.0, -1.0, NEG], (ny, nx)).T  # column-major
+    rows = np.ascontiguousarray(cols)
+    neg_f = -tie_f(rng, ny, infs, values)
+    got = _kernels.matvec_table(cols, neg_f)
+    assert_zero_rule_bits(got, dense_table(rows, neg_f))
+    assert_zero_rule_bits(_kernels.matvec_table(rows, neg_f), got)
+
+
+def zero_rule_bilinear(rng, nx, ny, infs, signs, values):
+    # the dense sweep at or below ROWS X-nodes, the envelope merge above
+    x, y = signed_axis(rng, nx), signed_axis(rng, ny, signs)
+    neg_f = -tie_f(rng, ny, infs, values)
+    assert_zero_rule_bits(_kernels.matvec_bilinear(x, y, neg_f), dense_matvec_bilinear(x, y, neg_f))
+
+
+def zero_rule_bilinear_2d(rng, nx, ny, infs, signs, values):
+    n = rng.integers(1, 10, 4)
+    a0, a1 = signed_axis(rng, n[0]), signed_axis(rng, n[1])
+    b0, b1 = signed_axis(rng, n[2], signs), signed_axis(rng, n[3], signs)
+    x0, x1 = (c.ravel() for c in np.meshgrid(a0, a1, indexing="ij"))
+    y0, y1 = (c.ravel() for c in np.meshgrid(b0, b1, indexing="ij"))
+    neg_f = -tie_f(rng, y0.size, infs, values)
+    assert_zero_rule_bits(
+        _kernels.matvec_bilinear_2d(x0, x1, y0, y1, neg_f), dense_bilinear_2d(x0, x1, y0, y1, neg_f)
+    )
+
+
+def zero_rule_envelope(rng, nx, ny, infs, signs, values):
+    xs, slopes = signed_axis(rng, nx), signed_axis(rng, ny, signs)
+    f = tie_f(rng, ny, infs, values)
+    icepts = np.where(f == NEG, NEG, -f)  # intercepts lie in R ∪ {-inf}
+    assert_zero_rule_bits(_kernels.envelope_merge(slopes, icepts, xs), dense_envelope(slopes, icepts, xs))
+
+
+def zero_rule_legendre_fast(rng, nx, ny, infs, signs, values):
+    xg, yg = half_grid(nx), half_grid(ny, signs)
+    f = GridFn(yg, tie_f(rng, ny, infs, values))
+    got = legendre_fast(f, Kernel.bilinear(xg, yg)).values
+    assert_zero_rule_bits(got, dense_matvec_bilinear(xg.coords, yg.coords, -f.flat))
+
+
+def zero_rule_conjugate(rng, nx, ny, infs, signs, values):
+    # a 1-D and a 2-D bilinear kernel, and a table kernel and its transpose
+    xg, yg = half_grid(nx), half_grid(ny, signs)
+    f = GridFn(yg, tie_f(rng, ny, infs, values))
+    want = dense_matvec_bilinear(xg.coords, yg.coords, -f.flat)
+    assert_zero_rule_bits(conjugate(f, Kernel.bilinear(xg, yg)).values, want)
+    n = rng.integers(1, 10, 4)
+    xb = Grid.box(-(n[:2] - 1) / 4, (n[:2] - 1) / 4, n[:2])
+    yb = Grid.box(-(n[2:] - 1) / 4, (n[2:] - 1) / 4, n[2:])
+    fb = GridFn(yb, tie_f(rng, yb.size, infs, values))
+    xc, yc = xb.coords, yb.coords
+    want = dense_bilinear_2d(xc[:, 0], xc[:, 1], yc[:, 0], yc[:, 1], -fb.flat)
+    assert_zero_rule_bits(conjugate(fb, Kernel.bilinear(xb, yb)).values.ravel(), want)
+    table = rng.choice([0.0, -0.0, 1.0, -1.0, NEG], (nx, ny))
+    table[0] = table[:, 0] = -0.0  # every row and column holds a finite entry
+    k = Kernel.from_table(xg, yg, table)
+    assert_zero_rule_bits(conjugate(f, k).values, dense_table(table, -f.flat))
+    g = GridFn(xg, tie_f(rng, nx, infs, values))
+    assert_zero_rule_bits(conjugate(g, k.transpose()).values, dense_table(table.T, -g.flat))
+
+
+ZERO_RULE = {
+    "matvec_table": zero_rule_table,
+    "matvec_bilinear": zero_rule_bilinear,
+    "matvec_bilinear_2d": zero_rule_bilinear_2d,
+    "envelope_merge": zero_rule_envelope,
+    "legendre_fast": zero_rule_legendre_fast,
+    "conjugate": zero_rule_conjugate,
+}
+
+
+@pytest.mark.parametrize("action", list(ZERO_RULE))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 7, ROWS, ROWS + 1, ROWS + 90]),  # |X| about the crossover
+    st.integers(1, 40),  # |Y|
+    st.sampled_from(["finite", "+inf nodes", "a -inf node"]),
+    st.sampled_from(["signed", "non-negative"]),  # Y-coordinates
+    st.sampled_from(["+0", "±0", "ties"]),  # finite values of f
+))
+def test_every_action_reads_a_zero_max_as_plus_zero(action, case):
+    """Each action equals its dense oracle + 0.0 bit for bit, on ±0 ties,
+    ±inf in f and signed-zero coordinates; a column-major table gives the
+    bits of its row-major copy."""
+    seed, *sizes_and_kinds = case
+    ZERO_RULE[action](np.random.default_rng(seed), *sizes_and_kinds)
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,28 @@ Every field of a library dataclass is read somewhere in the library or
 the tests: as an attribute load, or as a string constant (a name that a
 ``getattr`` loop reads).  The scan goes by name, so it finds fields that
 nothing reads under any name.
+
+Every backticked dotted name in ``README.md`` that starts at ``maxplus``,
+one of its modules or one of its exports (``ldp.pipeline``,
+``maxplus.cli``, ``Kernel.rows``) resolves by ``getattr``, a dataclass
+field with no default as its declared type, so that the README does not
+name what the code no longer holds.
 """
 
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
+import maxplus
 from maxplus import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "maxplus").glob("*.py"))
+MODULE_NAMES = {p.stem for p in LIBRARY} - {"__init__"}
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 MODULES = [p for p in LIBRARY if p.name != "__init__.py"] + TESTS
 RAISABLE = {
@@ -159,3 +170,45 @@ def test_scan_sees_an_unread_field():
     )
     reader = "print(r.kept, [getattr(r, k) for k in ('listed',)])\nr.dead = 1\n"
     assert unread_fields([source], [source, reader]) == [("Report", "dead")]
+
+
+def member(obj, name):
+    """``getattr(obj, name)``; a dataclass field with no default reads as its type."""
+    field = getattr(obj, "__dataclass_fields__", {}).get(name)
+    return field.type if field is not None and not hasattr(obj, name) else getattr(obj, name)
+
+
+def unresolved_names(text):
+    """Backticked dotted names in ``text`` that start at ``maxplus``, one of
+    its modules or one of its exports, and that ``member`` does not resolve."""
+    out = []
+    for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", text):
+        head, *rest = name.split(".")
+        if head == "maxplus":
+            head, *rest = rest
+        elif head not in MODULE_NAMES and not hasattr(maxplus, head):
+            continue  # numpy's, or a name the package does not export
+        try:
+            if head in MODULE_NAMES:
+                obj = importlib.import_module(f"maxplus.{head}")
+            else:
+                obj = getattr(maxplus, head)
+            functools.reduce(member, rest, obj)
+        except AttributeError:
+            out.append(name)
+    return out
+
+
+def test_readme_names_resolve():
+    assert unresolved_names((ROOT / "README.md").read_text()) == []
+
+
+def test_scan_sees_a_stale_readme_name():
+    text = (
+        "`ldp.pipeline` and `ldp.gone`, `maxplus.cli` and `maxplus.nowhere`,\n"
+        "`Kernel.rows` and `Kernel.lost`, `GartnerOutput.tightness.holds` and\n"
+        "`GartnerOutput.gone`, `np.quantile`, `Kernel.rows(..., out=buf)`"
+    )
+    assert unresolved_names(text) == [
+        "ldp.gone", "maxplus.nowhere", "Kernel.lost", "GartnerOutput.gone"
+    ]

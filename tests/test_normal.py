@@ -146,3 +146,13 @@ def test_piecewise_log_mgf_of_a_large_constant_row_is_that_constant():
     spread = np.array([-1e308, 0.0, 1.0, 1e308, 0.0])
     got = outcome(log_mgf_piecewise_linear, coords, spread, 64, 0.0, 0.125)
     assert got is ValidationError
+
+
+def test_piecewise_log_mgf_refuses_a_steep_notch_without_a_warning():
+    # shifted by its top, the row is [0, 0, -1e307, 0, 0]: the notch's
+    # slopes of ±1e307 make its linear parts -inf and its quadratic parts
+    # +inf, terms that no float holds, so the documented error is raised
+    coords = np.linspace(-2.0, 2.0, 5)
+    notch = np.array([1e307, 1e307, 0.0, 1e307, 1e307])
+    got = outcome(log_mgf_piecewise_linear, coords, notch, 64, 0.0, 0.125)
+    assert got is ValidationError
