@@ -218,16 +218,13 @@ def _run_covering(obj, out_dir, summary):
         cfg_obj,
         (),
         "covering config",
-        optional={"stencil_radius", "window_margin", "le_tol", "eq_tol",
+        optional={"stencil_radius", "le_tol", "eq_tol",
                   "assume_finite_exact", "closed_below", "closed_above"},
     )
     what = "covering config"
     cfg = CoveringConfig(
         stencil_radius=_json_count(
             cfg_obj.get("stencil_radius", 1), f"{what}: stencil_radius", 0
-        ),
-        window_margin=float(
-            _json_number(cfg_obj.get("window_margin", 0.1), f"{what}: window_margin")
         ),
         le_tol=float(_json_tol(cfg_obj.get("le_tol", 0.0), f"{what}: le_tol")),
         eq_tol=float(_json_tol(cfg_obj.get("eq_tol", 0.0), f"{what}: eq_tol")),
@@ -236,7 +233,7 @@ def _run_covering(obj, out_dir, summary):
         ),
         sides=_sides_from(cfg_obj, yg.dim, what),
     )
-    window = sorted({"window_margin", "closed_below", "closed_above"} & set(cfg_obj))
+    window = sorted({"closed_below", "closed_above"} & set(cfg_obj))
     if cfg.assume_finite_exact and window:
         raise ValidationError(
             f"{what}: {', '.join(window)} cannot be set with assume_finite_exact, "
@@ -309,7 +306,7 @@ def _run_ldp(obj, out_dir, summary):
         obj,
         {"kind", "x_grid", "y_grid", "kernel", "sequence"},
         "ldp scenario",
-        optional={"mode", "window_margin", "closed_below", "closed_above",
+        optional={"mode", "closed_below", "closed_above",
                   "x_closed_below", "x_closed_above", "sup_edge_to_inf",
                   "out_json", "out_csv"},
     )
@@ -320,7 +317,6 @@ def _run_ldp(obj, out_dir, summary):
     mode = obj.get("mode", "limit-asserted")
     sides = _sides_from(obj, yg.dim, what)
     x_sides = _sides_from(obj, xg.dim, what, prefix="x_")
-    margin = float(_json_number(obj.get("window_margin", 0.1), f"{what}: window_margin"))
     sup_edge_to_inf = _json_bool(
         obj.get("sup_edge_to_inf", False), f"{what}: sup_edge_to_inf"
     )
@@ -328,13 +324,7 @@ def _run_ldp(obj, out_dir, summary):
     csv_name = _json_str(obj.get("out_csv", "ldp.csv"), f"{what}: out_csv")
 
     ginput = GartnerInput(_ldp_sequences(obj, xg, yg), kernel, mode)
-    out = pipeline(
-        ginput,
-        window_margin=margin,
-        sides=sides,
-        x_sides=x_sides,
-        sup_edge_to_inf=sup_edge_to_inf,
-    )
+    out = pipeline(ginput, sides=sides, x_sides=x_sides, sup_edge_to_inf=sup_edge_to_inf)
 
     payload = {
         "verdict": out.verdict,

@@ -38,6 +38,7 @@ from .grids import (
     POS_INF,
     GridFn,
     ball_extreme,
+    check_radius,
     check_values,
     require_same_grid,
 )
@@ -45,6 +46,8 @@ from .grids import (
 EVIDENCE = "EVIDENCE"
 VIOLATION = "VIOLATION"
 EDGE = "EDGE"  # stencil clipped by an open window side: not a faithful neighborhood
+# the share of each open side's span that goes to the ring standing in for infinity
+WINDOW_MARGIN = 0.1
 
 
 class Kernel:
@@ -257,7 +260,8 @@ class WindowSides:
     ``closed_below`` / ``closed_above`` are per-axis flags; a closed side
     is a genuine boundary of the space (as the left end of a half-line
     domain), so sets may touch it without hurting compactness evidence.
-    Open sides emulate infinity and carry the margin ring.
+    Open sides emulate infinity and give the ring a ``WINDOW_MARGIN``
+    share of their span.
     """
 
     closed_below: tuple = ()
@@ -280,20 +284,18 @@ class WindowSides:
         return cb, ca
 
 
-def _inner_box(grid, margin, sides=None):
+def _inner_box(grid, sides=None):
     """The inner window as one index slice per axis.
 
     Coordinates are monotone along each axis, so the nodes each axis
     keeps form one index range, and the window is their box.
     """
-    if not (0.0 < margin < 0.5):
-        raise ValidationError("window margin must lie in (0, 1/2)")
     sides = sides or WindowSides.all_open(grid.dim)
     cb, ca = sides.normalized(grid.dim)
     box = []
     for ax in range(grid.dim):
         lo, hi = grid.lo[ax], grid.hi[ax]
-        pad = margin * (hi - lo)
+        pad = WINDOW_MARGIN * (hi - lo)
         c = grid.axis_coords(ax)
         ok = np.ones(c.shape, dtype=bool)
         if not cb[ax]:
@@ -305,10 +307,10 @@ def _inner_box(grid, margin, sides=None):
     return tuple(box)
 
 
-def inner_window_mask(grid, margin, sides=None):
-    """Nodes at coordinate distance > margin*(hi-lo) from every open edge."""
+def inner_window_mask(grid, sides=None):
+    """Nodes at coordinate distance >= WINDOW_MARGIN*(hi-lo) from every open edge."""
     mask = np.zeros(grid.shape, dtype=bool)
-    mask[_inner_box(grid, margin, sides)] = True
+    mask[_inner_box(grid, sides)] = True
     return mask.reshape(-1)
 
 
@@ -539,14 +541,7 @@ class CoercivityReport:
         return bool(tested) and all(v == EVIDENCE for v in tested)
 
 
-def coercivity_report(
-    k,
-    window_margin,
-    *,
-    stencil_radius=1,
-    sides=None,
-    x_sides=None,
-):
+def coercivity_report(k, *, stencil_radius=1, sides=None, x_sides=None):
     """Sample coercivity of the kernel through stencil neighborhoods.
 
     For each x-node and V the stencil ball around it, the sublevel set
@@ -576,9 +571,10 @@ def coercivity_report(
     first test; beta itself is computed, from the sorted inner gains, only
     on the rows the upper test runs on.
     """
+    check_radius(stencil_radius)
     # a ball as wide as the longest X-axis already holds the whole grid
     stencil_radius = min(stencil_radius, max(k.x_grid.n))
-    box = _inner_box(k.y_grid, window_margin, sides)
+    box = _inner_box(k.y_grid, sides)
     clipped = _clipped_nodes(k.x_grid, stencil_radius, x_sides)
     ny = k.y_grid.size
     blocks = list(_row_blocks(k.x_grid, stencil_radius, ny))
@@ -635,13 +631,7 @@ class SuperlevelReport:
         return all(v == EVIDENCE for v in self.verdicts)
 
 
-def superlevel_compactness_report(
-    f,
-    k,
-    window_margin,
-    *,
-    sides=None,
-):
+def superlevel_compactness_report(f, k, *, sides=None):
     """Evidence that superlevel sets {b(x,·) - f >= beta} stay confined.
 
     Empty superlevel sets count as evidence (there is nothing to escape);
@@ -659,7 +649,7 @@ def superlevel_compactness_report(
     meeting +inf, where otimes gives -inf).
     """
     require_same_grid(f, k.y_grid, "superlevel_compactness_report: f")
-    box = _inner_box(k.y_grid, window_margin, sides)
+    box = _inner_box(k.y_grid, sides)
     neg_f = -f.flat
     blocks = list(_row_blocks(k.x_grid, 0, k.y_grid.size))
     width = max(hi - lo for lo, hi, _, _ in blocks)

@@ -37,6 +37,7 @@ from .conjugacy import (
 from .grids import (
     POS_INF,
     GridFn,
+    check_radius,
     domain_masks,
     node_mask,
     stencil_max,
@@ -180,6 +181,7 @@ def quasicontinuity_check(f, stencil_radius=1, tol=0.0):
     one-grid-step tolerance separates the two regimes.  An f with no
     finite value has an empty domain and is vacuously quasi-continuous.
     """
+    check_radius(stencil_radius)
     dom = np.isfinite(f.values).reshape(-1)
     closing = stencil_min(stencil_max(f.values, stencil_radius), stencil_radius)
     with np.errstate(invalid="ignore"):
@@ -283,7 +285,6 @@ UNKNOWN = "UNKNOWN"
 @dataclass(frozen=True)
 class CoveringConfig:
     stencil_radius: int = 1
-    window_margin: float = 0.1
     le_tol: float = 0.0
     eq_tol: float = 0.0
     # finite grids are compact discrete spaces, where the standing
@@ -308,16 +309,14 @@ class AssumptionEvidence:
     quasicontinuous_dual: bool
 
 
-def assumption_evidence(
-    co, cand, k, window_margin, *, sides, closing_radius, closing_tol
-):
+def assumption_evidence(co, cand, k, *, sides, closing_radius, closing_tol):
     """The labels of the kernel's coercivity report ``co`` and the candidate.
 
     The candidate's superlevel sets are sampled on the Y-window that
-    ``window_margin`` and ``sides`` give, and its closing of the given
-    radius must stay within ``closing_tol`` (see ``quasicontinuity_check``).
+    ``sides`` gives, and its closing of the given radius must stay within
+    ``closing_tol`` (see ``quasicontinuity_check``).
     """
-    fc = superlevel_compactness_report(cand, k, window_margin, sides=sides)
+    fc = superlevel_compactness_report(cand, k, sides=sides)
     qc_ok, _ = quasicontinuity_check(cand, closing_radius, closing_tol)
     return AssumptionEvidence(
         coercive=EVIDENCE if co.all_coercive else VIOLATION,
@@ -363,9 +362,8 @@ def verdict(g, k, xprime=None, config=CoveringConfig()):
         )
     else:
         ev = assumption_evidence(
-            coercivity_report(k, config.window_margin, stencil_radius=r, sides=config.sides),
-            cand, k, config.window_margin, sides=config.sides,
-            closing_radius=r, closing_tol=0.0,
+            coercivity_report(k, stencil_radius=r, sides=config.sides),
+            cand, k, sides=config.sides, closing_radius=r, closing_tol=0.0,
         )
 
     xmask = node_mask(k.x_grid, xprime)

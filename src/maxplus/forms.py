@@ -74,7 +74,7 @@ class QuasiLinearForm:
 
     def eval_on_set(self, mask):
         """F of the max-plus indicator of a node set; empty set gives -inf."""
-        return self.evaluate(indicator(self.grid, node_mask(self.grid, mask)))
+        return self.evaluate(indicator(self.grid, mask))
 
 
 def _affine_gridfn(grid, slope, intercept):

@@ -183,22 +183,33 @@ class GridFn:
 
 
 def indicator(grid, mask):
-    """Max-plus characteristic function: 0 on the set, -inf off it."""
-    mask = np.asarray(mask, dtype=bool).reshape(grid.shape)
-    vals = np.where(mask, 0.0, NEG_INF)
+    """Max-plus characteristic function: 0 on the set, -inf off it.
+
+    ``mask`` is a node set as ``node_mask`` reads it.
+    """
+    vals = np.where(node_mask(grid, mask).reshape(grid.shape), 0.0, NEG_INF)
     return GridFn(grid, vals)
 
 
 def node_mask(grid, nodes):
     """Flat bool mask of a node set: a bool mask, an index list, or None
-    for every node.  A bool mask comes back as a view."""
+    for every node.  A bool mask comes back as a view.  A mask of another
+    size than the grid and an index outside [0, size) raise
+    ``ValidationError``."""
     if nodes is None:
         return np.ones(grid.size, dtype=bool)
     nodes = np.asarray(nodes)
     if nodes.dtype == bool:
+        if nodes.size != grid.size:
+            raise ValidationError(
+                f"node mask has {nodes.size} entries for a grid of {grid.size} nodes"
+            )
         return nodes.reshape(-1)
+    idx = nodes.reshape(-1).astype(np.int64)
+    if idx.size and not (0 <= idx.min() and idx.max() < grid.size):
+        raise ValidationError(f"node indices must lie in [0, {grid.size})")
     mask = np.zeros(grid.size, dtype=bool)
-    mask[nodes.reshape(-1).astype(np.int64)] = True
+    mask[idx] = True
     return mask
 
 
@@ -231,6 +242,12 @@ def ball_extreme(values, radius, op, axes):
             op(dst[s:], src[: n - s], out=dst[s:])
         out = acc
     return out
+
+
+def check_radius(radius):
+    """A Chebyshev ball has a radius of at least 0."""
+    if radius < 0:
+        raise ValidationError("stencil_radius must be >= 0")
 
 
 def stencil_max(values, radius):
@@ -268,8 +285,7 @@ def domain_masks(g, stencil_radius=1):
     node is in idom when the max of g over the Chebyshev ball around it
     is finite.
     """
-    if stencil_radius < 0:
-        raise ValidationError("stencil_radius must be >= 0")
+    check_radius(stencil_radius)
     v = g.values
     ldom = v < POS_INF
     udom = v > NEG_INF

@@ -177,27 +177,21 @@ class TightnessCriterion:
     coercivity: CoercivityReport = field(repr=False)  # the report behind holds
 
 
-def tightness_criterion(
-    kernel, g, *, window_margin=0.1, sides=None, x_sides=None, stencil_radius=1,
-    _masks=None,
-):
+def tightness_criterion(kernel, g, *, sides=None, x_sides=None, _masks=None):
     """Search for a bounded-below kernel row based at a locally-bounded node.
 
     Asymptotic tightness of the family follows when the kernel is
     strongly coercive and some x0 with locally bounded g has b(x0,·)
     bounded below.  On a window, bounded below means the row's minimum is
     not pinned to an edge that emulates infinity.  The witness is the
-    first such x0 in node order; the rows are searched in blocks.
-    ``_masks`` is ``domain_masks(g, stencil_radius)`` when the caller
-    has already built it.
+    first such x0 in node order; the rows are searched in blocks.  The
+    coercivity balls and the local-boundedness stencil have radius 1.
+    ``_masks`` is ``domain_masks(g)`` when the caller has already built it.
     """
-    co = coercivity_report(
-        kernel, window_margin, stencil_radius=stencil_radius, sides=sides,
-        x_sides=x_sides,
-    )
-    masks = _masks if _masks is not None else domain_masks(g, stencil_radius)
+    co = coercivity_report(kernel, sides=sides, x_sides=x_sides)
+    masks = _masks if _masks is not None else domain_masks(g)
     nodes = np.flatnonzero(masks.idom.reshape(-1))
-    inner = inner_window_mask(kernel.y_grid, window_margin, sides)
+    inner = inner_window_mask(kernel.y_grid, sides)
     witness = None
     step = block_rows(kernel.y_grid.size)
     for lo in range(0, nodes.size, step):
@@ -227,14 +221,7 @@ class GartnerOutput:
     limit_form: MaxPlusForm  # max-plus form with the candidate rate density
 
 
-def pipeline(
-    gartner_input,
-    *,
-    window_margin=0.1,
-    sides=None,
-    x_sides=None,
-    sup_edge_to_inf=False,
-):
+def pipeline(gartner_input, *, sides=None, x_sides=None, sup_edge_to_inf=False):
     """Run the full identification pipeline.
 
     Computes the limit log-moment values (limit tolerance 1e-6, see
@@ -255,13 +242,11 @@ def pipeline(
     density = lifted_candidate(rate)
     fbar = MaxPlusForm(density)
 
-    tight = tightness_criterion(
-        k, g, window_margin=window_margin, sides=sides, x_sides=x_sides, _masks=masks,
-    )
+    tight = tightness_criterion(k, g, sides=sides, x_sides=x_sides, _masks=masks)
     # sampled-smooth rate candidates close with O(h^2 curvature) gaps; a
     # one-step tolerance keeps them quasi-continuous while spikes still fail
     ev = assumption_evidence(
-        tight.coercivity, density, k, window_margin, sides=sides,
+        tight.coercivity, density, k, sides=sides,
         closing_radius=1, closing_tol=k.y_grid.step(0),
     )
     # the evidence backing the one-sided deviation bounds

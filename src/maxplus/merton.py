@@ -518,11 +518,11 @@ def tail_rate_experiment(
     matter only for the Monte Carlo horizons; a ``None`` seed draws fresh
     entropy once for the whole experiment.
 
-    Horizons must be distinct finite positive numbers.  Each Monte Carlo
-    horizon draws one vector of normals from its own child seed, shared
-    by all fractions (common random numbers, see ``simulate``): every
-    cell keeps its law and standard error, and the cells of one horizon
-    are correlated.
+    Horizons must be distinct finite positive numbers, and each Monte
+    Carlo horizon one of them.  Each Monte Carlo horizon draws one vector
+    of normals from its own child seed, shared by all fractions (common
+    random numbers, see ``simulate``): every cell keeps its law and
+    standard error, and the cells of one horizon are correlated.
     """
     horizons = _check_horizons(horizons)
     xi_grid = np.array(xi_grid, dtype=np.float64)  # a copy: the report keeps it
@@ -534,7 +534,10 @@ def tail_rate_experiment(
     rates = np.array([constant_control_rate(c, xi, p) for xi in xi_grid])
     best = int(rates.argmin())
     ss = np.random.SeedSequence(seed)
-    mc_set = set(horizons if mc_horizons is None else mc_horizons)
+    mc_horizons = horizons if mc_horizons is None else list(mc_horizons)
+    stray = [T for T in mc_horizons if T not in horizons]
+    if stray:
+        raise ValidationError(f"mc_horizons {stray!r} are not among the horizons")
 
     shape = (len(horizons), xi_grid.size)
     exact = np.empty(shape)
@@ -542,7 +545,7 @@ def tail_rate_experiment(
     mc_se = np.full(shape, np.nan)
     children = ss.spawn(len(horizons))
     for ti, T in enumerate(horizons):
-        if T in mc_set:
+        if T in mc_horizons:
             counts = simulate(p, xi_grid, T, n_paths, children[ti]).tail_counts(c)
             for xj, hits in enumerate(counts.tolist()):
                 if hits > 0:

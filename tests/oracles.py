@@ -545,21 +545,14 @@ def _window_clipped(grid, flat_index, radius, sides):
     return False
 
 
-def slow_coercivity_report(
-    k,
-    window_margin,
-    *,
-    stencil_radius=1,
-    sides=None,
-    x_sides=None,
-):
+def slow_coercivity_report(k, *, stencil_radius=1, sides=None, x_sides=None):
     """``coercivity_report`` with one Python iteration per x-node."""
     from maxplus.conjugacy import (
         EDGE, EVIDENCE, VIOLATION, CoercivityReport, inner_window_mask,
     )
 
     b = k.matrix()
-    inner = inner_window_mask(k.y_grid, window_margin, sides)
+    inner = inner_window_mask(k.y_grid, sides)
     coercive = []
     upper = []
     for i in range(k.x_grid.size):
@@ -601,13 +594,7 @@ def slow_coercivity_report(
     return CoercivityReport(coercive=coercive, upper_coercive=upper)
 
 
-def slow_superlevel_compactness_report(
-    f,
-    k,
-    window_margin,
-    *,
-    sides=None,
-):
+def slow_superlevel_compactness_report(f, k, *, sides=None):
     """``superlevel_compactness_report`` with one iteration per x-node."""
     from maxplus.conjugacy import (
         EVIDENCE, VIOLATION, SuperlevelReport, inner_window_mask,
@@ -615,7 +602,7 @@ def slow_superlevel_compactness_report(
     from maxplus.grids import otimes
 
     b = k.matrix()
-    inner = inner_window_mask(k.y_grid, window_margin, sides)
+    inner = inner_window_mask(k.y_grid, sides)
     neg_f = -f.flat
     verdicts = []
     for i in range(k.x_grid.size):
@@ -632,15 +619,15 @@ def slow_superlevel_compactness_report(
     return SuperlevelReport(verdicts=verdicts)
 
 
-def slow_tightness_witness(kernel, g, *, window_margin=0.1, sides=None, stencil_radius=1):
+def slow_tightness_witness(kernel, g, *, sides=None):
     """First idom node whose row minimum is finite and attained inside
     the window, or None: the witness search of ``tightness_criterion``."""
     from maxplus.conjugacy import inner_window_mask
     from maxplus.grids import domain_masks
 
-    idom = domain_masks(g, stencil_radius).idom.reshape(-1)
+    idom = domain_masks(g).idom.reshape(-1)
     b = kernel.matrix()
-    inner = inner_window_mask(kernel.y_grid, window_margin, sides)
+    inner = inner_window_mask(kernel.y_grid, sides)
     for x in np.flatnonzero(idom):
         row = b[x]
         lo = row.min()

@@ -858,8 +858,6 @@ MALFORMED_LDP_FIELDS = [
     ("top", "closed_below", ["no"], "closed_below entry is a JSON boolean"),
     ("top", "closed_above", [True, True], "closed_above is a JSON boolean or a list of 1"),
     ("top", "x_closed_above", [], "x_closed_above is a JSON boolean or a list of 1"),
-    ("top", "window_margin", "0.1", "window_margin is a finite number"),
-    ("top", "window_margin", None, "window_margin is a finite number"),
     ("top", "out_json", 5, "out_json is a JSON string"),
     ("top", "out_csv", ["a.csv"], "out_csv is a JSON string"),
     ("gaussian", "n_list", "ab", "n_list is a nonempty list of positive JSON integers"),
@@ -876,6 +874,8 @@ MALFORMED_LDP_FIELDS = [
     ("merton", "truncate_at", None, "truncate_at is a finite number"),
     # pipeline options that an ldp scenario does not set
     ("top", "stencil_radius", 1, "unknown fields ['stencil_radius']"),
+    ("top", "window_margin", "0.1", "unknown fields ['window_margin']"),
+    ("top", "window_margin", None, "unknown fields ['window_margin']"),
     ("top", "limit_tol", 1e-6, "unknown fields ['limit_tol']"),
     ("top", "open_sets", [[0, 3]], "unknown fields ['open_sets']"),
 ]
@@ -927,7 +927,7 @@ MALFORMED_COVERING_FIELDS = [
     ("config", "le_tol", -1, "le_tol must be at least 0"),
     ("config", "eq_tol", "nan", "eq_tol is a finite number"),
     ("config", "eq_tol", float("inf"), "eq_tol is a finite number"),
-    ("config", "window_margin", "0.1", "window_margin is a finite number"),
+    ("config", "window_margin", "0.1", "unknown fields ['window_margin']"),
     ("config", "closed_below", "yes", "closed_below is a JSON boolean or a list"),
     ("config", "closed_above", [1], "closed_above entry is a JSON boolean"),
 ]
@@ -986,18 +986,24 @@ def test_covering_radius_beyond_the_grid_acts_as_the_whole_grid(
 def test_covering_window_fields_rejected_with_assume_finite_exact(
     tmp_path, capsys, field, value
 ):
+    # the window margin is a constant: its former field is unknown in both modes
+    unknown = field == "window_margin"
     obj = json.loads((SCENARIOS / "covering_identity.json").read_text())
     assert obj["config"]["assume_finite_exact"] is True
     obj["config"][field] = value
     cfg = tmp_path / "window.json"
     cfg.write_text(json.dumps(obj))
     assert run(["covering", "--config", cfg, "--out-dir", tmp_path]) == 3
-    assert f"{field} cannot be set with assume_finite_exact" in capsys.readouterr().err
+    message = (
+        f"unknown fields ['{field}']" if unknown
+        else f"{field} cannot be set with assume_finite_exact"
+    )
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "covering_out.json").exists()
-    # the window field alone is read once the window is sampled
+    # a side field alone is read once the window is sampled
     obj["config"]["assume_finite_exact"] = False
     cfg.write_text(json.dumps(obj))
-    assert run(["covering", "--config", cfg, "--out-dir", tmp_path]) != 3
+    assert (run(["covering", "--config", cfg, "--out-dir", tmp_path]) == 3) == unknown
 
 
 LINE = {"dim": 1, "lo": 0.0, "hi": 1.0, "n": 5}

@@ -938,7 +938,7 @@ def test_bilinear_halfline_window_is_coercive_evidence():
     yg = Grid.line(-1.0, 40.0, 83)
     k = Kernel.bilinear(xg, yg)
     rep = coercivity_report(
-        k, 0.1, sides=WindowSides.half_line(), x_sides=WindowSides.half_line()
+        k, sides=WindowSides.half_line(), x_sides=WindowSides.half_line()
     )
     assert rep.all_coercive
     assert rep.all_upper_coercive
@@ -949,7 +949,7 @@ def test_bilinear_halfline_window_is_coercive_evidence():
 def test_zero_kernel_violates_coercivity():
     g = Grid.line(0, 1, 11)
     k = Kernel.from_table(g, g, np.zeros((11, 11)))
-    rep = coercivity_report(k, 0.1)
+    rep = coercivity_report(k)
     assert all(v == "VIOLATION" for v in rep.coercive[1:-1])
     assert not rep.all_coercive
     # a constant kernel is still bounded above on every sublevel set
@@ -960,7 +960,7 @@ def test_single_x_node_bilinear_violates():
     xg = Grid.line(0.0, 0.0, 1)
     yg = Grid.line(-5, 5, 21)
     k = Kernel.bilinear(xg, yg)
-    rep = coercivity_report(k, 0.1)
+    rep = coercivity_report(k)
     assert rep.coercive == ["VIOLATION"]
 
 
@@ -968,9 +968,9 @@ def test_superlevel_confinement_quadratic_vs_linear():
     yg = Grid.line(-5, 5, 41)
     xg = Grid.line(-5, 5, 11)
     k = Kernel.bilinear(xg, yg)
-    quad = superlevel_compactness_report(GridFn(yg, yg.coords**2), k, 0.1)
+    quad = superlevel_compactness_report(GridFn(yg, yg.coords**2), k)
     assert quad.all_evidence
-    flat = superlevel_compactness_report(GridFn(yg, np.zeros(41)), k, 0.1)
+    flat = superlevel_compactness_report(GridFn(yg, np.zeros(41)), k)
     assert flat.verdicts[-1] == "VIOLATION"  # x = 5: superlevel {y >= beta} hits the edge
 
 
@@ -978,7 +978,7 @@ def test_superlevel_all_infinite_f_is_trivially_confined():
     yg = Grid.line(-5, 5, 21)
     xg = Grid.line(0, 1, 3)
     k = Kernel.bilinear(xg, yg)
-    rep = superlevel_compactness_report(GridFn(yg, np.full(21, POS)), k, 0.1)
+    rep = superlevel_compactness_report(GridFn(yg, np.full(21, POS)), k)
     assert rep.all_evidence
 
 
@@ -986,6 +986,6 @@ def test_coercivity_2d_bilinear_box():
     xg = Grid.box((-1, -1), (1, 1), (5, 5))
     yg = Grid.box((-4, -4), (4, 4), (17, 17))
     k = Kernel.bilinear(xg, yg)
-    rep = coercivity_report(k, 0.1)
+    rep = coercivity_report(k)
     tested = [v for v in rep.coercive if v != "EDGE"]
     assert tested and all(v == "EVIDENCE" for v in tested)

@@ -12,7 +12,9 @@ from maxplus import (
     POS_INF,
     ValidationError,
     build_covering,
+    coercivity_report,
     conjugate,
+    domain_masks,
     quasicontinuity_check,
     solve_preimage,
     verdict,
@@ -109,6 +111,23 @@ def test_quasicontinuity_empty_domain_is_vacuous():
     for vals in ([POS, POS, NEG], [POS, POS, POS], [NEG, NEG, NEG]):
         for tol in (0.0, 1.0):
             assert quasicontinuity_check(GridFn(g, vals), 1, tol) == (True, None)
+
+
+@pytest.mark.parametrize("radius", [-1, -3])
+def test_negative_stencil_radius_rejected(radius):
+    # a negative radius once raised IndexError or ValueError in the
+    # coercivity report, and the closing read it as radius 0
+    g = Grid.line(-1.0, 1.0, 21)
+    k = Kernel.bilinear(g, g)
+    f = GridFn(g, g.coords**2)
+    for call in (
+        lambda: quasicontinuity_check(f, radius),
+        lambda: coercivity_report(k, stencil_radius=radius),
+        lambda: domain_masks(f, radius),
+        lambda: verdict(f, k, None, CoveringConfig(stencil_radius=radius)),
+    ):
+        with pytest.raises(ValidationError, match="stencil_radius must be >= 0"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +234,18 @@ def test_uncovered_verdict_no():
     assert v.existence == "NO"
     count, _ = enumerate_preimages(k.matrix().tolist(), [POS, 0.0], [0, 1], _enum_values())
     assert count == 0
+
+
+@pytest.mark.parametrize(
+    "xprime", [[-1], [7], [0, 5], np.ones(2, dtype=bool)],
+    ids=["negative", "past-the-end", "at-the-size", "short-mask"],
+)
+def test_verdict_rejects_xprime_outside_the_grid(xprime):
+    # [-1] once targeted node 4 and read YES, [7] raised IndexError and a
+    # short mask a numpy broadcast error
+    k, g = identity_kernel(5)
+    with pytest.raises(ValidationError):
+        verdict(GridFn(g, np.zeros(5)), k, xprime, EXACT)
 
 
 def test_verdicts_match_enumeration(rng):

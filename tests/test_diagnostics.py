@@ -82,23 +82,17 @@ def line(n, lo=-3.0, hi=3.0):
 
 def assert_reports_equal(k, f, *, radius=1, sides=None, x_sides=None):
     kw = dict(stencil_radius=radius, sides=sides, x_sides=x_sides)
-    assert coercivity_report(k, 0.1, **kw) == slow_coercivity_report(k, 0.1, **kw)
+    assert coercivity_report(k, **kw) == slow_coercivity_report(k, **kw)
     kw = dict(sides=sides)
-    assert superlevel_compactness_report(f, k, 0.1, **kw) == (
-        slow_superlevel_compactness_report(f, k, 0.1, **kw)
+    assert superlevel_compactness_report(f, k, **kw) == (
+        slow_superlevel_compactness_report(f, k, **kw)
     )
 
 
-def assert_tightness_equal(k, g, *, radius=1, sides=None, x_sides=None):
-    crit = tightness_criterion(
-        k, g, sides=sides, x_sides=x_sides, stencil_radius=radius
-    )
-    assert crit.witness == slow_tightness_witness(
-        k, g, sides=sides, stencil_radius=radius
-    )
-    assert crit.coercivity == slow_coercivity_report(
-        k, 0.1, stencil_radius=radius, sides=sides, x_sides=x_sides
-    )
+def assert_tightness_equal(k, g, *, sides=None, x_sides=None):
+    crit = tightness_criterion(k, g, sides=sides, x_sides=x_sides)
+    assert crit.witness == slow_tightness_witness(k, g, sides=sides)
+    assert crit.coercivity == slow_coercivity_report(k, sides=sides, x_sides=x_sides)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +143,7 @@ def table_cases(draw):
 def test_table_kernel_reports_equal_per_row_loops(case, radius, sides, x_sides):
     k, f, g = case
     assert_reports_equal(k, f, radius=radius, sides=SIDES[sides], x_sides=SIDES[x_sides])
-    assert_tightness_equal(k, g, radius=radius, sides=SIDES[sides], x_sides=SIDES[x_sides])
+    assert_tightness_equal(k, g, sides=SIDES[sides], x_sides=SIDES[x_sides])
 
 
 def assert_banded_table_equal(nx, ny, radius):
@@ -164,7 +158,7 @@ def assert_banded_table_equal(nx, ny, radius):
     f = GridFn(yg, np.where(rng.random(ny) < 0.1, POS, rng.normal(0, 2, ny)))
     assert_reports_equal(k, f, radius=radius)
     g = GridFn(xg, np.where(rng.random(nx) < 0.1, POS, 0.0))
-    assert_tightness_equal(k, g, radius=radius)
+    assert_tightness_equal(k, g)
 
 
 @pytest.mark.parametrize("nx", ROW_COUNTS)
@@ -193,7 +187,7 @@ def test_bilinear_1d_across_blocks(nx, radius, sides):
     f = GridFn(yg, yg.coords**2 / 2)
     assert_reports_equal(k, f, radius=radius, sides=SIDES[sides], x_sides=SIDES[sides])
     g = GridFn(xg, xg.coords**2)
-    assert_tightness_equal(k, g, radius=radius, sides=SIDES[sides], x_sides=SIDES[sides])
+    assert_tightness_equal(k, g, sides=SIDES[sides], x_sides=SIDES[sides])
 
 
 @pytest.mark.parametrize("nx,ny", EDGE_SHAPES)
@@ -204,7 +198,7 @@ def test_bilinear_1d_at_block_edges(nx, ny, radius, sides):
     f = GridFn(yg, yg.coords**2 / 2)
     assert_reports_equal(k, f, radius=radius, sides=SIDES[sides], x_sides=SIDES[sides])
     g = GridFn(xg, xg.coords**2)
-    assert_tightness_equal(k, g, radius=radius, sides=SIDES[sides], x_sides=SIDES[sides])
+    assert_tightness_equal(k, g, sides=SIDES[sides], x_sides=SIDES[sides])
 
 
 @pytest.mark.parametrize("f_kind", ["inf_entries", "all_posinf", "all_neginf"])
@@ -239,7 +233,7 @@ def assert_box_reports_equal(n, y_n, radius):
     sides = closed if radius == 1 else None
     assert_reports_equal(k, f, radius=radius, sides=sides, x_sides=sides)
     g = GridFn(xg, (xg.coords**2).sum(axis=1))
-    assert_tightness_equal(k, g, radius=radius, x_sides=closed)
+    assert_tightness_equal(k, g, x_sides=closed)
 
 
 @pytest.mark.parametrize("n", BOXES, ids=[f"{a}x{b}" for a, b in BOXES])
@@ -271,7 +265,7 @@ def ring_cases(draw):
     """
     radius = draw(st.integers(1, 2))
     nx, ny = draw(st.integers(2 * radius + 1, 10)), draw(st.integers(3, 14))
-    inner = inner_window_mask(line(ny, 0.0, 1.0), 0.1)
+    inner = inner_window_mask(line(ny, 0.0, 1.0))
     b = np.array(draw(st.lists(
         st.integers(-32, 32).map(lambda v: v / 4.0), min_size=nx * ny, max_size=nx * ny
     ))).reshape(nx, ny)
@@ -292,8 +286,8 @@ def test_upper_violations_through_the_ring(case):
     nx, ny = b.shape
     k = Kernel.from_table(line(nx, 0.0, 1.0), line(ny, 0.0, 1.0), b)
     kw = dict(stencil_radius=radius, x_sides=SIDES[x_sides])
-    rep = coercivity_report(k, 0.1, **kw)
-    assert rep == slow_coercivity_report(k, 0.1, **kw)
+    rep = coercivity_report(k, **kw)
+    assert rep == slow_coercivity_report(k, **kw)
     if not forced:
         return
     tested = [v for v in rep.upper_coercive if v != EDGE]
@@ -350,7 +344,7 @@ def test_windows_without_inner_or_ring(case, window, radius):
     f = GridFn(k.y_grid, f.flat)
     assert_reports_equal(k, f, radius=radius, sides=sides)
     if window == "no inner":
-        assert all(v in (EDGE, VIOLATION) for v in coercivity_report(k, 0.1).coercive)
+        assert all(v in (EDGE, VIOLATION) for v in coercivity_report(k).coercive)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +353,8 @@ def test_windows_without_inner_or_ring(case, window, radius):
 
 def oracle_evidence(k, cand, *, radius, sides, x_sides, closing_tol):
     """The labels of the per-row reports and the candidate's closing."""
-    co = slow_coercivity_report(k, 0.1, stencil_radius=radius, sides=sides, x_sides=x_sides)
-    fc = slow_superlevel_compactness_report(cand, k, 0.1, sides=sides)
+    co = slow_coercivity_report(k, stencil_radius=radius, sides=sides, x_sides=x_sides)
+    fc = slow_superlevel_compactness_report(cand, k, sides=sides)
     label = {True: EVIDENCE, False: VIOLATION}
     return AssumptionEvidence(
         coercive=label[co.all_coercive],
@@ -416,11 +410,11 @@ def gauss_ldp_case(n=1601):
 def test_reports_at_benchmark_size_equal_per_row_loops():
     k, f = gauss_ldp_case()
     assert len(list(_row_blocks(k.x_grid, 1, k.y_grid.size))) == 20
-    co = coercivity_report(k, 0.1)
-    assert co == slow_coercivity_report(k, 0.1)
+    co = coercivity_report(k)
+    assert co == slow_coercivity_report(k)
     assert co.coercive.count(EDGE) == 2 and co.all_coercive and co.all_upper_coercive
-    sl = superlevel_compactness_report(f, k, 0.1)
-    assert sl == slow_superlevel_compactness_report(f, k, 0.1)
+    sl = superlevel_compactness_report(f, k)
+    assert sl == slow_superlevel_compactness_report(f, k)
     assert sl.verdicts.count(VIOLATION) == 640
 
 
@@ -432,8 +426,8 @@ def test_window_reports_hold_few_blocks():
     k, f = gauss_ldp_case()
     block = _kernels._CELL_BUDGET * 8
     for call, blocks in (
-        (lambda: coercivity_report(k, 0.1), 3),
-        (lambda: superlevel_compactness_report(f, k, 0.1), 2),
+        (lambda: coercivity_report(k), 3),
+        (lambda: superlevel_compactness_report(f, k), 2),
     ):
         tracemalloc.start()
         try:
@@ -457,9 +451,9 @@ def test_reports_at_benchmark_size_sort_no_row(monkeypatch):
 
     lerp = conjugacy._lerp
     monkeypatch.setattr(conjugacy, "_lerp", counted)
-    coercivity_report(k, 0.1)
+    coercivity_report(k)
     assert sum(rows) == 0
-    superlevel_compactness_report(f, k, 0.1)
+    superlevel_compactness_report(f, k)
     assert sum(rows) <= 1
 
 
@@ -506,7 +500,7 @@ def test_level_of_a_row_whose_span_overflows_is_finite():
     f = GridFn(yg, np.zeros(7))
     for ring, want in ((-1.5e308, EVIDENCE), (-1e308, VIOLATION)):
         k = Kernel.from_table(Grid.line(0.0, 0.0, 1), yg, [[ring] + span + [ring]])
-        assert superlevel_compactness_report(f, k, 0.1).verdicts == [want]
+        assert superlevel_compactness_report(f, k).verdicts == [want]
 
 
 # cells that tie, signed zeros, infinities and spans whose difference

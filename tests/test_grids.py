@@ -10,9 +10,10 @@ from maxplus import (
     POS_INF,
     ValidationError,
     domain_masks,
+    indicator,
     otimes,
 )
-from maxplus.grids import ball_extreme, stencil_max, stencil_min
+from maxplus.grids import ball_extreme, node_mask, stencil_max, stencil_min
 
 NEG = NEG_INF
 POS = POS_INF
@@ -134,6 +135,32 @@ def test_domain_masks_monotone(rng):
         ma, mb = domain_masks(GridFn(g, a)), domain_masks(GridFn(g, np.asarray(b)))
         assert (mb.ldom <= ma.ldom).all()
         assert (ma.udom <= mb.udom).all()
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [[-1], [7], [5], [0, -5], np.ones(2, dtype=bool), np.ones(6, dtype=bool)],
+    ids=["negative", "past-the-end", "at-the-size", "most-negative", "short-mask",
+         "long-mask"],
+)
+def test_node_sets_outside_the_grid_rejected(nodes):
+    # a negative index once counted from the end; a wrong-sized mask or an
+    # index past the end failed inside numpy
+    g = Grid.line(0, 1, 5)
+    with pytest.raises(ValidationError):
+        node_mask(g, nodes)
+    with pytest.raises(ValidationError):
+        indicator(g, nodes)
+
+
+def test_node_sets_inside_the_grid():
+    g = Grid.box((0, 0), (1, 1), (2, 3))
+    assert not node_mask(g, []).any()
+    assert np.array_equal(node_mask(g, [0, 5]), [True, False, False, False, False, True])
+    mask = np.eye(2, 3, dtype=bool)
+    assert node_mask(g, mask).tolist() == mask.reshape(-1).tolist()
+    assert np.array_equal(indicator(g, [4]).flat, [NEG, NEG, NEG, NEG, 0.0, NEG])
+    assert (indicator(g, []).flat == NEG).all()
 
 
 def test_gridfn_immutable():

@@ -20,6 +20,13 @@ one of its modules or one of its exports (``ldp.pipeline``,
 ``maxplus.cli``, ``Kernel.rows``) resolves by ``getattr``, a dataclass
 field with no default as its declared type, so that the README does not
 name what the code no longer holds.
+
+Every defaulted parameter of a module-level public function in the
+library is passed, by name or by position, by some call in the library or
+in ``test_acceptance.py``, so that no option is settable that no caller
+sets.  Calls are matched by the called name, as fields are, so a call
+through an import alias is not seen; ``cli.main``'s ``argv``, which the
+console script leaves unset, is the one exemption.
 """
 
 import ast
@@ -212,3 +219,59 @@ def test_scan_sees_a_stale_readme_name():
     assert unresolved_names(text) == [
         "ldp.gone", "maxplus.nowhere", "Kernel.lost", "GartnerOutput.gone"
     ]
+
+
+def defaulted_params(source):
+    """(function, parameter, position) of every defaulted parameter of a
+    module-level public function; keyword-only ones have position None."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        args = node.args
+        pos = args.posonlyargs + args.args
+        first = len(pos) - len(args.defaults)
+        out += [(node.name, a.arg, i) for i, a in enumerate(pos) if i >= first]
+        out += [
+            (node.name, a.arg, None)
+            for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+    return out
+
+
+def unpassed_params(library, callers):
+    """(function, parameter) of the defaulted parameters that no call in
+    ``callers`` passes."""
+    n_pos, keywords = {}, set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                n_pos[name] = max(n_pos.get(name, 0), len(node.args))
+                keywords |= {(name, kw.arg) for kw in node.keywords}
+    return [
+        (fn, arg)
+        for source in library
+        for fn, arg, i in defaulted_params(source)
+        if (fn, arg) not in keywords and (i is None or n_pos.get(fn, 0) <= i)
+    ]
+
+
+def test_every_defaulted_parameter_is_passed():
+    sources = [p.read_text() for p in LIBRARY]
+    callers = sources + [(ROOT / "tests" / "test_acceptance.py").read_text()]
+    assert unpassed_params(sources, callers) == [("main", "argv")]
+
+
+def test_scan_sees_an_unpassed_parameter():
+    source = (
+        "def run(f, tol=0.0, *, seed=None, verbose=False, quiet=True):\n"
+        "    return _spread(f, 2)\n"
+        "def _spread(f, width=1):\n"
+        "    return f\n"
+        "class Runner:\n"
+        "    def step(self, n=1):\n"
+        "        return n\n"
+    )
+    caller = "run(g, 1e-3)\nrun(g, seed=4)\nother(g, h, quiet=False)\n"
+    assert unpassed_params([source], [source, caller]) == [("run", "verbose"), ("run", "quiet")]

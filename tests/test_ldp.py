@@ -124,7 +124,7 @@ def test_pipeline_computes_coercivity_once(monkeypatch):
     assert (a.dual_superlevel_compact, a.quasicontinuous_dual) == ("VIOLATION", True)
     t = out.tightness
     assert (t.holds, t.witness, t.coercivity.all_coercive) == (True, 50, True)
-    assert t.coercivity == slow_coercivity_report(gin.kernel, 0.1)
+    assert t.coercivity == slow_coercivity_report(gin.kernel)
     assert "coercivity" not in repr(t)
 
 

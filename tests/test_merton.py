@@ -609,6 +609,14 @@ def test_tail_rate_rejects_bad_horizons(horizons):
                              xi_grid=np.array([0.5, 1.0]))
 
 
+@pytest.mark.parametrize("mc_horizons", [[30], [30, "x"], [25, 75]])
+def test_tail_rate_rejects_monte_carlo_horizons_off_the_list(mc_horizons):
+    # a stray entry once ran no Monte Carlo for it, leaving its cells NaN
+    with pytest.raises(ValidationError, match="not among the horizons"):
+        tail_rate_experiment(c=0.12, p=P, horizons=[25, 50], n_paths=10, seed=1,
+                             xi_grid=np.array([0.5, 1.0]), mc_horizons=mc_horizons)
+
+
 def test_growth_value_legendre_consistency():
     # conjugating the sampled value function reproduces the rate function
     # up to grid resolution: the two closed forms are duals
