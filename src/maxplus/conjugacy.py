@@ -15,16 +15,16 @@ stand in for infinity are distinguished from genuine boundaries (as in a
 half-line domain) through ``WindowSides``.
 
 The window diagnostics walk the kernel in blocks of X-rows, in buffers
-allocated once per call, one quantile level per report.  Each level test
+allocated once per call, one level per report: an order statistic of the
+row's finite inner-window values (the lower q-quantile).  Each level test
 compares the level with one reduction over the ring, the Y-nodes outside
 the inner window: a level set leaves the window iff the ring's extreme
 passes the level, and a sublevel set that stays inside holds its row
 maximum inside, so the upper-coercivity test runs only on the rows whose
 sets reach the ring (the arguments are in ``coercivity_report``).  A row's
-comparison is decided by counting its inner cells on each side of the
-ring value, which places the ring among the order statistics around the
-level; a row is sorted only where its level itself is needed
-(``_level_below``).
+comparison is decided by counting its inner cells that pass against the
+ring value, which is the level's rank test (``_level_below``); a row is
+sorted only where its level itself is needed.
 """
 
 from dataclasses import dataclass
@@ -403,91 +403,42 @@ def _clipped_nodes(grid, radius, sides):
     return clipped.reshape(-1)
 
 
-def _type7(c, q):
-    """Type-7 positions ia <= ib and weight t of the q-quantile of c values.
-
-    ``c`` is an array of counts; the quantile of c sorted values s is
-    ``_lerp(s[ia], s[ib], t)``, as in ``np.quantile`` (method ``linear``,
-    type 7 of Hyndman & Fan 1996).  At the top position ia = ib = c - 1.
-    """
-    virt = (c - 1) * float(q)
-    prev = np.floor(virt)
-    top = virt >= c - 1  # numpy takes the largest value there
-    ia = np.where(top, c - 1, prev).astype(np.intp)
-    ib = np.where(top, c - 1, prev + 1).astype(np.intp)
-    return ia, ib, np.where(top, virt + 1, virt - prev)
-
-
-def _lerp(a, b, t):
-    """The type-7 interpolation between finite order statistics a <= b.
-
-    ``np.quantile``'s two-sided expression bit for bit wherever b - a is
-    finite.  Where it overflows, ``np.quantile`` gives NaN or ±inf; the
-    expression then runs on a/2 and b/2, exact at such magnitudes, and
-    the result is doubled.
-
-    Lemma: a <= lerp <= b for t in [0, 1] (and for any t when a == b).
-    For t < 0.5, fl(diff·t) lies in [0, diff/2] and a + diff/2 <= b even
-    with diff = fl(b - a) rounded up; for t >= 0.5 the mirror argument
-    runs from b.  Rounding is monotone, and halving and doubling are
-    exact, so the rounded level keeps both bounds.
-    """
-    with np.errstate(over="ignore"):
-        scale = np.where(np.isinf(b - a), 0.5, 1.0)
-    a = a * scale
-    b = b * scale
-    diff = b - a
-    lerp = a + diff * t
-    upper = t >= 0.5
-    lerp[upper] = (b - diff * (1 - t))[upper]
-    return lerp / scale
+def _rank(c, q):
+    """Position floor((c - 1)·q) of the lower q-quantile among c sorted values."""
+    return np.floor((c - 1) * float(q)).astype(np.intp)
 
 
 def _row_quantile(s, q):
-    """The q-quantile of the finite values of each row of ``s``; (level, use).
+    """The lower q-quantile of the finite values of each row of ``s``; (level, use).
 
-    Each row of ``s`` is sorted, so its infinities sit at its ends.
-    ``level[i]`` is ``np.quantile`` of row i's finite values at ``q`` bit
-    for bit wherever that is finite, and finite where ``np.quantile``'s
-    interpolation overflows (see ``_lerp``).  ``use`` marks the rows with
-    any finite value; the levels of the other rows are placeholders.
+    Each row of ``s`` is sorted, so its infinities sit at its ends, and
+    ``level[i]`` is the value at position ``_rank`` among row i's finite
+    values: ``np.quantile(..., method="lower")``, an order statistic of
+    the row.  ``use`` marks the rows with any finite value; the levels of
+    the other rows are placeholders.
     """
-    m, w = s.shape
-    first = np.zeros(m, dtype=np.intp)  # position of the row's first finite value
-    counts = np.full(m, w, dtype=np.intp)
-    if w:
-        low = np.flatnonzero(s[:, 0] == NEG_INF)
-        n = (s[low] == NEG_INF).sum(axis=1, dtype=np.uint32)
-        first[low] = n
-        counts[low] -= n
-        high = np.flatnonzero(s[:, -1] == POS_INF)
-        counts[high] -= (s[high] == POS_INF).sum(axis=1, dtype=np.uint32)
+    first = (s == NEG_INF).sum(axis=1)  # position of the row's first finite value
+    counts = np.isfinite(s).sum(axis=1)
     use = counts > 0
     rows = np.flatnonzero(use)
-    ia, ib, t = _type7(counts[rows], q)
-    f0 = first[rows]
-    level = np.zeros(m)
-    level[rows] = _lerp(s[rows, f0 + ia], s[rows, f0 + ib], t)
+    level = np.zeros(s.shape[0])
+    level[rows] = s[rows, first[rows] + _rank(counts[rows], q)]
     return level, use
 
 
 def _level_below(inner, ring, q, op, buf):
-    """``op(level, ring)`` per row, decided by rank counts; (below, use).
+    """``op(level, ring)`` per row, decided by a rank count; (below, use).
 
-    ``inner`` holds each row's inner-window cells, ``level`` is the
+    ``inner`` holds each row's inner-window cells, ``level`` is the lower
     q-quantile of a row's finite ones (``_row_quantile`` of the sorted
     row), ``op`` is np.less or np.less_equal and ``buf`` a bool buffer of
     at least the block's shape.  ``use`` marks the rows with any finite
     value; ``below`` is false on the others.
 
-    With s a row's c finite values sorted and ia <= ib their type-7
-    positions, s[ia] <= level <= s[ib] (the lemma of ``_lerp``).  Let n
-    count the finite values v with op(v, ring).  If n <= ia, s[ia] fails
-    op against the ring, so the level does too; if n > ib, s[ib] passes,
-    so the level does.  Only n = ib = ia + 1 is open: s[ia] is then the
-    largest finite value that passes and s[ib] the smallest that fails,
-    two masked reductions, and ``_lerp`` gives the level bit for bit.
-    No row is sorted.
+    With s a row's c finite values sorted, the level is s[p] for
+    p = ``_rank(c, q)``.  The values v with op(v, ring) form a prefix of
+    s, so the level passes iff more than p finite values pass: one count
+    per row decides it, and no row is sorted.
     """
     m = inner.shape[0]
     axes = tuple(range(1, inner.ndim))
@@ -503,16 +454,7 @@ def _level_below(inner, ring, q, op, buf):
             c -= k
             n -= k * op(inf, ring)
     use = c > 0
-    ia, ib, t = _type7(c, q)
-    below = use & (n > ib)
-    rows = np.flatnonzero(use & (ia < n) & (n <= ib))
-    if rows.size:
-        cells = inner[rows]
-        side = op(cells, ring[rows][col])
-        a = np.where(side, cells, NEG_INF).max(axis=axes)
-        b = np.where(side, POS_INF, cells).min(axis=axes)
-        below[rows] = op(_lerp(a, b, t[rows]), ring[rows])
-    return below, use
+    return use & (n > _rank(c, q)), use
 
 
 @dataclass(frozen=True)
@@ -548,8 +490,8 @@ def coercivity_report(k, *, stencil_radius=1, sides=None, x_sides=None):
     {y : max_{z in V} b(z,y) - b(x,y) <= beta} is tested for containment
     in the inner window (coercive evidence) and for the max of b(x, ·)
     over it being attained away from open edges (upper-coercive
-    evidence).  The level beta is the median of the finite gain values
-    inside the inner window; a row with none has no level and is a
+    evidence).  The level beta is the lower median of the finite gain
+    values inside the inner window; a row with none has no level and is a
     coercive violation.  ``sides`` declare which Y-window edges are
     genuine boundaries; ``x_sides`` the same for the X-window, whose open
     edges produce untestable (EDGE) nodes.
@@ -568,8 +510,8 @@ def coercivity_report(k, *, stencil_radius=1, sides=None, x_sides=None):
 
     Whether the ring minimum is <= beta is decided by counting the finite
     inner gains below it (``_level_below``), so no row is sorted for the
-    first test; beta itself is computed, from the sorted inner gains, only
-    on the rows the upper test runs on.
+    first test; beta itself is read from the sorted inner gains only on
+    the rows the upper test runs on.
     """
     check_radius(stencil_radius)
     # a ball as wide as the longest X-axis already holds the whole grid
@@ -636,11 +578,11 @@ def superlevel_compactness_report(f, k, *, sides=None):
 
     Empty superlevel sets count as evidence (there is nothing to escape);
     sets touching an open window edge are violations.  The level beta is
-    the 0.75 quantile of the finite values inside the inner window; a row
-    with none (b(x,·) - f is -inf there) has only empty superlevel sets.
-    The set at beta reaches the ring iff the ring maximum is >= beta,
-    which counting the finite inner values at or below the ring maximum
-    decides on all but a few rows (``_level_below``).  Testing the 0.9
+    the lower 0.75 quantile of the finite values inside the inner window;
+    a row with none (b(x,·) - f is -inf there) has only empty superlevel
+    sets.  The set at beta reaches the ring iff the ring maximum is
+    >= beta, which counting the finite inner values at or below the ring
+    maximum decides on every row (``_level_below``).  Testing the 0.9
     quantile too would change no label: the quantiles are ordered, so a
     ring maximum at or above the 0.9 quantile is at or above the 0.75
     quantile.  Array code over blocks of x-rows in buffers

@@ -134,7 +134,7 @@ def build_covering(g, k, xprime=None, stencil_radius=1, *, _masks=None):
     # interior of top: no node of the dual's domain outside top lies in
     # the Chebyshev ball around y
     escape = (np.isfinite(dual) & ~top).reshape(k.y_grid.shape)
-    interior = top & ~stencil_max(escape, r).reshape(-1).astype(bool)
+    interior = top & ~stencil_max(escape, r).reshape(-1)
     pinned = alg | interior
 
     return CoveringReport(

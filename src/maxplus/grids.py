@@ -14,7 +14,7 @@ read-only) and every operation is pure, so concurrent use needs no
 locking.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -194,10 +194,13 @@ def indicator(grid, mask):
 def node_mask(grid, nodes):
     """Flat bool mask of a node set: a bool mask, an index list, or None
     for every node.  A bool mask comes back as a view.  A mask of another
-    size than the grid and an index outside [0, size) raise
-    ``ValidationError``."""
+    size than the grid, an index list that holds anything but integers
+    (a float, or a bool among integers) and an index outside [0, size)
+    raise ``ValidationError``."""
     if nodes is None:
         return np.ones(grid.size, dtype=bool)
+    # np.asarray reads [True, 2] as [1, 2], so a list's entries are checked one by one
+    entries = () if isinstance(nodes, np.ndarray) else np.asarray(nodes, dtype=object).flat
     nodes = np.asarray(nodes)
     if nodes.dtype == bool:
         if nodes.size != grid.size:
@@ -205,6 +208,10 @@ def node_mask(grid, nodes):
                 f"node mask has {nodes.size} entries for a grid of {grid.size} nodes"
             )
         return nodes.reshape(-1)
+    if nodes.size and (
+        nodes.dtype.kind not in "iu" or any(isinstance(v, (bool, np.bool_)) for v in entries)
+    ):
+        raise ValidationError("node indices must be integers, not floats or bools")
     idx = nodes.reshape(-1).astype(np.int64)
     if idx.size and not (0 <= idx.min() and idx.max() < grid.size):
         raise ValidationError(f"node indices must lie in [0, {grid.size})")
@@ -252,15 +259,11 @@ def check_radius(radius):
 
 def stencil_max(values, radius):
     """Dilation by the Chebyshev ball of the given radius (u.s.c. hull)."""
-    if radius == 0:
-        return np.array(values, dtype=np.float64)
     return ball_extreme(values, radius, np.maximum, range(np.ndim(values)))
 
 
 def stencil_min(values, radius):
     """Erosion by the Chebyshev ball of the given radius (l.s.c. hull)."""
-    if radius == 0:
-        return np.array(values, dtype=np.float64)
     return ball_extreme(values, radius, np.minimum, range(np.ndim(values)))
 
 
@@ -274,8 +277,8 @@ class DomainMask:
 
     ldom: np.ndarray
     udom: np.ndarray
-    dom: np.ndarray = field(default=None)
-    idom: np.ndarray = field(default=None)
+    dom: np.ndarray
+    idom: np.ndarray
 
 
 def domain_masks(g, stencil_radius=1):

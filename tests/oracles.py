@@ -522,11 +522,12 @@ def _neighborhood_gain(b, grid, x_index, radius):
 
 
 def _default_betas(values, quantiles, inner):
-    """Quantiles of the finite values inside the inner window."""
+    """Lower quantiles (order statistics) of the finite values inside the
+    inner window."""
     fin = values[inner & np.isfinite(values)]
     if fin.size == 0:
         return []
-    return [float(np.quantile(fin, q)) for q in quantiles]
+    return [float(np.quantile(fin, q, method="lower")) for q in quantiles]
 
 
 def _window_clipped(grid, flat_index, radius, sides):

@@ -237,12 +237,13 @@ def test_uncovered_verdict_no():
 
 
 @pytest.mark.parametrize(
-    "xprime", [[-1], [7], [0, 5], np.ones(2, dtype=bool)],
-    ids=["negative", "past-the-end", "at-the-size", "short-mask"],
+    "xprime", [[-1], [7], [0, 5], np.ones(2, dtype=bool), [1.7], [True, 2]],
+    ids=["negative", "past-the-end", "at-the-size", "short-mask", "fraction", "bool-entry"],
 )
 def test_verdict_rejects_xprime_outside_the_grid(xprime):
     # [-1] once targeted node 4 and read YES, [7] raised IndexError and a
-    # short mask a numpy broadcast error
+    # short mask a numpy broadcast error; [1.7] targeted node 1 and read
+    # YES, and [True, 2] nodes 1 and 2
     k, g = identity_kernel(5)
     with pytest.raises(ValidationError):
         verdict(GridFn(g, np.zeros(5)), k, xprime, EXACT)

@@ -35,7 +35,6 @@ from maxplus.conjugacy import (
     EVIDENCE,
     VIOLATION,
     _level_below,
-    _lerp,
     _row_blocks,
     _row_quantile,
     coercivity_report,
@@ -440,21 +439,20 @@ def test_window_reports_hold_few_blocks():
 
 
 def test_reports_at_benchmark_size_sort_no_row(monkeypatch):
-    # the rank counts decide every coercivity row and all but one
-    # superlevel row; no level is interpolated anywhere else
+    # the rank counts decide every row of both reports, and no coercivity
+    # row reaches the ring here, so no level is read from a sorted row
     k, f = gauss_ldp_case()
     rows = []
 
-    def counted(a, b, t):
-        rows.append(len(a))
-        return lerp(a, b, t)
+    def counted(s, q):
+        rows.append(len(s))
+        return row_quantile(s, q)
 
-    lerp = conjugacy._lerp
-    monkeypatch.setattr(conjugacy, "_lerp", counted)
+    row_quantile = conjugacy._row_quantile
+    monkeypatch.setattr(conjugacy, "_row_quantile", counted)
     coercivity_report(k)
-    assert sum(rows) == 0
     superlevel_compactness_report(f, k)
-    assert sum(rows) <= 1
+    assert sum(rows) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +479,19 @@ def test_row_quantiles_match_np_quantile(case, quantiles):
         level, use = _row_quantile(rows, q)
         assert use.tolist() == keep.any(axis=1).tolist()
         for i in np.flatnonzero(use):
-            assert level[i] == float(np.quantile(vals[i][keep[i]], q))
+            assert level[i] == float(np.quantile(vals[i][keep[i]], q, method="lower"))
 
 
 def test_level_of_a_row_whose_span_overflows_is_finite():
-    # np.quantile gives (-1e308, NaN, -inf) at (0.5, 0.75, 0.9) here: b - a
-    # overflows in its interpolation, with a RuntimeWarning
+    # the levels are order statistics of the row, so an interpolation whose
+    # span b - a overflows never runs (this module turns warnings to errors)
     span = [-1e308] * 4 + [1e308]
     levels = [_row_quantile(np.array([span]), q)[0][0] for q in np.linspace(0, 1, 41)]
-    assert np.all(np.isfinite(levels))
+    assert set(levels) <= set(span)
     assert levels[0] == -1e308 and levels[-1] == 1e308
-    assert np.all(np.diff(levels) >= 0)
-    assert _row_quantile(np.array([span]), 0.75)[0][0] == -1e308  # type 7: t = 0
-    assert _row_quantile(np.array([span]), 0.9)[0][0] == pytest.approx(2e307, rel=1e-14)
+    assert levels == sorted(levels)
+    assert _row_quantile(np.array([span]), 0.75)[0][0] == -1e308  # position 3
+    assert _row_quantile(np.array([span]), 0.9)[0][0] == -1e308  # position 3
     # margin 0.1 keeps Y-nodes 1..5 in the inner window: the row's ring is
     # its two end cells, and the 0.75 level is -1e308
     yg = Grid.line(0.0, 6.0, 7)
@@ -549,24 +547,3 @@ def test_rank_decision_matches_the_sorted_level(case, q, box):
     # superlevel: the ring maximum reaches the level iff level <= ring
     below, _ = _level_below(inner, ring, q, np.less_equal, buf)
     assert below.tolist() == (use & (level <= ring)).tolist()
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(allow_nan=False, allow_infinity=False),
-            st.floats(allow_nan=False, allow_infinity=False),
-            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
-        ),
-        min_size=1,
-        max_size=20,
-    )
-)
-def test_lerp_lies_between_its_order_statistics(cases):
-    a, b, t = (np.array(c) for c in zip(*cases))
-    a, b = np.minimum(a, b), np.maximum(a, b)
-    level = _lerp(a, b, t)
-    assert np.all(a <= level) and np.all(level <= b)
-    # at the top position a == b and t >= 1
-    assert np.array_equal(_lerp(a, a, t + 1.0), a)

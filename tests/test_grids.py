@@ -139,13 +139,16 @@ def test_domain_masks_monotone(rng):
 
 @pytest.mark.parametrize(
     "nodes",
-    [[-1], [7], [5], [0, -5], np.ones(2, dtype=bool), np.ones(6, dtype=bool)],
+    [[-1], [7], [5], [0, -5], np.ones(2, dtype=bool), np.ones(6, dtype=bool),
+     [1.7], [1.0], np.array([2.0]), [True, 2], [2, np.True_], [[0], [True]]],
     ids=["negative", "past-the-end", "at-the-size", "most-negative", "short-mask",
-         "long-mask"],
+         "long-mask", "fraction", "whole-float", "float-array", "bool-entry",
+         "numpy-bool", "nested-bool"],
 )
 def test_node_sets_outside_the_grid_rejected(nodes):
     # a negative index once counted from the end; a wrong-sized mask or an
-    # index past the end failed inside numpy
+    # index past the end failed inside numpy; [1.7] marked node 1 and
+    # [True, 2] nodes 1 and 2
     g = Grid.line(0, 1, 5)
     with pytest.raises(ValidationError):
         node_mask(g, nodes)
@@ -157,6 +160,8 @@ def test_node_sets_inside_the_grid():
     g = Grid.box((0, 0), (1, 1), (2, 3))
     assert not node_mask(g, []).any()
     assert np.array_equal(node_mask(g, [0, 5]), [True, False, False, False, False, True])
+    for nodes in ((0, 5), [np.int64(0), 5], np.array([5, 0], dtype=np.uint8)):
+        assert np.array_equal(node_mask(g, nodes), node_mask(g, [0, 5]))
     mask = np.eye(2, 3, dtype=bool)
     assert node_mask(g, mask).tolist() == mask.reshape(-1).tolist()
     assert np.array_equal(indicator(g, [4]).flat, [NEG, NEG, NEG, NEG, 0.0, NEG])
@@ -217,9 +222,7 @@ def test_stencil_matches_ndimage_nearest(values, radius):
     ):
         want = ref(values, size=size, mode="nearest")
         got = ours(values, radius)
-        assert got.shape == want.shape and (got == want).all()
-        if radius:
-            assert got.dtype == want.dtype
+        assert got.shape == want.shape and got.dtype == want.dtype and (got == want).all()
         # along the leading axes only, as the coercivity gain filters its
         # X axes and not the Y axis
         lead = range(values.ndim - 1)

@@ -21,12 +21,13 @@ one of its modules or one of its exports (``ldp.pipeline``,
 field with no default as its declared type, so that the README does not
 name what the code no longer holds.
 
-Every defaulted parameter of a module-level public function in the
-library is passed, by name or by position, by some call in the library or
-in ``test_acceptance.py``, so that no option is settable that no caller
-sets.  Calls are matched by the called name, as fields are, so a call
-through an import alias is not seen; ``cli.main``'s ``argv``, which the
-console script leaves unset, is the one exemption.
+Every defaulted parameter of a module-level public function, and of a
+public method, classmethod or staticmethod of a module-level class, in
+the library is passed, by name or by position, by some call in the
+library or in ``test_acceptance.py``, so that no option is settable that
+no caller sets.  Calls are matched by the called name, as fields are, so
+a call through an import alias is not seen; ``cli.main``'s ``argv``,
+which the console script leaves unset, is the one exemption.
 """
 
 import ast
@@ -221,15 +222,32 @@ def test_scan_sees_a_stale_readme_name():
     ]
 
 
-def defaulted_params(source):
-    """(function, parameter, position) of every defaulted parameter of a
-    module-level public function; keyword-only ones have position None."""
+def public_functions(source):
+    """(function, bound) of every module-level public function and every
+    public method of a module-level class; ``bound`` is true where a call
+    does not pass the first parameter (``self`` or ``cls``)."""
     out = []
     for node in ast.parse(source).body:
-        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
-            continue
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (fn, not any(getattr(d, "id", None) == "staticmethod"
+                             for d in fn.decorator_list))
+                for fn in node.body
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            ]
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out.append((node, False))
+    return out
+
+
+def defaulted_params(source):
+    """(function, parameter, position) of every defaulted parameter of a
+    ``public_functions`` entry; a position counts the arguments a call
+    passes, and keyword-only parameters have position None."""
+    out = []
+    for node, bound in public_functions(source):
         args = node.args
-        pos = args.posonlyargs + args.args
+        pos = (args.posonlyargs + args.args)[int(bound):]
         first = len(pos) - len(args.defaults)
         out += [(node.name, a.arg, i) for i, a in enumerate(pos) if i >= first]
         out += [
@@ -270,8 +288,21 @@ def test_scan_sees_an_unpassed_parameter():
         "def _spread(f, width=1):\n"
         "    return f\n"
         "class Runner:\n"
-        "    def step(self, n=1):\n"
+        "    def step(self, n=1, *, dry=False):\n"
         "        return n\n"
+        "    @classmethod\n"
+        "    def build(cls, size=4):\n"
+        "        return cls()\n"
+        "    @staticmethod\n"
+        "    def scale(v, by=2):\n"
+        "        return v\n"
+        "    def _reset(self, to=0):\n"
+        "        return to\n"
     )
-    caller = "run(g, 1e-3)\nrun(g, seed=4)\nother(g, h, quiet=False)\n"
-    assert unpassed_params([source], [source, caller]) == [("run", "verbose"), ("run", "quiet")]
+    caller = (
+        "run(g, 1e-3)\nrun(g, seed=4)\nother(g, h, quiet=False)\n"
+        "r.step(3)\nRunner.build()\nRunner.scale(1, 3)\n"
+    )
+    assert unpassed_params([source], [source, caller]) == [
+        ("run", "verbose"), ("run", "quiet"), ("step", "dry"), ("build", "size"),
+    ]
