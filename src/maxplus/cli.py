@@ -218,14 +218,10 @@ def _run_covering(obj, out_dir, summary):
         cfg_obj,
         (),
         "covering config",
-        optional={"stencil_radius", "le_tol", "eq_tol",
-                  "assume_finite_exact", "closed_below", "closed_above"},
+        optional={"le_tol", "eq_tol", "assume_finite_exact", "closed_below", "closed_above"},
     )
     what = "covering config"
     cfg = CoveringConfig(
-        stencil_radius=_json_count(
-            cfg_obj.get("stencil_radius", 1), f"{what}: stencil_radius", 0
-        ),
         le_tol=float(_json_tol(cfg_obj.get("le_tol", 0.0), f"{what}: le_tol")),
         eq_tol=float(_json_tol(cfg_obj.get("eq_tol", 0.0), f"{what}: eq_tol")),
         assume_finite_exact=_json_bool(

@@ -38,7 +38,6 @@ from .grids import (
     POS_INF,
     GridFn,
     ball_extreme,
-    check_radius,
     check_values,
     require_same_grid,
 )
@@ -335,30 +334,30 @@ def _window_split(vals, grid, box, op):
     return v[whole + box], ring
 
 
-def _row_blocks(grid, radius, ny):
+def _row_blocks(grid, ny):
     """Blocks of X-rows with the halo their stencil balls reach.
 
     Yields ``(lo, hi, h0, h1)``: flat rows lo:hi form one block of whole
     slices along the first axis (``_kernels.block_rows(ny)`` rows, at
-    least one slice), and rows h0:h1 hold every Chebyshev ball of the
-    given radius around them.
+    least one slice), and rows h0:h1 add the slice on either side, which
+    holds every radius-1 Chebyshev ball around them.
     """
     n0 = grid.n[0]
     step = grid.size // n0  # nodes per first-axis slice
     per = max(1, _kernels.block_rows(ny) // step)
     for a in range(0, n0, per):
         e = min(a + per, n0)
-        yield a * step, e * step, max(0, a - radius) * step, min(n0, e + radius) * step
+        yield a * step, e * step, max(0, a - 1) * step, min(n0, e + 1) * step
 
 
-def _block_gain(halo, grid, radius, a, e, out):
+def _block_gain(halo, grid, a, e, out):
     """max_{z in ball(x)} b(z, ·) - b(x, ·) for the halo rows a:e, into ``out``.
 
     ``halo`` holds the kernel rows of whole first-axis slices; the max
-    over the Chebyshev ball clipped to the grid runs along the X axes
-    only (within each slice first on a 2-D grid), and the rows around
-    a:e supply the neighbours outside it.  ``sup - rows`` equals
-    ``otimes(sup, -rows)`` bit for bit: a - c is a + (-c) in IEEE
+    over the radius-1 Chebyshev ball clipped to the grid runs along the X
+    axes only (within each slice first on a 2-D grid), and the slices on
+    either side of a:e supply the neighbours outside it.  ``sup - rows``
+    equals ``otimes(sup, -rows)`` bit for bit: a - c is a + (-c) in IEEE
     arithmetic, sup is never +inf (kernels hold none) and sup >= rows, so
     the one case otimes treats apart, sup = rows = -inf, is the NaN that
     is set to -inf.
@@ -368,38 +367,34 @@ def _block_gain(halo, grid, radius, a, e, out):
     if grid.dim > 1:
         ny = halo.shape[1]
         src = ball_extreme(
-            halo.reshape((-1,) + grid.n[1:] + (ny,)), radius, np.maximum,
-            range(1, grid.dim),
+            halo.reshape((-1,) + grid.n[1:] + (ny,)), np.maximum, range(1, grid.dim),
         ).reshape(-1, ny)
     np.copyto(out, src[a:e])
-    step = grid.size // grid.n[0]  # nodes per first-axis slice
-    for d in range(step, radius * step + 1, step):  # the slices d rows away
-        n = min(e, src.shape[0] - d) - a  # rows with a neighbour d rows on
-        if n > 0:
-            np.maximum(out[:n], src[a + d : a + d + n], out=out[:n])
-        i = max(a, d) - a  # first row with a neighbour d rows back
-        if i < e - a:
-            np.maximum(out[i:], src[a + i - d : e - d], out=out[i:])
+    d = grid.size // grid.n[0]  # nodes per first-axis slice
+    n = min(e, src.shape[0] - d) - a  # rows with a neighbour d rows on
+    if n > 0:
+        np.maximum(out[:n], src[a + d : a + d + n], out=out[:n])
+    i = max(a, d) - a  # first row with a neighbour d rows back
+    if i < e - a:
+        np.maximum(out[i:], src[a + i - d : e - d], out=out[i:])
     with np.errstate(invalid="ignore"):
         np.subtract(out, rows, out=out)
     return np.fmax(out, NEG_INF, out=out)  # NaN to -inf
 
 
-def _clipped_nodes(grid, radius, sides):
-    """Nodes whose Chebyshev ball is clipped by an open window side.
+def _clipped_nodes(grid, sides):
+    """Nodes whose radius-1 Chebyshev ball is clipped by an open window side:
+    the first or last node of an axis whose side there is open.
 
     Single-node axes are whole spaces, never clipped.
     """
     cb, ca = (sides or WindowSides.all_open(grid.dim)).normalized(grid.dim)
     clipped = np.zeros(grid.shape, dtype=bool)
     for ax, n in enumerate(grid.n):
-        if n == 1:
-            continue
-        i = np.arange(n)
-        hit = ((i - radius < 0) & (not cb[ax])) | ((i + radius > n - 1) & (not ca[ax]))
-        shape = [1] * grid.dim
-        shape[ax] = n
-        clipped |= hit.reshape(shape)
+        if n > 1:
+            edges = np.moveaxis(clipped, ax, 0)  # a view
+            edges[0] |= not cb[ax]
+            edges[-1] |= not ca[ax]
     return clipped.reshape(-1)
 
 
@@ -483,10 +478,11 @@ class CoercivityReport:
         return bool(tested) and all(v == EVIDENCE for v in tested)
 
 
-def coercivity_report(k, *, stencil_radius=1, sides=None, x_sides=None):
+def coercivity_report(k, *, sides=None, x_sides=None):
     """Sample coercivity of the kernel through stencil neighborhoods.
 
-    For each x-node and V the stencil ball around it, the sublevel set
+    For each x-node and V the radius-1 Chebyshev ball around it (the
+    grid samples a continuum), the sublevel set
     {y : max_{z in V} b(z,y) - b(x,y) <= beta} is tested for containment
     in the inner window (coercive evidence) and for the max of b(x, ·)
     over it being attained away from open edges (upper-coercive
@@ -513,13 +509,10 @@ def coercivity_report(k, *, stencil_radius=1, sides=None, x_sides=None):
     first test; beta itself is read from the sorted inner gains only on
     the rows the upper test runs on.
     """
-    check_radius(stencil_radius)
-    # a ball as wide as the longest X-axis already holds the whole grid
-    stencil_radius = min(stencil_radius, max(k.x_grid.n))
     box = _inner_box(k.y_grid, sides)
-    clipped = _clipped_nodes(k.x_grid, stencil_radius, x_sides)
+    clipped = _clipped_nodes(k.x_grid, x_sides)
     ny = k.y_grid.size
-    blocks = list(_row_blocks(k.x_grid, stencil_radius, ny))
+    blocks = list(_row_blocks(k.x_grid, ny))
     width = max(hi - lo for lo, hi, _, _ in blocks)
     halo_buf = None  # a table kernel's rows are views of its table
     if k.kind == "bilinear":
@@ -532,9 +525,7 @@ def coercivity_report(k, *, stencil_radius=1, sides=None, x_sides=None):
     upper = []
     for lo, hi, h0, h1 in blocks:
         halo = k.rows(slice(h0, h1), out=halo_buf)
-        gain = _block_gain(
-            halo, k.x_grid, stencil_radius, lo - h0, hi - h0, gain_buf[: hi - lo]
-        )
+        gain = _block_gain(halo, k.x_grid, lo - h0, hi - h0, gain_buf[: hi - lo])
         inner, ring_min = _window_split(gain, k.y_grid, box, np.minimum)
         below, use = _level_below(inner, ring_min, 0.5, np.less, side_buf)
         reach = use & ~below  # the ring minimum is <= the level
@@ -593,7 +584,7 @@ def superlevel_compactness_report(f, k, *, sides=None):
     require_same_grid(f, k.y_grid, "superlevel_compactness_report: f")
     box = _inner_box(k.y_grid, sides)
     neg_f = -f.flat
-    blocks = list(_row_blocks(k.x_grid, 0, k.y_grid.size))
+    blocks = list(_row_blocks(k.x_grid, k.y_grid.size))
     width = max(hi - lo for lo, hi, _, _ in blocks)
     buf = np.empty((width, k.y_grid.size))  # a bilinear block is built in place
     inner_size = int(np.prod([s.stop - s.start for s in box]))

@@ -64,9 +64,9 @@ class GaussianMeanForm(QuasiLinearForm):
     def __init__(self, index, grid):
         if grid.dim != 1:
             raise ValidationError("GaussianMeanForm lives on a 1-D grid")
+        if isinstance(index, bool) or not isinstance(index, numbers.Integral) or index < 1:
+            raise ValidationError(f"index is an integer >= 1, got {index!r}")
         self.index = int(index)
-        if self.index < 1:
-            raise ValidationError("index must be >= 1")
         self._grid = grid
 
     @property

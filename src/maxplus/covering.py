@@ -12,8 +12,8 @@ only by infinite g and is lifted out of the candidate's effective domain
 (set to +inf) before certification.
 
 The essential pieces need no per-node loop.  A target node's covering
-pieces lie in the Chebyshev ball around y iff y lies in the box
-[max - r, min + r] of their coordinates on every axis; flat order runs
+pieces lie in the radius-1 ball around y iff y lies in the box
+[max - 1, min + 1] of their coordinates on every axis; flat order runs
 along the first axis slowest, so each row's first and last attaining
 piece (two ``argmax`` calls) give that axis's extent, and the second
 axis of a 2-D grid takes one reduction of the attainment rows.  A
@@ -37,7 +37,6 @@ from .conjugacy import (
 from .grids import (
     POS_INF,
     GridFn,
-    check_radius,
     domain_masks,
     node_mask,
     stencil_max,
@@ -66,7 +65,7 @@ class CoveringReport:
     minimal_alg: bool
     minimal_top: bool
     subdiff: object = field(repr=False)
-    masks: object = field(repr=False)  # domain_masks(g, stencil_radius)
+    masks: object = field(repr=False)  # domain_masks(g)
 
     def piece(self, y_index):
         return self.subdiff.preimage(y_index)
@@ -75,21 +74,25 @@ class CoveringReport:
         return {int(y): self.piece(y) for y in self.piece_index}
 
 
-def build_covering(g, k, xprime=None, stencil_radius=1, *, _masks=None):
+def build_covering(g, k, xprime=None, *, discrete=False, _masks=None):
     """Assemble the covering report for the target X' ∩ {g > -inf}.
 
     A piece index y is algebraically essential when removing that single
     piece uncovers a target node, and topologically essential when
-    removing every piece in the stencil ball around y does.  ``_masks``
-    is ``domain_masks(g, stencil_radius)`` when the caller has already
-    built it.
+    removing every piece in a neighbourhood of y does.  A ``discrete``
+    Y-grid is a finite discrete space, whose neighbourhoods are the nodes
+    themselves: there the topologically essential pieces are the
+    algebraic ones, and each is interior.  Otherwise the grid samples a
+    continuum and the neighbourhoods are radius-1 Chebyshev balls.
+    ``_masks`` is ``domain_masks(g)`` when the caller has already built
+    it.
     """
     sd = subdifferential_map(g, k)
     dual = sd.dual.flat
     piece_mask = dual < POS_INF
     piece_index = np.flatnonzero(piece_mask)
 
-    masks = _masks if _masks is not None else domain_masks(g, stencil_radius)
+    masks = _masks if _masks is not None else domain_masks(g)
     target = node_mask(k.x_grid, xprime) & masks.udom.reshape(-1)
 
     # target coverage only through pieces; each row's first and last
@@ -109,32 +112,32 @@ def build_covering(g, k, xprime=None, stencil_radius=1, *, _masks=None):
     rows = target & hit
     alg[piece_index[first[rows & (first == last)]]] = True
 
-    # y is topologically essential iff some target node's covering pieces
-    # all lie in the Chebyshev ball around y, that is iff y lies in the box
-    # [max - r, min + r] of their coordinates on every axis; a ball as wide
-    # as the longest axis already holds the whole grid
-    n = k.y_grid.n
-    r = min(stencil_radius, max(n))
-    stride = ny // n[0]  # flat order runs along the first axis slowest
-    lo = [piece_index[first[rows]] // stride]
-    hi = [piece_index[last[rows]] // stride]
-    if k.y_grid.dim == 2:
-        # the second axis's extent of each row's pieces
-        seen = np.logical_or.reduce(
-            sd.attain.reshape(nx, n[0], n[1]), axis=1,
-            where=piece_mask.reshape(1, n[0], n[1]),
-        )[rows]
-        lo.append(seen.argmax(axis=1))
-        hi.append(n[1] - 1 - seen[:, ::-1].argmax(axis=1))
-    lo, hi = np.array(lo).T, np.array(hi).T
-    tight = (hi - lo <= 2 * r).all(axis=1)
-    top = _union_of_boxes(n, np.maximum(hi - r, 0)[tight], np.minimum(lo + r + 1, n)[tight])
-    top &= piece_mask
-
-    # interior of top: no node of the dual's domain outside top lies in
-    # the Chebyshev ball around y
-    escape = (np.isfinite(dual) & ~top).reshape(k.y_grid.shape)
-    interior = top & ~stencil_max(escape, r).reshape(-1)
+    if discrete:
+        top = interior = alg
+    else:
+        # y is topologically essential iff some target node's covering
+        # pieces all lie in the radius-1 ball around y, that is iff y lies
+        # in the box [max - 1, min + 1] of their coordinates on every axis
+        n = k.y_grid.n
+        stride = ny // n[0]  # flat order runs along the first axis slowest
+        lo = [piece_index[first[rows]] // stride]
+        hi = [piece_index[last[rows]] // stride]
+        if k.y_grid.dim == 2:
+            # the second axis's extent of each row's pieces
+            seen = np.logical_or.reduce(
+                sd.attain.reshape(nx, n[0], n[1]), axis=1,
+                where=piece_mask.reshape(1, n[0], n[1]),
+            )[rows]
+            lo.append(seen.argmax(axis=1))
+            hi.append(n[1] - 1 - seen[:, ::-1].argmax(axis=1))
+        lo, hi = np.array(lo).T, np.array(hi).T
+        tight = (hi - lo <= 2).all(axis=1)
+        top = _union_of_boxes(n, np.maximum(hi - 1, 0)[tight], np.minimum(lo + 2, n)[tight])
+        top &= piece_mask
+        # interior of top: no node of the dual's domain outside top lies in
+        # the ball around y
+        escape = (np.isfinite(dual) & ~top).reshape(k.y_grid.shape)
+        interior = top & ~stencil_max(escape).reshape(-1)
     pinned = alg | interior
 
     return CoveringReport(
@@ -170,20 +173,22 @@ def _union_of_boxes(shape, start, stop):
     return (diff[tuple(slice(m) for m in shape)] > 0).reshape(-1)
 
 
-def quasicontinuity_check(f, stencil_radius=1, tol=0.0):
+def quasicontinuity_check(f, tol=0.0):
     """Does the l.s.c. hull of the u.s.c. hull reproduce f on its domain?
 
-    Returns (ok, witness) where witness is the first violating flat node
-    index, or None.  The closing never falls below f, so the check is
-    whether its excess stays within ``tol``: a strict local minimum of a
-    sampled-smooth function carries an excess of about half its second
-    difference, while a genuine spike carries the whole jump, so a
-    one-grid-step tolerance separates the two regimes.  An f with no
-    finite value has an empty domain and is vacuously quasi-continuous.
+    Both hulls take the radius-1 Chebyshev ball, as on a grid that
+    samples a continuum (on a discrete grid every function is
+    continuous).  Returns (ok, witness) where witness is the first
+    violating flat node index, or None.  The closing never falls below
+    f, so the check is whether its excess stays within ``tol``: a strict
+    local minimum of a sampled-smooth function carries an excess of about
+    half its second difference, while a genuine spike carries the whole
+    jump, so a one-grid-step tolerance separates the two regimes.  An f
+    with no finite value has an empty domain and is vacuously
+    quasi-continuous.
     """
-    check_radius(stencil_radius)
     dom = np.isfinite(f.values).reshape(-1)
-    closing = stencil_min(stencil_max(f.values, stencil_radius), stencil_radius)
+    closing = stencil_min(stencil_max(f.values))
     with np.errstate(invalid="ignore"):
         gap = closing.reshape(-1) - f.flat
         gap[np.isnan(gap)] = 0.0  # matching infinities
@@ -284,12 +289,12 @@ UNKNOWN = "UNKNOWN"
 
 @dataclass(frozen=True)
 class CoveringConfig:
-    stencil_radius: int = 1
     le_tol: float = 0.0
     eq_tol: float = 0.0
-    # finite grids are compact discrete spaces, where the standing
-    # assumptions hold outright; set True to record them as satisfied
-    # instead of sampling window evidence
+    # finite grids are compact discrete spaces, where every neighbourhood
+    # is the node itself and the standing assumptions hold outright; set
+    # True to take that topology and record the assumptions as satisfied
+    # instead of sampling window evidence with radius-1 stencils
     assume_finite_exact: bool = False
     sides: object = None  # Y-window edge roles
 
@@ -309,15 +314,15 @@ class AssumptionEvidence:
     quasicontinuous_dual: bool
 
 
-def assumption_evidence(co, cand, k, *, sides, closing_radius, closing_tol):
+def assumption_evidence(co, cand, k, *, sides, closing_tol):
     """The labels of the kernel's coercivity report ``co`` and the candidate.
 
     The candidate's superlevel sets are sampled on the Y-window that
-    ``sides`` gives, and its closing of the given radius must stay within
+    ``sides`` gives, and its radius-1 closing must stay within
     ``closing_tol`` (see ``quasicontinuity_check``).
     """
     fc = superlevel_compactness_report(cand, k, sides=sides)
-    qc_ok, _ = quasicontinuity_check(cand, closing_radius, closing_tol)
+    qc_ok, _ = quasicontinuity_check(cand, closing_tol)
     return AssumptionEvidence(
         coercive=EVIDENCE if co.all_coercive else VIOLATION,
         upper_coercive=EVIDENCE if co.all_upper_coercive else VIOLATION,
@@ -342,28 +347,31 @@ def verdict(g, k, xprime=None, config=CoveringConfig()):
     NO when neither and the standing assumptions have evidence; UNKNOWN
     otherwise.  The assumptions hold when the dual superlevel sets are
     compact or the kernel is coercive with X' inside the locally bounded
-    nodes; a finite grid is a discrete space, so continuity needs no
-    check.  Uniqueness requires a covering plus quasi-continuity of the
-    dual conjugate: UNIQUE iff also topologically minimal.
+    nodes.  Uniqueness requires a covering plus quasi-continuity of the
+    dual conjugate: UNIQUE iff also topologically minimal.  With
+    ``assume_finite_exact`` the grids are discrete spaces: the
+    assumptions hold, every function is continuous, and the topological
+    pieces are the algebraic ones.  Otherwise they sample a continuum,
+    and every stencil has radius 1.
     """
-    r = config.stencil_radius
-    rep = build_covering(g, k, xprime, r)
+    exact = config.assume_finite_exact
+    rep = build_covering(g, k, xprime, discrete=exact)
     cand = lifted_candidate(rep.subdiff.dual)
     pre = solve_preimage(
         g, k, xprime, le_tol=config.le_tol, eq_tol=config.eq_tol, _candidate=cand
     )
-    if config.assume_finite_exact:
-        # granted, not sampled: only the closing is checked
+    if exact:
+        # granted, not sampled
         ev = AssumptionEvidence(
             coercive=EVIDENCE,
             upper_coercive=EVIDENCE,
             dual_superlevel_compact=EVIDENCE,
-            quasicontinuous_dual=quasicontinuity_check(cand, r)[0],
+            quasicontinuous_dual=True,
         )
     else:
         ev = assumption_evidence(
-            coercivity_report(k, stencil_radius=r, sides=config.sides),
-            cand, k, sides=config.sides, closing_radius=r, closing_tol=0.0,
+            coercivity_report(k, sides=config.sides),
+            cand, k, sides=config.sides, closing_tol=0.0,
         )
 
     xmask = node_mask(k.x_grid, xprime)

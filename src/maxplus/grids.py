@@ -14,6 +14,7 @@ read-only) and every operation is pure, so concurrent use needs no
 locking.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,7 +63,8 @@ class Grid:
     """Uniform rectangular grid in 1 or 2 dimensions.
 
     ``lo``, ``hi`` and ``n`` are per-axis tuples; scalars are accepted for
-    1-D grids.  Per axis: n >= 1, lo <= hi, and lo == hi only when n == 1.
+    1-D grids.  Per axis: n is an integer >= 1 (a Python or numpy integer,
+    not a float or a bool), lo <= hi, and lo == hi only when n == 1.
     Bounds and their span hi - lo must be finite.
     """
 
@@ -80,12 +82,12 @@ class Grid:
             raise ValidationError(f"grid dimension must be 1 or 2, got {dim}")
         lo = _as_axis_tuple(lo, dim, "lo")
         hi = _as_axis_tuple(hi, dim, "hi")
-        if np.isscalar(n):
-            n = (int(n),) * dim
-        else:
-            n = tuple(int(k) for k in n)
+        n = (n,) * dim if np.isscalar(n) else tuple(n)
         if len(n) != dim:
             raise ValidationError("n: per-axis entry count mismatch")
+        if any(isinstance(k, bool) or not isinstance(k, numbers.Integral) for k in n):
+            raise ValidationError(f"n: node counts are integers, got {n!r}")
+        n = tuple(int(k) for k in n)
         for a, b, k in zip(lo, hi, n):
             if not (np.isfinite(a) and np.isfinite(b)):
                 raise ValidationError("grid bounds must be finite")
@@ -103,7 +105,7 @@ class Grid:
 
     @classmethod
     def line(cls, lo, hi, n):
-        return cls((float(lo),), (float(hi),), (int(n),))
+        return cls((float(lo),), (float(hi),), (n,))
 
     @classmethod
     def box(cls, lo, hi, n):
@@ -225,46 +227,38 @@ def require_same_grid(fn, grid, what):
         raise GridMismatchError(what, grid, fn.grid)
 
 
-def ball_extreme(values, radius, op, axes):
-    """``op``-reduction of ``values`` over the Chebyshev ball along ``axes``.
+def ball_extreme(values, op, axes):
+    """``op``-reduction of ``values`` over the radius-1 Chebyshev ball along ``axes``.
 
     The ball is clipped to the array, which is what an edge-clamped
     (``nearest``) filter gives for a max or a min, since a clamped index
     repeats a value that is already in the ball.  The box is separable:
-    one pass per axis, each combining 2*radius shifted slices.  ``op`` is
-    ``np.maximum`` or ``np.minimum``, which do no rounding, so the result
-    is exact.  Single-node axes are skipped; the dtype is kept, so bool
-    arrays work too.
+    one pass per axis, each combining the two neighbouring slices.  ``op``
+    is ``np.maximum`` or ``np.minimum``, which do no rounding, so the
+    result is exact.  Single-node axes are skipped; the dtype is kept, so
+    bool arrays work too.
     """
     out = np.asarray(values)
     passes = [ax for ax in axes if out.shape[ax] > 1]
     if not passes:
         return out.copy()
     for ax in passes:
-        n = out.shape[ax]
         acc = out.copy()
         dst, src = np.moveaxis(acc, ax, 0), np.moveaxis(out, ax, 0)  # views
-        for s in range(1, min(radius, n - 1) + 1):
-            op(dst[: n - s], src[s:], out=dst[: n - s])
-            op(dst[s:], src[: n - s], out=dst[s:])
+        op(dst[:-1], src[1:], out=dst[:-1])
+        op(dst[1:], src[:-1], out=dst[1:])
         out = acc
     return out
 
 
-def check_radius(radius):
-    """A Chebyshev ball has a radius of at least 0."""
-    if radius < 0:
-        raise ValidationError("stencil_radius must be >= 0")
+def stencil_max(values):
+    """Dilation by the radius-1 Chebyshev ball (u.s.c. hull)."""
+    return ball_extreme(values, np.maximum, range(np.ndim(values)))
 
 
-def stencil_max(values, radius):
-    """Dilation by the Chebyshev ball of the given radius (u.s.c. hull)."""
-    return ball_extreme(values, radius, np.maximum, range(np.ndim(values)))
-
-
-def stencil_min(values, radius):
-    """Erosion by the Chebyshev ball of the given radius (l.s.c. hull)."""
-    return ball_extreme(values, radius, np.minimum, range(np.ndim(values)))
+def stencil_min(values):
+    """Erosion by the radius-1 Chebyshev ball (l.s.c. hull)."""
+    return ball_extreme(values, np.minimum, range(np.ndim(values)))
 
 
 @dataclass(frozen=True)
@@ -281,19 +275,17 @@ class DomainMask:
     idom: np.ndarray
 
 
-def domain_masks(g, stencil_radius=1):
+def domain_masks(g):
     """Compute the four finiteness masks of a grid function.
 
-    With radius 0 the local-boundedness mask idom equals dom; otherwise a
-    node is in idom when the max of g over the Chebyshev ball around it
-    is finite.
+    A node is in the local-boundedness mask idom when it is in dom and
+    the max of g over the radius-1 Chebyshev ball around it is finite.
     """
-    check_radius(stencil_radius)
     v = g.values
     ldom = v < POS_INF
     udom = v > NEG_INF
     dom = ldom & udom
-    local_sup = stencil_max(v, stencil_radius)
+    local_sup = stencil_max(v)
     idom = dom & (local_sup < POS_INF)
     for m in (ldom, udom, dom, idom):
         m.setflags(write=False)

@@ -115,11 +115,16 @@ def limit_log_moment(gartner_input, *, sup_edge_to_inf=False):
 
     With ``sup_edge_to_inf`` (for families indexed by a control grid) a
     supremum strictly attained at the family's first or last member is
-    treated as unbounded and reported as +inf.
+    treated as unbounded and reported as +inf.  The rule needs a member
+    between the two edges: a family of fewer than 3 members is rejected.
     """
     k = gartner_input.kernel
     nx = k.x_grid.size
     seqs = gartner_input.sequences
+    if sup_edge_to_inf and len(seqs) < 3:
+        raise ValidationError(
+            f"sup_edge_to_inf needs a family of at least 3 members, got {len(seqs)}"
+        )
     lo = np.empty((len(seqs), nx))
     per_member = np.empty((len(seqs), nx))
     groups = {}
@@ -148,7 +153,7 @@ def limit_log_moment(gartner_input, *, sup_edge_to_inf=False):
 
     g = per_member.max(axis=0)
     edge = np.zeros(nx, dtype=bool)
-    if sup_edge_to_inf and per_member.shape[0] >= 3:
+    if sup_edge_to_inf:
         arg = per_member.argmax(axis=0)
         last = per_member.shape[0] - 1
         # only a supremum strictly climbing into the family edge counts
@@ -227,11 +232,11 @@ def pipeline(gartner_input, *, sides=None, x_sides=None, sup_edge_to_inf=False):
     Computes the limit log-moment values (limit tolerance 1e-6, see
     ``limit_log_moment``), their dual conjugate (the rate lower bound),
     the covering on the locally bounded nodes, the pinned set, and
-    assumption evidence.  Every stencil (local boundedness, coercivity
-    balls, the quasi-continuity closing) has the constant radius 1, the
-    default of each stage.  ``limit_form`` is the max-plus form of the
-    candidate rate density, against which ``ldp_bounds_check`` bounds
-    set families.  Weak evidence degrades the verdict, never aborts.
+    assumption evidence.  The grids sample a continuum, so every stencil
+    (local boundedness, the covering's balls, coercivity balls, the
+    quasi-continuity closing) has radius 1.  ``limit_form`` is the
+    max-plus form of the candidate rate density, against which
+    ``ldp_bounds_check`` bounds set families.  Weak evidence degrades the verdict, never aborts.
     """
     k = gartner_input.kernel
     g, diag = limit_log_moment(gartner_input, sup_edge_to_inf=sup_edge_to_inf)
@@ -246,8 +251,7 @@ def pipeline(gartner_input, *, sides=None, x_sides=None, sup_edge_to_inf=False):
     # sampled-smooth rate candidates close with O(h^2 curvature) gaps; a
     # one-step tolerance keeps them quasi-continuous while spikes still fail
     ev = assumption_evidence(
-        tight.coercivity, density, k, sides=sides,
-        closing_radius=1, closing_tol=k.y_grid.step(0),
+        tight.coercivity, density, k, sides=sides, closing_tol=k.y_grid.step(0),
     )
     # the evidence backing the one-sided deviation bounds
     bounds_ready = (

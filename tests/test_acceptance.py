@@ -129,7 +129,7 @@ def test_criterion_2_galois_and_order_reversal_exact():
 
 def test_criterion_3_verdicts_match_enumeration():
     rng = np.random.default_rng(303)
-    cfg = CoveringConfig(stencil_radius=0, assume_finite_exact=True)
+    cfg = CoveringConfig(assume_finite_exact=True)
     values = [float(v) for v in range(-6, 7)] + [POS_INF]
     agree = 0
     for _ in range(50):

@@ -181,6 +181,28 @@ def run_ldp(tmp_path, obj, name):
     return run(["ldp", "--config", cfg, "--out-dir", tmp_path])
 
 
+@pytest.mark.parametrize("family, members", [
+    ("gaussian_mean", 1), ("merton", 1), ("merton", 2), ("merton", 3),
+])
+def test_sup_edge_to_inf_needs_3_members(tmp_path, capsys, family, members):
+    # a family of 1 or 2 members has no member between its edges; the rule
+    # was once dropped there, and the run wrote the bytes of a run without it
+    if family == "gaussian_mean":
+        obj = json.loads((SCENARIOS / "gaussian_ldp.json").read_text())
+        obj["sup_edge_to_inf"] = True
+    else:
+        obj = small_merton_ldp(sup_edge_to_inf=True)
+        obj["sequence"].update(xi_min=0.5, xi_max=0.5 * members)
+    rc = run_ldp(tmp_path, obj, "edge")
+    if members >= 3:  # runs to a verdict
+        assert rc in (0, 2) and (tmp_path / "edge_out.json").exists()
+        return
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"sup_edge_to_inf needs a family of at least 3 members, got {members}" in err
+    assert not (tmp_path / "edge_out.json").exists()
+
+
 def _csv_number(field):
     try:
         return math.isfinite(float(field))
@@ -920,9 +942,10 @@ MALFORMED_COVERING_FIELDS = [
     ("top", "xprime", "ab", "xprime is a list of node indices"),
     ("config", "assume_finite_exact", "false", "assume_finite_exact is a JSON boolean"),
     ("config", "assume_finite_exact", 0, "assume_finite_exact is a JSON boolean"),
-    ("config", "stencil_radius", 1.7, "stencil_radius is a JSON integer"),
-    ("config", "stencil_radius", "1", "stencil_radius is a JSON integer"),
-    ("config", "stencil_radius", -1, "stencil_radius must be at least 0"),
+    # the stencil radius follows the topology: its former field is unknown
+    ("config", "stencil_radius", 1.7, "unknown fields ['stencil_radius']"),
+    ("config", "stencil_radius", "1", "unknown fields ['stencil_radius']"),
+    ("config", "stencil_radius", -1, "unknown fields ['stencil_radius']"),
     ("config", "le_tol", "0.5", "le_tol is a finite number"),
     ("config", "le_tol", -1, "le_tol must be at least 0"),
     ("config", "eq_tol", "nan", "eq_tol is a finite number"),
@@ -959,25 +982,18 @@ def test_covering_xprime_selects_target_nodes(tmp_path):
 
 
 @pytest.mark.parametrize("finite_exact", [True, False], ids=["finite-exact", "sampled"])
-def test_covering_radius_beyond_the_grid_acts_as_the_whole_grid(
-    tmp_path, capsys, finite_exact
-):
-    # every axis has 3 nodes, so from radius 3 on each ball holds the grid;
-    # a huge radius neither loops over it nor overflows int64
+def test_covering_stencil_radius_is_an_unknown_field(tmp_path, capsys, finite_exact):
+    # the radius follows the topology: the node itself on a discrete grid,
+    # radius 1 on a sampled window; no radius is settable in either mode
     obj = json.loads((SCENARIOS / "covering_identity.json").read_text())
     obj["config"] = {"assume_finite_exact": finite_exact}
-    runs = []
-    for radius in (3, 10**12, 10**30):
+    for radius in (0, 1, 2):
         obj["config"]["stencil_radius"] = radius
         cfg = tmp_path / "radius.json"
         cfg.write_text(json.dumps(obj))
-        out_dir = tmp_path / str(radius)
-        t0 = time.perf_counter()
-        assert run(["covering", "--config", cfg, "--out-dir", out_dir, "--summary"]) == 0
-        assert time.perf_counter() - t0 < 2.0
-        stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
-        runs.append(((out_dir / "covering_out.json").read_bytes(), stdout))
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert run(["covering", "--config", cfg, "--out-dir", tmp_path]) == 3
+        assert "unknown fields ['stencil_radius']" in capsys.readouterr().err
+        assert not (tmp_path / "covering_out.json").exists()
 
 
 @pytest.mark.parametrize("field, value", [

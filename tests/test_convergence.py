@@ -316,6 +316,18 @@ def test_gaussian_member_matches_quadrature(n):
     assert abs(got - want) < 1e-9
 
 
+@pytest.mark.parametrize("index", [2.9, 2.0, True, np.float64(4.0), 0, -3])
+def test_gaussian_member_index_is_a_positive_integer(index):
+    # 2.9 once read as the index 2, and True as 1
+    with pytest.raises(ValidationError, match="index is an integer >= 1"):
+        GaussianMeanForm(index, Grid.line(-2.0, 2.0, 5))
+
+
+def test_gaussian_member_index_takes_numpy_integers():
+    F = GaussianMeanForm(np.int64(7), Grid.line(-2.0, 2.0, 5))
+    assert F.index == 7 and type(F.index) is int
+
+
 def test_gaussian_member_affine_is_exact_mgf():
     g = Grid.line(-2, 2, 11)
     for n in (1, 7, 64):

@@ -12,21 +12,24 @@ from maxplus import (
     POS_INF,
     ValidationError,
     build_covering,
-    coercivity_report,
     conjugate,
-    domain_masks,
     quasicontinuity_check,
     solve_preimage,
     verdict,
 )
 from conftest import random_kernel_and_g
-from oracles import enumerate_preimages, slow_covering_interior, slow_essential_pieces
+from oracles import (
+    ball_slices,
+    enumerate_preimages,
+    slow_covering_interior,
+    slow_essential_pieces,
+)
 from test_conjugacy import identity_kernel
 
 NEG = NEG_INF
 POS = POS_INF
 
-EXACT = CoveringConfig(stencil_radius=0, assume_finite_exact=True)
+EXACT = CoveringConfig(assume_finite_exact=True)
 
 
 def test_identity_kernel_covering_minimal():
@@ -41,11 +44,11 @@ def test_identity_kernel_covering_minimal():
 
 
 def test_zero_kernel_covering_not_minimal():
-    # on a two-point space the discrete topology (radius 0) is the honest
-    # one: a radius-1 ball would swallow the whole index set
+    # on a two-point space the discrete topology is the honest one: a
+    # radius-1 ball would swallow the whole index set
     g = Grid.line(0, 1, 2)
     k = Kernel.from_table(g, g, np.zeros((2, 2)))
-    rep = build_covering(GridFn(g, np.zeros(2)), k, stencil_radius=0)
+    rep = build_covering(GridFn(g, np.zeros(2)), k, discrete=True)
     assert rep.covered
     for y, piece in rep.pieces().items():
         assert piece.tolist() == [0, 1]
@@ -67,7 +70,7 @@ def test_all_plus_inf_g_has_empty_pieces():
 def test_removing_inessential_piece_keeps_cover(rng):
     for _ in range(30):
         k, g = random_kernel_and_g(rng)
-        rep = build_covering(g, k, stencil_radius=0)
+        rep = build_covering(g, k, discrete=True)
         if not rep.covered:
             continue
         target = np.flatnonzero(rep.target)
@@ -88,20 +91,20 @@ def test_removing_inessential_piece_keeps_cover(rng):
 
 def test_quasicontinuity_monotone_step():
     g = Grid.line(0, 3, 4)
-    ok, witness = quasicontinuity_check(GridFn(g, [0.0, 0.0, 1.0, 1.0]), 1)
+    ok, witness = quasicontinuity_check(GridFn(g, [0.0, 0.0, 1.0, 1.0]))
     assert ok and witness is None
 
 
 def test_quasicontinuity_isolated_spike():
     g = Grid.line(0, 2, 3)
-    ok, witness = quasicontinuity_check(GridFn(g, [0.0, 5.0, 0.0]), 1)
+    ok, witness = quasicontinuity_check(GridFn(g, [0.0, 5.0, 0.0]))
     assert not ok
     assert witness == 0  # closing lifts the neighbours of the spike
 
 
 def test_quasicontinuity_constant():
     g = Grid.line(0, 2, 3)
-    ok, _ = quasicontinuity_check(GridFn(g, [7.0, 7.0, 7.0]), 1)
+    ok, _ = quasicontinuity_check(GridFn(g, [7.0, 7.0, 7.0]))
     assert ok
 
 
@@ -110,24 +113,46 @@ def test_quasicontinuity_empty_domain_is_vacuous():
     g = Grid.line(0, 2, 3)
     for vals in ([POS, POS, NEG], [POS, POS, POS], [NEG, NEG, NEG]):
         for tol in (0.0, 1.0):
-            assert quasicontinuity_check(GridFn(g, vals), 1, tol) == (True, None)
+            assert quasicontinuity_check(GridFn(g, vals), tol) == (True, None)
 
 
-@pytest.mark.parametrize("radius", [-1, -3])
-def test_negative_stencil_radius_rejected(radius):
-    # a negative radius once raised IndexError or ValueError in the
-    # coercivity report, and the closing read it as radius 0
-    g = Grid.line(-1.0, 1.0, 21)
-    k = Kernel.bilinear(g, g)
-    f = GridFn(g, g.coords**2)
-    for call in (
-        lambda: quasicontinuity_check(f, radius),
-        lambda: coercivity_report(k, stencil_radius=radius),
-        lambda: domain_masks(f, radius),
-        lambda: verdict(f, k, None, CoveringConfig(stencil_radius=radius)),
-    ):
-        with pytest.raises(ValidationError, match="stencil_radius must be >= 0"):
-            call()
+def survives_closing(f, radius):
+    """Does f survive its closing over the Chebyshev balls of ``radius``,
+    taken one ball at a time (``oracles.ball_slices``), on its domain?"""
+    grid, v = f.grid, f.values
+
+    def ball(i):
+        return tuple(slice(lo, hi + 1) for lo, hi in ball_slices(grid, i, radius))
+
+    usc = np.array([v[ball(i)].max() for i in range(grid.size)]).reshape(grid.shape)
+    closing = np.array([usc[ball(i)].min() for i in range(grid.size)])
+    dom = np.isfinite(f.flat)
+    return bool((closing[dom] <= f.flat[dom]).all())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_mode_quasicontinuity_is_the_radius_0_closing(data):
+    nx, ny = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    cells = st.sampled_from([0.0, 1.0, -2.0, NEG])
+    b = np.array(data.draw(st.lists(cells, min_size=nx * ny, max_size=nx * ny)))
+    b = b.reshape(nx, ny)
+    b[~np.isfinite(b).any(axis=1), 0] = 0.0
+    b[0, ~np.isfinite(b).any(axis=0)] = 0.0
+    g = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 3.0, -1.0, NEG, POS]), min_size=nx, max_size=nx
+    )))
+    xg = Grid.line(0, 1, nx) if nx > 1 else Grid.line(0, 0, 1)
+    yg = Grid.line(0, 1, ny) if ny > 1 else Grid.line(0, 0, 1)
+    # a discrete grid's balls are its nodes: every candidate, +inf
+    # entries included, survives the closing; a sampled grid's have radius 1
+    k = Kernel.from_table(xg, yg, b)
+    exact = verdict(GridFn(xg, g), k, None, EXACT)
+    cand = exact.certificate.candidate
+    assert exact.assumptions.quasicontinuous_dual == survives_closing(cand, 0)
+    sampled = verdict(GridFn(xg, g), k, None, CoveringConfig())
+    assert sampled.assumptions.quasicontinuous_dual == survives_closing(cand, 1)
+    assert quasicontinuity_check(cand)[0] == survives_closing(cand, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +294,13 @@ def test_verdicts_match_enumeration(rng):
     assert checked == 25
 
 
-@pytest.mark.parametrize("radius", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("shape", [(1,), (2,), (37,), (1, 9), (9, 1), (7, 8)])
-def test_covering_interior_matches_ball_loop(rng, shape, radius):
+def test_covering_interior_matches_ball_loop(shape, seed):
     # build_covering's pinned set is alg | interior(top), with interior
-    # taken by one boolean dilation; the oracle tests one ball at a time
+    # taken by one boolean dilation on a sampled grid and top itself on a
+    # discrete one; the oracle tests one ball at a time, of radius 1 and 0
+    rng = np.random.default_rng(20240817 + seed)
     if len(shape) == 1:
         yg = Grid.line(0.0, 1.0, shape[0]) if shape[0] > 1 else Grid.line(0.0, 0.0, 1)
         xg = Grid.line(0.0, 1.0, 5)
@@ -288,14 +315,15 @@ def test_covering_interior_matches_ball_loop(rng, shape, radius):
         b[~np.isfinite(b).any(axis=1), 0] = 0.0
         k = Kernel.from_table(xg, yg, b)
         g = GridFn(xg, np.where(rng.random(5) < 0.2, POS, rng.normal(0, 1, 5)))
-        rep = build_covering(g, k, stencil_radius=radius)
-        top = np.zeros(yg.size, dtype=bool)
-        top[rep.top_essential] = True
-        alg = np.zeros(yg.size, dtype=bool)
-        alg[rep.alg_essential] = True
-        dual_dom = np.isfinite(rep.subdiff.dual.flat)
-        ref = alg | slow_covering_interior(yg, top, dual_dom, radius)
-        assert rep.pinned.tolist() == np.flatnonzero(ref).tolist()
+        for discrete, radius in ((False, 1), (True, 0)):
+            rep = build_covering(g, k, discrete=discrete)
+            top = np.zeros(yg.size, dtype=bool)
+            top[rep.top_essential] = True
+            alg = np.zeros(yg.size, dtype=bool)
+            alg[rep.alg_essential] = True
+            dual_dom = np.isfinite(rep.subdiff.dual.flat)
+            ref = alg | slow_covering_interior(yg, top, dual_dom, radius)
+            assert rep.pinned.tolist() == np.flatnonzero(ref).tolist()
 
 
 def _counting(monkeypatch, module, name):
@@ -315,7 +343,7 @@ def test_verdict_builds_each_piece_once(rng, monkeypatch, finite_exact):
     import maxplus.covering as covering
 
     k, g = random_kernel_and_g(rng, max_nodes=6)
-    cfg = CoveringConfig(stencil_radius=1, assume_finite_exact=finite_exact)
+    cfg = CoveringConfig(assume_finite_exact=finite_exact)
     want = verdict(g, k, None, cfg)
     conj = _counting(monkeypatch, covering, "conjugate")
     masks = _counting(monkeypatch, covering, "domain_masks")
@@ -387,15 +415,17 @@ def attainment_cases(draw):
         st.just([]),  # an empty target
         st.lists(st.booleans(), min_size=nx, max_size=nx).map(np.array),
     ))
-    return b, g, yg, xprime, draw(st.integers(0, 2))
+    return b, g, yg, xprime, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
 @given(attainment_cases())
 def test_essential_pieces_match_per_node_loop(case):
-    b, g, yg, xprime, radius = case
+    b, g, yg, xprime, discrete = case
+    radius = 0 if discrete else 1  # a discrete grid's balls are its nodes
     xg = Grid.line(0.0, 1.0, b.shape[0]) if b.shape[0] > 1 else Grid.line(0.0, 0.0, 1)
-    rep = build_covering(GridFn(xg, g), Kernel.from_table(xg, yg, b), xprime, radius)
+    k = Kernel.from_table(xg, yg, b)
+    rep = build_covering(GridFn(xg, g), k, xprime, discrete=discrete)
 
     # attainment by its definition: b finite, g < +inf, and the term
     # otimes(b, -g) equal to the dual, which is the column max of the terms

@@ -79,8 +79,8 @@ def line(n, lo=-3.0, hi=3.0):
     return Grid.line(lo, hi, n) if n > 1 else Grid.line(0.0, 0.0, 1)
 
 
-def assert_reports_equal(k, f, *, radius=1, sides=None, x_sides=None):
-    kw = dict(stencil_radius=radius, sides=sides, x_sides=x_sides)
+def assert_reports_equal(k, f, *, sides=None, x_sides=None):
+    kw = dict(sides=sides, x_sides=x_sides)
     assert coercivity_report(k, **kw) == slow_coercivity_report(k, **kw)
     kw = dict(sides=sides)
     assert superlevel_compactness_report(f, k, **kw) == (
@@ -133,21 +133,16 @@ def table_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    table_cases(),
-    st.integers(0, 2),
-    st.sampled_from(sorted(SIDES)),
-    st.sampled_from(sorted(SIDES)),
-)
-def test_table_kernel_reports_equal_per_row_loops(case, radius, sides, x_sides):
+@given(table_cases(), st.sampled_from(sorted(SIDES)), st.sampled_from(sorted(SIDES)))
+def test_table_kernel_reports_equal_per_row_loops(case, sides, x_sides):
     k, f, g = case
-    assert_reports_equal(k, f, radius=radius, sides=SIDES[sides], x_sides=SIDES[x_sides])
+    assert_reports_equal(k, f, sides=SIDES[sides], x_sides=SIDES[x_sides])
     assert_tightness_equal(k, g, sides=SIDES[sides], x_sides=SIDES[x_sides])
 
 
-def assert_banded_table_equal(nx, ny, radius):
+def assert_banded_table_equal(nx, ny, seed):
     # a band of finite entries, so the finite inner count differs by row
-    rng = np.random.default_rng(nx + 10 * radius)
+    rng = np.random.default_rng(nx + 10 * seed)
     i = np.arange(nx)[:, None] * (ny - 1) // max(nx - 1, 1)
     j = np.arange(ny)[None, :]
     b = np.where(np.abs(i - j) <= 6, np.round(rng.normal(0, 4, (nx, ny)), 1), NEG)
@@ -155,47 +150,49 @@ def assert_banded_table_equal(nx, ny, radius):
     xg, yg = line(nx), line(ny)
     k = Kernel.from_table(xg, yg, b)
     f = GridFn(yg, np.where(rng.random(ny) < 0.1, POS, rng.normal(0, 2, ny)))
-    assert_reports_equal(k, f, radius=radius)
+    assert_reports_equal(k, f)
     g = GridFn(xg, np.where(rng.random(nx) < 0.1, POS, 0.0))
     assert_tightness_equal(k, g)
 
 
 @pytest.mark.parametrize("nx", ROW_COUNTS)
-@pytest.mark.parametrize("radius", [0, 1, 2])
-def test_banded_table_across_blocks(nx, radius):
-    assert_banded_table_equal(nx, 48, radius)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_banded_table_across_blocks(nx, seed):
+    assert_banded_table_equal(nx, 48, seed)
 
 
 @pytest.mark.parametrize("nx,ny", EDGE_SHAPES)
-@pytest.mark.parametrize("radius", [0, 1, 2])
-def test_banded_table_at_block_edges(nx, ny, radius):
-    assert_banded_table_equal(nx, ny, radius)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_banded_table_at_block_edges(nx, ny, seed):
+    assert_banded_table_equal(nx, ny, seed)
 
 
 # ---------------------------------------------------------------------------
 # bilinear kernels
 # ---------------------------------------------------------------------------
 
+# the Y-window [-4 + shift, 4 + shift]: a shifted window moves the ring
+# against the X-window, so different rows reach it
 @pytest.mark.parametrize("nx", ROW_COUNTS)
 @pytest.mark.parametrize(
-    "radius,sides", [(0, "open"), (1, "open"), (1, "half"), (2, "closed")]
+    "shift,sides", [(0, "open"), (1, "open"), (1, "half"), (2, "closed")]
 )
-def test_bilinear_1d_across_blocks(nx, radius, sides):
-    xg, yg = line(nx, -2.0, 2.0), line(61, -4.0, 4.0)
+def test_bilinear_1d_across_blocks(nx, shift, sides):
+    xg, yg = line(nx, -2.0, 2.0), line(61, -4.0 + shift, 4.0 + shift)
     k = Kernel.bilinear(xg, yg)
     f = GridFn(yg, yg.coords**2 / 2)
-    assert_reports_equal(k, f, radius=radius, sides=SIDES[sides], x_sides=SIDES[sides])
+    assert_reports_equal(k, f, sides=SIDES[sides], x_sides=SIDES[sides])
     g = GridFn(xg, xg.coords**2)
     assert_tightness_equal(k, g, sides=SIDES[sides], x_sides=SIDES[sides])
 
 
 @pytest.mark.parametrize("nx,ny", EDGE_SHAPES)
-@pytest.mark.parametrize("radius,sides", [(0, "open"), (1, "half"), (2, "closed")])
-def test_bilinear_1d_at_block_edges(nx, ny, radius, sides):
-    xg, yg = line(nx, -2.0, 2.0), line(ny, -4.0, 4.0)
+@pytest.mark.parametrize("shift,sides", [(0, "open"), (1, "half"), (2, "closed")])
+def test_bilinear_1d_at_block_edges(nx, ny, shift, sides):
+    xg, yg = line(nx, -2.0, 2.0), line(ny, -4.0 + shift, 4.0 + shift)
     k = Kernel.bilinear(xg, yg)
     f = GridFn(yg, yg.coords**2 / 2)
-    assert_reports_equal(k, f, radius=radius, sides=SIDES[sides], x_sides=SIDES[sides])
+    assert_reports_equal(k, f, sides=SIDES[sides], x_sides=SIDES[sides])
     g = GridFn(xg, xg.coords**2)
     assert_tightness_equal(k, g, sides=SIDES[sides], x_sides=SIDES[sides])
 
@@ -221,31 +218,37 @@ BOXES = [(1, 7), (7, 1), (1, 1), (5, 5), (40, 15), (3, 300), (600, 1), (1, 600)]
 EDGE_BOXES = [(7, 1), (8, 1), (9, 1), (5, 4), (3, 9)]
 
 
-def assert_box_reports_equal(n, y_n, radius):
+# the window sides of a box, by index: all open, one closed side per
+# axis, all closed
+BOX_SIDES = [
+    None, WindowSides((True, False), (False, True)), WindowSides((True, True), (True, True)),
+]
+
+
+def assert_box_reports_equal(n, y_n, window):
     lo = tuple(-1.0 if m > 1 else 0.0 for m in n)
     hi = tuple(1.0 if m > 1 else 0.0 for m in n)
     xg = Grid(lo, hi, n)
     yg = Grid.box((-3.0, -3.0), (3.0, 3.0), y_n)
     k = Kernel.bilinear(xg, yg)
     f = GridFn(yg, (yg.coords**2).sum(axis=1))
-    closed = WindowSides((True, False), (False, True))
-    sides = closed if radius == 1 else None
-    assert_reports_equal(k, f, radius=radius, sides=sides, x_sides=sides)
+    sides = BOX_SIDES[window]
+    assert_reports_equal(k, f, sides=sides, x_sides=sides)
     g = GridFn(xg, (xg.coords**2).sum(axis=1))
-    assert_tightness_equal(k, g, x_sides=closed)
+    assert_tightness_equal(k, g, x_sides=BOX_SIDES[1])
 
 
 @pytest.mark.parametrize("n", BOXES, ids=[f"{a}x{b}" for a, b in BOXES])
-@pytest.mark.parametrize("radius", [0, 1, 2])
-def test_bilinear_2d_across_blocks(n, radius):
-    assert_box_reports_equal(n, (9, 7), radius)
+@pytest.mark.parametrize("window", [0, 1, 2])
+def test_bilinear_2d_across_blocks(n, window):
+    assert_box_reports_equal(n, (9, 7), window)
 
 
 @pytest.mark.parametrize("n", EDGE_BOXES, ids=[f"{a}x{b}" for a, b in EDGE_BOXES])
-@pytest.mark.parametrize("radius", [0, 1, 2])
-def test_bilinear_2d_at_block_edges(n, radius):
+@pytest.mark.parametrize("window", [0, 1, 2])
+def test_bilinear_2d_at_block_edges(n, window):
     assert _kernels.block_rows(128 * 128) == 8
-    assert_box_reports_equal(n, (128, 128), radius)
+    assert_box_reports_equal(n, (128, 128), window)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +265,7 @@ def ring_cases(draw):
     lies in the ring and every tested row is an upper-coercive VIOLATION;
     otherwise they may tie with inner entries or stay below them.
     """
-    radius = draw(st.integers(1, 2))
-    nx, ny = draw(st.integers(2 * radius + 1, 10)), draw(st.integers(3, 14))
+    nx, ny = draw(st.integers(3, 10)), draw(st.integers(3, 14))
     inner = inner_window_mask(line(ny, 0.0, 1.0))
     b = np.array(draw(st.lists(
         st.integers(-32, 32).map(lambda v: v / 4.0), min_size=nx * ny, max_size=nx * ny
@@ -275,18 +277,17 @@ def ring_cases(draw):
         min_size=ny, max_size=ny,
     )))
     b[:, ~inner] = ring[~inner]
-    return b, radius, draw(st.sampled_from(["open", "closed"])), forced
+    return b, draw(st.sampled_from(["open", "closed"])), forced
 
 
 @settings(max_examples=100, deadline=None)
 @given(ring_cases())
 def test_upper_violations_through_the_ring(case):
-    b, radius, x_sides, forced = case
+    b, x_sides, forced = case
     nx, ny = b.shape
     k = Kernel.from_table(line(nx, 0.0, 1.0), line(ny, 0.0, 1.0), b)
-    kw = dict(stencil_radius=radius, x_sides=SIDES[x_sides])
-    rep = coercivity_report(k, **kw)
-    assert rep == slow_coercivity_report(k, **kw)
+    rep = coercivity_report(k, x_sides=SIDES[x_sides])
+    assert rep == slow_coercivity_report(k, x_sides=SIDES[x_sides])
     if not forced:
         return
     tested = [v for v in rep.upper_coercive if v != EDGE]
@@ -311,20 +312,15 @@ def tied_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    tied_cases(),
-    st.integers(0, 2),
-    st.sampled_from(sorted(SIDES)),
-    st.sampled_from(sorted(SIDES)),
-)
-def test_tied_levels_equal_per_row_loops(case, radius, sides, x_sides):
+@given(tied_cases(), st.sampled_from(sorted(SIDES)), st.sampled_from(sorted(SIDES)))
+def test_tied_levels_equal_per_row_loops(case, sides, x_sides):
     k, f = case
-    assert_reports_equal(k, f, radius=radius, sides=SIDES[sides], x_sides=SIDES[x_sides])
+    assert_reports_equal(k, f, sides=SIDES[sides], x_sides=SIDES[x_sides])
 
 
 @settings(max_examples=100, deadline=None)
-@given(table_cases(), st.sampled_from(["no inner", "no ring"]), st.integers(0, 2))
-def test_windows_without_inner_or_ring(case, window, radius):
+@given(table_cases(), st.sampled_from(["no inner", "no ring"]))
+def test_windows_without_inner_or_ring(case, window):
     # two open-sided Y-nodes leave the inner window empty; closed sides
     # leave the ring empty
     k, f, _ = case
@@ -341,7 +337,7 @@ def test_windows_without_inner_or_ring(case, window, radius):
         sides = SIDES["closed"]
     k = Kernel.from_table(k.x_grid, line(ny, 0.0, 1.0), b)
     f = GridFn(k.y_grid, f.flat)
-    assert_reports_equal(k, f, radius=radius, sides=sides)
+    assert_reports_equal(k, f, sides=sides)
     if window == "no inner":
         assert all(v in (EDGE, VIOLATION) for v in coercivity_report(k).coercive)
 
@@ -350,35 +346,36 @@ def test_windows_without_inner_or_ring(case, window, radius):
 # the assumption labels of covering.verdict and ldp.pipeline
 # ---------------------------------------------------------------------------
 
-def oracle_evidence(k, cand, *, radius, sides, x_sides, closing_tol):
+def oracle_evidence(k, cand, *, sides, x_sides, closing_tol):
     """The labels of the per-row reports and the candidate's closing."""
-    co = slow_coercivity_report(k, stencil_radius=radius, sides=sides, x_sides=x_sides)
+    co = slow_coercivity_report(k, sides=sides, x_sides=x_sides)
     fc = slow_superlevel_compactness_report(cand, k, sides=sides)
     label = {True: EVIDENCE, False: VIOLATION}
     return AssumptionEvidence(
         coercive=label[co.all_coercive],
         upper_coercive=label[co.all_upper_coercive],
         dual_superlevel_compact=label[fc.all_evidence],
-        quasicontinuous_dual=quasicontinuity_check(cand, radius, closing_tol)[0],
+        quasicontinuous_dual=quasicontinuity_check(cand, closing_tol)[0],
     )
 
 
 @pytest.mark.parametrize("sides", ["open", "closed"])
-@pytest.mark.parametrize("radius", [0, 1, 2])
-def test_verdict_assumptions_are_the_oracle_labels(rng, radius, sides):
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verdict_assumptions_are_the_oracle_labels(seed, sides):
     # the closing is held to tolerance 0; verdict samples no X-sides
+    rng = np.random.default_rng(20240817 + seed)
     for _ in range(25):
         k, g = random_kernel_and_g(rng)
-        cfg = CoveringConfig(stencil_radius=radius, sides=SIDES[sides])
+        cfg = CoveringConfig(sides=SIDES[sides])
         cand = lifted_candidate(conjugate(g, k.transpose()))
         assert verdict(g, k, None, cfg).assumptions == oracle_evidence(
-            k, cand, radius=radius, sides=SIDES[sides], x_sides=None, closing_tol=0.0
+            k, cand, sides=SIDES[sides], x_sides=None, closing_tol=0.0
         )
 
 
 @pytest.mark.parametrize("sides", ["open", "closed"])
 def test_pipeline_assumptions_are_the_oracle_labels(rng, sides):
-    # radius 1 throughout, the closing held to one Y-grid step
+    # the closing held to one Y-grid step
     for _ in range(25):
         k, _ = random_kernel_and_g(rng)
         f = dyadic(rng, k.y_grid.size)
@@ -388,7 +385,7 @@ def test_pipeline_assumptions_are_the_oracle_labels(rng, sides):
         )
         out = pipeline(gin, sides=SIDES[sides], x_sides=SIDES[sides])
         assert out.assumptions == oracle_evidence(
-            k, lifted_candidate(out.rate_lower), radius=1, sides=SIDES[sides],
+            k, lifted_candidate(out.rate_lower), sides=SIDES[sides],
             x_sides=SIDES[sides], closing_tol=k.y_grid.step(0),
         )
 
@@ -408,7 +405,7 @@ def gauss_ldp_case(n=1601):
 
 def test_reports_at_benchmark_size_equal_per_row_loops():
     k, f = gauss_ldp_case()
-    assert len(list(_row_blocks(k.x_grid, 1, k.y_grid.size))) == 20
+    assert len(list(_row_blocks(k.x_grid, k.y_grid.size))) == 20
     co = coercivity_report(k)
     assert co == slow_coercivity_report(k)
     assert co.coercive.count(EDGE) == 2 and co.all_coercive and co.all_upper_coercive

@@ -25,9 +25,13 @@ Every defaulted parameter of a module-level public function, and of a
 public method, classmethod or staticmethod of a module-level class, in
 the library is passed, by name or by position, by some call in the
 library or in ``test_acceptance.py``, so that no option is settable that
-no caller sets.  Calls are matched by the called name, as fields are, so
-a call through an import alias is not seen; ``cli.main``'s ``argv``,
-which the console script leaves unset, is the one exemption.
+no caller sets.  The defaulted fields of a public dataclass are the
+parameters of its constructor, and a config object's fields are options
+too, so they are scanned the same way.  Calls are matched by the called
+name, as fields are, so a call through an import alias is not seen; a
+starred argument (``WindowSides(*pair)``) passes every position.
+``cli.main``'s ``argv``, which the console script leaves unset, is the
+one exemption.
 """
 
 import ast
@@ -120,21 +124,30 @@ def test_scan_sees_a_foreign_raise_and_a_bare_reraise():
     assert foreign_raises(source) == [(6, "ValueError"), (10, None)]
 
 
+def is_dataclass(node):
+    """Is the ``ast.ClassDef`` decorated with ``@dataclass``?"""
+    return any(
+        getattr(fn, "id", getattr(fn, "attr", None)) == "dataclass"
+        for fn in (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    )
+
+
+def field_statements(node):
+    """The annotated field statements of a dataclass, in order."""
+    return [
+        stmt for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
 def dataclass_fields(source):
     """(class, field) of every annotated field of a ``@dataclass``."""
-    out = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for dec in node.decorator_list:
-            fn = dec.func if isinstance(dec, ast.Call) else dec
-            if getattr(fn, "id", getattr(fn, "attr", None)) == "dataclass":
-                out += [
-                    (node.name, stmt.target.id)
-                    for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                ]
-    return out
+    return [
+        (node.name, stmt.target.id)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+        for stmt in field_statements(node)
+    ]
 
 
 def read_names(source):
@@ -240,10 +253,21 @@ def public_functions(source):
     return out
 
 
+def field_default(stmt):
+    """Does the dataclass field statement give a default?  ``field(...)``
+    gives one only through ``default`` or ``default_factory``."""
+    value = stmt.value
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(kw.arg in ("default", "default_factory") for kw in value.keywords)
+    return value is not None
+
+
 def defaulted_params(source):
     """(function, parameter, position) of every defaulted parameter of a
-    ``public_functions`` entry; a position counts the arguments a call
-    passes, and keyword-only parameters have position None."""
+    ``public_functions`` entry, and (class, field, position) of every
+    defaulted field of a module-level public dataclass; a position counts
+    the arguments a call passes, and keyword-only parameters have
+    position None."""
     out = []
     for node, bound in public_functions(source):
         args = node.args
@@ -254,6 +278,12 @@ def defaulted_params(source):
             (node.name, a.arg, None)
             for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
         ]
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and is_dataclass(node) and not node.name.startswith("_"):
+            out += [
+                (node.name, stmt.target.id, i)
+                for i, stmt in enumerate(field_statements(node)) if field_default(stmt)
+            ]
     return out
 
 
@@ -265,7 +295,9 @@ def unpassed_params(library, callers):
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                n_pos[name] = max(n_pos.get(name, 0), len(node.args))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                n = float("inf") if starred else len(node.args)
+                n_pos[name] = max(n_pos.get(name, 0), n)
                 keywords |= {(name, kw.arg) for kw in node.keywords}
     return [
         (fn, arg)
@@ -306,3 +338,28 @@ def test_scan_sees_an_unpassed_parameter():
     assert unpassed_params([source], [source, caller]) == [
         ("run", "verbose"), ("run", "quiet"), ("step", "dry"), ("build", "size"),
     ]
+
+
+def test_scan_sees_an_unset_config_field():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class Config:\n"
+        "    name: str\n"
+        "    tol: float = 0.0\n"
+        "    radius: int = 1\n"
+        "    rows: list = field(default_factory=list)\n"
+        "    report: object = field(repr=False)\n"
+        "    LIMIT = 3\n"
+        "@dataclass\n"
+        "class Pair:\n"
+        "    below: tuple = ()\n"
+        "    above: tuple = ()\n"
+        "@dataclass\n"
+        "class _Private:\n"
+        "    knob: int = 0\n"
+        "class Plain:\n"
+        "    other: int = 0\n"
+    )
+    caller = "Config('a', 1e-3)\nConfig('b', rows=[])\nPair(*flags)\n"
+    assert unpassed_params([source], [source, caller]) == [("Config", "radius")]

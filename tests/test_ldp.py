@@ -257,6 +257,23 @@ def test_merton_bounds_only_with_display_inequalities(merton_out):
     assert abs(got + growth_conjugate(c_node, P)) < 1e-3
 
 
+@pytest.mark.parametrize("members", [1, 2])
+def test_sup_edge_to_inf_rejects_a_family_without_an_inner_member(members):
+    # the rule reads a supremum at the first or last member as unbounded,
+    # which needs a member between them; it was once dropped without a word
+    xg, yg = Grid.line(0.0, 1.2, 13), Grid.line(0.0, 2.0, 11)
+    gin = growth_input(P, xg, yg, np.arange(members) * 0.5, (400, 800))
+    for call in (
+        lambda: limit_log_moment(gin, sup_edge_to_inf=True),
+        lambda: pipeline(gin, sup_edge_to_inf=True),
+    ):
+        with pytest.raises(ValidationError, match=f"at least 3 members, got {members}"):
+            call()
+    limit_log_moment(gin)  # without the rule any family runs
+    three = growth_input(P, xg, yg, np.arange(3) * 0.5, (400, 800))
+    limit_log_moment(three, sup_edge_to_inf=True)
+
+
 def test_merton_untruncated_criterion_fails():
     xg = Grid.line(-0.2, 1.2, 71)
     yg = Grid.line(-8.0, 8.0, 161)
