@@ -22,7 +22,6 @@ from .conjugacy import (
     superlevel_compactness_report,
 )
 from .covering import (
-    CoveringConfig,
     CoveringReport,
     PreimageReport,
     Verdict,

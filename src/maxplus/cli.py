@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .covering import CoveringConfig, verdict as covering_verdict
+from .covering import verdict as covering_verdict
 from .conjugacy import WindowSides, conjugate, legendre_fast
 from .convergence import gaussian_mean_sequence
 from .errors import MaxplusError, ValidationError
@@ -54,12 +54,6 @@ def _json_bool(value, what):
 def _json_str(value, what):
     if type(value) is not str:
         raise ValidationError(f"{what} is a JSON string, got {json.dumps(value)}")
-    return value
-
-
-def _json_tol(value, what):
-    if _json_number(value, what) < 0:
-        raise ValidationError(f"{what} must be at least 0, got {value}")
     return value
 
 
@@ -218,24 +212,20 @@ def _run_covering(obj, out_dir, summary):
         cfg_obj,
         (),
         "covering config",
-        optional={"le_tol", "eq_tol", "assume_finite_exact", "closed_below", "closed_above"},
+        optional={"assume_finite_exact", "closed_below", "closed_above"},
     )
     what = "covering config"
-    cfg = CoveringConfig(
-        le_tol=float(_json_tol(cfg_obj.get("le_tol", 0.0), f"{what}: le_tol")),
-        eq_tol=float(_json_tol(cfg_obj.get("eq_tol", 0.0), f"{what}: eq_tol")),
-        assume_finite_exact=_json_bool(
-            cfg_obj.get("assume_finite_exact", False), f"{what}: assume_finite_exact"
-        ),
-        sides=_sides_from(cfg_obj, yg.dim, what),
+    discrete = _json_bool(
+        cfg_obj.get("assume_finite_exact", False), f"{what}: assume_finite_exact"
     )
+    sides = _sides_from(cfg_obj, yg.dim, what)
     window = sorted({"closed_below", "closed_above"} & set(cfg_obj))
-    if cfg.assume_finite_exact and window:
+    if discrete and window:
         raise ValidationError(
             f"{what}: {', '.join(window)} cannot be set with assume_finite_exact, "
             "which samples no window"
         )
-    v = covering_verdict(g, kernel, xprime, cfg)
+    v = covering_verdict(g, kernel, xprime, discrete=discrete, sides=sides)
     rep = v.covering
     payload = {
         "existence": v.existence,

@@ -209,10 +209,6 @@ class SubdiffMap:
     attain: np.ndarray
     dual: GridFn  # the dual conjugate of g on the Y-grid
 
-    def at(self, x_index):
-        """Y-nodes in the subdifferential at one x-node."""
-        return np.flatnonzero(self.attain[x_index])
-
     def preimage(self, y_index):
         """X-nodes whose subdifferential contains one y-node."""
         return np.flatnonzero(self.attain[:, y_index])

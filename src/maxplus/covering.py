@@ -70,9 +70,6 @@ class CoveringReport:
     def piece(self, y_index):
         return self.subdiff.preimage(y_index)
 
-    def pieces(self):
-        return {int(y): self.piece(y) for y in self.piece_index}
-
 
 def build_covering(g, k, xprime=None, *, discrete=False, _masks=None):
     """Assemble the covering report for the target X' ∩ {g > -inf}.
@@ -229,12 +226,14 @@ class PreimageReport:
     degenerate_rows: np.ndarray
 
 
-def solve_preimage(g, k, xprime=None, *, le_tol=0.0, eq_tol=0.0, _candidate=None):
+def solve_preimage(g, k, xprime=None, *, _candidate=None):
     """Certify existence through the canonical candidate pre-image.
 
-    FAIL is a result, not an error: when the candidate fails, no function
-    bounded below solves the problem.  ``_candidate`` is the lifted dual
-    conjugate of g when the caller has already built it.
+    The test is exact: B f <= g everywhere and B f = g on X', compared
+    as extended reals (+inf <= +inf, -inf = -inf).  FAIL is a result, not
+    an error: when the candidate fails, no function bounded below solves
+    the problem.  ``_candidate`` is the lifted dual conjugate of g when
+    the caller has already built it.
     """
     cand = _candidate
     if cand is None:
@@ -244,25 +243,13 @@ def solve_preimage(g, k, xprime=None, *, le_tol=0.0, eq_tol=0.0, _candidate=None
     gv = g.flat
     bv = bf.flat
     both_fin = np.isfinite(gv) & np.isfinite(bv)
-    with np.errstate(invalid="ignore"):
-        le_viol = (bv > gv) & ~(np.isposinf(bv) & np.isposinf(gv))
-        le_margin = (
-            float((bv[both_fin] - gv[both_fin]).max()) if both_fin.any() else 0.0
-        )
-        fin_exceed = both_fin & (bv - gv > le_tol)
-        le_ok = not ((le_viol & ~both_fin) | fin_exceed).any()
-
-        xmask = node_mask(k.x_grid, xprime)
-        eq_fin = xmask & both_fin
-        eq_residual = (
-            float(np.abs(bv[eq_fin] - gv[eq_fin]).max()) if eq_fin.any() else 0.0
-        )
-        eq_bad = xmask & (
-            (both_fin & (np.abs(bv - gv) > eq_tol))
-            | (np.isposinf(gv) != np.isposinf(bv))
-            | (np.isneginf(gv) != np.isneginf(bv))
-        )
-    passed = le_ok and not eq_bad.any()
+    xmask = node_mask(k.x_grid, xprime)
+    le_bad = bv > gv
+    eq_bad = xmask & (bv != gv)
+    le_margin = float((bv[both_fin] - gv[both_fin]).max()) if both_fin.any() else 0.0
+    eq_fin = xmask & both_fin
+    eq_residual = float(np.abs(bv[eq_fin] - gv[eq_fin]).max()) if eq_fin.any() else 0.0
+    passed = not (le_bad.any() or eq_bad.any())
 
     # rows where g = -inf: B f must collapse to -inf there, which needs the
     # whole kernel row to degenerate wherever the candidate is finite
@@ -273,7 +260,7 @@ def solve_preimage(g, k, xprime=None, *, le_tol=0.0, eq_tol=0.0, _candidate=None
         le_margin=le_margin,
         eq_residual=eq_residual,
         passed=passed,
-        le_violations=np.flatnonzero(le_viol & ~both_fin | fin_exceed),
+        le_violations=np.flatnonzero(le_bad),
         eq_violations=np.flatnonzero(eq_bad),
         degenerate_rows=degenerate,
     )
@@ -285,18 +272,6 @@ YES_IF_ASSUMPTIONS = "YES_IF_ASSUMPTIONS"
 UNIQUE = "UNIQUE"
 NOT_UNIQUE = "NOT_UNIQUE"
 UNKNOWN = "UNKNOWN"
-
-
-@dataclass(frozen=True)
-class CoveringConfig:
-    le_tol: float = 0.0
-    eq_tol: float = 0.0
-    # finite grids are compact discrete spaces, where every neighbourhood
-    # is the node itself and the standing assumptions hold outright; set
-    # True to take that topology and record the assumptions as satisfied
-    # instead of sampling window evidence with radius-1 stencils
-    assume_finite_exact: bool = False
-    sides: object = None  # Y-window edge roles
 
 
 @dataclass(frozen=True)
@@ -340,7 +315,7 @@ class Verdict:
     certificate: PreimageReport
 
 
-def verdict(g, k, xprime=None, config=CoveringConfig()):
+def verdict(g, k, xprime=None, *, discrete=False, sides=None):
     """Existence/uniqueness verdict for the pre-image problem on a grid.
 
     Existence: YES when the covering holds or the candidate certifies;
@@ -348,19 +323,18 @@ def verdict(g, k, xprime=None, config=CoveringConfig()):
     otherwise.  The assumptions hold when the dual superlevel sets are
     compact or the kernel is coercive with X' inside the locally bounded
     nodes.  Uniqueness requires a covering plus quasi-continuity of the
-    dual conjugate: UNIQUE iff also topologically minimal.  With
-    ``assume_finite_exact`` the grids are discrete spaces: the
-    assumptions hold, every function is continuous, and the topological
-    pieces are the algebraic ones.  Otherwise they sample a continuum,
-    and every stencil has radius 1.
+    dual conjugate: UNIQUE iff also topologically minimal.  A
+    ``discrete`` grid is a finite discrete space, compact, where every
+    neighbourhood is the node itself: the assumptions hold outright,
+    every function is continuous, and the topological pieces are the
+    algebraic ones.  Otherwise the grids sample a continuum, every
+    stencil has radius 1, and the assumptions are sampled on the
+    Y-window whose edge roles ``sides`` gives (see ``WindowSides``).
     """
-    exact = config.assume_finite_exact
-    rep = build_covering(g, k, xprime, discrete=exact)
+    rep = build_covering(g, k, xprime, discrete=discrete)
     cand = lifted_candidate(rep.subdiff.dual)
-    pre = solve_preimage(
-        g, k, xprime, le_tol=config.le_tol, eq_tol=config.eq_tol, _candidate=cand
-    )
-    if exact:
+    pre = solve_preimage(g, k, xprime, _candidate=cand)
+    if discrete:
         # granted, not sampled
         ev = AssumptionEvidence(
             coercive=EVIDENCE,
@@ -370,8 +344,8 @@ def verdict(g, k, xprime=None, config=CoveringConfig()):
         )
     else:
         ev = assumption_evidence(
-            coercivity_report(k, sides=config.sides),
-            cand, k, sides=config.sides, closing_tol=0.0,
+            coercivity_report(k, sides=sides),
+            cand, k, sides=sides, closing_tol=0.0,
         )
 
     xmask = node_mask(k.x_grid, xprime)

@@ -22,6 +22,7 @@ from .grids import (
     POS_INF,
     Grid,
     GridFn,
+    check_real,
     check_values,
     indicator,
     node_mask,
@@ -117,12 +118,12 @@ class LogIntegralForm(QuasiLinearForm):
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValidationError("epsilon must be positive")
+        if not 0 < check_real(self.epsilon, "epsilon") < POS_INF:
+            raise ValidationError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         w = check_values(self.weights, "weights").reshape(-1)
         if (w < 0).any() or not np.isfinite(w).all():
             raise ValidationError("weights must be finite and nonnegative")
-        if w.sum() <= 0:
+        if not (w > 0).any():  # w.sum() can overflow
             raise ValidationError("weights must carry positive mass")
         if w.size != self.weight_grid.size:
             raise ValidationError("one weight per grid node expected")

@@ -48,11 +48,16 @@ def check_values(values, what="values"):
     return arr
 
 
+def check_real(value, what):
+    """``value`` as a float; a bool or a value that is not a real number
+    (a string, say) raises ValidationError instead of converting."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} is a real number, got {value!r}")
+    return float(value)
+
+
 def _as_axis_tuple(v, dim, what):
-    if np.isscalar(v):
-        t = tuple(float(v) for _ in range(dim))
-    else:
-        t = tuple(float(x) for x in v)
+    t = tuple(check_real(x, what) for x in ((v,) * dim if np.ndim(v) == 0 else v))
     if len(t) != dim:
         raise ValidationError(f"{what}: expected {dim} per-axis entries, got {len(t)}")
     return t
@@ -65,7 +70,8 @@ class Grid:
     ``lo``, ``hi`` and ``n`` are per-axis tuples; scalars are accepted for
     1-D grids.  Per axis: n is an integer >= 1 (a Python or numpy integer,
     not a float or a bool), lo <= hi, and lo == hi only when n == 1.
-    Bounds and their span hi - lo must be finite.
+    Bounds are real numbers (not bools or strings), and they and their
+    span hi - lo must be finite.
     """
 
     lo: tuple
@@ -74,15 +80,15 @@ class Grid:
 
     def __post_init__(self):
         lo, hi, n = self.lo, self.hi, self.n
-        if np.isscalar(lo) and np.isscalar(hi) and np.isscalar(n):
+        if np.ndim(lo) == np.ndim(hi) == np.ndim(n) == 0:
             dim = 1
         else:
-            dim = len(n) if not np.isscalar(n) else len(lo)
+            dim = len(n) if np.ndim(n) else len(lo)
         if dim not in (1, 2):
             raise ValidationError(f"grid dimension must be 1 or 2, got {dim}")
         lo = _as_axis_tuple(lo, dim, "lo")
         hi = _as_axis_tuple(hi, dim, "hi")
-        n = (n,) * dim if np.isscalar(n) else tuple(n)
+        n = (n,) * dim if np.ndim(n) == 0 else tuple(n)
         if len(n) != dim:
             raise ValidationError("n: per-axis entry count mismatch")
         if any(isinstance(k, bool) or not isinstance(k, numbers.Integral) for k in n):
@@ -105,7 +111,7 @@ class Grid:
 
     @classmethod
     def line(cls, lo, hi, n):
-        return cls((float(lo),), (float(hi),), (n,))
+        return cls((lo,), (hi,), (n,))
 
     @classmethod
     def box(cls, lo, hi, n):

@@ -30,15 +30,16 @@ from .convergence import FormSequence, limsup_trend
 from .conjugacy import Kernel
 from .errors import ValidationError
 from .forms import LOG2, QuasiLinearForm
-from .grids import NEG_INF, POS_INF, Grid, node_mask
+from .grids import NEG_INF, POS_INF, Grid, check_real, node_mask
 
 
 @dataclass(frozen=True)
 class MertonParams:
-    """Market parameters: alpha > r > 0, sigma > 0, initial wealth > 0.
+    """Market parameters: alpha > r > 0, sigma > 0, finite initial wealth > 0.
 
-    sigma^2 and (alpha - r)^2 / (2 sigma^2), which every closed form
-    uses, must be positive and finite floats.
+    Each is a real number, not a bool or a string.  sigma^2 and
+    (alpha - r)^2 / (2 sigma^2), which every closed form uses, must be
+    positive and finite floats.
     """
 
     r: float
@@ -47,12 +48,14 @@ class MertonParams:
     w0: float = 1.0
 
     def __post_init__(self):
+        for name in ("r", "alpha", "sigma", "w0"):
+            check_real(getattr(self, name), name)
         if not (self.alpha > self.r > 0):
             raise ValidationError("need alpha > r > 0")
         if self.sigma <= 0:
             raise ValidationError("need sigma > 0")
-        if self.w0 <= 0:
-            raise ValidationError("need positive initial wealth")
+        if not 0 < self.w0 < POS_INF:
+            raise ValidationError(f"need finite positive initial wealth, got {self.w0!r}")
         # numpy scalars: Python's float ** raises OverflowError instead of giving inf
         with np.errstate(over="ignore", under="ignore"):
             var = np.float64(self.sigma) ** 2
@@ -476,9 +479,7 @@ class TailRateReport:
 
 def _check_horizon(T):
     """A horizon is a finite positive number."""
-    if isinstance(T, bool) or not isinstance(T, numbers.Real):
-        raise ValidationError(f"horizon {T!r} is not a number")
-    if not (math.isfinite(T) and T > 0):
+    if not (math.isfinite(check_real(T, "horizon")) and T > 0):
         raise ValidationError(f"horizons must be finite and positive, got {T!r}")
 
 

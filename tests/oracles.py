@@ -690,6 +690,74 @@ def slow_essential_pieces(attain, piece_mask, target, y_grid, radius):
     return alg, top & piece_mask
 
 
+# -- the covering verdict with the former tolerance certificate ---------------
+#
+# ``covering.solve_preimage`` once took tolerances: finite pairs were
+# compared through their difference (B f - g > le_tol, |B f - g| > eq_tol)
+# and infinite ones by sign.  At zero tolerance that rule is the exact
+# extended-real comparison the library makes now; the verdict below keeps
+# it, one node at a time, to check that claim.
+
+
+def zero_tol_certificate(g, bf, xmask):
+    """(passed, le_violations, eq_violations, le_margin, eq_residual) of
+    the former certificate rule at le_tol = eq_tol = 0."""
+    le, eq, le_d, eq_d = [], [], [], []
+    for i, (gv, bv) in enumerate(zip(map(float, g), map(float, bf))):
+        if math.isfinite(gv) and math.isfinite(bv):
+            le_d.append(bv - gv)  # Python floats: an overflow is inf
+            bad_le, bad_eq = bv - gv > 0.0, abs(bv - gv) > 0.0
+            if xmask[i]:
+                eq_d.append(abs(bv - gv))
+        else:
+            bad_le = bv > gv and not (bv == POS and gv == POS)
+            bad_eq = (bv == POS) != (gv == POS) or (bv == NEG) != (gv == NEG)
+        if bad_le:
+            le.append(i)
+        if xmask[i] and bad_eq:
+            eq.append(i)
+    return (
+        not (le or eq), le, eq, max(le_d, default=0.0), max(eq_d, default=0.0)
+    )
+
+
+def zero_tol_verdict(g, k, xprime, *, discrete, sides):
+    """``covering.verdict`` with ``zero_tol_certificate`` for its
+    certificate; B f* comes from ``slow_conjugate`` on the kernel table."""
+    from maxplus.conjugacy import EVIDENCE, coercivity_report
+    from maxplus.covering import (
+        AssumptionEvidence, assumption_evidence, build_covering, lifted_candidate,
+    )
+    from maxplus.grids import node_mask
+
+    rep = build_covering(g, k, xprime, discrete=discrete)
+    cand = lifted_candidate(rep.subdiff.dual)
+    bf = np.array(slow_conjugate(k.matrix().tolist(), cand.flat.tolist()))
+    xmask = node_mask(k.x_grid, xprime)
+    passed, le, eq, le_margin, eq_residual = zero_tol_certificate(g.flat, bf, xmask)
+    if discrete:
+        ev = AssumptionEvidence(EVIDENCE, EVIDENCE, EVIDENCE, True)
+    else:
+        ev = assumption_evidence(
+            coercivity_report(k, sides=sides), cand, k, sides=sides, closing_tol=0.0
+        )
+    inside = bool((xmask <= (rep.masks.idom.reshape(-1) | np.isneginf(g.flat))).all())
+    holds = ev.dual_superlevel_compact == EVIDENCE or (ev.coercive == EVIDENCE and inside)
+    existence = "YES" if rep.covered or passed else ("NO" if holds else "UNKNOWN")
+    uniqueness = "UNKNOWN"
+    if existence == "YES" and rep.covered and ev.quasicontinuous_dual and holds:
+        uniqueness = "UNIQUE" if rep.minimal_top else "NOT_UNIQUE"
+    certificate = SimpleNamespace(
+        candidate=cand, transformed=bf, le_margin=le_margin, eq_residual=eq_residual,
+        passed=passed, le_violations=le, eq_violations=eq,
+        degenerate_rows=np.flatnonzero(np.isneginf(g.flat)),
+    )
+    return SimpleNamespace(
+        existence=existence, uniqueness=uniqueness, assumptions=ev,
+        covering=rep, certificate=certificate,
+    )
+
+
 # -- risk-sensitive values of a constant fraction ----------------------------
 #
 # The closed form checks ``merton.MertonValueForm``; the sample estimate

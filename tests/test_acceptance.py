@@ -39,7 +39,6 @@ from maxplus import (
     verdict,
     WindowSides,
 )
-from maxplus.covering import CoveringConfig
 from maxplus.cli import main as cli_main
 from maxplus.merton import constant_control_rate, exact_tail_value
 
@@ -129,7 +128,6 @@ def test_criterion_2_galois_and_order_reversal_exact():
 
 def test_criterion_3_verdicts_match_enumeration():
     rng = np.random.default_rng(303)
-    cfg = CoveringConfig(assume_finite_exact=True)
     values = [float(v) for v in range(-6, 7)] + [POS_INF]
     agree = 0
     for _ in range(50):
@@ -138,7 +136,7 @@ def test_criterion_3_verdicts_match_enumeration():
         xg = Grid.line(0, 1, nx) if nx > 1 else Grid.line(0, 0, 1)
         yg = Grid.line(0, 1, ny) if ny > 1 else Grid.line(0, 0, 1)
         k = Kernel.from_table(xg, yg, b)
-        v = verdict(GridFn(xg, g), k, xprime, cfg)
+        v = verdict(GridFn(xg, g), k, xprime, discrete=True)
         count, _ = enumerate_preimages(b.tolist(), g.tolist(), xprime, values)
         ok = (v.existence == "YES") == (count >= 1)
         if count >= 1:

@@ -946,10 +946,11 @@ MALFORMED_COVERING_FIELDS = [
     ("config", "stencil_radius", 1.7, "unknown fields ['stencil_radius']"),
     ("config", "stencil_radius", "1", "unknown fields ['stencil_radius']"),
     ("config", "stencil_radius", -1, "unknown fields ['stencil_radius']"),
-    ("config", "le_tol", "0.5", "le_tol is a finite number"),
-    ("config", "le_tol", -1, "le_tol must be at least 0"),
-    ("config", "eq_tol", "nan", "eq_tol is a finite number"),
-    ("config", "eq_tol", float("inf"), "eq_tol is a finite number"),
+    # the certificate is exact: its former tolerances are unknown
+    ("config", "le_tol", "0.5", "unknown fields ['le_tol']"),
+    ("config", "le_tol", -1, "unknown fields ['le_tol']"),
+    ("config", "eq_tol", "nan", "unknown fields ['eq_tol']"),
+    ("config", "eq_tol", float("inf"), "unknown fields ['eq_tol']"),
     ("config", "window_margin", "0.1", "unknown fields ['window_margin']"),
     ("config", "closed_below", "yes", "closed_below is a JSON boolean or a list"),
     ("config", "closed_above", [1], "closed_above entry is a JSON boolean"),

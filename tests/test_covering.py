@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxplus import (
-    CoveringConfig,
     Grid,
     GridFn,
     Kernel,
     NEG_INF,
     POS_INF,
     ValidationError,
+    WindowSides,
     build_covering,
     conjugate,
     quasicontinuity_check,
@@ -23,22 +23,19 @@ from oracles import (
     enumerate_preimages,
     slow_covering_interior,
     slow_essential_pieces,
+    zero_tol_verdict,
 )
 from test_conjugacy import identity_kernel
 
 NEG = NEG_INF
 POS = POS_INF
 
-EXACT = CoveringConfig(assume_finite_exact=True)
-
 
 def test_identity_kernel_covering_minimal():
     k, g = identity_kernel(2)
     rep = build_covering(GridFn(g, [2.0, 5.0]), k)
     assert rep.covered
-    assert rep.pieces() == {0: [0], 1: [1]} or {
-        y: p.tolist() for y, p in rep.pieces().items()
-    } == {0: [0], 1: [1]}
+    assert [rep.piece(y).tolist() for y in rep.piece_index] == [[0], [1]]
     assert rep.alg_essential.tolist() == [0, 1]
     assert rep.minimal_top
 
@@ -50,8 +47,8 @@ def test_zero_kernel_covering_not_minimal():
     k = Kernel.from_table(g, g, np.zeros((2, 2)))
     rep = build_covering(GridFn(g, np.zeros(2)), k, discrete=True)
     assert rep.covered
-    for y, piece in rep.pieces().items():
-        assert piece.tolist() == [0, 1]
+    for y in rep.piece_index:
+        assert rep.piece(y).tolist() == [0, 1]
     assert rep.alg_essential.size == 0
     assert not rep.minimal_top
 
@@ -62,7 +59,7 @@ def test_all_plus_inf_g_has_empty_pieces():
     k, g = identity_kernel(2)
     rep = build_covering(GridFn(g, [POS, POS]), k)
     assert rep.piece_index.tolist() == [0, 1]
-    assert all(p.size == 0 for p in rep.pieces().values())
+    assert all(rep.piece(y).size == 0 for y in rep.piece_index)
     assert not rep.covered
     assert rep.uncovered_nodes.tolist() == [0, 1]
 
@@ -147,10 +144,10 @@ def test_exact_mode_quasicontinuity_is_the_radius_0_closing(data):
     # a discrete grid's balls are its nodes: every candidate, +inf
     # entries included, survives the closing; a sampled grid's have radius 1
     k = Kernel.from_table(xg, yg, b)
-    exact = verdict(GridFn(xg, g), k, None, EXACT)
+    exact = verdict(GridFn(xg, g), k, None, discrete=True)
     cand = exact.certificate.candidate
     assert exact.assumptions.quasicontinuous_dual == survives_closing(cand, 0)
-    sampled = verdict(GridFn(xg, g), k, None, CoveringConfig())
+    sampled = verdict(GridFn(xg, g), k, None)
     assert sampled.assumptions.quasicontinuous_dual == survives_closing(cand, 1)
     assert quasicontinuity_check(cand)[0] == survives_closing(cand, 1)
 
@@ -174,8 +171,11 @@ def test_preimage_bilinear_quadratic_within_grid_resolution():
     gx = GridFn(g, g.coords**2 / 2)
     h = g.step(0)
     interior = np.arange(10, 91)
-    rep = solve_preimage(gx, k, interior, le_tol=0.0, eq_tol=h * h)
+    rep = solve_preimage(gx, k, interior)
+    # B f* reproduces g exactly on these nodes, and the residual stays
+    # within the grid's bound
     assert rep.passed
+    assert rep.le_margin <= 0.0
     assert rep.eq_residual <= h * h / 2
     # dual values reproduce the quadratic up to grid resolution
     dual = conjugate(gx, k.transpose())
@@ -210,6 +210,119 @@ def test_certificate_exact_on_quantized_instances(rng):
     assert hits > 5
 
 
+def test_one_ulp_miss_at_an_xprime_node_fails():
+    # B f* is the constant 1 under a zero kernel; g exceeds it by one ulp
+    # at node 1 alone, so B f* <= g holds and B f* = g fails there
+    xg = Grid.line(0, 1, 3)
+    k = Kernel.from_table(xg, Grid.line(0, 1, 2), np.zeros((3, 2)))
+    ulp = np.nextafter(1.0, 2.0)
+    g = GridFn(xg, [1.0, ulp, 1.0])
+    rep = solve_preimage(g, k)
+    assert rep.transformed.flat.tolist() == [1.0, 1.0, 1.0]
+    assert not rep.passed
+    assert rep.eq_violations.tolist() == [1] and rep.le_violations.size == 0
+    assert rep.eq_residual == ulp - 1.0
+    # off X' the miss is no violation
+    assert solve_preimage(g, k, [0, 2]).passed
+    v = verdict(g, k, None, discrete=True)
+    assert v.existence == "NO" and v.certificate.eq_violations.tolist() == [1]
+
+
+_PALETTE = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1 + 2**-52, -1 - 2**-52, 1e300, -1e300]
+
+
+def _palette_or_dyadic(rng, size):
+    out = rng.integers(-64, 65, size) / 8.0
+    pick = rng.random(size) < 0.3
+    out[pick] = rng.choice(_PALETTE, int(pick.sum()))
+    return out
+
+
+def _line(rng, n):
+    lo = rng.integers(-16, 1) / 8.0
+    return Grid.line(lo, lo + rng.integers(1, 17) / 8.0, n) if n > 1 else Grid.line(lo, lo, 1)
+
+
+def _box(rng, n):
+    axes = [_line(rng, m) for m in n]
+    return Grid.box([a.lo[0] for a in axes], [a.hi[0] for a in axes], n)
+
+
+def _differential_case(rng):
+    """A random table or bilinear (1-D or 2-D) kernel, g with infinities,
+    X' and the verdict's topology and Y-window sides."""
+    kind = rng.integers(3)
+    if kind == 0:
+        while True:
+            nx, ny = rng.integers(1, 9, 2)
+            b = _palette_or_dyadic(rng, (nx, ny))
+            b[rng.random((nx, ny)) < 0.15] = NEG
+            fin = np.isfinite(b)
+            if fin.any(axis=1).all() and fin.any(axis=0).all():
+                break
+        k = Kernel.from_table(_line(rng, nx), _line(rng, ny), b)
+    elif kind == 1:
+        k = Kernel.bilinear(*(_line(rng, n) for n in rng.integers(1, 10, 2)))
+    else:
+        k = Kernel.bilinear(*(_box(rng, n) for n in rng.integers(1, 4, (2, 2))))
+    nx = k.x_grid.size
+    if rng.random() < 0.5:
+        gv = _palette_or_dyadic(rng, nx)
+    else:
+        # an image B f, then with it a one-ulp miss at one node
+        f = _palette_or_dyadic(rng, k.y_grid.size)
+        f[rng.random(f.size) < 0.1] = POS
+        gv = np.array(conjugate(GridFn(k.y_grid, f), k).flat)
+        if rng.random() < 0.6:
+            i = rng.integers(nx)
+            gv[i] = np.nextafter(gv[i], rng.choice([NEG, POS]))
+    gv[rng.random(nx) < 0.1] = POS
+    gv[rng.random(nx) < 0.05] = NEG
+    xprime = None if rng.random() < 0.3 else np.flatnonzero(rng.random(nx) < 0.6)
+    dim = k.y_grid.dim
+    sides = None if rng.random() < 0.3 else WindowSides(
+        *(tuple(bool(v) for v in rng.integers(0, 2, dim)) for _ in range(2))
+    )
+    return k, GridFn(k.x_grid, gv), xprime, bool(rng.integers(2)), sides
+
+
+def test_exact_certificate_is_the_zero_tolerance_one():
+    # the certificate once compared finite pairs through their difference
+    # against tolerances and infinite ones by sign; at zero tolerance that
+    # is the exact comparison, so every verdict field agrees with it
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for _ in range(1200):
+        k, g, xprime, discrete, sides = _differential_case(rng)
+        got = verdict(g, k, xprime, discrete=discrete, sides=sides)
+        want = zero_tol_verdict(g, k, xprime, discrete=discrete, sides=sides)
+        assert (got.existence, got.uniqueness, got.assumptions) == (
+            want.existence, want.uniqueness, want.assumptions
+        )
+        for name in (
+            "target", "piece_index", "covered", "uncovered_nodes", "alg_essential",
+            "top_essential", "pinned", "minimal_alg", "minimal_top",
+        ):
+            assert np.array_equal(getattr(got.covering, name), getattr(want.covering, name))
+        gc, wc = got.certificate, want.certificate
+        assert np.array_equal(gc.candidate.flat, wc.candidate.flat)
+        assert np.array_equal(gc.transformed.flat, wc.transformed)
+        assert (gc.passed, gc.le_margin, gc.eq_residual) == (
+            wc.passed, wc.le_margin, wc.eq_residual
+        )
+        for name in ("le_violations", "eq_violations", "degenerate_rows"):
+            assert getattr(gc, name).tolist() == list(getattr(wc, name))
+        outcomes.add((k.kind, k.y_grid.dim, discrete, gc.passed, got.existence))
+    # both topologies, both kernel kinds and both certificate outcomes occur
+    assert {(d, p) for _, _, d, p, _ in outcomes} == {
+        (d, p) for d in (True, False) for p in (True, False)
+    }
+    assert {(kind, dim) for kind, dim, *_ in outcomes} == {
+        ("table", 1), ("bilinear", 1), ("bilinear", 2)
+    }
+    assert {e for *_, e in outcomes} == {"YES", "NO", "UNKNOWN"}
+
+
 def test_any_subsolution_dominates_dual(rng):
     # antitone Galois property: Bf' <= g forces f' >= dual conjugate of g
     for _ in range(40):
@@ -233,7 +346,7 @@ def _enum_values():
 
 def test_identity_verdict_unique():
     k, g = identity_kernel(2)
-    v = verdict(GridFn(g, [2.0, 5.0]), k, None, EXACT)
+    v = verdict(GridFn(g, [2.0, 5.0]), k, None, discrete=True)
     assert v.existence == "YES" and v.uniqueness == "UNIQUE"
     count, found = enumerate_preimages(
         k.matrix().tolist(), [2.0, 5.0], [0, 1], [-6.0, -2.0, -5.0, 0.0, POS]
@@ -244,7 +357,7 @@ def test_identity_verdict_unique():
 def test_zero_kernel_verdict_not_unique():
     g = Grid.line(0, 1, 2)
     k = Kernel.from_table(g, g, np.zeros((2, 2)))
-    v = verdict(GridFn(g, np.zeros(2)), k, None, EXACT)
+    v = verdict(GridFn(g, np.zeros(2)), k, None, discrete=True)
     assert v.existence == "YES" and v.uniqueness == "NOT_UNIQUE"
     count, found = enumerate_preimages(
         k.matrix().tolist(), [0.0, 0.0], [0, 1], [0.0, 1.0, POS]
@@ -255,7 +368,7 @@ def test_zero_kernel_verdict_not_unique():
 def test_uncovered_verdict_no():
     # +inf target value is unreachable by functions bounded below
     k, g = identity_kernel(2)
-    v = verdict(GridFn(g, [POS, 0.0]), k, [0, 1], EXACT)
+    v = verdict(GridFn(g, [POS, 0.0]), k, [0, 1], discrete=True)
     assert v.existence == "NO"
     count, _ = enumerate_preimages(k.matrix().tolist(), [POS, 0.0], [0, 1], _enum_values())
     assert count == 0
@@ -271,7 +384,7 @@ def test_verdict_rejects_xprime_outside_the_grid(xprime):
     # YES, and [True, 2] nodes 1 and 2
     k, g = identity_kernel(5)
     with pytest.raises(ValidationError):
-        verdict(GridFn(g, np.zeros(5)), k, xprime, EXACT)
+        verdict(GridFn(g, np.zeros(5)), k, xprime, discrete=True)
 
 
 def test_verdicts_match_enumeration(rng):
@@ -284,7 +397,7 @@ def test_verdicts_match_enumeration(rng):
         xg = Grid.line(0, 1, nx) if nx > 1 else Grid.line(0, 0, 1)
         yg = Grid.line(0, 1, ny) if ny > 1 else Grid.line(0, 0, 1)
         k = Kernel.from_table(xg, yg, b)
-        v = verdict(GridFn(xg, g), k, xprime, EXACT)
+        v = verdict(GridFn(xg, g), k, xprime, discrete=True)
         count, _ = enumerate_preimages(b.tolist(), g.tolist(), xprime, _enum_values())
         assert (v.existence == "YES") == (count >= 1)
         if count >= 1:
@@ -343,13 +456,12 @@ def test_verdict_builds_each_piece_once(rng, monkeypatch, finite_exact):
     import maxplus.covering as covering
 
     k, g = random_kernel_and_g(rng, max_nodes=6)
-    cfg = CoveringConfig(assume_finite_exact=finite_exact)
-    want = verdict(g, k, None, cfg)
+    want = verdict(g, k, None, discrete=finite_exact)
     conj = _counting(monkeypatch, covering, "conjugate")
     masks = _counting(monkeypatch, covering, "domain_masks")
     lifts = _counting(monkeypatch, covering, "lifted_candidate")
     sub = _counting(monkeypatch, covering, "subdifferential_map")
-    got = verdict(g, k, None, cfg)
+    got = verdict(g, k, None, discrete=finite_exact)
     # the dual conjugate inside subdifferential_map (through its own
     # module) plus B of the candidate: one conjugate call here
     assert (len(sub), len(conj), len(masks), len(lifts)) == (1, 1, 1, 1)
@@ -363,9 +475,9 @@ def test_solve_preimage_with_a_built_candidate_is_unchanged(rng):
     for _ in range(40):
         k, g = random_kernel_and_g(rng, max_nodes=6)
         xprime = np.flatnonzero(rng.random(k.x_grid.size) < 0.6)
-        plain = solve_preimage(g, k, xprime, eq_tol=0.5)
+        plain = solve_preimage(g, k, xprime)
         cand = lifted_candidate(conjugate(g, k.transpose()))
-        reuse = solve_preimage(g, k, xprime, eq_tol=0.5, _candidate=cand)
+        reuse = solve_preimage(g, k, xprime, _candidate=cand)
         for name in ("candidate", "transformed"):
             assert np.array_equal(getattr(plain, name).values, getattr(reuse, name).values)
         assert (plain.le_margin, plain.eq_residual, plain.passed) == (
@@ -501,9 +613,9 @@ def test_verdict_on_degenerate_inputs(case, finite_exact):
     nx, ny = b.shape
     xg = Grid.line(0, 1, nx) if nx > 1 else Grid.line(0, 0, 1)
     yg = Grid.line(0, 1, ny) if ny > 1 else Grid.line(0, 0, 1)
-    cfg = EXACT if finite_exact else CoveringConfig()
     try:
-        v = verdict(GridFn(xg, g), Kernel.from_table(xg, yg, b), xprime, cfg)
+        k = Kernel.from_table(xg, yg, b)
+        v = verdict(GridFn(xg, g), k, xprime, discrete=finite_exact)
     except ValidationError:
         # only a table that is no kernel is rejected
         fin = np.isfinite(b)

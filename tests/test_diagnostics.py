@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxplus import (
-    CoveringConfig,
     GartnerInput,
     Grid,
     GridFn,
@@ -366,9 +365,8 @@ def test_verdict_assumptions_are_the_oracle_labels(seed, sides):
     rng = np.random.default_rng(20240817 + seed)
     for _ in range(25):
         k, g = random_kernel_and_g(rng)
-        cfg = CoveringConfig(sides=SIDES[sides])
         cand = lifted_candidate(conjugate(g, k.transpose()))
-        assert verdict(g, k, None, cfg).assumptions == oracle_evidence(
+        assert verdict(g, k, None, sides=SIDES[sides]).assumptions == oracle_evidence(
             k, cand, sides=SIDES[sides], x_sides=None, closing_tol=0.0
         )
 

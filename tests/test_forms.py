@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from maxplus import (
     Grid,
@@ -9,6 +10,7 @@ from maxplus import (
     MaxPlusForm,
     NEG_INF,
     POS_INF,
+    ValidationError,
     join_defect_estimate,
 )
 
@@ -24,6 +26,22 @@ def grid(n=3, lo=0.0, hi=None):
 
 def uniform_two_point(eps=0.5):
     return LogIntegralForm(grid(2), eps, [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "eps", [float("nan"), POS, True, "0.5"], ids=["nan", "inf", "bool", "string"]
+)
+def test_log_integral_epsilon_is_a_finite_positive_number(eps):
+    # NaN once built a form whose evaluate and eval_on_set gave NaN, and
+    # +inf one that gave inf
+    with pytest.raises(ValidationError, match="epsilon"):
+        LogIntegralForm(grid(2), eps, [0.5, 0.5])
+
+
+def test_log_integral_huge_weights_carry_mass():
+    # the weights' sum overflows; the mass test does not need it
+    F = LogIntegralForm(grid(2), 0.5, [1e308, 1e308])
+    assert F.eval_on_set([0]) == 0.5 * math.log(1e308)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from maxplus import (
     Grid,
     GridFn,
+    LogIntegralForm,
+    MertonParams,
     NEG_INF,
     POS_INF,
     ValidationError,
@@ -98,6 +100,29 @@ def test_grid_node_counts_take_python_and_numpy_integers():
         g = Grid.line(0.0, 1.0, n)
         assert g.n == (3,) and type(g.n[0]) is int
     assert Grid.box((0, 0), (1, 1), np.array([3, 4])).n == (3, 4)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(False, True), ("0", "1.5"), (0.0, "1.5"), (np.False_, 1.0), (0.0, None), (0.0, 1j)],
+    ids=["bools", "strings", "string-hi", "numpy-bool", "none", "complex"],
+)
+def test_grid_bounds_must_be_real_numbers(lo, hi):
+    # float() once converted them: (False, True) built [0, 0.5, 1] and
+    # ("0", "1.5") built [0, 0.75, 1.5]
+    with pytest.raises(ValidationError, match="is a real number"):
+        Grid.line(lo, hi, 3)
+    with pytest.raises(ValidationError, match="is a real number"):
+        Grid(lo, hi, 3)
+    with pytest.raises(ValidationError, match="is a real number"):
+        Grid.box((lo, 0.0), (hi, 1.0), (3, 2))
+
+
+def test_grid_bounds_take_python_and_numpy_reals():
+    for lo, hi in ((0, 2), (np.int64(0), np.float32(2.0)), (np.float64(0.0), 2.0)):
+        g = Grid.line(lo, hi, 3)
+        assert g.lo == (0.0,) and g.hi == (2.0,) and type(g.lo[0]) is float
+        assert g.coords.tolist() == [0.0, 1.0, 2.0]
 
 
 def test_grid_span_must_be_finite():
@@ -249,3 +274,45 @@ def test_stencil_matches_ndimage_nearest(values):
         assert got.dtype == values.dtype and (got == want).all()
     assert values.tobytes() == before  # the input is untouched
 
+
+# ---------------------------------------------------------------------------
+# constructors on extreme scalars
+# ---------------------------------------------------------------------------
+
+EXTREME_SCALARS = [
+    float("nan"), POS_INF, NEG_INF, 0, -1, True, "1", 1e308, 5e-324,
+]
+
+
+def _log_integral(epsilon, weight, weights):
+    return LogIntegralForm(Grid.line(0.0, 1.0, 3), epsilon, weights or [1.0, weight, 1.0])
+
+
+# constructor and the keyword arguments it is built from; each case puts
+# one scalar into one of them ("weights": into every weight)
+CONSTRUCTORS = {
+    "Grid": (Grid, dict(lo=0.0, hi=1.0, n=3)),
+    "LogIntegralForm": (_log_integral, dict(epsilon=0.5, weight=1.0, weights=None)),
+    "MertonParams": (MertonParams, dict(r=0.03, alpha=0.08, sigma=0.2, w0=1.0)),
+}
+CONSTRUCTOR_CASES = [
+    (name, arg, value)
+    for name, (_, base) in CONSTRUCTORS.items()
+    for arg in base
+    for value in EXTREME_SCALARS
+]
+
+
+@pytest.mark.parametrize(
+    "name, arg, value", CONSTRUCTOR_CASES,
+    ids=[f"{n}-{a}={v!r}" for n, a, v in CONSTRUCTOR_CASES],
+)
+def test_constructors_build_or_raise_validation_error(name, arg, value):
+    # no other exception, and no RuntimeWarning (an error under the test
+    # filter)
+    build, base = CONSTRUCTORS[name]
+    kwargs = {**base, arg: [value] * 3 if arg == "weights" else value}
+    try:
+        build(**kwargs)
+    except ValidationError:
+        pass

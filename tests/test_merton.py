@@ -89,6 +89,20 @@ def test_conjugate_matches_fraction_minimization(rng):
             assert abs(rates.min() - growth_conjugate(c, p)) < 1e-5
 
 
+@pytest.mark.parametrize("w0", [float("nan"), POS_INF], ids=["nan", "inf"])
+def test_initial_wealth_is_finite(w0):
+    with pytest.raises(ValidationError, match="initial wealth"):
+        MertonParams(r=0.05, alpha=0.1, sigma=0.2, w0=w0)
+
+
+@pytest.mark.parametrize("name", ["r", "alpha", "sigma", "w0"])
+def test_params_are_real_numbers(name):
+    kwargs = dict(r=0.05, alpha=0.1, sigma=0.2, w0=1.0)
+    for bad in (True, "0.1"):
+        with pytest.raises(ValidationError, match=f"{name} is a real number"):
+            MertonParams(**{**kwargs, name: bad})
+
+
 def test_param_validation():
     with pytest.raises(ValidationError):
         MertonParams(r=0.05, alpha=0.04, sigma=0.2)
