@@ -14,13 +14,15 @@ bit-identical to it.
 Three kernels skip most terms and stay bit-exact by a proved rounding
 bound.  The envelope merge gives every line an interval of x outside
 which a neighbouring hull line beats it after rounding, and evaluates
-each x only against the lines whose interval holds it.  The 1-D bilinear
-action is that merge above ``_ENVELOPE_ROWS`` X-nodes, and the dense
-sweep at or below it.  The 2-D bilinear action bounds each Y-row's best
-term with a 1-D partial transform and evaluates only the rows that can
-hold the maximum; it keeps chunks of ``_CHUNK_ROWS`` X-nodes, since its
-temporaries are per-row estimates and candidate cells rather than dense
-|Y|-wide slabs.
+each x only against the lines whose interval holds it; every line that
+holds the max at an x is among them, so the merge also marks the
+attaining pairs of ``conjugacy.subdifferential_map`` without a walk.
+The 1-D bilinear action is that merge above ``_ENVELOPE_ROWS`` X-nodes
+(``takes_merge``), and the dense sweep at or below it.  The 2-D bilinear
+action bounds each Y-row's best term with a 1-D partial transform and
+evaluates only the rows that can hold the maximum; it keeps chunks of
+``_CHUNK_ROWS`` X-nodes, since its temporaries are per-row estimates and
+candidate cells rather than dense |Y|-wide slabs.
 
 The crossover is a count of X-nodes, not of cells.  Measured with numpy
 2.4 on a 2-core x86-64 host, the dense sweep costs about 1.3 ns a cell
@@ -68,7 +70,7 @@ def matvec_table(table, neg_f):
     for lo in range(0, nx, step):
         hi = min(lo + step, nx)
         t = buf[: hi - lo]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             np.add(table[lo:hi], neg_f, out=t)
         # -inf entries meeting +inf in neg_f give NaN; the convention is -inf
         np.fmax(t, NEG_INF, out=t)
@@ -89,9 +91,15 @@ def matvec_bilinear(x, y, neg_f):
     """
     if np.isposinf(neg_f).any():
         return np.full(x.shape[0], np.inf)
-    if x.shape[0] > _ENVELOPE_ROWS and _nondecreasing(x) and _nondecreasing(y):
+    if takes_merge(x, y):
         return envelope_merge(y, neg_f, x)
     return _dense_bilinear(x, y, neg_f)
+
+
+def takes_merge(x, y):
+    """Whether ``matvec_bilinear(x, y, neg_f)`` merges envelopes for an
+    neg_f without +inf: above ``_ENVELOPE_ROWS`` X-nodes, x and y sorted."""
+    return x.shape[0] > _ENVELOPE_ROWS and _nondecreasing(x) and _nondecreasing(y)
 
 
 def _nondecreasing(a):
@@ -201,7 +209,7 @@ def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
     return out
 
 
-def envelope_merge(slopes, icepts, xs):
+def envelope_merge(slopes, icepts, xs, attain=None):
     """Max over the lines x -> fl(x*s) + c at each of the sorted xs.
 
     Bit-identical to the dense max over all lines (``_dense_bilinear(xs,
@@ -244,6 +252,12 @@ def envelope_merge(slopes, icepts, xs):
     one, which is the dense sweep's absorbing rule); candidates are
     evaluated a cell budget at a time, so memory stays bounded however
     many there are.
+
+    ``attain``, when given, is a bool array of shape (|lines|, |xs|), and
+    the merge sets ``attain[j, i]`` wherever v_j(xs[i]) equals the max at
+    xs[i] and that max is above -inf, leaving every other cell as it is.
+    Every line holding the max is a candidate there, ties included, so
+    these are all the attaining pairs of the dense max.
     """
     out = np.full(xs.shape[0], -np.inf)
     fin = np.flatnonzero(np.isfinite(icepts))
@@ -271,12 +285,22 @@ def envelope_merge(slopes, icepts, xs):
     n = np.maximum(np.searchsorted(xs, hi, "right") - first, 0)
     cum = np.cumsum(n)
     cuts = np.searchsorted(cum, np.arange(_CELL_BUDGET, cum[-1], _CELL_BUDGET), "right")
-    for a, b in zip([0, *cuts], [*cuts, s.size]):
-        k = n[a:b]
-        line = np.repeat(np.arange(a, b), k)
-        node = np.arange(line.size) + np.repeat(first[a:b] - (np.cumsum(k) - k), k)
-        with np.errstate(over="ignore"):
-            np.maximum.at(out, node, xs[node] * s[line] + c[line])
+
+    def candidates():
+        for a, b in zip([0, *cuts], [*cuts, s.size]):
+            k = n[a:b]
+            line = np.repeat(np.arange(a, b), k)
+            node = np.arange(line.size) + np.repeat(first[a:b] - (np.cumsum(k) - k), k)
+            with np.errstate(over="ignore"):
+                v = xs[node] * s[line] + c[line]
+            yield line, node, v
+
+    for _, node, v in candidates():
+        np.maximum.at(out, node, v)
+    if attain is not None:  # the max at a node is known once every group is in
+        for line, node, v in candidates():
+            hit = (v == out[node]) & (v > NEG_INF)
+            attain[fin[line[hit]], node[hit]] = True
     out += 0.0
     return out
 

@@ -221,26 +221,44 @@ def subdifferential_map(g, k):
     defining the dual conjugate at y.  Points with g(x) = +inf carry an
     empty subdifferential.
 
-    The test runs over blocks of X-rows as ``(b - g) == dual`` at the
-    columns where the dual is above -inf.  That is the definition bit for
-    bit: a - c is a + (-c) in IEEE arithmetic, so a finite b and g < +inf
-    give the dual's own term b + (-g), finite or +inf; and a term equal to
-    a dual above -inf is neither -inf (b = -inf or g = +inf) nor NaN
-    (b = g = -inf), since kernels hold no +inf.
+    The test is ``(b - g) == dual`` at the columns where the dual is above
+    -inf.  That is the definition bit for bit: a - c is a + (-c) in IEEE
+    arithmetic, so a finite b and g < +inf give the dual's own term
+    b + (-g), finite or +inf; and a term equal to a dual above -inf is
+    neither -inf (b = -inf or g = +inf) nor NaN (b = g = -inf), since
+    kernels hold no +inf.
+
+    Where the dual takes the envelope merge (a 1-D bilinear kernel whose
+    Y-grid passes ``_kernels.takes_merge``, and no g = -inf node), the
+    merge computes the dual and marks the attaining pairs among its
+    candidates with the same test (``_kernels.envelope_merge``), which
+    holds every pair that attains.  Otherwise the test runs over blocks of
+    X-rows in one buffer.
     """
     require_same_grid(g, k.x_grid, "subdifferential_map: g")
     gv = g.flat
+    nx, ny = k.x_grid.size, k.y_grid.size
+    if (
+        k.kind == "bilinear"
+        and k.x_grid.dim == 1
+        and not np.isneginf(gv).any()
+        and _kernels.takes_merge(k.y_grid.coords, k.x_grid.coords)
+    ):
+        attain = np.zeros((nx, ny), dtype=bool)
+        dv = _kernels.envelope_merge(k.x_grid.coords, -gv, k.y_grid.coords, attain)
+        attain.setflags(write=False)
+        return SubdiffMap(attain=attain, dual=GridFn(k.y_grid, dv))
+
     dual = conjugate(g, k.transpose())
     dv = dual.flat
     reached = dv > NEG_INF
-    nx = k.x_grid.size
-    attain = np.empty((nx, k.y_grid.size), dtype=bool)
-    step = min(_kernels.block_rows(k.y_grid.size), nx)
-    buf = np.empty((step, k.y_grid.size))  # one block, reused
+    attain = np.empty((nx, ny), dtype=bool)
+    step = min(_kernels.block_rows(ny), nx)
+    buf = np.empty((step, ny))  # one block, reused
     for lo in range(0, nx, step):
         hi = min(lo + step, nx)
         t = buf[: hi - lo]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(k.rows(slice(lo, hi), out=buf), gv[lo:hi, None], out=t)
         np.equal(t, dv, out=attain[lo:hi])
         attain[lo:hi] &= reached
@@ -373,7 +391,7 @@ def _block_gain(halo, grid, a, e, out):
     i = max(a, d) - a  # first row with a neighbour d rows back
     if i < e - a:
         np.maximum(out[i:], src[a + i - d : e - d], out=out[i:])
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(out, rows, out=out)
     return np.fmax(out, NEG_INF, out=out)  # NaN to -inf
 
@@ -588,7 +606,7 @@ def superlevel_compactness_report(f, k, *, sides=None):
     verdicts = []
     for lo, hi, _, _ in blocks:
         vals = buf[: hi - lo]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             np.add(k.rows(slice(lo, hi), out=buf), neg_f, out=vals)
         np.fmax(vals, NEG_INF, out=vals)  # NaN to -inf
         inner, ring_max = _window_split(vals, k.y_grid, box, np.maximum)

@@ -186,7 +186,7 @@ def quasicontinuity_check(f, tol=0.0):
     """
     dom = np.isfinite(f.values).reshape(-1)
     closing = stencil_min(stencil_max(f.values))
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         gap = closing.reshape(-1) - f.flat
         gap[np.isnan(gap)] = 0.0  # matching infinities
     bad = dom & (gap > tol)
@@ -246,9 +246,10 @@ def solve_preimage(g, k, xprime=None, *, _candidate=None):
     xmask = node_mask(k.x_grid, xprime)
     le_bad = bv > gv
     eq_bad = xmask & (bv != gv)
-    le_margin = float((bv[both_fin] - gv[both_fin]).max()) if both_fin.any() else 0.0
     eq_fin = xmask & both_fin
-    eq_residual = float(np.abs(bv[eq_fin] - gv[eq_fin]).max()) if eq_fin.any() else 0.0
+    with np.errstate(over="ignore"):  # a residual beyond the float range reads +inf
+        le_margin = float((bv[both_fin] - gv[both_fin]).max()) if both_fin.any() else 0.0
+        eq_residual = float(np.abs(bv[eq_fin] - gv[eq_fin]).max()) if eq_fin.any() else 0.0
     passed = not (le_bad.any() or eq_bad.any())
 
     # rows where g = -inf: B f must collapse to -inf there, which needs the

@@ -41,8 +41,15 @@ def otimes(a, b):
 
 
 def check_values(values, what="values"):
-    """Return a float64 array with NaN rejected."""
-    arr = np.asarray(values, dtype=np.float64)
+    """Return a float64 array with NaN rejected.
+
+    Only integer and float arrays convert: bools, strings and objects
+    raise ValidationError instead of reading as numbers.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what}: expected numbers, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
     if np.isnan(arr).any():
         raise ValidationError(f"{what}: NaN is not an extended real")
     return arr

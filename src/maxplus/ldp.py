@@ -189,15 +189,48 @@ def tightness_criterion(kernel, g, *, sides=None, x_sides=None, _masks=None):
     strongly coercive and some x0 with locally bounded g has b(x0,·)
     bounded below.  On a window, bounded below means the row's minimum is
     not pinned to an edge that emulates infinity.  The witness is the
-    first such x0 in node order; the rows are searched in blocks.  The
-    coercivity balls and the local-boundedness stencil have radius 1.
-    ``_masks`` is ``domain_masks(g)`` when the caller has already built it.
+    first such x0 in node order.  The coercivity balls and the
+    local-boundedness stencil have radius 1.  ``_masks`` is
+    ``domain_masks(g)`` when the caller has already built it.
+
+    On a 1-D bilinear kernel each row fl(x·y) is monotone along the
+    sorted Y-grid, since rounding is monotone: its minimum is the smaller
+    of its two end cells, and the nodes reaching it form a prefix or a
+    suffix.  The minimum is then reached inside the window, one index
+    range, iff it is reached at one of the window's two ends, so four
+    products decide a row.  Other kernels are searched in row blocks.
     """
     co = coercivity_report(kernel, sides=sides, x_sides=x_sides)
     masks = _masks if _masks is not None else domain_masks(g)
     nodes = np.flatnonzero(masks.idom.reshape(-1))
     inner = inner_window_mask(kernel.y_grid, sides)
-    witness = None
+    if kernel.kind == "bilinear" and kernel.x_grid.dim == 1:
+        witness = _end_witness(kernel, nodes, np.flatnonzero(inner))
+    else:
+        witness = _block_witness(kernel, nodes, inner)
+    return TightnessCriterion(
+        holds=co.all_coercive and witness is not None,
+        witness=witness,
+        coercivity=co,
+    )
+
+
+def _end_witness(kernel, nodes, inside):
+    """The witness on a 1-D bilinear kernel, from each row's end cells and
+    the end cells of the window ``inside`` (sorted Y-indices); its cells
+    are finite, so every row minimum is."""
+    if inside.size == 0:
+        return None
+    y = kernel.y_grid.coords
+    x = kernel.x_grid.coords[nodes]
+    low = np.minimum(x * y[0], x * y[-1])
+    hit = (x * y[inside[0]] == low) | (x * y[inside[-1]] == low)
+    return int(nodes[hit.argmax()]) if hit.any() else None
+
+
+def _block_witness(kernel, nodes, inner):
+    """The first of ``nodes`` whose row minimum is finite and reached on
+    the ``inner`` mask, in blocks of rows; or None."""
     step = block_rows(kernel.y_grid.size)
     for lo in range(0, nodes.size, step):
         xs = nodes[lo : lo + step]
@@ -205,13 +238,8 @@ def tightness_criterion(kernel, g, *, sides=None, x_sides=None, _masks=None):
         low = rows.min(axis=1)
         hit = (low > NEG_INF) & (inner & (rows == low[:, None])).any(axis=1)
         if hit.any():
-            witness = int(xs[hit.argmax()])
-            break
-    return TightnessCriterion(
-        holds=co.all_coercive and witness is not None,
-        witness=witness,
-        coercivity=co,
-    )
+            return int(xs[hit.argmax()])
+    return None
 
 
 @dataclass(frozen=True)

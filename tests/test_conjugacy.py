@@ -511,13 +511,13 @@ def assert_action_exact(x, y, neg_f, want=None):
 
 @pytest.fixture
 def merges(monkeypatch):
-    """The |X| of every envelope merge that ``matvec_bilinear`` takes."""
+    """The |X| of every envelope merge taken through ``_kernels``."""
     calls = []
     merge = _kernels.envelope_merge
 
-    def counted(slopes, icepts, xs):
+    def counted(slopes, icepts, xs, *args, **kwargs):
         calls.append(xs.shape[0])
-        return merge(slopes, icepts, xs)
+        return merge(slopes, icepts, xs, *args, **kwargs)
 
     monkeypatch.setattr(_kernels, "envelope_merge", counted)
     return calls
@@ -816,11 +816,13 @@ def test_kernel_rows_bit_exact_against_matrix(rng):
 
 
 def dense_attain(g, k):
-    """The attainment matrix in one dense evaluation."""
+    """The attainment matrix in one dense evaluation: a term attains where
+    it equals a dual above -inf (terms that overflow to -inf attain nothing)."""
     b = k.matrix()
     gv = g.flat
     dual = conjugate(g, k.transpose()).flat
-    return np.isfinite(b) & (gv[:, None] < POS) & (otimes(b, -gv[:, None]) == dual)
+    term = otimes(b, -gv[:, None])
+    return np.isfinite(b) & (gv[:, None] < POS) & (term == dual) & (dual > NEG)
 
 
 @pytest.mark.parametrize(
@@ -838,6 +840,85 @@ def test_subdifferential_map_bit_exact_at_block_edges(rng, nx, ny):
         sd = subdifferential_map(fn, k)
         assert np.array_equal(sd.attain, dense_attain(fn, k))
         assert not sd.attain.flags.writeable
+
+
+# attainment from the envelope merge: above ROWS Y-nodes the dual of a
+# 1-D bilinear kernel merges envelopes and marks the attaining pairs among
+# its candidates; ties and near-ties must match the dense test bit for bit
+ATTAIN_CASES = ["affine", "affine plus c", "zero", "+inf nodes", "one decimal", "one -inf"]
+
+
+def attain_g(rng, xg, yg, case):
+    x = xg.coords
+    a = yg.coords[yg.size // 3]
+    if case == "affine":  # every line x -> x*y - g(x) meets the others at y = a
+        return a * x
+    if case == "affine plus c":
+        return a * x + 0.375
+    if case == "zero":
+        return np.zeros(x.size)
+    if case == "one decimal":
+        return np.round(rng.uniform(-2, 2, x.size) + x**2, 1)
+    g = x**2 / 2
+    if case == "+inf nodes":
+        g[rng.random(x.size) < 0.1] = POS
+    else:  # one -inf node: the dual is +inf everywhere, from the dense walk
+        g[x.size // 2] = NEG
+    return g
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The row blocks that ``Kernel.rows`` builds."""
+    calls = []
+    rows = Kernel.rows
+
+    def counted(self, idx, out=None):
+        calls.append(idx)
+        return rows(self, idx, out)
+
+    monkeypatch.setattr(Kernel, "rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ny", [ROWS, ROWS + 1, 1601])
+@pytest.mark.parametrize("case", ATTAIN_CASES)
+def test_attainment_from_the_merge_bit_exact(rng, merges, walks, ny, case):
+    xg, yg = Grid.line(-2, 2, 129), Grid.line(-3, 3, ny)  # a dyadic X-grid
+    k = Kernel.bilinear(xg, yg)
+    fn = GridFn(xg, attain_g(rng, xg, yg, case))
+    sd = subdifferential_map(fn, k)
+    merged = ny > ROWS and case != "one -inf"
+    assert merges == ([ny] if merged else [])
+    assert (walks == []) == merged  # the merge marks attainment without a walk
+    assert np.array_equal(sd.attain, dense_attain(fn, k))
+    assert not sd.attain.flags.writeable
+    want = dense_matvec_bilinear(yg.coords, xg.coords, -fn.flat)
+    assert_zero_rule_bits(sd.dual.flat, want)
+    if case == "affine":
+        assert sd.attain[:, yg.size // 3].all()
+
+
+@pytest.mark.parametrize("case", ["intercepts", "terms"])
+def test_attainment_where_the_envelope_bound_overflows(merges, walks, case):
+    # magnitudes near the float limit make every line a merge candidate at
+    # every node
+    if case == "intercepts":  # the line of g = -1e308 ties with itself everywhere
+        xg, yg = Grid.line(-2, 2, 9), Grid.line(-3, 3, ROWS + 1)
+        g = 1e308 * np.linspace(-1, 1, 9)
+    else:  # every term at the first Y-node overflows to -inf: no attainment
+        xg, yg = Grid.line(1e154, 1.5e154, 9), Grid.line(-1e154, 1e154, ROWS + 1)
+        g = np.full(9, 1e308)
+    k = Kernel.bilinear(xg, yg)
+    fn = GridFn(xg, g)
+    sd = subdifferential_map(fn, k)
+    assert merges == [ROWS + 1] and walks == []
+    with np.errstate(over="ignore"):  # the oracle's sums overflow too
+        assert np.array_equal(sd.attain, dense_attain(fn, k))
+    if case == "intercepts":
+        assert sd.attain[0].all()
+    else:
+        assert sd.dual.flat[0] == NEG and not sd.attain[:, 0].any()
 
 
 # ---------------------------------------------------------------------------

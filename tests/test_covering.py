@@ -637,3 +637,40 @@ def test_verdict_on_degenerate_inputs(case, finite_exact):
         assert (v.existence == "YES") == (count >= 1)
         if count >= 1:
             assert (v.uniqueness == "UNIQUE") == (count == 1)
+
+
+# entries and g near the float limit: a sum beyond the float range is
+# ±inf, its rounded value, and no RuntimeWarning may fire
+EXTREMES = [1e308, -1e308, 1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324, NEG]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("discrete", [False, True])
+def test_verdict_where_sums_overflow(discrete):
+    g = Grid.line(0, 1, 2)
+    k = Kernel.from_table(g, g, np.array([[1e308, 0.0], [0.0, 1e308]]))
+    v = verdict(GridFn(g, [-1e308, 0.0]), k, discrete=discrete)
+    assert v.certificate.candidate.values.tolist() == [POS, 1e308]  # the dual
+    assert v.existence in ("YES", "NO", "UNKNOWN")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("discrete", [False, True])
+def test_verdict_sweep_near_the_float_limit(discrete):
+    rng = np.random.default_rng(1308)
+    for _ in range(300):
+        nx, ny = rng.integers(1, 6, 2)
+        b = rng.choice(EXTREMES, (nx, ny))
+        # every row and every column finite somewhere
+        for i in np.flatnonzero(~np.isfinite(b).any(axis=1)):
+            b[i, rng.integers(ny)] = rng.choice(EXTREMES[:-1])
+        for j in np.flatnonzero(~np.isfinite(b).any(axis=0)):
+            b[rng.integers(nx), j] = rng.choice(EXTREMES[:-1])
+        g = rng.choice(EXTREMES + [POS], nx)
+        xg = Grid.line(0, 1, nx) if nx > 1 else Grid.line(0, 0, 1)
+        yg = Grid.line(0, 1, ny) if ny > 1 else Grid.line(0, 0, 1)
+        v = verdict(GridFn(xg, g), Kernel.from_table(xg, yg, b), discrete=discrete)
+        assert v.existence in ("YES", "NO", "UNKNOWN")
+        for arr in (v.certificate.candidate.values, v.certificate.transformed.values):
+            assert not np.isnan(arr).any()
+        assert not np.isnan([v.certificate.le_margin, v.certificate.eq_residual]).any()

@@ -209,6 +209,61 @@ def test_infinite_f(f_kind):
     assert_reports_equal(k, GridFn(yg, vals))
 
 
+# the witness from each row's end cells and the window's end cells: rows
+# that change sign, subnormal and underflowing products, single-node axes
+# and a 2-node Y-axis, whose inner window is empty
+WITNESS_GRIDS = {
+    "crosses 0": (Grid.line(-1.0, 3.0, 37), Grid.line(-2.5, 1.5, 29)),
+    "positive": (Grid.line(0.5, 2.5, 17), Grid.line(1.0, 5.0, 21)),
+    "subnormal x": (Grid.line(-5e-324, 5e-324, 3), Grid.line(-3.0, 3.0, 13)),
+    "subnormal y": (Grid.line(-2.0, 2.0, 9), Grid.line(-5e-324, 5e-324, 3)),
+    "1e-300": (Grid.line(-1e-300, 1e-300, 7), Grid.line(-1e-300, 3e-300, 11)),
+    "one x": (Grid.line(0.7, 0.7, 1), Grid.line(-3.0, 3.0, 13)),
+    "one y": (Grid.line(-2.0, 2.0, 9), Grid.line(-0.3, -0.3, 1)),
+    "two y": (Grid.line(-2.0, 2.0, 9), Grid.line(-1.0, 1.0, 2)),
+}
+
+
+@pytest.mark.parametrize("grids", list(WITNESS_GRIDS))
+@pytest.mark.parametrize("sides", list(SIDES))
+@pytest.mark.parametrize("g_kind", ["square", "+inf nodes"])
+def test_bilinear_1d_witness_from_row_ends(grids, sides, g_kind):
+    xg, yg = WITNESS_GRIDS[grids]
+    g = xg.coords**2 / 2
+    if g_kind == "+inf nodes":
+        g[::3] = POS
+    k = Kernel.bilinear(xg, yg)
+    assert_tightness_equal(k, GridFn(xg, g), sides=SIDES[sides], x_sides=SIDES[sides])
+
+
+@pytest.mark.parametrize("sides", list(SIDES))
+def test_bilinear_1d_witness_on_sampled_grids(sides):
+    # bounds from ±0 to ±3, subnormal and 1e±300 magnitudes, so products
+    # underflow, round to a few ulps or tie at signed zeros
+    rng = np.random.default_rng(301)
+    ends = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.5, -1.5, 3.0, -3.0, 1e150, -1e150]
+    found = 0
+    for _ in range(150):
+        grids = []
+        for _ in range(2):
+            n = int(rng.integers(1, 10))
+            lo, hi = sorted(rng.choice(ends, 2, replace=False).tolist())
+            grids.append(Grid.line(lo, hi, n) if n > 1 and lo < hi else Grid.line(hi, hi, 1))
+        xg, yg = grids
+        g = rng.choice([0.0, 1.0, POS], xg.size, p=[0.45, 0.45, 0.1])
+        k = Kernel.bilinear(xg, yg)
+        crit = tightness_criterion(k, GridFn(xg, g), sides=SIDES[sides])
+        assert crit.witness == slow_tightness_witness(k, GridFn(xg, g), sides=SIDES[sides])
+        found += crit.witness is not None
+    assert 10 < found < 140
+
+
+def test_bilinear_1d_witness_at_benchmark_size():
+    k, _ = gauss_ldp_case()
+    g = GridFn(k.x_grid, 0.5 * k.x_grid.coords**2)
+    assert tightness_criterion(k, g).witness == slow_tightness_witness(k, g) == 800
+
+
 BOXES = [(1, 7), (7, 1), (1, 1), (5, 5), (40, 15), (3, 300), (600, 1), (1, 600)]
 
 # X-boxes at the block edges of a 128x128 Y-box, whose blocks hold 8 rows:

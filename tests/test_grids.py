@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from maxplus import (
     Grid,
     GridFn,
+    Kernel,
     LogIntegralForm,
     MertonParams,
     NEG_INF,
@@ -67,6 +68,44 @@ def test_nan_rejected():
     g = Grid.line(0, 1, 3)
     with pytest.raises(ValidationError):
         GridFn(g, [0.0, float("nan"), 1.0])
+
+
+# inputs that numpy would read as numbers, though they are not: bools,
+# numeric strings and objects
+NOT_NUMBERS = {
+    "str and bool": ["1", True],
+    "bools": [True, False],
+    "object": np.array([1.0, 2.0], dtype=object),
+    "None": [1.0, None],
+}
+
+
+@pytest.mark.parametrize("values", list(NOT_NUMBERS))
+def test_gridfn_values_must_be_numbers(values):
+    with pytest.raises(ValidationError, match="values"):
+        GridFn(Grid.line(0, 1, 2), NOT_NUMBERS[values])
+
+
+@pytest.mark.parametrize("values", list(NOT_NUMBERS))
+def test_kernel_table_must_be_numbers(values):
+    g = Grid.line(0, 1, 2)
+    row = NOT_NUMBERS[values]
+    table = np.stack([row, row]) if isinstance(row, np.ndarray) else [row, row]
+    with pytest.raises(ValidationError, match="kernel table"):
+        Kernel.from_table(g, g, table)
+
+
+@pytest.mark.parametrize("values", list(NOT_NUMBERS))
+def test_log_integral_weights_must_be_numbers(values):
+    with pytest.raises(ValidationError, match="weights"):
+        LogIntegralForm(Grid.line(0, 1, 2), 0.5, NOT_NUMBERS[values])
+
+
+def test_integer_and_float_values_convert():
+    g = Grid.line(0, 1, 2)
+    for values in ([1, 2], np.array([1, 2], dtype=np.uint8), np.float32([1, 2])):
+        got = GridFn(g, values).values
+        assert got.dtype == np.float64 and got.tolist() == [1.0, 2.0]
 
 
 def test_grid_validation():
