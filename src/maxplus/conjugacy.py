@@ -25,6 +25,18 @@ sets reach the ring (the arguments are in ``coercivity_report``).  A row's
 comparison is decided by counting its inner cells that pass against the
 ring value, which is the level's rank test (``_level_below``); a row is
 sorted only where its level itself is needed.
+
+On a 1-D bilinear kernel most rows are certified instead of walked, and
+only the rows a bound cannot decide go to the walk, so every label is
+the walk's.  The coercivity gain depends on the two grids alone: a
+rounding bound on it at the window's end nodes and the ring nodes next
+to the window and to 0 shows a row's every inner gain below its ring
+minimum (``_coercive_rows``).  The superlevel values x·y - f are
+concave in exact arithmetic where f is convex, which is checked on f
+with a rounding bound: the ring maximum comes bit for bit from the
+envelope merge, and a few cells near where each row crosses it decide
+the rank count (``_superlevel_rows``).  Both bounds are stated where
+they are used.
 """
 
 from dataclasses import dataclass
@@ -47,6 +59,7 @@ VIOLATION = "VIOLATION"
 EDGE = "EDGE"  # stencil clipped by an open window side: not a faithful neighborhood
 # the share of each open side's span that goes to the ring standing in for infinity
 WINDOW_MARGIN = 0.1
+_LABELS = np.array([VIOLATION, EVIDENCE, EDGE], dtype=object)  # by code 0, 1, 2
 
 
 class Kernel:
@@ -348,19 +361,27 @@ def _window_split(vals, grid, box, op):
     return v[whole + box], ring
 
 
-def _row_blocks(grid, ny):
+def _row_blocks(grid, ny, todo=None):
     """Blocks of X-rows with the halo their stencil balls reach.
 
     Yields ``(lo, hi, h0, h1)``: flat rows lo:hi form one block of whole
     slices along the first axis (``_kernels.block_rows(ny)`` rows, at
     least one slice), and rows h0:h1 add the slice on either side, which
-    holds every radius-1 Chebyshev ball around them.
+    holds every radius-1 Chebyshev ball around them.  ``todo``, a bool per
+    flat row, keeps the walk to the slices that hold a todo row: a block
+    without one is skipped, and the others shrink to the slices from
+    their first todo slice to their last.
     """
     n0 = grid.n[0]
     step = grid.size // n0  # nodes per first-axis slice
     per = max(1, _kernels.block_rows(ny) // step)
-    for a in range(0, n0, per):
-        e = min(a + per, n0)
+    busy = np.arange(n0)  # the slices to walk
+    if todo is not None:
+        busy = np.flatnonzero(todo.reshape(n0, step).any(axis=1))
+    block = busy // per
+    first = np.flatnonzero(np.diff(block, prepend=-1))  # each block's first busy slice
+    last = np.append(first, busy.size)[1:] - 1
+    for a, e in zip(busy[first].tolist(), (busy[last] + 1).tolist()):
         yield a * step, e * step, max(0, a - 1) * step, min(n0, e + 1) * step
 
 
@@ -447,23 +468,38 @@ def _level_below(inner, ring, q, op, buf):
     With s a row's c finite values sorted, the level is s[p] for
     p = ``_rank(c, q)``.  The values v with op(v, ring) form a prefix of
     s, so the level passes iff more than p finite values pass: one count
-    per row decides it, and no row is sorted.
+    per row decides it, and no row is sorted.  An infinite ring value
+    decides its row without a count: no finite value passes -inf and
+    every one passes +inf.
     """
     m = inner.shape[0]
     axes = tuple(range(1, inner.ndim))
     col = (slice(None),) + (None,) * len(axes)
     flags = buf[:m].reshape(inner.shape)
-    # a uint32 sum counts flags about twice as fast as np.count_nonzero
-    n = op(inner, ring[col], out=flags).sum(axis=axes, dtype=np.uint32)
     c = np.full(m, int(np.prod(inner.shape[1:])), dtype=np.intp)
+    low = 0  # -inf cells, which pass every finite ring value
     # infinities are counted only in a block that holds them
     for inf, extreme in ((NEG_INF, np.min), (POS_INF, np.max)):
         if (extreme(inner, axis=axes, initial=-inf) == inf).any():
             k = np.equal(inner, inf, out=flags).sum(axis=axes, dtype=np.uint32)
             c -= k
-            n -= k * op(inf, ring)
+            if inf == NEG_INF:
+                low = k
     use = c > 0
-    return use & (n > _rank(c, q)), use
+    below = use & (ring == POS_INF)
+    rows = np.flatnonzero(np.isfinite(ring))
+    if rows.size == m:
+        rows = slice(None)  # every row counts: no copy
+    elif not rows.size:
+        return below, use
+    cells = inner[rows]
+    low = low if np.ndim(low) == 0 else low[rows]
+    # a uint32 sum counts flags about twice as fast as np.count_nonzero
+    n = op(cells, ring[rows][col], out=flags[: cells.shape[0]]).sum(
+        axis=axes, dtype=np.uint32
+    )
+    below[rows] = use[rows] & (n - low > _rank(c[rows], q))
+    return below, use
 
 
 @dataclass(frozen=True)
@@ -522,31 +558,38 @@ def coercivity_report(k, *, sides=None, x_sides=None):
     inner gains below it (``_level_below``), so no row is sorted for the
     first test; beta itself is read from the sorted inner gains only on
     the rows the upper test runs on.
+
+    On a 1-D bilinear kernel a rounding bound first certifies rows
+    whose every inner gain lies below the ring minimum
+    (``_coercive_rows``): such a row is EVIDENCE for both tests, and only
+    the other rows that are not EDGE are walked.
     """
     box = _inner_box(k.y_grid, sides)
     clipped = _clipped_nodes(k.x_grid, x_sides)
-    ny = k.y_grid.size
-    blocks = list(_row_blocks(k.x_grid, ny))
-    width = max(hi - lo for lo, hi, _, _ in blocks)
+    nx, ny = k.x_grid.size, k.y_grid.size
+    ok_c = np.zeros(nx, dtype=bool)
+    ok_u = np.ones(nx, dtype=bool)
+    todo = ~clipped  # EDGE rows carry no test
+    if k.kind == "bilinear" and k.x_grid.dim == 1:
+        ok_c = _coercive_rows(k.x_grid.coords, k.y_grid.coords, box[0])
+        todo &= ~ok_c
+    blocks = list(_row_blocks(k.x_grid, ny, todo))
+    width = max((hi - lo for lo, hi, _, _ in blocks), default=0)
     halo_buf = None  # a table kernel's rows are views of its table
     if k.kind == "bilinear":
-        halo_buf = np.empty((max(h1 - h0 for _, _, h0, h1 in blocks), ny))
+        halo_buf = np.empty((max((h1 - h0 for _, _, h0, h1 in blocks), default=0), ny))
     gain_buf = np.empty((width, ny))
     inner_size = int(np.prod([s.stop - s.start for s in box]))
     side_buf = np.empty((width, inner_size), dtype=bool)
     sort_buf = None
-    coercive = []
-    upper = []
     for lo, hi, h0, h1 in blocks:
         halo = k.rows(slice(h0, h1), out=halo_buf)
         gain = _block_gain(halo, k.x_grid, lo - h0, hi - h0, gain_buf[: hi - lo])
         inner, ring_min = _window_split(gain, k.y_grid, box, np.minimum)
         below, use = _level_below(inner, ring_min, 0.5, np.less, side_buf)
+        ok_c[lo:hi] = below
         reach = use & ~below  # the ring minimum is <= the level
-        ok_c = below
-        ok_u = np.ones(hi - lo, dtype=bool)
-        edge = clipped[lo:hi]
-        tested = np.flatnonzero(reach & ~edge)
+        tested = np.flatnonzero(reach & ~clipped[lo:hi])
         if tested.size:
             if sort_buf is None:  # at the first tested rows: most calls have none
                 sort_buf = np.empty((width, inner_size))
@@ -561,10 +604,63 @@ def coercivity_report(k, *, sides=None, x_sides=None):
             )
             inner, ring_max = _window_split(b_sub, k.y_grid, box, np.maximum)
             top_in = inner.max(axis=tuple(range(1, inner.ndim)), initial=NEG_INF)
-            ok_u[tested] = ring_max <= top_in
-        coercive += np.where(edge, EDGE, np.where(ok_c, EVIDENCE, VIOLATION)).tolist()
-        upper += np.where(edge, EDGE, np.where(ok_u, EVIDENCE, VIOLATION)).tolist()
-    return CoercivityReport(coercive=coercive, upper_coercive=upper)
+            ok_u[lo + tested] = ring_max <= top_in
+    return CoercivityReport(
+        coercive=_labels(clipped, ok_c), upper_coercive=_labels(clipped, ok_u)
+    )
+
+
+def _labels(edge, ok):
+    return _LABELS[np.where(edge, 2, ok)].tolist()
+
+
+def _coercive_rows(x, y, inner):
+    """Rows of a 1-D bilinear kernel whose every inner gain lies below the
+    ring minimum, shown by a rounding bound from the two grids alone.
+
+    ``x`` and ``y`` are the sorted X- and Y-coordinates, ``inner`` the
+    inner window's index slice.  Write u = 2**-53, X = max|x| and
+    d+ = x_{i+1} - x_i, d- = x_i - x_{i-1} (0 for a missing neighbour).
+    In exact arithmetic row i's gain is G(y) = d+·y for y >= 0 and
+    d-·|y| for y <= 0.  Each product errs by at most u|x·y| + 2**-1075
+    and the subtraction by u times its result, so the float gain lies
+    within e(y) = (4u + 2u²)X|y| + 2**-1073 of G(y); and the float
+    Ĝ = max(fl(fl(d+)·y), fl(fl(d-)·(-y))) lies within
+    (4u + 2u²)X|y| + 2**-1075 of G.  With ê = fl(12u·X·|y| + 2**-1070),
+    fl(Ĝ + ê) >= G + e and fl(Ĝ - ê) <= G - e at every node.
+
+    G + e grows with |y| on each sign, so its largest inner value sits at
+    an end node of the window.  G - e is affine in |y| on each sign; a
+    ring piece whose node nearest 0 gives fl(Ĝ - ê) > 0 has a positive
+    slope there, so the piece's least value sits at that node: the ring's
+    end next to the window or the ring nodes next to 0.  A row passes
+    when the inner bound lies below every such ring bound.  Its finite
+    inner gains then all lie below the ring minimum, so the rank count
+    passes (coercive EVIDENCE) and the set never reaches the ring (upper
+    EVIDENCE).  An empty inner window, and products whose 16-fold
+    overflows, certify no row.
+    """
+    s, t = inner.start, inner.stop
+    xm, ym = np.abs(x).max(), np.abs(y).max()
+    with np.errstate(over="ignore"):
+        big = not np.isfinite(16 * xm * ym)
+    if s == t or big:
+        return np.zeros(x.shape[0], dtype=bool)
+    step = np.diff(x)
+    up = np.append(step, 0.0)
+    down = np.insert(step, 0, 0.0)
+    z = int(np.searchsorted(y, 0.0))  # the first node at or above 0
+    near = [j for j in {s - 1, t, z - 1, z} if 0 <= j < y.size and not s <= j < t]
+
+    def bound(j, sign):
+        return np.maximum(up * y[j], down * -y[j]) + sign * (
+            12 * _kernels._U * xm * abs(y[j]) + 2.0**-1070
+        )
+
+    low = np.full(x.shape[0], POS_INF)
+    for j in near:
+        np.minimum(low, bound(j, -1.0), out=low)
+    return np.maximum(bound(s, 1.0), bound(t - 1, 1.0)) < low
 
 
 @dataclass(frozen=True)
@@ -594,22 +690,167 @@ def superlevel_compactness_report(f, k, *, sides=None):
     allocated once per call.  The values are ``b + (-f)`` with NaN set to
     -inf, which is ``otimes(b, -f)`` bit for bit (NaN comes only from -inf
     meeting +inf, where otimes gives -inf).
+
+    On a 1-D bilinear kernel whose f is finite and convex on the inner
+    window, a few cells per row decide most rows (``_superlevel_rows``),
+    and only the rows they leave open are walked.
     """
     require_same_grid(f, k.y_grid, "superlevel_compactness_report: f")
     box = _inner_box(k.y_grid, sides)
     neg_f = -f.flat
-    blocks = list(_row_blocks(k.x_grid, k.y_grid.size))
-    width = max(hi - lo for lo, hi, _, _ in blocks)
-    buf = np.empty((width, k.y_grid.size))  # a bilinear block is built in place
+    nx, ny = k.x_grid.size, k.y_grid.size
+    violation = np.zeros(nx, dtype=bool)
+    todo = None
+    if k.kind == "bilinear" and k.x_grid.dim == 1:
+        decided, violation = _superlevel_rows(
+            k.x_grid.coords, k.y_grid.coords, neg_f, box[0], 0.75
+        )
+        todo = ~decided
+    blocks = list(_row_blocks(k.x_grid, ny, todo))
+    width = max((hi - lo for lo, hi, _, _ in blocks), default=0)
+    buf = np.empty((width, ny))  # a bilinear block is built in place
     inner_size = int(np.prod([s.stop - s.start for s in box]))
     side_buf = np.empty((width, inner_size), dtype=bool)
-    verdicts = []
     for lo, hi, _, _ in blocks:
         vals = buf[: hi - lo]
         with np.errstate(over="ignore", invalid="ignore"):
             np.add(k.rows(slice(lo, hi), out=buf), neg_f, out=vals)
         np.fmax(vals, NEG_INF, out=vals)  # NaN to -inf
         inner, ring_max = _window_split(vals, k.y_grid, box, np.maximum)
-        below, _ = _level_below(inner, ring_max, 0.75, np.less_equal, side_buf)
-        verdicts += np.where(below, VIOLATION, EVIDENCE).tolist()
-    return SuperlevelReport(verdicts=verdicts)
+        violation[lo:hi] = _level_below(inner, ring_max, 0.75, np.less_equal, side_buf)[0]
+    return SuperlevelReport(verdicts=_LABELS[1 - violation].tolist())
+
+
+def _superlevel_rows(x, y, neg_f, inner, q):
+    """The superlevel labels that a few cells per row decide; (decided, violation).
+
+    ``x`` and ``y`` are the sorted coordinates of a 1-D bilinear kernel,
+    ``neg_f`` is -f, ``inner`` the inner window's index slice and ``q`` the
+    level's quantile.  Row i's cells are v_j = fl(fl(x_i·y_j) + (-f_j)), as
+    in the walk, and R is their ring maximum, taken bit for bit from
+    ``_kernels.envelope_merge`` over the ring's lines.  With c inner cells
+    and p = ``_rank(c, q)``, the row is a VIOLATION iff fewer than
+    k = c - p inner cells exceed R.
+
+    Hypotheses, else no row is decided: the inner window is not empty,
+    its nodes increase strictly, f is finite on it and above -inf on the
+    ring, 16(M + max|y|) is finite with M = max|x|·max|y| + max|f| over
+    the finite f, and f is convex on the inner nodes (``_convex``).  Then
+    w_j = x_i·y_j - f_j, in exact arithmetic, is concave along the inner
+    nodes, and |v_j - w_j| <= (2 + u)u·M + 2**-1074 = eps with u = 2**-53.
+    The float tests below use 2·eps_hat, eps_hat = fl(3u·M + 2**-1070),
+    whose own roundings keep them sound: fl(v - R) > 2·eps_hat gives
+    w > R + eps, fl(R - v) >= 2·eps_hat gives w <= R - eps, and
+    fl(v_j - v_{j-1}) > 2·eps_hat gives w_j > w_{j-1}.
+
+    - EVIDENCE: two inner cells a <= b with b - a + 1 >= k and w above
+      R + eps at both.  By concavity every cell between has w > R + eps,
+      so v > R there: k cells exceed R.
+    - VIOLATION: nodes l < r with r - l - 1 < k such that every inner cell
+      outside l..r is at most R.  On the left either l is before the
+      window, or w_l <= R - eps and l is its first node or w rises into l
+      (w_{l-1} < w_l), which by concavity makes w < w_l left of l; the
+      right end is the mirror image.  At most r - l - 1 cells then
+      exceed R.
+
+    The cells come from two searches per row that take the row to rise up
+    to its mode and fall after it; the mode is where x_i passes f's
+    slopes.  Bisection finds the first cell above R up to the mode
+    (``rise``) and the first cell not above it from the mode on
+    (``fall``); a and l are taken next to ``rise``, b and r next to
+    ``fall``, one cell further out where the cell next to the crossing
+    ties with R within the bound.  A search misled by
+    rounding only leaves its row to the walk, since every cell a
+    certificate uses is tested.
+    """
+    n, m = x.shape[0], y.shape[0]
+    none = np.zeros(n, dtype=bool)
+    s, t = inner.start, inner.stop
+    ring = np.r_[0:s, t:m]
+    fin = neg_f[np.isfinite(neg_f)]
+    if (
+        s == t
+        or not np.isfinite(neg_f[s:t]).all()
+        or np.isposinf(neg_f[ring]).any()
+        or not (y[s + 1 : t] > y[s : t - 1]).all()
+    ):
+        return none, none
+    ym = np.abs(y).max()
+    with np.errstate(over="ignore"):
+        mag = np.abs(x).max() * ym + np.abs(fin).max()
+        if not np.isfinite(16 * (mag + ym)) or not _convex(-neg_f[s:t], y[s:t]):
+            return none, none
+        slope = np.maximum.accumulate(-np.diff(neg_f[s:t]) / np.diff(y[s:t]))
+    mode = s + np.searchsorted(slope, x)  # the row rises up to its mode
+    tol = 2 * (3 * _kernels._U * mag + 2.0**-1070)
+    top = _kernels.envelope_merge(y[ring], neg_f[ring], x)  # R, bit for bit
+
+    def cell(j, xv=x):
+        j = np.clip(j, 0, m - 1)
+        return xv * y[j] + neg_f[j]
+
+    def above(j):
+        return cell(j) - top > tol
+
+    def below(j):
+        return top - cell(j) >= tol
+
+    # a ring cell of an f = +inf node reads -inf, and -inf - R is NaN when
+    # R = -inf: such cells enter only tests that their own row ignores
+    with np.errstate(invalid="ignore"):
+        xs, tops = np.tile(x, 2), np.tile(top, 2)
+        after = np.repeat([False, True], n)
+        start = np.concatenate([np.full(n, s), mode])
+        stop = np.concatenate([mode + 1, np.full(n, t)])
+        rise, fall = _first_pass(
+            lambda j: (cell(j, xs) - tops > 0) != after, start, stop
+        ).reshape(2, n)
+        a = np.where(above(rise), rise, rise + 1)
+        b = np.where(above(fall - 1), fall - 1, fall - 2)
+        l = np.where(below(rise - 1), rise - 1, rise - 2)
+        r = np.where(below(fall), fall, fall + 1)
+
+        k = (t - s) - int(_rank(t - s, q))
+        evidence = (b - a + 1 >= k) & above(a) & above(b)
+        left = (l < s) | (below(l) & ((l == s) | (cell(l) - cell(l - 1) > tol)))
+        right = (r >= t) | (below(r) & ((r == t - 1) | (cell(r) - cell(r + 1) > tol)))
+        between = np.minimum(r, t) - np.maximum(l + 1, s)  # inner cells strictly inside
+        violation = left & right & (between < k)
+    return evidence | violation, violation
+
+
+def _convex(f, y):
+    """Whether the exact f is convex along the strictly increasing nodes y.
+
+    The test at each inner node is A - B >= 0 with A = (f_{j+1} - f_j)·
+    (y_j - y_{j-1}) and B = (f_j - f_{j-1})·(y_{j+1} - y_j).  Each float
+    product errs by at most 3.02u times its value plus 2**-1074, and the
+    subtraction by u, so fl(Â - B̂) >= fl(5u·(|Â| + |B̂|) + 2**-1070)
+    proves it; three equal values prove it too.  A product that
+    overflows proves nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        df, dy = np.diff(f), np.diff(y)
+        a = df[1:] * dy[:-1]
+        b = df[:-1] * dy[1:]
+        margin = (np.abs(a) + np.abs(b)) * (5 * _kernels._U) + 2.0**-1070
+        ok = (a - b >= margin) & np.isfinite(margin)
+    return bool((ok | ((df[1:] == 0) & (df[:-1] == 0))).all())
+
+
+def _first_pass(test, lo, hi):
+    """Per entry, the least j in lo..hi at which ``test`` passes, by bisection.
+
+    ``test`` maps an index array to bools and is taken to fail and then
+    pass along each range, passing at ``hi``, where it is not asked.  A
+    test that is not monotone still ends the search at some index of the
+    range.
+    """
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = (lo + hi) // 2
+        ok = test(mid)
+        hi = np.where(open_ & ok, mid, hi)
+        lo = np.where(open_ & ~ok, mid + 1, lo)

@@ -29,11 +29,13 @@ POS_INF = float("inf")
 def otimes(a, b):
     """Max-plus multiplication: a + b with -inf absorbing.
 
-    Works on scalars and arrays; +inf + -inf = -inf in every context.
+    Works on scalars and arrays; +inf + -inf = -inf in every context.  A
+    finite sum past the float range is the infinity of its sign, which is
+    the max-plus product, so it raises no overflow warning.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         out = np.where(np.isneginf(a) | np.isneginf(b), NEG_INF, a + b)
     if out.ndim == 0:
         return float(out)
@@ -44,11 +46,17 @@ def check_values(values, what="values"):
     """Return a float64 array with NaN rejected.
 
     Only integer and float arrays convert: bools, strings and objects
-    raise ValidationError instead of reading as numbers.
+    raise ValidationError instead of reading as numbers.  numpy promotes
+    a bool inside a list of numbers to a number, so the elements of an
+    input that is not an ndarray are checked one by one.
     """
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise ValidationError(f"{what}: expected numbers, got dtype {arr.dtype}")
+    if not isinstance(values, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat
+    ):
+        raise ValidationError(f"{what}: expected numbers, got a bool")
     arr = arr.astype(np.float64, copy=False)
     if np.isnan(arr).any():
         raise ValidationError(f"{what}: NaN is not an extended real")

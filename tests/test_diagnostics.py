@@ -5,10 +5,15 @@ search of ``tightness_criterion`` run as array code over blocks of
 X-rows.  Each report must equal, field by field, what the per-row loops
 in ``tests/oracles.py`` return: on table kernels with sprinkled -inf, on
 1-D and 2-D bilinear kernels, on single-node axes, and at row counts
-on both sides of the dense block edges.  The assumption labels that
-``covering.verdict`` and ``ldp.pipeline`` read from these reports must be
-the per-row loops' labels too.  No RuntimeWarning may fire.
+on both sides of the dense block edges.  On a 1-D bilinear kernel most
+rows are certified by a rounding bound rather than walked; a sweep of
+random 1-D bilinear cases holds the certified labels to the same loops.
+The assumption labels that ``covering.verdict`` and ``ldp.pipeline``
+read from these reports must be the per-row loops' labels too.  No
+RuntimeWarning may fire.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +47,7 @@ from maxplus.conjugacy import (
     superlevel_compactness_report,
 )
 from maxplus.covering import AssumptionEvidence, lifted_candidate
+from maxplus.errors import ValidationError
 from conftest import dyadic, random_kernel_and_g
 from oracles import (
     constant_sequence,
@@ -505,6 +511,51 @@ def test_reports_at_benchmark_size_sort_no_row(monkeypatch):
     assert sum(rows) == 0
 
 
+def walked_rows(monkeypatch):
+    """The X-rows the reports walk in blocks, recorded as they are yielded."""
+    rows = []
+
+    def recording(grid, ny, todo=None):
+        for block in row_blocks(grid, ny, todo):
+            rows.extend(range(block[0], block[1]))
+            yield block
+
+    row_blocks = conjugacy._row_blocks
+    monkeypatch.setattr(conjugacy, "_row_blocks", recording)
+    return rows
+
+
+def test_reports_at_benchmark_size_walk_no_tested_row(monkeypatch):
+    # the certificates decide every row of both reports that is not EDGE
+    k, f = gauss_ldp_case()
+    rows = walked_rows(monkeypatch)
+    co = coercivity_report(k)
+    superlevel_compactness_report(f, k)
+    edge = {i for i, v in enumerate(co.coercive) if v == EDGE}
+    assert edge == {0, 1600}
+    assert not set(rows) - edge
+
+
+def test_rows_the_certificates_leave_reach_the_walk(monkeypatch):
+    k, f = gauss_ldp_case(101)
+    rows = walked_rows(monkeypatch)
+    # a closed lower X-side gives row 0 a one-sided ball: its gain is 0 on
+    # the ring below 0, so no bound certifies it, and the walk finds it
+    # reaching the ring
+    half = WindowSides.half_line()
+    co = coercivity_report(k, x_sides=half)
+    assert 0 in rows and 1 not in rows
+    assert co == slow_coercivity_report(k, x_sides=half)
+    assert co.coercive[0] == VIOLATION and co.coercive[1] == EVIDENCE
+    # an f that is not convex on the inner window leaves every row to it
+    rows.clear()
+    bumpy = GridFn(k.y_grid, f.flat + 0.01 * np.cos(40 * k.y_grid.coords))
+    assert superlevel_compactness_report(bumpy, k) == (
+        slow_superlevel_compactness_report(bumpy, k)
+    )
+    assert rows == list(range(101))
+
+
 # ---------------------------------------------------------------------------
 # the quantiles behind the levels
 # ---------------------------------------------------------------------------
@@ -565,25 +616,31 @@ def rank_cases(draw):
     m, w = draw(st.integers(1, 6)), draw(st.integers(0, 9))
     cells = np.array(draw(st.lists(RANK_CELLS, min_size=m * w, max_size=m * w)))
     cells = cells.reshape(m, w)
+    # rings often equal to a cell, and often infinite, which decides the
+    # row without a count
+    ring_values = st.one_of(RANK_CELLS, st.sampled_from([NEG, POS]))
     ring = np.array([
-        draw(st.one_of(RANK_CELLS, st.sampled_from(row.tolist())) if w else RANK_CELLS)
+        draw(st.one_of(ring_values, st.sampled_from(row.tolist())) if w else ring_values)
         for row in cells
     ])
     return cells, ring
 
 
 # rows with no finite value, one, signed zeros and an overflowing span,
-# against rings of 0, +inf, -0 and -inf
+# against rings of 0, +inf, -0 and -inf, and against infinite rings alone
 EXTREME_ROWS = (
     np.array([[NEG, POS, NEG], [POS, 1.0, NEG], [-0.0, 0.0, 0.0], [-1e308, 1e308, 0.5]]),
     np.array([0.0, POS, -0.0, NEG]),
 )
+INFINITE_RINGS = (EXTREME_ROWS[0], np.array([NEG, POS, POS, NEG]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rank_cases(), st.sampled_from([0.5, 0.75]), st.booleans())
 @example(EXTREME_ROWS, 0.5, False)
 @example(EXTREME_ROWS, 0.75, True)
+@example(INFINITE_RINGS, 0.5, False)
+@example(INFINITE_RINGS, 0.75, True)
 def test_rank_decision_matches_the_sorted_level(case, q, box):
     cells, ring = case
     level, use = _row_quantile(np.sort(cells, axis=1), q)
@@ -597,3 +654,129 @@ def test_rank_decision_matches_the_sorted_level(case, q, box):
     # superlevel: the ring maximum reaches the level iff level <= ring
     below, _ = _level_below(inner, ring, q, np.less_equal, buf)
     assert below.tolist() == (use & (level <= ring)).tolist()
+
+
+# ---------------------------------------------------------------------------
+# the certificates of a 1-D bilinear kernel
+# ---------------------------------------------------------------------------
+
+# every choice of closed ends on a line: open, closed below, closed above, closed
+LINE_SIDES = [WindowSides((lo,), (hi,)) for lo in (False, True) for hi in (False, True)]
+AXIS_KINDS = [
+    "crosses 0", "crosses 0", "symmetric", "positive", "negative", "subnormal",
+    "1e300", "1e154", "one node",
+]
+F_KINDS = [
+    "dual", "dual", "dual +inf g", "quadratic", "constant", "convex kink",
+    "non-convex", "+inf nodes", "-inf node",
+]
+
+
+def random_line(rng, kind):
+    n = int(rng.integers(2, 25))
+    if kind == "one node":
+        return Grid.line(*[float(rng.choice([0.0, 0.7, -1.3]))] * 2, 1)
+    if kind == "subnormal":
+        lo, hi = sorted(rng.choice(np.arange(-20, 21), 2, replace=False) * 5e-324)
+        return Grid.line(lo, hi, n)
+    if kind in ("1e300", "1e154"):
+        big = float(kind)
+        return Grid.line(*([-big, big] if rng.random() < 0.5 else [big / 10, big]), n)
+    if kind == "symmetric":  # 0 and mirror images are nodes when n is odd
+        hi = float(rng.choice([1.0, 2.0, 3.0]))
+        return Grid.line(-hi, hi, n | 1)
+    lo, hi = -rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
+    if kind == "positive":
+        lo = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 2.0)
+        hi = lo + rng.uniform(0.5, 3.0)
+    elif kind == "negative":
+        lo, hi = -rng.uniform(0.5, 3.0) - 1.0, -rng.uniform(0.0, 1.0)
+    return Grid.line(lo, hi, n)
+
+
+def random_f(rng, kind, k):
+    x, y = k.x_grid.coords, k.y_grid.coords
+    with np.errstate(all="ignore"):
+        if kind.startswith("dual"):
+            g = rng.uniform(0.2, 2.0) * x * x + rng.uniform(-1, 1) * x
+            if rng.random() < 0.3:
+                g = x * x / 2  # exact ties between mirror cells
+            if kind == "dual +inf g":
+                g = np.where(rng.random(x.size) < 0.3, POS, g)
+                if rng.random() < 0.1:
+                    g[rng.integers(x.size)] = NEG
+            g = np.where(np.isnan(g), POS, g)
+            return lifted_candidate(conjugate(GridFn(k.x_grid, g), k.transpose()))
+        m = rng.uniform(-1, 1) * np.abs(y).max()
+        f = {
+            "quadratic": rng.uniform(0.1, 2.0) * (y - m) ** 2,
+            "constant": np.full(y.size, rng.uniform(-2, 2)),
+            "convex kink": rng.uniform(0.1, 2.0) * np.abs(y - m),
+            "non-convex": -rng.uniform(0.1, 2.0) * (y - m) ** 2,
+        }.get(kind, y * y / 2 + rng.normal(0, 1e-3, y.size))
+        f = np.where(np.isnan(f), POS, f)
+    if kind == "+inf nodes":
+        f[rng.random(y.size) < 0.25] = POS
+    elif kind == "-inf node":
+        f[rng.integers(y.size)] = NEG
+    return GridFn(k.y_grid, f)
+
+
+def exactly_convex(f, y):
+    """Whether f is convex along the nodes y, in rational arithmetic; an
+    infinite value counts as convex, since no certificate takes it."""
+    if not np.isfinite(f).all():
+        return True
+    f, y = [Fraction(v) for v in f], [Fraction(v) for v in y]
+    return all(
+        (f[j + 1] - f[j]) * (y[j] - y[j - 1]) >= (f[j] - f[j - 1]) * (y[j + 1] - y[j])
+        for j in range(1, len(f) - 1)
+    )
+
+
+def random_bilinear_case(rng):
+    while True:
+        xg = random_line(rng, rng.choice(AXIS_KINDS))
+        yg = xg if rng.random() < 0.15 else random_line(rng, rng.choice(AXIS_KINDS))
+        try:
+            return Kernel.bilinear(xg, yg)
+        except ValidationError:  # x·y leaves the float range
+            continue
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bilinear_1d_certificates_equal_per_row_loops(seed):
+    # 150 cases a seed, each pair of X- and Y-window sides in turn: every
+    # label of both reports and of the tightness criterion against the
+    # per-row loops, and the certificates' decided rows counted so that the
+    # sweep is seen to reach them
+    rng = np.random.default_rng(8100 + seed)
+    certified = tested = evidence = violation = fallbacks = 0
+    for case in range(150):
+        k = random_bilinear_case(rng)
+        kind = str(rng.choice(F_KINDS))
+        f = random_f(rng, kind, k)
+        g = GridFn(k.x_grid, np.where(rng.random(k.x_grid.size) < 0.2, POS, 0.0))
+        sides, x_sides = LINE_SIDES[case % 4], LINE_SIDES[case // 4 % 4]
+        want = slow_coercivity_report(k, sides=sides, x_sides=x_sides)
+        assert coercivity_report(k, sides=sides, x_sides=x_sides) == want
+        crit = tightness_criterion(k, g, sides=sides, x_sides=x_sides)
+        assert crit.coercivity == want
+        assert crit.witness == slow_tightness_witness(k, g, sides=sides)
+        assert superlevel_compactness_report(f, k, sides=sides) == (
+            slow_superlevel_compactness_report(f, k, sides=sides)
+        )
+
+        box = conjugacy._inner_box(k.y_grid, sides)[0]
+        x, y = k.x_grid.coords, k.y_grid.coords
+        rows = conjugacy._coercive_rows(x, y, box)
+        certified += int(rows.sum())
+        tested += want.coercive.count(EVIDENCE) + want.coercive.count(VIOLATION)
+        decided, viol = conjugacy._superlevel_rows(x, y, -f.flat, box, 0.75)
+        evidence += int((decided & ~viol).sum())
+        violation += int(viol.sum())
+        if not exactly_convex(f.flat[box], y[box]):
+            assert not decided.any()
+            fallbacks += kind == "non-convex"
+    assert certified > 0.2 * tested
+    assert evidence > 150 and violation > 50 and fallbacks > 3

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from maxplus import (
     GridFn,
     Kernel,
     LogIntegralForm,
+    MaxPlusForm,
     MertonParams,
     NEG_INF,
     POS_INF,
@@ -52,6 +55,19 @@ def test_semiring_laws(a, b, c):
     assert otimes(a, NEG) == NEG
 
 
+def test_finite_sums_past_the_float_range_are_infinite_without_a_warning():
+    g = Grid.line(0, 1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert otimes(1e308, 1e308) == POS
+        assert otimes(-1e308, -1e308) == NEG
+        assert otimes([1e308, -1e308, 1e308], [1e308, -1e308, NEG]).tolist() == [
+            POS, NEG, NEG
+        ]
+        form = MaxPlusForm(GridFn(g, [-1e308, 0.0]))
+        assert form.evaluate(GridFn(g, [1e308, 0.0])) == POS
+
+
 def test_semiring_laws_bulk(rng):
     vals = np.concatenate([
         rng.integers(-64, 65, 10_000) / 8.0,
@@ -77,6 +93,8 @@ NOT_NUMBERS = {
     "bools": [True, False],
     "object": np.array([1.0, 2.0], dtype=object),
     "None": [1.0, None],
+    "bool among floats": [1.0, True],
+    "numpy bool among integers": [2, np.True_],
 }
 
 
