@@ -15,7 +15,7 @@ Three kernels skip most terms and stay bit-exact by a proved rounding
 bound.  The envelope merge gives every line an interval of x outside
 which a neighbouring hull line beats it after rounding, and evaluates
 each x only against the lines whose interval holds it; every line that
-holds the max at an x is among them, so the merge also marks the
+holds the max at an x is among them, so the merge also emits the
 attaining pairs of ``conjugacy.subdifferential_map`` without a walk.
 The 1-D bilinear action is that merge above ``_ENVELOPE_ROWS`` X-nodes
 (``takes_merge``), and the dense sweep at or below it.  The 2-D bilinear
@@ -209,7 +209,7 @@ def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
     return out
 
 
-def envelope_merge(slopes, icepts, xs, attain=None):
+def envelope_merge(slopes, icepts, xs, attain=False):
     """Max over the lines x -> fl(x*s) + c at each of the sorted xs.
 
     Bit-identical to the dense max over all lines (``_dense_bilinear(xs,
@@ -253,16 +253,18 @@ def envelope_merge(slopes, icepts, xs, attain=None):
     evaluated a cell budget at a time, so memory stays bounded however
     many there are.
 
-    ``attain``, when given, is a bool array of shape (|lines|, |xs|), and
-    the merge sets ``attain[j, i]`` wherever v_j(xs[i]) equals the max at
-    xs[i] and that max is above -inf, leaving every other cell as it is.
-    Every line holding the max is a candidate there, ties included, so
-    these are all the attaining pairs of the dense max.
+    With ``attain`` true the merge returns (max, pairs), where ``pairs``
+    holds the flat index j·|xs| + i of every (line j, node i) at which
+    v_j(xs[i]) equals the max at xs[i] and that max is above -inf.  Every
+    line holding the max is a candidate there, ties included, so these are
+    all the attaining pairs of the dense max.  They come out strictly
+    ascending, because the candidates run through the lines in order and
+    through each line's nodes in order.
     """
     out = np.full(xs.shape[0], -np.inf)
     fin = np.flatnonzero(np.isfinite(icepts))
     if fin.size == 0:
-        return out
+        return (out, np.zeros(0, dtype=np.intp)) if attain else out
     s, c = slopes[fin], icepts[fin]
     hs, hc = _upper_hull(s.tolist(), c.tolist())
     left = np.searchsorted(hs, s, "left") - 1  # hull line of next smaller slope
@@ -297,12 +299,13 @@ def envelope_merge(slopes, icepts, xs, attain=None):
 
     for _, node, v in candidates():
         np.maximum.at(out, node, v)
-    if attain is not None:  # the max at a node is known once every group is in
+    pairs = []
+    if attain:  # the max at a node is known once every group is in
         for line, node, v in candidates():
             hit = (v == out[node]) & (v > NEG_INF)
-            attain[fin[line[hit]], node[hit]] = True
+            pairs.append(fin[line[hit]] * xs.shape[0] + node[hit])
     out += 0.0
-    return out
+    return (out, np.concatenate(pairs)) if attain else out
 
 
 def _upper_hull(slopes, icepts):

@@ -11,12 +11,14 @@ bounded below, so a dual-conjugate value of -inf marks a node supported
 only by infinite g and is lifted out of the candidate's effective domain
 (set to +inf) before certification.
 
-The essential pieces need no per-node loop.  A target node's covering
+The essential pieces need no per-node loop and no |X|×|Y| array: they
+are read from the attaining pairs of ``subdifferential_map``, which are
+few and sorted by X-node, then by Y-node.  A target node's covering
 pieces lie in the radius-1 ball around y iff y lies in the box
 [max - 1, min + 1] of their coordinates on every axis; flat order runs
 along the first axis slowest, so each row's first and last attaining
-piece (two ``argmax`` calls) give that axis's extent, and the second
-axis of a 2-D grid takes one reduction of the attainment rows.  A
+piece (the ends of its run of pairs) give that axis's extent, and the
+second axis of a 2-D grid takes one ``reduceat`` over the runs.  A
 difference array then marks all the boxes at once, and a node whose
 first and last pieces coincide is covered by one piece, which is then
 algebraically essential.
@@ -92,22 +94,21 @@ def build_covering(g, k, xprime=None, *, discrete=False, _masks=None):
     masks = _masks if _masks is not None else domain_masks(g)
     target = node_mask(k.x_grid, xprime) & masks.udom.reshape(-1)
 
-    # target coverage only through pieces; each row's first and last
-    # attaining piece decide whether it is covered, and by one piece
-    active = sd.attain if piece_mask.all() else sd.attain[:, piece_mask]
-    nx, ny = active.shape[0], k.y_grid.size
-    first = last = np.zeros(nx, dtype=np.intp)
+    # target coverage only through pieces: the attaining pairs at target
+    # rows and piece columns, and each covered row's first and last piece
+    nx, ny = sd.shape
+    row, col = np.divmod(sd.pairs, ny)
+    keep = target[row] & piece_mask[col]
+    row, col = row[keep], col[keep]
+    start = np.flatnonzero(np.diff(row, prepend=-1))  # each covered row's first pair
+    first, last = col[start], col[np.append(start, row.size)[1:] - 1]
     hit = np.zeros(nx, dtype=bool)
-    if piece_index.size:
-        first = active.argmax(axis=1)
-        last = piece_index.size - 1 - active[:, ::-1].argmax(axis=1)
-        hit = active[np.arange(nx), first]
+    hit[row[start]] = True
     uncovered = target & ~hit
     covered = not uncovered.any()
 
     alg = np.zeros(ny, dtype=bool)
-    rows = target & hit
-    alg[piece_index[first[rows & (first == last)]]] = True
+    alg[first[first == last]] = True
 
     if discrete:
         top = interior = alg
@@ -117,16 +118,12 @@ def build_covering(g, k, xprime=None, *, discrete=False, _masks=None):
         # in the box [max - 1, min + 1] of their coordinates on every axis
         n = k.y_grid.n
         stride = ny // n[0]  # flat order runs along the first axis slowest
-        lo = [piece_index[first[rows]] // stride]
-        hi = [piece_index[last[rows]] // stride]
+        lo, hi = [first // stride], [last // stride]
         if k.y_grid.dim == 2:
             # the second axis's extent of each row's pieces
-            seen = np.logical_or.reduce(
-                sd.attain.reshape(nx, n[0], n[1]), axis=1,
-                where=piece_mask.reshape(1, n[0], n[1]),
-            )[rows]
-            lo.append(seen.argmax(axis=1))
-            hi.append(n[1] - 1 - seen[:, ::-1].argmax(axis=1))
+            second = col % n[1]
+            lo.append(np.minimum.reduceat(second, start))
+            hi.append(np.maximum.reduceat(second, start))
         lo, hi = np.array(lo).T, np.array(hi).T
         tight = (hi - lo <= 2).all(axis=1)
         top = _union_of_boxes(n, np.maximum(hi - 1, 0)[tight], np.minimum(lo + 2, n)[tight])

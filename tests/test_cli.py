@@ -13,6 +13,7 @@ import pytest
 import maxplus.convergence
 import maxplus.merton
 from maxplus.cli import _xi_grid, main
+from maxplus.conjugacy import SubdiffMap
 from maxplus.errors import ValidationError
 from oracles import slow_log_mgf_piecewise_linear
 
@@ -44,6 +45,19 @@ def test_covering_scenario(tmp_path, capsys):
     assert out["certificate"]["candidate"]["values"] == [-2.0, -5.0, 1.0]
     table = capsys.readouterr().out
     assert "y-node" in table and "piece" in table
+
+
+def test_no_run_builds_the_dense_attainment_matrix(tmp_path, monkeypatch, capsys):
+    # the library reads the attaining pairs; ``SubdiffMap.attain`` is the
+    # dense |X|x|Y| view for oracles and probes
+    def refuse(self):
+        raise AssertionError("SubdiffMap.attain read")
+
+    monkeypatch.setattr(SubdiffMap, "attain", property(refuse))
+    assert run(["ldp", "--config", SCENARIOS / "gaussian_ldp.json", "--out-dir", tmp_path]) == 0
+    assert run(["covering", "--config", SCENARIOS / "covering_identity.json",
+                "--out-dir", tmp_path]) == 0
+    assert "piece (x-nodes)" in capsys.readouterr().out
 
 
 def test_gaussian_ldp_scenario(tmp_path):

@@ -825,6 +825,16 @@ def dense_attain(g, k):
     return np.isfinite(b) & (gv[:, None] < POS) & (term == dual) & (dual > NEG)
 
 
+def assert_pairs(sd, dense):
+    """``sd.pairs`` are the flat indices of the dense attainment matrix,
+    strictly ascending and read-only."""
+    assert sd.shape == dense.shape
+    assert sd.pairs.dtype == np.intp
+    assert np.array_equal(sd.pairs, np.flatnonzero(dense))
+    assert (np.diff(sd.pairs) > 0).all()
+    assert not sd.pairs.flags.writeable
+
+
 @pytest.mark.parametrize(
     "nx,ny", [(1, 97), (ROWS_97 - 1, 97), (ROWS_97, 97), (ROWS_97 + 1, 97)]
     + [s for s in EDGE_SHAPES if s[0] < 100] + [(5, 1)],
@@ -837,9 +847,7 @@ def test_subdifferential_map_bit_exact_at_block_edges(rng, nx, ny):
     k = Kernel.bilinear(xg, yg)
     for gv in (g, xg.coords**2 / 2):
         fn = GridFn(xg, gv)
-        sd = subdifferential_map(fn, k)
-        assert np.array_equal(sd.attain, dense_attain(fn, k))
-        assert not sd.attain.flags.writeable
+        assert_pairs(subdifferential_map(fn, k), dense_attain(fn, k))
 
 
 # attainment from the envelope merge: above ROWS Y-nodes the dual of a
@@ -890,13 +898,12 @@ def test_attainment_from_the_merge_bit_exact(rng, merges, walks, ny, case):
     sd = subdifferential_map(fn, k)
     merged = ny > ROWS and case != "one -inf"
     assert merges == ([ny] if merged else [])
-    assert (walks == []) == merged  # the merge marks attainment without a walk
-    assert np.array_equal(sd.attain, dense_attain(fn, k))
-    assert not sd.attain.flags.writeable
+    assert (walks == []) == merged  # the merge emits attainment without a walk
+    assert_pairs(sd, dense_attain(fn, k))
     want = dense_matvec_bilinear(yg.coords, xg.coords, -fn.flat)
     assert_zero_rule_bits(sd.dual.flat, want)
     if case == "affine":
-        assert sd.attain[:, yg.size // 3].all()
+        assert sd.preimage(yg.size // 3).tolist() == list(range(xg.size))
 
 
 @pytest.mark.parametrize("case", ["intercepts", "terms"])
@@ -914,11 +921,55 @@ def test_attainment_where_the_envelope_bound_overflows(merges, walks, case):
     sd = subdifferential_map(fn, k)
     assert merges == [ROWS + 1] and walks == []
     with np.errstate(over="ignore"):  # the oracle's sums overflow too
-        assert np.array_equal(sd.attain, dense_attain(fn, k))
-    if case == "intercepts":
-        assert sd.attain[0].all()
+        assert_pairs(sd, dense_attain(fn, k))
+    if case == "intercepts":  # the whole first row attains
+        assert sd.pairs[: yg.size].tolist() == list(range(yg.size))
     else:
-        assert sd.dual.flat[0] == NEG and not sd.attain[:, 0].any()
+        assert sd.dual.flat[0] == NEG and sd.preimage(0).size == 0
+
+
+@pytest.mark.parametrize("ny", [97, ROWS + 1])
+@pytest.mark.parametrize("case", ["all +inf", "one -inf"])
+def test_attainment_pairs_at_infinite_g(merges, ny, case):
+    # an all +inf g attains nothing; a -inf node makes the dual +inf
+    # everywhere, and only that node's terms reach it
+    xg, yg = Grid.line(-2, 2, 9), Grid.line(-3, 3, ny)
+    k = Kernel.bilinear(xg, yg)
+    g = np.full(9, POS) if case == "all +inf" else xg.coords**2 / 2
+    if case == "one -inf":
+        g[4] = NEG
+    fn = GridFn(xg, g)
+    sd = subdifferential_map(fn, k)
+    assert merges == ([ny] if ny > ROWS and case == "all +inf" else [])
+    assert_pairs(sd, dense_attain(fn, k))
+    if case == "all +inf":
+        assert sd.pairs.size == 0 and (sd.dual.flat == NEG).all()
+    else:
+        assert (sd.dual.flat == POS).all()
+        assert sd.pairs.tolist() == list(range(4 * ny, 5 * ny))
+
+
+def test_attainment_pairs_on_a_2d_y_grid(rng):
+    xg = Grid.box((-2.0, -1.0), (2.0, 1.0), (7, 5))
+    yg = Grid.box((-3.0, -2.0), (3.0, 2.0), (9, 6))
+    k = Kernel.bilinear(xg, yg)
+    x0, x1 = xg.coords.T
+    a = yg.coords[23]
+    for g in (np.round(rng.uniform(-2, 2, xg.size) + x0**2 + x1**2, 1), x0 * a[0] + x1 * a[1]):
+        fn = GridFn(xg, g)
+        sd = subdifferential_map(fn, k)
+        assert_pairs(sd, dense_attain(fn, k))
+    assert sd.preimage(23).tolist() == list(range(xg.size))  # every term ties at y = a
+
+
+def test_every_pair_attains_on_a_constant_table():
+    # the worst case of the pairs' size: |X|·|Y| of them, 8 bytes each
+    xg, yg = Grid.line(0, 1, 300), Grid.line(0, 1, 301)
+    k = Kernel.from_table(xg, yg, np.zeros((300, 301)))
+    sd = subdifferential_map(GridFn(xg, np.zeros(300)), k)
+    assert np.array_equal(sd.pairs, np.arange(300 * 301))
+    assert sd.pairs.nbytes == 8 * 300 * 301
+    assert sd.attain.all() and not sd.attain.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -930,15 +981,15 @@ def test_subdiff_bilinear_quadratic():
     k = Kernel.bilinear(g, g)
     fn = GridFn(g, g.coords**2 / 2)
     sd = subdifferential_map(fn, k)
-    assert np.flatnonzero(sd.attain[1]).tolist() == [1]  # x = 0 maps to y = 0 only
+    assert sd.pairs[sd.pairs // 3 == 1].tolist() == [4]  # x = 0 maps to y = 0 only
 
 
 def test_subdiff_identity_kernel():
     k, g = identity_kernel(3)
     fn = GridFn(g, [1.0, -2.0, 0.5])
     sd = subdifferential_map(fn, k)
+    assert sd.pairs.tolist() == [0, 4, 8]
     for i in range(3):
-        assert np.flatnonzero(sd.attain[i]).tolist() == [i]
         assert sd.preimage(i).tolist() == [i]
 
 
@@ -946,7 +997,7 @@ def test_subdiff_zero_kernel_all_attain():
     g = Grid.line(0, 1, 2)
     k = Kernel.from_table(g, g, np.zeros((2, 2)))
     sd = subdifferential_map(GridFn(g, np.zeros(2)), k)
-    assert sd.attain.all()
+    assert sd.pairs.tolist() == [0, 1, 2, 3]
 
 
 def test_subdiff_directions_are_transposes(rng):
@@ -955,15 +1006,16 @@ def test_subdiff_directions_are_transposes(rng):
     for _ in range(20):
         k, g = random_kernel_and_g(rng)
         sd = subdifferential_map(g, k)
-        for x in range(k.x_grid.size):
-            for y in np.flatnonzero(sd.attain[x]):
-                assert x in sd.preimage(y)
-        for y in range(k.y_grid.size):
+        assert_pairs(sd, dense_attain(g, k))
+        ny = k.y_grid.size
+        for p in sd.pairs:
+            x, y = divmod(int(p), ny)
+            assert x in sd.preimage(y)
+        for y in range(ny):
             for x in sd.preimage(y):
-                assert sd.attain[x, y]
+                assert x * ny + y in sd.pairs
         # membership implies a finite kernel entry
-        b = k.matrix()
-        assert np.isfinite(b[sd.attain]).all()
+        assert np.isfinite(k.matrix().reshape(-1)[sd.pairs]).all()
 
 
 # ---------------------------------------------------------------------------

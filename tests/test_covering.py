@@ -25,7 +25,7 @@ from oracles import (
     slow_essential_pieces,
     zero_tol_verdict,
 )
-from test_conjugacy import identity_kernel
+from test_conjugacy import dense_attain, identity_kernel
 
 NEG = NEG_INF
 POS = POS_INF
@@ -546,7 +546,7 @@ def test_essential_pieces_match_per_node_loop(case):
     dual = term.max(axis=0)
     assert np.array_equal(rep.subdiff.dual.flat, dual)
     attain = np.isfinite(b) & (g < POS)[:, None] & (term == dual)
-    assert np.array_equal(rep.subdiff.attain, attain)
+    assert np.array_equal(rep.subdiff.pairs, np.flatnonzero(attain))
 
     piece_mask = dual < POS
     alg, top = slow_essential_pieces(attain, piece_mask, rep.target, yg, radius)
@@ -560,9 +560,106 @@ def test_essential_pieces_match_per_node_loop(case):
     assert rep.minimal_alg == bool(alg[piece_mask].all())
 
 
+def _centred_grid(n, half):
+    """Axes on [-half, half]; a single-node axis sits at half / 4."""
+    lo = tuple(-half if m > 1 else half / 4 for m in n)
+    return Grid(lo, tuple(-v if m > 1 else v for v, m in zip(lo, n)), n)
+
+
+def _sweep_case(rng):
+    """A random covering problem on a 1-D or 2-D bilinear kernel or a table.
+
+    One 1-D bilinear case in five has more than 512 Y-nodes, where the
+    envelope merge emits the pairs.  g holds rounded values (random ties),
+    a plane through the origin (every term ties at one Y-node), sprinkled
+    +inf nodes and rare -inf ones; a -inf node makes the dual +inf wherever
+    its kernel row is finite, so on a table the piece mask is partial.  A
+    table may pair an entry 1e308 with g = -1e308, whose term overflows to
+    +inf: a column that is no piece, attained at a target node.
+    """
+    kind = rng.integers(3)
+    if kind < 2:
+        dim = 1 + int(kind)
+        big = dim == 1 and rng.random() < 0.2
+        nx = tuple(int(v) for v in rng.integers(1, 13 if dim == 1 else 5, dim))
+        ny = (int(rng.integers(513, 600)),) if big else tuple(
+            int(v) for v in rng.integers(1, 40 if dim == 1 else 7, dim)
+        )
+        xg, yg = _centred_grid(nx, 2.0), _centred_grid(ny, 3.0)
+        k = Kernel.bilinear(xg, yg)
+        x = xg.coords.reshape(xg.size, dim)
+        shape = rng.integers(3)
+        if shape == 0:
+            g = np.round(rng.uniform(-2, 2, xg.size) + (x**2).sum(axis=1), 1)
+        elif shape == 1:
+            a = yg.coords.reshape(yg.size, dim)[rng.integers(yg.size)]
+            g = x[:, 0] * a[0] + (x[:, 1] * a[1] if dim == 2 else 0.0)
+        else:
+            g = np.zeros(xg.size)
+    else:
+        n = rng.integers(1, 9, 1) if rng.random() < 0.5 else rng.integers(1, 5, 2)
+        yg = _y_grid(tuple(int(v) for v in n))
+        nx, ny = int(rng.integers(1, 9)), yg.size
+        b = rng.choice([0.0, 0.0, -1.0, -2.0, 0.5, 1e308, NEG], (nx, ny), p=[0.16] * 5 + [0.05, 0.15])
+        b[~np.isfinite(b).any(axis=1), 0] = 0.0
+        b[0, ~np.isfinite(b).any(axis=0)] = 0.0
+        xg = Grid.line(0.0, 1.0, nx) if nx > 1 else Grid.line(0.0, 0.0, 1)
+        k = Kernel.from_table(xg, yg, b)
+        g = rng.choice([0.0, 0.0, -1.0, 0.5, -1e308], nx)
+    g[rng.random(g.size) < 0.1] = POS
+    g[rng.random(g.size) < (0.15 if kind == 2 else 0.03)] = NEG
+    xprime = [  # every node, a bool mask or an index list
+        None,
+        rng.random(xg.size) < 0.7,
+        rng.choice(xg.size, int(rng.integers(xg.size + 1)), replace=False),
+    ][rng.integers(3)]
+    return k, GridFn(xg, g), xprime, bool(rng.random() < 0.3)
+
+
+def test_build_covering_sweep_against_per_node_loop():
+    # the covering read from the pairs against the per-node loop fed the
+    # dense attainment matrix, which the pairs must equal
+    rng = np.random.default_rng(3217)
+    partial = merged = overflow = 0
+    for _ in range(1200):
+        k, fn, xprime, discrete = _sweep_case(rng)
+        rep = build_covering(fn, k, xprime, discrete=discrete)
+        with np.errstate(over="ignore"):  # the oracle's sums overflow too
+            dense = dense_attain(fn, k)
+        assert np.array_equal(rep.subdiff.pairs, np.flatnonzero(dense))
+        assert np.array_equal(rep.subdiff.attain, dense)
+
+        dual = rep.subdiff.dual.flat
+        piece_mask = dual < POS
+        partial += 0 < piece_mask.sum() < piece_mask.size
+        merged += k.kind == "bilinear" and k.y_grid.size > 512
+        target = fn.flat > NEG
+        if xprime is not None:
+            chosen = np.zeros(target.size, dtype=bool)
+            chosen[xprime] = True  # a bool mask or an index list
+            target &= chosen
+        assert np.array_equal(rep.target, target)
+        overflow += (dense[target] & ~piece_mask).any()
+
+        radius = 0 if discrete else 1
+        alg, top = slow_essential_pieces(dense, piece_mask, target, k.y_grid, radius)
+        pinned = alg | slow_covering_interior(k.y_grid, top, np.isfinite(dual), radius)
+        uncovered = target & ~(dense & piece_mask).any(axis=1)
+        assert rep.covered == (not uncovered.any())
+        assert rep.uncovered_nodes.tolist() == np.flatnonzero(uncovered).tolist()
+        assert rep.alg_essential.tolist() == np.flatnonzero(alg).tolist()
+        assert rep.top_essential.tolist() == np.flatnonzero(top).tolist()
+        assert rep.pinned.tolist() == np.flatnonzero(pinned).tolist()
+        assert rep.minimal_alg == bool(alg[piece_mask].all())
+        assert rep.minimal_top == bool(top[piece_mask].all())
+        for y in rep.piece_index:
+            assert rep.piece(y).tolist() == np.flatnonzero(dense[:, y]).tolist()
+    assert partial >= 50 and merged >= 50 and overflow >= 10
+
+
 def test_build_covering_peak_memory():
-    # the essential pieces come from the attainment rows already built:
-    # no second |X| x |Y| boolean beside it
+    # the covering reads the attaining pairs: no |X| x |Y| array, not even
+    # the 2.56 MB of a bool attainment matrix
     import tracemalloc
 
     from maxplus import domain_masks
@@ -580,7 +677,7 @@ def test_build_covering_peak_memory():
     finally:
         tracemalloc.stop()
     assert rep.covered and rep.minimal_top
-    assert peak <= 7.9e6, f"peak {peak / 1e6:.2f} MB"
+    assert peak <= 1.0e6, f"peak {peak / 1e6:.2f} MB"
 
 
 # ---------------------------------------------------------------------------
