@@ -25,15 +25,17 @@ evaluates only the rows that can hold the maximum; it keeps chunks of
 candidate cells rather than dense |Y|-wide slabs.
 
 The crossover is a count of X-nodes, not of cells.  Measured with numpy
-2.4 on a 2-core x86-64 host, the dense sweep costs about 1.3 ns a cell
-and the merge about 77 us, plus 0.78 us a line (the hull pass over
-Python lists) and 0.012 us an x: a line costs as much as about 600
-dense cells, so the merge pays once |X| is past a few hundred, whatever
-|Y| is.  On 56 shapes (32 to 8192 X-nodes, 2 to 8192 Y-nodes), each
-with a convex and a random f, taking the merge above 512 X-nodes was at
-most 1.9 times slower than the faster path, and each cell-count
-crossover tried (2**14 to 2**18 cells) was 8 times slower or worse on
-some shape.
+2.4 on a 2-core x86-64 host, the dense sweep costs about 1.55 ns a cell
+and the merge about 90 us, plus 0.14 us a line (the hull's array passes
+and the candidates) and 0.01 us an x.  On 56 shapes (32 to 8192
+X-nodes, 2 to 8192 Y-nodes), each with a convex and a random f, taking
+the merge above 512 X-nodes is at most 5.0 times slower than the faster
+path (the dense sweep at 512 x 1024 with a convex f).  It was 2.0 with
+the hull as a loop over Python lists (0.43 us a line), and no count
+from 64 to 1024 now stays within the 1.9 the crossover was chosen by:
+256 gives 2.7, and lower counts lose to the merge's fixed cost on small
+|Y|.  Each cell-count crossover tried (2**14 to 2**18 cells, with the
+former hull) was 8 times slower or worse on some shape.
 
 Conventions: values are float64 where -inf is the max-plus zero and is
 absorbing for addition; kernels never contain +inf, and bilinear kernels
@@ -54,6 +56,8 @@ _CHUNK_ROWS = 256  # X-nodes per chunk of the pruned 2-D action
 _U = 2.0**-53  # unit roundoff
 _SLACK = 5 * _U  # 2-D pruning: delta per unit of magnitude
 _ENVELOPE_ROWS = 512  # the 1-D bilinear action merges envelopes above this |X|
+_HULL_PASSES = 8  # array passes of the hull before a loop finishes it
+_HULL_LOOP_LINES = 128  # ... and the line count at which the loop takes over
 
 
 def block_rows(ny):
@@ -224,7 +228,7 @@ def envelope_merge(slopes, icepts, xs, attain=False):
       (1) l_r(x) - l_j(x) > e := 4.01u*M + 2**-1072  implies  v_r(x) > v_j(x).
 
     Let L and R be the hull lines (upper envelope, built with the float
-    cross-product test over Python lists) of next smaller and next larger
+    cross-product test by ``_upper_hull``) of next smaller and next larger
     slope than s_j.  l_L - l_j = b - a*x with a = s_j - s_L > 0 and
     b = c_L - c_j, so by (1) line j loses to L wherever b - a*x > e.  The
     float lo_j = fl(fl(fl(b) - D) / fl(a)), with D = 16u*M + (1 + max|s|) *
@@ -266,25 +270,10 @@ def envelope_merge(slopes, icepts, xs, attain=False):
     if fin.size == 0:
         return (out, np.zeros(0, dtype=np.intp)) if attain else out
     s, c = slopes[fin], icepts[fin]
-    hs, hc = _upper_hull(s.tolist(), c.tolist())
-    left = np.searchsorted(hs, s, "left") - 1  # hull line of next smaller slope
-    right = np.searchsorted(hs, s, "right")  # ... and of next larger slope
-    smax = np.abs(s).max()
-    lo = np.full(s.size, -np.inf)
-    hi = np.full(s.size, np.inf)
-    with np.errstate(over="ignore"):
-        mag = np.abs(xs).max() * smax + np.abs(c).max()
-        d = 16 * _U * mag + (1 + smax) * 2.0**-1060
-        if np.isfinite(4 * (mag + smax)):
-            i = np.flatnonzero(left >= 0)
-            lo[i] = ((hc[left[i]] - c[i]) - d) / (s[i] - hs[left[i]])
-            i = np.flatnonzero(right < hs.size)
-            hi[i] = ((c[i] - hc[right[i]]) + d) / (hs[right[i]] - s[i])
+    first, n = _spans(s, c, _upper_hull(s, c), xs)
 
     # candidate pairs (x, line), in groups of lines holding about a cell
     # budget of pairs, so that degenerate inputs stay within memory
-    first = np.searchsorted(xs, lo, "left")
-    n = np.maximum(np.searchsorted(xs, hi, "right") - first, 0)
     cum = np.cumsum(n)
     cuts = np.searchsorted(cum, np.arange(_CELL_BUDGET, cum[-1], _CELL_BUDGET), "right")
 
@@ -308,20 +297,79 @@ def envelope_merge(slopes, icepts, xs, attain=False):
     return (out, np.concatenate(pairs)) if attain else out
 
 
-def _upper_hull(slopes, icepts):
-    """Slopes and intercepts of the upper envelope's lines, slopes non-decreasing.
+def _spans(s, c, hull, xs):
+    """Each finite line's candidate nodes in ``envelope_merge``: the first
+    node at or past lo_j, and the count of nodes in [lo_j, hi_j].  ``hull``
+    is (slopes, intercepts) of the lines taken as neighbours."""
+    hs, hc = hull
+    left = np.searchsorted(hs, s, "left") - 1  # hull line of next smaller slope
+    right = np.searchsorted(hs, s, "right")  # ... and of next larger slope
+    smax = np.abs(s).max()
+    lo = np.full(s.size, -np.inf)
+    hi = np.full(s.size, np.inf)
+    with np.errstate(over="ignore"):
+        mag = np.abs(xs).max() * smax + np.abs(c).max()
+        d = 16 * _U * mag + (1 + smax) * 2.0**-1060
+        if np.isfinite(4 * (mag + smax)):
+            i = np.flatnonzero(left >= 0)
+            lo[i] = ((hc[left[i]] - c[i]) - d) / (s[i] - hs[left[i]])
+            i = np.flatnonzero(right < hs.size)
+            hi[i] = ((c[i] - hc[right[i]]) + d) / (hs[right[i]] - s[i])
+    first = np.searchsorted(xs, lo, "left")
+    return first, np.maximum(np.searchsorted(xs, hi, "right") - first, 0)
 
-    Of lines with equal slopes the first of largest intercept is kept; a
+
+def _upper_hull(s, c):
+    """Slopes and intercepts of the upper envelope's lines, slopes increasing.
+
+    Of lines with equal slopes the first of largest intercept is kept.  A
     line is dropped when the float cross-product test finds that it never
-    strictly wins between its two neighbours.
+    strictly wins between its two neighbours.  Above ``_HULL_LOOP_LINES``
+    lines the test runs as array code, in passes: a pass tests the lines at
+    odd places, drops those that fail, then does the same on the new array,
+    so that no two neighbours drop at once.  A pass that drops nothing ends
+    the hull; a convex f's lines all stay, in one pass.  After
+    ``_HULL_PASSES`` passes, or after a pass that drops under an eighth of
+    the lines (a drop can expose its neighbour, one line a pass), a loop
+    over the lines left finishes the hull.  A pass costs about 10 us plus
+    0.005 us a line and the loop 0.3 us a line (numpy 2.4, 2-core x86-64),
+    so a pass pays only where it drops many lines.  Which lines are dropped
+    can depend on the order of the tests, but ``envelope_merge`` is exact
+    for any slope-sorted subset of the lines.  A product that overflows
+    reads ±inf and a NaN test keeps its line, as in the loop.
     """
+    if s.size > 1:
+        new = np.empty(s.size, dtype=bool)
+        new[0] = True
+        np.not_equal(s[1:], s[:-1], out=new[1:])
+        if not new.all():
+            run = np.cumsum(new) - 1
+            best = np.flatnonzero(c == np.maximum.reduceat(c, np.flatnonzero(new))[run])
+            first = best[np.flatnonzero(np.diff(run[best], prepend=-1))]
+            s, c = s[first], c[first]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_HULL_PASSES):
+            size = s.size
+            if size <= _HULL_LOOP_LINES:
+                break
+            for q in (0, 1):
+                n = (s.size - 1 - q) // 2
+                mid = slice(q + 1, q + 1 + 2 * n, 2)  # lines q + 1, q + 3, ...
+                left, right = slice(q, q + 2 * n, 2), slice(q + 2, q + 2 + 2 * n, 2)
+                sm, cm = s[mid], c[mid]
+                fails = (c[left] - cm) * (s[right] - sm) >= (cm - c[right]) * (sm - s[left])
+                if fails.any():
+                    keep = np.ones(s.size, dtype=bool)
+                    keep[mid] = ~fails
+                    s, c = s[keep], c[keep]
+            if s.size == size:
+                return s, c
+            if 8 * (size - s.size) < size:
+                break
+    slopes, icepts = s.tolist(), c.tolist()
     ks, kc = [0.0] * len(slopes), [0.0] * len(slopes)
     k = 0
     for sj, cj in zip(slopes, icepts):
-        if k and ks[k - 1] == sj:
-            if kc[k - 1] >= cj:
-                continue
-            k -= 1
         while k >= 2:
             sb, cb = ks[k - 1], kc[k - 1]
             if (kc[k - 2] - cb) * (sj - sb) >= (cb - cj) * (sb - ks[k - 2]):

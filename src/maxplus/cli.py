@@ -37,10 +37,12 @@ from .serialize import (
     _json_object,
     dumps,
     grid_from_json,
+    grid_to_json,
     gridfn_from_json,
     gridfn_to_json,
     kernel_from_json,
     num_to_json,
+    tokens,
     values_to_json,
 )
 
@@ -125,9 +127,14 @@ def _merton_params(obj, what):
 
 
 def _load_scenario(path, kind):
+    def constant(token):  # Python's json reads these tokens, which JSON has not
+        raise ValidationError(
+            f'{path}: {token} is not a JSON number; the infinities are "+inf" and "-inf"'
+        )
+
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=constant)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: line {e.lineno}, col {e.colno}: {e.msg}")
     _json_object(obj, f"{path}: a scenario")
@@ -312,10 +319,12 @@ def _run_ldp(obj, out_dir, summary):
     ginput = GartnerInput(_ldp_sequences(obj, xg, yg), kernel, mode)
     out = pipeline(ginput, sides=sides, x_sides=x_sides, sup_edge_to_inf=sup_edge_to_inf)
 
+    # the rate values are rendered once, for the JSON and the CSV alike
+    rate = tokens(values_to_json(out.rate_lower.flat))
     payload = {
         "verdict": out.verdict,
         "log_moment": gridfn_to_json(out.log_moment),
-        "rate_lower": gridfn_to_json(out.rate_lower),
+        "rate_lower": {"grid": grid_to_json(out.rate_lower.grid), "values": rate},
         "pinned": out.pinned.tolist(),
         "assumptions": {
             "coercive": out.assumptions.coercive,
@@ -331,9 +340,9 @@ def _run_ldp(obj, out_dir, summary):
     jpath = _write(out_dir, json_name, dumps(payload))
     in_pinned = np.zeros(yg.size, dtype=np.int64)
     in_pinned[out.pinned] = 1
-    rows = zip(yg.coords.tolist(), values_to_json(out.rate_lower.flat), in_pinned.tolist())
-    lines = ["y,rate_lower,in_pinned\n"] + [f"{y!r},{v},{p}\n" for y, v, p in rows]
-    cpath = _write(out_dir, csv_name, "".join(lines))
+    rows = "".join(map("{!r},{},{}\n".format, yg.coords.tolist(), rate, in_pinned.tolist()))
+    # the only quotes are those of the "+inf" and "-inf" tokens: the CSV has none
+    cpath = _write(out_dir, csv_name, ("y,rate_lower,in_pinned\n" + rows).replace('"', ""))
     print(f"verdict={out.verdict} -> {jpath}, {cpath}")
     if summary:
         print(

@@ -86,7 +86,10 @@ class Grid:
     1-D grids.  Per axis: n is an integer >= 1 (a Python or numpy integer,
     not a float or a bool), lo <= hi, and lo == hi only when n == 1.
     Bounds are real numbers (not bools or strings), and they and their
-    span hi - lo must be finite.
+    span hi - lo must be finite.  The last node lo + (n - 1)·h, with the
+    float step h = (hi - lo) / (n - 1), must lie within h/2 of hi; only
+    nodes a few units in the last place apart fail this, as on a span of
+    a few subnormal steps, where h rounds by a large fraction of itself.
     """
 
     lo: tuple
@@ -120,6 +123,14 @@ class Grid:
                 raise ValidationError(f"grid span {b} - ({a}) leaves the float range")
             if a == b and k != 1:
                 raise ValidationError("degenerate axis (lo == hi) requires n == 1")
+            if k > 1:  # the last node as axis_coords builds it, within h/2 of hi
+                h = (b - a) / (k - 1)
+                last = a + (k - 1) * h
+                if 2 * abs(last - b) >= h:
+                    raise ValidationError(
+                        f"grid step ({b} - ({a})) / {k - 1} rounds to {h!r}, so the "
+                        f"last node is {last!r}, not hi"
+                    )
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "n", n)

@@ -6,9 +6,13 @@ Extended reals serialize as JSON numbers, with the strings "-inf" and
 row-major node order; kernels are ``{"type": "bilinear"}`` or
 ``{"type": "table", "rows": [[...]]}``.  Dumping is deterministic
 (sorted keys, repr floats), so identical objects produce identical
-bytes.
+bytes: the text of ``json.dumps(obj, sort_keys=True, indent=2)``, which
+``dumps`` writes through the C encoder (see there).  In scenario files
+the infinities are spelled only as those strings; a number token past
+the float range, which json reads as an infinity, is rejected.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -40,25 +44,36 @@ def values_to_json(arr):
     return out
 
 
-_INFINITIES = {"+inf": math.inf, "-inf": -math.inf}
+_BEYOND = object()  # a JSON number past the float range, which json reads as ±inf
+
+# what a JSON list item reads as, by one dict lookup: the infinity strings
+# as floats, an infinite number as _BEYOND, anything else as itself
+_READS = {"+inf": math.inf, "-inf": -math.inf, math.inf: _BEYOND, -math.inf: _BEYOND}
 
 
 def values_from_json(items, what="values"):
     """A JSON list of extended reals as one float64 array.
 
     Numbers and the strings "+inf"/"-inf" are converted in one pass;
-    anything else (another string, null, a boolean, a nested list, an
-    integer beyond the float range, NaN) is rejected.
+    anything else (another string, null, a boolean, a nested list, a
+    number beyond the float range, NaN) is rejected.  The infinities are
+    spelled as strings only: a number token past the float range, such as
+    1e400, reads as an infinite float, and the lookup that converts the
+    strings flags it.
     """
     if type(items) is not list:
         raise ValidationError(f"{what}: a JSON list of numbers, got {type(items).__name__}")
     try:
-        vals = [_INFINITIES[v] if type(v) is str else v for v in items]
-    except KeyError as e:
-        raise ValidationError(f"unknown numeric literal {e.args[0]!r}") from None
-    odd = set(map(type, vals)) - {float, int}
+        vals = list(map(_READS.get, items, items))
+        odd = set(map(type, vals)) - {float, int}
+    except TypeError:  # an unhashable item: a nested list or an object
+        vals, odd = items, set(map(type, items)) - {float, int, str}
     if odd:
         bad = next(v for v in vals if type(v) in odd)
+        if bad is _BEYOND:
+            raise ValidationError(f"{what}: a number beyond the float range")
+        if type(bad) is str:
+            raise ValidationError(f"unknown numeric literal {bad!r}")
         raise ValidationError(f"{what}: {json.dumps(bad)} is not a number")
     try:
         arr = np.fromiter(vals, dtype=np.float64, count=len(vals))
@@ -171,6 +186,70 @@ def _expect_keys(obj, required, what, optional=()):
         raise ValidationError(f"{what}: missing fields {sorted(missing)}")
 
 
+_SCALARS = frozenset((float, int, str, bool, type(None)))
+
+
+class Tokens(tuple):
+    """A list of JSON scalars rendered once, a token each, so that its text
+    can go into more than one artifact; ``dumps`` writes it as that list."""
+
+
+def tokens(items):
+    """The list of JSON scalars ``items`` as Tokens, rendered by one call
+    of the C encoder.  A JSON token holds no raw newline, so splitting the
+    text at "," + newline is exact."""
+    return Tokens(_encoder("\n")(items)[1:-1].split(",\n") if items else ())
+
+
 def dumps(obj):
-    """Deterministic JSON encoding (sorted keys, repr floats)."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON encoding (sorted keys, repr floats).
+
+    The text is ``json.dumps(obj, sort_keys=True, indent=2) + "\n"`` byte
+    for byte, for dicts with str keys, lists, tuples and scalars; a Tokens
+    is written as the list it renders.  ``json.dumps`` with an indent runs
+    the pure-Python encoder, at about 1 us a float.  Here the containers
+    are walked in Python, and each one whose items are all scalars is one
+    call of the C encoder.  The two encoders write a scalar alike (the
+    float and int reprs, the same ASCII string escapes, NaN and Infinity)
+    and sort keys alike; ``indent=2`` writes "," + newline + indent
+    between items, which is the C call's item separator, and puts each
+    bracket of a non-empty container on its own line, which the walk does.
+    """
+    out = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+@functools.cache
+def _encoder(nl):
+    """The C encoder's ``encode``, writing the items of a container apart
+    by "," + ``nl``, keys sorted."""
+    return json.JSONEncoder(separators=("," + nl, ": "), sort_keys=True).encode
+
+
+def _emit(obj, nl, out):
+    """Append the JSON text of ``obj`` to ``out``, with ``nl`` (a newline
+    and the indent) starting each line after the first."""
+    inner = nl + "  "
+    if type(obj) is Tokens:
+        out += ("[", inner, ("," + inner).join(obj), nl, "]") if obj else ("[]",)
+    elif isinstance(obj, dict) and obj and not set(map(type, obj.values())) <= _SCALARS:
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out += (sep, json.encoder.encode_basestring_ascii(key), ": ")
+            _emit(value, inner, out)
+            sep = "," + inner
+        out += (nl, "}")
+    elif isinstance(obj, (list, tuple)) and obj and not set(map(type, obj)) <= _SCALARS:
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = "," + inner
+        out += (nl, "]")
+    elif isinstance(obj, (dict, list, tuple)) and obj:  # scalar items: one C call
+        text = _encoder(inner)(obj)
+        out += (text[0], inner, text[1:-1], nl, text[-1])
+    else:  # a scalar or an empty container
+        out.append(_encoder(nl)(obj))

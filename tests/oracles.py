@@ -139,6 +139,34 @@ def slow_envelope_merge(slopes, icepts, xs):
     return out
 
 
+def loop_upper_hull(slopes, icepts):
+    """The upper envelope's lines as ``_kernels`` built them before its
+    hull became array code: one pass over Python lists, slopes
+    non-decreasing, intercepts finite.
+
+    Of lines with equal slopes the first of largest intercept is kept; a
+    line is dropped when the float cross-product test finds that it never
+    strictly wins between its two neighbours.
+    """
+    slopes, icepts = np.asarray(slopes).tolist(), np.asarray(icepts).tolist()
+    ks, kc = [0.0] * len(slopes), [0.0] * len(slopes)
+    k = 0
+    for sj, cj in zip(slopes, icepts):
+        if k and ks[k - 1] == sj:
+            if kc[k - 1] >= cj:
+                continue
+            k -= 1
+        while k >= 2:
+            sb, cb = ks[k - 1], kc[k - 1]
+            if (kc[k - 2] - cb) * (sj - sb) >= (cb - cj) * (sb - ks[k - 2]):
+                k -= 1
+            else:
+                break
+        ks[k], kc[k] = sj, cj
+        k += 1
+    return np.array(ks[:k]), np.array(kc[:k])
+
+
 def enumerate_preimages(b_rows, g, xprime, value_set, cap=2):
     """Count solutions of the pre-image problem over a quantized value set.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import maxplus.cli
 import maxplus.convergence
 import maxplus.merton
+from maxplus import GridFn
 from maxplus.cli import _xi_grid, main
 from maxplus.conjugacy import SubdiffMap
 from maxplus.errors import ValidationError
@@ -671,11 +674,12 @@ MALFORMED_MERTON_FIELDS = [
     ("w0", True, "w0 is a finite number"),
     ("c", "0.12", "c is a finite number"),
     ("c", None, "c is a finite number"),
-    ("c", float("nan"), "c is a finite number"),
+    # NaN and Infinity are not JSON: the file is refused as it loads
+    ("c", float("nan"), "NaN is not a JSON number"),
     ("xi_min", "0.05", "xi_min is a finite number"),
     ("xi_max", [6.0], "xi_max is a finite number"),
     ("xi_step", "0.05", "xi_step is a finite number"),
-    ("xi_step", float("inf"), "xi_step is a finite number"),
+    ("xi_step", float("inf"), "Infinity is not a JSON number"),
     ("xi_step", 0, "xi_step must be positive"),
     ("xi_step", -0.05, "xi_step must be positive"),
     # the node count np.arange would take: beyond the float range, beyond
@@ -690,8 +694,8 @@ MALFORMED_MERTON_FIELDS = [
     ("T", 25, "T is a list"),
     ("T", [25, "50"], "T entry is a finite number"),
     ("T", [25, True], "T entry is a finite number"),
-    ("T", [25, float("nan")], "T entry is a finite number"),
-    ("T", [float("inf")], "T entry is a finite number"),
+    ("T", [25, float("nan")], "NaN is not a JSON number"),
+    ("T", [float("inf")], "Infinity is not a JSON number"),
     ("T", [], "at least one horizon"),
     ("T", [0], "finite and positive"),
     ("T", [-5], "finite and positive"),
@@ -964,7 +968,7 @@ MALFORMED_COVERING_FIELDS = [
     ("config", "le_tol", "0.5", "unknown fields ['le_tol']"),
     ("config", "le_tol", -1, "unknown fields ['le_tol']"),
     ("config", "eq_tol", "nan", "unknown fields ['eq_tol']"),
-    ("config", "eq_tol", float("inf"), "unknown fields ['eq_tol']"),
+    ("config", "eq_tol", float("inf"), "Infinity is not a JSON number"),
     ("config", "window_margin", "0.1", "unknown fields ['window_margin']"),
     ("config", "closed_below", "yes", "closed_below is a JSON boolean or a list"),
     ("config", "closed_above", [1], "closed_above entry is a JSON boolean"),
@@ -1056,14 +1060,15 @@ MALFORMED_GRIDS = [
     (LINE, {"lo": None}, "grid: lo is a finite number"),
     (LINE, {"lo": [0.0]}, "grid: lo is a finite number"),
     (LINE, {"hi": True}, "grid: hi is a finite number"),
-    (LINE, {"hi": float("inf")}, "grid: hi is a finite number"),
+    # NaN and Infinity are not JSON: the file is refused as it loads
+    (LINE, {"hi": float("inf")}, "Infinity is not a JSON number"),
     (LINE, {"hi": 10**400}, "grid: hi is a finite number"),
     (BOX, {"n": 3}, "grid: n is a list of 2 for dim 2"),
     (BOX, {"n": [3, 3, 3]}, "grid: n is a list of 2 for dim 2"),
     (BOX, {"n": [3, 2.5]}, "grid: n entry is a JSON integer"),
     (BOX, {"lo": 0.0}, "grid: lo is a list of 2 for dim 2"),
     (BOX, {"lo": [0.0, "0"]}, "grid: lo entry is a finite number"),
-    (BOX, {"hi": [1.0, float("nan")]}, "grid: hi entry is a finite number"),
+    (BOX, {"hi": [1.0, float("nan")]}, "NaN is not a JSON number"),
 ]
 
 
@@ -1176,3 +1181,71 @@ def test_gaussian_ldp_on_1601_nodes_matches_pinned_digests(tmp_path):
     assert run(["ldp", "--config", cfg, "--out-dir", out]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == GAUSSIAN_1601_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# infinities are the strings "+inf"/"-inf": other spellings exit 3
+# ---------------------------------------------------------------------------
+
+NON_JSON_PLACES = {
+    "f values": ("conjugate_quadratic.json", lambda obj: obj["f"]["values"]),
+    "g values": ("covering_identity.json", lambda obj: obj["g"]["values"]),
+    "table rows": ("covering_identity.json", lambda obj: obj["kernel"]["rows"][1]),
+}
+
+
+@pytest.mark.parametrize("token, message", [
+    ("Infinity", "Infinity is not a JSON number"),
+    ("-Infinity", "-Infinity is not a JSON number"),
+    ("NaN", "NaN is not a JSON number"),
+    ("1e400", "a number beyond the float range"),
+    ("-1e400", "a number beyond the float range"),
+])
+@pytest.mark.parametrize("place", list(NON_JSON_PLACES))
+def test_infinity_spelled_as_a_number_exits_3(tmp_path, capsys, place, token, message):
+    scenario, items = NON_JSON_PLACES[place]
+    obj = json.loads((SCENARIOS / scenario).read_text())
+    items(obj)[1] = "@"  # replaced by the raw token below
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(obj).replace('"@"', token))
+    assert run([obj["kind"], "--config", cfg, "--out-dir", tmp_path]) == 3
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_cli_runs_no_pure_python_json_encoder(tmp_path, capsys, monkeypatch):
+    # json.dumps with an indent runs json.encoder._make_iterencode, the
+    # pure-Python encoder; no scenario's artifacts may go through it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    for scenario in sorted(SCENARIOS.glob("*.json")):
+        kind = json.loads(scenario.read_text())["kind"]
+        assert run([kind, "--config", scenario, "--out-dir", tmp_path]) == 0
+    assert len(list(tmp_path.iterdir())) == 5  # the ldp run writes a JSON and a CSV
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps([1.5], indent=2)  # the patch is in force
+
+
+def test_ldp_csv_rate_column_is_the_json_rate_values(tmp_path, monkeypatch):
+    # the CSV takes the rate tokens the JSON writes: the same digits, and
+    # the infinities as +inf and -inf without their JSON quotes
+    real = maxplus.cli.pipeline
+
+    def with_infinities(*args, **kwargs):
+        out = real(*args, **kwargs)
+        vals = out.rate_lower.values.copy()
+        vals[:2], vals[-1] = math.inf, -math.inf
+        return dataclasses.replace(out, rate_lower=GridFn(out.rate_lower.grid, vals))
+
+    monkeypatch.setattr(maxplus.cli, "pipeline", with_infinities)
+    obj = json.loads((SCENARIOS / "gaussian_ldp.json").read_text())
+    assert run_ldp(tmp_path, obj, "inf") in (0, 2)
+    rate = json.loads((tmp_path / "inf_out.json").read_text())["rate_lower"]["values"]
+    lines = (tmp_path / "inf_out.csv").read_text().splitlines()[1:]
+    assert len(rate) == len(lines) == obj["y_grid"]["n"]
+    assert [line.split(",")[1] for line in lines] == [
+        v if isinstance(v, str) else repr(v) for v in rate
+    ]
+    assert lines[0].split(",")[1] == "+inf" and lines[-1].split(",")[1] == "-inf"

@@ -22,7 +22,13 @@ from maxplus import (
     superlevel_compactness_report,
 )
 from maxplus import _kernels
-from oracles import dense_bilinear_2d, dense_matvec_bilinear, slow_conjugate, slow_envelope_merge
+from oracles import (
+    dense_bilinear_2d,
+    dense_matvec_bilinear,
+    loop_upper_hull,
+    slow_conjugate,
+    slow_envelope_merge,
+)
 
 NEG = NEG_INF
 POS = POS_INF
@@ -358,8 +364,14 @@ def dense_envelope(slopes, icepts, xs):
 
 
 def assert_envelope_exact(slopes, icepts, xs):
-    got = _kernels.envelope_merge(slopes, icepts, xs)
-    assert_zero_rule_bits(got, dense_envelope(slopes, icepts, xs))
+    """The merge's maxima and attaining pairs are the dense max's, bit for bit."""
+    got, pairs = _kernels.envelope_merge(slopes, icepts, xs, attain=True)
+    cells = np.multiply.outer(xs, slopes) + icepts[None, :]
+    want = cells.max(axis=1)
+    assert_zero_rule_bits(got, want)
+    hit = (cells == want[:, None]) & (want > NEG)[:, None]
+    assert np.array_equal(pairs, np.flatnonzero(hit.T))  # flat (line, node), ascending
+    assert_zero_rule_bits(_kernels.envelope_merge(slopes, icepts, xs), want)
     return got
 
 
@@ -478,6 +490,112 @@ def lines_and_nodes(draw):
 @given(lines_and_nodes())
 def test_envelope_property_against_dense(case):
     assert_envelope_exact(*case)
+
+
+# ---------------------------------------------------------------------------
+# the hull in array passes, against the dense max and the loop hull
+# ---------------------------------------------------------------------------
+
+def cascade(n):
+    """n lines on a concave chain, then one whose intercept is so large that
+    every other line ends below the hull: each array pass finds one line
+    that fails, the last of the chain, and dropping it exposes the next."""
+    s = np.arange(n, dtype=np.float64)
+    c = -s * s
+    c[-1] = 1e9
+    return s, c
+
+
+def convex_chain(n):
+    """n lines whose (slope, intercept) points lie on a convex curve: every
+    line but the two outer ones fails, and a pass drops three in four."""
+    s = np.linspace(-2, 2, n)
+    return s, s * s
+
+
+def hull_case(rng, case):
+    """(slopes, intercepts, xs) of one hull shape."""
+    xs = np.sort(rng.uniform(-3, 3, 60))
+    if case == "collinear":
+        # every line through (x0, y0): collinear (s, c) points, and nodes on x0
+        s = np.sort(rng.uniform(-3, 3, 200))
+        x0, y0 = 0.75, -1.25
+        c = y0 - x0 * s
+        xs = np.sort(np.concatenate([xs, [x0, np.nextafter(x0, 0), np.nextafter(x0, 1)]]))
+    elif case == "equal-slope runs":
+        s = np.repeat(np.linspace(-2, 2, 30), rng.integers(1, 6, 30))
+        c = rng.integers(-8, 9, s.size) / 4.0  # tied intercepts inside runs
+    elif case == "±1e308 intercepts":
+        s = np.linspace(-2, 2, 40)
+        c = rng.choice([1e308, -1e308, 0.5, -1.0], s.size)
+    elif case == "one line":
+        s, c = np.array([0.5]), np.array([-1.25])
+    elif case == "two lines":
+        s, c = np.array([-1.0, 2.0]), np.array([0.5, -0.25])
+    elif case == "-inf lines":
+        s = np.linspace(-2, 2, 50)
+        c = -s * s / 2
+        c[rng.random(s.size) < 0.4] = NEG
+    elif case == "one drop a pass":  # the loop takes over after one pass
+        s, c = cascade(2 * _kernels._HULL_LOOP_LINES)
+        xs = np.linspace(-600.0, 10.0, 80)
+    else:  # "convex chain": a pass drops three lines in four
+        s, c = convex_chain(4 * _kernels._HULL_LOOP_LINES)
+    return s, c, xs
+
+
+HULL_CASES = ["collinear", "equal-slope runs", "±1e308 intercepts", "one line",
+              "two lines", "-inf lines", "one drop a pass", "convex chain"]
+
+
+@pytest.mark.parametrize("case", HULL_CASES)
+def test_envelope_hull_cases(rng, case):
+    s, c, xs = hull_case(rng, case)
+    assert_envelope_exact(s, c, xs)
+    fin = np.isfinite(c)
+    hs, hc = _kernels._upper_hull(s[fin], c[fin])
+    assert (np.diff(hs) > 0).all()
+    # the hull's lines are input lines
+    assert set(zip(hs.tolist(), hc.tolist())) <= set(zip(s.tolist(), c.tolist()))
+
+
+@pytest.mark.parametrize("shape", ["convex chain", "random", "one drop a pass"])
+def test_hull_at_the_pass_cap_is_the_loop_hull(rng, monkeypatch, shape):
+    if shape == "convex chain":
+        s, c = convex_chain(2048)
+    elif shape == "random":
+        s, c = np.linspace(-2, 2, 8192), rng.uniform(-4, 4, 8192)
+    else:
+        s, c = cascade(4 * _kernels._HULL_LOOP_LINES)
+    want = loop_upper_hull(s, c)
+    # the loop alone, a cap the passes reach, the default cap, no cap
+    for passes in (0, 1, 2, _kernels._HULL_PASSES, 10**6):
+        monkeypatch.setattr(_kernels, "_HULL_PASSES", passes)
+        got = _kernels._upper_hull(s, c)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), passes
+    monkeypatch.setattr(_kernels, "_HULL_PASSES", 1)  # 2048 lines -> 512 -> the loop
+    assert_envelope_exact(s[::8], c[::8], np.linspace(-3, 3, 50))
+
+
+def transforms_lines(rng, n=8192):
+    """The ``transforms`` benchmark's 1-D lines: slopes on a grid over
+    [-2, 2], intercepts -f for a convex quadratic f plus 1e-3 noise."""
+    y = Grid.line(-2.0, 2.0, n).coords
+    f = (y - rng.uniform(-0.5, 0.5)) ** 2 * rng.uniform(0.5, 1.5) / 2.0
+    return y, -(f + 1e-3 * rng.standard_normal(n)), Grid.line(-3.0, 3.0, n).coords
+
+
+@pytest.mark.parametrize("shape", ["convex 1601", "transforms 8192"])
+def test_hull_takes_no_more_candidates_than_the_loop_hull(rng, shape):
+    if shape == "convex 1601":
+        y = Grid.line(-2.0, 2.0, 1601).coords
+        s, c, xs = y, -0.5 * y * y, y
+    else:
+        s, c, xs = transforms_lines(rng)
+    array = _kernels._spans(s, c, _kernels._upper_hull(s, c), xs)[1].sum()
+    loop = _kernels._spans(s, c, loop_upper_hull(s, c), xs)[1].sum()
+    assert array <= loop
+    assert_envelope_exact(s, c, xs[::16])  # |X|·|Y| dense cells, kept small
 
 
 def test_legendre_fast_matches_dense_with_plus_inf_nodes_and_zero_ties(rng):

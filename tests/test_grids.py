@@ -192,6 +192,32 @@ def test_grid_span_must_be_finite():
     Grid.line(-8e307, 8e307, 3)  # the span is 1.6e308, a float
 
 
+@pytest.mark.parametrize("lo, hi, n", [(1.5e-323, 3.5e-323, 8), (0.0, 1e-322, 30), (0.0, 5e-324, 4)])
+def test_grid_whose_last_node_misses_hi_rejected(lo, hi, n):
+    # a span of a few subnormal steps: (hi - lo) / (n - 1) rounds to a step
+    # of 5e-324 (or 0), and the last node lo + (n - 1) h lands past hi
+    # (5e-323 for hi = 3.5e-323, 1.43e-322 for hi = 1e-322) or short of it
+    with pytest.raises(ValidationError, match="last node"):
+        Grid.line(lo, hi, n)
+    with pytest.raises(ValidationError, match="last node"):
+        Grid.box((0.0, lo), (1.0, hi), (2, n))
+
+
+def test_grid_last_node_within_a_rounding_of_hi_taken():
+    # normal-range grids whose last node lands one rounding off hi stay
+    # valid, with the coordinates lo + i * h
+    off = 0
+    for lo, hi in [(-2.0, 2.0), (0.0, 1.0), (-1.5, 1.0), (0.1, 0.7), (-3.0, 5.0)]:
+        for n in range(2, 3000):
+            c = Grid.line(lo, hi, n).coords
+            h = (hi - lo) / (n - 1)
+            assert c[-1] == lo + (n - 1) * h
+            assert abs(c[-1] - hi) <= 2 * np.spacing(max(-lo, hi))  # two roundings
+            off += c[-1] > hi
+    assert off > 0
+    assert Grid.line(0.0, 7 * 5e-324, 8).coords[-1] == 7 * 5e-324  # an exact subnormal step
+
+
 def test_coords_fixed_expression_order():
     g = Grid.line(-1.3, 2.7, 1001)
     h = (2.7 - (-1.3)) / 1000

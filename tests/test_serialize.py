@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxplus import (
     Grid,
@@ -18,6 +21,7 @@ from maxplus.serialize import (
     gridfn_to_json,
     kernel_from_json,
     num_to_json,
+    tokens,
     values_from_json,
     values_to_json,
 )
@@ -89,3 +93,61 @@ def test_dumps_deterministic():
     g = Grid.line(0, 1, 3)
     obj = gridfn_to_json(GridFn(g, [1.0, NEG_INF, 2.0]))
     assert dumps(obj) == dumps(json.loads(dumps(obj)))
+
+
+# ---------------------------------------------------------------------------
+# dumps writes what json.dumps(indent=2) writes, through the C encoder
+# ---------------------------------------------------------------------------
+
+SCALARS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308,
+                     math.inf, -math.inf, math.nan]),
+    st.integers(),
+    st.sampled_from([2**63, -(2**63) - 1, 10**30]),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from([", ", "\n", '"', "'", "\\", "é", "\u2028", "a, b\n\"c\""]),
+)
+KEYS = st.one_of(st.text(), st.sampled_from(["", ", ", "\n", '"q"', "ключ", "\x00", "é"]))
+JSON_TREES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(JSON_TREES)
+def test_dumps_is_json_dumps_with_indent_2(obj):
+    assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_of_empty_and_nested_containers():
+    for obj in ([], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[1.5, "x"], [], [[None]]],
+                {"b": [1, 2], "a": {"c": (True, -0.0)}}, 1.5, "s", None):
+        assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_tokens_render_each_scalar_once():
+    vals = [1.5, -0.0, 5e-324, "+inf", "-inf", 2**70, True, None, "a,\nb"]
+    toks = tokens(vals)
+    assert list(toks) == [json.dumps(v) for v in vals]
+    # dumps writes Tokens as the list they render
+    for obj, plain in ((toks, vals), ({"v": toks, "w": [toks, 1]}, {"v": vals, "w": [vals, 1]}),
+                       (tokens([]), [])):
+        assert dumps(obj) == json.dumps(plain, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("token", ["1e400", "-1e400", "1e999"])
+def test_values_from_json_rejects_numbers_beyond_the_float_range(token):
+    items = json.loads(f'[0.5, "+inf", {token}]')
+    with pytest.raises(ValidationError, match="a number beyond the float range"):
+        values_from_json(items)
+    with pytest.raises(ValidationError, match="a number beyond the float range"):
+        values_from_json([float(token)])
