@@ -13,12 +13,18 @@ Statements checked: (open-liminf) and (closed-limsup) set bounds, with
 roles the caller declares.
 """
 
+import itertools
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._normal import log_gauss_mass, log_mgf_piecewise_linear, mask_runs
+from ._normal import (
+    log_gauss_mass,
+    log_mgf_piecewise_linear,
+    log_mgf_piecewise_linear_many,
+    mask_runs,
+)
 from .errors import ValidationError
 from .forms import LOG2, QuasiLinearForm
 from .grids import Grid, node_mask
@@ -101,6 +107,16 @@ class GaussianMeanForm(QuasiLinearForm):
         return log_mgf_piecewise_linear(
             self._grid.coords, phi.flat, n, 0.0, 1.0 / np.sqrt(n)
         )
+
+    @classmethod
+    def evaluate_many(cls, forms, phi):
+        # a form on another grid raises in its turn, after those before it
+        same = list(itertools.takewhile(lambda f: f._grid == phi.grid, forms))
+        laws = [(f.index, 0.0, 1.0 / np.sqrt(f.index), None) for f in same]
+        out = log_mgf_piecewise_linear_many(phi.grid.coords, phi.flat, laws)
+        if len(same) < len(forms):
+            raise ValidationError("GaussianMeanForm: phi lives on another grid")
+        return out
 
 
 def gaussian_mean_sequence(grid, n_list):

@@ -60,6 +60,11 @@ class QuasiLinearForm:
     # every 1-D slope, bit for bit; families of such forms are then
     # evaluated in one call per index
     affine_rows = None
+    # a class may set evaluate_many to a classmethod (forms, phi) -> list
+    # of forms[s].evaluate(phi), bit for bit; a table kernel's row then
+    # takes one call for all the forms of that class.  A subclass does not
+    # inherit it, as its evaluate may differ
+    evaluate_many = None
 
     def evaluate(self, phi):
         raise NotImplementedError

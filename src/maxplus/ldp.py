@@ -70,7 +70,10 @@ def _value_tensor(seqs, kernel):
 
     On a 1-D bilinear kernel the slices are affine: at each index the
     forms of one class that defines ``affine_rows`` fill their rows in one
-    call over all slopes; any other form is called once per slope.
+    call over all slopes; any other form is called once per slope.  On a
+    table kernel the forms of one class that defines ``evaluate_many``
+    take each kernel row in one call; any other form is called once per
+    row.
     """
     forms = [[form for _, form in seq.forms()] for seq in seqs]
     nx = kernel.x_grid.size
@@ -91,9 +94,19 @@ def _value_tensor(seqs, kernel):
                     for s in members:
                         V[i, s] = [at_n[s].evaluate_affine(y, 0.0) for y in slopes]
     else:
+        classes = {}
+        for i, at_n in enumerate(zip(*forms)):
+            for s, form in enumerate(at_n):
+                classes.setdefault(type(form), []).append((i, s, form))
+        groups = []
+        for cls, members in classes.items():
+            i, s, group = zip(*members)
+            many = cls.evaluate_many if "evaluate_many" in vars(cls) else None
+            groups.append((list(i), list(s), group, many))
         for x in range(nx):
             row = kernel.row(x)
-            V[:, :, x] = [[form.evaluate(row) for form in at_n] for at_n in zip(*forms)]
+            for i, s, group, many in groups:
+                V[i, s, x] = many(group, row) if many else [f.evaluate(row) for f in group]
     return V
 
 

@@ -25,7 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _normal
-from ._normal import log_gauss_mass, log_mgf_piecewise_linear, mask_runs
+from ._normal import (
+    log_gauss_mass,
+    log_mgf_piecewise_linear,
+    log_mgf_piecewise_linear_many,
+    mask_runs,
+)
 from .convergence import FormSequence, limsup_trend
 from .conjugacy import Kernel
 from .errors import ValidationError
@@ -233,12 +238,6 @@ class ConstantPaths:
 # exact per-horizon forms
 # ---------------------------------------------------------------------------
 
-# log(e^u + e^v) through libm, element by element
-_log_sum_exp_pair = np.frompyfunc(
-    lambda u, v: math.log(math.exp(u) + math.exp(v)), 2, 1
-)
-
-
 @dataclass(frozen=True)
 class MertonValueForm(QuasiLinearForm):
     """Exact quasi-linear form of log(W_T)/T under a constant fraction.
@@ -312,20 +311,22 @@ class MertonValueForm(QuasiLinearForm):
         if normal:
             rows, (T, a, mu, sd) = columns(normal)
             t1 = T * (intercept + slope * a) + _normal.log_ndtr((a - mu) / sd)
-            t2 = (
-                T * intercept
-                + T * slope * mu
-                + T * slope * slope * sd * sd * T / 2.0
-                + _normal.log_ndtr(-(a - mu - slope * sd * sd * T) / sd)
-            )
+            # t2 is this head plus a log-probability <= 0, so t2 <= head:
+            # where head - t1 < -37 the pair sum below reads t1 alone,
+            # whatever t2 is, and t2's Gaussian tail is left out
+            t2 = T * intercept + T * slope * mu + T * slope * slope * sd * sd * T / 2.0
+            live = ~(t2 - t1 < -37.0)
+            z = -(a - mu - slope * sd * sd * T) / sd
+            t2[live] += _normal.log_ndtr(z[live])
             m = np.maximum(t1, t2)
-            u, v = t1 - m, t2 - m
-            # one of u, v is 0; below -37 the other's e^d < 2^-53 leaves
-            # log(1 + e^d) at exactly 0.  The rest go through libm one at a
+            # log(e^u + e^v) with u = t1 - m, v = t2 - m: one of them is 0,
+            # so it is log(1 + e^d) for d the other.  Below -37, e^d < 2^-53
+            # leaves it at exactly 0.  The rest go through libm one at a
             # time: numpy's vectorised exp and log differ in the last bit.
-            s = np.zeros(u.shape)
-            near = ~(np.minimum(u, v) < -37.0)
-            s[near] = _log_sum_exp_pair(u[near], v[near])
+            d = np.minimum(t1 - m, t2 - m)
+            s = np.zeros(d.shape)
+            near = ~(d < -37.0)
+            s[near] = [math.log(1.0 + math.exp(x)) for x in d[near].tolist()]
             out[rows] = (m + s) / T
         return out
 
@@ -373,6 +374,13 @@ class MertonValueForm(QuasiLinearForm):
             state_floor=self.clip_floor,
         )
 
+    @classmethod
+    def evaluate_many(cls, forms, phi):
+        if phi.grid.dim != 1:
+            raise ValidationError("MertonValueForm evaluates 1-D grid functions")
+        laws = [(f.horizon, *f._law(), f.clip_floor) for f in forms]
+        return log_mgf_piecewise_linear_many(phi.grid.coords, phi.flat, laws)
+
 
 def growth_input(p, x_grid, y_grid, xi_values, horizons, *, clip_floor=None):
     """Pipeline input: one exact sequence per control fraction."""
@@ -418,17 +426,27 @@ def constant_control_rate(c, xi, p):
 def exact_tail_value(c, xi, p, horizon):
     """(1/T) log P[log(W_T)/T >= c] under a constant fraction, exact.
 
-    A value beyond the float range is -inf.
+    ``xi`` is a fraction or an array of them, and the value has its shape:
+    a float for a scalar.  A value beyond the float range is -inf.
     """
     T = float(horizon)
-    spread = p.sigma * abs(xi)
-    if spread == 0.0:
-        # a point mass: xi = 0, or sigma |xi| below the float range
-        reach = drift_rate(xi, p) + math.log(p.w0) / T
-        return 0.0 if reach >= c else NEG_INF
-    u = (c - drift_rate(xi, p) - math.log(p.w0) / T) * math.sqrt(T) / spread
+    xis = np.asarray(xi, dtype=np.float64)
+    start, root = math.log(p.w0) / T, math.sqrt(T)
+    values, tails = [], []
+    # one fraction at a time in Python floats, as in simulate; the Gaussian
+    # tails then take one log_ndtr call
+    for x in xis.ravel().tolist():
+        spread = p.sigma * abs(x)
+        if spread == 0.0:
+            # a point mass: xi = 0, or sigma |xi| below the float range
+            values.append(0.0 if drift_rate(x, p) + start >= c else NEG_INF)
+        else:
+            values.append(None)
+            tails.append(-((c - drift_rate(x, p) - start) * root / spread))
+    logs = iter(_normal.log_ndtr(np.array(tails)).tolist())
     # Python's float division: an overflow gives -inf without a warning
-    return float(_normal.log_ndtr(-u)) / T
+    out = np.array([next(logs) / T if v is None else v for v in values]).reshape(xis.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -553,7 +571,7 @@ def tail_rate_experiment(
                     phat = hits / n_paths
                     mc[ti, xj] = math.log(phat) / T
                     mc_se[ti, xj] = math.sqrt((1.0 - phat) / (phat * n_paths)) / T
-        exact[ti] = [exact_tail_value(c, xi, p, T) for xi in xi_grid.tolist()]
+        exact[ti] = exact_tail_value(c, xi_grid, p, T)
 
     sups = exact[np.arange(len(horizons)), exact.argmax(axis=1)]
     return TailRateReport(

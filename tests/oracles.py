@@ -3,8 +3,10 @@
 Everything here deliberately avoids the library's kernel code paths:
 plain Python loops or direct numpy broadcasting for max-plus algebra,
 exhaustive enumeration for pre-image problems, and mpmath for Gaussian
-masses.  Conventions mirror the documented scalar rules (-inf absorbing,
-no NaN).
+masses.  The one exception is the normal tails ``log_ndtr`` and ``ndtr``,
+which the structural loops take from ``maxplus._normal`` so as to give its
+bits; ``test_normal.py`` holds those against mpmath and scipy.
+Conventions mirror the documented scalar rules (-inf absorbing, no NaN).
 """
 
 import itertools
@@ -13,7 +15,8 @@ from types import SimpleNamespace
 
 import mpmath
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+
+from maxplus._normal import log_ndtr, ndtr
 
 NEG = float("-inf")
 POS = float("inf")
@@ -510,6 +513,32 @@ def clipped_merton_affine(p, horizon, xi, floor, slope):
     )
     m = max(t1, t2)
     return float((m + math.log(math.exp(t1 - m) + math.exp(t2 - m))) / T)
+
+
+def unskipped_clipped_rows(forms, slopes):
+    """The clipped branch of ``MertonValueForm.affine_rows`` with t2's
+    Gaussian tail computed on every cell, as it was before that branch
+    skipped the cells whose t2 cannot matter: clipped forms with sd > 0 on
+    a 1-D array of slopes, intercept 0."""
+    cols = []
+    for f in forms:
+        mu, sd = f._law()
+        cols.append((f.horizon, f.clip_floor, mu, sd))
+    T, a, mu, sd = (np.array(c, dtype=np.float64)[:, None] for c in zip(*cols))
+    slope = np.asarray(slopes, dtype=np.float64)
+    t1 = T * (0.0 + slope * a) + log_ndtr((a - mu) / sd)
+    t2 = (
+        T * 0.0
+        + T * slope * mu
+        + T * slope * slope * sd * sd * T / 2.0
+        + log_ndtr(-(a - mu - slope * sd * sd * T) / sd)
+    )
+    m = np.maximum(t1, t2)
+    u, v = t1 - m, t2 - m
+    s = np.zeros(u.shape)
+    for i, j in zip(*np.nonzero(~(np.minimum(u, v) < -37.0))):
+        s[i, j] = math.log(math.exp(u[i, j]) + math.exp(v[i, j]))
+    return (m + s) / T
 
 
 # -- window diagnostics, one X-row at a time -------------------------------

@@ -92,9 +92,8 @@ def test_merton_scenario_target_column(tmp_path):
 
 def test_merton_scenario_samples_serially_within_3_se(tmp_path):
     # the checked-in tail-rate scenario, in a fresh process: no thread is
-    # started and the Monte Carlo cells agree with their exact values.
-    # scipy.special loads concurrent.futures itself (through numpy.testing),
-    # so the package's own imports are checked for executors instead.
+    # started, no executor module is imported, and the Monte Carlo cells
+    # agree with their exact values
     import ast
 
     import maxplus
@@ -121,7 +120,8 @@ def test_merton_scenario_samples_serially_within_3_se(tmp_path):
         "argv = ['merton', '--config', sys.argv[1], '--out-dir', sys.argv[2]]",
         "rc = maxplus.cli.main(argv)",
         "print(json.dumps({'rc': rc, 'started': started,",
-        "                  'threads': [before, threading.active_count()]}))",
+        "                  'threads': [before, threading.active_count()],",
+        "                  'futures': 'concurrent.futures' in sys.modules}))",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(maxplus.__file__).parents[1]))
     proc = subprocess.run(
@@ -133,6 +133,7 @@ def test_merton_scenario_samples_serially_within_3_se(tmp_path):
     assert got["rc"] == 0
     assert got["started"] == []
     assert got["threads"][0] == got["threads"][1]
+    assert not got["futures"]
     conclusive = outside = 0
     for line in (tmp_path / "merton_tailrate.csv").read_text().splitlines()[1:]:
         _, _, exact, mc, se, _, _ = line.split(",")
@@ -299,12 +300,12 @@ def test_table_kernel_ldp_writes_the_segment_loops_bytes(tmp_path, monkeypatch, 
     rc = run_ldp(tmp_path, obj, "array")
     calls = []
 
-    def loop(*args, **kwargs):
-        calls.append(args)
-        return slow_log_mgf_piecewise_linear(*args, **kwargs)
+    def loop(coords, values, laws):
+        calls.extend(laws)
+        return [slow_log_mgf_piecewise_linear(coords, values, *law) for law in laws]
 
     for module in (maxplus.convergence, maxplus.merton):
-        monkeypatch.setattr(module, "log_mgf_piecewise_linear", loop)
+        monkeypatch.setattr(module, "log_mgf_piecewise_linear_many", loop)
     assert run_ldp(tmp_path, obj, "loop") == rc
     # every (form, index, x-node) value went through the loop
     forms = 9 * 3 if sequence == "merton" else 4
@@ -528,9 +529,8 @@ def test_malformed_table_rows_exit_3(tmp_path, capsys, rows):
 
 
 def test_core_import_and_gaussian_ldp_load_no_scipy(tmp_path):
-    # scipy.special is imported at the first Gaussian interval mass; the
-    # CLI, the kernels and a Gaussian ldp without set bounds need numpy only,
-    # and leave concurrent.futures (and with it logging) unloaded.
+    # the CLI, the kernels and a Gaussian ldp need numpy only, and leave
+    # concurrent.futures (and with it logging) unloaded
     import maxplus
 
     code = "\n".join([
@@ -551,6 +551,66 @@ def test_core_import_and_gaussian_ldp_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "gaussian_ldp_out.json").exists()
+
+
+def clipped_merton_table_ldp():
+    """A clipped Merton ldp on a small table kernel: it reaches the Gaussian
+    interval masses and both normal tails."""
+    x, y = np.linspace(0.0, 1.2, 13), np.linspace(0.0, 2.0, 11)
+    return {
+        "kind": "ldp",
+        "x_grid": {"dim": 1, "lo": 0.0, "hi": 1.2, "n": 13},
+        "y_grid": {"dim": 1, "lo": 0.0, "hi": 2.0, "n": 11},
+        "kernel": {"type": "table", "rows": np.multiply.outer(x, y).tolist()},
+        "sequence": {
+            "type": "merton", "params": {"r": 0.05, "alpha": 0.1, "sigma": 0.2},
+            "horizons": [400, 800, 1600], "xi_min": 0.0, "xi_max": 2.0, "xi_step": 0.5,
+            "truncate_at": 0.0,
+        },
+        "closed_below": True, "x_closed_below": True, "sup_edge_to_inf": True,
+        "out_json": "clipped_out.json", "out_csv": "clipped_out.csv",
+    }
+
+
+def test_every_run_goes_without_scipy(tmp_path):
+    # with scipy refused by a meta-path finder, the CLI, the four checked-in
+    # scenarios and a clipped Merton ldp exit as they do here and write the
+    # same bytes, and no scipy module gets loaded
+    import maxplus
+
+    cfg = tmp_path / "clipped.json"
+    cfg.write_text(json.dumps(clipped_merton_table_ldp()))
+    runs = [(json.loads(p.read_text())["kind"], p) for p in sorted(SCENARIOS.glob("*.json"))]
+    runs.append(("ldp", cfg))
+    code = "\n".join([
+        "import json, sys",
+        "class NoScipy:",
+        "    def find_spec(self, name, path=None, target=None):",
+        "        if name.split('.')[0] == 'scipy':",
+        "            raise ImportError('scipy is refused here')",
+        "sys.meta_path.insert(0, NoScipy())",
+        "import maxplus.cli",
+        "codes = [maxplus.cli.main([kind, '--config', cfg, '--out-dir', out])",
+        "         for kind, cfg, out in json.loads(sys.argv[1])]",
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "print(json.dumps(codes))",
+    ])
+    calls = [(kind, str(path), str(tmp_path / "without" / path.stem)) for kind, path in runs]
+    env = dict(os.environ, PYTHONPATH=str(Path(maxplus.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(calls)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    for (kind, path), got in zip(runs, codes):
+        here = tmp_path / "here" / path.stem
+        assert run([kind, "--config", path, "--out-dir", here]) == got
+        there = tmp_path / "without" / path.stem
+        assert sorted(p.name for p in here.iterdir()) == sorted(p.name for p in there.iterdir())
+        for p in here.iterdir():
+            assert p.read_bytes() == (there / p.name).read_bytes(), (path.name, p.name)
+    assert codes[:4] == [0, 0, 0, 0]
 
 
 def test_serialize_imports_neither_forms_nor_merton():
@@ -1136,7 +1196,7 @@ PINNED_DIGESTS = {
     },
     "merton_tailrate.json": {
         "merton_tailrate.csv":
-            "3dd8fd1b9b34102e6e765d0c59f7eacce60ea70e240dd067942e511c827c633a",
+            "5ac4ff993a5299c3b9351e24a333a772e0d66c43e81b3781a84b07b22c5019fa",
     },
 }
 

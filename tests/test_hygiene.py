@@ -3,8 +3,7 @@
 Every imported name is read somewhere in the module that imports it.
 The library modules (bar ``__init__``, which re-exports) and the test
 files are parsed.  A name counts as read when it is loaded anywhere in
-the module, so an import that a ``global`` statement binds for other
-functions (``_normal``'s lazy scipy names) counts as read.
+the module.
 
 Every ``raise`` in the library raises a ``MaxplusError`` subclass or
 ``NotImplementedError``, so that the CLI turns every rejected input into

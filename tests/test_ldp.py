@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxplus.convergence
 from maxplus import (
     FormSequence,
     GartnerInput,
@@ -15,6 +16,7 @@ from maxplus import (
     LogIntegralForm,
     MaxPlusForm,
     MertonParams,
+    MertonValueForm,
     NEG_INF,
     POS_INF,
     WindowSides,
@@ -30,7 +32,12 @@ from maxplus import (
 )
 from maxplus.errors import ValidationError
 from maxplus.forms import QuasiLinearForm
-from oracles import constant_sequence, slow_coercivity_report, slow_limit_log_moment
+from oracles import (
+    constant_sequence,
+    slow_coercivity_report,
+    slow_limit_log_moment,
+    slow_log_mgf_piecewise_linear,
+)
 
 NEG = NEG_INF
 POS = POS_INF
@@ -417,10 +424,15 @@ def _bilinear_2d_case(nlen):
 
 
 def _mixed_nlists_case(nlen):
-    """Members whose n_lists differ, interleaved in member order."""
+    """Members whose n_lists differ, interleaved in member order.
+
+    The fractions reach 8, so that above x = 1, where the growth value is
+    infinite, the last member leads the Gaussian one and the family's sup
+    runs off the edge of the grid.
+    """
     a = {1: (400,), 2: (400, 800), 4: (200, 400, 800, 1600)}[nlen]
     b = {1: (500,), 2: (300, 900), 4: (250, 500, 1000, 2000)}[nlen]
-    xi = np.arange(0.0, 6.0 + 1e-9, 0.5)
+    xi = np.arange(0.0, 8.0 + 1e-9, 0.5)
     xg, yg = Grid.line(-0.2, 1.2, 29), Grid.line(0.0, 2.0, 11)
     ina = growth_input(P, xg, yg, xi, a, clip_floor=0.0)
     inb = growth_input(P, xg, yg, xi, b, clip_floor=0.0)
@@ -544,6 +556,66 @@ def test_array_call_only_for_forms_that_declare_it():
         assert np.array_equal(g.values, 0.5 * grid.coords**2)
     assert _CountingGaussian.calls == [1] * len(ns)  # one call per form
     assert _ScalarOnly.calls == [0] * (len(ns) * grid.size)
+
+
+def test_evaluate_many_is_the_segment_loop_per_form():
+    grid = Grid.line(-1.0, 2.0, 31)
+    phi = GridFn(grid, np.random.default_rng(8).normal(0.0, 1.0, 31).cumsum())
+    merton = [
+        MertonValueForm(P, T, xi, grid, floor)
+        for T in (50, 400) for xi in (0.0, 0.5, 3.0) for floor in (None, 0.0, 0.4)
+    ]
+    gauss = [GaussianMeanForm(n, grid) for n in (1, 16, 256)]
+    laws = [(f.horizon, *f._law(), f.clip_floor) for f in merton]
+    laws += [(f.index, 0.0, 1.0 / np.sqrt(f.index), None) for f in gauss]
+    want = [slow_log_mgf_piecewise_linear(grid.coords, phi.flat, *law) for law in laws]
+    got = MertonValueForm.evaluate_many(merton, phi) + GaussianMeanForm.evaluate_many(gauss, phi)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert [f.evaluate(phi) for f in merton + gauss] == got
+
+
+def test_gaussian_evaluate_many_raises_in_turn():
+    grid, other = Grid.line(-1.0, 1.0, 5), Grid.line(-1.0, 1.0, 7)
+    forms = [GaussianMeanForm(4, grid), GaussianMeanForm(4, other)]
+    with pytest.raises(ValidationError, match="another grid"):
+        GaussianMeanForm.evaluate_many(forms, GridFn(grid, np.zeros(5)))
+    # the first form's own error comes first
+    with pytest.raises(ValidationError, match="finite values"):
+        GaussianMeanForm.evaluate_many(forms, GridFn(grid, np.array([0.0, 1.0, NEG, 0.0, 0.0])))
+
+
+class _CountingTableGaussian(GaussianMeanForm):
+    """A subclass with its own evaluate: it does not inherit evaluate_many."""
+
+    calls = []
+
+    def evaluate(self, phi):
+        self.calls.append(self.index)
+        return super().evaluate(phi)
+
+
+def test_table_kernel_rows_take_one_call_per_class_that_declares_it(monkeypatch):
+    grid = Grid.line(-2.0, 2.0, 21)
+    k = Kernel.from_table(grid, grid, np.multiply.outer(grid.coords, grid.coords))
+    ns = (64, 128, 256)
+    batches = []
+    many = maxplus.convergence.log_mgf_piecewise_linear_many
+
+    def counted(coords, values, laws):
+        batches.append(len(laws))
+        return many(coords, values, laws)
+
+    monkeypatch.setattr(maxplus.convergence, "log_mgf_piecewise_linear_many", counted)
+    seqs = (gaussian_mean_sequence(grid, ns), gaussian_mean_sequence(grid, ns))
+    g, _ = limit_log_moment(GartnerInput(seqs, k))
+    assert batches == [2 * len(ns)] * grid.size  # one call per row
+    batches.clear()
+    _CountingTableGaussian.calls.clear()
+    seq = FormSequence(lambda n: _CountingTableGaussian(n, grid), ns, grid)
+    sub, _ = limit_log_moment(GartnerInput((seq,), k))
+    assert _CountingTableGaussian.calls == list(ns) * grid.size
+    assert batches == []
+    assert sub.values.tobytes() == g.values.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ from maxplus import (
     simulate,
     tail_rate_experiment,
 )
+from maxplus._normal import log_ndtr
 from maxplus.merton import constant_control_rate, exact_tail_value, growth_input
 from oracles import (
     clipped_merton_affine,
+    unskipped_clipped_rows,
     risk_sensitive_exact,
     risk_sensitive_value,
     slow_constant_samples,
@@ -481,6 +483,71 @@ def test_clipped_affine_on_slope_arrays_matches_libm_closed_form():
                 ref = [clipped_merton_affine(P, T, xi, floor, s) for s in slopes]
                 assert F.evaluate_affine(slopes).tobytes() == np.array(ref).tobytes()
                 assert [F.evaluate_affine(s) for s in slopes] == ref
+
+
+def skipped_share(forms, slopes):
+    """The share of cells whose t2 tail ``affine_rows`` leaves uncomputed."""
+    T, a, mu, sd = (np.array(c)[:, None] for c in zip(
+        *[(f.horizon, f.clip_floor, *f._law()) for f in forms]
+    ))
+    t1 = T * (0.0 + slopes * a) + log_ndtr((a - mu) / sd)
+    head = T * 0.0 + T * slopes * mu + T * slopes * slopes * sd * sd * T / 2.0
+    return float(np.mean(head - t1 < -37.0))
+
+
+def test_clipped_rows_skip_no_bit_on_the_criterion_8_family():
+    # where head - t1 < -37 the pair sum reads t1 alone, so leaving t2's
+    # Gaussian tail uncomputed there moves no bit
+    slopes = Grid.line(0.0, 1.2, 121).coords
+    xi = np.arange(0.05, 40.0 + 1e-9, 0.05)
+    for T in (400.0, 800.0, 1600.0, 3200.0):
+        forms = [MertonValueForm(P, T, float(x), clip_floor=0.0) for x in xi]
+        got = MertonValueForm.affine_rows(forms, slopes)
+        assert got.tobytes() == unskipped_clipped_rows(forms, slopes).tobytes()
+        assert skipped_share(forms, slopes) > 0.5
+
+
+def test_clipped_rows_skip_no_bit_on_random_forms():
+    rng = np.random.default_rng(34)
+    for _ in range(40):
+        p = random_params(rng)
+        T = float(rng.choice([1.0, 25.0, 400.0, 3200.0, 1e5]))
+        floor = float(rng.uniform(-0.2, 0.3))
+        forms = [
+            MertonValueForm(p, T, float(x), clip_floor=floor)
+            for x in rng.uniform(-3.0, 40.0, 30)
+        ]
+        slopes = np.sort(rng.uniform(-2.0, 4.0, 50))
+        got = MertonValueForm.affine_rows(forms, slopes)
+        assert got.tobytes() == unskipped_clipped_rows(forms, slopes).tobytes()
+
+
+def test_exact_tail_value_on_an_array_is_the_scalar_loop():
+    xi = np.concatenate([[0.0, -0.5, 1e-320], np.linspace(-3.0, 8.0, 57)])
+    for c in (-0.2, 0.04, 0.12, 3.0):
+        for T in (1e-300, 1.0, 25.0, 3200.0):
+            got = exact_tail_value(c, xi, P, T)
+            want = [exact_tail_value(c, float(x), P, T) for x in xi]
+            assert type(got) is np.ndarray and all(type(v) is float for v in want)
+            assert got.tobytes() == np.array(want).tobytes()
+            assert exact_tail_value(c, xi.reshape(6, 10), P, T).tobytes() == got.tobytes()
+            assert type(exact_tail_value(c, np.float64(0.5), P, T)) is float
+
+
+def test_tail_rate_calls_exact_tail_value_once_per_horizon(monkeypatch):
+    calls = []
+    inner = maxplus.merton.exact_tail_value
+
+    def counting(c, xi, p, horizon):
+        calls.append(np.shape(xi))
+        return inner(c, xi, p, horizon)
+
+    monkeypatch.setattr(maxplus.merton, "exact_tail_value", counting)
+    tail_rate_experiment(
+        c=0.12, p=P, horizons=[25, 50, 100], xi_grid=np.arange(0.5, 4.0, 0.5),
+        mc_horizons=[],
+    )
+    assert calls == [(7,)] * 3
 
 
 def test_tail_rate_cell_seeds_match_spawned_children():
