@@ -154,18 +154,25 @@ def simulate(p, xi, horizon, n_paths, seed):
     numbers.
 
     Under a constant fraction xi, log(W_T)/T is exactly base + scale * Z
-    with Z standard normal, so one draw of ``n_paths`` normals from
-    ``seed`` serves every fraction.  ``xi`` is a nonempty 1-D array-like
-    of finite fractions.  Returns a ``ConstantPaths`` iterable: iterating
-    it yields, for each fraction in order, a fresh read-only array of the
-    samples, and its ``tail_counts(c)`` gives every fraction's count of
-    samples at or above c without building those arrays.  Each array
-    alone has its fraction's exact law; arrays of one call share their
-    normals.  A one-fraction call draws what it always did.
+    with Z standard normal at every horizon T, so one draw of ``n_paths``
+    normals from ``seed`` serves every fraction and every horizon.  ``xi``
+    is a nonempty 1-D array-like of finite fractions, and ``horizon`` a
+    finite positive number or a nonempty sequence of distinct ones.
+    Returns a ``ConstantPaths`` iterable whose cells run horizon-major over
+    (horizon, fraction): iterating it yields, for each cell in order, a
+    fresh read-only array of the samples, and its ``tail_counts(c)`` gives
+    every cell's count of samples at or above c without building those
+    arrays.  Each array alone has its cell's exact law; arrays of one call
+    share their normals.  Cell (h, j) gets the bits of a one-horizon,
+    one-fraction call on horizon h and fraction j with the same seed.
 
     The arguments are checked, and the normals drawn, at the call.
     """
-    _check_horizon(horizon)
+    if isinstance(horizon, (list, tuple)) or np.ndim(horizon) == 1:
+        horizons = _check_horizons(horizon)
+    else:
+        _check_horizon(horizon)
+        horizons = [horizon]
     if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral) or n_paths < 1:
         raise ValidationError(f"need at least one path, got {n_paths!r}")
     fractions = np.asarray(xi)
@@ -178,21 +185,23 @@ def simulate(p, xi, horizon, n_paths, seed):
         raise ValidationError(f"need a nonempty 1-D array of finite fractions, got {xi!r}")
     _check_fractions(p, fractions)
     z = np.random.default_rng(seed).standard_normal(n_paths)
-    T = float(horizon)
     # one fraction at a time in Python floats: an array expression would
     # square xi with a multiply, which can round otherwise than libm pow
     xis = fractions.astype(np.float64).tolist()
-    return ConstantPaths(
-        scale=np.array([p.sigma * x / math.sqrt(T) for x in xis]),
-        base=np.array([math.log(p.w0) / T + drift_rate(x, p) for x in xis]),
-        z=z,
-    )
+    spreads = [p.sigma * x for x in xis]
+    drifts = [drift_rate(x, p) for x in xis]
+    scale, base = [], []
+    for T in map(float, horizons):
+        root, start = math.sqrt(T), math.log(p.w0) / T
+        scale += [s / root for s in spreads]
+        base += [start + d for d in drifts]
+    return ConstantPaths(scale=np.array(scale), base=np.array(base), z=z)
 
 
 @dataclass(frozen=True)
 class ConstantPaths:
-    """The samples fl(fl(z * scale[j]) + base[j]) of fraction j, for the
-    normals ``z`` shared by all fractions."""
+    """The samples fl(fl(z * scale[j]) + base[j]) of cell j, for the
+    normals ``z`` shared by all cells."""
 
     scale: np.ndarray
     base: np.ndarray
@@ -207,13 +216,13 @@ class ConstantPaths:
             yield values
 
     def tail_counts(self, c):
-        """Per fraction, the number of its samples at or above c.
+        """Per cell, the number of its samples at or above c.
 
-        IEEE rounding is monotone, so a fraction's samples are
+        IEEE rounding is monotone, so a cell's samples are
         non-decreasing in z when its scale is >= 0 (constant at ±0) and
         non-increasing when it is < 0: over the sorted draw, the samples
         at or above c form a suffix or a prefix.  One bisection for all
-        fractions finds where each one starts or ends, evaluating the
+        cells finds where each one starts or ends, evaluating the
         same two-rounding expression, so the counts are exact.
         """
         zs = np.sort(self.z)
@@ -538,10 +547,11 @@ def tail_rate_experiment(
     entropy once for the whole experiment.
 
     Horizons must be distinct finite positive numbers, and each Monte
-    Carlo horizon one of them.  Each Monte Carlo horizon draws one vector
-    of normals from its own child seed, shared by all fractions (common
-    random numbers, see ``simulate``): every cell keeps its law and
-    standard error, and the cells of one horizon are correlated.
+    Carlo horizon one of them.  One ``simulate`` call over the Monte Carlo
+    horizons draws one vector of normals from the first child seed,
+    ``SeedSequence(seed).spawn(1)[0]``, shared by every (horizon, fraction)
+    cell (common random numbers): every cell keeps its law and standard
+    error, and the cells are correlated across fractions and horizons.
     """
     horizons = _check_horizons(horizons)
     xi_grid = np.array(xi_grid, dtype=np.float64)  # a copy: the report keeps it
@@ -562,15 +572,20 @@ def tail_rate_experiment(
     exact = np.empty(shape)
     mc = np.full(shape, np.nan)
     mc_se = np.full(shape, np.nan)
-    children = ss.spawn(len(horizons))
-    for ti, T in enumerate(horizons):
-        if T in mc_horizons:
-            counts = simulate(p, xi_grid, T, n_paths, children[ti]).tail_counts(c)
-            for xj, hits in enumerate(counts.tolist()):
+    sampled = [ti for ti, T in enumerate(horizons) if T in mc_horizons]
+    if sampled:
+        # the paths, and with them the draw, are dropped once counted
+        counts = simulate(
+            p, xi_grid, [horizons[ti] for ti in sampled], n_paths, ss.spawn(1)[0]
+        ).tail_counts(c)
+        for ti, row in zip(sampled, counts.reshape(len(sampled), -1).tolist()):
+            T = horizons[ti]
+            for xj, hits in enumerate(row):
                 if hits > 0:
                     phat = hits / n_paths
                     mc[ti, xj] = math.log(phat) / T
                     mc_se[ti, xj] = math.sqrt((1.0 - phat) / (phat * n_paths)) / T
+    for ti, T in enumerate(horizons):
         exact[ti] = exact_tail_value(c, xi_grid, p, T)
 
     sups = exact[np.arange(len(horizons)), exact.argmax(axis=1)]

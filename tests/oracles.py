@@ -845,9 +845,10 @@ def risk_sensitive_value(x, values, horizon):
 # ``merton.tail_rate_experiment`` as one serial loop over (horizon,
 # fraction), with the closed forms restated in the library's float
 # operations.  Each cell draws its own samples as ``base + scale * z`` from
-# its horizon's child seed, so the cells of one horizon see the same
-# normals, as the library's common-random-numbers draw does without drawing
-# them again.  The table must equal the library's bit for bit.
+# the seed's first child and counts them with ``np.count_nonzero``, so
+# every cell sees the same normals, as the library's common-random-numbers
+# draw does without drawing them again.  The table must equal the
+# library's bit for bit.
 
 
 def slow_constant_samples(p, xi, horizon, n_paths, seed):
@@ -901,13 +902,12 @@ def slow_tail_rate_experiment(c, p, horizons, n_paths=100_000, seed=None, *, xi_
             if value > best_val:
                 best_val, best_xi = value, xi
             if T in mc_set:
-                # the child ss.spawn(len(horizons))[ti] would be, made
-                # only for the cells that sample
+                # the child ss.spawn(1)[0] would be, made for each cell
                 child = np.random.SeedSequence(
-                    ss.entropy, spawn_key=ss.spawn_key + (ti,), pool_size=ss.pool_size
+                    ss.entropy, spawn_key=ss.spawn_key + (0,), pool_size=ss.pool_size
                 )
                 values = slow_constant_samples(p, xi, T, n_paths, child)
-                hits = int((values >= c).sum())
+                hits = int(np.count_nonzero(values >= c))
                 if hits > 0:
                     phat = hits / n_paths
                     mc[ti, xj] = math.log(phat) / T

@@ -1196,7 +1196,7 @@ PINNED_DIGESTS = {
     },
     "merton_tailrate.json": {
         "merton_tailrate.csv":
-            "5ac4ff993a5299c3b9351e24a333a772e0d66c43e81b3781a84b07b22c5019fa",
+            "e97f8bc0bc078499980d1c04fc910bdc64372432c782f64cd9133bfd3beef801",
     },
 }
 

@@ -214,23 +214,60 @@ def test_tail_counts_at_a_sample_value(pick):
             assert got[XIS.index(0.0)] in (0, 2001)
 
 
-def test_tail_rate_calls_simulate_once_per_monte_carlo_horizon(monkeypatch):
+def test_tail_rate_calls_simulate_once_over_the_monte_carlo_horizons(monkeypatch):
     # merton.simulate is the sampling entry point of the tail-rate
-    # experiment, called through the module on every Monte Carlo horizon
+    # experiment, called through the module once, on the seed's first
+    # child, for all Monte Carlo horizons together
     calls = []
     original = maxplus.merton.simulate
 
     def counting(*args, **kwargs):
-        calls.append((args[2], args[3]))
+        calls.append((list(args[2]), args[3], args[4].entropy, args[4].spawn_key))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(maxplus.merton, "simulate", counting)
     kw = dict(c=0.12, p=P, horizons=[25, 50, 100], n_paths=300, seed=4,
               xi_grid=np.array([0.5, 1.0]))
-    for mc_horizons, want in ((None, [25, 50, 100]), ([50, 100], [50, 100]), ([], [])):
+    for mc_horizons, want in ((None, [[25, 50, 100]]), ([100, 50], [[50, 100]]), ([], [])):
         calls.clear()
         tail_rate_experiment(mc_horizons=mc_horizons, **kw)
-        assert calls == [(T, 300) for T in want]
+        assert calls == [(T, 300, 4, (0,)) for T in want]
+
+
+def test_simulate_over_horizons_is_the_one_horizon_calls():
+    # cell (h, j) of a multi-horizon call gets the bits of fraction j of a
+    # one-horizon call on the same seed, negative and zero fractions too
+    horizons = [25, 333.3, 1e-3, 4096.0]
+    for seed in (3, np.random.SeedSequence(5, spawn_key=(0,))):
+        for hs in (horizons, tuple(horizons[:1]), np.array(horizons[1:])):
+            paths = simulate(P, XIS, hs, 4097, seed)
+            got = list(paths)
+            assert len(got) == len(hs) * len(XIS)
+            alone = [simulate(P, XIS, T, 4097, seed) for T in hs]
+            want = [a for one in alone for a in one]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            for name in ("scale", "base"):
+                cells = np.concatenate([getattr(one, name) for one in alone])
+                assert getattr(paths, name).tobytes() == cells.tobytes()
+            for c in (0.1, P.r, -0.3):
+                counts = np.concatenate([one.tail_counts(c) for one in alone])
+                assert paths.tail_counts(c).tolist() == counts.tolist()
+
+
+def test_tail_rate_first_horizon_keeps_its_per_horizon_draw():
+    # with every horizon sampling, the first horizon's cells are those of
+    # a one-horizon draw on SeedSequence(seed).spawn(|T|)[0], as if each
+    # horizon drew from its own child
+    horizons, xi, n = [25, 50, 100], np.arange(-0.5, 3.0, 0.25), 2000
+    rep = tail_rate_experiment(c=0.1, p=P, horizons=horizons, n_paths=n, seed=42,
+                               xi_grid=xi)
+    first = np.random.SeedSequence(42).spawn(len(horizons))[0]
+    counts = simulate(P, xi, 25, n, first).tail_counts(0.1).tolist()
+    mc = [math.log(k / n) / 25 if k else math.nan for k in counts]
+    se = [math.sqrt((1.0 - k / n) / (k / n * n)) / 25 if k else math.nan for k in counts]
+    assert rep.mc[0].tobytes() == np.array(mc).tobytes()
+    assert rep.mc_se[0].tobytes() == np.array(se).tobytes()
+    assert not np.isnan(rep.mc[0]).all()
 
 
 @pytest.mark.parametrize(
@@ -245,9 +282,14 @@ def test_tail_rate_calls_simulate_once_per_monte_carlo_horizon(monkeypatch):
         ([1.0], 10.0, 0),
         ([1.0], 10.0, 2.5),
         ([1.0], 10.0, True),
+        ([1.0], [], 10),
+        ([1.0], [10.0, 10], 10),
+        ([1.0], (10.0, -1.0), 10),
+        ([1.0], np.array([[10.0]]), 10),
     ],
     ids=["bare-control", "no-controls", "generator", "nan-T", "inf-T", "string-T",
-         "zero-paths", "fractional-paths", "bool-paths"],
+         "zero-paths", "fractional-paths", "bool-paths", "no-T", "repeated-T",
+         "negative-T-in-tuple", "2-D-T"],
 )
 def test_simulate_checks_arguments_at_the_call(xi, horizon, n_paths):
     # the error comes from the call itself, before any array is asked for
@@ -551,22 +593,22 @@ def test_tail_rate_calls_exact_tail_value_once_per_horizon(monkeypatch):
 
 
 def test_tail_rate_cell_seeds_match_spawned_children():
-    # every Monte Carlo cell of horizon ti counts the samples that a
-    # one-fraction simulate draws from SeedSequence(seed).spawn(|T|)[ti]
+    # every Monte Carlo cell counts the samples that a one-fraction,
+    # one-horizon simulate draws from SeedSequence(seed).spawn(1)[0]
     horizons, xi = [25, 50, 100], np.arange(0.25, 3.0, 0.25)
     for mc_horizons in (None, [50]):
         rep = tail_rate_experiment(
             c=0.1, p=P, horizons=horizons, n_paths=500, seed=42, xi_grid=xi,
             mc_horizons=mc_horizons,
         )
-        kids = np.random.SeedSequence(42).spawn(len(horizons))
+        (kid,) = np.random.SeedSequence(42).spawn(1)
         for ti, T in enumerate(horizons):
             for xj, x in enumerate(xi):
                 mc = rep.mc[ti, xj]
                 if mc_horizons is not None and T not in mc_horizons:
                     assert math.isnan(mc)
                     continue
-                (ref,) = simulate(P, [float(x)], T, 500, kids[ti])
+                (ref,) = simulate(P, [float(x)], T, 500, kid)
                 hits = int(np.count_nonzero(ref >= 0.1))
                 assert math.isnan(mc) == (hits == 0)
                 if hits:
