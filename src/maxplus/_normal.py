@@ -27,9 +27,9 @@ Their exp, log and log1p are numpy's ufunc loops, which on some CPUs
 (AVX-512) differ from libm in the last bit: ``erfcx`` is arithmetic
 alone and has the same bits on every CPU, ``ndtr`` and ``log_ndtr`` may
 not.  The loops give the same bits for an array, a 0-d array and a
-scalar, so every shape of input gets the same values.  A scalar runs as numpy scalar math, which is IEEE
-arithmetic as well, and spares the overhead of array operations on one
-element.
+scalar, so every shape of input gets the same values.  A scalar runs as
+numpy scalar math, which is IEEE arithmetic as well, and spares the
+overhead of array operations on one element.
 """
 
 import math

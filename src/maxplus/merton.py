@@ -16,6 +16,12 @@ State truncation (composing the growth state with max(·, a), the
 ``clip_floor`` of the exact forms) restores the bounded-below kernel row
 that the tightness criterion needs, without changing the limit values
 for nonnegative x.
+
+A fraction squares as ``xi * xi``: one correctly rounded multiply, with
+the same bits for a float, a numpy scalar and an array, where ``xi**2``
+on a scalar goes through libm ``pow``, which is not correctly rounded.
+The closed forms over fractions are array code, and a scalar fraction
+gives a float.
 """
 
 import math
@@ -35,7 +41,7 @@ from .convergence import FormSequence, limsup_trend
 from .conjugacy import Kernel
 from .errors import ValidationError
 from .forms import LOG2, QuasiLinearForm
-from .grids import NEG_INF, POS_INF, Grid, check_real, node_mask
+from .grids import NEG_INF, POS_INF, Grid, check_real, check_values, node_mask
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,7 @@ def brute_force_growth(x, p, xi_grid):
     if not (0 <= x < 1):
         raise ValidationError("brute force oracle covers 0 <= x < 1")
     xi = np.asarray(xi_grid, dtype=np.float64)
-    vals = x * (p.r + p.excess * xi + (x - 1.0) * p.sigma**2 * xi**2 / 2.0)
+    vals = x * (p.r + p.excess * xi + (x - 1.0) * p.sigma**2 * (xi * xi) / 2.0)
     return float(vals.max())
 
 
@@ -134,19 +140,21 @@ def brute_force_growth(x, p, xi_grid):
 
 def drift_rate(xi, p):
     """Almost-sure growth rate of log-wealth under a constant fraction."""
-    return p.r + p.excess * xi - p.sigma**2 * xi**2 / 2.0
+    return p.r + p.excess * xi - p.sigma**2 * (xi * xi) / 2.0
 
 
 def _check_fractions(p, xi):
-    """Reject a fraction whose sigma^2 xi^2, which every closed form uses,
-    leaves the float range."""
-    xi = np.asarray(xi, dtype=np.float64)
+    """``xi`` as a float64 array of fractions, each a number whose
+    sigma^2 xi^2, which every closed form uses, lies in the float range."""
+    what = "finite fractions"
+    xi = check_values(xi, what)
     with np.errstate(over="ignore"):
-        bad = ~np.isfinite(np.float64(p.sigma) ** 2 * xi**2)
+        bad = ~np.isfinite(np.float64(p.sigma) ** 2 * (xi * xi))
     if bad.any():
         raise ValidationError(
-            f"fraction {float(xi[bad][0])!r}: sigma^2 xi^2 leaves the float range"
+            f"{what}: fraction {float(xi[bad][0])!r}: sigma^2 xi^2 leaves the float range"
         )
+    return xi
 
 
 def simulate(p, xi, horizon, n_paths, seed):
@@ -175,27 +183,15 @@ def simulate(p, xi, horizon, n_paths, seed):
         horizons = [horizon]
     if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral) or n_paths < 1:
         raise ValidationError(f"need at least one path, got {n_paths!r}")
-    fractions = np.asarray(xi)
-    if (
-        fractions.ndim != 1
-        or fractions.size == 0
-        or fractions.dtype.kind not in "iuf"
-        or not np.isfinite(fractions).all()
-    ):
+    if np.ndim(xi) != 1 or np.size(xi) == 0:
         raise ValidationError(f"need a nonempty 1-D array of finite fractions, got {xi!r}")
-    _check_fractions(p, fractions)
+    fractions = _check_fractions(p, xi)
     z = np.random.default_rng(seed).standard_normal(n_paths)
-    # one fraction at a time in Python floats: an array expression would
-    # square xi with a multiply, which can round otherwise than libm pow
-    xis = fractions.astype(np.float64).tolist()
-    spreads = [p.sigma * x for x in xis]
-    drifts = [drift_rate(x, p) for x in xis]
-    scale, base = [], []
-    for T in map(float, horizons):
-        root, start = math.sqrt(T), math.log(p.w0) / T
-        scale += [s / root for s in spreads]
-        base += [start + d for d in drifts]
-    return ConstantPaths(scale=np.array(scale), base=np.array(base), z=z)
+    # (horizon x fraction), flattened horizon-major
+    T = np.array(horizons, dtype=np.float64)[:, None]
+    scale = p.sigma * fractions / np.sqrt(T)
+    base = math.log(p.w0) / T + drift_rate(fractions, p)
+    return ConstantPaths(scale=scale.ravel(), base=base.ravel(), z=z)
 
 
 @dataclass(frozen=True)
@@ -295,7 +291,7 @@ class MertonValueForm(QuasiLinearForm):
             p, T = f.params, f.horizon
             if f.clip_floor is None:
                 plain.append(
-                    (i, math.log(p.w0), T, p.r + p.excess * f.xi, p.sigma**2, f.xi**2)
+                    (i, math.log(p.w0), T, p.r + p.excess * f.xi, p.sigma**2, f.xi * f.xi)
                 )
                 continue
             mu, sd = f._law()
@@ -420,16 +416,18 @@ def growth_input(p, x_grid, y_grid, xi_values, horizons, *, clip_floor=None):
 def constant_control_rate(c, xi, p):
     """Asymptotic tail rate of {log(W_T)/T >= c} under a constant fraction.
 
-    A rate beyond the float range is +inf.
+    ``xi`` is a fraction or an array of them, and the rate has its shape:
+    a float for a scalar.  A rate beyond the float range is +inf, and so
+    is the rate of a point mass (xi = 0, or sigma^2 xi^2 below the float
+    range) above its drift.
     """
+    xi = _check_fractions(p, xi)
     m = drift_rate(xi, p)
-    if c <= m:
-        return 0.0
-    if xi == 0.0:
-        return POS_INF
-    # numpy scalars: Python's float ** raises OverflowError instead of giving inf
-    with np.errstate(over="ignore", divide="ignore"):
-        return (np.float64(c) - m) ** 2 / (2.0 * p.sigma**2 * xi**2)
+    gap = c - m
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rate = gap * gap / (2.0 * p.sigma**2 * (xi * xi))
+    out = np.where(c <= m, 0.0, rate)
+    return float(out) if out.ndim == 0 else out
 
 
 def exact_tail_value(c, xi, p, horizon):
@@ -438,23 +436,17 @@ def exact_tail_value(c, xi, p, horizon):
     ``xi`` is a fraction or an array of them, and the value has its shape:
     a float for a scalar.  A value beyond the float range is -inf.
     """
+    _check_horizon(horizon)
+    xi = _check_fractions(p, xi)
     T = float(horizon)
-    xis = np.asarray(xi, dtype=np.float64)
-    start, root = math.log(p.w0) / T, math.sqrt(T)
-    values, tails = [], []
-    # one fraction at a time in Python floats, as in simulate; the Gaussian
-    # tails then take one log_ndtr call
-    for x in xis.ravel().tolist():
-        spread = p.sigma * abs(x)
-        if spread == 0.0:
-            # a point mass: xi = 0, or sigma |xi| below the float range
-            values.append(0.0 if drift_rate(x, p) + start >= c else NEG_INF)
-        else:
-            values.append(None)
-            tails.append(-((c - drift_rate(x, p) - start) * root / spread))
-    logs = iter(_normal.log_ndtr(np.array(tails)).tolist())
-    # Python's float division: an overflow gives -inf without a warning
-    out = np.array([next(logs) / T if v is None else v for v in values]).reshape(xis.shape)
+    drift, start = drift_rate(xi, p), math.log(p.w0) / T
+    spread = p.sigma * np.abs(xi)
+    # a point mass: xi = 0, or sigma |xi| below the float range
+    point = spread == 0.0
+    with np.errstate(over="ignore"):
+        u = (c - drift - start) * math.sqrt(T) / np.where(point, 1.0, spread)
+        tail = _normal.log_ndtr(-u) / T
+    out = np.where(point, np.where(drift + start >= c, 0.0, NEG_INF), tail)
     return float(out) if out.ndim == 0 else out
 
 
@@ -554,13 +546,14 @@ def tail_rate_experiment(
     error, and the cells are correlated across fractions and horizons.
     """
     horizons = _check_horizons(horizons)
-    xi_grid = np.array(xi_grid, dtype=np.float64)  # a copy: the report keeps it
+    xi_grid = np.array(_check_fractions(p, xi_grid))  # a copy: the report keeps it
+    if xi_grid.ndim != 1:
+        raise ValidationError(f"xi grid is not 1-D: shape {xi_grid.shape}")
     if xi_grid.size == 0:
         raise ValidationError("xi grid is empty")
-    _check_fractions(p, xi_grid)
     degenerate = c <= p.r
     target = -growth_conjugate(c, p)
-    rates = np.array([constant_control_rate(c, xi, p) for xi in xi_grid])
+    rates = constant_control_rate(c, xi_grid, p)
     best = int(rates.argmin())
     ss = np.random.SeedSequence(seed)
     mc_horizons = horizons if mc_horizons is None else list(mc_horizons)

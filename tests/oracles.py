@@ -500,7 +500,7 @@ def clipped_merton_affine(p, horizon, xi, floor, slope):
     log-wealth rate under a constant fraction: the closed form, one
     scalar slope, through libm's exp and log."""
     T = horizon
-    mu = p.r + (p.alpha - p.r) * xi - p.sigma**2 * xi**2 / 2.0 + math.log(p.w0) / T
+    mu = p.r + (p.alpha - p.r) * xi - p.sigma**2 * (xi * xi) / 2.0 + math.log(p.w0) / T
     sd = p.sigma * abs(xi) / math.sqrt(T)
     if sd == 0.0:
         return slope * max(mu, floor)
@@ -825,7 +825,7 @@ def risk_sensitive_exact(x, xi, p, horizon):
     """(1/T) log E[W_T^x] for a constant fraction, via the lognormal moment."""
     T = float(horizon)
     return x * math.log(p.w0) / T + x * (
-        p.r + p.excess * xi + (x - 1.0) * p.sigma**2 * xi**2 / 2.0
+        p.r + p.excess * xi + (x - 1.0) * p.sigma**2 * (xi * xi) / 2.0
     )
 
 
@@ -855,10 +855,20 @@ def slow_constant_samples(p, xi, horizon, n_paths, seed):
     """log(W_T)/T under a constant fraction, drawn as base + scale * z."""
     rng = np.random.default_rng(seed)
     T = float(horizon)
-    drift = p.r + (p.alpha - p.r) * xi - p.sigma**2 * xi**2 / 2.0
+    drift = p.r + (p.alpha - p.r) * xi - p.sigma**2 * (xi * xi) / 2.0
     base = math.log(p.w0) / T + drift
     scale = p.sigma * xi / math.sqrt(T)
     return base + scale * rng.standard_normal(n_paths)
+
+
+def slow_exact_tail_value(c, xi, p, horizon):
+    """(1/T) log P[log(W_T)/T >= c] for one fraction, in Python floats."""
+    T = float(horizon)
+    if xi == 0.0:
+        return 0.0 if p.r + math.log(p.w0) / T >= c else NEG
+    drift = p.r + (p.alpha - p.r) * xi - p.sigma**2 * (xi * xi) / 2.0
+    u = (c - drift - math.log(p.w0) / T) * math.sqrt(T) / (p.sigma * abs(xi))
+    return float(log_ndtr(-u) / T)
 
 
 def slow_tail_rate_experiment(c, p, horizons, n_paths=100_000, seed=None, *, xi_grid, mc_horizons=None):
@@ -871,14 +881,14 @@ def slow_tail_rate_experiment(c, p, horizons, n_paths=100_000, seed=None, *, xi_
     else:
         target = -0.0
     rates = []
-    for xi in xi_grid:  # numpy scalars, as the library iterates the grid
-        m = p.r + excess * xi - p.sigma**2 * xi**2 / 2.0
+    for xi in xi_grid.tolist():
+        m = p.r + excess * xi - p.sigma**2 * (xi * xi) / 2.0
         if c <= m:
             rates.append(0.0)
         elif xi == 0.0:
             rates.append(math.inf)
         else:
-            rates.append((c - m) ** 2 / (2.0 * p.sigma**2 * xi**2))
+            rates.append((c - m) * (c - m) / (2.0 * p.sigma**2 * (xi * xi)))
     best = int(np.argmin(rates))
     ss = np.random.SeedSequence(seed)
     mc_set = set(horizons if mc_horizons is None else mc_horizons)
@@ -892,12 +902,7 @@ def slow_tail_rate_experiment(c, p, horizons, n_paths=100_000, seed=None, *, xi_
         Tf = float(T)
         best_val, best_xi = NEG, float(xi_grid[0])
         for xj, xi in enumerate(xi_grid.tolist()):
-            if xi == 0.0:
-                value = 0.0 if p.r + math.log(p.w0) / Tf >= c else NEG
-            else:
-                drift = p.r + excess * xi - p.sigma**2 * xi**2 / 2.0
-                u = (c - drift - math.log(p.w0) / Tf) * math.sqrt(Tf) / (p.sigma * abs(xi))
-                value = float(log_ndtr(-u) / Tf)
+            value = slow_exact_tail_value(c, xi, p, T)
             exact[ti, xj] = value
             if value > best_val:
                 best_val, best_xi = value, xi

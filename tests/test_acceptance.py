@@ -224,7 +224,7 @@ def test_criterion_6_merton_closed_forms():
         z0 = rate_threshold(p)
         for c in (z0 + 0.01, z0 + 0.05):
             grid = np.arange(1e-3, 80, 1e-3)
-            rates = np.array([constant_control_rate(c, v, p) for v in grid])
+            rates = constant_control_rate(c, grid, p)
             ok &= abs(rates.min() - growth_conjugate(c, p)) < 1e-5
     refs = (
         rate_threshold(P) == 0.08125,

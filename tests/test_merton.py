@@ -32,6 +32,7 @@ from oracles import (
     risk_sensitive_exact,
     risk_sensitive_value,
     slow_constant_samples,
+    slow_exact_tail_value,
     slow_tail_rate_experiment,
 )
 
@@ -80,14 +81,12 @@ def test_closed_form_matches_brute_force(rng):
 
 def test_conjugate_matches_fraction_minimization(rng):
     # independent route: minimise the per-fraction tail rate on a grid
-    from maxplus.merton import constant_control_rate
-
     for _ in range(10):
         p = random_params(rng)
         z0 = rate_threshold(p)
         for c in (z0 + 0.01, z0 + 0.05):
             xi = np.arange(1e-3, 80, 1e-3)
-            rates = np.array([constant_control_rate(c, x, p) for x in xi])
+            rates = constant_control_rate(c, xi, p)
             assert abs(rates.min() - growth_conjugate(c, p)) < 1e-5
 
 
@@ -153,6 +152,8 @@ def test_nonpositive_horizon_rejected():
 
 
 XIS = [0.0, -1.5, -0.05, 0.5, 2.0, 8.0]
+# fractions whose square under libm pow is not the product xi * xi
+POW_SQUARED = [2.759, 6.555000000000001]
 
 
 def test_simulate_shares_one_draw_across_controls():
@@ -339,6 +340,45 @@ def test_fractions_whose_variance_overflows_are_rejected(xi):
     # xi^2 itself must be finite: sigma < 1 keeps the largest such fraction
     big = float(np.sqrt(np.finfo(float).max)) * 0.999
     assert tail_rate_experiment(0.12, P, [25], mc_horizons=[], xi_grid=[big]).xi[0] == big
+
+
+@pytest.mark.parametrize(
+    "xi",
+    [1e200, -1e200, float("nan"), "0.5", True, [0.5, True], [0.5, float("nan")], ["0.5", True]],
+    ids=["huge", "huge-negative", "nan", "string", "bool", "bool-in-list", "nan-in-list",
+         "string-and-bool"],
+)
+def test_closed_forms_reject_bad_fractions(xi):
+    # 1e200 raised a bare OverflowError, NaN read NaN, and a string or a
+    # bool read as the number it converts to
+    grid = xi if isinstance(xi, list) else [0.5, xi]
+    with pytest.raises(ValidationError, match="finite fractions"):
+        constant_control_rate(0.12, xi, P)
+    with pytest.raises(ValidationError, match="finite fractions"):
+        exact_tail_value(0.12, xi, P, 25)
+    with pytest.raises(ValidationError, match="finite fractions"):
+        tail_rate_experiment(0.12, P, [25], mc_horizons=[], xi_grid=grid)
+    with pytest.raises(ValidationError, match="finite fractions"):
+        simulate(P, grid, 25, 10, seed=0)
+    with pytest.raises(ValidationError, match="finite fractions"):
+        growth_input(P, Grid.line(0.0, 1.0, 5), Grid.line(0.0, 1.0, 5), grid, [200])
+
+
+@pytest.mark.parametrize("xi", [0.5, [[0.5, 1.0]]], ids=["scalar", "2-D"])
+def test_tail_rate_rejects_a_grid_that_is_not_1d(xi):
+    # a scalar grid raised TypeError, and a 2-D one ValueError
+    with pytest.raises(ValidationError, match="xi grid is not 1-D"):
+        tail_rate_experiment(0.12, P, [25], mc_horizons=[], xi_grid=xi)
+
+
+@pytest.mark.parametrize(
+    "horizon", [0, 0.0, -5, float("nan"), float("inf"), "25", True],
+    ids=["zero", "zero-float", "negative", "nan", "inf", "string", "bool"],
+)
+def test_exact_tail_value_rejects_bad_horizons(horizon):
+    # T = 0 raised ZeroDivisionError, and T = -5 a math domain error
+    with pytest.raises(ValidationError, match="horizon"):
+        exact_tail_value(0.12, 0.5, P, horizon)
 
 
 def test_empirical_matches_exact_within_se():
@@ -565,15 +605,18 @@ def test_clipped_rows_skip_no_bit_on_random_forms():
 
 
 def test_exact_tail_value_on_an_array_is_the_scalar_loop():
-    xi = np.concatenate([[0.0, -0.5, 1e-320], np.linspace(-3.0, 8.0, 57)])
-    for c in (-0.2, 0.04, 0.12, 3.0):
-        for T in (1e-300, 1.0, 25.0, 3200.0):
-            got = exact_tail_value(c, xi, P, T)
-            want = [exact_tail_value(c, float(x), P, T) for x in xi]
-            assert type(got) is np.ndarray and all(type(v) is float for v in want)
-            assert got.tobytes() == np.array(want).tobytes()
-            assert exact_tail_value(c, xi.reshape(6, 10), P, T).tobytes() == got.tobytes()
-            assert type(exact_tail_value(c, np.float64(0.5), P, T)) is float
+    xi = np.concatenate([[0.0, -0.5, 1e-320, *POW_SQUARED], np.linspace(-3.0, 8.0, 57)])
+    for p in (P, MertonParams(r=0.03, alpha=0.11, sigma=0.35, w0=2.5)):
+        for c in (-0.2, 0.04, 0.12, 3.0):
+            for T in (1e-300, 1.0, 25.0, 3200.0):
+                got = exact_tail_value(c, xi, p, T)
+                scalars = [exact_tail_value(c, x, p, T) for x in xi.tolist()]
+                want = [slow_exact_tail_value(c, x, p, T) for x in xi.tolist()]
+                assert type(got) is np.ndarray and all(type(v) is float for v in scalars)
+                assert got.tobytes() == np.array(scalars).tobytes()
+                assert got.tobytes() == np.array(want).tobytes()
+                assert exact_tail_value(c, xi.reshape(2, 31), p, T).tobytes() == got.tobytes()
+                assert type(exact_tail_value(c, np.float64(0.5), p, T)) is float
 
 
 def test_tail_rate_calls_exact_tail_value_once_per_horizon(monkeypatch):
@@ -627,7 +670,7 @@ def test_tail_rate_exact_only_needs_no_paths_or_seed():
     )
 
 
-@pytest.mark.parametrize("xi", XIS)
+@pytest.mark.parametrize("xi", XIS + POW_SQUARED)
 def test_simulate_constant_matches_base_plus_scale_z(xi):
     # the in-place draw rounds as base + scale * z does, bit for bit
     for p in (P, MertonParams(r=0.03, alpha=0.11, sigma=0.35, w0=2.5)):
@@ -656,7 +699,7 @@ def test_tail_rate_matches_serial_oracle(seed, mc_horizons, n_paths, callers):
     # same time; the library keeps no state between calls, so both match
     kw = dict(c=0.1, p=P, horizons=[25, 50, 100], n_paths=n_paths, seed=seed,
               mc_horizons=mc_horizons)
-    for xi in (np.arange(0.25, 3.0, 0.25), np.array([1.5])):
+    for xi in (np.arange(0.25, 3.0, 0.25), np.array(POW_SQUARED), np.array([1.5])):
         want = slow_tail_rate_experiment(xi_grid=xi, **kw)
         others = []
         threads = [
