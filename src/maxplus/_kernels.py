@@ -5,8 +5,8 @@ the on-the-fly bilinear actions and the linear-time conjugate transform)
 are numpy code.  Every dense walk over the kernel, here and in the
 window diagnostics, takes ``block_rows(|Y|)`` X-rows at a time: as many
 |Y|-wide rows as fit in ``_CELL_BUDGET`` float64 cells (1 MiB), so that
-a block stays in cache and no |X|x|Y| matrix is ever built.  The dense
-actions allocate one block buffer per call and evaluate each block in
+a block stays in cache and no |X|x|Y| matrix is ever built.  The table
+action allocates one block buffer per call and evaluates each block in
 place.  Each block evaluates every term with the same floating-point
 expression as a one-shot dense evaluation, so the blocked results are
 bit-identical to it.
@@ -17,25 +17,11 @@ which a neighbouring hull line beats it after rounding, and evaluates
 each x only against the lines whose interval holds it; every line that
 holds the max at an x is among them, so the merge also emits the
 attaining pairs of ``conjugacy.subdifferential_map`` without a walk.
-The 1-D bilinear action is that merge above ``_ENVELOPE_ROWS`` X-nodes
-(``takes_merge``), and the dense sweep at or below it.  The 2-D bilinear
+The 1-D bilinear action is that merge at every size.  The 2-D bilinear
 action bounds each Y-row's best term with a 1-D partial transform and
 evaluates only the rows that can hold the maximum; it keeps chunks of
 ``_CHUNK_ROWS`` X-nodes, since its temporaries are per-row estimates and
 candidate cells rather than dense |Y|-wide slabs.
-
-The crossover is a count of X-nodes, not of cells.  Measured with numpy
-2.4 on a 2-core x86-64 host, the dense sweep costs about 1.55 ns a cell
-and the merge about 90 us, plus 0.14 us a line (the hull's array passes
-and the candidates) and 0.01 us an x.  On 56 shapes (32 to 8192
-X-nodes, 2 to 8192 Y-nodes), each with a convex and a random f, taking
-the merge above 512 X-nodes is at most 5.0 times slower than the faster
-path (the dense sweep at 512 x 1024 with a convex f).  It was 2.0 with
-the hull as a loop over Python lists (0.43 us a line), and no count
-from 64 to 1024 now stays within the 1.9 the crossover was chosen by:
-256 gives 2.7, and lower counts lose to the merge's fixed cost on small
-|Y|.  Each cell-count crossover tried (2**14 to 2**18 cells, with the
-former hull) was 8 times slower or worse on some shape.
 
 Conventions: values are float64 where -inf is the max-plus zero and is
 absorbing for addition; kernels never contain +inf, and bilinear kernels
@@ -55,7 +41,6 @@ _CELL_BUDGET = 2**17  # float64 cells per dense block (1 MiB)
 _CHUNK_ROWS = 256  # X-nodes per chunk of the pruned 2-D action
 _U = 2.0**-53  # unit roundoff
 _SLACK = 5 * _U  # 2-D pruning: delta per unit of magnitude
-_ENVELOPE_ROWS = 512  # the 1-D bilinear action merges envelopes above this |X|
 _HULL_PASSES = 8  # array passes of the hull before a loop finishes it
 _HULL_LOOP_LINES = 128  # ... and the line count at which the loop takes over
 
@@ -86,48 +71,14 @@ def matvec_table(table, neg_f):
 def matvec_bilinear(x, y, neg_f):
     """Row-wise max of x[i]*y[j] + neg_f[j], bit-identical to the dense sweep.
 
-    Above ``_ENVELOPE_ROWS`` X-nodes, with x and y non-decreasing (grid
-    coordinates always are), the maxima come from ``envelope_merge(y,
-    neg_f, x)``, which evaluates about |X| + |Y| candidate cells with the
-    dense expression; otherwise from ``_dense_bilinear``, which evaluates
-    every cell.  A +inf in neg_f (an f with a -inf node) gives +inf
-    everywhere.
+    x and y are non-decreasing, as grid coordinates always are.  The maxima
+    come from ``envelope_merge(y, neg_f, x)``, which evaluates about
+    |X| + |Y| candidate cells with the dense expression.  A +inf in neg_f
+    (an f with a -inf node) gives +inf everywhere.
     """
     if np.isposinf(neg_f).any():
         return np.full(x.shape[0], np.inf)
-    if takes_merge(x, y):
-        return envelope_merge(y, neg_f, x)
-    return _dense_bilinear(x, y, neg_f)
-
-
-def takes_merge(x, y):
-    """Whether ``matvec_bilinear(x, y, neg_f)`` merges envelopes for an
-    neg_f without +inf: above ``_ENVELOPE_ROWS`` X-nodes, x and y sorted."""
-    return x.shape[0] > _ENVELOPE_ROWS and _nondecreasing(x) and _nondecreasing(y)
-
-
-def _nondecreasing(a):
-    return bool((a[1:] >= a[:-1]).all())
-
-
-def _dense_bilinear(x, y, neg_f):
-    """Row-wise max of x[i]*y[j] + neg_f[j] over every cell, in blocks.
-
-    neg_f holds no +inf.  Every cell is the one-shot dense expression.
-    """
-    nx = x.shape[0]
-    out = np.empty(nx)
-    step = min(block_rows(y.shape[0]), nx)
-    buf = np.empty((step, y.shape[0]))  # one block, reused
-    for lo in range(0, nx, step):
-        hi = min(lo + step, nx)
-        t = buf[: hi - lo]
-        with np.errstate(over="ignore"):
-            np.multiply.outer(x[lo:hi], y, out=t)
-            t += neg_f
-        t.max(axis=1, out=out[lo:hi])
-    out += 0.0
-    return out
+    return envelope_merge(y, neg_f, x)
 
 
 def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
@@ -216,9 +167,10 @@ def matvec_bilinear_2d(x0, x1, y0, y1, neg_f):
 def envelope_merge(slopes, icepts, xs, attain=False):
     """Max over the lines x -> fl(x*s) + c at each of the sorted xs.
 
-    Bit-identical to the dense max over all lines (``_dense_bilinear(xs,
-    slopes, icepts)``).  ``slopes`` are non-decreasing and finite, ``icepts``
-    lie in R ∪ {-inf} (a -inf line is -inf everywhere and never wins).
+    Bit-identical to the dense max of fl(fl(x*s) + c) over all lines, with
+    a zero max read as +0.  ``slopes`` are non-decreasing and finite,
+    ``icepts`` lie in R ∪ {-inf} (a -inf line is -inf everywhere and never
+    wins).
 
     Write l_j(x) = x*s_j + c_j exactly and v_j(x) = fl(fl(x*s_j) + c_j).
     With u = 2**-53, M = max|x| * max|s| + max|c| over the finite lines and

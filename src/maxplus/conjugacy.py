@@ -163,8 +163,11 @@ class Kernel:
 def conjugate(f, k):
     """Max-plus conjugate of f through the kernel: x ↦ max_y b(x,y) - f(y).
 
-    The dual transform is ``conjugate(g, k.transpose())``.  A zero maximum
-    reads +0, whatever the signs of the zeros it ties (see ``_kernels``).
+    The dual transform is ``conjugate(g, k.transpose())``.  A 1-D bilinear
+    kernel takes the upper-envelope merge at every size, a 2-D one the
+    pruned action and a table the blocked dense sweep, each bit-identical
+    to the dense max (see ``_kernels``).  A zero maximum reads +0, whatever
+    the signs of the zeros it ties.
     """
     require_same_grid(f, k.y_grid, "conjugate: f")
     neg_f = -f.flat
@@ -189,25 +192,14 @@ def conjugate(f, k):
 def legendre_fast(f, k):
     """Legendre-Fenchel transform of a 1-D grid function in O(|X| + |Y|).
 
-    ``k`` is a 1-D bilinear kernel and ``f`` lives on its Y-grid, as in
-    ``conjugate(f, k)``, to which the result is bit-identical: the lines
-    y ↦ (slope y, intercept -f(y)) go through the upper-envelope merge,
-    which ``conjugate`` also takes above ``_kernels._ENVELOPE_ROWS``
-    X-nodes and which evaluates its candidates with the dense sweep's
-    float expression (see ``_kernels.envelope_merge``).  This function
-    takes the merge at every size.  An f with a -inf node gives +inf
-    everywhere and an f that is +inf everywhere gives -inf everywhere
-    (every line has intercept -inf), as ``conjugate`` does.
+    ``k`` is a 1-D bilinear kernel and ``f`` lives on its Y-grid.  This is
+    ``conjugate(f, k)``, whose 1-D bilinear action is the upper-envelope
+    merge of the lines y ↦ (slope y, intercept -f(y)) at every size (see
+    ``_kernels.envelope_merge``); the kernel check is all it adds.
     """
     if k.kind != "bilinear" or k.x_grid.dim != 1:
         raise ValidationError(f"legendre_fast needs a 1-D bilinear kernel, got {k!r}")
-    require_same_grid(f, k.y_grid, "legendre_fast: f")
-    vals = f.flat
-    if np.isneginf(vals).any():
-        # some line has intercept +inf, so the transform is +inf everywhere
-        return GridFn(k.x_grid, np.full(k.x_grid.shape, POS_INF))
-    out = _kernels.envelope_merge(k.y_grid.coords, -vals, k.x_grid.coords)
-    return GridFn(k.x_grid, out)
+    return conjugate(f, k)
 
 
 @dataclass(frozen=True)
@@ -260,22 +252,17 @@ def subdifferential_map(g, k):
     neither -inf (b = -inf or g = +inf) nor NaN (b = g = -inf), since
     kernels hold no +inf.
 
-    Where the dual takes the envelope merge (a 1-D bilinear kernel whose
-    Y-grid passes ``_kernels.takes_merge``, and no g = -inf node), the
-    merge computes the dual and emits the attaining pairs among its
-    candidates with the same test (``_kernels.envelope_merge``), which
-    holds every pair that attains.  Otherwise the test runs over blocks of
-    X-rows in one buffer, and each block emits its pairs.
+    On a 1-D bilinear kernel with no g = -inf node the dual is the
+    envelope merge, which computes it and emits the attaining pairs among
+    its candidates with the same test (``_kernels.envelope_merge``); they
+    hold every pair that attains.  On a table kernel, a 2-D kernel or a g
+    with a -inf node the test runs over blocks of X-rows in one buffer,
+    and each block emits its pairs.
     """
     require_same_grid(g, k.x_grid, "subdifferential_map: g")
     gv = g.flat
     nx, ny = k.x_grid.size, k.y_grid.size
-    if (
-        k.kind == "bilinear"
-        and k.x_grid.dim == 1
-        and not np.isneginf(gv).any()
-        and _kernels.takes_merge(k.y_grid.coords, k.x_grid.coords)
-    ):
+    if k.kind == "bilinear" and k.x_grid.dim == 1 and not np.isneginf(gv).any():
         dv, pairs = _kernels.envelope_merge(k.x_grid.coords, -gv, k.y_grid.coords, attain=True)
         dual = GridFn(k.y_grid, dv)
     else:

@@ -89,7 +89,7 @@ def rate_threshold(p):
 
 def growth_value(x, p):
     """Optimal risk-sensitive growth value; +inf outside [0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = check_values(x, "growth state x")
     inside = (x >= 0.0) & (x < 1.0)
     safe = np.where(inside, x, 0.5)
     val = safe * (p.r + p.excess**2 / (2.0 * p.sigma**2 * (1.0 - safe)))
@@ -99,7 +99,7 @@ def growth_value(x, p):
 
 def optimal_fraction(x, p):
     """The constant fraction attaining the growth value, for 0 <= x < 1."""
-    x = np.asarray(x, dtype=np.float64)
+    x = check_values(x, "growth state x")
     if ((x < 0) | (x >= 1)).any():
         raise ValidationError("optimal fraction defined for 0 <= x < 1")
     out = p.excess / (p.sigma**2 * (1.0 - x))
@@ -112,7 +112,7 @@ def growth_conjugate(y, p):
     Zero below the rate threshold, (sqrt(y - r) - excess / (sqrt(2)
     sigma))^2 above it.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = check_values(y, "growth level y")
     z0 = rate_threshold(p)
     above = y >= z0
     safe = np.where(above, y, z0)
@@ -421,6 +421,7 @@ def constant_control_rate(c, xi, p):
     is the rate of a point mass (xi = 0, or sigma^2 xi^2 below the float
     range) above its drift.
     """
+    c = _check_level(c)
     xi = _check_fractions(p, xi)
     m = drift_rate(xi, p)
     gap = c - m
@@ -436,6 +437,7 @@ def exact_tail_value(c, xi, p, horizon):
     ``xi`` is a fraction or an array of them, and the value has its shape:
     a float for a scalar.  A value beyond the float range is -inf.
     """
+    c = _check_level(c)
     _check_horizon(horizon)
     xi = _check_fractions(p, xi)
     T = float(horizon)
@@ -496,6 +498,14 @@ class TailRateReport:
         return rows
 
 
+def _check_level(c):
+    """The growth level c as a float: a finite real number."""
+    c = check_real(c, "growth level c")
+    if not math.isfinite(c):
+        raise ValidationError(f"growth level c must be finite, got {c!r}")
+    return c
+
+
 def _check_horizon(T):
     """A horizon is a finite positive number."""
     if not (math.isfinite(check_real(T, "horizon")) and T > 0):
@@ -538,13 +548,15 @@ def tail_rate_experiment(
     matter only for the Monte Carlo horizons; a ``None`` seed draws fresh
     entropy once for the whole experiment.
 
-    Horizons must be distinct finite positive numbers, and each Monte
-    Carlo horizon one of them.  One ``simulate`` call over the Monte Carlo
-    horizons draws one vector of normals from the first child seed,
-    ``SeedSequence(seed).spawn(1)[0]``, shared by every (horizon, fraction)
-    cell (common random numbers): every cell keeps its law and standard
-    error, and the cells are correlated across fractions and horizons.
+    The level c is a finite real number.  Horizons must be distinct
+    finite positive numbers, and each Monte Carlo horizon one of them.
+    One ``simulate`` call over the Monte Carlo horizons draws one vector
+    of normals from the first child seed, ``SeedSequence(seed).spawn(1)[0]``,
+    shared by every (horizon, fraction) cell (common random numbers):
+    every cell keeps its law and standard error, and the cells are
+    correlated across fractions and horizons.
     """
+    c = _check_level(c)
     horizons = _check_horizons(horizons)
     xi_grid = np.array(_check_fractions(p, xi_grid))  # a copy: the report keeps it
     if xi_grid.ndim != 1:

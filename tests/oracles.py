@@ -57,9 +57,9 @@ def slow_bilinear_conjugate(xs, ys, f):
 def dense_matvec_bilinear(x, y, neg_f):
     """The 1-D bilinear action over every cell, in blocks of 2**17 cells.
 
-    This was the library's kernel before it merged upper envelopes above
-    a crossover; it stays as the oracle that the merge and the library's
-    own dense sweep must match bit for bit once its zero maxima read +0.
+    This was the library's kernel before it merged upper envelopes; it
+    stays as the oracle that the merge must match bit for bit once its
+    zero maxima read +0.
     It has no absorbing rule: a +inf product meeting f = +inf gives NaN.
     """
     nx = x.shape[0]

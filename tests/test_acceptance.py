@@ -72,8 +72,7 @@ def test_criterion_1_fast_transform_bit_exact_and_timed():
         )
         f = random_piecewise_fn(rng, yg)
         fast = legendre_fast(f, Kernel.bilinear(xg, yg)).values
-        # the dense oracle, not conjugate, which above 512 X-nodes takes the
-        # same envelope merge as legendre_fast
+        # the dense oracle, not conjugate, which legendre_fast calls
         brute = dense_matvec_bilinear(xg.coords, yg.coords, -f.values)
         if not np.array_equal(fast.view(np.uint64), brute.view(np.uint64)):
             mismatches += 1

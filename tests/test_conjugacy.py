@@ -318,8 +318,8 @@ def test_dense_actions_at_block_edges(rng, nx, ny):
     table[rng.random((nx, ny)) < 0.1] = NEG
     dense = np.where(table == NEG, NEG, table + neg_f[None, :]).max(axis=1)
     assert np.array_equal(_kernels.matvec_table(table, neg_f), dense)
-    x = rng.uniform(-3, 3, nx)
-    y = rng.uniform(-2, 2, ny)
+    x = np.sort(rng.uniform(-3, 3, nx))  # the bilinear action takes sorted coordinates
+    y = np.sort(rng.uniform(-2, 2, ny))
     dense = (x[:, None] * y[None, :] + neg_f[None, :]).max(axis=1)
     assert np.array_equal(_kernels.matvec_bilinear(x, y, neg_f), dense)
 
@@ -335,7 +335,8 @@ def test_envelope_merge_bit_exact_against_dense(rng, nx):
 
 
 def test_dense_actions_hold_one_block(rng):
-    """A dense action allocates one block buffer per call, not one per block."""
+    """The table action allocates one block buffer per call, not one per
+    block, and the 1-D bilinear action's merge stays within that bound."""
     n = 4096
     x = np.sort(rng.uniform(-3, 3, n))
     y = np.linspace(-2, 2, n)
@@ -343,7 +344,6 @@ def test_dense_actions_hold_one_block(rng):
     table = np.broadcast_to(y, (n, n))  # the table's rows, without 128 MiB of them
     limit = 1.5 * BUDGET * 8 + n * 8  # 1.5 blocks plus the output
     for action, args in ((_kernels.matvec_bilinear, (x, y, neg_f)),
-                         (_kernels._dense_bilinear, (x, y, neg_f)),
                          (_kernels.matvec_table, (table, neg_f))):
         tracemalloc.start()
         try:
@@ -613,10 +613,8 @@ def test_legendre_fast_matches_dense_with_plus_inf_nodes_and_zero_ties(rng):
 
 
 # ---------------------------------------------------------------------------
-# 1-D bilinear action: the envelope merge above the crossover, bit for bit
+# 1-D bilinear action: the envelope merge at every size, bit for bit
 # ---------------------------------------------------------------------------
-
-ROWS = _kernels._ENVELOPE_ROWS  # X-nodes above which the action merges envelopes
 
 
 def assert_action_exact(x, y, neg_f, want=None):
@@ -641,38 +639,35 @@ def merges(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("nx", [ROWS, ROWS + 1])
-def test_action_at_the_crossover(rng, merges, nx):
-    x = np.sort(rng.uniform(-3, 3, nx))
-    y = np.linspace(-2, 2, 97)
-    assert_action_exact(x, y, kernel_neg_f(rng, 97))
-    assert merges == ([nx] if nx > ROWS else [])
-
-
-@pytest.mark.parametrize("unsorted", ["x", "y"])
-def test_action_unsorted_takes_the_dense_sweep(rng, merges, unsorted):
-    x = np.sort(rng.uniform(-3, 3, 2 * ROWS))
-    y = np.linspace(-2, 2, 97)
-    if unsorted == "x":
-        x = rng.permutation(x)
-    else:
-        y = rng.permutation(y)
-    assert_action_exact(x, y, kernel_neg_f(rng, 97))
-    assert merges == []
-
-
-@pytest.mark.parametrize("nx,ny", [(1, 97), (2 * ROWS, 1)], ids=["one x", "one y"])
+@pytest.mark.parametrize("nx,ny", [(1, 97), (1024, 1)], ids=["one x", "one y"])
 def test_action_one_node_axes(rng, merges, nx, ny):
     x = np.sort(rng.uniform(-3, 3, nx))
     y = np.sort(rng.uniform(-2, 2, ny))
     assert_action_exact(x, y, rng.uniform(-5, 5, ny))
-    assert len(merges) == (nx > ROWS)
+    assert merges == [nx]
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (1, 9), (9, 1)], ids=["1x1", "1xn", "nx1"])
+def test_action_single_node_grids_with_signed_zero_ties(rng, merges, nx, ny):
+    # every sign of zero on a single-node axis, against ±0 coordinates and
+    # ±0 values of f on the other, with +inf nodes in f
+    calls = 0
+    for x0 in (0.0, -0.0, 1.5, -1.5):
+        for y0 in (0.0, -0.0, 1.5, -1.5):
+            x = np.array([x0]) if nx == 1 else signed_axis(rng, nx)
+            y = np.array([y0]) if ny == 1 else signed_axis(rng, ny)
+            for infs in ("finite", "+inf nodes"):
+                neg_f = -tie_f(rng, ny, infs, "±0")
+                if np.isfinite(neg_f).any():
+                    assert_action_exact(x, y, neg_f)
+                    calls += 1
+    assert merges == [nx] * calls
 
 
 @pytest.mark.parametrize("case", ["all -inf", "one +inf"])
 def test_action_infinite_neg_f(rng, case):
     y = np.linspace(-2, 2, 97)
-    for nx in (ROWS, ROWS + 1):
+    for nx in (1, 7, 513):
         x = np.sort(rng.uniform(-3, 3, nx))
         if case == "all -inf":
             neg_f = np.full(97, NEG)
@@ -685,7 +680,7 @@ def test_action_infinite_neg_f(rng, case):
 
 @pytest.mark.parametrize("f_zero", [0.0, -0.0])
 def test_action_signed_zero_ties_above_the_crossover(rng, merges, f_zero):
-    x = np.sort(np.concatenate([rng.uniform(-3, 3, ROWS), np.zeros(9)]))
+    x = np.sort(np.concatenate([rng.uniform(-3, 3, 512), np.zeros(9)]))
     zeros = np.flatnonzero(x == 0)
     x[zeros] = rng.choice([0.0, -0.0], zeros.size)  # still non-decreasing
     y = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
@@ -702,7 +697,7 @@ def test_action_signed_zero_ties_above_the_crossover(rng, merges, f_zero):
 @pytest.mark.parametrize("case", ["products", "intercepts"])
 def test_action_where_the_envelope_bound_overflows(rng, merges, case):
     # 4(M + max|y|) overflows, so the merge takes every line at every x
-    nx, ny = ROWS + 1, 33
+    nx, ny = 513, 33
     if case == "products":  # some products overflow to +-inf as well
         x, y = np.linspace(-1e200, 1e200, nx), np.linspace(-1e200, 1e200, ny)
         neg_f = rng.uniform(-1, 1, ny)
@@ -716,12 +711,11 @@ def test_action_where_the_envelope_bound_overflows(rng, merges, case):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("nx", [5, ROWS + 1])
+@pytest.mark.parametrize("nx", [5, 513])
 def test_kernel_rejects_overflowing_products(rng, nx):
     # b(x, y) = x*y must be a float: 1e200 * 1e200 is not, so the kernel is
-    # rejected where the actions once met +inf products; at ROWS + 1 X-nodes
-    # the action on the largest admissible grid takes the envelope merge
+    # rejected where the actions once met +inf products; the action on the
+    # largest admissible grid takes the envelope merge
     big, unit = Grid.line(-1e200, 1e200, nx), Grid.line(-1, 1, 3)
     for xg, yg in ((big, big), (big, Grid.line(0, 1e200, 2)), (Grid.line(1e200, 1e200, 1), big)):
         for x, y in ((xg, yg), (yg, xg)):
@@ -752,7 +746,7 @@ def action_inputs(draw):
         a[zeros] = rng.choice([0.0, -0.0], zeros.size)  # ±0 ties
         return a
 
-    x = axis(draw(st.integers(ROWS + 1, ROWS + 200)), 3.0)
+    x = axis(draw(st.integers(1, 712)), 3.0)
     y = axis(draw(st.integers(1, 60)), 2.0)
     kind = draw(st.sampled_from(["uniform", "quantized", "convex", "zero"]))
     if kind == "uniform":
@@ -821,7 +815,6 @@ def zero_rule_table(rng, nx, ny, infs, signs, values):
 
 
 def zero_rule_bilinear(rng, nx, ny, infs, signs, values):
-    # the dense sweep at or below ROWS X-nodes, the envelope merge above
     x, y = signed_axis(rng, nx), signed_axis(rng, ny, signs)
     neg_f = -tie_f(rng, ny, infs, values)
     assert_zero_rule_bits(_kernels.matvec_bilinear(x, y, neg_f), dense_matvec_bilinear(x, y, neg_f))
@@ -888,7 +881,7 @@ ZERO_RULE = {
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=st.tuples(
     st.integers(0, 2**32 - 1),
-    st.sampled_from([1, 2, 7, ROWS, ROWS + 1, ROWS + 90]),  # |X| about the crossover
+    st.sampled_from([1, 2, 7, 64, 513, 602]),  # |X|
     st.integers(1, 40),  # |Y|
     st.sampled_from(["finite", "+inf nodes", "a -inf node"]),
     st.sampled_from(["signed", "non-negative"]),  # Y-coordinates
@@ -968,9 +961,10 @@ def test_subdifferential_map_bit_exact_at_block_edges(rng, nx, ny):
         assert_pairs(subdifferential_map(fn, k), dense_attain(fn, k))
 
 
-# attainment from the envelope merge: above ROWS Y-nodes the dual of a
-# 1-D bilinear kernel merges envelopes and marks the attaining pairs among
-# its candidates; ties and near-ties must match the dense test bit for bit
+# attainment from the envelope merge: the dual of a 1-D bilinear kernel
+# whose g has no -inf node merges envelopes and marks the attaining pairs
+# among its candidates; ties and near-ties must match the dense test bit
+# for bit
 ATTAIN_CASES = ["affine", "affine plus c", "zero", "+inf nodes", "one decimal", "one -inf"]
 
 
@@ -1007,14 +1001,14 @@ def walks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("ny", [ROWS, ROWS + 1, 1601])
+@pytest.mark.parametrize("ny", [512, 513, 1601])
 @pytest.mark.parametrize("case", ATTAIN_CASES)
 def test_attainment_from_the_merge_bit_exact(rng, merges, walks, ny, case):
     xg, yg = Grid.line(-2, 2, 129), Grid.line(-3, 3, ny)  # a dyadic X-grid
     k = Kernel.bilinear(xg, yg)
     fn = GridFn(xg, attain_g(rng, xg, yg, case))
     sd = subdifferential_map(fn, k)
-    merged = ny > ROWS and case != "one -inf"
+    merged = case != "one -inf"
     assert merges == ([ny] if merged else [])
     assert (walks == []) == merged  # the merge emits attainment without a walk
     assert_pairs(sd, dense_attain(fn, k))
@@ -1029,15 +1023,15 @@ def test_attainment_where_the_envelope_bound_overflows(merges, walks, case):
     # magnitudes near the float limit make every line a merge candidate at
     # every node
     if case == "intercepts":  # the line of g = -1e308 ties with itself everywhere
-        xg, yg = Grid.line(-2, 2, 9), Grid.line(-3, 3, ROWS + 1)
+        xg, yg = Grid.line(-2, 2, 9), Grid.line(-3, 3, 513)
         g = 1e308 * np.linspace(-1, 1, 9)
     else:  # every term at the first Y-node overflows to -inf: no attainment
-        xg, yg = Grid.line(1e154, 1.5e154, 9), Grid.line(-1e154, 1e154, ROWS + 1)
+        xg, yg = Grid.line(1e154, 1.5e154, 9), Grid.line(-1e154, 1e154, 513)
         g = np.full(9, 1e308)
     k = Kernel.bilinear(xg, yg)
     fn = GridFn(xg, g)
     sd = subdifferential_map(fn, k)
-    assert merges == [ROWS + 1] and walks == []
+    assert merges == [513] and walks == []
     with np.errstate(over="ignore"):  # the oracle's sums overflow too
         assert_pairs(sd, dense_attain(fn, k))
     if case == "intercepts":  # the whole first row attains
@@ -1046,7 +1040,7 @@ def test_attainment_where_the_envelope_bound_overflows(merges, walks, case):
         assert sd.dual.flat[0] == NEG and sd.preimage(0).size == 0
 
 
-@pytest.mark.parametrize("ny", [97, ROWS + 1])
+@pytest.mark.parametrize("ny", [97, 513])
 @pytest.mark.parametrize("case", ["all +inf", "one -inf"])
 def test_attainment_pairs_at_infinite_g(merges, ny, case):
     # an all +inf g attains nothing; a -inf node makes the dual +inf
@@ -1058,13 +1052,52 @@ def test_attainment_pairs_at_infinite_g(merges, ny, case):
         g[4] = NEG
     fn = GridFn(xg, g)
     sd = subdifferential_map(fn, k)
-    assert merges == ([ny] if ny > ROWS and case == "all +inf" else [])
+    assert merges == ([ny] if case == "all +inf" else [])
     assert_pairs(sd, dense_attain(fn, k))
     if case == "all +inf":
         assert sd.pairs.size == 0 and (sd.dual.flat == NEG).all()
     else:
         assert (sd.dual.flat == POS).all()
         assert sd.pairs.tolist() == list(range(4 * ny, 5 * ny))
+
+
+WALK_KERNELS = ["table", "2-D bilinear", "1-D bilinear, one -inf"]
+
+
+def walk_case(rng, nx, kind):
+    """A kernel of |Y| = 97 on ``nx`` X-nodes and a g with rounded values
+    (random ties) and +inf nodes, whose attainment takes the block walk."""
+    g = np.round(rng.uniform(-2, 2, nx), 1)
+    g[rng.random(nx) < 0.05] = POS
+    if kind == "table":
+        xg, yg = Grid.line(-2, 2, nx), Grid.line(-3, 3, 97)
+        table = np.round(rng.uniform(-3, 3, (nx, 97)), 1)
+        table[rng.random((nx, 97)) < 0.1] = NEG
+        table[:, 0] = table[0] = 1.0  # every row and column holds a finite entry
+        return Kernel.from_table(xg, yg, table), g
+    if kind == "2-D bilinear":  # an a x b X-box, and a Y-box with one node on axis 1
+        a = max(d for d in range(1, int(nx**0.5) + 1) if nx % d == 0)
+        xg = Grid.box((-2.0, -1.0), (2.0, 1.0), (a, nx // a))
+        yg = Grid.box((-3.0, 0.5), (3.0, 0.5), (97, 1))
+        return Kernel.bilinear(xg, yg), g + np.round((xg.coords**2).sum(axis=1), 1)
+    xg = Grid.line(-2, 2, nx)
+    g[nx // 3] = NEG  # the dual is +inf everywhere, attained by that node's row
+    return Kernel.bilinear(xg, Grid.line(-3, 3, 97)), g
+
+
+@pytest.mark.parametrize("nx", [ROWS_97 - 1, ROWS_97, ROWS_97 + 1])
+@pytest.mark.parametrize("kind", WALK_KERNELS)
+def test_attainment_walk_bit_exact_at_block_edges(rng, merges, walks, nx, kind):
+    # the kernels whose attainment the merge does not emit: the test runs
+    # over blocks of ROWS_97 X-rows, on both sides of a block edge
+    k, g = walk_case(rng, nx, kind)
+    fn = GridFn(k.x_grid, g.reshape(k.x_grid.shape))
+    sd = subdifferential_map(fn, k)
+    starts = [idx.start for idx in walks]
+    assert starts == list(range(0, nx, ROWS_97)) and merges == []
+    assert_pairs(sd, dense_attain(fn, k))
+    if kind.endswith("-inf"):
+        assert (sd.dual.flat == POS).all()
 
 
 def test_attainment_pairs_on_a_2d_y_grid(rng):

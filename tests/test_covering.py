@@ -569,13 +569,14 @@ def _centred_grid(n, half):
 def _sweep_case(rng):
     """A random covering problem on a 1-D or 2-D bilinear kernel or a table.
 
-    One 1-D bilinear case in five has more than 512 Y-nodes, where the
-    envelope merge emits the pairs.  g holds rounded values (random ties),
-    a plane through the origin (every term ties at one Y-node), sprinkled
-    +inf nodes and rare -inf ones; a -inf node makes the dual +inf wherever
-    its kernel row is finite, so on a table the piece mask is partial.  A
-    table may pair an entry 1e308 with g = -1e308, whose term overflows to
-    +inf: a column that is no piece, attained at a target node.
+    The envelope merge emits the pairs of every 1-D bilinear case with no
+    g = -inf node; one 1-D bilinear case in five has more than 512
+    Y-nodes.  g holds rounded values (random ties), a plane through the
+    origin (every term ties at one Y-node), sprinkled +inf nodes and rare
+    -inf ones; a -inf node makes the dual +inf wherever its kernel row is
+    finite, so on a table the piece mask is partial.  A table may pair an
+    entry 1e308 with g = -1e308, whose term overflows to +inf: a column
+    that is no piece, attained at a target node.
     """
     kind = rng.integers(3)
     if kind < 2:
@@ -620,7 +621,7 @@ def test_build_covering_sweep_against_per_node_loop():
     # the covering read from the pairs against the per-node loop fed the
     # dense attainment matrix, which the pairs must equal
     rng = np.random.default_rng(3217)
-    partial = merged = overflow = 0
+    partial = merged = big = overflow = 0
     for _ in range(1200):
         k, fn, xprime, discrete = _sweep_case(rng)
         rep = build_covering(fn, k, xprime, discrete=discrete)
@@ -632,7 +633,8 @@ def test_build_covering_sweep_against_per_node_loop():
         dual = rep.subdiff.dual.flat
         piece_mask = dual < POS
         partial += 0 < piece_mask.sum() < piece_mask.size
-        merged += k.kind == "bilinear" and k.y_grid.size > 512
+        merged += k.kind == "bilinear" and k.x_grid.dim == 1 and not (fn.flat == NEG).any()
+        big += k.kind == "bilinear" and k.y_grid.size > 512
         target = fn.flat > NEG
         if xprime is not None:
             chosen = np.zeros(target.size, dtype=bool)
@@ -654,7 +656,7 @@ def test_build_covering_sweep_against_per_node_loop():
         assert rep.minimal_top == bool(top[piece_mask].all())
         for y in rep.piece_index:
             assert rep.piece(y).tolist() == np.flatnonzero(dense[:, y]).tolist()
-    assert partial >= 50 and merged >= 50 and overflow >= 10
+    assert partial >= 50 and merged >= 200 and big >= 50 and overflow >= 10
 
 
 def test_build_covering_peak_memory():

@@ -31,6 +31,12 @@ name, as fields are; a call through an import alias counts under the
 imported name (``cli``'s ``covering_verdict`` is ``covering.verdict``,
 the acceptance tests' ``cli_main`` is ``cli.main``), and a starred
 argument (``WindowSides(*pair)``) passes every position.
+
+Every module-level private name of the library (a function, a class or
+an assigned name with one leading underscore) is loaded somewhere in the
+library, bare or as an attribute, so that no helper or constant outlives
+its last library reader; tests do not count as readers.  The scan goes by
+name, as the field scan does.
 """
 
 import ast
@@ -371,3 +377,65 @@ def test_scan_sees_an_unset_config_field():
     )
     caller = "Config('a', 1e-3)\nConfig('b', rows=[])\nPair(*flags)\n"
     assert unpassed_params([source], [source, caller]) == [("Config", "radius")]
+
+
+def private_names(source):
+    """(line, name) of every module-level function, class and assigned
+    name with one leading underscore."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [
+                (node.lineno, t.id) for target in targets for t in ast.walk(target)
+                if isinstance(t, ast.Name)
+            ]
+    return [(line, name) for line, name in out if name.startswith("_") and not name.startswith("__")]
+
+
+def loaded_names(source):
+    """Names loaded anywhere in the source, bare or as an attribute."""
+    return {
+        getattr(node, "id", getattr(node, "attr", None))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unloaded_private_names(library):
+    loaded = set().union(*map(loaded_names, library))
+    return [
+        (line, name)
+        for source in library
+        for line, name in private_names(source)
+        if name not in loaded
+    ]
+
+
+def test_every_private_name_is_loaded_in_the_library():
+    assert unloaded_private_names([p.read_text() for p in LIBRARY]) == []
+
+
+def test_scan_sees_an_unloaded_private_name():
+    source = (
+        "import numpy as np\n"
+        "_ROWS = 512\n"
+        "_BUDGET: int = 2**17\n"
+        "_LO, _HI = 0, 1\n"
+        "__all__ = ['act']\n"
+        "def act(x):\n"
+        "    _local = 1\n"
+        "    return _merge(x) + _BUDGET + _local\n"
+        "def _merge(x):\n"
+        "    return x\n"
+        "def _sweep(x):\n"
+        "    return x\n"
+        "class _Block:\n"
+        "    pass\n"
+    )
+    reader = "from . import m\nm._LO\n"
+    assert unloaded_private_names([source, reader]) == [
+        (2, "_ROWS"), (4, "_HI"), (11, "_sweep"), (13, "_Block"),
+    ]

@@ -381,6 +381,59 @@ def test_exact_tail_value_rejects_bad_horizons(horizon):
         exact_tail_value(0.12, 0.5, P, horizon)
 
 
+BAD_LEVELS = [float("nan"), float("inf"), -float("inf"), True, "0.12", np.array(0.12)]
+BAD_LEVEL_IDS = ["nan", "inf", "-inf", "bool", "string", "0-d array"]
+
+
+@pytest.mark.parametrize("c", BAD_LEVELS, ids=BAD_LEVEL_IDS)
+def test_tail_rate_experiment_rejects_a_bad_level(c):
+    # NaN read NaN exact values and oracle rate with target -0.0, and True read 1.0
+    with pytest.raises(ValidationError, match="growth level c"):
+        tail_rate_experiment(c, P, [25], mc_horizons=[], xi_grid=[0.5, 1.0])
+
+
+@pytest.mark.parametrize("c", BAD_LEVELS, ids=BAD_LEVEL_IDS)
+def test_constant_control_rate_rejects_a_bad_level(c):
+    # True read 1.0, and a string raised a bare numpy UFuncTypeError
+    with pytest.raises(ValidationError, match="growth level c"):
+        constant_control_rate(c, [0.5, 1.0], P)
+
+
+@pytest.mark.parametrize("c", BAD_LEVELS, ids=BAD_LEVEL_IDS)
+def test_exact_tail_value_rejects_a_bad_level(c):
+    with pytest.raises(ValidationError, match="growth level c"):
+        exact_tail_value(c, [0.5, 1.0], P, 25)
+
+
+BAD_STATES = [float("nan"), [0.5, float("nan")], "0.2", True, [0.5, True]]
+BAD_STATE_IDS = ["nan", "nan-in-list", "string", "bool", "bool-in-list"]
+
+
+@pytest.mark.parametrize("x", BAD_STATES, ids=BAD_STATE_IDS)
+def test_growth_value_rejects_bad_states(x):
+    # NaN read +inf, and a string or a bool read as the number it converts to
+    with pytest.raises(ValidationError, match="growth state x"):
+        growth_value(x, P)
+    assert growth_value([-POS_INF, POS_INF], P).tolist() == [POS_INF, POS_INF]
+
+
+@pytest.mark.parametrize("x", BAD_STATES, ids=BAD_STATE_IDS)
+def test_optimal_fraction_rejects_bad_states(x):
+    # NaN passed the range test and read NaN
+    with pytest.raises(ValidationError, match="growth state x"):
+        optimal_fraction(x, P)
+    with pytest.raises(ValidationError, match="defined for 0 <= x < 1"):
+        optimal_fraction(POS_INF, P)
+
+
+@pytest.mark.parametrize("y", BAD_STATES, ids=BAD_STATE_IDS)
+def test_growth_conjugate_rejects_bad_levels(y):
+    # NaN read 0.0, and '0.2' read 0.2
+    with pytest.raises(ValidationError, match="growth level y"):
+        growth_conjugate(y, P)
+    assert growth_conjugate([-POS_INF, POS_INF], P).tolist() == [0.0, POS_INF]
+
+
 def test_empirical_matches_exact_within_se():
     T, n = 10.0, 100_000
     for x, xi in ((0.5, 1.0), (0.5, 2.5), (-0.3, 1.0)):
