@@ -133,10 +133,14 @@ def _load_scenario(path, kind):
         )
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259, 8.1)
             obj = json.load(fh, parse_constant=constant)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: line {e.lineno}, col {e.colno}: {e.msg}")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}")
+    except RecursionError:
+        raise ValidationError(f"{path}: nests deeper than the JSON reader goes")
     _json_object(obj, f"{path}: a scenario")
     if obj.get("kind") != kind:
         raise ValidationError(
@@ -182,7 +186,7 @@ def _run_conjugate(obj, out_dir, summary):
     )
     xg = grid_from_json(obj["x_grid"])
     yg = grid_from_json(obj["y_grid"])
-    kernel = kernel_from_json(obj["kernel"], xg, yg)
+    kernel = kernel_from_json(obj.pop("kernel"), xg, yg)
     f = gridfn_from_json(obj["f"])
     fast = _json_bool(obj.get("fast", False), "conjugate scenario: fast")
     name = _json_str(obj.get("out", "conjugate.json"), "conjugate scenario: out")
@@ -208,7 +212,7 @@ def _run_covering(obj, out_dir, summary):
     )
     xg = grid_from_json(obj["x_grid"])
     yg = grid_from_json(obj["y_grid"])
-    kernel = kernel_from_json(obj["kernel"], xg, yg)
+    kernel = kernel_from_json(obj.pop("kernel"), xg, yg)
     g = gridfn_from_json(obj["g"])
     xprime = None
     if "xprime" in obj:
@@ -305,7 +309,7 @@ def _run_ldp(obj, out_dir, summary):
     )
     xg = grid_from_json(obj["x_grid"])
     yg = grid_from_json(obj["y_grid"])
-    kernel = kernel_from_json(obj["kernel"], xg, yg)
+    kernel = kernel_from_json(obj.pop("kernel"), xg, yg)
     what = "ldp scenario"
     mode = obj.get("mode", "limit-asserted")
     sides = _sides_from(obj, yg.dim, what)

@@ -13,7 +13,6 @@ the float range, which json reads as an infinity, is rejected.
 """
 
 import functools
-import itertools
 import json
 import math
 
@@ -130,6 +129,13 @@ def gridfn_from_json(obj):
 
 
 def kernel_from_json(obj, x_grid, y_grid):
+    """A Kernel from ``{"type": "bilinear"}`` or ``{"type": "table", "rows": [[...]]}``.
+
+    A table is decoded row by row into one float64 array, each row through
+    the checks of ``values_from_json``.  A caller that hands ``obj`` over
+    (``d.pop("kernel")``) lets the parsed rows go before the Kernel copies
+    the table: they take several times the table's own size.
+    """
     kind = _json_object(obj, "kernel").get("type")
     if kind == "bilinear":
         _expect_keys(obj, {"type"}, "kernel")
@@ -137,13 +143,16 @@ def kernel_from_json(obj, x_grid, y_grid):
     if kind == "table":
         _expect_keys(obj, {"type", "rows"}, "kernel")
         rows = obj["rows"]
+        obj = None  # a handed-over obj goes now, leaving rows the one reference
         if type(rows) is not list or not all(type(r) is list for r in rows):
             raise ValidationError("kernel: rows is a JSON list of lists")
         if len({len(r) for r in rows}) > 1:
             raise ValidationError("kernel: rows differ in length")
-        flat = values_from_json(list(itertools.chain.from_iterable(rows)), "kernel rows")
-        ncols = len(rows[0]) if rows else 0
-        return Kernel.from_table(x_grid, y_grid, flat.reshape(len(rows), ncols))
+        table = np.empty((len(rows), len(rows[0]) if rows else 0))
+        for i, row in enumerate(rows):
+            table[i] = values_from_json(row, "kernel rows")
+        rows = row = None  # the parsed rows go before the Kernel copies the table
+        return Kernel.from_table(x_grid, y_grid, table)
     raise ValidationError(f"unknown kernel type {kind!r}")
 
 

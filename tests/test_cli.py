@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,21 @@ def test_corrupt_json_exits_3(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "merton", ')
     assert run(["merton", "--config", bad, "--out-dir", tmp_path]) == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    (b'{"kind": "conjugate", "x": "\xff\xfe"}', "not UTF-8 text: invalid start byte at byte 28"),
+    (b'{"kind": "conjugate", "x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+     "nests deeper than the JSON reader goes"),
+    (b'\xef\xbb\xbf{"kind": "conjugate"}', "Unexpected UTF-8 BOM"),
+], ids=["not-utf8", "nested-100000-deep", "utf8-bom"])
+def test_scenario_json_cannot_read_exits_3(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    assert run(["conjugate", "--config", bad, "--out-dir", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 def test_unknown_field_rejected(tmp_path):
@@ -1309,3 +1325,46 @@ def test_ldp_csv_rate_column_is_the_json_rate_values(tmp_path, monkeypatch):
         v if isinstance(v, str) else repr(v) for v in rate
     ]
     assert lines[0].split(",")[1] == "+inf" and lines[-1].split(",")[1] == "-inf"
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_covering_peaks_at_its_json_parse(tmp_path):
+    # a 256 x 256 banded table, x*y on |x - y| <= 1 and -inf elsewhere: the
+    # parsed rows take several times the table, so a run that keeps them
+    # through the decode, the table's copy and the verdict peaks above
+    # the parse of its own scenario
+    grid = {"lo": -2.0, "hi": 2.0, "n": 256, "dim": 1}
+    x = np.linspace(-2.0, 2.0, 256)
+    table = np.multiply.outer(x, x)
+    table[np.abs(np.subtract.outer(x, x)) > 1.0] = -np.inf
+    g = (table - x * x / 2.0).max(axis=1)
+    rows = [[v if v > -math.inf else "-inf" for v in row] for row in table.tolist()]
+    cfg = tmp_path / "banded.json"
+    cfg.write_text(json.dumps({
+        "kind": "covering", "x_grid": grid, "y_grid": grid,
+        "kernel": {"type": "table", "rows": rows},
+        "g": {"grid": grid, "values": g.tolist()},
+    }))
+    del table, rows
+
+    def load():
+        with open(cfg, encoding="utf-8") as fh:
+            json.load(fh)
+
+    parse = _traced_peak(load)
+    codes = []
+    peak = _traced_peak(lambda: codes.append(run(["covering", "--config", cfg,
+                                                   "--out-dir", tmp_path])))
+    assert codes == [0]
+    # measured with numpy 2.4 on Python 3.11: 1.00 of the parse (1.05 in a
+    # fresh process, whose first run builds its caches); 1.43-1.48 when
+    # the decode built flat lists and the rows lived through the verdict
+    assert peak <= 1.15 * parse, peak / parse

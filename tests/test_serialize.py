@@ -89,6 +89,43 @@ def test_kernel_roundtrip():
         kernel_from_json({"type": "mystery"}, xg, yg)
 
 
+def _table_with(bad):
+    """The 2 x 3 table of ``KERNEL_GRIDS`` with ``bad`` in its last row."""
+    return [[0.0, "-inf", 1.0], [2.0, 3.0, bad]]
+
+
+KERNEL_GRIDS = (Grid.line(0, 1, 2), Grid.line(0, 1, 3))
+
+
+@pytest.mark.parametrize("rows, message", [
+    (_table_with(True), "kernel rows: true is not a number"),
+    (_table_with(None), "kernel rows: null is not a number"),
+    (_table_with([2]), "kernel rows: [2] is not a number"),
+    (_table_with({}), "kernel rows: {} is not a number"),
+    (_table_with("1.5"), "unknown numeric literal '1.5'"),
+    (_table_with("inf"), "unknown numeric literal 'inf'"),
+    (_table_with("Infinity"), "unknown numeric literal 'Infinity'"),
+    (_table_with(math.inf), "kernel rows: a number beyond the float range"),
+    (_table_with(-math.inf), "kernel rows: a number beyond the float range"),
+    (_table_with(10**400), "kernel rows: an integer beyond the float range"),
+    (_table_with(math.nan), "NaN is not an extended real"),
+    (_table_with("+inf"), "kernel entries must lie in R ∪ {-inf}"),
+    ([[0.0, "-inf", 1.0], [2.0, 3.0]], "kernel: rows differ in length"),
+    ([[0.0, "-inf", 1.0], 5], "kernel: rows is a JSON list of lists"),
+    ("rows", "kernel: rows is a JSON list of lists"),
+    ({"0": [0.0]}, "kernel: rows is a JSON list of lists"),
+    ([[], []], "kernel table shape (2, 0) != (2, 3)"),
+], ids=["true", "null", "list", "object", "numeric-string", "inf-string", "Infinity-string",
+        "float-inf", "float-neg-inf", "huge-int", "nan", "plus-inf", "ragged",
+        "non-list-row", "string-rows", "object-rows", "empty-rows"])
+def test_kernel_table_entry_checks(rows, message):
+    # the table is decoded row by row; each defect keeps the message the
+    # flat decode of the whole table gave
+    with pytest.raises(ValidationError) as err:
+        kernel_from_json({"type": "table", "rows": rows}, *KERNEL_GRIDS)
+    assert str(err.value) == message
+
+
 def test_dumps_deterministic():
     g = Grid.line(0, 1, 3)
     obj = gridfn_to_json(GridFn(g, [1.0, NEG_INF, 2.0]))
